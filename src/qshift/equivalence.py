@@ -4,9 +4,10 @@ A unit alpha of Z/MZ acts on an identity by multiplying every residue
 of S and T by alpha mod M and folding the result back into the range
 1..M/2 (r and M - r index the same residue pair).  The image relation
 is rediscovered empirically: the shift and kind of the mapped identity
-are inferred from the partition counts and the result is verified
-before it is returned, so a failure of the underlying theory would be
-reported rather than silently accepted.
+are inferred from the partition counts, and infer_relation only returns
+a relation that holds exactly at every index up to the order, so a
+failure of the underlying theory would be reported rather than silently
+accepted.
 
 Since alpha and M - alpha induce the same folded action, orbits are
 enumerated over alpha in 1..M/2 coprime to M.  Classification groups
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .partitions import PartitionIdentity, infer_relation, verify_identity
+from .partitions import OrderTooSmall, PartitionIdentity, infer_relation
 
 DEFAULT_ORDER = 300
 
@@ -52,19 +53,17 @@ class UnitAction:
         return frozenset(self.fold(r) for r in residues)
 
 
-def identity_key(ident: PartitionIdentity):
-    """Deterministic sort key for identities of a common modulus."""
-    return (tuple(sorted(ident.S)), tuple(sorted(ident.T)),
-            ident.kind, ident.a)
-
-
 def act(u: UnitAction, ident: PartitionIdentity,
         n: int = DEFAULT_ORDER) -> PartitionIdentity:
-    """Map an identity through a unit action and verify the image.
+    """Map an identity through a unit action and infer the image's relation.
 
     The folded pair is tried in both orientations, since multiplication
     can exchange which side carries the shift; at most one orientation
     can satisfy a relation, so this is normalization rather than choice.
+    The image is not verified again: infer_relation returns a relation
+    only after checking it at every index 0..n, which is the whole of
+    what verify_identity(image, n) would check.  Like verify_identity,
+    an order too small to see the inferred shift is refused.
     """
     if u.M != ident.M:
         raise ValueError("action modulus does not match identity modulus")
@@ -74,10 +73,9 @@ def act(u: UnitAction, ident: PartitionIdentity,
         if found is None:
             continue
         kind, a = found
-        image = PartitionIdentity(ident.M, S, T, kind, a)
-        if not verify_identity(image, n).ok:
-            break
-        return image
+        if n < a + 2:
+            raise OrderTooSmall(f"order {n} cannot see a shift of {a}")
+        return PartitionIdentity(ident.M, S, T, kind, a)
     raise NotAnIdentity(
         f"alpha={u.alpha} maps the identity to a non-relation (M={ident.M})")
 
@@ -105,11 +103,11 @@ def classify(idents: Sequence[PartitionIdentity],
     moduli = {i.M for i in idents}
     if len(moduli) != 1:
         raise ValueError(f"identities span several moduli: {sorted(moduli)}")
-    remaining = sorted(set(idents), key=identity_key)
+    remaining = sorted(set(idents), key=PartitionIdentity.key)
     classes = []
     while remaining:
         members = orbit(remaining[0], n)
         classes.append([i for i in remaining if i in members])
         remaining = [i for i in remaining if i not in members]
-    classes.sort(key=lambda cls: identity_key(cls[0]))
+    classes.sort(key=lambda cls: cls[0].key())
     return classes

@@ -10,7 +10,11 @@ such parts, two kinds of identity are supported:
                equivalently  P_S(q) - P_T(q) = q^a
 
 where P_S is the generating function prod 1/(1 - q^k) over the parts.
-Verification is exact coefficient checking to a configurable order;
+Verification is exact to a configurable order n.  verify_identity and
+infer_relation share one kernel: P_S and P_T are built as packed
+integers (one fixed-width limb per coefficient, see qseries), the
+relation becomes a single big-integer difference that is zero exactly
+when it holds, and only a failing check decodes the limbs it reports.
 count_partitions is an independent dynamic-programming oracle for the
 same numbers.
 
@@ -29,11 +33,11 @@ from math import gcd
 from .qseries import (
     Series,
     _expand_parts,
+    _residue_product_packed,
     invert,
     linear_combine,
     mul,
     pochhammer,
-    residue_product,
     shift_scale,
 )
 from .theta import (
@@ -136,48 +140,83 @@ def count_partitions(S, M: int, n: int) -> int:
 # verification and inference
 # ----------------------------------------------------------------------
 
+def _mismatch(xs: int, xt: int, w: int, n: int, kind: str, a: int):
+    """First failure of the relation between packed P_S and P_T, or None.
+
+    xs and xt hold the coefficients of P_S and P_T to order n in limbs of
+    w bits (qseries._residue_product_packed).  The relation is one packed
+    difference
+
+        shifted    d = xs - ((xt << a*w) & mask) - 1
+        shiftless  d = xs - xt - (1 << a*w)
+
+    whose signed limb k is d_k = lhs_k - rhs_k - want_k, the defect at
+    q^k.  _partition_nbytes keeps every limb of xs and xt below
+    2^(w-24), so |d_k| < 2^(w-1) and d = sum d_k 2^(w*k) is exact: if k
+    is the first index with d_k != 0, then d = 2^(w*k) (d_k + 2^w R) and
+    d_k is not a multiple of 2^w.  Hence d == 0 iff the relation holds at
+    every index 0..n, and otherwise the lowest set bit of d lies inside
+    limb k.  Only then are the two single limbs of the witness read.
+
+    Returns (k, (lhs, rhs)) with lhs the coefficient of P_S at q^k and
+    rhs that of q^a P_T (shifted) or P_T (shiftless) there.
+    """
+    mask = (1 << (w * (n + 1))) - 1
+    if kind == SHIFTED:
+        d = xs - ((xt << (a * w)) & mask) - 1
+    else:
+        d = xs - xt - (1 << (a * w))
+    if d == 0:
+        return None
+    k = ((d & -d).bit_length() - 1) // w
+    j = k - a if kind == SHIFTED else k
+    limb = (1 << w) - 1
+    rhs = (xt >> (j * w)) & limb if j >= 0 else 0
+    return k, ((xs >> (k * w)) & limb, rhs)
+
+
+def _lowest_limb(x: int, w: int) -> int | None:
+    """Index of the first nonzero signed limb of x, None when x == 0.
+
+    Exact when every limb is below 2^(w-1) in magnitude (see _mismatch).
+    """
+    return ((x & -x).bit_length() - 1) // w if x else None
+
+
 def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
-    """Check the identity's q-series form coefficient-by-coefficient to order n."""
+    """Check the identity's q-series form exactly to order n."""
     if n < ident.a + 2:
         raise OrderTooSmall(f"order {n} cannot see a shift of {ident.a}")
-    ps = residue_product(ident.S, ident.M, n)
-    pt = residue_product(ident.T, ident.M, n)
-    a = ident.a
-    for k in range(n + 1):
-        lhs = ps.coeff(k)
-        if ident.kind == SHIFTED:
-            rhs = pt.coeff(k - a) if k >= a else 0
-            want = 1 if k == 0 else 0
-        else:
-            rhs = pt.coeff(k)
-            want = 1 if k == a else 0
-        if lhs - rhs != want:
-            return VerifyReport(False, n, k, (lhs, rhs))
-    return VerifyReport(True, n)
+    xs, w = _residue_product_packed(ident.S, ident.M, n)
+    xt, _ = _residue_product_packed(ident.T, ident.M, n)
+    bad = _mismatch(xs, xt, w, n, ident.kind, ident.a)
+    if bad is None:
+        return VerifyReport(True, n)
+    return VerifyReport(False, n, *bad)
 
 
 def infer_relation(S, T, M: int, n: int):
     """Find (kind, a) relating the given sets, or None.
 
-    Scans the shifted pattern first, then the shiftless one, with the
-    shift capped at n // 2 so a match is seen well inside the order.
-    The orientation is as given: S is the unshifted (or larger) side.
+    Tries the one shifted candidate (a = the smallest part, where P_S - 1
+    first differs from zero), then the one shiftless candidate (where P_S
+    first differs from P_T), with the shift capped at n // 2 so a match
+    is seen well inside the order.  Both series have constant term 1, so
+    a candidate is never 0.  A returned relation holds at every index
+    0..n, exactly as verify_identity would check it.  The orientation is
+    as given: S is the unshifted (or larger) side.
     """
     S, T = frozenset(S), frozenset(T)
     if S == T:
         return None
-    ps = residue_product(S, M, n)
-    pt = residue_product(T, M, n)
+    xs, w = _residue_product_packed(S, M, n)
+    xt, _ = _residue_product_packed(T, M, n)
     cap = n // 2
-    diff = [ps.coeff(k) for k in range(n + 1)]
-    diff[0] -= 1
-    a = next((k for k, c in enumerate(diff) if c), None)
-    if a is not None and 1 <= a <= cap:
-        if all(diff[k] == pt.coeff(k - a) for k in range(a, n + 1)):
-            return (SHIFTED, a)
-    nz = [k for k in range(n + 1) if ps.coeff(k) != pt.coeff(k)]
-    if len(nz) == 1 and 1 <= nz[0] <= cap and ps.coeff(nz[0]) - pt.coeff(nz[0]) == 1:
-        return (SHIFTLESS, nz[0])
+    for kind, a in ((SHIFTED, _lowest_limb(xs - 1, w)),
+                    (SHIFTLESS, _lowest_limb(xs - xt, w))):
+        if (a is not None and a <= cap
+                and _mismatch(xs, xt, w, n, kind, a) is None):
+            return (kind, a)
     return None
 
 

@@ -130,9 +130,10 @@ class Series:
             cs = cs[:max(want, 0)]
         elif want > len(cs):
             cs.extend([0] * (want - len(cs)))
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            offset += 1
+        lead = next((i for i, c in enumerate(cs) if c), len(cs))
+        if lead:
+            cs = cs[lead:]
+            offset += lead
         if not cs or order < offset:
             offset = order
             cs = [0]
@@ -184,14 +185,7 @@ class Series:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        top = min(self.order, other.order)
-        lo = min(self.offset, other.offset)
-        for k in range(lo, top + 1):
-            a = self.coeffs[k - self.offset] if self.offset <= k else 0
-            b = other.coeffs[k - other.offset] if other.offset <= k else 0
-            if a != b:
-                return False
-        return True
+        return self.first_difference(other) is None
 
     __hash__ = None  # equality is order-relative; hashing would be unsound
 
@@ -334,11 +328,6 @@ def shift_scale(a: Series, sign: int, k: int) -> Series:
     return Series(a.offset + k, cs, a.order + k)
 
 
-def coeff(a: Series, k: int) -> int:
-    """Coefficient of q^k; zero below the offset, error above the order."""
-    return a.coeff(k)
-
-
 # ----------------------------------------------------------------------
 # product generators
 # ----------------------------------------------------------------------
@@ -388,14 +377,17 @@ def _expand_parts(residues: Iterable[int], modulus: int, limit: int) -> list[int
     return sorted(out)
 
 
-def residue_product(residues: Iterable[int], modulus: int, n: int) -> Series:
-    """prod over parts k = +-s (mod modulus) of 1/(1-q^k), truncated at n.
+def _residue_product_packed(residues: Iterable[int], modulus: int,
+                            n: int) -> tuple[int, int]:
+    """residue_product packed: (x, w) with limb j of width w bits holding
+    the coefficient of q^j, for j = 0..n.
 
-    The coefficient of q^j is the number of partitions of j into such parts.
+    1/(1-q^k) is built as (1+q^k)(1+q^2k)(1+q^4k)... up to order n; every
+    partial product has nonnegative coefficients bounded by the final
+    partition count, so _partition_nbytes keeps each limb below 2^(w-24).
     """
     parts = _expand_parts(residues, modulus, n)
-    nbytes = _partition_nbytes(n)
-    w = 8 * nbytes
+    w = 8 * _partition_nbytes(n)
     mask = (1 << (w * (n + 1))) - 1
     x = 1
     for k in parts:
@@ -403,4 +395,13 @@ def residue_product(residues: Iterable[int], modulus: int, n: int) -> Series:
         while sh <= n:
             x = (x + (x << (sh * w))) & mask
             sh <<= 1
-    return Series(0, _unpack_unsigned(x, nbytes, n + 1), n)
+    return x, w
+
+
+def residue_product(residues: Iterable[int], modulus: int, n: int) -> Series:
+    """prod over parts k = +-s (mod modulus) of 1/(1-q^k), truncated at n.
+
+    The coefficient of q^j is the number of partitions of j into such parts.
+    """
+    x, w = _residue_product_packed(residues, modulus, n)
+    return Series(0, _unpack_unsigned(x, w // 8, n + 1), n)

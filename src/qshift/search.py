@@ -24,12 +24,14 @@ emitted.  Tuples whose twelve expressions all share a factor with n are
 dropped by the same rule before any exact work.
 
 Work is split into (n, a, b) units processed independently (optionally
-by a process pool); the merged result is deterministic and sorted.
+by a process pool of at most os.cpu_count() workers); the merged result
+is deterministic and sorted.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
@@ -37,7 +39,6 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .equivalence import identity_key
 from .jacobi import FourParams, derive_identity
 from .partitions import PartitionIdentity, verify_identity
 from .theta import DegenerateZero
@@ -53,7 +54,8 @@ class SearchConfig:
     """Search space description.
 
     exponent_bound None means n - 1 for each base n.  workers is the
-    number of worker processes; 1 runs everything in-process.
+    number of worker processes, capped at the unit count and at
+    os.cpu_count(); 1 runs everything in-process.
     """
 
     n_values: tuple[int, ...]
@@ -204,18 +206,21 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     scanned = 0
     hist = Counter()
     raw = []
-    if cfg.workers == 1:
-        results = map(_scan_unit, units)
-    else:
-        pool = multiprocessing.Pool(min(cfg.workers, len(units)))
-        results = pool.imap(_scan_unit, units, chunksize=4)
-    for unit_scanned, unit_hist, unit_found in results:
-        scanned += unit_scanned
-        hist.update(unit_hist)
-        raw.extend(unit_found)
+    pool = None
     if cfg.workers != 1:
-        pool.close()
-        pool.join()
+        pool = multiprocessing.Pool(
+            min(cfg.workers, len(units), os.cpu_count() or 1))
+    try:
+        results = (map(_scan_unit, units) if pool is None
+                   else pool.imap(_scan_unit, units, chunksize=4))
+        for unit_scanned, unit_hist, unit_found in results:
+            scanned += unit_scanned
+            hist.update(unit_hist)
+            raw.extend(unit_found)
+    finally:
+        if pool is not None:
+            pool.close()
+            pool.join()
     seen = {}
     for params, ident in raw:
         seen.setdefault(ident, params)
@@ -225,5 +230,5 @@ def run_search(cfg: SearchConfig) -> SearchResult:
             found.append((params, ident))
         else:
             hist[VERIFICATION_FAILED] += 1
-    found.sort(key=lambda pair: (pair[1].M,) + identity_key(pair[1]))
+    found.sort(key=lambda pair: pair[1].key())
     return SearchResult(tuple(found), scanned, dict(hist))

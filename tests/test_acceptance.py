@@ -338,6 +338,23 @@ class TestPropertySweeps:
 # 8. mutation sensitivity
 # ----------------------------------------------------------------------
 
+def oracle_failure(ident, n):
+    """First index where the DP counts break the relation, with the
+    (left count, right count) there; None when it holds to order n."""
+    ps = count_partitions_table(ident.S, ident.M, n)
+    pt = count_partitions_table(ident.T, ident.M, n)
+    for k in range(n + 1):
+        if ident.kind == "shifted":
+            rhs = pt[k - ident.a] if k >= ident.a else 0
+            want = 1 if k == 0 else 0
+        else:
+            rhs = pt[k]
+            want = 1 if k == ident.a else 0
+        if ps[k] - rhs != want:
+            return k, (ps[k], rhs)
+    return None
+
+
 class TestMutationSensitivity:
     def test_fifty_single_residue_mutations_all_fail_fast(self, corpus):
         rng = random.Random(141421)
@@ -360,4 +377,6 @@ class TestMutationSensitivity:
             assert not rep.ok, (e.label, side, drop, add)
             assert rep.first_fail is not None and rep.first_fail <= 100
             assert rep.witness is not None
+            want = oracle_failure(mutant, 100)
+            assert (rep.first_fail, rep.witness) == want, (e.label, side)
             done += 1

@@ -17,11 +17,15 @@ from qshift.equivalence import (
     UnitAction,
     act,
     classify,
-    identity_key,
     orbit,
 )
 from qshift.jacobi import FourParams, derive_identity
-from qshift.partitions import SHIFTED, PartitionIdentity, verify_identity
+from qshift.partitions import (
+    SHIFTED,
+    PartitionIdentity,
+    infer_relation,
+    verify_identity,
+)
 
 PARAMS_40 = [
     (1, 2, 5, 15, 16), (1, 3, 4, 14, 16),
@@ -98,6 +102,24 @@ class TestAct:
                                act(UnitAction(b, M), ident, 200), 200)
                 assert via_product == stepwise
 
+    @pytest.mark.parametrize("index", range(len(PARAMS_40)))
+    def test_inferred_image_relations_verify(self, ids40, index):
+        # act returns what infer_relation finds without re-verifying it,
+        # so every inferred (kind, a) must pass verify_identity as is
+        ident, n = ids40[index], 200
+        for alpha in range(1, 20):
+            if gcd(alpha, 40) != 1:
+                continue
+            u = UnitAction(alpha, 40)
+            s_img, t_img = u.apply_set(ident.S), u.apply_set(ident.T)
+            found = [(S, T, rel) for S, T in ((s_img, t_img), (t_img, s_img))
+                     if (rel := infer_relation(S, T, 40, n)) is not None]
+            assert len(found) == 1, alpha
+            S, T, (kind, a) = found[0]
+            image = PartitionIdentity(40, S, T, kind, a)
+            assert verify_identity(image, n).ok, (alpha, kind, a)
+            assert act(u, ident, n) == image
+
     def test_non_identity_rejected(self):
         fake = PartitionIdentity(32, frozenset({1, 2}), frozenset({3, 4}),
                                  SHIFTED, 1)
@@ -147,10 +169,10 @@ class TestClassify:
 
     def test_deterministic_ordering(self, ids40):
         classes = classify(ids40, 200)
-        keys = [identity_key(c[0]) for c in classes]
+        keys = [c[0].key() for c in classes]
         assert keys == sorted(keys)
         for cls in classes:
-            member_keys = [identity_key(m) for m in cls]
+            member_keys = [m.key() for m in cls]
             assert member_keys == sorted(member_keys)
 
     def test_mixed_moduli_rejected(self, id32, ids40):

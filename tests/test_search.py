@@ -11,6 +11,7 @@ from math import gcd
 
 import pytest
 
+from qshift import search
 from qshift.jacobi import FourParams, derive_identity
 from qshift.partitions import verify_identity
 from qshift.search import (
@@ -126,6 +127,56 @@ class TestRunSearch:
         base = run_search(SearchConfig((10,)))
         pooled = run_search(SearchConfig((10,), workers=2))
         assert pooled == base
+
+    def test_pool_size_capped_at_cpu_count(self, monkeypatch):
+        pools = []
+
+        class FakePool:
+            """Runs the units in-process and records how it was used."""
+
+            def __init__(self, processes):
+                self.processes = processes
+                self.closed = self.joined = False
+                pools.append(self)
+
+            def imap(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+            def close(self):
+                self.closed = True
+
+            def join(self):
+                assert self.closed
+                self.joined = True
+
+        monkeypatch.setattr(search.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+        res = run_search(SearchConfig((8,), workers=10_000))
+        assert [p.processes for p in pools] == [3]
+        assert pools[0].joined
+        assert res == run_search(SearchConfig((8,)))
+
+    def test_pool_closed_when_a_unit_fails(self, monkeypatch):
+        pools = []
+
+        class FailingPool:
+            def __init__(self, processes):
+                self.joined = False
+                pools.append(self)
+
+            def imap(self, fn, items, chunksize=1):
+                raise RuntimeError("unit failed")
+
+            def close(self):
+                pass
+
+            def join(self):
+                self.joined = True
+
+        monkeypatch.setattr(search.multiprocessing, "Pool", FailingPool)
+        with pytest.raises(RuntimeError):
+            run_search(SearchConfig((8,), workers=2))
+        assert pools[0].joined
 
     def test_histogram_keys_are_known(self):
         res = run_search(SearchConfig((10,)))
