@@ -335,8 +335,6 @@ def cmd_expand(args) -> Report:
     if bad:
         raise UsageError(f"residues {bad} outside 1..{half} "
                          f"(sets are folded: list r, not {args.modulus} - r)")
-    if args.order < 0:
-        raise UsageError("--order must be nonnegative")
     table = count_partitions_table(frozenset(S), args.modulus, args.order)
     label = (f"p(+-{{{','.join(map(str, sorted(set(S))))}}} "
              f"mod {args.modulus}, 0..{args.order})")
@@ -577,6 +575,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
+        # every subcommand but search takes --order (special may omit it)
+        if getattr(args, "order", None) is not None and args.order < 0:
+            raise UsageError(f"--order must be nonnegative, got {args.order}")
         report = args.handler(args)
     except (UsageError, ParseError, SchemaViolation, DuplicateLabel,
             InvalidIdentity, OrderTooSmall, ResidueOutOfRange) as exc:

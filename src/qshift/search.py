@@ -12,9 +12,12 @@ residues of twelve linear expressions in the parameters, so both are
 decided for whole (c, x, y) blocks at once with numpy before any exact
 arithmetic runs: an atom [e : 2n] vanishes iff e = 0 mod n, and a
 numerator atom cancels iff its folded residue is available in the
-denominator multiset.  Only tuples surviving this exact prefilter reach
-the symbolic reduction, and every emitted identity is re-verified
-against partition counts before it is reported.
+denominator multiset.  The tuples surviving this exact prefilter are
+reduced together by jacobi.derive_batch, the numpy form of the symbolic
+reduction derive_identity performs on one tuple; Python identity objects
+are built only for the first tuple of each distinct (kind, a, S, T) in a
+unit, and every emitted identity is re-verified against partition
+counts before it is reported.
 
 Results are kept primitive: an identity whose residues all share a
 factor d with M is a rescaled copy of a smaller-modulus identity (for
@@ -39,9 +42,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .jacobi import FourParams, derive_identity
+from .jacobi import FAILURE_REASONS, FourParams, derive_batch
 from .partitions import PartitionIdentity, verify_identity
-from .theta import DegenerateZero
 
 VERIFY_ORDER = 200
 DEGENERATE = "degenerate"
@@ -122,8 +124,13 @@ def _cancels(num, den):
     return (in_den >= in_num).all(axis=0)
 
 
-def _scan_unit(args):
-    n, a, b, bound, require_gcd1, symmetry_reduction = args
+def _prefilter(n, a, b, bound, require_gcd1, symmetry_reduction):
+    """Scan one (n, a, b) unit in numpy.
+
+    Returns (scanned, histogram, C, X, Y): the histogram counts the
+    tuples rejected here, and C, X, Y hold the (c, x, y) of the
+    survivors in scan order.
+    """
     if symmetry_reduction:
         xs, ys = np.triu_indices(bound)
         xs, ys = xs + 1, ys + 1
@@ -139,9 +146,8 @@ def _scan_unit(args):
         C, X, Y = C[keep], X[keep], Y[keep]
     scanned = len(C)
     hist = Counter()
-    found = []
     if scanned == 0:
-        return scanned, hist, found
+        return scanned, hist, C, X, Y
 
     t1_core = np.stack([b - C, a - X, a - Y, X + Y - b - C])
     t2_core = np.stack([a - C, b - X, b - Y, X + Y - a - C])
@@ -162,23 +168,34 @@ def _scan_unit(args):
     hist[IMPRIMITIVE] = int((nondegen & imprim).sum())
     hist["incomplete-cancellation"] = int((nondegen & ~imprim & ~cancel_ok).sum())
 
-    for idx in np.flatnonzero(nondegen & ~imprim & cancel_ok):
-        params = FourParams(a, b, int(C[idx]), int(X[idx]), int(Y[idx]), n)
-        try:
-            der = derive_identity(params)
-        except DegenerateZero:
-            hist[DEGENERATE] += 1
-            continue
-        if not der.ok:
-            hist[der.reason] += 1
-            continue
-        ident = der.identity
-        if gcd(ident.M, *ident.S, *ident.T) > 1:
-            hist[IMPRIMITIVE] += 1
-        else:
-            hist["ok"] += 1
-            if not found or found[-1][1] != ident:
-                found.append((params, ident))
+    keep = nondegen & ~imprim & cancel_ok
+    return scanned, hist, C[keep], X[keep], Y[keep]
+
+
+def _scan_unit(args):
+    n, a, b = args[:3]
+    scanned, hist, C, X, Y = _prefilter(*args)
+    found = []
+    if C.size == 0:
+        return scanned, hist, found
+    # the prefilter has ruled out vanishing atoms: no DegenerateZero here
+    batch = derive_batch(n, a, b, C, X, Y)
+    labels = ("ok",) + FAILURE_REASONS + (IMPRIMITIVE,)
+    code = np.where((batch.reason == 0) & ~batch.primitive,
+                    len(labels) - 1, batch.reason)
+    # tally in order of first occurrence, as a tuple-by-tuple loop would,
+    # so the histogram's key order is unchanged too
+    codes, first, counts = np.unique(code, return_index=True,
+                                     return_counts=True)
+    for j in np.argsort(first):
+        hist[labels[codes[j]]] += int(counts[j])
+    rows = np.flatnonzero(code == 0)
+    if rows.size:
+        keys = np.column_stack((batch.shifted, batch.shift, batch.S, batch.T))
+        _, first = np.unique(keys[rows], axis=0, return_index=True)
+        for i in rows[np.sort(first)].tolist():
+            params = FourParams(a, b, int(C[i]), int(X[i]), int(Y[i]), n)
+            found.append((params, batch.identity(i)))
     return scanned, hist, found
 
 
@@ -194,8 +211,10 @@ def _units(cfg: SearchConfig):
 def run_search(cfg: SearchConfig) -> SearchResult:
     """Scan the whole space, dedupe by identity, and sort the results.
 
-    When one identity arises from several parameter tuples the
-    lexicographically least tuple is kept.  Each deduplicated identity
+    Prefilter survivors go through derive_batch, one batch per unit.
+    When one identity arises from several parameter tuples the first in
+    scan order is kept, which with the default x <= y reduction is the
+    lexicographically least.  Each deduplicated identity
     is verified against partition counts at order 200 before it is
     emitted; the emitted list is sorted by (M, S, T).  The histogram
     tallies the outcome of every scanned tuple ("ok" counts tuples whose

@@ -210,6 +210,18 @@ class TestExitCodes:
                          "--modulus", "5", "--order", "-3")
         assert code == 2
 
+    @pytest.mark.parametrize("order", ["-1", "-2"])
+    @pytest.mark.parametrize("argv", [
+        ("act", "--label", "Thm-32.1", "--alpha", "3"),
+        ("classify", "--modulus", "32"),
+        ("verify", "--modulus", "32"),
+    ], ids=["act", "classify", "verify"])
+    def test_negative_order_is_a_usage_error(self, capsys, argv, order):
+        code, out, err = run(capsys, *argv, "--order", order)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --order must be nonnegative")
+
     def test_search_empty_base(self, capsys, tmp_path):
         out_file = tmp_path / "found.json"
         code, out, _ = run(capsys, "search", "--n", "6",

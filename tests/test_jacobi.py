@@ -4,15 +4,21 @@ Every relation exported by the module is checked against the series
 engine: the assembled monomials of each instance must sum to zero (or to
 one for the base-2n quotient form) to a generous order, over both
 hand-picked and seeded random parameters.  Derivations are additionally
-cross-checked by verifying the produced partition identity numerically.
+cross-checked by verifying the produced partition identity numerically,
+and the numpy batch reduction is checked tuple by tuple against the
+single-tuple one.
 """
 
 import random
+from math import gcd
 
+import numpy as np
 import pytest
 
+from qshift import search
 from qshift.jacobi import (
     EQUAL_SETS,
+    FAILURE_REASONS,
     INCOMPLETE_CANCELLATION,
     REPEATED_ATOM,
     UNRECOGNIZED_SIGN_PATTERN,
@@ -20,7 +26,9 @@ from qshift.jacobi import (
     FourParams,
     JkbParams,
     RawTerm,
+    _classify_batch,
     _classify_reduced,
+    derive_batch,
     derive_identity,
     four2_terms,
     four_instance,
@@ -270,6 +278,105 @@ class TestDerive:
 # ----------------------------------------------------------------------
 # kalvade and quintuple forms
 # ----------------------------------------------------------------------
+
+def batch_columns(pairs, n):
+    """_classify_batch arguments for a list of reduced term pairs: each
+    term's sign parity, q-exponent, and den minus num residue counts."""
+    cols = []
+    for k in (0, 1):
+        terms = [pair[k] for pair in pairs]
+        left = np.zeros((len(terms), n + 1), dtype=np.int64)
+        for i, t in enumerate(terms):
+            for atom in t.den:
+                left[i, atom.r] += 1
+            for atom in t.num:
+                left[i, atom.r] -= 1
+        cols += [np.array([t.sign < 0 for t in terms], dtype=np.int64),
+                 np.array([t.qexp for t in terms], dtype=np.int64), left]
+    return cols
+
+
+def assert_batch_row(batch, i, d):
+    """Row i of a BatchDerivation says what the Derivation d says."""
+    if d.ok:
+        assert batch.reason[i] == 0, d.params
+        assert batch.identity(i) == d.identity
+        ident = d.identity
+        assert batch.primitive[i] == (gcd(ident.M, *ident.S, *ident.T) == 1)
+    else:
+        assert batch.reason[i] > 0, d.params
+        assert FAILURE_REASONS[batch.reason[i] - 1] == d.reason
+
+
+class TestDeriveBatch:
+    def test_classifier_branches_match_scalar_classifier(self):
+        # equal-sets and both unrecognized-sign-pattern shapes are never
+        # reached by a four2 tuple of the tested bases, so feed them directly
+        p = FourParams(1, 2, 3, 4, 5, 16)
+        den123 = tuple(brackets([1, 2, 3], 32))
+        den125 = tuple(brackets([1, 2, 5], 32))
+        pairs = [
+            (make_monomial(1, 0, (), den123), make_monomial(-1, 1, (), den123)),
+            (make_monomial(1, 0, (), den123), make_monomial(1, 1, (), den125)),
+            (make_monomial(-1, 2, (), den125), make_monomial(1, 1, (), den123)),
+            (make_monomial(-1, 0, (), den125), make_monomial(1, 0, (), den123)),
+            (make_monomial(1, -2, (), den123), make_monomial(-1, -2, (), den125)),
+            (make_monomial(-1, 3, (), den125), make_monomial(1, 0, (), den123)),
+            (make_monomial(1, 0, (), den123 + den123[:1]),
+             make_monomial(-1, 1, (), den125)),
+            (make_monomial(1, 0, (), den123),
+             make_monomial(-1, 1, (), den125 + den125[:1])),
+            (make_monomial(1, 0, brackets([7], 32), den123),
+             make_monomial(-1, 1, (), den125)),
+        ]
+        reason, shifted, shift, plus, minus = _classify_batch(
+            *batch_columns(pairs, 16))
+        want = [_classify_reduced(p, r1, r2) for r1, r2 in pairs]
+        assert [FAILURE_REASONS[k - 1] if k else None for k in reason] == \
+            [d.reason for d in want]
+        assert [d.reason for d in want] == [
+            EQUAL_SETS, UNRECOGNIZED_SIGN_PATTERN, UNRECOGNIZED_SIGN_PATTERN,
+            UNRECOGNIZED_SIGN_PATTERN, None, None, REPEATED_ATOM,
+            REPEATED_ATOM, INCOMPLETE_CANCELLATION]
+        for i in (4, 5):
+            ident = want[i].identity
+            assert bool(shifted[i]) == (ident.kind == SHIFTED)
+            assert shift[i] == ident.a
+            assert set(np.flatnonzero(plus[i])) == ident.S
+            assert set(np.flatnonzero(minus[i])) == ident.T
+
+    def test_golden_and_failure_tuples(self):
+        tuples = [(1, 2, 4, 12, 13), (1, 2, 3, 4, 5), (1, 2, 3, 11, 12)]
+        batch = derive_batch(16, *np.array(tuples).T)
+        for i, t in enumerate(tuples):
+            assert_batch_row(batch, i, derive_identity(FourParams(*t, 16)))
+        shiftless = derive_batch(20, 1, 2, 4, [8], [9])
+        assert_batch_row(shiftless, 0, derive_identity(FourParams(1, 2, 4, 8, 9, 20)))
+        assert shiftless.identity(0).kind == SHIFTLESS
+        doubled = derive_batch(32, 2, 4, 8, 24, [26])
+        assert_batch_row(doubled, 0, derive_identity(FourParams(2, 4, 8, 24, 26, 32)))
+        assert doubled.reason[0] == 0 and not doubled.primitive[0]
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_agrees_with_derive_identity_on_every_survivor(self, n):
+        tuples = []
+        for unit in search._units(search.SearchConfig((n,))):
+            _, _, C, X, Y = search._prefilter(*unit)
+            tuples += [(unit[1], unit[2], c, x, y)
+                       for c, x, y in zip(C.tolist(), X.tolist(), Y.tolist())]
+        batch = derive_batch(n, *np.array(tuples).T)
+        for i, t in enumerate(tuples):
+            assert_batch_row(batch, i, derive_identity(FourParams(*t, n)))
+        assert (batch.reason == 0).any()
+
+    def test_degenerate_and_out_of_range_raise(self):
+        with pytest.raises(DegenerateZero):
+            derive_batch(16, 1, 2, [4, 18], [12, 5], [13, 9])
+        with pytest.raises(ValueError):
+            derive_batch(16, 1, 2, 4, 12, [1 << 24])
+        with pytest.raises(ValueError):
+            derive_batch(1 << 24, 1, 2, 4, 12, 13)
+
 
 class TestKalvade:
     @pytest.mark.parametrize("ex,ey,n", [(1, 2, 7), (2, 3, 9), (1, 4, 11)])

@@ -22,6 +22,14 @@ from qshift.search import (
 from qshift.theta import DegenerateZero
 
 
+def linear_expressions(p):
+    """The twelve linear expressions of the four2 terms."""
+    a, b, c, x, y = p.exponents()
+    return (b - c, a - x, a - y, x + y - b - c,
+            a - c, b - x, b - y, x + y - a - c,
+            a - b, c - x, c - y, x + y - a - b)
+
+
 def brute_force(cfg):
     """Reference implementation of run_search on a small space."""
     hist = Counter()
@@ -33,6 +41,10 @@ def brute_force(cfg):
             d = derive_identity(p)
         except DegenerateZero:
             hist["degenerate"] += 1
+            continue
+        if gcd(p.n, *linear_expressions(p)) > 1:
+            # every residue would share that factor with M
+            hist["imprimitive"] += 1
             continue
         if not d.ok:
             hist[d.reason] += 1
@@ -101,8 +113,13 @@ class TestEnumerate:
 
 
 class TestRunSearch:
-    def test_matches_brute_force(self):
-        cfg = SearchConfig((8,))
+    @pytest.mark.parametrize("cfg", [
+        SearchConfig((8,)),
+        # no gcd filter and no x <= y reduction, with survivors that succeed
+        SearchConfig((16,), exponent_bound=7, require_gcd1=False,
+                     symmetry_reduction=False),
+    ], ids=["base8", "base16-loose"])
+    def test_matches_brute_force(self, cfg):
         res = run_search(cfg)
         scanned, hist, emitted = brute_force(cfg)
         assert res.scanned == scanned
@@ -186,3 +203,4 @@ class TestRunSearch:
         assert set(res.histogram) <= known
         assert res.scanned == sum(
             v for k, v in res.histogram.items() if k != "verification-failed")
+
