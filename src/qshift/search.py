@@ -190,12 +190,11 @@ def _scan_unit(args):
     for j in np.argsort(first):
         hist[labels[codes[j]]] += int(counts[j])
     rows = np.flatnonzero(code == 0)
-    if rows.size:
-        keys = np.column_stack((batch.shifted, batch.shift, batch.S, batch.T))
-        _, first = np.unique(keys[rows], axis=0, return_index=True)
-        for i in rows[np.sort(first)].tolist():
-            params = FourParams(a, b, int(C[i]), int(X[i]), int(Y[i]), n)
-            found.append((params, batch.identity(i)))
+    keys = np.column_stack((batch.shifted, batch.shift, batch.S, batch.T))
+    _, first = np.unique(keys[rows], axis=0, return_index=True)
+    for i in rows[np.sort(first)].tolist():
+        params = FourParams(a, b, int(C[i]), int(X[i]), int(Y[i]), n)
+        found.append((params, batch.identity(i)))
     return scanned, hist, found
 
 
