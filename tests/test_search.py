@@ -112,20 +112,24 @@ class TestEnumerate:
             pytest.fail("expected tuple missing from enumeration")
 
 
+def assert_matches_brute_force(cfg):
+    res = run_search(cfg)
+    scanned, hist, emitted = brute_force(cfg)
+    assert res.scanned == scanned
+    assert {k: v for k, v in res.histogram.items() if v} == \
+        {k: v for k, v in hist.items() if v}
+    assert {ident for _, ident in res.found} == emitted
+
+
 class TestRunSearch:
-    @pytest.mark.parametrize("cfg", [
-        SearchConfig((8,)),
+    def test_matches_brute_force(self):
+        assert_matches_brute_force(SearchConfig((8,)))
+
+    def test_matches_brute_force_loose(self):
         # no gcd filter and no x <= y reduction, with survivors that succeed
-        SearchConfig((16,), exponent_bound=7, require_gcd1=False,
-                     symmetry_reduction=False),
-    ], ids=["base8", "base16-loose"])
-    def test_matches_brute_force(self, cfg):
-        res = run_search(cfg)
-        scanned, hist, emitted = brute_force(cfg)
-        assert res.scanned == scanned
-        assert {k: v for k, v in res.histogram.items() if v} == \
-            {k: v for k, v in hist.items() if v}
-        assert {ident for _, ident in res.found} == emitted
+        assert_matches_brute_force(SearchConfig(
+            (16,), exponent_bound=7, require_gcd1=False,
+            symmetry_reduction=False))
 
     def test_empty_small_base(self):
         res = run_search(SearchConfig((8,)))
