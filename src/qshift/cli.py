@@ -24,7 +24,7 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
-from math import gcd
+from math import gcd, log, pi, sqrt
 
 from .corpus import (
     DuplicateLabel,
@@ -52,7 +52,7 @@ from .partitions import (
     verify_identity,
     verify_theorem_72_2,
 )
-from .qseries import ResidueOutOfRange, residue_product
+from .qseries import HEADROOM_BITS, ResidueOutOfRange, residue_product
 from .search import SearchConfig, run_search
 from .theta import DegenerateZero, monomial_neg, monomial_str
 
@@ -63,6 +63,9 @@ DISSECTION_ORDER = 600
 
 PASS, FAIL = "pass", "fail"
 MAX_ECHOED_ITEMS = 24
+
+# memory allowed for one packed product, which bounds every --order
+PACKED_BUDGET_BYTES = 1 << 26
 
 
 class UsageError(Exception):
@@ -132,6 +135,30 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
     if not vals:
         raise UsageError(f"{what} is empty")
     return vals
+
+
+def order_ceiling() -> int:
+    """Largest order whose densest packed product fits the memory budget.
+
+    Order n packs n + 1 limbs, and the densest residue set (every part)
+    has coefficients up to p(n) < e^(pi sqrt(2n/3)), so a limb needs at
+    most pi sqrt(2n/3) / ln 2 bits plus the packing headroom.  With the
+    64 MiB of PACKED_BUDGET_BYTES the ceiling is 273,686.
+    """
+    def nbytes(n):
+        bits = pi * sqrt(2 * n / 3) / log(2) + HEADROOM_BITS
+        return (n + 1) * ((int(bits) + 8) // 8)
+
+    lo, hi = 0, 1
+    while nbytes(hi) <= PACKED_BUDGET_BYTES:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if nbytes(mid) <= PACKED_BUDGET_BYTES:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _identity_str(ident: PartitionIdentity) -> str:
@@ -576,8 +603,14 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         # every subcommand but search takes --order (special may omit it)
-        if getattr(args, "order", None) is not None and args.order < 0:
-            raise UsageError(f"--order must be nonnegative, got {args.order}")
+        order = getattr(args, "order", None)
+        if order is not None and order < 0:
+            raise UsageError(f"--order must be nonnegative, got {order}")
+        if order is not None and order > (ceiling := order_ceiling()):
+            raise UsageError(
+                f"--order {order} is above the ceiling of {ceiling}, where "
+                f"one packed product would exceed "
+                f"{PACKED_BUDGET_BYTES >> 20} MiB")
         report = args.handler(args)
     except (UsageError, ParseError, SchemaViolation, DuplicateLabel,
             InvalidIdentity, OrderTooSmall, ResidueOutOfRange) as exc:

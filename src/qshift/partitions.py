@@ -11,12 +11,24 @@ such parts, two kinds of identity are supported:
 
 where P_S is the generating function prod 1/(1 - q^k) over the parts.
 Verification is exact to a configurable order n.  verify_identity and
-infer_relation share one kernel: P_S and P_T are built as packed
-integers (one fixed-width limb per coefficient, see qseries), the
-relation becomes a single big-integer difference that is zero exactly
-when it holds, and only a failing check decodes the limbs it reports.
-count_partitions is an independent dynamic-programming oracle for the
-same numbers.
+infer_relation share one kernel, which works after cancelling the
+factors both sides share, as the paper's proofs cancel the brackets
+[r:M] common to both sides.  With U = S & T, P_S = P_U P_{S-U} and
+P_T = P_U P_{T-U}, so the relation holds to order n iff
+
+    shifted    P_{S-U} - q^a P_{T-U} = E_U
+    shiftless  P_{S-U} - P_{T-U}     = q^a E_U
+
+does, where E_U = 1/P_U = prod (1 - q^k) over the parts of U.  P_U is
+a unit series (constant term 1), so the two forms first fail at the
+same index, and first_fail is that of the uncancelled relation.  The
+three series are packed integers (one limb per coefficient, see
+qseries) whose limb width comes from a proven bound on these particular
+products (qseries._coeff_bits), far below the width p(n) would need;
+the cancelled relation is one big-integer difference that is zero
+exactly when it holds.  Only a failing check builds its witness, the
+two partition counts at the failing index.  count_partitions is an
+independent dynamic-programming oracle for the same numbers.
 
 The module also carries two special families with their own proofs: the
 classical Rogers-Ramanujan shifted identities (moduli 55 and 70 in
@@ -32,7 +44,11 @@ from math import gcd
 
 from .qseries import (
     Series,
+    _coeff_bits,
     _expand_parts,
+    _limb_width,
+    _pack_finite,
+    _pack_inverse,
     _residue_product_packed,
     invert,
     linear_combine,
@@ -140,39 +156,60 @@ def count_partitions(S, M: int, n: int) -> int:
 # verification and inference
 # ----------------------------------------------------------------------
 
-def _mismatch(xs: int, xt: int, w: int, n: int, kind: str, a: int):
-    """First failure of the relation between packed P_S and P_T, or None.
+def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
+    """The three packed series the kernel compares, at one limb width.
 
-    xs and xt hold the coefficients of P_S and P_T to order n in limbs of
-    w bits (qseries._residue_product_packed).  The relation is one packed
-    difference
+    With U = S & T, returns (xa, xb, xe, w): P_{S-U} and P_{T-U} (S-U is
+    the set difference; P_X = prod 1/(1-q^k)) and E_U = prod (1-q^k), each
+    over the parts of its set up to order n, in limbs of w bits.  The
+    residue classes are disjoint, so the parts of S-U, T-U and U are
+    those of S only, of T only and of both.
 
-        shifted    d = xs - ((xt << a*w) & mask) - 1
-        shiftless  d = xs - xt - (1 << a*w)
-
-    whose signed limb k is d_k = lhs_k - rhs_k - want_k, the defect at
-    q^k.  _partition_nbytes keeps every limb of xs and xt below
-    2^(w-24), so |d_k| < 2^(w-1) and d = sum d_k 2^(w*k) is exact: if k
-    is the first index with d_k != 0, then d = 2^(w*k) (d_k + 2^w R) and
-    d_k is not a multiple of 2^w.  Hence d == 0 iff the relation holds at
-    every index 0..n, and otherwise the lowest set bit of d lies inside
-    limb k.  Only then are the two single limbs of the witness read.
-
-    Returns (k, (lhs, rhs)) with lhs the coefficient of P_S at q^k and
-    rhs that of q^a P_T (shifted) or P_T (shiftless) there.
+    w is sized for these parts: every limb of xa and xb lies in
+    [0, 2^b) and every limb of E_U in (-2^b, 2^b), where b is the largest
+    of the three _coeff_bits bounds, and w >= b + 24.  xe is E_U reduced
+    mod 2^(w*(n+1)).
     """
+    ps = set(_expand_parts(S, M, n))
+    pt = set(_expand_parts(T, M, n))
+    pa, pb, pu = sorted(ps - pt), sorted(pt - ps), sorted(ps & pt)
+    w = _limb_width(max(_coeff_bits(pa, n, True), _coeff_bits(pb, n, True),
+                        _coeff_bits(pu, n, False)))
+    return (_pack_inverse(pa, n, w), _pack_inverse(pb, n, w),
+            _pack_finite(pu, n, w), w)
+
+
+def _mismatch(packed, n: int, kind: str, a: int) -> int | None:
+    """First index 0..n where the relation fails, or None if it holds.
+
+    packed is _cancelled(S, T, M, n).  With U = S & T, P_S = P_U P_{S-U}
+    and P_T = P_U P_{T-U}, so
+
+        P_S - q^a P_T - 1  = P_U (P_{S-U} - q^a P_{T-U} - E_U)
+        P_S - P_T - q^a    = P_U (P_{S-U} - P_{T-U} - q^a E_U)
+
+    (E_U = 1/P_U).  P_U has constant term 1, so the bracket and the
+    defect of the relation vanish to the same order: the first nonzero
+    coefficient of the bracket sits at the relation's first failing
+    index.  The bracket is one packed difference
+
+        shifted    d = xa - (xb << a*w) - xe
+        shiftless  d = xa - xb - (xe << a*w)
+
+    taken mod 2^(w*(n+1)).  Its signed limb k is the bracket's
+    coefficient of q^k, of magnitude below 3 * 2^b < 2^(w-1) (see
+    _cancelled), so the true truncated difference lies in
+    (-2^(w*(n+1)-1), 2^(w*(n+1)-1)) and is zero iff d is; and if k is its
+    first nonzero limb, it equals 2^(w*k) (d_k + 2^w R) with d_k not a
+    multiple of 2^w, so the lowest set bit of d lies inside limb k.
+    """
+    xa, xb, xe, w = packed
     mask = (1 << (w * (n + 1))) - 1
     if kind == SHIFTED:
-        d = xs - ((xt << (a * w)) & mask) - 1
+        d = (xa - (xb << (a * w)) - xe) & mask
     else:
-        d = xs - xt - (1 << (a * w))
-    if d == 0:
-        return None
-    k = ((d & -d).bit_length() - 1) // w
-    j = k - a if kind == SHIFTED else k
-    limb = (1 << w) - 1
-    rhs = (xt >> (j * w)) & limb if j >= 0 else 0
-    return k, ((xs >> (k * w)) & limb, rhs)
+        d = (xa - xb - (xe << (a * w))) & mask
+    return _lowest_limb(d, w)
 
 
 def _lowest_limb(x: int, w: int) -> int | None:
@@ -183,39 +220,53 @@ def _lowest_limb(x: int, w: int) -> int | None:
     return ((x & -x).bit_length() - 1) // w if x else None
 
 
+def _count(S, M: int, k: int) -> int:
+    """p(S, k) read from a packed product to order k (0 for k < 0)."""
+    if k < 0:
+        return 0
+    x, w = _residue_product_packed(S, M, k)
+    return x >> (k * w)
+
+
 def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
-    """Check the identity's q-series form exactly to order n."""
+    """Check the identity's q-series form exactly to order n.
+
+    A failing check reports the first failing index k and the witness
+    (p(S, k), p(T, k - a)) for a shifted identity or (p(S, k), p(T, k))
+    for a shiftless one; only then are those two counts built.
+    """
     if n < ident.a + 2:
         raise OrderTooSmall(f"order {n} cannot see a shift of {ident.a}")
-    xs, w = _residue_product_packed(ident.S, ident.M, n)
-    xt, _ = _residue_product_packed(ident.T, ident.M, n)
-    bad = _mismatch(xs, xt, w, n, ident.kind, ident.a)
-    if bad is None:
+    S, T, M, a = ident.S, ident.T, ident.M, ident.a
+    k = _mismatch(_cancelled(S, T, M, n), n, ident.kind, a)
+    if k is None:
         return VerifyReport(True, n)
-    return VerifyReport(False, n, *bad)
+    j = k - a if ident.kind == SHIFTED else k
+    return VerifyReport(False, n, k, (_count(S, M, k), _count(T, M, j)))
 
 
 def infer_relation(S, T, M: int, n: int):
     """Find (kind, a) relating the given sets, or None.
 
-    Tries the one shifted candidate (a = the smallest part, where P_S - 1
-    first differs from zero), then the one shiftless candidate (where P_S
-    first differs from P_T), with the shift capped at n // 2 so a match
-    is seen well inside the order.  Both series have constant term 1, so
-    a candidate is never 0.  A returned relation holds at every index
-    0..n, exactly as verify_identity would check it.  The orientation is
-    as given: S is the unshifted (or larger) side.
+    Tries the one shifted candidate, then the one shiftless candidate,
+    each with the shift capped at n // 2 so a match is seen well inside
+    the order.  P_S - 1 starts at the smallest part, min(S), so that is
+    the only possible shifted shift; P_S - P_T = P_U (P_{S-U} - P_{T-U})
+    starts where P_{S-U} - P_{T-U} does (see _mismatch), so that is the
+    only possible shiftless one.  Both products have constant term 1, so a
+    candidate is never 0.  A returned relation holds at every index 0..n,
+    exactly as verify_identity would check it.  The orientation is as
+    given: S is the unshifted (or larger) side.
     """
     S, T = frozenset(S), frozenset(T)
     if S == T:
         return None
-    xs, w = _residue_product_packed(S, M, n)
-    xt, _ = _residue_product_packed(T, M, n)
+    packed = _cancelled(S, T, M, n)
+    xa, xb, _, w = packed
     cap = n // 2
-    for kind, a in ((SHIFTED, _lowest_limb(xs - 1, w)),
-                    (SHIFTLESS, _lowest_limb(xs - xt, w))):
+    for kind, a in ((SHIFTED, min(S)), (SHIFTLESS, _lowest_limb(xa - xb, w))):
         if (a is not None and a <= cap
-                and _mismatch(xs, xt, w, n, kind, a) is None):
+                and _mismatch(packed, n, kind, a) is None):
             return (kind, a)
     return None
 
@@ -255,8 +306,17 @@ class SpecialReport:
     checks: tuple[CheckResult, ...]
 
 
-def _check(name: str, lhs: Series, rhs: Series) -> CheckResult:
+def _check(name: str, lhs: Series, rhs: Series, n: int) -> CheckResult:
+    """Compare lhs and rhs at every exponent up to the reported order n.
+
+    Series equality only reaches the smaller of the two orders, so a
+    side truncated below n fails the check; its first_fail is then the
+    first exponent that could not be compared.
+    """
     k = lhs.first_difference(rhs)
+    seen = min(lhs.order, rhs.order)
+    if k is None and seen < n:
+        k = seen + 1
     return CheckResult(name, k is None, k)
 
 
@@ -286,14 +346,15 @@ def rogers_ramanujan_check(n: int) -> SpecialReport:
         (1, mul(H(1, n), G(11, n))),
         (-1, shift_scale(mul(G(1, n), H(11, n)), 1, 2)),
     ])
-    c1 = _check("H(q)G(q^11) - q^2 G(q)H(q^11) = 1", lhs1, one)
+    c1 = _check("H(q)G(q^11) - q^2 G(q)H(q^11) = 1", lhs1, one, n)
 
     lhs2 = linear_combine([
         (1, mul(H(2, n), G(7, n))),
         (-1, shift_scale(mul(G(2, n), H(7, n)), 1, 1)),
     ])
     rhs2 = mul(pochhammer(1, 2, 1, n), invert(pochhammer(7, 14, 1, n)))
-    c2 = _check("H(q^2)G(q^7) - q G(q^2)H(q^7) = (q;q^2)/(q^7;q^14)", lhs2, rhs2)
+    c2 = _check("H(q^2)G(q^7) - q G(q^2)H(q^7) = (q;q^2)/(q^7;q^14)", lhs2,
+                rhs2, n)
 
     checks = (c1, c2)
     return SpecialReport(all(c.ok for c in checks), n, checks)
@@ -341,15 +402,15 @@ def verify_theorem_72_2(n: int) -> SpecialReport:
         make_monomial(1, 0, br(range(1, 36)), br((4, 6, 20, 24, 28, 30))), n)
     checks.append(_check(
         "[2,15,21,22,26:72] - q[3,10,14,33,34:72] = [1..35:72]/[4,6,20,24,28,30:72]",
-        lhs, rhs))
+        lhs, rhs, n))
 
     # 2-dissections
     fp = f(-1, 5, -1, 7)
     fm = shift_scale(f(-1, 1, -1, 11), 1, 1)
     checks.append(_check("f(q,-q^2) = f(-q^5,-q^7) + q f(-q,-q^11)",
-                         f(1, 1, -1, 2), fp + fm))
+                         f(1, 1, -1, 2), fp + fm, n))
     checks.append(_check("f(-q,q^2) = f(-q^5,-q^7) - q f(-q,-q^11)",
-                         f(-1, 1, 1, 2), fp - fm))
+                         f(-1, 1, 1, 2), fp - fm, n))
 
     # 3-dissection of f(q, q)
     t3d_rhs = linear_combine([
@@ -357,7 +418,7 @@ def verify_theorem_72_2(n: int) -> SpecialReport:
         (2, shift_scale(f(1, 3, 1, 15), 1, 1)),
     ])
     checks.append(_check("f(q,q) = f(q^9,q^9) + 2q f(q^3,q^15)",
-                         f(1, 1, 1, 1), t3d_rhs))
+                         f(1, 1, 1, 1), t3d_rhs, n))
 
     # dissection of the square-type product
     terr_rhs = linear_combine([
@@ -366,7 +427,7 @@ def verify_theorem_72_2(n: int) -> SpecialReport:
     ])
     checks.append(_check(
         "f(q,q)f(q^2,q^2) = f(q^3,q^3)f(q^6,q^6) + 2q f(q,q^5)f(q^2,q^10)",
-        mul(f(1, 1, 1, 1), f(1, 2, 1, 2)), terr_rhs))
+        mul(f(1, 1, 1, 1), f(1, 2, 1, 2)), terr_rhs, n))
 
     # product form of the 3-dissection head
     psi_lhs = linear_combine([
@@ -375,7 +436,7 @@ def verify_theorem_72_2(n: int) -> SpecialReport:
     ])
     psi_rhs = mul(f(-1, 1, -1, 3), pochhammer(3, 6, -1, n))
     checks.append(_check("f(q^9,q^9) - q f(q^3,q^15) = f(-q,-q^3)(-q^3;q^6)",
-                         psi_lhs, psi_rhs))
+                         psi_lhs, psi_rhs, n))
 
     # the derived difference identity combining the above
     hwg6_lhs = linear_combine([
@@ -389,7 +450,7 @@ def verify_theorem_72_2(n: int) -> SpecialReport:
     checks.append(_check(
         "f(q^2,q^2)f(q^9,q^9) - f(q^3,q^3)f(q^6,q^6)"
         " = 2q^2 f(q^6,q^30)f(-q,-q^3)(-q^3;q^6)",
-        hwg6_lhs, hwg6_rhs))
+        hwg6_lhs, hwg6_rhs, n))
 
     # the partition identity itself
     rep = verify_identity(THEOREM_72_2, n)

@@ -2,20 +2,23 @@
 
 A Series tracks the coefficients of q^k for offset <= k <= order exactly.
 Coefficients below the offset are zero; coefficients above the order are
-unknown (truncated away).  All arithmetic is exact: no floats, no modular
-shortcuts.
+unknown (truncated away).  All coefficient arithmetic is exact integer
+arithmetic: no modular shortcuts, and no floats except in sizing limbs.
 
 Long convolutions and product accumulations are evaluated by Kronecker
 substitution: coefficients are packed into fixed-width limbs of one big
 Python integer, so a series product becomes a single integer multiply and
 a two-term factor like (1 - q^k) becomes a shift-and-subtract.  Limb
 widths are chosen from proven coefficient bounds (or from the actual
-operand magnitudes), so the packing is always exact.
+operand magnitudes), so the packing is always exact.  The bound for a
+product over a given set of parts (_coeff_bits) is evaluated in floats
+with a stated rounding margin, per set of parts, so a sparse residue set
+gets narrow limbs.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import ceil, exp, expm1, fsum, log, log1p, pi, sqrt
 from typing import Iterable, Sequence
 
 
@@ -83,25 +86,88 @@ def _unpack_unsigned(x: int, nbytes: int, count: int) -> list[int]:
     ]
 
 
-def _distinct_parts_nbytes(n: int) -> int:
-    """Limb width safely above any partial product of distinct factors (1 +- q^e).
+HEADROOM_BITS = 24
+_LN2 = log(2)
 
-    Every coefficient of such a partial product is bounded in magnitude by
-    the number of partitions of the exponent into distinct parts, which is
-    below e^(pi*sqrt(n/3)); 2.62*sqrt(n) bits covers that with room for
-    one extra carry bit.
+
+def _coeff_bits(parts: Sequence[int], n: int, inverse: bool) -> int:
+    """Bits b with every coefficient of q^0..q^n of a product below 2^b.
+
+    inverse=True bounds prod 1/(1-q^k), whose coefficients are
+    nonnegative; inverse=False bounds the magnitudes of prod (1-q^k).
+    Each bound also covers every partial product built on the way to
+    order n, so a packed build never carries across limbs.
+
+    For any 0 < x < 1 and j <= n, a series with nonnegative coefficients
+    c_i gives c_j x^j <= sum c_i x^i, hence
+
+        c_j <= x^-n prod 1/(1-x^k)   for prod 1/(1-q^k), and
+        |c_j| <= x^-n prod (1+x^k)   for prod (1-q^k),
+
+    the second because prod (1+q^k) dominates prod (1-q^k) coefficient
+    by coefficient.  Partial products are dominated by the full one, since
+    the remaining factors have nonnegative coefficients and constant term
+    1 (1/(1-q^k) is built as (1+q^k)(1+q^2k)(1+q^4k)...).  Any x gives a
+    bound.  The one taken is x = e^-t with t = pi sqrt(N/6) / n for
+    1/(1-q^k) and t = pi sqrt(N/12) / n for (1-q^k), N = len(parts): for
+    parts of density N/n the log of the product is about
+    (N/n)(pi^2/6)/t, resp. (N/n)(pi^2/12)/t, and this t minimizes n*t
+    plus that, so the bound is close to the best one.
+
+    The logarithm is evaluated in floats.  k*t is rounded once, and
+    exp, expm1, log and log1p are accurate to a few ulps, so each term
+    is within 2^-50 (1 + |term|) of its exact value at this t; fsum adds
+    them with a single rounding.  The returned figure adds a margin of
+    1 + (bits + N) 2^-32 bits, far above that error for any N < 2^40.
     """
-    bits = int(2.62 * isqrt(4 * n + 4) / 2) + 24
-    return (bits + 7) // 8
+    if not parts:
+        return 1  # the empty product is 1
+    t = pi * sqrt(len(parts) / (6 if inverse else 12)) / n
+    if inverse:
+        terms = (-log(-expm1(-k * t)) for k in parts)
+    else:
+        terms = (log1p(exp(-k * t)) for k in parts)
+    bits = (n * t + fsum(terms)) / _LN2
+    return ceil(bits + 1 + (bits + len(parts)) * 2 ** -32)
 
 
-def _partition_nbytes(n: int) -> int:
-    """Limb width safely above p(n) (and hence any restricted count).
+def _limb_width(bits: int) -> int:
+    """Limb width in bits (whole bytes) for coefficients below 2^bits.
 
-    p(n) < e^(pi*sqrt(2n/3)), i.e. under 3.71*sqrt(n) bits.
+    HEADROOM_BITS spare bits leave room for a sign and for a sum or
+    difference of a few such coefficients without leaving the limb.
     """
-    bits = int(3.71 * isqrt(4 * n + 4) / 2) + 24
-    return (bits + 7) // 8
+    return 8 * ((bits + HEADROOM_BITS + 7) // 8)
+
+
+def _pack_inverse(parts: Iterable[int], n: int, w: int) -> int:
+    """prod over parts of 1/(1-q^k) to order n, packed in w-bit limbs.
+
+    Each factor is (1+q^k)(1+q^2k)(1+q^4k)... up to order n: one
+    shift-add per doubling.  w must exceed _coeff_bits(parts, n, True).
+    """
+    mask = (1 << (w * (n + 1))) - 1
+    x = 1
+    for k in parts:
+        sh = k
+        while sh <= n:
+            x = (x + (x << (sh * w))) & mask
+            sh <<= 1
+    return x
+
+
+def _pack_finite(parts: Iterable[int], n: int, w: int) -> int:
+    """prod over parts of (1-q^k) to order n, packed in w-bit signed limbs.
+
+    One shift-subtract per part.  The result is the packed value reduced
+    mod 2^(w*(n+1)); _unpack_signed decodes it when w exceeds
+    _coeff_bits(parts, n, False) + 1.
+    """
+    mask = (1 << (w * (n + 1))) - 1
+    x = 1
+    for k in parts:
+        x = (x - (x << (k * w))) & mask
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -333,27 +399,27 @@ def shift_scale(a: Series, sign: int, k: int) -> Series:
 # ----------------------------------------------------------------------
 
 def _poch_general(e: int, m: int, sigma: int, base_sigma: int, n: int) -> Series:
-    """prod_{j>=0, e+j*m<=n} (1 - sigma * base_sigma^j * q^(e+j*m))."""
+    """prod_{j>=0, e+j*m<=n} (1 - sigma * base_sigma^j * q^(e+j*m)).
+
+    Flipping the sign of a factor's q term does not change the
+    dominating product prod (1+q^k), so _coeff_bits bounds the limbs.
+    """
     if e < 1 or m < 1:
         raise InvalidExponent(f"pochhammer needs e >= 1 and m >= 1, got e={e}, m={m}")
     if sigma not in (1, -1) or base_sigma not in (1, -1):
         raise ValueError("signs must be +1 or -1")
-    if e > n:
-        return Series.one(n)
-    nbytes = _distinct_parts_nbytes(n)
-    w = 8 * nbytes
+    exps = range(e, n + 1, m)
+    w = _limb_width(_coeff_bits(exps, n, False))
     mask = (1 << (w * (n + 1))) - 1
     x = 1
     s = sigma
-    exp = e
-    while exp <= n:
+    for k in exps:
         if s == 1:
-            x = (x - (x << (exp * w))) & mask
+            x = (x - (x << (k * w))) & mask
         else:
-            x = (x + (x << (exp * w))) & mask
-        exp += m
+            x = (x + (x << (k * w))) & mask
         s *= base_sigma
-    return Series(0, _unpack_signed(x, nbytes, n + 1), n)
+    return Series(0, _unpack_signed(x, w // 8, n + 1), n)
 
 
 def pochhammer(e: int, m: int, sigma: int, n: int) -> Series:
@@ -382,20 +448,12 @@ def _residue_product_packed(residues: Iterable[int], modulus: int,
     """residue_product packed: (x, w) with limb j of width w bits holding
     the coefficient of q^j, for j = 0..n.
 
-    1/(1-q^k) is built as (1+q^k)(1+q^2k)(1+q^4k)... up to order n; every
-    partial product has nonnegative coefficients bounded by the final
-    partition count, so _partition_nbytes keeps each limb below 2^(w-24).
+    The width comes from _coeff_bits for these very parts, so it grows
+    with the residue set's density instead of with p(n).
     """
     parts = _expand_parts(residues, modulus, n)
-    w = 8 * _partition_nbytes(n)
-    mask = (1 << (w * (n + 1))) - 1
-    x = 1
-    for k in parts:
-        sh = k
-        while sh <= n:
-            x = (x + (x << (sh * w))) & mask
-            sh <<= 1
-    return x, w
+    w = _limb_width(_coeff_bits(parts, n, True))
+    return _pack_inverse(parts, n, w), w
 
 
 def residue_product(residues: Iterable[int], modulus: int, n: int) -> Series:

@@ -46,6 +46,10 @@ from .jacobi import FAILURE_REASONS, FourParams, derive_batch
 from .partitions import PartitionIdentity, verify_identity
 
 VERIFY_ORDER = 200
+# _prefilter holds every candidate (c, x, y) of a unit at once; its
+# tracemalloc peak is about 731 bytes per candidate at bounds 20 to 60
+PREFILTER_BUDGET_BYTES = 1 << 28
+PREFILTER_BYTES_PER_TUPLE = 768
 DEGENERATE = "degenerate"
 IMPRIMITIVE = "imprimitive"
 VERIFICATION_FAILED = "verification-failed"
@@ -57,7 +61,10 @@ class SearchConfig:
 
     exponent_bound None means n - 1 for each base n.  workers is the
     number of worker processes, capped at the unit count and at
-    os.cpu_count(); 1 runs everything in-process.
+    os.cpu_count(); 1 runs everything in-process.  A bound whose units
+    would need more than PREFILTER_BUDGET_BYTES in the prefilter (the
+    ceiling is 88 with the x <= y reduction and 70 without) is refused;
+    the default n - 1 fits for every base up to 60 either way.
     """
 
     n_values: tuple[int, ...]
@@ -74,13 +81,29 @@ class SearchConfig:
         if self.workers < 1:
             raise ValueError("workers must be positive")
         for n in self.n_values:
-            if self.bound_for(n) < 5:
+            bound = self.bound_for(n)
+            if bound < 5:
                 raise ValueError(
-                    f"exponent bound {self.bound_for(n)} for base {n} "
+                    f"exponent bound {bound} for base {n} "
                     "cannot admit five distinct exponents")
+            if not self._fits(bound):
+                top = 5
+                while self._fits(top + 1):
+                    top += 1
+                raise ValueError(
+                    f"exponent bound {bound} for base {n} is above the "
+                    f"ceiling of {top}, where one unit of the prefilter "
+                    f"would exceed {PREFILTER_BUDGET_BYTES >> 20} MiB")
 
     def bound_for(self, n: int) -> int:
         return self.exponent_bound if self.exponent_bound is not None else n - 1
+
+    def _fits(self, bound: int) -> bool:
+        """Whether one (n, a, b) unit at this bound fits the budget."""
+        pairs = (bound * (bound + 1) // 2 if self.symmetry_reduction
+                 else bound * bound)
+        return (bound * pairs * PREFILTER_BYTES_PER_TUPLE
+                <= PREFILTER_BUDGET_BYTES)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ must be schema-stable and carry the same verdict as the text rendering.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from qshift.cli import main
+from qshift.cli import main, order_ceiling
 from qshift.corpus import entry_to_record, load_corpus
 from qshift.partitions import count_partitions_table
 
@@ -222,6 +223,24 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: --order must be nonnegative")
 
+    @pytest.mark.parametrize("argv", [
+        ("verify-one", "--modulus", "32", "--shift", "1", "--kind",
+         "shifted", "--s", GOOD_S, "--t", GOOD_T, "--order", "10000000"),
+        ("verify", "--order", str(order_ceiling() + 1)),
+        ("expand", "--s", "1", "--modulus", "5", "--order", "10" * 20),
+    ], ids=["verify-one", "verify", "expand"])
+    def test_huge_order_is_a_usage_error(self, capsys, argv):
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - started < 5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --order")
+        assert f"ceiling of {order_ceiling()}" in err
+
+    def test_order_ceiling_is_far_above_the_orders_in_use(self):
+        assert order_ceiling() == 273686
+
     def test_search_empty_base(self, capsys, tmp_path):
         out_file = tmp_path / "found.json"
         code, out, _ = run(capsys, "search", "--n", "6",
@@ -250,6 +269,14 @@ class TestExitCodes:
     def test_search_bound_too_small(self, capsys):
         code, _, err = run(capsys, "search", "--n", "3")
         assert code == 2
+
+    def test_search_huge_bound(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "search", "--n", "16", "--bound", "300")
+        assert time.perf_counter() - started < 5
+        assert code == 2
+        assert out == ""
+        assert "above the ceiling of 88" in err
 
     def test_search_unwritable_out(self, capsys):
         code, _, err = run(capsys, "search", "--n", "6",

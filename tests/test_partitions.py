@@ -6,19 +6,23 @@ literal residue sets whose truth or falsity the tests themselves verify
 from both sides.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift.qseries import EmptySet, ResidueOutOfRange, residue_product
+from qshift.qseries import EmptySet, ResidueOutOfRange, Series, residue_product
 from qshift.partitions import (
     SHIFTED,
     SHIFTLESS,
+    CheckResult,
     InconsistentScaling,
     InvalidIdentity,
     OrderTooSmall,
     PartitionIdentity,
     THEOREM_72_2,
+    _check,
     count_partitions,
     count_partitions_table,
     infer_relation,
@@ -199,6 +203,87 @@ def test_infer_unrelated_sets_gives_nothing():
 
 
 # ----------------------------------------------------------------------
+# kernel edge cases: shapes of U = S & T that no catalog entry has
+# ----------------------------------------------------------------------
+
+
+def oracle_verdict(ident, n):
+    """(ok, first_fail, witness) of the relation by the DP oracle."""
+    ps = count_partitions_table(ident.S, ident.M, n)
+    pt = count_partitions_table(ident.T, ident.M, n)
+    for k in range(n + 1):
+        if ident.kind == SHIFTED:
+            rhs = pt[k - ident.a] if k >= ident.a else 0
+            want = 1 if k == 0 else 0
+        else:
+            rhs = pt[k]
+            want = 1 if k == ident.a else 0
+        if ps[k] - rhs != want:
+            return False, k, (ps[k], rhs)
+    return True, None, None
+
+
+def brute_relation(S, T, M, n):
+    """The first (kind, a), shifted first, that the DP oracle confirms."""
+    for kind in (SHIFTED, SHIFTLESS):
+        for a in range(1, n // 2 + 1):
+            ident = PartitionIdentity(M, S, T, kind, a)
+            if oracle_verdict(ident, n)[0]:
+                return kind, a
+    return None
+
+
+def edge_pairs(shape, count, seed):
+    """Seeded (M, S, T) with S inside T, T inside S, S and T disjoint, or
+    exactly one shared residue."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        M = rng.randint(5, 40)
+        pool = list(range(1, M // 2 + 1))
+        rng.shuffle(pool)
+        if shape in ("S<T", "T<S"):
+            big = pool[:rng.randint(2, len(pool))]
+            small = big[:rng.randint(1, len(big) - 1)]
+            S, T = (small, big) if shape == "S<T" else (big, small)
+        else:
+            shared = pool[:1] if shape == "singleton" else []
+            rest = pool[len(shared):]
+            cut = rng.randint(1, len(rest) - 1)
+            S = shared + rest[:rng.randint(1, cut)]
+            T = shared + rest[cut:cut + rng.randint(1, len(rest) - cut)]
+        out.append((M, frozenset(S), frozenset(T)))
+    return out
+
+
+SHAPES = ("S<T", "T<S", "disjoint", "singleton")
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_verify_edge_shapes_match_oracle(shape):
+    rng = random.Random(shape)
+    for M, S, T in edge_pairs(shape, 20, seed=len(shape)):
+        common = S & T
+        assert (S < T, T < S, not common, len(common) == 1)[SHAPES.index(shape)]
+        for kind in (SHIFTED, SHIFTLESS):
+            n = rng.randint(8, 150)
+            for a in (1, rng.randint(2, n - 2)):
+                ident = PartitionIdentity(M, S, T, kind, a)
+                rep = verify_identity(ident, n)
+                assert rep.order == n
+                assert (rep.ok, rep.first_fail, rep.witness) == \
+                    oracle_verdict(ident, n), (ident, n)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_infer_edge_shapes_match_brute_force(shape):
+    for M, S, T in edge_pairs(shape, 12, seed=100 + len(shape)):
+        for n in (4, 60):
+            assert infer_relation(S, T, M, n) == brute_relation(S, T, M, n)
+            assert infer_relation(T, S, M, n) == brute_relation(T, S, M, n)
+
+
+# ----------------------------------------------------------------------
 # gcd normalization
 # ----------------------------------------------------------------------
 
@@ -227,6 +312,19 @@ def test_normalize_gcd_rejects_inconsistent_shift():
 # ----------------------------------------------------------------------
 # special checks
 # ----------------------------------------------------------------------
+
+
+def test_check_fails_below_the_reported_order():
+    full = Series(0, [1, 2, 3], 100)
+    short = full.truncate(60)
+    # equal as far as both reach, but the short side stops at 60
+    assert full == short
+    assert _check("c", full, short, 100) == CheckResult("c", False, 61)
+    assert _check("c", short, full, 100) == CheckResult("c", False, 61)
+    assert _check("c", full, short, 60) == CheckResult("c", True, None)
+    # a difference inside the compared range is reported as before
+    assert _check("c", full, Series(0, [1, 2, 4], 60), 100) == \
+        CheckResult("c", False, 2)
 
 
 def test_rogers_ramanujan_smoke():

@@ -5,6 +5,10 @@ counter, schoolbook convolution, and factor-by-factor product expansion.
 The fast implementations must agree with them exactly.
 """
 
+import math
+import random
+from decimal import Decimal, localcontext
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +20,8 @@ from qshift.qseries import (
     NonUnitLeading,
     ResidueOutOfRange,
     Series,
+    _coeff_bits,
+    _expand_parts,
     _mul_packed,
     _mul_schoolbook,
     invert,
@@ -435,3 +441,61 @@ def test_large_order_spot_check():
     got = residue_product({1, 2}, 4, n)
     want = count_partitions_into(parts_from_residues({1, 2}, 4, n), n)
     assert [got.coeff(k) for k in range(n + 1)] == want
+
+
+# ----------------------------------------------------------------------
+# limb-width bound
+# ----------------------------------------------------------------------
+
+
+def random_residue_sets(seed, count):
+    """Seeded (modulus, residue set, order) triples, order up to 400."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        modulus = rng.randint(2, 90)
+        half = modulus // 2
+        residues = rng.sample(range(1, half + 1), rng.randint(1, half))
+        yield modulus, residues, rng.randint(0, 400)
+
+
+def test_coeff_bits_bound_partition_counts():
+    for modulus, residues, n in random_residue_sets(20261018, 150):
+        parts = _expand_parts(residues, modulus, n)
+        table = count_partitions_into(parts, n)
+        assert _coeff_bits(parts, n, True) >= max(table).bit_length()
+
+
+def test_coeff_bits_bound_finite_products():
+    for modulus, residues, n in random_residue_sets(1729, 150):
+        parts = _expand_parts(residues, modulus, n)
+        # prod (1-q^k) over the parts, built from pochhammer factors
+        prod = Series.one(n)
+        for r in {s for r0 in residues for s in (r0, modulus - r0)}:
+            prod = mul(prod, pochhammer(r, modulus, 1, n))
+        biggest = max(abs(c) for c in prod.coeffs)
+        assert _coeff_bits(parts, n, False) >= biggest.bit_length()
+
+
+def exact_bound_bits(parts, n, inverse):
+    """The bound of _coeff_bits at its documented t, in 60-digit decimals."""
+    t = math.pi * math.sqrt(len(parts) / (6 if inverse else 12)) / n
+    with localcontext() as ctx:
+        ctx.prec = 60
+        td = Decimal(t)
+        total = n * td
+        for k in parts:
+            y = (-k * td).exp()
+            total += -(1 - y).ln() if inverse else (1 + y).ln()
+        return total / Decimal(2).ln()
+
+
+def test_coeff_bits_float_margin():
+    # the float evaluation plus its margin stays a full bit above the
+    # same bound evaluated exactly
+    for modulus, residues, n in random_residue_sets(5, 40):
+        parts = _expand_parts(residues, modulus, n)
+        if not parts:
+            continue
+        for inverse in (True, False):
+            exact = exact_bound_bits(parts, n, inverse)
+            assert _coeff_bits(parts, n, inverse) >= exact + 1

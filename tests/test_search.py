@@ -6,6 +6,7 @@ derives every enumerated parameter set, both in the outcome histogram
 and in the surviving identities.
 """
 
+import tracemalloc
 from collections import Counter
 from math import gcd
 
@@ -77,6 +78,32 @@ class TestSearchConfig:
             SearchConfig((16,), exponent_bound=4)
         with pytest.raises(ValueError):
             SearchConfig((5,))
+
+
+    def test_bound_ceiling(self):
+        # the default bound n - 1 fits up to base 60, with or without x <= y
+        SearchConfig((60,))
+        SearchConfig((60,), symmetry_reduction=False)
+        SearchConfig((16,), exponent_bound=88)
+        with pytest.raises(ValueError, match="ceiling of 88"):
+            SearchConfig((16,), exponent_bound=89)
+        with pytest.raises(ValueError, match="ceiling of 70"):
+            SearchConfig((16,), exponent_bound=71, symmetry_reduction=False)
+        with pytest.raises(ValueError, match="ceiling of 88"):
+            SearchConfig((16,), exponent_bound=10 ** 9)
+
+    @pytest.mark.parametrize("symmetry", [True, False])
+    def test_prefilter_memory_per_tuple(self, symmetry):
+        # the ceiling assumes at most PREFILTER_BYTES_PER_TUPLE per tuple
+        bound = 20
+        tracemalloc.start()
+        try:
+            search._prefilter(16, 1, 2, bound, False, symmetry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = bound * (bound + 1) // 2 if symmetry else bound * bound
+        assert peak <= bound * pairs * search.PREFILTER_BYTES_PER_TUPLE
 
 
 class TestEnumerate:
