@@ -238,7 +238,8 @@ class TestExitCodes:
         assert err.startswith("error: --order")
         assert f"ceiling of {order_ceiling()}" in err
 
-    def test_order_ceiling_is_far_above_the_orders_in_use(self):
+    def test_documented_order_ceiling(self):
+        # the figure the README and order_ceiling's docstring give
         assert order_ceiling() == 273686
 
     def test_search_empty_base(self, capsys, tmp_path):
