@@ -47,13 +47,11 @@ from .qseries import (
     _coeff_bits,
     _expand_parts,
     _limb_width,
-    _pack_finite,
-    _pack_inverse,
-    _residue_product_packed,
-    invert,
+    _pack_product,
     linear_combine,
     mul,
     pochhammer,
+    product_series,
     shift_scale,
 )
 from .theta import (
@@ -173,10 +171,10 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     ps = set(_expand_parts(S, M, n))
     pt = set(_expand_parts(T, M, n))
     pa, pb, pu = sorted(ps - pt), sorted(pt - ps), sorted(ps & pt)
-    w = _limb_width(max(_coeff_bits(pa, n, True), _coeff_bits(pb, n, True),
-                        _coeff_bits(pu, n, False)))
-    return (_pack_inverse(pa, n, w), _pack_inverse(pb, n, w),
-            _pack_finite(pu, n, w), w)
+    w = _limb_width(max(_coeff_bits((), pa, n), _coeff_bits((), pb, n),
+                        _coeff_bits(pu, (), n)))
+    return (_pack_product((), pa, n, w), _pack_product((), pb, n, w),
+            _pack_product(pu, (), n, w), w)
 
 
 def _mismatch(packed, n: int, kind: str, a: int) -> int | None:
@@ -224,8 +222,9 @@ def _count(S, M: int, k: int) -> int:
     """p(S, k) read from a packed product to order k (0 for k < 0)."""
     if k < 0:
         return 0
-    x, w = _residue_product_packed(S, M, k)
-    return x >> (k * w)
+    parts = _expand_parts(S, M, k)
+    w = _limb_width(_coeff_bits((), parts, k))
+    return _pack_product((), parts, k, w) >> (k * w)
 
 
 def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
@@ -320,11 +319,6 @@ def _check(name: str, lhs: Series, rhs: Series, n: int) -> CheckResult:
     return CheckResult(name, k is None, k)
 
 
-def _product_pool(r1: int, r2: int, m: int, n: int) -> Series:
-    """1 / ((q^r1; q^m)(q^r2; q^m)) to order n."""
-    return invert(mul(pochhammer(r1, m, 1, n), pochhammer(r2, m, 1, n)))
-
-
 def rogers_ramanujan_check(n: int) -> SpecialReport:
     """The two classical shifted identities built from G and H.
 
@@ -335,24 +329,24 @@ def rogers_ramanujan_check(n: int) -> SpecialReport:
     if n < 20:
         raise OrderTooSmall(f"order {n} below the minimum of 20")
 
-    def G(k, order):
-        return _product_pool(k, 4 * k, 5 * k, order)
+    # the parts of G(q^k) and H(q^k); each side is one inverse product
+    def G(k):
+        return [*range(k, n + 1, 5 * k), *range(4 * k, n + 1, 5 * k)]
 
-    def H(k, order):
-        return _product_pool(2 * k, 3 * k, 5 * k, order)
+    def H(k):
+        return [*range(2 * k, n + 1, 5 * k), *range(3 * k, n + 1, 5 * k)]
 
-    one = Series.one(n)
     lhs1 = linear_combine([
-        (1, mul(H(1, n), G(11, n))),
-        (-1, shift_scale(mul(G(1, n), H(11, n)), 1, 2)),
+        (1, product_series((), H(1) + G(11), n)),
+        (-1, shift_scale(product_series((), G(1) + H(11), n), 1, 2)),
     ])
-    c1 = _check("H(q)G(q^11) - q^2 G(q)H(q^11) = 1", lhs1, one, n)
+    c1 = _check("H(q)G(q^11) - q^2 G(q)H(q^11) = 1", lhs1, Series.one(n), n)
 
     lhs2 = linear_combine([
-        (1, mul(H(2, n), G(7, n))),
-        (-1, shift_scale(mul(G(2, n), H(7, n)), 1, 1)),
+        (1, product_series((), H(2) + G(7), n)),
+        (-1, shift_scale(product_series((), G(2) + H(7), n), 1, 1)),
     ])
-    rhs2 = mul(pochhammer(1, 2, 1, n), invert(pochhammer(7, 14, 1, n)))
+    rhs2 = product_series(range(1, n + 1, 2), range(7, n + 1, 14), n)
     c2 = _check("H(q^2)G(q^7) - q G(q^2)H(q^7) = (q;q^2)/(q^7;q^14)", lhs2,
                 rhs2, n)
 

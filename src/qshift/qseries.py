@@ -5,15 +5,18 @@ Coefficients below the offset are zero; coefficients above the order are
 unknown (truncated away).  All coefficient arithmetic is exact integer
 arithmetic: no modular shortcuts, and no floats except in sizing limbs.
 
-Long convolutions and product accumulations are evaluated by Kronecker
-substitution: coefficients are packed into fixed-width limbs of one big
-Python integer, so a series product becomes a single integer multiply and
-a two-term factor like (1 - q^k) becomes a shift-and-subtract.  Limb
-widths are chosen from proven coefficient bounds (or from the actual
-operand magnitudes), so the packing is always exact.  The bound for a
-product over a given set of parts (_coeff_bits) is evaluated in floats
-with a stated rounding margin, per set of parts, so a sparse residue set
-gets narrow limbs.
+Long convolutions are evaluated by Kronecker substitution: coefficients
+are packed into fixed-width limbs of one big Python integer, so a series
+product becomes a single integer multiply.  Every product of factors
+(1 - s q^k)^(+-1), s = +-1, times an integer (Pochhammer symbols, theta
+atoms and monomials, residue products) comes from one packed builder,
+_pack_product: a factor is a shift-and-subtract or shift-and-add, one
+per doubling of its part for an inverse factor.  Limb widths come from
+proven coefficient bounds (or from the actual operand magnitudes), so
+the packing is always exact.  The bound for a product (_coeff_bits)
+holds whatever the signs, is evaluated in floats with a stated rounding
+margin, and is taken per product, so a sparse set of parts gets narrow
+limbs.
 """
 
 from __future__ import annotations
@@ -77,58 +80,52 @@ def _unpack_signed(x: int, nbytes: int, count: int) -> list[int]:
     ]
 
 
-def _unpack_unsigned(x: int, nbytes: int, count: int) -> list[int]:
-    """Recover count nonnegative limbs from a nonnegative packed integer."""
-    raw = x.to_bytes(count * nbytes, "little")
-    return [
-        int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
-        for i in range(count)
-    ]
-
-
 HEADROOM_BITS = 24
 _LN2 = log(2)
 
 
-def _coeff_bits(parts: Sequence[int], n: int, inverse: bool) -> int:
+def _coeff_bits(finite: Sequence[int], inverse: Sequence[int], n: int,
+                scale: int = 1) -> int:
     """Bits b with every coefficient of q^0..q^n of a product below 2^b.
 
-    inverse=True bounds prod 1/(1-q^k), whose coefficients are
-    nonnegative; inverse=False bounds the magnitudes of prod (1-q^k).
-    Each bound also covers every partial product built on the way to
-    order n, so a packed build never carries across limbs.
+    The product is scale * prod_fin (1 - s q^k) / prod_inv (1 - s q^k),
+    each factor given as j = s*k, as _pack_product builds it; the bound
+    also covers every partial product of that build.
 
     For any 0 < x < 1 and j <= n, a series with nonnegative coefficients
-    c_i gives c_j x^j <= sum c_i x^i, hence
+    c_i gives c_j x^j <= sum c_i x^i.  The product is dominated
+    coefficient by coefficient by D = prod_fin (1+q^k) prod_inv 1/(1-q^k),
+    since (1+q^k) dominates (1 - s q^k), sum q^ik dominates sum s^i q^ik,
+    and products of dominated series are dominated.  Hence
 
-        c_j <= x^-n prod 1/(1-x^k)   for prod 1/(1-q^k), and
-        |c_j| <= x^-n prod (1+x^k)   for prod (1-q^k),
+        |c_j| <= x^-n prod_fin (1+x^k) prod_inv 1/(1-x^k).
 
-    the second because prod (1+q^k) dominates prod (1-q^k) coefficient
-    by coefficient.  Partial products are dominated by the full one, since
-    the remaining factors have nonnegative coefficients and constant term
-    1 (1/(1-q^k) is built as (1+q^k)(1+q^2k)(1+q^4k)...).  Any x gives a
-    bound.  The one taken is x = e^-t with t = pi sqrt(N/6) / n for
-    1/(1-q^k) and t = pi sqrt(N/12) / n for (1-q^k), N = len(parts): for
-    parts of density N/n the log of the product is about
-    (N/n)(pi^2/6)/t, resp. (N/n)(pi^2/12)/t, and this t minimizes n*t
-    plus that, so the bound is close to the best one.
+    Flipping a factor's sign changes neither D nor its partial products:
+    1/(1 - s q^k) is built as (1 + s q^k)(1+q^2k)(1+q^4k)..., dominated
+    step by step by the build of 1/(1-q^k), and a partial product of D is
+    dominated by D, whose remaining factors have nonnegative coefficients
+    and constant term 1.  |scale| <= 2^c, c = (|scale| - 1).bit_length(),
+    adds c bits.  Any x gives a bound.  The one taken is x = e^-t with
+    t = pi sqrt(F/12 + I/6) / n for F finite and I inverse parts: for
+    parts of densities F/n and I/n the log of the product is about
+    (F pi^2/12 + I pi^2/6)/(n t), and this t minimizes n*t plus that, so
+    the bound is close to the best one.
 
     The logarithm is evaluated in floats.  k*t is rounded once, and
     exp, expm1, log and log1p are accurate to a few ulps, so each term
     is within 2^-50 (1 + |term|) of its exact value at this t; fsum adds
     them with a single rounding.  The returned figure adds a margin of
-    1 + (bits + N) 2^-32 bits, far above that error for any N < 2^40.
+    1 + (bits + N) 2^-32 bits, N = F + I, far above that error for any
+    N < 2^40.
     """
-    if not parts:
-        return 1  # the empty product is 1
-    t = pi * sqrt(len(parts) / (6 if inverse else 12)) / n
-    if inverse:
-        terms = (-log(-expm1(-k * t)) for k in parts)
-    else:
-        terms = (log1p(exp(-k * t)) for k in parts)
+    c = (abs(scale) - 1).bit_length()
+    if not finite and not inverse:
+        return 1 + c  # the empty product is scale
+    t = pi * sqrt(len(finite) / 12 + len(inverse) / 6) / max(n, 1)
+    terms = [log1p(exp(-abs(j) * t)) for j in finite]
+    terms += (-log(-expm1(-abs(j) * t)) for j in inverse)
     bits = (n * t + fsum(terms)) / _LN2
-    return ceil(bits + 1 + (bits + len(parts)) * 2 ** -32)
+    return ceil(bits + 1 + (bits + len(terms)) * 2 ** -32) + c
 
 
 def _limb_width(bits: int) -> int:
@@ -140,33 +137,33 @@ def _limb_width(bits: int) -> int:
     return 8 * ((bits + HEADROOM_BITS + 7) // 8)
 
 
-def _pack_inverse(parts: Iterable[int], n: int, w: int) -> int:
-    """prod over parts of 1/(1-q^k) to order n, packed in w-bit limbs.
+def _pack_product(finite: Iterable[int], inverse: Iterable[int], n: int,
+                  w: int, scale: int = 1) -> int:
+    """scale * prod_fin (1 - s q^k) / prod_inv (1 - s q^k) to order n in
+    w-bit signed limbs, each factor given as j = s*k (k >= 1).
 
-    Each factor is (1+q^k)(1+q^2k)(1+q^4k)... up to order n: one
-    shift-add per doubling.  w must exceed _coeff_bits(parts, n, True).
+    A finite factor is one shift-subtract (s = 1) or shift-add (s = -1).
+    1/(1-q^k) is (1+q^k)(1+q^2k)(1+q^4k)... up to order n, one shift-add
+    per doubling, and 1/(1+q^k) is (1-q^k)(1+q^2k)(1+q^4k)....  The result
+    is reduced mod 2^(w*(n+1)), which every step respects, since a shift
+    moves only limbs past order n out of it; _unpack_signed decodes it
+    when w exceeds _coeff_bits(finite, inverse, n, scale) + 1.
     """
     mask = (1 << (w * (n + 1))) - 1
-    x = 1
-    for k in parts:
-        sh = k
-        while sh <= n:
-            x = (x + (x << (sh * w))) & mask
-            sh <<= 1
-    return x
-
-
-def _pack_finite(parts: Iterable[int], n: int, w: int) -> int:
-    """prod over parts of (1-q^k) to order n, packed in w-bit signed limbs.
-
-    One shift-subtract per part.  The result is the packed value reduced
-    mod 2^(w*(n+1)); _unpack_signed decodes it when w exceeds
-    _coeff_bits(parts, n, False) + 1.
-    """
-    mask = (1 << (w * (n + 1))) - 1
-    x = 1
-    for k in parts:
-        x = (x - (x << (k * w))) & mask
+    x = scale & mask
+    for j in finite:
+        if j > 0:
+            x = (x - (x << (j * w))) & mask
+        else:
+            x = (x + (x << (-j * w))) & mask
+    for j in inverse:
+        k = abs(j)
+        if j < 0:
+            x = (x - (x << (k * w))) & mask
+            k <<= 1
+        while k <= n:
+            x = (x + (x << (k * w))) & mask
+            k <<= 1
     return x
 
 
@@ -341,6 +338,14 @@ def _mul_packed(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
     return _unpack_signed(prod, nbytes, full)[:count]
 
 
+def _mul_coeffs(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
+    """First count coefficients of a*b: schoolbook for small inputs, packed
+    above 4096 coefficient pairs (16x16 is faster schoolbook, 32x32 packed)."""
+    if len(a) * len(b) <= 4096:
+        return _mul_schoolbook(a, b, count)
+    return _mul_packed(a, b, count)
+
+
 def mul(a: Series, b: Series) -> Series:
     """Cauchy product, truncated at min(order_a, order_b)."""
     order = min(a.order, b.order)
@@ -350,11 +355,7 @@ def mul(a: Series, b: Series) -> Series:
     count = order - off + 1
     if count <= 0:
         return Series.zero(order)
-    if len(a.coeffs) * len(b.coeffs) <= 4096:
-        cs = _mul_schoolbook(a.coeffs, b.coeffs, count)
-    else:
-        cs = _mul_packed(a.coeffs, b.coeffs, count)
-    return Series(off, cs, order)
+    return Series(off, _mul_coeffs(a.coeffs, b.coeffs, count), order)
 
 
 def _invert_unit(u: Sequence[int], count: int) -> list[int]:
@@ -362,12 +363,9 @@ def _invert_unit(u: Sequence[int], count: int) -> list[int]:
     v = [1]
     while len(v) < count:
         t = min(2 * len(v), count)
-        uv = (_mul_schoolbook(u[:t], v, t) if t * t <= 4096
-              else _mul_packed(u[:t], v, t))
-        w = [-c for c in uv]
+        w = [-c for c in _mul_coeffs(u[:t], v, t)]
         w[0] += 2
-        v = (_mul_schoolbook(v, w, t) if t * t <= 4096
-             else _mul_packed(v, w, t))
+        v = _mul_coeffs(v, w, t)
         v.extend([0] * (t - len(v)))
     return v
 
@@ -398,33 +396,28 @@ def shift_scale(a: Series, sign: int, k: int) -> Series:
 # product generators
 # ----------------------------------------------------------------------
 
-def _poch_general(e: int, m: int, sigma: int, base_sigma: int, n: int) -> Series:
-    """prod_{j>=0, e+j*m<=n} (1 - sigma * base_sigma^j * q^(e+j*m)).
+def product_series(finite: Sequence[int], inverse: Sequence[int], n: int,
+                   scale: int = 1) -> Series:
+    """scale * prod_fin (1 - s q^k) / prod_inv (1 - s q^k) to order n.
 
-    Flipping the sign of a factor's q term does not change the
-    dominating product prod (1+q^k), so _coeff_bits bounds the limbs.
+    Each factor is given as j = s*k with k >= 1 and s = +-1; parts past
+    n change nothing.  One packed build (_pack_product) in limbs sized by
+    _coeff_bits; below order 0 the product is the zero series.
     """
-    if e < 1 or m < 1:
-        raise InvalidExponent(f"pochhammer needs e >= 1 and m >= 1, got e={e}, m={m}")
-    if sigma not in (1, -1) or base_sigma not in (1, -1):
-        raise ValueError("signs must be +1 or -1")
-    exps = range(e, n + 1, m)
-    w = _limb_width(_coeff_bits(exps, n, False))
-    mask = (1 << (w * (n + 1))) - 1
-    x = 1
-    s = sigma
-    for k in exps:
-        if s == 1:
-            x = (x - (x << (k * w))) & mask
-        else:
-            x = (x + (x << (k * w))) & mask
-        s *= base_sigma
+    if n < 0:
+        return Series.zero(n)
+    w = _limb_width(_coeff_bits(finite, inverse, n, scale))
+    x = _pack_product(finite, inverse, n, w, scale)
     return Series(0, _unpack_signed(x, w // 8, n + 1), n)
 
 
 def pochhammer(e: int, m: int, sigma: int, n: int) -> Series:
     """(sigma*q^e; q^m)_inf truncated at order n."""
-    return _poch_general(e, m, sigma, 1, n)
+    if e < 1 or m < 1:
+        raise InvalidExponent(f"pochhammer needs e >= 1 and m >= 1, got e={e}, m={m}")
+    if sigma not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return product_series([sigma * k for k in range(e, n + 1, m)], (), n)
 
 
 def _expand_parts(residues: Iterable[int], modulus: int, limit: int) -> list[int]:
@@ -443,23 +436,9 @@ def _expand_parts(residues: Iterable[int], modulus: int, limit: int) -> list[int
     return sorted(out)
 
 
-def _residue_product_packed(residues: Iterable[int], modulus: int,
-                            n: int) -> tuple[int, int]:
-    """residue_product packed: (x, w) with limb j of width w bits holding
-    the coefficient of q^j, for j = 0..n.
-
-    The width comes from _coeff_bits for these very parts, so it grows
-    with the residue set's density instead of with p(n).
-    """
-    parts = _expand_parts(residues, modulus, n)
-    w = _limb_width(_coeff_bits(parts, n, True))
-    return _pack_inverse(parts, n, w), w
-
-
 def residue_product(residues: Iterable[int], modulus: int, n: int) -> Series:
     """prod over parts k = +-s (mod modulus) of 1/(1-q^k), truncated at n.
 
     The coefficient of q^j is the number of partitions of j into such parts.
     """
-    x, w = _residue_product_packed(residues, modulus, n)
-    return Series(0, _unpack_unsigned(x, w // 8, n + 1), n)
+    return product_series((), _expand_parts(residues, modulus, n), n)

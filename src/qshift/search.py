@@ -42,7 +42,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .jacobi import FAILURE_REASONS, FourParams, derive_batch
+from .jacobi import FAILURE_REASONS, FourParams, _four2_exprs, derive_batch
 from .partitions import PartitionIdentity, verify_identity
 
 VERIFY_ORDER = 200
@@ -172,10 +172,10 @@ def _prefilter(n, a, b, bound, require_gcd1, symmetry_reduction):
     if scanned == 0:
         return scanned, hist, C, X, Y
 
-    t1_core = np.stack([b - C, a - X, a - Y, X + Y - b - C])
-    t2_core = np.stack([a - C, b - X, b - Y, X + Y - a - C])
-    shared = np.stack([np.full_like(C, a - b), C - X, C - Y, X + Y - a - b])
-    all12 = np.concatenate([t1_core, t2_core, shared])
+    (t1, t2), shared = _four2_exprs(*np.broadcast_arrays(a, b, C, X, Y))
+    all12 = np.stack(t1[2] + t2[2] + shared)
+    del t1, t2  # the per-term arrays would count against the memory budget
+    t1_core, t2_core, shared = all12[:4], all12[4:8], all12[8:]
 
     m = 2 * n
     cancel_ok = np.ones(scanned, dtype=bool)

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterable, NamedTuple
 
-from .qseries import Series, _poch_general, invert, mul, pochhammer, shift_scale
+from .qseries import NonUnitLeading, Series, product_series, shift_scale
 
 
 class DegenerateZero(ValueError):
@@ -108,22 +108,28 @@ def paren(e: int, m: int) -> tuple[int, int, Atom]:
 # atom and monomial series
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def atom_series(r: int, m: int, kind: str, n: int) -> Series:
-    """Series expansion of a canonical atom to order n."""
-    if kind == BRACKET:
+def _atom_factors(a: Atom, n: int) -> tuple[int, list[int]]:
+    """(scale, factors) with a = scale * prod (1 - s q^k) to order n,
+    each factor given as s*k, as product_series takes them."""
+    r, m = a.r, a.m
+    if a.kind == BRACKET:
         if not 0 < r <= m // 2:
             raise ValueError(f"bracket residue {r} not canonical for step {m}")
-        return mul(pochhammer(r, m, 1, n), pochhammer(m - r, m, 1, n))
-    if kind == PAREN:
+        return 1, [*range(r, n + 1, m), *range(m - r, n + 1, m)]
+    if a.kind == PAREN:
         if not 0 <= r <= m // 2:
             raise ValueError(f"paren residue {r} not canonical for step {m}")
         if r == 0:
-            half = pochhammer(m, m, -1, n)
-            sq = mul(half, half)
-            return Series(sq.offset, [2 * c for c in sq.coeffs], n)
-        return mul(pochhammer(r, m, -1, n), pochhammer(m - r, m, -1, n))
-    raise ValueError(f"unknown atom kind {kind!r}")
+            return 2, [-k for k in range(m, n + 1, m)] * 2
+        return 1, [-k for k in (*range(r, n + 1, m), *range(m - r, n + 1, m))]
+    raise ValueError(f"unknown atom kind {a.kind!r}")
+
+
+@lru_cache(maxsize=None)
+def atom_series(r: int, m: int, kind: str, n: int) -> Series:
+    """Series expansion of a canonical atom to order n."""
+    scale, factors = _atom_factors(Atom(r, m, kind), n)
+    return product_series(factors, (), n, scale)
 
 
 @dataclass(frozen=True)
@@ -161,16 +167,22 @@ def monomial_neg(a: ThetaMonomial) -> ThetaMonomial:
 
 
 def monomial_series(mono: ThetaMonomial, n: int) -> Series:
-    """Expand a monomial to order n."""
+    """Expand a monomial to order n in one packed build at order n - qexp:
+    the parts of numerator atoms are finite factors, those of denominator
+    atoms inverse ones (a denominator (0 : m), constant term 2, is not a
+    unit: NonUnitLeading)."""
     inner = n - mono.qexp
-    acc = Series.one(inner)
+    scale, finite, inverse = 1, [], []
     for a in mono.num:
-        acc = mul(acc, atom_series(a.r, a.m, a.kind, inner))
-    if mono.den:
-        d = Series.one(inner)
-        for a in mono.den:
-            d = mul(d, atom_series(a.r, a.m, a.kind, inner))
-        acc = mul(acc, invert(d))
+        c, factors = _atom_factors(a, inner)
+        scale *= c
+        finite += factors
+    for a in mono.den:
+        c, factors = _atom_factors(a, inner)
+        if c != 1:
+            raise NonUnitLeading(f"{atom_str(a)} has constant term {c}")
+        inverse += factors
+    acc = product_series(finite, inverse, inner, scale)
     return shift_scale(acc, mono.sign, mono.qexp)
 
 
@@ -251,7 +263,7 @@ def ramanujan_f_product(a: FMono, b: FMono, n: int) -> Series:
             f"product form needs positive exponents, got {a.e}, {b.e}")
     m = a.e + b.e
     sab = a.sigma * b.sigma
-    p1 = _poch_general(a.e, m, -a.sigma, sab, n)
-    p2 = _poch_general(b.e, m, -b.sigma, sab, n)
-    p3 = _poch_general(m, m, sab, sab, n)
-    return mul(mul(p1, p2), p3)
+    # (sigma q^e; ab) has the signs sigma * sab^j
+    return product_series([sigma * sab ** j * k
+                           for e, sigma in ((a.e, -a.sigma), (b.e, -b.sigma), (m, sab))
+                           for j, k in enumerate(range(e, n + 1, m))], (), n)

@@ -39,7 +39,7 @@ from qshift.jacobi import (
     reduce_term,
     verify_zero_combination,
 )
-from qshift.partitions import SHIFTED, SHIFTLESS, verify_identity
+from qshift.partitions import SHIFTED, SHIFTLESS, VerifyReport, verify_identity
 from qshift.qseries import Series, linear_combine
 from qshift.theta import (
     BRACKET,
@@ -459,3 +459,14 @@ class TestVerifyZeroCombination:
     def test_empty_combination_rejected(self):
         with pytest.raises(ValueError):
             verify_zero_combination([], 50)
+
+    def test_terms_past_the_order_are_zero(self):
+        # q^qexp with qexp > n + 1 puts the whole term past order n
+        for qexp in (51, 52, 80):
+            far = make_monomial(1, qexp, brackets([1], 5), brackets([2], 5))
+            assert verify_zero_combination([far], 50) == VerifyReport(True, 50)
+        near = make_monomial(-1, 30, brackets([1], 5))
+        report = verify_zero_combination(
+            [near, make_monomial(1, 60, brackets([2], 5))], 50)
+        assert (report.ok, report.first_fail, report.witness) == (
+            False, 30, (-1, 0))

@@ -28,6 +28,7 @@ from qshift.qseries import (
     linear_combine,
     mul,
     pochhammer,
+    product_series,
     residue_product,
     shift_scale,
 )
@@ -462,7 +463,7 @@ def test_coeff_bits_bound_partition_counts():
     for modulus, residues, n in random_residue_sets(20261018, 150):
         parts = _expand_parts(residues, modulus, n)
         table = count_partitions_into(parts, n)
-        assert _coeff_bits(parts, n, True) >= max(table).bit_length()
+        assert _coeff_bits((), parts, n) >= max(table).bit_length()
 
 
 def test_coeff_bits_bound_finite_products():
@@ -473,20 +474,63 @@ def test_coeff_bits_bound_finite_products():
         for r in {s for r0 in residues for s in (r0, modulus - r0)}:
             prod = mul(prod, pochhammer(r, modulus, 1, n))
         biggest = max(abs(c) for c in prod.coeffs)
-        assert _coeff_bits(parts, n, False) >= biggest.bit_length()
+        assert _coeff_bits(parts, (), n) >= biggest.bit_length()
 
 
-def exact_bound_bits(parts, n, inverse):
+def random_mixed_products(seed, count):
+    """Seeded (finite, inverse, n, scale, product) with signed parts: the
+    finite parts from pochhammer factors over one residue set, the
+    inverse ones from a residue product over another, same modulus."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        modulus = rng.randint(2, 60)
+        half = modulus // 2
+        n = rng.randint(1, 300)
+        fin_res = rng.sample(range(1, half + 1), rng.randint(0, half))
+        inv_res = rng.sample(range(1, half + 1), rng.randint(0, half))
+        scale = rng.choice((1, 1, 2, 3, 4, 5))
+        prod = Series(0, [scale], n)
+        finite = []
+        for r0 in fin_res:
+            for r in {r0, modulus - r0}:
+                sigma = rng.choice((1, -1))
+                prod = mul(prod, pochhammer(r, modulus, sigma, n))
+                finite += [sigma * k for k in range(r, n + 1, modulus)]
+        inverse = _expand_parts(inv_res, modulus, n) if inv_res else []
+        if inv_res:
+            prod = mul(prod, residue_product(inv_res, modulus, n))
+        yield finite, inverse, n, scale, prod
+
+
+def test_coeff_bits_bound_mixed_products():
+    for finite, inverse, n, scale, prod in random_mixed_products(31337, 120):
+        biggest = max(abs(c) for c in prod.coeffs)
+        assert _coeff_bits(finite, inverse, n, scale) >= biggest.bit_length()
+
+
+def test_coeff_bits_counts_the_scale():
+    # the empty product times the scale is the scale itself
+    for scale in range(1, 70):
+        assert _coeff_bits((), (), 10, scale) >= scale.bit_length()
+    # 2(-q^3; q^3)^2, the paren (0:3), has coefficients 2, 4, 6, ...
+    n = 120
+    parts = [-k for k in range(3, n + 1, 3)] * 2
+    biggest = max(abs(c) for c in product_series(parts, (), n, 2).coeffs)
+    assert _coeff_bits(parts, (), n, 2) >= biggest.bit_length()
+
+
+def exact_bound_bits(finite, inverse, n, scale=1):
     """The bound of _coeff_bits at its documented t, in 60-digit decimals."""
-    t = math.pi * math.sqrt(len(parts) / (6 if inverse else 12)) / n
+    t = math.pi * math.sqrt(len(finite) / 12 + len(inverse) / 6) / n
     with localcontext() as ctx:
         ctx.prec = 60
         td = Decimal(t)
         total = n * td
-        for k in parts:
-            y = (-k * td).exp()
-            total += -(1 - y).ln() if inverse else (1 + y).ln()
-        return total / Decimal(2).ln()
+        for j in finite:
+            total += (1 + (-abs(j) * td).exp()).ln()
+        for j in inverse:
+            total += -(1 - (-abs(j) * td).exp()).ln()
+        return total / Decimal(2).ln() + (abs(scale) - 1).bit_length()
 
 
 def test_coeff_bits_float_margin():
@@ -496,6 +540,65 @@ def test_coeff_bits_float_margin():
         parts = _expand_parts(residues, modulus, n)
         if not parts:
             continue
-        for inverse in (True, False):
-            exact = exact_bound_bits(parts, n, inverse)
-            assert _coeff_bits(parts, n, inverse) >= exact + 1
+        for finite, inverse in ((parts, ()), ((), parts)):
+            exact = exact_bound_bits(finite, inverse, n)
+            assert _coeff_bits(finite, inverse, n) >= exact + 1
+    for finite, inverse, n, scale, _ in random_mixed_products(6, 40):
+        if finite or inverse:
+            exact = exact_bound_bits(finite, inverse, n, scale)
+            assert _coeff_bits(finite, inverse, n, scale) >= exact + 1
+
+
+# ----------------------------------------------------------------------
+# the packed product builder
+# ----------------------------------------------------------------------
+
+
+def factor_oracle(factors, n):
+    """prod (1 - s q^k) over factors j = s*k, one mul per factor."""
+    acc = Series.one(n)
+    for j in factors:
+        k = abs(j)
+        if k <= n:
+            acc = mul(acc, Series(0, [1] + [0] * (k - 1) + [-1 if j > 0 else 1], n))
+    return acc
+
+
+def test_product_series_matches_mul_and_invert():
+    rng = random.Random(4242)
+    for _ in range(150):
+        n = rng.randint(0, 300)
+        top = rng.choice((5, 20, 300))
+        finite = [rng.choice((1, -1)) * rng.randint(1, top)
+                  for _ in range(rng.randint(0, 12))]
+        inverse = [rng.choice((1, -1)) * rng.randint(1, top)
+                   for _ in range(rng.randint(0, 12))]
+        finite += finite[:2]  # repeated parts
+        inverse += inverse[:2]
+        scale = rng.choice((1, 1, 2, 3))
+        want = mul(factor_oracle(finite, n), invert(factor_oracle(inverse, n)))
+        want = Series(want.offset, [scale * c for c in want.coeffs], n)
+        got = product_series(finite, inverse, n, scale)
+        assert (got.offset, got.order, got.coeffs) == (
+            want.offset, want.order, want.coeffs), (finite, inverse, n)
+
+
+def test_product_series_signed_inverse_factors():
+    n = 30
+    # 1/(1+q) = 1 - q + q^2 - ...
+    s = product_series((), [-1], n)
+    assert [s.coeff(k) for k in range(n + 1)] == [(-1) ** k for k in range(n + 1)]
+    # (1+q^3)/(1+q^3) = 1
+    assert product_series([-3], [-3], n) == Series.one(n)
+    # 1/(1+q^2) = 1 - q^2 + q^4 - ..., with k = 2 first doubled to 4
+    s = product_series((), [-2], n)
+    assert [s.coeff(k) for k in range(n + 1)] == [
+        (-1) ** (k // 2) if k % 2 == 0 else 0 for k in range(n + 1)]
+
+
+def test_product_series_below_order_zero_is_zero():
+    for n in (-1, -2, -50):
+        s = product_series([1, -2], [3, -4], n, 2)
+        assert (s.offset, s.order, s.coeffs) == (n, n, (0,))
+        assert pochhammer(1, 5, 1, n) == Series.zero(n)
+        assert residue_product({1}, 5, n).order == n

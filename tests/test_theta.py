@@ -10,11 +10,12 @@ for every integer e, which exercises the full normalization including
 signs, q-shifts, folding, and the degenerate cases.
 """
 
-import pytest
-
+import random
 from math import isqrt
 
-from qshift.qseries import Series, mul, pochhammer, shift_scale
+import pytest
+
+from qshift.qseries import NonUnitLeading, Series, invert, mul, pochhammer, shift_scale
 from qshift.theta import (
     BRACKET,
     PAREN,
@@ -186,6 +187,65 @@ def test_monomial_series_ratio_cancels_numerically():
     b = Atom(2, 6, BRACKET)
     mono = ThetaMonomial(1, 0, num=(a, b), den=(b,))  # bypass cancellation
     assert monomial_series(mono, 40) == atom_series(1, 6, BRACKET, 40)
+
+
+def test_monomial_past_the_order_is_zero():
+    a = Atom(1, 5, BRACKET)
+    for qexp in (21, 22, 25, 100):
+        for mono in (make_monomial(1, qexp, (a,)),
+                     make_monomial(-1, qexp, (a,), (Atom(2, 5, PAREN),))):
+            s = monomial_series(mono, 20)
+            assert (s.offset, s.order, s.coeffs) == (20, 20, (0,)), qexp
+
+
+def test_monomial_denominator_paren_zero_is_not_a_unit():
+    # (0:m) has constant term 2, so 1/(0:m) has no integer expansion
+    for qexp in (0, 5, 30):
+        mono = make_monomial(1, qexp, (Atom(1, 4, BRACKET),), (Atom(0, 4, PAREN),))
+        with pytest.raises(NonUnitLeading):
+            monomial_series(mono, 20)
+
+
+def test_monomial_numerator_paren_zero_keeps_its_factor_two():
+    z = Atom(0, 3, PAREN)
+    s = monomial_series(make_monomial(1, 0, (z, z, Atom(1, 3, BRACKET))), 30)
+    want = mul(mul(atom_series(0, 3, PAREN, 30), atom_series(0, 3, PAREN, 30)),
+               atom_series(1, 3, BRACKET, 30))
+    assert s.coeff(0) == 4
+    assert s == want
+
+
+def random_monomials(seed, count):
+    """Seeded monomials over mixed steps, with repeats and both kinds."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        atoms = []
+        for _ in range(rng.randint(0, 7)):
+            m = rng.randint(1, 14)
+            if rng.random() < 0.5 and m >= 2:
+                atoms.append(Atom(rng.randint(1, m // 2), m, BRACKET))
+            else:
+                atoms.append(Atom(rng.randint(0, m // 2), m, PAREN))
+        num = atoms[:rng.randint(0, len(atoms))]
+        den = [a for a in atoms[len(num):] if a.r]  # (0:m) is no unit
+        yield ThetaMonomial(rng.choice((1, -1)), rng.randint(-5, 20),
+                            tuple(num), tuple(den))
+
+
+def test_monomial_series_matches_mul_and_invert():
+    for mono in random_monomials(8080, 120):
+        n = 150
+        inner = n - mono.qexp
+        num = Series.one(inner)
+        for a in mono.num:
+            num = mul(num, atom_series(a.r, a.m, a.kind, inner))
+        den = Series.one(inner)
+        for a in mono.den:
+            den = mul(den, atom_series(a.r, a.m, a.kind, inner))
+        want = shift_scale(mul(num, invert(den)), mono.sign, mono.qexp)
+        got = monomial_series(mono, n)
+        assert (got.offset, got.order, got.coeffs) == (
+            want.offset, want.order, want.coeffs), mono
 
 
 def test_empty_monomial_is_signed_power():
