@@ -206,11 +206,20 @@ def cmd_verify(args) -> Report:
         if not entries:
             raise UsageError(f"no catalog entries for modulus {args.modulus}")
     rep = validate_corpus(entries, order=args.order)
-    items = tuple(Item(r.label, PASS if r.ok else FAIL, None, r.detail)
-                  for r in rep.results)
+    items = []
+    for r in rep.results:
+        detail = r.detail
+        if r.order < args.order:
+            note = f"aux steps compared at order {r.order} only"
+            detail = f"{detail}; {note}" if detail else note
+        items.append(Item(r.label, PASS if r.ok else FAIL, r.first_fail,
+                          detail))
     n_fail = sum(1 for i in items if i.status != PASS)
     noun = "entries" if len(items) != 1 else "entry"
-    headline = (f"{len(items)} {noun} replayed at order {args.order}: "
+    below = [r.order for r in rep.results if r.order < args.order]
+    lower = (f" (aux steps of {len(below)} compared at order {min(below)} "
+             f"only)" if below else "")
+    headline = (f"{len(items)} {noun} replayed at order {args.order}{lower}: "
                 f"{len(items) - n_fail} pass, {n_fail} fail")
     return Report.build(f"verify order={args.order}", headline, items)
 
@@ -377,8 +386,10 @@ def cmd_expand(args) -> Report:
 def _selftest_catalog(entries, order: int) -> Item:
     rep = validate_corpus(entries, order=order)
     if rep.ok:
+        seen = min(r.order for r in rep.results)
+        lower = f" (aux steps at order {seen})" if seen < order else ""
         return Item("catalog replay", PASS, None,
-                     f"{len(rep.results)} entries at order {order}")
+                    f"{len(rep.results)} entries at order {order}{lower}")
     brief = "; ".join(f"{r.label}: {r.detail}" for r in rep.failures[:3])
     return Item("catalog replay", FAIL, None, brief)
 

@@ -111,9 +111,19 @@ class CorpusEntry:
 
 @dataclass(frozen=True)
 class EntryResult:
+    """One entry's replay.
+
+    order is the lowest order any of its checks was compared at: the
+    requested order, or AUX_ORDER when aux zero-sums ran below it.
+    first_fail is the identity's first failing exponent (None when the
+    identity holds, whatever the other checks found).
+    """
+
     label: str
     ok: bool
+    order: int
     detail: str = ""
+    first_fail: int | None = None
 
 
 @dataclass(frozen=True)
@@ -340,6 +350,7 @@ def replay_aux_terms(step: AuxStep) -> tuple[ThetaMonomial, ...] | None:
 
 def _check_entry(entry: CorpusEntry, order: int) -> EntryResult:
     problems = []
+    compared = order
     rep = verify_identity(entry.identity, order)
     if not rep.ok:
         problems.append(f"identity fails at order {order}: first "
@@ -352,6 +363,7 @@ def _check_entry(entry: CorpusEntry, order: int) -> EntryResult:
         elif d.identity != entry.identity:
             problems.append("derivation yields a different identity")
     if entry.aux_steps:
+        compared = min(order, AUX_ORDER)
         for k, step in enumerate(entry.aux_steps):
             expected = replay_aux_terms(step)
             if expected is not None and expected != step.terms:
@@ -361,14 +373,16 @@ def _check_entry(entry: CorpusEntry, order: int) -> EntryResult:
             if not aux_rep.ok:
                 problems.append(f"aux step {k} fails at order {AUX_ORDER}: "
                                 f"witness {aux_rep.witness}")
-    return EntryResult(entry.label, not problems, "; ".join(problems))
+    return EntryResult(entry.label, not problems, compared,
+                       "; ".join(problems), rep.first_fail)
 
 
 def validate_corpus(entries: Iterable[CorpusEntry],
                     order: int = DEFAULT_VALIDATE_ORDER) -> CorpusReport:
     """Replay every entry: identity verification at the given order,
     exact re-derivation for direct/quintuple proofs, and aux-step checks
-    (generator match plus zero-sum at order 400) for iteration proofs.
+    (generator match plus zero-sum at AUX_ORDER = 400) for iteration
+    proofs.  Each result records the lowest order it was compared at.
     """
     results = tuple(_check_entry(e, order) for e in entries)
     return CorpusReport(order, results)

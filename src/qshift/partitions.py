@@ -21,14 +21,25 @@ P_T = P_U P_{T-U}, so the relation holds to order n iff
 
 does, where E_U = 1/P_U = prod (1 - q^k) over the parts of U.  P_U is
 a unit series (constant term 1), so the two forms first fail at the
-same index, and first_fail is that of the uncancelled relation.  The
-three series are packed integers (one limb per coefficient, see
-qseries) whose limb width comes from a proven bound on these particular
-products (qseries._coeff_bits), far below the width p(n) would need;
-the cancelled relation is one big-integer difference that is zero
-exactly when it holds.  Only a failing check builds its witness, the
-two partition counts at the failing index.  count_partitions is an
-independent dynamic-programming oracle for the same numbers.
+same index, and first_fail is that of the uncancelled relation.
+
+The kernel then clears denominators in theta-sum form, as the paper's
+proofs use Jacobi's triple product on each bracket [r:M].  With
+E = (q^M; q^M), each residue class gives prod (1 - q^k) = g_r / E, where
+g_r = f(-q^r, -q^(M-r)) is a sum of about 2 sqrt(2n/M) signed powers of
+q (for r = M/2 it is the pentagonal sum (q^r; q^r)).  Multiplying the
+cancelled relation by the unit Theta_{S-U} Theta_{T-U} E^|U|
+(Theta_X = prod_X g_r) turns all three series into products of sparse
+sums, and E^3 is Jacobi's sparser sum.  Each series is one packed
+integer (one limb per coefficient, see qseries) built by one shift-add
+per sparse term; the cleared relation is one big-integer difference
+that is zero exactly when the relation holds.  The limb width comes
+from a proven bound on the cancelled products (qseries._coeff_bits),
+far below the width p(n) would need: only the first nonzero
+coefficient of the difference has to fit in a limb (see _mismatch).
+Only a failing check builds its witness, the two partition counts at
+the failing index.  count_partitions is an independent
+dynamic-programming oracle for the same numbers.
 
 The module also carries two special families with their own proofs: the
 classical Rogers-Ramanujan shifted identities (moduli 55 and 70 in
@@ -48,6 +59,7 @@ from .qseries import (
     _expand_parts,
     _limb_width,
     _pack_product,
+    _pack_sparse,
     linear_combine,
     mul,
     pochhammer,
@@ -154,66 +166,151 @@ def count_partitions(S, M: int, n: int) -> int:
 # verification and inference
 # ----------------------------------------------------------------------
 
+def _jacobi_terms(r: int, M: int, n: int) -> list[tuple[int, int]]:
+    """g_r to order n as sparse terms (exponent, coefficient).
+
+    g_r is the numerator of prod (1 - q^k) over k = +-r (mod M), 1 <= r
+    <= M/2, over E = (q^M; q^M) (_euler_terms(M, n)).  For 2r < M the
+    triple product gives f(-q^r, -q^(M-r)) = (q^r;q^M)(q^(M-r);q^M) E, so
+
+        g_r = sum_k (-1)^k q^(M k(k-1)/2 + r k)        (k in Z),
+
+    about 2 sqrt(2n/M) terms.  For 2r = M the class is the single
+    progression (q^r; q^M) = (q^r; q^r) / E, so g_r = (q^r; q^r), Euler's
+    pentagonal sum with step r.  The exponents rise with |k| on each side
+    of k = 0, and no two coincide (equal values would need two integers
+    summing to (M - 2r)/M, strictly between 0 and 1).
+    """
+    if 2 * r == M:
+        return _euler_terms(r, n)
+    terms = [(0, 1)]
+    for step in (1, -1):
+        k = step
+        while (e := M * k * (k - 1) // 2 + r * k) <= n:
+            terms.append((e, -1 if k % 2 else 1))
+            k += step
+    return terms
+
+
+def _euler_terms(m: int, n: int) -> list[tuple[int, int]]:
+    """(q^m; q^m) = sum_j (-1)^j q^(m j(3j-1)/2) (j in Z) to order n."""
+    terms = [(0, 1)]
+    j = 1
+    while (e := m * j * (3 * j - 1) // 2) <= n:
+        c = -1 if j % 2 else 1
+        terms.append((e, c))
+        if e + m * j <= n:  # j -> -j
+            terms.append((e + m * j, c))
+        j += 1
+    return terms
+
+
+def _euler_cube_terms(m: int, n: int) -> list[tuple[int, int]]:
+    """(q^m; q^m)^3 = sum_{k >= 0} (-1)^k (2k+1) q^(m k(k+1)/2) (Jacobi)
+    to order n: about sqrt(2n/m) terms, fewer than one factor E has."""
+    terms = []
+    k = 0
+    while (e := m * k * (k + 1) // 2) <= n:
+        terms.append((e, -(2 * k + 1) if k % 2 else 2 * k + 1))
+        k += 1
+    return terms
+
+
 def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     """The three packed series the kernel compares, at one limb width.
 
-    With U = S & T, returns (xa, xb, xe, w): P_{S-U} and P_{T-U} (S-U is
-    the set difference; P_X = prod 1/(1-q^k)) and E_U = prod (1-q^k), each
-    over the parts of its set up to order n, in limbs of w bits.  The
-    residue classes are disjoint, so the parts of S-U, T-U and U are
-    those of S only, of T only and of both.
+    With A = S - T, B = T - S and U = S & T (residue sets, whose classes
+    are disjoint), the cancelled relation compares P_A, P_B and
+    E_U = prod (1 - q^k) over the parts of U (P_X = prod 1/(1 - q^k)
+    over the parts of X).  By the triple product each class r gives
+    prod (1 - q^k) = g_r / E (_jacobi_terms), so with Theta_X = prod_X g_r
 
-    w is sized for these parts: every limb of xa and xb lies in
-    [0, 2^b) and every limb of E_U in (-2^b, 2^b), where b is the largest
-    of the three _coeff_bits bounds, and w >= b + 24.  xe is E_U reduced
-    mod 2^(w*(n+1)).
+        P_A = E^|A| / Theta_A,  P_B = E^|B| / Theta_B,  E_U = Theta_U / E^|U|.
+
+    Multiplying all three by the unit Theta_A Theta_B E^|U| (constant
+    term 1) clears every denominator.  Returns (ya, yb, yu, w) with
+
+        ya = E^(|A|+|U|) Theta_B,  yb = E^(|B|+|U|) Theta_A,
+        yu = Theta_U Theta_A Theta_B,
+
+    each packed in w-bit limbs mod 2^(w*(n+1)) and built by one
+    shift-add per sparse term (qseries._pack_sparse): Theta_A and
+    Theta_B are built once and reused, and each full three factors of E
+    are one factor E^3.
+
+    w is the width the uncleared series need: every coefficient of P_A
+    and P_B lies in [0, 2^b) and every one of E_U in (-2^b, 2^b), b the
+    largest of the three _coeff_bits bounds, and w >= b + 24.  The
+    cleared series' own coefficients may overflow their limbs; only the
+    first nonzero coefficient of a difference has to fit (see _mismatch).
     """
     ps = set(_expand_parts(S, M, n))
     pt = set(_expand_parts(T, M, n))
     pa, pb, pu = sorted(ps - pt), sorted(pt - ps), sorted(ps & pt)
     w = _limb_width(max(_coeff_bits((), pa, n), _coeff_bits((), pb, n),
                         _coeff_bits(pu, (), n)))
-    return (_pack_product((), pa, n, w), _pack_product((), pb, n, w),
-            _pack_product(pu, (), n, w), w)
+    A, B, U = sorted(S - T), sorted(T - S), sorted(S & T)
+    E, E3 = _euler_terms(M, n), _euler_cube_terms(M, n)
+
+    def build(x, factors):
+        for terms in factors:
+            x = _pack_sparse(x, terms, n, w)
+        return x
+
+    def e_power(p):
+        return [E3] * (p // 3) + [E] * (p % 3)
+
+    ta = build(1, (_jacobi_terms(r, M, n) for r in A))
+    tb = build(1, (_jacobi_terms(r, M, n) for r in B))
+    # Theta_U Theta_A Theta_B from the larger of Theta_A and Theta_B
+    start, rest = (ta, B) if len(A) >= len(B) else (tb, A)
+    yu = build(start, (_jacobi_terms(r, M, n) for r in rest + U))
+    return (build(tb, e_power(len(A) + len(U))),
+            build(ta, e_power(len(B) + len(U))), yu, w)
 
 
 def _mismatch(packed, n: int, kind: str, a: int) -> int | None:
     """First index 0..n where the relation fails, or None if it holds.
 
     packed is _cancelled(S, T, M, n).  With U = S & T, P_S = P_U P_{S-U}
-    and P_T = P_U P_{T-U}, so
+    and P_T = P_U P_{T-U}, and _cancelled multiplies the bracket below by
+    a unit V (constant term 1), so
 
-        P_S - q^a P_T - 1  = P_U (P_{S-U} - q^a P_{T-U} - E_U)
-        P_S - P_T - q^a    = P_U (P_{S-U} - P_{T-U} - q^a E_U)
+        P_S - q^a P_T - 1  = P_U V^-1 (ya - q^a yb - yu)
+        P_S - P_T - q^a    = P_U V^-1 (ya - yb - q^a yu).
 
-    (E_U = 1/P_U).  P_U has constant term 1, so the bracket and the
-    defect of the relation vanish to the same order: the first nonzero
-    coefficient of the bracket sits at the relation's first failing
-    index.  The bracket is one packed difference
+    The cleared defect is one packed difference
 
-        shifted    d = xa - (xb << a*w) - xe
-        shiftless  d = xa - xb - (xe << a*w)
+        shifted    d = ya - (yb << a*w) - yu
+        shiftless  d = ya - yb - (yu << a*w)
 
-    taken mod 2^(w*(n+1)).  Its signed limb k is the bracket's
-    coefficient of q^k, of magnitude below 3 * 2^b < 2^(w-1) (see
-    _cancelled), so the true truncated difference lies in
-    (-2^(w*(n+1)-1), 2^(w*(n+1)-1)) and is zero iff d is; and if k is its
-    first nonzero limb, it equals 2^(w*k) (d_k + 2^w R) with d_k not a
-    multiple of 2^w, so the lowest set bit of d lies inside limb k.
+    taken mod 2^(w*(n+1)).  It is exact however large the cleared
+    coefficients grow: q -> 2^w followed by reduction mod 2^(w*(n+1)) is
+    a ring homomorphism from Z[q]/(q^(n+1)), and every packed build and
+    this difference are ring operations there.  P_U V^-1 has constant
+    term 1, so the cleared defect's first nonzero coefficient c, at index
+    k, is the uncleared bracket's (P_{S-U} - q^a P_{T-U} - E_U, or the
+    shiftless one) and the relation's first failing index; |c| < 3 * 2^b
+    < 2^(w-1) (see _cancelled).  The defect is then 2^(w*k) (c + 2^w R)
+    with c not a multiple of 2^w, so the lowest set bit of d lies inside
+    limb k; and d is zero iff the defect vanishes to order n.  That one
+    coefficient fixes the answer: the later ones may overflow their
+    limbs without moving the lowest set bit.
     """
-    xa, xb, xe, w = packed
+    ya, yb, yu, w = packed
     mask = (1 << (w * (n + 1))) - 1
     if kind == SHIFTED:
-        d = (xa - (xb << (a * w)) - xe) & mask
+        d = (ya - (yb << (a * w)) - yu) & mask
     else:
-        d = (xa - xb - (xe << (a * w))) & mask
+        d = (ya - yb - (yu << (a * w))) & mask
     return _lowest_limb(d, w)
 
 
 def _lowest_limb(x: int, w: int) -> int | None:
-    """Index of the first nonzero signed limb of x, None when x == 0.
+    """Index of the first nonzero limb of x, None when x == 0.
 
-    Exact when every limb is below 2^(w-1) in magnitude (see _mismatch).
+    Exact when x represents a series mod 2^(w*(n+1)) whose first nonzero
+    coefficient is below 2^(w-1) in magnitude (see _mismatch).
     """
     return ((x & -x).bit_length() - 1) // w if x else None
 
@@ -251,8 +348,9 @@ def infer_relation(S, T, M: int, n: int):
     each with the shift capped at n // 2 so a match is seen well inside
     the order.  P_S - 1 starts at the smallest part, min(S), so that is
     the only possible shifted shift; P_S - P_T = P_U (P_{S-U} - P_{T-U})
-    starts where P_{S-U} - P_{T-U} does (see _mismatch), so that is the
-    only possible shiftless one.  Both products have constant term 1, so a
+    starts where P_{S-U} - P_{T-U} does, and so does ya - yb, which is
+    that difference times a unit, with the same first coefficient (see
+    _mismatch); that is the only possible shiftless shift.  Both products have constant term 1, so a
     candidate is never 0.  A returned relation holds at every index 0..n,
     exactly as verify_identity would check it.  The orientation is as
     given: S is the unshifted (or larger) side.
@@ -261,9 +359,9 @@ def infer_relation(S, T, M: int, n: int):
     if S == T:
         return None
     packed = _cancelled(S, T, M, n)
-    xa, xb, _, w = packed
+    ya, yb, _, w = packed
     cap = n // 2
-    for kind, a in ((SHIFTED, min(S)), (SHIFTLESS, _lowest_limb(xa - xb, w))):
+    for kind, a in ((SHIFTED, min(S)), (SHIFTLESS, _lowest_limb(ya - yb, w))):
         if (a is not None and a <= cap
                 and _mismatch(packed, n, kind, a) is None):
             return (kind, a)

@@ -11,7 +11,9 @@ product becomes a single integer multiply.  Every product of factors
 (1 - s q^k)^(+-1), s = +-1, times an integer (Pochhammer symbols, theta
 atoms and monomials, residue products) comes from one packed builder,
 _pack_product: a factor is a shift-and-subtract or shift-and-add, one
-per doubling of its part for an inverse factor.  Limb widths come from
+per doubling of its part for an inverse factor.  A product with a
+sparse sum (the theta sums of the verification kernel) is _pack_sparse,
+one shift-and-add per term.  Limb widths come from
 proven coefficient bounds (or from the actual operand magnitudes), so
 the packing is always exact.  The bound for a product (_coeff_bits)
 holds whatever the signs, is evaluated in floats with a stated rounding
@@ -165,6 +167,32 @@ def _pack_product(finite: Iterable[int], inverse: Iterable[int], n: int,
             x = (x + (x << (k * w))) & mask
             k <<= 1
     return x
+
+
+def _pack_sparse(x: int, terms: Iterable[tuple[int, int]], n: int,
+                 w: int) -> int:
+    """x * sum c q^e mod 2^(w*(n+1)), for x packed in w-bit limbs and
+    sparse terms (e, c) with e >= 0.
+
+    One shift-add per term: x cut to its limbs below n + 1 - e, shifted
+    up e limbs, times c.  Like _pack_product, this is arithmetic in
+    Z[q]/(q^(n+1)) carried through q -> 2^w, so it is exact mod
+    2^(w*(n+1)) whatever the size of the coefficients.
+    """
+    top = w * (n + 1)
+    acc = 0
+    for e, c in terms:
+        s = e * w
+        if s >= top:
+            continue
+        t = (x & ((1 << (top - s)) - 1)) << s
+        if c == 1:
+            acc += t
+        elif c == -1:
+            acc -= t
+        else:
+            acc += c * t
+    return acc & ((1 << top) - 1)
 
 
 # ----------------------------------------------------------------------

@@ -320,6 +320,22 @@ class TestJson:
         assert item["status"] == "fail"
         assert item["first_failing_exponent"] == 1
 
+    def test_verify_reports_the_first_failing_exponent(self, capsys,
+                                                         tiny_corpus):
+        (rec,) = json.loads(open(tiny_corpus).read())["entries"]
+        assert rec["kind"] == "shifted"
+        M, a = rec["modulus"], rec["shift"]
+        ps = count_partitions_table(rec["S"], M, 120)
+        pt = count_partitions_table(rec["T"], M, 120)
+        breaks = [k for k in range(121)
+                  if ps[k] - (pt[k - a] if k >= a else 0) != (k == 0)]
+        code, doc, _ = run_json(capsys, "verify", "--corpus", tiny_corpus,
+                                "--order", "120")
+        assert code == 1
+        (item,) = doc["items"]
+        assert set(item) == ITEM_KEYS
+        assert item["first_failing_exponent"] == breaks[0]
+
     def test_text_and_json_verdicts_agree(self, capsys):
         argv = ("classify", "--modulus", "40")
         text_code, out, _ = run(capsys, *argv)
@@ -361,6 +377,22 @@ class TestOutput:
                            "--base", "16", "--order", "150")
         assert code == 0
         assert "[1:32]" in out
+
+    def test_verify_names_the_aux_step_order(self, capsys):
+        # modulus 42 has two entries whose aux zero-sums run at order 400
+        code, doc, _ = run_json(capsys, "verify", "--modulus", "42",
+                                "--order", "500")
+        assert code == 0
+        assert "aux steps of 2 compared at order 400 only" in doc["headline"]
+        low = [i for i in doc["items"] if "order 400" in i["details"]]
+        assert len(low) == 2
+        assert all(i["status"] == "pass" for i in doc["items"])
+        code, doc, _ = run_json(capsys, "verify", "--modulus", "42",
+                                "--order", "300")
+        assert code == 0
+        assert "aux" not in doc["headline"]
+        assert "replayed at order 300" in doc["headline"]
+        assert not any(i["details"] for i in doc["items"])
 
     def test_selftest(self, capsys):
         code, out, _ = run(capsys, "selftest", "--order", "200")

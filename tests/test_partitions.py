@@ -12,7 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift.qseries import EmptySet, ResidueOutOfRange, Series, residue_product
+from qshift.qseries import (
+    EmptySet,
+    ResidueOutOfRange,
+    Series,
+    _pack,
+    _pack_sparse,
+    _unpack_signed,
+    mul,
+    product_series,
+    residue_product,
+    shift_scale,
+)
 from qshift.partitions import (
     SHIFTED,
     SHIFTLESS,
@@ -22,7 +33,11 @@ from qshift.partitions import (
     OrderTooSmall,
     PartitionIdentity,
     THEOREM_72_2,
+    _cancelled,
     _check,
+    _euler_cube_terms,
+    _euler_terms,
+    _jacobi_terms,
     count_partitions,
     count_partitions_table,
     infer_relation,
@@ -281,6 +296,189 @@ def test_infer_edge_shapes_match_brute_force(shape):
         for n in (4, 60):
             assert infer_relation(S, T, M, n) == brute_relation(S, T, M, n)
             assert infer_relation(T, S, M, n) == brute_relation(T, S, M, n)
+
+
+# ----------------------------------------------------------------------
+# the theta-sum kernel: sparse factors against their products
+# ----------------------------------------------------------------------
+
+
+def sparse_series(terms, n):
+    coeffs = [0] * (n + 1)
+    for e, c in terms:
+        if e <= n:
+            coeffs[e] += c
+    return Series(0, coeffs, n)
+
+
+# (M, r, n): r = M/2 among them, n below the second term among them
+FACTOR_CASES = [(32, 1, 300), (32, 7, 500), (32, 16, 400), (40, 19, 300),
+                (41, 20, 300), (5, 2, 200), (82, 41, 600), (6, 3, 150),
+                (72, 35, 30), (72, 35, 36), (72, 36, 30), (9, 4, 1),
+                (50, 10, 0), (64, 3, 3000)]
+
+
+@pytest.mark.parametrize("M, r, n", FACTOR_CASES)
+def test_jacobi_terms_equal_their_product(M, r, n):
+    # g_r = prod over k = +-r (mod M) and k = 0 (mod M) of (1 - q^k)
+    parts = parts_of({r}, M, n) + list(range(M, n + 1, M))
+    assert sparse_series(_jacobi_terms(r, M, n), n) == \
+        product_series(parts, (), n)
+
+
+@pytest.mark.parametrize("M, r, n", FACTOR_CASES)
+def test_euler_terms_and_cube(M, r, n):
+    E = sparse_series(_euler_terms(M, n), n)
+    assert E == product_series(range(M, n + 1, M), (), n)
+    assert sparse_series(_euler_cube_terms(M, n), n) == mul(mul(E, E), E)
+    assert sparse_series(_euler_terms(r, n), n) == \
+        product_series(range(r, n + 1, r), (), n)
+
+
+def test_pack_sparse_matches_mul():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(0, 120)
+        x = [rng.randint(-50, 50) for _ in range(n + 1)]
+        terms = [(rng.randint(0, n + 5), rng.choice((1, -1, 3, -5)))
+                 for _ in range(rng.randint(0, 6))]
+        w = 32  # every coefficient below stays far inside 2^31
+        packed = _pack_sparse(_pack(x, w // 8) % (1 << w * (n + 1)),
+                              terms, n, w)
+        got = Series(0, _unpack_signed(packed, w // 8, n + 1), n)
+        assert got == mul(Series(0, x, n), sparse_series(terms, n))
+
+
+def test_cancelled_equals_cleared_products():
+    # g_r = E prod_{k = +-r} (1 - q^k), so with N = |S | T| each cleared
+    # series is a finite product times E^N: ya = E^N prod_{T-S} (1 - q^k),
+    # yb = E^N prod_{S-T} (1 - q^k), yu = E^N prod_{S|T} (1 - q^k);
+    # packing is a ring homomorphism, so the packed residues must agree
+    rng = random.Random(3)
+    remainders = set()
+    for _ in range(80):
+        M = rng.randint(5, 40)
+        pool = list(range(1, M // 2 + 1))
+        S = frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+        T = frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+        if S == T:
+            continue
+        n = rng.randint(0, 200)
+        ya, yb, yu, w = _cancelled(S, T, M, n)
+        E = list(range(M, n + 1, M)) * len(S | T)
+        for got, side in ((ya, T - S), (yb, S - T), (yu, S | T)):
+            parts = parts_of(side, M, n) if side else []
+            want = product_series(parts + E, (), n).coeffs
+            # the cleared coefficients may overflow a limb: pack exactly
+            packed = sum(c << (w * i) for i, c in enumerate(want))
+            assert got == packed % (1 << w * (n + 1))
+        remainders.add((len(S) % 3, len(T) % 3))
+    assert len(remainders) == 9  # every count of lone E factors on each side
+
+
+def residue_product_verdict(ident, n):
+    """First failing index of the relation built from residue_product."""
+    ps = residue_product(ident.S, ident.M, n)
+    pt = residue_product(ident.T, ident.M, n)
+    if ident.kind == SHIFTED:
+        lhs, rhs = ps - shift_scale(pt, 1, ident.a), Series.one(n)
+    else:
+        lhs, rhs = ps - pt, Series.monomial(ident.a, n)
+    return lhs.first_difference(rhs)
+
+
+def test_kernel_matches_residue_product_relation():
+    rng = random.Random(11)
+    for ident in (ID32, ID40, THEOREM_72_2):
+        half = ident.M // 2
+        cases = [ident, PartitionIdentity(ident.M, ident.S, ident.T,
+                                          ident.kind, ident.a + 1)]
+        for _ in range(4):
+            side = rng.choice(("S", "T"))
+            old = getattr(ident, side)
+            new = (old - {rng.choice(sorted(old))}) | {
+                rng.choice([r for r in range(1, half + 1) if r not in old])}
+            S, T = (new, ident.T) if side == "S" else (ident.S, new)
+            if S != T:
+                cases.append(PartitionIdentity(ident.M, S, T, ident.kind,
+                                               ident.a))
+        for case in cases:
+            rep = verify_identity(case, 250)
+            assert rep.first_fail == residue_product_verdict(case, 250)
+            assert rep.ok == (rep.first_fail is None)
+
+
+# ----------------------------------------------------------------------
+# residue M/2: one progression, g = (q^(M/2); q^(M/2)); no catalog entry
+# has it
+# ----------------------------------------------------------------------
+
+
+def half_residue_cases(count, seed):
+    """Seeded relations with M/2 in S only, T only or both, of two shapes
+    that hold to a low order: S = {a} + X, T = {a} + Y shifted by a (as
+    1/(1-q^a) - 1 = q^a/(1-q^a)), and S = {a} + X, T = {2a} + Y shiftless
+    at a (as P_a - P_2a = q^a + q^3a + ...)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        h = rng.randint(6, 24)
+        a = rng.randint(1, h // 3)
+        kind = rng.choice((SHIFTED, SHIFTLESS))
+        pool = [r for r in range(2 * a + 1, h) if r != 2 * a]
+        rng.shuffle(pool)
+        X = set(pool[:rng.randint(0, 2)])
+        Y = set(pool[2:2 + rng.randint(0, 2)])
+        where = rng.choice(("S", "T", "both"))
+        if where != "T":
+            X.add(h)
+        if where != "S":
+            Y.add(h)
+        S = frozenset({a} | X)
+        T = frozenset({a if kind == SHIFTED else 2 * a} | Y)
+        if S != T:
+            out.append(PartitionIdentity(2 * h, S, T, kind, a))
+    return out
+
+
+def test_half_residue_verify_matches_oracle():
+    held = 0
+    for ident in half_residue_cases(40, seed=5):
+        assert ident.M // 2 in ident.S | ident.T
+        ok, k, _ = oracle_verdict(ident, 160)
+        assert not ok  # each shape breaks by the order of its classes
+        orders = [n for n in (k - 1, k, k + 15, 160) if n >= ident.a + 2]
+        for n in orders:
+            rep = verify_identity(ident, n)
+            assert (rep.ok, rep.first_fail, rep.witness) == \
+                oracle_verdict(ident, n), (ident, n)
+            held += rep.ok
+        # mutated relations: the other kind and the next shift
+        other = SHIFTLESS if ident.kind == SHIFTED else SHIFTED
+        for mutant in (PartitionIdentity(ident.M, ident.S, ident.T, other,
+                                         ident.a),
+                       PartitionIdentity(ident.M, ident.S, ident.T,
+                                         ident.kind, ident.a + 1)):
+            for n in orders:
+                if n >= mutant.a + 2:
+                    rep = verify_identity(mutant, n)
+                    assert (rep.ok, rep.first_fail, rep.witness) == \
+                        oracle_verdict(mutant, n), (mutant, n)
+    assert held >= 20  # enough of the relations hold at some order
+
+
+def test_half_residue_infer_matches_brute_force():
+    found = set()
+    for ident in half_residue_cases(30, seed=6):
+        S, T, M = ident.S, ident.T, ident.M
+        k = oracle_verdict(ident, 160)[1]
+        for n in sorted({4, k - 1, k + 10, 60}):
+            got = infer_relation(S, T, M, n)
+            assert got == brute_relation(S, T, M, n), (ident, n)
+            assert infer_relation(T, S, M, n) == brute_relation(T, S, M, n)
+            if got:
+                found.add(got[0])
+    assert found == {SHIFTED, SHIFTLESS}
 
 
 # ----------------------------------------------------------------------
