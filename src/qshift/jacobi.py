@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .partitions import SHIFTED, SHIFTLESS, PartitionIdentity, VerifyReport
-from .qseries import linear_combine
+from .qseries import _first_nonzero
 from .theta import (
     BRACKET,
     PAREN,
@@ -43,7 +43,7 @@ from .theta import (
     ThetaMonomial,
     bracket,
     make_monomial,
-    monomial_series,
+    monomial_term,
     paren,
 )
 
@@ -458,11 +458,12 @@ def derive_batch(n: int, a, b, c, x, y) -> BatchDerivation:
 
 
 def verify_zero_combination(terms: Sequence[ThetaMonomial], n: int) -> VerifyReport:
-    """Check that the monomials sum to the zero series up to order n."""
+    """Check that the monomials sum to the zero series up to order n, by
+    the packed zero test; a failure's witness is (coefficient there, 0)."""
     if not terms:
         raise ValueError("need at least one term")
-    total = linear_combine([(1, monomial_series(t, n)) for t in terms])
-    if total.is_zero():
+    hit = _first_nonzero([monomial_term(t, n) for t in terms], n)
+    if hit is None:
         return VerifyReport(True, n)
-    k = total.valuation()
-    return VerifyReport(False, n, k, (total.coeff(k), 0))
+    k, c = hit
+    return VerifyReport(False, n, k, (c, 0))

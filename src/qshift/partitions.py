@@ -45,34 +45,31 @@ The module also carries two special families with their own proofs: the
 classical Rogers-Ramanujan shifted identities (moduli 55 and 70 in
 disguise), and the modulus-72 identity labeled Thm-72.2 in the shipped
 catalog, whose verification walks the chain of theta-function
-dissections its proof is built from.
+dissections its proof is built from.  Each of their series checks is a
+named relation, terms (qseries.Term) whose sum vanishes, checked by the
+one packed zero test qseries._first_nonzero to the reported order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .qseries import (
-    Series,
+    Term,
     _coeff_bits,
     _expand_parts,
+    _first_nonzero,
     _limb_width,
+    _lowest_limb,
     _pack_product,
     _pack_sparse,
-    linear_combine,
-    mul,
-    pochhammer,
-    product_series,
-    shift_scale,
 )
 from .theta import (
     BRACKET,
     Atom,
-    FMono,
     make_monomial,
-    monomial_series,
-    ramanujan_f_sum,
+    monomial_term,
+    ramanujan_f_terms,
 )
 
 SHIFTED = "shifted"
@@ -85,10 +82,6 @@ class InvalidIdentity(ValueError):
 
 class OrderTooSmall(ValueError):
     """Verification order too small to say anything."""
-
-
-class InconsistentScaling(ValueError):
-    """Residue gcd does not divide the shift."""
 
 
 @dataclass(frozen=True)
@@ -166,45 +159,6 @@ def count_partitions(S, M: int, n: int) -> int:
 # verification and inference
 # ----------------------------------------------------------------------
 
-def _jacobi_terms(r: int, M: int, n: int) -> list[tuple[int, int]]:
-    """g_r to order n as sparse terms (exponent, coefficient).
-
-    g_r is the numerator of prod (1 - q^k) over k = +-r (mod M), 1 <= r
-    <= M/2, over E = (q^M; q^M) (_euler_terms(M, n)).  For 2r < M the
-    triple product gives f(-q^r, -q^(M-r)) = (q^r;q^M)(q^(M-r);q^M) E, so
-
-        g_r = sum_k (-1)^k q^(M k(k-1)/2 + r k)        (k in Z),
-
-    about 2 sqrt(2n/M) terms.  For 2r = M the class is the single
-    progression (q^r; q^M) = (q^r; q^r) / E, so g_r = (q^r; q^r), Euler's
-    pentagonal sum with step r.  The exponents rise with |k| on each side
-    of k = 0, and no two coincide (equal values would need two integers
-    summing to (M - 2r)/M, strictly between 0 and 1).
-    """
-    if 2 * r == M:
-        return _euler_terms(r, n)
-    terms = [(0, 1)]
-    for step in (1, -1):
-        k = step
-        while (e := M * k * (k - 1) // 2 + r * k) <= n:
-            terms.append((e, -1 if k % 2 else 1))
-            k += step
-    return terms
-
-
-def _euler_terms(m: int, n: int) -> list[tuple[int, int]]:
-    """(q^m; q^m) = sum_j (-1)^j q^(m j(3j-1)/2) (j in Z) to order n."""
-    terms = [(0, 1)]
-    j = 1
-    while (e := m * j * (3 * j - 1) // 2) <= n:
-        c = -1 if j % 2 else 1
-        terms.append((e, c))
-        if e + m * j <= n:  # j -> -j
-            terms.append((e + m * j, c))
-        j += 1
-    return terms
-
-
 def _euler_cube_terms(m: int, n: int) -> list[tuple[int, int]]:
     """(q^m; q^m)^3 = sum_{k >= 0} (-1)^k (2k+1) q^(m k(k+1)/2) (Jacobi)
     to order n: about sqrt(2n/m) terms, fewer than one factor E has."""
@@ -223,7 +177,7 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     are disjoint), the cancelled relation compares P_A, P_B and
     E_U = prod (1 - q^k) over the parts of U (P_X = prod 1/(1 - q^k)
     over the parts of X).  By the triple product each class r gives
-    prod (1 - q^k) = g_r / E (_jacobi_terms), so with Theta_X = prod_X g_r
+    prod (1 - q^k) = g_r / E, so with Theta_X = prod_X g_r
 
         P_A = E^|A| / Theta_A,  P_B = E^|B| / Theta_B,  E_U = Theta_U / E^|U|.
 
@@ -236,7 +190,9 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     each packed in w-bit limbs mod 2^(w*(n+1)) and built by one
     shift-add per sparse term (qseries._pack_sparse): Theta_A and
     Theta_B are built once and reused, and each full three factors of E
-    are one factor E^3.
+    are one factor E^3.  E = f(-q^M, -q^(2M)), and g_r = f(-q^r, -q^(M-r))
+    for 2r < M; for 2r = M the class is the single progression
+    (q^r; q^M), so g_r = (q^r; q^r) = f(-q^r, -q^(2r)).
 
     w is the width the uncleared series need: every coefficient of P_A
     and P_B lies in [0, 2^b) and every one of E_U in (-2^b, 2^b), b the
@@ -250,7 +206,11 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     w = _limb_width(max(_coeff_bits((), pa, n), _coeff_bits((), pb, n),
                         _coeff_bits(pu, (), n)))
     A, B, U = sorted(S - T), sorted(T - S), sorted(S & T)
-    E, E3 = _euler_terms(M, n), _euler_cube_terms(M, n)
+    E = ramanujan_f_terms(-1, M, -1, 2 * M, n)
+    E3 = _euler_cube_terms(M, n)
+
+    def g(r):
+        return ramanujan_f_terms(-1, r, -1, M - r if 2 * r < M else M, n)
 
     def build(x, factors):
         for terms in factors:
@@ -260,11 +220,11 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     def e_power(p):
         return [E3] * (p // 3) + [E] * (p % 3)
 
-    ta = build(1, (_jacobi_terms(r, M, n) for r in A))
-    tb = build(1, (_jacobi_terms(r, M, n) for r in B))
+    ta = build(1, (g(r) for r in A))
+    tb = build(1, (g(r) for r in B))
     # Theta_U Theta_A Theta_B from the larger of Theta_A and Theta_B
     start, rest = (ta, B) if len(A) >= len(B) else (tb, A)
-    yu = build(start, (_jacobi_terms(r, M, n) for r in rest + U))
+    yu = build(start, (g(r) for r in rest + U))
     return (build(tb, e_power(len(A) + len(U))),
             build(ta, e_power(len(B) + len(U))), yu, w)
 
@@ -284,18 +244,13 @@ def _mismatch(packed, n: int, kind: str, a: int) -> int | None:
         shifted    d = ya - (yb << a*w) - yu
         shiftless  d = ya - yb - (yu << a*w)
 
-    taken mod 2^(w*(n+1)).  It is exact however large the cleared
-    coefficients grow: q -> 2^w followed by reduction mod 2^(w*(n+1)) is
-    a ring homomorphism from Z[q]/(q^(n+1)), and every packed build and
-    this difference are ring operations there.  P_U V^-1 has constant
-    term 1, so the cleared defect's first nonzero coefficient c, at index
-    k, is the uncleared bracket's (P_{S-U} - q^a P_{T-U} - E_U, or the
-    shiftless one) and the relation's first failing index; |c| < 3 * 2^b
-    < 2^(w-1) (see _cancelled).  The defect is then 2^(w*k) (c + 2^w R)
-    with c not a multiple of 2^w, so the lowest set bit of d lies inside
-    limb k; and d is zero iff the defect vanishes to order n.  That one
-    coefficient fixes the answer: the later ones may overflow their
-    limbs without moving the lowest set bit.
+    taken mod 2^(w*(n+1)).  P_U V^-1 has constant term 1, so the cleared
+    defect's first nonzero coefficient c, at index k, is the uncleared
+    bracket's (P_{S-U} - q^a P_{T-U} - E_U, or the shiftless one) and the
+    relation's first failing index, and |c| < 3 * 2^b < 2^(w-1) (see
+    _cancelled).  By the argument of qseries._first_nonzero (packing is
+    a ring homomorphism), the lowest set bit of d lies in limb k however
+    far the later cleared coefficients overflow their limbs.
     """
     ya, yb, yu, w = packed
     mask = (1 << (w * (n + 1))) - 1
@@ -304,15 +259,6 @@ def _mismatch(packed, n: int, kind: str, a: int) -> int | None:
     else:
         d = (ya - yb - (yu << (a * w))) & mask
     return _lowest_limb(d, w)
-
-
-def _lowest_limb(x: int, w: int) -> int | None:
-    """Index of the first nonzero limb of x, None when x == 0.
-
-    Exact when x represents a series mod 2^(w*(n+1)) whose first nonzero
-    coefficient is below 2^(w-1) in magnitude (see _mismatch).
-    """
-    return ((x & -x).bit_length() - 1) // w if x else None
 
 
 def _count(S, M: int, k: int) -> int:
@@ -368,23 +314,6 @@ def infer_relation(S, T, M: int, n: int):
     return None
 
 
-def normalize_gcd(ident: PartitionIdentity) -> PartitionIdentity:
-    """Undo a q -> q^g substitution when all residues and M share a factor g."""
-    g = gcd(ident.M, *ident.S, *ident.T)
-    if g == 1:
-        return ident
-    if ident.a % g:
-        raise InconsistentScaling(
-            f"residue gcd {g} does not divide the shift {ident.a}")
-    return PartitionIdentity(
-        ident.M // g,
-        frozenset(s // g for s in ident.S),
-        frozenset(t // g for t in ident.T),
-        ident.kind,
-        ident.a // g,
-    )
-
-
 # ----------------------------------------------------------------------
 # special checks
 # ----------------------------------------------------------------------
@@ -403,18 +332,32 @@ class SpecialReport:
     checks: tuple[CheckResult, ...]
 
 
-def _check(name: str, lhs: Series, rhs: Series, n: int) -> CheckResult:
-    """Compare lhs and rhs at every exponent up to the reported order n.
+def _zero_checks(relations, n: int) -> tuple[CheckResult, ...]:
+    """Each (name, terms) relation checked through q^n by the packed zero
+    test; first_fail is the first exponent where the sum is nonzero."""
+    hits = [(name, _first_nonzero(terms, n)) for name, terms in relations]
+    return tuple(CheckResult(name, hit is None, hit and hit[0])
+                 for name, hit in hits)
 
-    Series equality only reaches the smaller of the two orders, so a
-    side truncated below n fails the check; its first_fail is then the
-    first exponent that could not be compared.
-    """
-    k = lhs.first_difference(rhs)
-    seen = min(lhs.order, rhs.order)
-    if k is None and seen < n:
-        k = seen + 1
-    return CheckResult(name, k is None, k)
+
+def _rr_relations(n: int):
+    """The Rogers-Ramanujan checks as (name, terms) relations to order n;
+    G(q^k) has the parts +-k (mod 5k), H(q^k) the parts +-2k (mod 5k)."""
+    def G(k):
+        return [*range(k, n + 1, 5 * k), *range(4 * k, n + 1, 5 * k)]
+
+    def H(k):
+        return [*range(2 * k, n + 1, 5 * k), *range(3 * k, n + 1, 5 * k)]
+
+    return (
+        ("H(q)G(q^11) - q^2 G(q)H(q^11) = 1",
+         (Term(1, 0, inverse=H(1) + G(11)), Term(-1, 2, inverse=G(1) + H(11)),
+          Term(-1, 0))),
+        ("H(q^2)G(q^7) - q G(q^2)H(q^7) = (q;q^2)/(q^7;q^14)",
+         (Term(1, 0, inverse=H(2) + G(7)), Term(-1, 1, inverse=G(2) + H(7)),
+          Term(-1, 0, finite=range(1, n + 1, 2),
+               inverse=range(7, n + 1, 14)))),
+    )
 
 
 def rogers_ramanujan_check(n: int) -> SpecialReport:
@@ -426,29 +369,7 @@ def rogers_ramanujan_check(n: int) -> SpecialReport:
     """
     if n < 20:
         raise OrderTooSmall(f"order {n} below the minimum of 20")
-
-    # the parts of G(q^k) and H(q^k); each side is one inverse product
-    def G(k):
-        return [*range(k, n + 1, 5 * k), *range(4 * k, n + 1, 5 * k)]
-
-    def H(k):
-        return [*range(2 * k, n + 1, 5 * k), *range(3 * k, n + 1, 5 * k)]
-
-    lhs1 = linear_combine([
-        (1, product_series((), H(1) + G(11), n)),
-        (-1, shift_scale(product_series((), G(1) + H(11), n), 1, 2)),
-    ])
-    c1 = _check("H(q)G(q^11) - q^2 G(q)H(q^11) = 1", lhs1, Series.one(n), n)
-
-    lhs2 = linear_combine([
-        (1, product_series((), H(2) + G(7), n)),
-        (-1, shift_scale(product_series((), G(2) + H(7), n), 1, 1)),
-    ])
-    rhs2 = product_series(range(1, n + 1, 2), range(7, n + 1, 14), n)
-    c2 = _check("H(q^2)G(q^7) - q G(q^2)H(q^7) = (q;q^2)/(q^7;q^14)", lhs2,
-                rhs2, n)
-
-    checks = (c1, c2)
+    checks = _zero_checks(_rr_relations(n), n)
     return SpecialReport(all(c.ok for c in checks), n, checks)
 
 
@@ -463,91 +384,66 @@ THEOREM_72_2 = PartitionIdentity(
 )
 
 
+def _thm72_relations(n: int):
+    """The seven series checks of the Thm-72.2 chain as (name, terms)
+    relations to order n: the bracket-quotient form of the identity; the
+    2-dissections of f(q, -q^2) and f(-q, q^2); the 3-dissection of
+    f(q, q); the square dissection of f(q,q)f(q^2,q^2); the product form
+    of f(q^9,q^9) - q f(q^3,q^15); and the derived difference identity
+    those combine into."""
+    def f(sa, ea, sb, eb):
+        return ramanujan_f_terms(sa, ea, sb, eb, n)
+
+    def F(c, e, *sums, finite=()):
+        return Term(c, e, sparse=sums, finite=finite)
+
+    def br(sign, qexp, num, den=()):
+        return monomial_term(make_monomial(
+            sign, qexp, [Atom(r, 72, BRACKET) for r in num],
+            [Atom(r, 72, BRACKET) for r in den]), n)
+
+    def neg3(e):  # the factors of (-q^3; q^6) to order n - e
+        return [-k for k in range(3, n - e + 1, 6)]
+
+    return (
+        ("[2,15,21,22,26:72] - q[3,10,14,33,34:72]"
+         " = [1..35:72]/[4,6,20,24,28,30:72]",
+         (br(1, 0, (2, 15, 21, 22, 26)), br(-1, 1, (3, 10, 14, 33, 34)),
+          br(-1, 0, range(1, 36), (4, 6, 20, 24, 28, 30)))),
+        ("f(q,-q^2) = f(-q^5,-q^7) + q f(-q,-q^11)",
+         (F(1, 0, f(1, 1, -1, 2)), F(-1, 0, f(-1, 5, -1, 7)),
+          F(-1, 1, f(-1, 1, -1, 11)))),
+        ("f(-q,q^2) = f(-q^5,-q^7) - q f(-q,-q^11)",
+         (F(1, 0, f(-1, 1, 1, 2)), F(-1, 0, f(-1, 5, -1, 7)),
+          F(1, 1, f(-1, 1, -1, 11)))),
+        ("f(q,q) = f(q^9,q^9) + 2q f(q^3,q^15)",
+         (F(1, 0, f(1, 1, 1, 1)), F(-1, 0, f(1, 9, 1, 9)),
+          F(-2, 1, f(1, 3, 1, 15)))),
+        ("f(q,q)f(q^2,q^2) = f(q^3,q^3)f(q^6,q^6) + 2q f(q,q^5)f(q^2,q^10)",
+         (F(1, 0, f(1, 1, 1, 1), f(1, 2, 1, 2)),
+          F(-1, 0, f(1, 3, 1, 3), f(1, 6, 1, 6)),
+          F(-2, 1, f(1, 1, 1, 5), f(1, 2, 1, 10)))),
+        ("f(q^9,q^9) - q f(q^3,q^15) = f(-q,-q^3)(-q^3;q^6)",
+         (F(1, 0, f(1, 9, 1, 9)), F(-1, 1, f(1, 3, 1, 15)),
+          F(-1, 0, f(-1, 1, -1, 3), finite=neg3(0)))),
+        ("f(q^2,q^2)f(q^9,q^9) - f(q^3,q^3)f(q^6,q^6)"
+         " = 2q^2 f(q^6,q^30)f(-q,-q^3)(-q^3;q^6)",
+         (F(1, 0, f(1, 2, 1, 2), f(1, 9, 1, 9)),
+          F(-1, 0, f(1, 3, 1, 3), f(1, 6, 1, 6)),
+          F(-2, 2, f(1, 6, 1, 30), f(-1, 1, -1, 3), finite=neg3(2)))),
+    )
+
+
 def verify_theorem_72_2(n: int) -> SpecialReport:
     """Walk the theta-dissection chain behind catalog entry Thm-72.2.
 
-    Checks, each to order n: the equivalent bracket-quotient form of the
-    identity; the 2-dissections of f(q, -q^2) and f(-q, q^2); the
-    3-dissection of f(q, q); the square dissection of f(q,q)f(q^2,q^2);
-    the product form of f(q^9,q^9) - q f(q^3,q^15); the derived
-    difference identity those combine into; and the partition identity
-    itself.
+    Checks, each to order n: the seven series relations of
+    _thm72_relations, and the partition identity itself.
     """
     if n < 50:
         raise OrderTooSmall(f"order {n} below the minimum of 50")
-
-    def f(sa, ea, sb, eb):
-        return ramanujan_f_sum(FMono(sa, ea), FMono(sb, eb), n)
-
-    def br(exponents):
-        return tuple(Atom(e, 72, BRACKET) for e in exponents)
-
-    checks = []
-
-    # bracket-quotient form of the identity
-    union = sorted(set(range(1, 36)) - {4, 6, 20, 24, 28, 30})
-    lhs = linear_combine([
-        (1, monomial_series(make_monomial(1, 0, br((2, 15, 21, 22, 26))), n)),
-        (-1, monomial_series(make_monomial(1, 1, br((3, 10, 14, 33, 34))), n)),
-    ])
-    rhs = monomial_series(
-        make_monomial(1, 0, br(range(1, 36)), br((4, 6, 20, 24, 28, 30))), n)
-    checks.append(_check(
-        "[2,15,21,22,26:72] - q[3,10,14,33,34:72] = [1..35:72]/[4,6,20,24,28,30:72]",
-        lhs, rhs, n))
-
-    # 2-dissections
-    fp = f(-1, 5, -1, 7)
-    fm = shift_scale(f(-1, 1, -1, 11), 1, 1)
-    checks.append(_check("f(q,-q^2) = f(-q^5,-q^7) + q f(-q,-q^11)",
-                         f(1, 1, -1, 2), fp + fm, n))
-    checks.append(_check("f(-q,q^2) = f(-q^5,-q^7) - q f(-q,-q^11)",
-                         f(-1, 1, 1, 2), fp - fm, n))
-
-    # 3-dissection of f(q, q)
-    t3d_rhs = linear_combine([
-        (1, f(1, 9, 1, 9)),
-        (2, shift_scale(f(1, 3, 1, 15), 1, 1)),
-    ])
-    checks.append(_check("f(q,q) = f(q^9,q^9) + 2q f(q^3,q^15)",
-                         f(1, 1, 1, 1), t3d_rhs, n))
-
-    # dissection of the square-type product
-    terr_rhs = linear_combine([
-        (1, mul(f(1, 3, 1, 3), f(1, 6, 1, 6))),
-        (2, shift_scale(mul(f(1, 1, 1, 5), f(1, 2, 1, 10)), 1, 1)),
-    ])
-    checks.append(_check(
-        "f(q,q)f(q^2,q^2) = f(q^3,q^3)f(q^6,q^6) + 2q f(q,q^5)f(q^2,q^10)",
-        mul(f(1, 1, 1, 1), f(1, 2, 1, 2)), terr_rhs, n))
-
-    # product form of the 3-dissection head
-    psi_lhs = linear_combine([
-        (1, f(1, 9, 1, 9)),
-        (-1, shift_scale(f(1, 3, 1, 15), 1, 1)),
-    ])
-    psi_rhs = mul(f(-1, 1, -1, 3), pochhammer(3, 6, -1, n))
-    checks.append(_check("f(q^9,q^9) - q f(q^3,q^15) = f(-q,-q^3)(-q^3;q^6)",
-                         psi_lhs, psi_rhs, n))
-
-    # the derived difference identity combining the above
-    hwg6_lhs = linear_combine([
-        (1, mul(f(1, 2, 1, 2), f(1, 9, 1, 9))),
-        (-1, mul(f(1, 3, 1, 3), f(1, 6, 1, 6))),
-    ])
-    hwg6_rhs = linear_combine([
-        (2, shift_scale(mul(mul(f(1, 6, 1, 30), f(-1, 1, -1, 3)),
-                            pochhammer(3, 6, -1, n)), 1, 2)),
-    ])
-    checks.append(_check(
-        "f(q^2,q^2)f(q^9,q^9) - f(q^3,q^3)f(q^6,q^6)"
-        " = 2q^2 f(q^6,q^30)f(-q,-q^3)(-q^3;q^6)",
-        hwg6_lhs, hwg6_rhs, n))
-
-    # the partition identity itself
+    checks = _zero_checks(_thm72_relations(n), n)
     rep = verify_identity(THEOREM_72_2, n)
-    checks.append(CheckResult("p(S,n) = p(T,n-1) at modulus 72",
-                              rep.ok, rep.first_fail))
-
-    checks = tuple(checks)
+    checks += (CheckResult("p(S,n) = p(T,n-1) at modulus 72",
+                           rep.ok, rep.first_fail),)
     return SpecialReport(all(c.ok for c in checks), n, checks)

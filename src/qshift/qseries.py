@@ -8,23 +8,27 @@ arithmetic: no modular shortcuts, and no floats except in sizing limbs.
 Long convolutions are evaluated by Kronecker substitution: coefficients
 are packed into fixed-width limbs of one big Python integer, so a series
 product becomes a single integer multiply.  Every product of factors
-(1 - s q^k)^(+-1), s = +-1, times an integer (Pochhammer symbols, theta
-atoms and monomials, residue products) comes from one packed builder,
-_pack_product: a factor is a shift-and-subtract or shift-and-add, one
-per doubling of its part for an inverse factor.  A product with a
-sparse sum (the theta sums of the verification kernel) is _pack_sparse,
-one shift-and-add per term.  Limb widths come from
-proven coefficient bounds (or from the actual operand magnitudes), so
-the packing is always exact.  The bound for a product (_coeff_bits)
-holds whatever the signs, is evaluated in floats with a stated rounding
-margin, and is taken per product, so a sparse set of parts gets narrow
-limbs.
+(1 - s q^k)^(+-1), s = +-1, times a packed start value (Pochhammer
+symbols, theta atoms and monomials, residue products) comes from one
+packed builder, _pack_product: a factor is a shift-and-subtract or
+shift-and-add, one per doubling of its part for an inverse factor.  A
+product with a sparse sum (a theta sum) is _pack_sparse, one shift-and-add
+per term.  Limb widths come from proven coefficient bounds (or from the
+actual operand magnitudes), so the packing is always exact.  The bound
+for a product (_coeff_bits) holds whatever the signs, is evaluated in
+floats with a stated rounding margin, and is taken per product, so a
+sparse set of parts gets narrow limbs.
+
+The special checks and theta zero-sums are signed sums of such products
+that must vanish, with one zero test, _first_nonzero: the sum is packed
+at one limb width and its first nonzero coefficient read at its lowest
+set bit.
 """
 
 from __future__ import annotations
 
 from math import ceil, exp, expm1, fsum, log, log1p, pi, sqrt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class NonUnitLeading(ValueError):
@@ -140,19 +144,21 @@ def _limb_width(bits: int) -> int:
 
 
 def _pack_product(finite: Iterable[int], inverse: Iterable[int], n: int,
-                  w: int, scale: int = 1) -> int:
-    """scale * prod_fin (1 - s q^k) / prod_inv (1 - s q^k) to order n in
+                  w: int, start: int = 1) -> int:
+    """start * prod_fin (1 - s q^k) / prod_inv (1 - s q^k) to order n in
     w-bit signed limbs, each factor given as j = s*k (k >= 1).
 
-    A finite factor is one shift-subtract (s = 1) or shift-add (s = -1).
+    start is a packed series (an integer c is the constant c).  A finite
+    factor is one shift-subtract (s = 1) or shift-add (s = -1).
     1/(1-q^k) is (1+q^k)(1+q^2k)(1+q^4k)... up to order n, one shift-add
     per doubling, and 1/(1+q^k) is (1-q^k)(1+q^2k)(1+q^4k)....  The result
     is reduced mod 2^(w*(n+1)), which every step respects, since a shift
     moves only limbs past order n out of it; _unpack_signed decodes it
-    when w exceeds _coeff_bits(finite, inverse, n, scale) + 1.
+    when w exceeds _coeff_bits(finite, inverse, n, start) + 1 for a
+    constant start.
     """
     mask = (1 << (w * (n + 1))) - 1
-    x = scale & mask
+    x = start & mask
     for j in finite:
         if j > 0:
             x = (x - (x << (j * w))) & mask
@@ -193,6 +199,75 @@ def _pack_sparse(x: int, terms: Iterable[tuple[int, int]], n: int,
         else:
             acc += c * t
     return acc & ((1 << top) - 1)
+
+
+def _lowest_limb(x: int, w: int) -> int | None:
+    """Index of the first nonzero limb of x, None when x == 0.
+
+    Exact when x represents a series mod 2^(w*(n+1)) whose first nonzero
+    coefficient is below 2^(w-1) in magnitude (see _first_nonzero).
+    """
+    return ((x & -x).bit_length() - 1) // w if x else None
+
+
+class Term(NamedTuple):
+    """c q^e scale prod sparse prod_fin (1 - s q^k) / prod_inv (1 - s q^k),
+    a sparse sum as (exponent >= 0, coefficient) pairs and a factor as
+    j = s*k, as _pack_product takes it; e may be negative."""
+
+    c: int
+    e: int
+    sparse: Sequence[Sequence[tuple[int, int]]] = ()
+    finite: Sequence[int] = ()
+    inverse: Sequence[int] = ()
+    scale: int = 1
+
+
+def _first_nonzero(terms: Iterable[Term], n: int) -> tuple[int, int] | None:
+    """(k, c): the first nonzero coefficient c, at q^k, of the sum of the
+    terms through q^n, or None when the sum vanishes through q^n.
+
+    Terms with e > n are skipped.  With L the least e left, each term is
+    packed to its own order n - e (its sparse sums by _pack_sparse, then
+    _pack_product started from that value), shifted up e - L limbs and
+    added in, and the sum is reduced mod 2^(w*(n-L+1)).  q -> 2^w
+    followed by that reduction is a ring homomorphism from
+    Z[q]/(q^(n-L+1)), and every step is a ring operation there, so the
+    result is exactly the image of q^-L times the sum.
+
+    One limb width w serves the whole sum.  A term's coefficients through
+    q^(n-e) are below B = 2^b, b = _coeff_bits(finite, inverse, n - e,
+    scale) plus the bit length of each sparse sum's L1 norm, since a
+    sparse factor multiplies the largest coefficient by at most its L1
+    norm.  So the first nonzero coefficient has |c| <= sum |c_i| max B_i
+    < 2^(w-1), and the packed sum is 2^(w*k) (c + 2^w R) with c not a
+    multiple of 2^w: its lowest set bit lies in limb k, which read as a
+    signed w-bit integer is c, however far later limbs overflow.
+    """
+    live = [t for t in terms if t.e <= n]
+    if not live:
+        return None
+    lo = min(t.e for t in live)
+    bits = max(_coeff_bits(t.finite, t.inverse, n - t.e, t.scale)
+               + sum(sum(abs(c) for _, c in s).bit_length() for s in t.sparse)
+               for t in live)
+    w = _limb_width(bits + sum(abs(t.c) for t in live).bit_length())
+    acc = 0
+    for t in live:
+        m = n - t.e
+        x = t.scale
+        for s in t.sparse:
+            x = _pack_sparse(x, s, m, w)
+        x = _pack_product(t.finite, t.inverse, m, w, x)
+        acc += (t.c * x) << ((t.e - lo) * w)
+    acc &= (1 << (w * (n - lo + 1))) - 1
+    k = _lowest_limb(acc, w)
+    if k is None:
+        return None
+    c = (acc >> (k * w)) & ((1 << w) - 1)
+    if c >> (w - 1):
+        c -= 1 << w
+    return lo + k, c
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +450,12 @@ def _mul_coeffs(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
 
 
 def mul(a: Series, b: Series) -> Series:
-    """Cauchy product, truncated at min(order_a, order_b)."""
+    """Cauchy product, truncated at min(order_a, order_b).
+
+    No check calls mul or invert.  Both stay as the reference oracle the
+    tests compare the packed builders with, and bench/tracing.py binds
+    both names.
+    """
     order = min(a.order, b.order)
     if a.is_zero() or b.is_zero():
         return Series.zero(order)
@@ -399,7 +479,8 @@ def _invert_unit(u: Sequence[int], count: int) -> list[int]:
 
 
 def invert(a: Series) -> Series:
-    """Multiplicative inverse; requires leading coefficient +-1."""
+    """Multiplicative inverse; requires leading coefficient +-1.
+    A reference oracle, kept for the reasons given at mul."""
     if a.is_zero():
         raise NonUnitLeading("cannot invert the zero series")
     lead = a.coeffs[0]

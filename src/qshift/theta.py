@@ -16,10 +16,13 @@ A bracket with e divisible by m contains the factor (1 - 1) and is
 identically zero; the parenthesized analogue is 2(-q^m; q^m)^2 instead.
 
 A ThetaMonomial is sign * q^qexp * (product of atoms) / (product of
-atoms), with numerator and denominator stored as sorted multisets.
+atoms), with numerator and denominator stored as sorted multisets;
+monomial_term makes it a term of the packed zero test
+(qseries._first_nonzero), and monomial_series expands that term.
 
 The two-variable series f(a, b) = sum_k a^(k(k+1)/2) b^(k(k-1)/2) is
-supported for arguments of the form sigma * q^e; the triple-product
+supported for arguments of the form sigma * q^e.  Its one generator,
+ramanujan_f_terms, lists its sparse terms; the triple-product
 factorization f(a, b) = (-a; ab)_inf (-b; ab)_inf (ab; ab)_inf is
 available separately so the two can be checked against each other.
 """
@@ -29,10 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 from typing import Iterable, NamedTuple
 
-from .qseries import NonUnitLeading, Series, product_series, shift_scale
+from .qseries import NonUnitLeading, Series, Term, product_series, shift_scale
 
 
 class DegenerateZero(ValueError):
@@ -166,11 +168,11 @@ def monomial_neg(a: ThetaMonomial) -> ThetaMonomial:
     return ThetaMonomial(-a.sign, a.qexp, a.num, a.den)
 
 
-def monomial_series(mono: ThetaMonomial, n: int) -> Series:
-    """Expand a monomial to order n in one packed build at order n - qexp:
-    the parts of numerator atoms are finite factors, those of denominator
-    atoms inverse ones (a denominator (0 : m), constant term 2, is not a
-    unit: NonUnitLeading)."""
+def monomial_term(mono: ThetaMonomial, n: int) -> Term:
+    """The monomial as a qseries.Term with its factors listed to order
+    n - qexp: the parts of numerator atoms are finite factors, those of
+    denominator atoms inverse ones (a denominator (0 : m), constant term
+    2, is not a unit: NonUnitLeading)."""
     inner = n - mono.qexp
     scale, finite, inverse = 1, [], []
     for a in mono.num:
@@ -182,8 +184,16 @@ def monomial_series(mono: ThetaMonomial, n: int) -> Series:
         if c != 1:
             raise NonUnitLeading(f"{atom_str(a)} has constant term {c}")
         inverse += factors
-    acc = product_series(finite, inverse, inner, scale)
-    return shift_scale(acc, mono.sign, mono.qexp)
+    return Term(mono.sign, mono.qexp, finite=finite, inverse=inverse,
+                scale=scale)
+
+
+def monomial_series(mono: ThetaMonomial, n: int) -> Series:
+    """Expand a monomial to order n in one packed build of its term
+    (monomial_term) at order n - qexp."""
+    t = monomial_term(mono, n)
+    acc = product_series(t.finite, t.inverse, n - t.e, t.scale)
+    return shift_scale(acc, t.c, t.e)
 
 
 def paren_to_bracket(e: int, m: int) -> ThetaMonomial:
@@ -232,28 +242,36 @@ class FMono:
             raise ValueError("sigma must be +1 or -1")
 
 
-def ramanujan_f_sum(a: FMono, b: FMono, n: int) -> Series:
-    """f(a, b) = sum over all integers k of a^(k(k+1)/2) b^(k(k-1)/2)."""
-    t = a.e + b.e
+def ramanujan_f_terms(sa: int, ea: int, sb: int, eb: int,
+                      n: int) -> list[tuple[int, int]]:
+    """f(sa q^ea, sb q^eb) = sum over all integers k of a^(k(k+1)/2)
+    b^(k(k-1)/2) to order n, as one (exponent, sign) term per k; exponents
+    may repeat.  k = j >= 0 and k = -j (a and b swapped) are two walks in
+    j whose exponent steps by (ea + eb) j + e; once that step is positive
+    it stays so, and the walk stops at the first exponent past n."""
+    t = ea + eb
     if t <= 0:
-        raise Divergent(f"f needs e_a + e_b >= 1, got {a.e} + {b.e}")
-    spread = abs(a.e - b.e)
-    bound = isqrt(max(2 * n, 0) // t + 4) + spread // t + 4
-    acc: dict[int, int] = {}
-    for k in range(-bound, bound + 1):
-        exp = (a.e * k * (k + 1) + b.e * k * (k - 1)) // 2
-        if exp > n:
-            continue
-        c = 1
-        if (k * (k + 1) // 2) % 2 and a.sigma == -1:
-            c = -c
-        if (k * (k - 1) // 2) % 2 and b.sigma == -1:
-            c = -c
-        acc[exp] = acc.get(exp, 0) + c
-    if not acc:
-        return Series.zero(n)
-    lo = min(acc)
-    return Series(lo, [acc.get(k, 0) for k in range(lo, n + 1)], n)
+        raise Divergent(f"f needs e_a + e_b >= 1, got {ea} + {eb}")
+    terms = []
+    for s1, e1, s2, j in ((sa, ea, sb, 0), (sb, eb, sa, 1)):
+        signs = (1, s1, s1 * s2, s2)
+        x = e1 * j
+        while x <= n or t * j + e1 <= 0:
+            if x <= n:
+                terms.append((x, signs[j % 4]))
+            x += t * j + e1
+            j += 1
+    return terms
+
+
+def ramanujan_f_sum(a: FMono, b: FMono, n: int) -> Series:
+    """f(a, b) to order n as a Series (see ramanujan_f_terms)."""
+    terms = ramanujan_f_terms(a.sigma, a.e, b.sigma, b.e, n)
+    lo = min((e for e, _ in terms), default=n)
+    coeffs = [0] * (n - lo + 1)
+    for e, c in terms:
+        coeffs[e - lo] += c
+    return Series(lo, coeffs, n)
 
 
 def ramanujan_f_product(a: FMono, b: FMono, n: int) -> Series:

@@ -40,7 +40,7 @@ from qshift.jacobi import (
     verify_zero_combination,
 )
 from qshift.partitions import SHIFTED, SHIFTLESS, VerifyReport, verify_identity
-from qshift.qseries import Series, linear_combine
+from qshift.qseries import NonUnitLeading, Series, linear_combine
 from qshift.theta import (
     BRACKET,
     PAREN,
@@ -455,6 +455,13 @@ class TestVerifyZeroCombination:
             (1, monomial_series(L1, 80)), (1, monomial_series(L2, 80))])
         assert report.first_fail == (good + monomial_series(R, 80)).valuation()
         assert report.witness is not None and report.witness[0] != 0
+
+    def test_paren_zero_denominator_raises(self):
+        # (0:m) has constant term 2, so it is no unit, even past the order
+        for qexp in (0, 60):
+            mono = make_monomial(1, qexp, brackets([1], 4), (Atom(0, 4, PAREN),))
+            with pytest.raises(NonUnitLeading):
+                verify_zero_combination([mono], 50)
 
     def test_empty_combination_rejected(self):
         with pytest.raises(ValueError):

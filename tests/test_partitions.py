@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qshift import partitions
 from qshift.qseries import (
     EmptySet,
     ResidueOutOfRange,
     Series,
+    _first_nonzero,
     _pack,
     _pack_sparse,
     _unpack_signed,
@@ -27,26 +29,21 @@ from qshift.qseries import (
 from qshift.partitions import (
     SHIFTED,
     SHIFTLESS,
-    CheckResult,
-    InconsistentScaling,
     InvalidIdentity,
     OrderTooSmall,
     PartitionIdentity,
     THEOREM_72_2,
     _cancelled,
-    _check,
     _euler_cube_terms,
-    _euler_terms,
-    _jacobi_terms,
     count_partitions,
     count_partitions_table,
     infer_relation,
-    normalize_gcd,
     parts_of,
     rogers_ramanujan_check,
     verify_identity,
     verify_theorem_72_2,
 )
+from qshift.theta import ramanujan_f_terms
 
 # a modulus-32 shifted pair used as the standing fixture
 S32 = frozenset({1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15})
@@ -144,6 +141,11 @@ def test_identity_key_is_deterministic():
 
 def test_verify_shifted_fixture_passes():
     assert verify_identity(ID32, 400).ok
+    # q -> q^2 doubles the modulus, every residue and the shift
+    doubled = PartitionIdentity(
+        64, frozenset(2 * s for s in S32), frozenset(2 * t for t in T32),
+        SHIFTED, 2)
+    assert verify_identity(doubled, 150).ok
 
 
 def test_verify_shiftless_fixture_passes():
@@ -318,20 +320,26 @@ FACTOR_CASES = [(32, 1, 300), (32, 7, 500), (32, 16, 400), (40, 19, 300),
                 (50, 10, 0), (64, 3, 3000)]
 
 
+def f_series(sa, ea, sb, eb, n):
+    return sparse_series(ramanujan_f_terms(sa, ea, sb, eb, n), n)
+
+
 @pytest.mark.parametrize("M, r, n", FACTOR_CASES)
 def test_jacobi_terms_equal_their_product(M, r, n):
-    # g_r = prod over k = +-r (mod M) and k = 0 (mod M) of (1 - q^k)
+    # the kernel's g_r = prod over k = +-r (mod M) and k = 0 (mod M) of
+    # (1 - q^k): f(-q^r, -q^(M-r)), or f(-q^r, -q^(2r)) for r = M/2
     parts = parts_of({r}, M, n) + list(range(M, n + 1, M))
-    assert sparse_series(_jacobi_terms(r, M, n), n) == \
-        product_series(parts, (), n)
+    other = M - r if 2 * r < M else M
+    assert f_series(-1, r, -1, other, n) == product_series(parts, (), n)
 
 
 @pytest.mark.parametrize("M, r, n", FACTOR_CASES)
 def test_euler_terms_and_cube(M, r, n):
-    E = sparse_series(_euler_terms(M, n), n)
+    # E = (q^M; q^M) = f(-q^M, -q^(2M)), and Jacobi's sum for E^3
+    E = f_series(-1, M, -1, 2 * M, n)
     assert E == product_series(range(M, n + 1, M), (), n)
     assert sparse_series(_euler_cube_terms(M, n), n) == mul(mul(E, E), E)
-    assert sparse_series(_euler_terms(r, n), n) == \
+    assert f_series(-1, r, -1, 2 * r, n) == \
         product_series(range(r, n + 1, r), (), n)
 
 
@@ -482,47 +490,8 @@ def test_half_residue_infer_matches_brute_force():
 
 
 # ----------------------------------------------------------------------
-# gcd normalization
-# ----------------------------------------------------------------------
-
-
-def test_normalize_gcd_identity_with_gcd_one_unchanged():
-    assert normalize_gcd(ID32) is ID32
-
-
-def test_normalize_gcd_undoes_doubling():
-    doubled = PartitionIdentity(
-        64, frozenset(2 * s for s in S32), frozenset(2 * t for t in T32),
-        SHIFTED, 2)
-    assert verify_identity(doubled, 150).ok
-    back = normalize_gcd(doubled)
-    assert back == ID32
-
-
-def test_normalize_gcd_rejects_inconsistent_shift():
-    doubled = PartitionIdentity(
-        64, frozenset(2 * s for s in S32), frozenset(2 * t for t in T32),
-        SHIFTED, 1)
-    with pytest.raises(InconsistentScaling):
-        normalize_gcd(doubled)
-
-
-# ----------------------------------------------------------------------
 # special checks
 # ----------------------------------------------------------------------
-
-
-def test_check_fails_below_the_reported_order():
-    full = Series(0, [1, 2, 3], 100)
-    short = full.truncate(60)
-    # equal as far as both reach, but the short side stops at 60
-    assert full == short
-    assert _check("c", full, short, 100) == CheckResult("c", False, 61)
-    assert _check("c", short, full, 100) == CheckResult("c", False, 61)
-    assert _check("c", full, short, 60) == CheckResult("c", True, None)
-    # a difference inside the compared range is reported as before
-    assert _check("c", full, Series(0, [1, 2, 4], 60), 100) == \
-        CheckResult("c", False, 2)
 
 
 def test_rogers_ramanujan_smoke():
@@ -535,6 +504,38 @@ def test_rogers_ramanujan_smoke():
 def test_rogers_ramanujan_order_floor():
     with pytest.raises(OrderTooSmall):
         rogers_ramanujan_check(10)
+
+
+SPECIAL_RELATIONS = ([(rogers_ramanujan_check, "_rr_relations", i)
+                      for i in range(2)]
+                     + [(verify_theorem_72_2, "_thm72_relations", i)
+                        for i in range(7)])
+
+
+@pytest.mark.parametrize("check, builder, index", SPECIAL_RELATIONS)
+def test_special_check_fails_on_a_perturbed_relation(
+        monkeypatch, series_route, check, builder, index):
+    # each series relation holds; with one term dropped, its coefficient
+    # doubled or its exponent raised, the public check fails at the
+    # index the Series route gives, with the same coefficient
+    n = 120
+    relations = getattr(partitions, builder)(n)
+    name, terms = relations[index]
+    assert _first_nonzero(terms, n) is None
+    assert series_route(terms, n) is None
+    for i, t in enumerate(terms):
+        for bad in (terms[:i] + terms[i + 1:],
+                    terms[:i] + (t._replace(c=2 * t.c),) + terms[i + 1:],
+                    terms[:i] + (t._replace(e=t.e + 1),) + terms[i + 1:]):
+            want = series_route(bad, n)
+            assert want is not None
+            assert _first_nonzero(bad, n) == want
+            mutated = relations[:index] + ((name, bad),) + relations[index + 1:]
+            monkeypatch.setattr(partitions, builder, lambda m: mutated)
+            rep = check(n)
+            assert not rep.ok
+            assert [c.first_fail for c in rep.checks] == [
+                want[0] if j == index else None for j in range(len(rep.checks))]
 
 
 def test_theorem_72_2_smoke():

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qshift import qseries
 from qshift.qseries import (
     BeyondOrder,
     EmptySet,
@@ -20,8 +21,10 @@ from qshift.qseries import (
     NonUnitLeading,
     ResidueOutOfRange,
     Series,
+    Term,
     _coeff_bits,
     _expand_parts,
+    _first_nonzero,
     _mul_packed,
     _mul_schoolbook,
     invert,
@@ -602,3 +605,74 @@ def test_product_series_below_order_zero_is_zero():
         assert (s.offset, s.order, s.coeffs) == (n, n, (0,))
         assert pochhammer(1, 5, 1, n) == Series.zero(n)
         assert residue_product({1}, 5, n).order == n
+
+
+# ----------------------------------------------------------------------
+# the packed zero test
+# ----------------------------------------------------------------------
+
+
+def random_term(rng, n):
+    def parts():
+        return [rng.choice((1, -1)) * rng.randint(1, n + 3)
+                for _ in range(rng.randint(0, 6))]
+
+    sparse = [[(rng.randint(0, n + 5), rng.choice((1, -1, 2, -3)))
+               for _ in range(rng.randint(1, 5))]
+              for _ in range(rng.randint(0, 2))]
+    return Term(rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)),
+                rng.randint(-8, n), sparse=sparse, finite=parts(),
+                inverse=parts(), scale=rng.choice((1, 2)))
+
+
+def test_first_nonzero_matches_series_route(series_route):
+    # random sums; a term cancelled by a copy carrying one more finite
+    # factor (1 - s q^p) leaves c s q^(e+p) X, so most sums first differ
+    # well above their lowest exponent
+    rng = random.Random(6151)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(0, 80)
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            t = random_term(rng, n)
+            p = rng.choice((1, -1)) * rng.randint(1, n + 2)
+            terms += [t, t._replace(c=-t.c, finite=[*t.finite, p])]
+        terms += [random_term(rng, n) for _ in range(rng.randint(0, 1))]
+        terms += [random_term(rng, n)._replace(e=n + rng.randint(1, 9))
+                  for _ in range(rng.randint(0, 2))]
+        rng.shuffle(terms)
+        want = series_route(terms, n)
+        assert _first_nonzero(terms, n) == want, (terms, n)
+        seen.add(want is None)
+    assert seen == {True, False}
+
+
+def test_first_nonzero_reads_past_overflowing_limbs(monkeypatch, series_route):
+    # P - P/(1 - q^40) = -q^40 P/(1 - q^40), P = 1/(q;q): the first
+    # coefficient is -1 and the later ones are partition counts, far
+    # wider than a 16-bit limb
+    n = 120
+    parts = list(range(1, n + 1))
+    terms = [Term(1, -3, inverse=parts),
+             Term(-1, -3, sparse=[[(0, 1)]], inverse=parts + [40])]
+    assert series_route(terms, n) == (37, -1)
+    assert max(product_series((), parts, n).coeffs) >= 1 << 16
+    monkeypatch.setattr(qseries, "_limb_width", lambda bits: 16)
+    assert _first_nonzero(terms, n) == (37, -1)
+
+
+def test_first_nonzero_compares_through_q_n():
+    n = 50
+    base = Term(1, -4, sparse=[[(0, 1), (7, -3)]], finite=[2, -5],
+                inverse=[3])
+    pair = [base, base._replace(c=-1)]
+    assert _first_nonzero(pair, n) is None
+    # a lone coefficient at q^n fails at n; at q^(n+1) it is not seen
+    assert _first_nonzero(pair + [Term(3, n)], n) == (n, 3)
+    assert _first_nonzero(pair + [Term(3, n + 1)], n) is None
+    assert _first_nonzero([Term(-2, n + 1)], n) is None
+    # q^(n-10) (1 - q^10) - q^(n-10) = -q^n, one limb below the order
+    edge = Term(1, n - 10, finite=[10])
+    assert _first_nonzero([edge, Term(-1, n - 10)], n) == (n, -1)
+    assert _first_nonzero([edge._replace(e=n - 9), Term(-1, n - 9)], n) is None
