@@ -182,10 +182,6 @@ def _identity_from_args(args) -> PartitionIdentity:
         raise UsageError(str(exc)) from exc
 
 
-def _load(path):
-    return load_corpus(path)
-
-
 def _verify_item(label: str, ident: PartitionIdentity, order: int) -> Item:
     rep = verify_identity(ident, order)
     if rep.ok:
@@ -200,7 +196,7 @@ def _verify_item(label: str, ident: PartitionIdentity, order: int) -> Item:
 # ----------------------------------------------------------------------
 
 def cmd_verify(args) -> Report:
-    entries = _load(args.corpus)
+    entries = load_corpus(args.corpus)
     if args.modulus is not None:
         entries = entries_for_modulus(entries, args.modulus)
         if not entries:
@@ -295,7 +291,7 @@ def cmd_search(args) -> Report:
 
 
 def cmd_classify(args) -> Report:
-    entries = entries_for_modulus(_load(args.corpus), args.modulus)
+    entries = entries_for_modulus(load_corpus(args.corpus), args.modulus)
     if not entries:
         raise UsageError(f"no catalog entries for modulus {args.modulus}")
     labels_of = {}
@@ -320,7 +316,7 @@ def cmd_classify(args) -> Report:
 
 def cmd_act(args) -> Report:
     if args.label is not None:
-        matches = [e for e in _load(args.corpus) if e.label == args.label]
+        matches = [e for e in load_corpus(args.corpus) if e.label == args.label]
         if not matches:
             raise UsageError(f"no catalog entry labelled {args.label!r}")
         ident, name = matches[0].identity, args.label

@@ -17,11 +17,12 @@ metadata to replay that route mechanically:
                          dedicated check (rogers_ramanujan_check or
                          verify_theorem_72_2)
 
-load_corpus is strict: structural problems raise ParseError,
-SchemaViolation, or DuplicateLabel rather than producing half-loaded
-entries.  validate_corpus replays every entry numerically and returns a
-report instead of raising, so a single bad entry is visible alongside
-the rest.
+load_corpus is strict: structural problems, down to the shape of aux-step
+params and theta atoms, raise ParseError, SchemaViolation, or
+DuplicateLabel rather than producing half-loaded entries.
+validate_corpus replays every entry numerically and returns a report
+instead of raising, so a single bad entry is visible alongside the rest
+(parameters at which a bracket vanishes raise SchemaViolation).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .theta import (
     BRACKET,
     PAREN,
     Atom,
+    DegenerateZero,
     ThetaMonomial,
     make_monomial,
     monomial_neg,
@@ -65,7 +67,6 @@ AUX_KINDS = ("four", "four_signed", "four2", "qp", "bracket")
 
 _KIND_NAMES = {"shifted": SHIFTED, "shiftless": SHIFTLESS}
 _ATOM_KINDS = {"b": BRACKET, "p": PAREN}
-_ATOM_LETTERS = {BRACKET: "b", PAREN: "p"}
 
 
 class ParseError(Exception):
@@ -143,57 +144,79 @@ class CorpusReport:
 
 
 # ----------------------------------------------------------------------
-# JSON <-> domain conversion
+# JSON -> domain conversion
 # ----------------------------------------------------------------------
 
-def _mono_from_json(d: dict, where: str) -> ThetaMonomial:
+def _int(v, least: int | None = None) -> bool:
+    """Whether v is an integer (not a bool), and at least least if given."""
+    return type(v) is int and (least is None or v >= least)
+
+
+def _atom_from_json(raw, where: str, in_den: bool) -> Atom:
+    """[r, m, "b" | "p"] with m >= 1 and a canonical residue r; r = 0 only
+    for a paren in a numerator, as (0 : m) has constant term 2."""
+    try:
+        r, m, letter = raw
+        kind = _ATOM_KINDS[letter]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: malformed atom {raw!r}") from exc
+    least = 0 if kind == PAREN and not in_den else 1
+    if not (_int(m, 1) and _int(r, least) and r <= m // 2):
+        raise SchemaViolation(f"{where}: atom {raw!r} needs m >= 1 and "
+                              f"{least} <= r <= m/2")
+    return Atom(r, m, kind)
+
+
+def _mono_from_json(d, where: str) -> ThetaMonomial:
     try:
         sign, qexp = d["sign"], d["qexp"]
-        num = [Atom(r, m, _ATOM_KINDS[k]) for r, m, k in d["num"]]
-        den = [Atom(r, m, _ATOM_KINDS[k]) for r, m, k in d["den"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        num = [_atom_from_json(a, where, False) for a in d["num"]]
+        den = [_atom_from_json(a, where, True) for a in d["den"]]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"{where}: malformed monomial ({exc})") from exc
-    if sign not in (1, -1):
-        raise SchemaViolation(f"{where}: monomial sign must be +1 or -1")
+    if not (_int(sign) and sign in (1, -1) and _int(qexp)):
+        raise SchemaViolation(f"{where}: monomial needs sign +1 or -1 "
+                              f"and an integer qexp")
     return make_monomial(sign, qexp, num, den)
 
 
-def _mono_to_json(m: ThetaMonomial) -> dict:
-    def atoms(ts):
-        return [[a.r, a.m, _ATOM_LETTERS[a.kind]] for a in ts]
-    return {"sign": m.sign, "qexp": m.qexp,
-            "num": atoms(m.num), "den": atoms(m.den)}
+def _params_fit(kind: str, raw) -> bool:
+    """Whether raw has the shape of a kind step's params: five positive
+    integers (four, four2), five [sign, exponent] pairs (four_signed),
+    [exponent, base >= 1] (qp), or null (bracket)."""
+    if kind == "bracket" or not isinstance(raw, list):
+        return kind == "bracket" and raw is None
+    if kind == "qp":
+        return len(raw) == 2 and _int(raw[0]) and _int(raw[1], 1)
+    if kind == "four_signed":
+        return len(raw) == 5 and all(
+            isinstance(p, list) and len(p) == 2 and _int(p[0])
+            and p[0] in (1, -1) and _int(p[1]) for p in raw)
+    return len(raw) == 5 and all(_int(v, 1) for v in raw)
 
 
-def _aux_from_json(d: dict, where: str) -> AuxStep:
+def _aux_from_json(d, where: str) -> AuxStep:
+    if not isinstance(d, dict):
+        raise ParseError(f"{where}: aux step is not an object")
     for field in ("kind", "params", "n", "terms"):
         if field not in d:
             raise ParseError(f"{where}: aux step missing field {field!r}")
-    kind = d["kind"]
+    kind, raw, n = d["kind"], d["params"], d["n"]
     if kind not in AUX_KINDS:
         raise SchemaViolation(f"{where}: unknown aux kind {kind!r}")
-    raw = d["params"]
-    if kind == "bracket":
-        params = None
-    elif kind == "four_signed":
-        params = tuple((s, e) for s, e in raw)
-    else:
-        params = tuple(raw)
+    if not _params_fit(kind, raw):
+        raise SchemaViolation(f"{where}: malformed {kind} params {raw!r}")
+    if not _int(n, 1):
+        raise SchemaViolation(f"{where}: aux step base n must be a "
+                              f"positive integer, got {n!r}")
+    if not isinstance(d["terms"], list):
+        raise ParseError(f"{where}: aux step terms must be a list")
     terms = tuple(_mono_from_json(t, where) for t in d["terms"])
     if len(terms) < 2:
         raise SchemaViolation(f"{where}: aux step needs at least two terms")
-    return AuxStep(kind, params, d["n"], terms)
-
-
-def _aux_to_json(step: AuxStep) -> dict:
-    if step.kind == "bracket":
-        params = None
-    elif step.kind == "four_signed":
-        params = [list(p) for p in step.params]
-    else:
-        params = list(step.params)
-    return {"kind": step.kind, "params": params, "n": step.n,
-            "terms": [_mono_to_json(t) for t in step.terms]}
+    params = None if raw is None else tuple(
+        tuple(p) if kind == "four_signed" else p for p in raw)
+    return AuxStep(kind, params, n, terms)
 
 
 ENTRY_FIELDS = ("label", "modulus", "kind", "shift", "S", "T",
@@ -208,8 +231,10 @@ def entry_from_record(rec: dict, where: str = "entry") -> CorpusEntry:
         if field not in rec:
             raise ParseError(f"{where}: missing field {field!r}")
     label = rec["label"]
+    if not isinstance(label, str):
+        raise SchemaViolation(f"{where}: label must be a string")
     where = f"entry {label!r}"
-    kind = _KIND_NAMES.get(rec["kind"])
+    kind = _KIND_NAMES.get(str(rec["kind"]))
     if kind is None:
         raise SchemaViolation(f"{where}: kind must be shifted or shiftless")
     try:
@@ -239,28 +264,11 @@ def entry_from_record(rec: dict, where: str = "entry") -> CorpusEntry:
             f"iteration proofs")
     aux_steps = None
     if rec["aux_steps"] is not None:
+        if not isinstance(rec["aux_steps"], list):
+            raise ParseError(f"{where}: aux_steps must be a list")
         aux_steps = tuple(_aux_from_json(s, where) for s in rec["aux_steps"])
     return CorpusEntry(label, identity, proof, params, aux_steps,
                        rec["notes"])
-
-
-def entry_to_record(entry: CorpusEntry) -> dict:
-    """Serialize a CorpusEntry back to the JSON record schema."""
-    ident = entry.identity
-    return {
-        "label": entry.label,
-        "modulus": ident.M,
-        "kind": "shifted" if ident.kind == SHIFTED else "shiftless",
-        "shift": ident.a,
-        "S": sorted(ident.S),
-        "T": sorted(ident.T),
-        "proof": entry.proof,
-        "params": list(entry.params.exponents()) if entry.params else None,
-        "n": entry.params.n if entry.params else None,
-        "aux_steps": (None if entry.aux_steps is None
-                      else [_aux_to_json(s) for s in entry.aux_steps]),
-        "notes": entry.notes,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -287,8 +295,8 @@ def _read_document(path: str | Path | None) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p} line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict) or "entries" not in doc \
-            or "manifest" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list) \
+            or not isinstance(doc.get("manifest"), dict):
         raise ParseError(f"{p}: expected an object with manifest and entries")
     return doc
 
@@ -316,8 +324,7 @@ def load_corpus(path: str | Path | None = None) -> list[CorpusEntry]:
     per_mod: dict[int, int] = {}
     for e in entries:
         per_mod[e.identity.M] = per_mod.get(e.identity.M, 0) + 1
-    declared = {int(k): v for k, v in manifest.get("per_modulus", {}).items()}
-    if declared != per_mod:
+    if manifest.get("per_modulus") != {str(k): v for k, v in per_mod.items()}:
         raise ParseError("manifest per-modulus counts disagree with entries")
     return entries
 
@@ -343,7 +350,7 @@ def replay_aux_terms(step: AuxStep) -> tuple[ThetaMonomial, ...] | None:
                 ThetaMonomial(-1, 0, (), ()))
     if step.kind == "qp":
         ex, base = step.params
-        L1, L2, R = quintuple_instance(ex, base).qp
+        L1, L2, R = quintuple_instance(ex, base)
         return (L1, monomial_neg(L2), monomial_neg(R))
     return None
 
@@ -383,9 +390,17 @@ def validate_corpus(entries: Iterable[CorpusEntry],
     exact re-derivation for direct/quintuple proofs, and aux-step checks
     (generator match plus zero-sum at AUX_ORDER = 400) for iteration
     proofs.  Each result records the lowest order it was compared at.
+    Raises SchemaViolation when an entry's parameters make a bracket
+    vanish.
     """
-    results = tuple(_check_entry(e, order) for e in entries)
-    return CorpusReport(order, results)
+    results = []
+    for e in entries:
+        try:
+            results.append(_check_entry(e, order))
+        except DegenerateZero as exc:
+            raise SchemaViolation(f"entry {e.label!r}: a bracket vanishes "
+                                  f"at its parameters ({exc})") from exc
+    return CorpusReport(order, tuple(results))
 
 
 def entries_for_modulus(entries: Sequence[CorpusEntry],

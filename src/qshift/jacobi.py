@@ -1,23 +1,20 @@
 """Four-parameter theta relations instantiated at integer exponents.
 
-The engine behind every derivation here is one four-bracket relation
-(jkb below) together with reformulations of it.  Writing [e1,..,ek : m]
-for a product of bracket atoms and (e1,..,ek : m) for parens, with every
-symbol a power of q, the instantiated relations are:
+Every derivation here is one four-parameter theta relation and a
+reformulation of it.  Writing [e1,..,ek : m] for a product of bracket
+atoms and (e1,..,ek : m) for parens, with every symbol a power of q, the
+instantiated relations are:
 
-    jkb       [z, t, x+t+y, z+y-x : n] - [x+t, z+y, t+y, z-x : n]
-                  = q^(z-x) [y, x, x+t-z, z+t+y : n]
     four      -q^(b+2c) [b-c, a-x, a-y, x+y-b-c : n]
                   + q^(a+2c) [a-c, b-x, b-y, x+y-a-c : n]
                   = q^(a+2b) [a-b, c-x, c-y, x+y-a-b : n]
     four2     the same relation with both sides divided by the right
               side and every product rewritten with base 2n: two terms
               summing to 1, each a quotient of bracket atoms
-    kal       (ex, ey, 2ex-ey, ex+2ey : n)
-                  - q^(ex-ey) (ex, ey, 2ey-ex, 2ex+ey : n)
-                  = [2ex, 2ey, ex+ey, ex-ey : n]
-    qpp/qp    the quintuple product, in a paren form with base 3n and a
-              pure-bracket form with base 6n
+    qp        the quintuple product in a pure-bracket form with base 6n
+
+four also takes signed parameters (four_instance_signed), where an
+argument -q^e turns a bracket into a paren.
 
 Shifted and shiftless partition identities fall out of four2 when both
 numerators cancel completely into the denominators and what is left has
@@ -82,21 +79,6 @@ class FourParams:
 
 
 @dataclass(frozen=True)
-class JkbParams:
-    """Exponents (z, t, x, y) over the base q^n."""
-
-    z: int
-    t: int
-    x: int
-    y: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("base must be positive")
-
-
-@dataclass(frozen=True)
 class RawTerm:
     """A quotient of bracket products before canonicalization.
 
@@ -142,18 +124,6 @@ def _product_term(sign: int, qexp: int,
 # ----------------------------------------------------------------------
 # instantiated relations
 # ----------------------------------------------------------------------
-
-def jkb_instance(p: JkbParams):
-    """Monomials (L1, L2, R) with L1 - L2 = R."""
-    z, t, x, y, n = p.z, p.t, p.x, p.y, p.n
-    L1 = _product_term(1, 0, [(z, n, BRACKET), (t, n, BRACKET),
-                              (x + t + y, n, BRACKET), (z + y - x, n, BRACKET)])
-    L2 = _product_term(1, 0, [(x + t, n, BRACKET), (z + y, n, BRACKET),
-                              (t + y, n, BRACKET), (z - x, n, BRACKET)])
-    R = _product_term(1, z - x, [(y, n, BRACKET), (x, n, BRACKET),
-                                 (x + t - z, n, BRACKET), (z + t + y, n, BRACKET)])
-    return L1, L2, R
-
 
 def four_instance(p: FourParams):
     """Monomials (L1, L2, R) with L1 + L2 = R."""
@@ -221,37 +191,11 @@ def four2_terms(p: FourParams) -> tuple[RawTerm, RawTerm]:
         for sign, qexp, core in terms)
 
 
-def kalvade_instance(ex: int, ey: int, n: int):
-    """Monomials (T1, T2, R) with T1 - T2 = R."""
-    T1 = _product_term(1, 0, [(ex, n, PAREN), (ey, n, PAREN),
-                              (2 * ex - ey, n, PAREN), (ex + 2 * ey, n, PAREN)])
-    T2 = _product_term(1, ex - ey, [(ex, n, PAREN), (ey, n, PAREN),
-                                    (2 * ey - ex, n, PAREN),
-                                    (2 * ex + ey, n, PAREN)])
-    R = _product_term(1, 0, [(2 * ex, n, BRACKET), (2 * ey, n, BRACKET),
-                             (ex + ey, n, BRACKET), (ex - ey, n, BRACKET)])
-    return T1, T2, R
-
-
-@dataclass(frozen=True)
-class QuintupleForms:
-    """The quintuple product in its paren form (base 3n) and bracket form
-    (base 6n); each triple satisfies L1 - L2 = R."""
-
-    qpp: tuple[ThetaMonomial, ThetaMonomial, ThetaMonomial]
-    qp: tuple[ThetaMonomial, ThetaMonomial, ThetaMonomial]
-
-
-def quintuple_instance(ex: int, n: int) -> QuintupleForms:
-    m3, m6 = 3 * n, 6 * n
-    shared = [(ex, m3, PAREN), (ex + n, m3, PAREN), (ex + 2 * n, m3, PAREN)]
-    qpp = (
-        _product_term(1, 0, shared + [(3 * ex + n, m3, PAREN)]),
-        _product_term(1, ex, shared + [(-3 * ex + n, m3, PAREN)]),
-        _product_term(1, 0, [(2 * ex, m3, BRACKET), (2 * ex + n, m3, BRACKET),
-                             (2 * ex + 2 * n, m3, BRACKET), (n, m3, BRACKET)]),
-    )
-    qp = (
+def quintuple_instance(ex: int, n: int):
+    """The quintuple product in its bracket form with base 6n:
+    monomials (L1, L2, R) with L1 - L2 = R."""
+    m6 = 6 * n
+    return (
         _product_term(1, 0, [(-3 * ex + n, m6, BRACKET),
                              (-3 * ex + 4 * n, m6, BRACKET),
                              (6 * ex + 2 * n, m6, BRACKET)]),
@@ -264,7 +208,6 @@ def quintuple_instance(ex: int, n: int) -> QuintupleForms:
                               2 * ex + 5 * n, 3 * ex + n, 3 * ex + 4 * n,
                               -3 * ex + n, -3 * ex + 4 * n)]),
     )
-    return QuintupleForms(qpp, qp)
 
 
 # ----------------------------------------------------------------------

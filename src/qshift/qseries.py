@@ -320,10 +320,6 @@ class Series:
     def one(order: int) -> "Series":
         return Series(0, (1,), order)
 
-    @staticmethod
-    def monomial(k: int, order: int, c: int = 1) -> "Series":
-        return Series(k, (c,), order)
-
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -341,10 +337,6 @@ class Series:
         if order >= self.order:
             return self
         return Series(self.offset, self.coeffs, order)
-
-    def valuation(self) -> int | None:
-        """Lowest exponent with a nonzero coefficient, or None if zero."""
-        return None if self.is_zero() else self.offset
 
     # -- comparison -------------------------------------------------------
 
@@ -381,20 +373,6 @@ class Series:
                 break
         body = " + ".join(shown).replace("+ -", "- ") if shown else "0"
         return f"Series({body}; order={self.order})"
-
-    # -- operator sugar (thin wrappers over module functions) -----------
-
-    def __add__(self, other: "Series") -> "Series":
-        return linear_combine([(1, self), (1, other)])
-
-    def __sub__(self, other: "Series") -> "Series":
-        return linear_combine([(1, self), (-1, other)])
-
-    def __mul__(self, other: "Series") -> "Series":
-        return mul(self, other)
-
-    def __neg__(self) -> "Series":
-        return shift_scale(self, -1, 0)
 
 
 # ----------------------------------------------------------------------

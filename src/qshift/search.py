@@ -1,11 +1,10 @@
 """Pruned, parallel enumeration of four-parameter instantiations.
 
 The search space for base n is every tuple (a, b, c, x, y) in
-[1, bound]^5 (bound defaults to n - 1), optionally restricted to
-gcd(a,b,c,x,y) = 1 and to x <= y (the relation is symmetric in x, y).
-For each tuple the two base-2n quotient terms either hit a vanishing
-bracket (degenerate), fail to cancel their numerators, or reduce to a
-candidate identity.
+[1, bound]^5 (bound defaults to n - 1) with gcd(a,b,c,x,y) = 1 and
+x <= y (the relation is symmetric in x, y).  For each tuple the two
+base-2n quotient terms either hit a vanishing bracket (degenerate), fail
+to cancel their numerators, or reduce to a candidate identity.
 
 Degeneracy and numerator cancellation depend only on the folded
 residues of twelve linear expressions in the parameters, so both are
@@ -38,7 +37,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -63,14 +62,12 @@ class SearchConfig:
     number of worker processes, capped at the unit count and at
     os.cpu_count(); 1 runs everything in-process.  A bound whose units
     would need more than PREFILTER_BUDGET_BYTES in the prefilter (the
-    ceiling is 88 with the x <= y reduction and 70 without) is refused;
-    the default n - 1 fits for every base up to 60 either way.
+    ceiling is 88) is refused; the default n - 1 fits for every base up
+    to 60.
     """
 
     n_values: tuple[int, ...]
     exponent_bound: int | None = None
-    require_gcd1: bool = True
-    symmetry_reduction: bool = True
     workers: int = 1
 
     def __post_init__(self):
@@ -100,8 +97,7 @@ class SearchConfig:
 
     def _fits(self, bound: int) -> bool:
         """Whether one (n, a, b) unit at this bound fits the budget."""
-        pairs = (bound * (bound + 1) // 2 if self.symmetry_reduction
-                 else bound * bound)
+        pairs = bound * (bound + 1) // 2
         return (bound * pairs * PREFILTER_BYTES_PER_TUPLE
                 <= PREFILTER_BUDGET_BYTES)
 
@@ -122,12 +118,9 @@ def enumerate_params(cfg: SearchConfig) -> Iterator[FourParams]:
             for b in rng:
                 for c in rng:
                     for x in rng:
-                        for y in rng:
-                            if cfg.symmetry_reduction and x > y:
-                                continue
-                            if cfg.require_gcd1 and gcd(gcd(gcd(a, b), gcd(c, x)), y) != 1:
-                                continue
-                            yield FourParams(a, b, c, x, y, n)
+                        for y in range(x, bound + 1):
+                            if gcd(gcd(gcd(a, b), gcd(c, x)), y) == 1:
+                                yield FourParams(a, b, c, x, y, n)
 
 
 # ----------------------------------------------------------------------
@@ -147,26 +140,19 @@ def _cancels(num, den):
     return (in_den >= in_num).all(axis=0)
 
 
-def _prefilter(n, a, b, bound, require_gcd1, symmetry_reduction):
+def _prefilter(n, a, b, bound):
     """Scan one (n, a, b) unit in numpy.
 
     Returns (scanned, histogram, C, X, Y): the histogram counts the
     tuples rejected here, and C, X, Y hold the (c, x, y) of the
     survivors in scan order.
     """
-    if symmetry_reduction:
-        xs, ys = np.triu_indices(bound)
-        xs, ys = xs + 1, ys + 1
-    else:
-        xs, ys = np.meshgrid(np.arange(1, bound + 1), np.arange(1, bound + 1))
-        xs, ys = xs.ravel(), ys.ravel()
-    npairs = len(xs)
-    C = np.repeat(np.arange(1, bound + 1), npairs)
-    X = np.tile(xs, bound)
-    Y = np.tile(ys, bound)
-    if require_gcd1:
-        keep = np.gcd(np.gcd(C, X), np.gcd(Y, gcd(a, b))) == 1
-        C, X, Y = C[keep], X[keep], Y[keep]
+    xs, ys = np.triu_indices(bound)
+    C = np.repeat(np.arange(1, bound + 1), len(xs))
+    X = np.tile(xs + 1, bound)
+    Y = np.tile(ys + 1, bound)
+    keep = np.gcd(np.gcd(C, X), np.gcd(Y, gcd(a, b))) == 1
+    C, X, Y = C[keep], X[keep], Y[keep]
     scanned = len(C)
     hist = Counter()
     if scanned == 0:
@@ -226,8 +212,7 @@ def _units(cfg: SearchConfig):
         bound = cfg.bound_for(n)
         for a in range(1, bound + 1):
             for b in range(1, bound + 1):
-                yield (n, a, b, bound, cfg.require_gcd1,
-                       cfg.symmetry_reduction)
+                yield (n, a, b, bound)
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
@@ -235,13 +220,12 @@ def run_search(cfg: SearchConfig) -> SearchResult:
 
     Prefilter survivors go through derive_batch, one batch per unit.
     When one identity arises from several parameter tuples the first in
-    scan order is kept, which with the default x <= y reduction is the
-    lexicographically least.  Each deduplicated identity
-    is verified against partition counts at order 200 before it is
-    emitted; the emitted list is sorted by (M, S, T).  The histogram
-    tallies the outcome of every scanned tuple ("ok" counts tuples whose
-    reduction succeeded), plus one "verification-failed" entry per
-    deduplicated identity that failed the final check.
+    scan order is kept, which is the lexicographically least.  Each
+    deduplicated identity is verified against partition counts at order
+    200 before it is emitted; the emitted list is sorted by (M, S, T).
+    The histogram tallies the outcome of every scanned tuple ("ok" counts
+    tuples whose reduction succeeded), plus one "verification-failed"
+    entry per deduplicated identity that failed the final check.
     """
     units = list(_units(cfg))
     scanned = 0

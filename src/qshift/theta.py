@@ -159,11 +159,6 @@ def make_monomial(sign: int, qexp: int,
     )
 
 
-def monomial_mul(a: ThetaMonomial, b: ThetaMonomial) -> ThetaMonomial:
-    return make_monomial(a.sign * b.sign, a.qexp + b.qexp,
-                         a.num + b.num, a.den + b.den)
-
-
 def monomial_neg(a: ThetaMonomial) -> ThetaMonomial:
     return ThetaMonomial(-a.sign, a.qexp, a.num, a.den)
 
@@ -194,18 +189,6 @@ def monomial_series(mono: ThetaMonomial, n: int) -> Series:
     t = monomial_term(mono, n)
     acc = product_series(t.finite, t.inverse, n - t.e, t.scale)
     return shift_scale(acc, t.c, t.e)
-
-
-def paren_to_bracket(e: int, m: int) -> ThetaMonomial:
-    """Rewrite the paren (e : m) as a ratio of brackets with step 2m.
-
-    (e : m) = [2e : 2m] / ([e : 2m] [e+m : 2m]).  Degenerates when e is
-    divisible by m (one of the brackets vanishes).
-    """
-    s1, t1, a1 = bracket(2 * e, 2 * m)
-    s2, t2, a2 = bracket(e, 2 * m)
-    s3, t3, a3 = bracket(e + m, 2 * m)
-    return make_monomial(s1 * s2 * s3, t1 - t2 - t3, (a1,), (a2, a3))
 
 
 # ----------------------------------------------------------------------

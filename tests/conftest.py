@@ -1,5 +1,8 @@
 """Shared test fixtures."""
 
+import json
+from importlib import resources
+
 import pytest
 
 from qshift.qseries import Series, linear_combine, mul, product_series
@@ -33,3 +36,11 @@ def _sum_by_series(terms, n):
 def series_route():
     """The reference the packed zero test qseries._first_nonzero must match."""
     return _sum_by_series
+
+
+@pytest.fixture(scope="session")
+def catalog_doc():
+    """The shipped data/catalog.json as decoded JSON.  Shared by every
+    test: copy a record before mutating it."""
+    path = resources.files("qshift").joinpath("data/catalog.json")
+    return json.loads(path.read_text())

@@ -6,6 +6,7 @@ non-identity parameters), 2 for usage and input errors.  JSON output
 must be schema-stable and carry the same verdict as the text rendering.
 """
 
+import copy
 import json
 import subprocess
 import sys
@@ -14,7 +15,6 @@ import time
 import pytest
 
 from qshift.cli import main, order_ceiling
-from qshift.corpus import entry_to_record, load_corpus
 from qshift.partitions import count_partitions_table
 
 GOOD_S = "1,3,4,5,6,7,8,9,10,11,13,15"
@@ -36,16 +36,42 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
-@pytest.fixture()
-def tiny_corpus(tmp_path):
-    """A one-entry catalog file whose identity is false."""
-    rec = entry_to_record(load_corpus()[0])
-    rec["S"] = sorted(set(rec["S"]) - {4} | {2})
-    doc = {"manifest": {"total": 1, "per_modulus": {"32": 1}},
+def write_catalog(path, rec):
+    """Write a one-entry catalog file holding rec; return its path."""
+    doc = {"manifest": {"total": 1,
+                        "per_modulus": {str(rec["modulus"]): 1}},
            "entries": [rec]}
-    path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def shipped_record(catalog_doc, label):
+    """A copy of the shipped catalog's raw record with this label."""
+    (rec,) = [r for r in catalog_doc["entries"] if r["label"] == label]
+    return copy.deepcopy(rec)
+
+
+@pytest.fixture()
+def tiny_corpus(tmp_path, catalog_doc):
+    """A one-entry catalog file whose identity is false."""
+    rec = copy.deepcopy(catalog_doc["entries"][0])
+    rec["S"] = sorted(set(rec["S"]) - {4} | {2})
+    return write_catalog(tmp_path / "broken.json", rec)
+
+
+# malformed aux steps of Thm-42.2-i: (name, path into the record, value)
+MALFORMED_AUX = [
+    ("params-arity", ("aux_steps", 0, "params"), [1, 2]),
+    ("params-not-a-list", ("aux_steps", 0, "params"), 7),
+    ("param-zero", ("aux_steps", 0, "params", 0), 0),
+    ("base-not-an-int", ("aux_steps", 0, "n"), "x"),
+    ("terms-not-a-list", ("aux_steps", 0, "terms"), 5),
+    ("aux-steps-not-a-list", ("aux_steps",), 3),
+    ("qexp-not-an-int", ("aux_steps", 0, "terms", 0, "qexp"), "a"),
+    ("atom-step-zero", ("aux_steps", 0, "terms", 0, "num", 0), [1, 0, "b"]),
+    ("paren-zero-in-den", ("aux_steps", 0, "terms", 0, "den"),
+     [[0, 42, "p"]]),
+]
 
 
 # ----------------------------------------------------------------------
@@ -64,6 +90,30 @@ class TestExitCodes:
                            "--order", "120")
         assert code == 1
         assert "fail" in out
+
+    def test_probe_record_passes_unmutated(self, capsys, tmp_path,
+                                           catalog_doc):
+        rec = shipped_record(catalog_doc, "Thm-42.2-i")
+        code, _, _ = run(capsys, "verify", "--order", "100", "--corpus",
+                         write_catalog(tmp_path / "good.json", rec))
+        assert code == 0
+
+    @pytest.mark.parametrize("path,value", [p[1:] for p in MALFORMED_AUX],
+                             ids=[p[0] for p in MALFORMED_AUX])
+    def test_malformed_aux_step(self, tmp_path, catalog_doc, path, value):
+        rec = shipped_record(catalog_doc, "Thm-42.2-i")
+        *keys, last = path
+        target = rec
+        for k in keys:
+            target = target[k]
+        target[last] = value
+        proc = subprocess.run(
+            [sys.executable, "-m", "qshift.cli", "verify", "--order", "100",
+             "--corpus", write_catalog(tmp_path / "bad.json", rec)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_verify_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--corpus",

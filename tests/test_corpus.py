@@ -19,7 +19,6 @@ from qshift.corpus import (
     SchemaViolation,
     entries_for_modulus,
     entry_from_record,
-    entry_to_record,
     load_corpus,
     load_manifest,
     replay_aux_terms,
@@ -38,8 +37,8 @@ def corpus():
 
 
 @pytest.fixture(scope="module")
-def records(corpus):
-    return [entry_to_record(e) for e in corpus]
+def records(catalog_doc):
+    return catalog_doc["entries"]
 
 
 def write_doc(tmp_path, records):
@@ -132,10 +131,6 @@ class TestLoad:
 # ----------------------------------------------------------------------
 
 class TestRoundTrip:
-    def test_records_reload_identically(self, corpus, records):
-        for entry, rec in zip(corpus, records):
-            assert entry_from_record(rec) == entry
-
     def test_load_from_explicit_path(self, tmp_path, corpus, records):
         path = write_doc(tmp_path, records)
         assert load_corpus(path) == corpus
@@ -188,6 +183,23 @@ class TestLoaderErrors:
         with pytest.raises(ParseError):
             load_corpus(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("path,value", [
+        (("entries",), 5),
+        (("manifest",), []),
+        (("manifest", "per_modulus"), []),
+    ], ids=["entries", "manifest", "per_modulus"])
+    def test_malformed_document(self, tmp_path, records, path, value):
+        doc_path = write_doc(tmp_path, records[:2])
+        doc = json.loads(doc_path.read_text())
+        *keys, last = path
+        target = doc
+        for k in keys:
+            target = target[k]
+        target[last] = value
+        doc_path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_corpus(doc_path)
+
     def test_manifest_count_mismatch(self, tmp_path, records):
         path = write_doc(tmp_path, records[:2])
         doc = json.loads(path.read_text())
@@ -229,9 +241,9 @@ class TestValidate:
         assert "exponent" in fail.detail
         assert "different identity" in fail.detail
 
-    def test_tampered_aux_step_reported(self, corpus):
-        (e,) = [x for x in corpus if x.label == "Thm-48.5-i"]
-        rec = entry_to_record(e)
+    def test_tampered_aux_step_reported(self, records):
+        (rec,) = [r for r in records if r["label"] == "Thm-48.5-i"]
+        rec = json.loads(json.dumps(rec))
         rec["aux_steps"][0]["terms"][0]["qexp"] += 1
         bad = entry_from_record(rec)
         report = validate_corpus([bad], order=120)
@@ -239,6 +251,18 @@ class TestValidate:
         (fail,) = report.failures
         assert "generator" in fail.detail
         assert "aux step 0 fails" in fail.detail
+
+    def test_degenerate_parameters_raise(self, records):
+        # a = b makes the bracket [a - b : n] vanish
+        (direct,) = [r for r in records if r["label"] == "Thm-32.1"]
+        (iteration,) = [r for r in records if r["label"] == "Thm-42.2-i"]
+        direct = json.loads(json.dumps(direct))
+        direct["params"] = [1, 1, 2, 3, 4]
+        iteration = json.loads(json.dumps(iteration))
+        iteration["aux_steps"][0]["params"] = [1, 1, 2, 3, 4]
+        for rec in (direct, iteration):
+            with pytest.raises(SchemaViolation, match="vanishes"):
+                validate_corpus([entry_from_record(rec)], order=50)
 
     def test_entries_for_modulus(self, corpus):
         ents = entries_for_modulus(corpus, 46)

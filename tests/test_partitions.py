@@ -21,6 +21,7 @@ from qshift.qseries import (
     _pack,
     _pack_sparse,
     _unpack_signed,
+    linear_combine,
     mul,
     product_series,
     residue_product,
@@ -389,9 +390,11 @@ def residue_product_verdict(ident, n):
     ps = residue_product(ident.S, ident.M, n)
     pt = residue_product(ident.T, ident.M, n)
     if ident.kind == SHIFTED:
-        lhs, rhs = ps - shift_scale(pt, 1, ident.a), Series.one(n)
+        lhs = linear_combine([(1, ps), (-1, shift_scale(pt, 1, ident.a))])
+        rhs = Series.one(n)
     else:
-        lhs, rhs = ps - pt, Series.monomial(ident.a, n)
+        lhs = linear_combine([(1, ps), (-1, pt)])
+        rhs = Series(ident.a, (1,), n)
     return lhs.first_difference(rhs)
 
 

@@ -13,7 +13,7 @@ from math import gcd
 import pytest
 
 from qshift import search
-from qshift.jacobi import FourParams, derive_identity
+from qshift.jacobi import derive_identity
 from qshift.partitions import verify_identity
 from qshift.search import (
     SearchConfig,
@@ -81,28 +81,24 @@ class TestSearchConfig:
 
 
     def test_bound_ceiling(self):
-        # the default bound n - 1 fits up to base 60, with or without x <= y
+        # the default bound n - 1 fits up to base 60
         SearchConfig((60,))
-        SearchConfig((60,), symmetry_reduction=False)
         SearchConfig((16,), exponent_bound=88)
         with pytest.raises(ValueError, match="ceiling of 88"):
             SearchConfig((16,), exponent_bound=89)
-        with pytest.raises(ValueError, match="ceiling of 70"):
-            SearchConfig((16,), exponent_bound=71, symmetry_reduction=False)
         with pytest.raises(ValueError, match="ceiling of 88"):
             SearchConfig((16,), exponent_bound=10 ** 9)
 
-    @pytest.mark.parametrize("symmetry", [True, False])
-    def test_prefilter_memory_per_tuple(self, symmetry):
+    def test_prefilter_memory_per_tuple(self):
         # the ceiling assumes at most PREFILTER_BYTES_PER_TUPLE per tuple
         bound = 20
         tracemalloc.start()
         try:
-            search._prefilter(16, 1, 2, bound, False, symmetry)
+            search._prefilter(16, 1, 2, bound)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        pairs = bound * (bound + 1) // 2 if symmetry else bound * bound
+        pairs = bound * (bound + 1) // 2
         assert peak <= bound * pairs * search.PREFILTER_BYTES_PER_TUPLE
 
 
@@ -120,17 +116,6 @@ class TestEnumerate:
                                 want.append((a, b, c, x, y))
         assert got == want
 
-    def test_flags(self):
-        loose = SearchConfig((6,), require_gcd1=False,
-                             symmetry_reduction=False)
-        tuples = {p.exponents() for p in enumerate_params(loose)}
-        assert (2, 4, 2, 4, 2) in tuples
-        assert (1, 1, 1, 2, 1) in tuples
-        strict = {p.exponents() for p in enumerate_params(SearchConfig((6,)))}
-        assert (2, 4, 2, 4, 2) not in strict
-        assert (1, 1, 1, 2, 1) not in strict
-        assert (1, 1, 1, 1, 2) in strict
-
     def test_contains_known_parameter_set(self):
         for p in enumerate_params(SearchConfig((16,))):
             if p.exponents() == (1, 2, 4, 12, 13):
@@ -146,17 +131,18 @@ def assert_matches_brute_force(cfg):
     assert {k: v for k, v in res.histogram.items() if v} == \
         {k: v for k, v in hist.items() if v}
     assert {ident for _, ident in res.found} == emitted
+    return res
 
 
 class TestRunSearch:
     def test_matches_brute_force(self):
         assert_matches_brute_force(SearchConfig((8,)))
 
-    def test_matches_brute_force_loose(self):
-        # no gcd filter and no x <= y reduction, with survivors that succeed
-        assert_matches_brute_force(SearchConfig(
-            (16,), exponent_bound=7, require_gcd1=False,
-            symmetry_reduction=False))
+    def test_matches_brute_force_at_base_16(self):
+        # survivors both succeed and are rejected as imprimitive here
+        res = assert_matches_brute_force(SearchConfig((16,), exponent_bound=7))
+        assert res.histogram["ok"] > 0
+        assert res.histogram["imprimitive"] > 0
 
     def test_empty_small_base(self):
         res = run_search(SearchConfig((8,)))

@@ -15,6 +15,7 @@ from math import isqrt
 
 import pytest
 
+from qshift.jacobi import RawTerm, reduce_term
 from qshift.qseries import NonUnitLeading, Series, invert, mul, pochhammer, shift_scale
 from qshift.theta import (
     BRACKET,
@@ -29,13 +30,11 @@ from qshift.theta import (
     atom_str,
     bracket,
     make_monomial,
-    monomial_mul,
     monomial_series,
     monomial_str,
     normalize_atom,
     normalize_paren,
     paren,
-    paren_to_bracket,
     ramanujan_f_product,
     ramanujan_f_sum,
 )
@@ -166,15 +165,6 @@ def test_make_monomial_keeps_multiplicity():
     assert mono.den == ()
 
 
-def test_monomial_mul_combines():
-    a = Atom(1, 6, BRACKET)
-    b = Atom(2, 6, BRACKET)
-    m1 = make_monomial(-1, 2, num=(a,))
-    m2 = make_monomial(-1, 3, num=(b,), den=(a,))
-    prod = monomial_mul(m1, m2)
-    assert prod == make_monomial(1, 5, num=(b,))
-
-
 def test_monomial_series_sign_and_shift():
     a = Atom(1, 4, BRACKET)
     plain = monomial_series(make_monomial(1, 0, num=(a,)), 10)
@@ -253,13 +243,19 @@ def test_empty_monomial_is_signed_power():
 
 
 # ----------------------------------------------------------------------
-# paren -> bracket rewrite
+# paren -> bracket rewrite, as four2 performs it
 # ----------------------------------------------------------------------
+
+
+def paren_as_brackets(e, m):
+    """(e : m) = [2e : 2m] / ([e : 2m] [e+m : 2m]), reduced."""
+    return reduce_term(RawTerm(1, 0, ((2 * e, 2 * m),),
+                               ((e, 2 * m), (e + m, 2 * m))))
 
 
 def test_paren_to_bracket_small_case():
     # (1:3) = [2:6] / ([1:6][4:6]); after folding [4:6] = [2:6] this is 1/[1:6]
-    mono = paren_to_bracket(1, 3)
+    mono = paren_as_brackets(1, 3)
     assert mono.sign == 1 and mono.qexp == 0
     assert mono.num == ()
     assert mono.den == (Atom(1, 6, BRACKET),)
@@ -271,11 +267,11 @@ def test_paren_to_bracket_matches_paren_series(m):
     for e in range(-2 * m, 2 * m + 1):
         if e % m == 0:
             with pytest.raises(DegenerateZero):
-                paren_to_bracket(e, m)
+                paren_as_brackets(e, m)
             continue
         qshift, r = normalize_paren(e, m)
         want = shift_scale(atom_series(r, m, PAREN, n - qshift), 1, qshift)
-        assert monomial_series(paren_to_bracket(e, m), n) == want, (e, m)
+        assert monomial_series(paren_as_brackets(e, m), n) == want, (e, m)
 
 
 # ----------------------------------------------------------------------
