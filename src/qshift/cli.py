@@ -6,7 +6,9 @@ user-supplied one (verify), checking a single stated identity
 scanning the parameter space (search), grouping a modulus into
 unit-action classes (classify), applying one unit action (act), the two
 dedicated checks (special), tabulating a partition counting function
-(expand), and a seeded library-level self test (selftest).
+(expand), and a seeded library-level self test (selftest), which runs
+SELFTEST_CHECKS, the registry of named checks that the acceptance suite
+runs at order 1000.
 
 Every subcommand assembles a Report: a command echo, a headline, one
 item per target with a pass/fail verdict, and wall-clock timing.  The
@@ -39,7 +41,9 @@ from .equivalence import DEFAULT_ORDER, NotAnIdentity, UnitAction, act, classify
 from .jacobi import (
     FourParams,
     derive_identity,
+    four2_terms,
     four_instance,
+    reduce_term,
     verify_zero_combination,
 )
 from .partitions import (
@@ -54,12 +58,18 @@ from .partitions import (
 )
 from .qseries import HEADROOM_BITS, ResidueOutOfRange, residue_product
 from .search import SearchConfig, run_search
-from .theta import DegenerateZero, monomial_neg, monomial_str
+from .theta import DegenerateZero, ThetaMonomial, monomial_neg, monomial_str
 
 VERIFY_ORDER = 1000
 PROPERTY_ORDER = 300
 RR_ORDER = 1000
 DISSECTION_ORDER = 600
+# selftest scales: (kind, instances, largest base, exponents up to
+# spread * base) of the four-parameter sweep, at FOUR_ORDER; counting
+# sets compared to COUNT_ORDER
+FOUR_SWEEP = (("four", 110, 14, 3), ("four2", 90, 10, 2))
+FOUR_ORDER = 150
+COUNT_ORDER = 200
 
 PASS, FAIL = "pass", "fail"
 MAX_ECHOED_ITEMS = 24
@@ -379,76 +389,78 @@ def cmd_expand(args) -> Report:
 # selftest
 # ----------------------------------------------------------------------
 
-def _selftest_catalog(entries, order: int) -> Item:
+def _check_catalog(entries, order, rng):
     rep = validate_corpus(entries, order=order)
     if rep.ok:
         seen = min(r.order for r in rep.results)
         lower = f" (aux steps at order {seen})" if seen < order else ""
-        return Item("catalog replay", PASS, None,
-                    f"{len(rep.results)} entries at order {order}{lower}")
+        return True, None, (f"{len(rep.results)} entries at order "
+                            f"{order}{lower}")
     brief = "; ".join(f"{r.label}: {r.detail}" for r in rep.failures[:3])
-    return Item("catalog replay", FAIL, None, brief)
+    return False, None, brief
 
 
-def _selftest_classes(entries, order: int) -> Item:
+def _check_classes(entries, order, rng):
     declared = {int(k): v for k, v in
                 load_manifest()["classes_per_modulus"].items()}
     got = {}
-    for modulus in sorted({e.identity.M for e in entries}):
-        idents = [e.identity
-                  for e in entries_for_modulus(entries, modulus)]
-        got[modulus] = len(classify(idents, n=order))
+    try:
+        for modulus in sorted({e.identity.M for e in entries}):
+            idents = [e.identity
+                      for e in entries_for_modulus(entries, modulus)]
+            got[modulus] = len(classify(idents, n=order))
+    except NotAnIdentity as exc:
+        return False, None, f"classification failed: {exc}"
     if got == declared:
-        return Item("unit-action classes", PASS, None,
-                    f"{sum(got.values())} classes across {len(got)} moduli")
+        return True, None, (f"{sum(got.values())} classes across "
+                            f"{len(got)} moduli")
     diffs = {m: (got.get(m), declared.get(m))
              for m in sorted(set(got) | set(declared))
              if got.get(m) != declared.get(m)}
-    return Item("unit-action classes", FAIL, None,
-                f"mismatches (got, declared): {diffs}")
+    return False, None, f"mismatches (got, declared): {diffs}"
 
 
-def _selftest_special(order: int) -> list[Item]:
-    out = []
-    for name, rep in (("rr", rogers_ramanujan_check(order)),
-                      ("thm72-2", verify_theorem_72_2(order))):
-        bad = [c for c in rep.checks if not c.ok]
-        if not bad:
-            out.append(Item(f"special {name}", PASS, None,
-                            f"{len(rep.checks)} checks at order {order}"))
-        else:
-            out.append(Item(f"special {name}", FAIL, bad[0].first_fail,
-                            f"failing: {', '.join(c.name for c in bad)}"))
-    return out
+def _special(rep):
+    bad = [c for c in rep.checks if not c.ok]
+    if bad:
+        return (False, bad[0].first_fail,
+                f"failing: {', '.join(c.name for c in bad)}")
+    return True, None, f"{len(rep.checks)} checks at order {rep.order}"
 
 
-def _selftest_four(rng: random.Random, trials: int, order: int) -> Item:
+def _four_terms(kind, p):
+    if kind == "four":
+        left1, left2, right = four_instance(p)
+        return left1, left2, monomial_neg(right)
+    t1, t2 = four2_terms(p)
+    return reduce_term(t1), reduce_term(t2), ThetaMonomial(-1, 0, (), ())
+
+
+def _check_four(entries, order, rng):
     bad = []
-    done = 0
-    while done < trials:
-        n = rng.randint(2, 12)
-        p = FourParams(*(rng.randint(1, 2 * n) for _ in range(5)), n=n)
-        try:
-            left1, left2, right = four_instance(p)
-        except DegenerateZero:
-            continue
-        done += 1
-        rep = verify_zero_combination((left1, left2, monomial_neg(right)),
-                                      order)
-        if not rep.ok:
-            bad.append(p)
+    for kind, count, top, spread in FOUR_SWEEP:
+        done = 0
+        while done < count:
+            n = rng.randint(2, top)
+            p = FourParams(*(rng.randint(1, spread * n) for _ in range(5)),
+                           n=n)
+            try:
+                terms = _four_terms(kind, p)
+            except DegenerateZero:
+                continue
+            done += 1
+            if not verify_zero_combination(terms, FOUR_ORDER).ok:
+                bad.append((kind, p))
+    counts = " and ".join(f"{count} {kind}"
+                          for kind, count, _, _ in FOUR_SWEEP)
     if not bad:
-        return Item("random four-parameter instances", PASS, None,
-                    f"{trials} instances at order {order}")
-    return Item("random four-parameter instances", FAIL, None,
-                f"{len(bad)} of {trials} failed, first {bad[0]}")
+        return True, None, f"{counts} instances at order {FOUR_ORDER}"
+    return False, None, f"{len(bad)} of {counts} failed, first {bad[0]}"
 
 
-def _selftest_action_inverse(entries, rng: random.Random, trials: int,
-                             order: int) -> Item:
+def _check_inverses(entries, order, rng):
     bad = []
-    for _ in range(trials):
-        e = rng.choice(entries)
+    for e in entries:
         modulus = e.identity.M
         alpha = rng.choice([a for a in range(1, modulus)
                             if gcd(a, modulus) == 1])
@@ -462,39 +474,47 @@ def _selftest_action_inverse(entries, rng: random.Random, trials: int,
         if back != e.identity:
             bad.append((e.label, alpha, "inverse action missed the start"))
     if not bad:
-        return Item("unit-action inverses", PASS, None,
-                    f"{trials} round trips at order {order}")
-    return Item("unit-action inverses", FAIL, None, f"failed: {bad[:3]}")
+        return True, None, f"{len(entries)} round trips at order {order}"
+    return False, None, f"failed: {bad[:3]}"
 
 
-def _selftest_counting(entries, rng: random.Random, trials: int,
-                       order: int) -> Item:
+def _check_counting(entries, order, rng):
+    sets = {(side, e.identity.M): e.label for e in entries
+            for side in (e.identity.S, e.identity.T)}
     bad = []
-    for e in rng.sample(entries, trials):
-        ident = e.identity
-        table = count_partitions_table(ident.S, ident.M, order)
-        series = residue_product(ident.S, ident.M, order)
-        mismatch = next((k for k in range(order + 1)
+    for (side, modulus), label in sets.items():
+        table = count_partitions_table(side, modulus, COUNT_ORDER)
+        series = residue_product(side, modulus, COUNT_ORDER)
+        mismatch = next((k for k in range(COUNT_ORDER + 1)
                          if table[k] != series.coeff(k)), None)
         if mismatch is not None:
-            bad.append((e.label, mismatch))
+            bad.append((label, mismatch))
     if not bad:
-        return Item("counting oracle agreement", PASS, None,
-                    f"{trials} residue sets to n={order}")
-    return Item("counting oracle agreement", FAIL, bad[0][1],
-                f"failed: {bad[:3]}")
+        return True, None, f"{len(sets)} residue sets to n={COUNT_ORDER}"
+    return False, bad[0][1], f"failed: {bad[:3]}"
+
+
+# every check is check(entries, order, rng) -> (ok, first_fail, details)
+SELFTEST_CHECKS = (
+    ("catalog replay", _check_catalog),
+    ("unit-action classes", _check_classes),
+    ("special rr",
+     lambda entries, order, rng: _special(rogers_ramanujan_check(order))),
+    ("special thm72-2",
+     lambda entries, order, rng: _special(verify_theorem_72_2(order))),
+    ("random four-parameter instances", _check_four),
+    ("unit-action inverses", _check_inverses),
+    ("counting oracle agreement", _check_counting),
+)
 
 
 def cmd_selftest(args) -> Report:
-    rng = random.Random(args.seed)
     entries = load_corpus()
-    items = [_selftest_catalog(entries, args.order),
-             _selftest_classes(entries, args.order)]
-    items.extend(_selftest_special(args.order))
-    items.append(_selftest_four(rng, trials=50, order=150))
-    items.append(_selftest_action_inverse(entries, rng, trials=10,
-                                          order=args.order))
-    items.append(_selftest_counting(entries, rng, trials=5, order=80))
+    items = []
+    for name, check in SELFTEST_CHECKS:
+        ok, first_fail, details = check(entries, args.order,
+                                        random.Random(args.seed))
+        items.append(Item(name, PASS if ok else FAIL, first_fail, details))
     n_fail = sum(1 for i in items if i.status != PASS)
     headline = (f"selftest: {len(items)} suites, "
                 f"{len(items) - n_fail} pass, {n_fail} fail")

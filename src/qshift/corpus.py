@@ -60,7 +60,6 @@ from .theta import (
 )
 
 AUX_ORDER = 400
-DEFAULT_VALIDATE_ORDER = 500
 
 PROOF_KINDS = ("direct", "iteration", "quintuple", "special")
 AUX_KINDS = ("four", "four_signed", "four2", "qp", "bracket")
@@ -385,7 +384,7 @@ def _check_entry(entry: CorpusEntry, order: int) -> EntryResult:
 
 
 def validate_corpus(entries: Iterable[CorpusEntry],
-                    order: int = DEFAULT_VALIDATE_ORDER) -> CorpusReport:
+                    order: int) -> CorpusReport:
     """Replay every entry: identity verification at the given order,
     exact re-derivation for direct/quintuple proofs, and aux-step checks
     (generator match plus zero-sum at AUX_ORDER = 400) for iteration

@@ -1,13 +1,15 @@
 """End-to-end acceptance checks.
 
-Each class exercises one headline guarantee of the package: the full
-catalog verifies at order 1000 within a minute; every parameterized
-entry re-derives exactly; the iteration proof steps replay; unit-action
-classification reproduces the declared class counts; the search
-rediscovers the small-base catalog and comes back empty at base 42
-within budget; the two dedicated checks pass at their stated orders;
-the seeded property sweeps hold at full scale; and the verifier detects
-every single-residue mutation quickly.
+The registry of named checks behind `qshift selftest`
+(cli.SELFTEST_CHECKS) runs here at order 1000, each check within a
+minute: catalog replay (verification, exact re-derivation of the
+parameterized entries, aux-step replay), unit-action class counts, the
+two dedicated checks, random four-parameter instances, unit-action
+round trips and the counting oracle.  Beside it stand independent pins:
+golden parameter tables and aux instances, the manifest's class counts,
+search rediscovery of the small-base catalog and an empty base 42
+within budget, the normalization grids, theta-function sum/product
+agreement, and fast failure of every single-residue mutation.
 """
 
 import random
@@ -17,42 +19,27 @@ from math import isqrt
 
 import pytest
 
-from qshift.corpus import entries_for_modulus, load_corpus, replay_aux_terms
-from qshift.equivalence import classify
-from qshift.jacobi import (
-    FourParams,
-    derive_identity,
-    four2_terms,
-    four_instance,
-    reduce_term,
-    verify_zero_combination,
-)
+from qshift.cli import SELFTEST_CHECKS
+from qshift.corpus import entries_for_modulus, load_corpus, load_manifest
 from qshift.partitions import (
     PartitionIdentity,
     count_partitions_table,
-    rogers_ramanujan_check,
     verify_identity,
-    verify_theorem_72_2,
 )
-from qshift.qseries import Series, mul, pochhammer, residue_product, shift_scale
+from qshift.qseries import Series, mul, pochhammer, shift_scale
 from qshift.search import SearchConfig, run_search
 from qshift.theta import (
     BRACKET,
     PAREN,
     Atom,
-    DegenerateZero,
     FMono,
-    ThetaMonomial,
     atom_series,
     make_monomial,
-    monomial_neg,
     normalize_atom,
     normalize_paren,
     ramanujan_f_product,
     ramanujan_f_sum,
 )
-
-MINUS_ONE = ThetaMonomial(-1, 0, (), ())
 
 
 @pytest.fixture(scope="module")
@@ -84,39 +71,38 @@ def theta_sum(e, m, c, n):
 
 
 # ----------------------------------------------------------------------
-# 1. full catalog verification at order 1000
+# 1. the selftest registry at order 1000
+# ----------------------------------------------------------------------
+
+class TestRegistry:
+    @pytest.mark.parametrize("name, check", SELFTEST_CHECKS,
+                             ids=[n.replace(" ", "-")
+                                  for n, _ in SELFTEST_CHECKS])
+    def test_check_holds_at_order_1000(self, corpus, name, check):
+        started = time.perf_counter()
+        ok, first_fail, details = check(corpus, 1000, random.Random(0))
+        elapsed = time.perf_counter() - started
+        assert ok, (name, first_fail, details)
+        assert elapsed <= 60.0, f"{name} took {elapsed:.1f}s"
+
+    def test_check_names(self):
+        assert [name for name, _ in SELFTEST_CHECKS] == [
+            "catalog replay", "unit-action classes", "special rr",
+            "special thm72-2", "random four-parameter instances",
+            "unit-action inverses", "counting oracle agreement"]
+
+
+# ----------------------------------------------------------------------
+# 2. catalog shape and golden parameter tables
 # ----------------------------------------------------------------------
 
 class TestCatalogVerification:
-    def test_all_entries_verify_within_a_minute(self, corpus):
-        assert len(corpus) == 238
-        started = time.perf_counter()
-        for e in corpus:
-            rep = verify_identity(e.identity, 1000)
-            assert rep.ok, (e.label, rep.first_fail, rep.witness)
-        elapsed = time.perf_counter() - started
-        assert elapsed <= 60.0, f"verification took {elapsed:.1f}s"
-
     def test_moduli_range(self, corpus):
         moduli = {e.identity.M for e in corpus}
         assert min(moduli) == 32 and max(moduli) == 82
 
 
-# ----------------------------------------------------------------------
-# 2. exact re-derivation of every parameterized entry
-# ----------------------------------------------------------------------
-
 class TestParameterizedDerivation:
-    def test_every_direct_and_quintuple_entry_rederives_exactly(self,
-                                                               corpus):
-        targets = [e for e in corpus
-                   if e.proof in ("direct", "quintuple")]
-        assert len(targets) == 133
-        for e in targets:
-            d = derive_identity(e.params)
-            assert d.ok, (e.label, d.reason)
-            assert d.identity == e.identity, e.label
-
     def test_golden_parameter_tables(self, corpus):
         first = next(e for e in corpus if e.label == "Thm-32.1")
         assert first.params.exponents() == (1, 2, 4, 12, 13)
@@ -132,28 +118,10 @@ class TestParameterizedDerivation:
 
 
 # ----------------------------------------------------------------------
-# 3. iteration proof steps replay at order 400
+# 3. golden iteration proof steps
 # ----------------------------------------------------------------------
 
 class TestIterationSteps:
-    def test_every_four_instance_replays_and_sums_to_zero(self, corpus):
-        steps = [(e.label, s) for e in corpus for s in (e.aux_steps or ())
-                 if s.kind in ("four", "four_signed")]
-        assert len(steps) == 30
-        for label, step in steps:
-            assert replay_aux_terms(step) == step.terms, label
-            rep = verify_zero_combination(step.terms, 400)
-            assert rep.ok, (label, rep.witness)
-
-    def test_remaining_aux_steps_sum_to_zero(self, corpus):
-        rest = [(e.label, s) for e in corpus for s in (e.aux_steps or ())
-                if s.kind not in ("four", "four_signed")]
-        assert Counter(s.kind for _, s in rest) \
-            == {"qp": 2, "bracket": 1, "four2": 1}
-        for label, step in rest:
-            rep = verify_zero_combination(step.terms, 400)
-            assert rep.ok, (label, rep.witness)
-
     def test_golden_instance_at_base_42(self, corpus):
         (e,) = [x for x in corpus if x.label == "Thm-42.2-i"]
         step = e.aux_steps[0]
@@ -182,7 +150,7 @@ class TestIterationSteps:
 
 
 # ----------------------------------------------------------------------
-# 4. unit-action class counts
+# 4. the declared class counts
 # ----------------------------------------------------------------------
 
 class TestClassification:
@@ -190,13 +158,9 @@ class TestClassification:
                 56: 1, 60: 8, 62: 1, 64: 1, 66: 2, 68: 1, 70: 1, 72: 3,
                 80: 1, 82: 1}
 
-    def test_class_counts_per_modulus(self, corpus):
-        got = {}
-        for modulus in sorted({e.identity.M for e in corpus}):
-            idents = [e.identity
-                      for e in entries_for_modulus(corpus, modulus)]
-            got[modulus] = len(classify(idents))
-        assert got == self.EXPECTED
+    def test_manifest_declares_the_paper_class_counts(self):
+        declared = load_manifest()["classes_per_modulus"]
+        assert {int(m): k for m, k in declared.items()} == self.EXPECTED
 
 
 # ----------------------------------------------------------------------
@@ -224,54 +188,10 @@ class TestSearchRediscovery:
 
 
 # ----------------------------------------------------------------------
-# 6. the two dedicated checks
-# ----------------------------------------------------------------------
-
-class TestSpecialChecks:
-    def test_mod_5_shifted_pair_at_order_1000(self):
-        rep = rogers_ramanujan_check(1000)
-        assert rep.ok
-        assert len(rep.checks) == 2
-        assert all(c.first_fail is None for c in rep.checks)
-
-    def test_mod_72_dissection_chain_at_order_600(self):
-        rep = verify_theorem_72_2(600)
-        assert rep.ok
-        assert len(rep.checks) == 8
-        assert rep.checks[-1].name == "p(S,n) = p(T,n-1) at modulus 72"
-
-
-# ----------------------------------------------------------------------
-# 7. property sweeps at full scale (seeded)
+# 6. property sweeps at full scale
 # ----------------------------------------------------------------------
 
 class TestPropertySweeps:
-    def test_two_hundred_random_master_relation_instances(self):
-        # 110 four + 90 four2, each summing to zero at order 150
-        rng = random.Random(173205)
-        done = 0
-        while done < 110:
-            n = rng.randint(2, 14)
-            p = FourParams(*(rng.randint(1, 3 * n) for _ in range(5)), n=n)
-            try:
-                left1, left2, right = four_instance(p)
-            except DegenerateZero:
-                continue
-            terms = (left1, left2, monomial_neg(right))
-            assert verify_zero_combination(terms, 150).ok, p
-            done += 1
-        done = 0
-        while done < 90:
-            n = rng.randint(2, 10)
-            p = FourParams(*(rng.randint(1, 2 * n) for _ in range(5)), n=n)
-            try:
-                t1, t2 = four2_terms(p)
-                terms = (reduce_term(t1), reduce_term(t2), MINUS_ONE)
-            except DegenerateZero:
-                continue
-            assert verify_zero_combination(terms, 150).ok, p
-            done += 1
-
     def test_bracket_normalization_soundness_full_grid(self):
         for m in range(1, 61):
             n = 5 * m
@@ -305,24 +225,8 @@ class TestPropertySweeps:
                         assert ramanujan_f_sum(a, b, 300) \
                             == ramanujan_f_product(a, b, 300), (a, b)
 
-    def test_counting_oracle_agrees_with_series_to_200(self, corpus):
-        seen = set()
-        for e in corpus:
-            for side in (e.identity.S, e.identity.T):
-                key = (side, e.identity.M)
-                if key in seen:
-                    continue
-                seen.add(key)
-                table = count_partitions_table(side, e.identity.M, 200)
-                series = residue_product(side, e.identity.M, 200)
-                bad = next((k for k in range(201)
-                            if table[k] != series.coeff(k)), None)
-                assert bad is None, (e.label, key, bad)
-        assert len(seen) > 200
-
-
 # ----------------------------------------------------------------------
-# 8. mutation sensitivity
+# 7. mutation sensitivity
 # ----------------------------------------------------------------------
 
 def oracle_failure(ident, n):

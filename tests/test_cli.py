@@ -8,13 +8,18 @@ must be schema-stable and carry the same verdict as the text rendering.
 
 import copy
 import json
+import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
-from qshift.cli import main, order_ceiling
+from qshift import cli, partitions
+from qshift.cli import SELFTEST_CHECKS, main, order_ceiling
+from qshift.corpus import load_corpus, load_manifest
+from qshift.equivalence import NotAnIdentity
 from qshift.partitions import count_partitions_table
 
 GOOD_S = "1,3,4,5,6,7,8,9,10,11,13,15"
@@ -448,6 +453,10 @@ class TestOutput:
         code, out, _ = run(capsys, "selftest", "--order", "200")
         assert code == 0
         assert "0 fail" in out
+        assert "238 entries at order 200" in out
+        assert "110 four and 90 four2 instances at order 150" in out
+        assert "238 round trips at order 200" in out
+        assert "476 residue sets to n=200" in out
 
     def test_entry_point_installed(self):
         proc = subprocess.run(
@@ -456,3 +465,103 @@ class TestOutput:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.startswith("7 classes")
+
+
+# ----------------------------------------------------------------------
+# selftest registry: every check can fail
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def corpus():
+    return load_corpus()
+
+
+def run_check(name, entries, order):
+    return dict(SELFTEST_CHECKS)[name](entries, order, random.Random(0))
+
+
+class TestSelftestChecks:
+    @pytest.mark.parametrize("order", [0, 15, 20, 25, 49])
+    def test_orders_below_the_thm72_floor_are_usage_errors(self, capsys,
+                                                           order):
+        code, out, err = run(capsys, "selftest", "--order", str(order))
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in out + err
+
+    def test_classes_check_reports_a_failed_classification(self, corpus):
+        ok, _, details = run_check("unit-action classes", corpus, 20)
+        assert not ok
+        assert "classification failed" in details
+
+    def test_catalog_check_names_a_mutated_entry(self, corpus):
+        e = corpus[0]
+        mutant = replace(e.identity, S=e.identity.S - {4} | {2})
+        entries = [replace(e, identity=mutant), *corpus[1:]]
+        ok, _, details = run_check("catalog replay", entries, 200)
+        assert not ok
+        assert details.startswith(f"{e.label}: identity fails")
+
+    def test_classes_check_fails_on_a_wrong_manifest(self, monkeypatch,
+                                                     corpus):
+        manifest = load_manifest()
+        counts = dict(manifest["classes_per_modulus"], **{"48": 8})
+        monkeypatch.setattr(cli, "load_manifest", lambda: dict(
+            manifest, classes_per_modulus=counts))
+        ok, _, details = run_check("unit-action classes", corpus, 100)
+        assert not ok
+        assert details == "mismatches (got, declared): {48: (7, 8)}"
+
+    @pytest.mark.parametrize("name, builder", [
+        ("special rr", "_rr_relations"),
+        ("special thm72-2", "_thm72_relations")])
+    def test_special_check_fails_on_a_dropped_term(self, monkeypatch,
+                                                   name, builder):
+        relations = getattr(partitions, builder)(120)
+        (first, terms), rest = relations[0], relations[1:]
+        monkeypatch.setattr(partitions, builder,
+                            lambda n: ((first, terms[1:]),) + rest)
+        ok, first_fail, details = run_check(name, (), 120)
+        assert not ok
+        assert first_fail is not None
+        assert details == f"failing: {first}"
+
+    def test_four_check_fails_on_a_wrong_right_hand_side(self, monkeypatch):
+        real = cli.four_instance
+
+        def wrong_rhs(p):
+            left1, left2, _ = real(p)
+            return left1, left2, left1
+
+        monkeypatch.setattr(cli, "four_instance", wrong_rhs)
+        ok, _, details = run_check("random four-parameter instances", (), 0)
+        assert not ok
+        assert details.startswith("110 of 110 four and 90 four2 failed, "
+                                  "first ('four', FourParams(")
+
+    def test_inverses_check_fails_when_an_image_does_not_verify(
+            self, monkeypatch, corpus):
+        def refuse(u, ident, n):
+            raise NotAnIdentity("refused")
+
+        monkeypatch.setattr(cli, "act", refuse)
+        ok, _, details = run_check("unit-action inverses", corpus, 300)
+        assert not ok
+        assert details.startswith(f"failed: [('{corpus[0].label}', ")
+        assert "image failed to verify" in details
+
+    def test_counting_check_fails_at_the_perturbed_index(self, monkeypatch,
+                                                         corpus):
+        real = cli.count_partitions_table
+
+        def off_at_7(S, M, n):
+            table = list(real(S, M, n))
+            table[7] += 1
+            return table
+
+        monkeypatch.setattr(cli, "count_partitions_table", off_at_7)
+        ok, first_fail, details = run_check("counting oracle agreement",
+                                            corpus, 300)
+        assert not ok
+        assert first_fail == 7
+        assert details.startswith("failed: [(")

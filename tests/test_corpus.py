@@ -105,8 +105,8 @@ class TestLoad:
         kinds = Counter(s.kind for e in corpus if e.aux_steps
                         for s in e.aux_steps)
         assert set(kinds) <= set(AUX_KINDS)
-        assert kinds["four"] == 28
-        assert kinds["four_signed"] == 2
+        assert kinds == {"four": 28, "four_signed": 2,
+                         "qp": 2, "bracket": 1, "four2": 1}
 
     def test_printed_label_anomaly_kept(self, corpus):
         labels = {e.label for e in corpus}

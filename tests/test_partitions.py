@@ -545,6 +545,7 @@ def test_theorem_72_2_smoke():
     rep = verify_theorem_72_2(60)
     assert rep.ok
     assert len(rep.checks) == 8
+    assert rep.checks[-1].name == "p(S,n) = p(T,n-1) at modulus 72"
 
 
 def test_theorem_72_2_identity_object():
