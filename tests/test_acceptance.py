@@ -6,7 +6,9 @@ minute: catalog replay (verification, exact re-derivation of the
 parameterized entries, aux-step replay), unit-action class counts, the
 two dedicated checks, random four-parameter instances, unit-action
 round trips and the counting oracle.  Beside it stand independent pins:
-golden parameter tables and aux instances, the manifest's class counts,
+the catalog verified entry by entry within a minute, exact
+re-derivation of every direct and quintuple entry, replay and zero-sums
+of every aux step, golden parameter tables and aux instances, the manifest's class counts,
 search rediscovery of the small-base catalog and an empty base 42
 within budget, the normalization grids, theta-function sum/product
 agreement, and fast failure of every single-residue mutation.
@@ -20,7 +22,13 @@ from math import isqrt
 import pytest
 
 from qshift.cli import SELFTEST_CHECKS
-from qshift.corpus import entries_for_modulus, load_corpus, load_manifest
+from qshift.corpus import (
+    entries_for_modulus,
+    load_corpus,
+    load_manifest,
+    replay_aux_terms,
+)
+from qshift.jacobi import derive_identity, verify_zero_combination
 from qshift.partitions import (
     PartitionIdentity,
     count_partitions_table,
@@ -93,16 +101,35 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# 2. catalog shape and golden parameter tables
+# 2. catalog verification and exact re-derivation, checked directly
 # ----------------------------------------------------------------------
 
 class TestCatalogVerification:
+    def test_all_entries_verify_within_a_minute(self, corpus):
+        assert len(corpus) == 238
+        started = time.perf_counter()
+        for e in corpus:
+            rep = verify_identity(e.identity, 1000)
+            assert rep.ok, (e.label, rep.first_fail, rep.witness)
+        elapsed = time.perf_counter() - started
+        assert elapsed <= 60.0, f"verification took {elapsed:.1f}s"
+
     def test_moduli_range(self, corpus):
         moduli = {e.identity.M for e in corpus}
         assert min(moduli) == 32 and max(moduli) == 82
 
 
 class TestParameterizedDerivation:
+    def test_every_direct_and_quintuple_entry_rederives_exactly(self,
+                                                               corpus):
+        targets = [e for e in corpus
+                   if e.proof in ("direct", "quintuple")]
+        assert len(targets) == 133
+        for e in targets:
+            d = derive_identity(e.params)
+            assert d.ok, (e.label, d.reason)
+            assert d.identity == e.identity, e.label
+
     def test_golden_parameter_tables(self, corpus):
         first = next(e for e in corpus if e.label == "Thm-32.1")
         assert first.params.exponents() == (1, 2, 4, 12, 13)
@@ -118,10 +145,28 @@ class TestParameterizedDerivation:
 
 
 # ----------------------------------------------------------------------
-# 3. golden iteration proof steps
+# 3. iteration proof steps replay at order 400
 # ----------------------------------------------------------------------
 
 class TestIterationSteps:
+    def test_every_four_instance_replays_and_sums_to_zero(self, corpus):
+        steps = [(e.label, s) for e in corpus for s in (e.aux_steps or ())
+                 if s.kind in ("four", "four_signed")]
+        assert len(steps) == 30
+        for label, step in steps:
+            assert replay_aux_terms(step) == step.terms, label
+            rep = verify_zero_combination(step.terms, 400)
+            assert rep.ok, (label, rep.witness)
+
+    def test_remaining_aux_steps_sum_to_zero(self, corpus):
+        rest = [(e.label, s) for e in corpus for s in (e.aux_steps or ())
+                if s.kind not in ("four", "four_signed")]
+        assert Counter(s.kind for _, s in rest) \
+            == {"qp": 2, "bracket": 1, "four2": 1}
+        for label, step in rest:
+            rep = verify_zero_combination(step.terms, 400)
+            assert rep.ok, (label, rep.witness)
+
     def test_golden_instance_at_base_42(self, corpus):
         (e,) = [x for x in corpus if x.label == "Thm-42.2-i"]
         step = e.aux_steps[0]
