@@ -48,6 +48,7 @@ from .jacobi import (
 )
 from .partitions import (
     SHIFTED,
+    THM72_MIN_ORDER,
     InvalidIdentity,
     OrderTooSmall,
     PartitionIdentity,
@@ -409,7 +410,7 @@ def _check_classes(entries, order, rng):
             idents = [e.identity
                       for e in entries_for_modulus(entries, modulus)]
             got[modulus] = len(classify(idents, n=order))
-    except NotAnIdentity as exc:
+    except (NotAnIdentity, OrderTooSmall) as exc:
         return False, None, f"classification failed: {exc}"
     if got == declared:
         return True, None, (f"{sum(got.values())} classes across "
@@ -506,9 +507,14 @@ SELFTEST_CHECKS = (
     ("unit-action inverses", _check_inverses),
     ("counting oracle agreement", _check_counting),
 )
+# the highest order floor among the checks: the Thm-72.2 chain's
+SELFTEST_MIN_ORDER = THM72_MIN_ORDER
 
 
 def cmd_selftest(args) -> Report:
+    if args.order < SELFTEST_MIN_ORDER:
+        raise UsageError(f"--order {args.order} is below the selftest's "
+                         f"floor of {SELFTEST_MIN_ORDER}")
     entries = load_corpus()
     items = []
     for name, check in SELFTEST_CHECKS:

@@ -20,7 +20,7 @@ side with the larger count at n = a).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 from typing import Iterable, Sequence
 
 from .partitions import OrderTooSmall, PartitionIdentity, infer_relation
@@ -63,12 +63,15 @@ def act(u: UnitAction, ident: PartitionIdentity,
     The image is not verified again: infer_relation returns a relation
     only after checking it at every index 0..n, which is the whole of
     what verify_identity(image, n) would check.  Like verify_identity,
-    an order too small to see the inferred shift is refused.
+    an order too small to see the inferred shift is refused, and so is
+    one that infer_relation's cap of n // 2 alone keeps from a relation
+    holding through n: that asks for a larger order, not a verdict.
     """
     if u.M != ident.M:
         raise ValueError("action modulus does not match identity modulus")
     s_img, t_img = u.apply_set(ident.S), u.apply_set(ident.T)
-    for S, T in ((s_img, t_img), (t_img, s_img)):
+    images = ((s_img, t_img), (t_img, s_img))
+    for S, T in images:
         found = infer_relation(S, T, ident.M, n)
         if found is None:
             continue
@@ -76,6 +79,12 @@ def act(u: UnitAction, ident: PartitionIdentity,
         if n < a + 2:
             raise OrderTooSmall(f"order {n} cannot see a shift of {a}")
         return PartitionIdentity(ident.M, S, T, kind, a)
+    for S, T in images:
+        found = infer_relation(S, T, ident.M, n, cap=inf)
+        if found is not None:
+            a = found[1]
+            raise OrderTooSmall(f"order {n} cannot infer a shift of {a}, "
+                                f"which needs order {2 * a}")
     raise NotAnIdentity(
         f"alpha={u.alpha} maps the identity to a non-relation (M={ident.M})")
 

@@ -287,26 +287,28 @@ def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
     return VerifyReport(False, n, k, (_count(S, M, k), _count(T, M, j)))
 
 
-def infer_relation(S, T, M: int, n: int):
+def infer_relation(S, T, M: int, n: int, cap: float | None = None):
     """Find (kind, a) relating the given sets, or None.
 
     Tries the one shifted candidate, then the one shiftless candidate,
-    each with the shift capped at n // 2 so a match is seen well inside
-    the order.  P_S - 1 starts at the smallest part, min(S), so that is
-    the only possible shifted shift; P_S - P_T = P_U (P_{S-U} - P_{T-U})
-    starts where P_{S-U} - P_{T-U} does, and so does ya - yb, which is
-    that difference times a unit, with the same first coefficient (see
-    _mismatch); that is the only possible shiftless shift.  Both products have constant term 1, so a
-    candidate is never 0.  A returned relation holds at every index 0..n,
-    exactly as verify_identity would check it.  The orientation is as
-    given: S is the unshifted (or larger) side.
+    each with the shift capped at cap, by default n // 2 so a match is
+    seen well inside the order.  P_S - 1 starts at the smallest part,
+    min(S), so that is the only possible shifted shift;
+    P_S - P_T = P_U (P_{S-U} - P_{T-U}) starts where P_{S-U} - P_{T-U}
+    does, and so does ya - yb, which is that difference times a unit,
+    with the same first coefficient (see _mismatch); that is the only
+    possible shiftless shift.  Both products have constant term 1, so a
+    candidate is never 0.  A returned relation holds at every index
+    0..n, exactly as verify_identity would check it.  The orientation is
+    as given: S is the unshifted (or larger) side.
     """
     S, T = frozenset(S), frozenset(T)
     if S == T:
         return None
     packed = _cancelled(S, T, M, n)
     ya, yb, _, w = packed
-    cap = n // 2
+    if cap is None:
+        cap = n // 2
     for kind, a in ((SHIFTED, min(S)), (SHIFTLESS, _lowest_limb(ya - yb, w))):
         if (a is not None and a <= cap
                 and _mismatch(packed, n, kind, a) is None):
@@ -434,14 +436,18 @@ def _thm72_relations(n: int):
     )
 
 
+THM72_MIN_ORDER = 50
+
+
 def verify_theorem_72_2(n: int) -> SpecialReport:
     """Walk the theta-dissection chain behind catalog entry Thm-72.2.
 
     Checks, each to order n: the seven series relations of
     _thm72_relations, and the partition identity itself.
     """
-    if n < 50:
-        raise OrderTooSmall(f"order {n} below the minimum of 50")
+    if n < THM72_MIN_ORDER:
+        raise OrderTooSmall(
+            f"order {n} below the minimum of {THM72_MIN_ORDER}")
     checks = _zero_checks(_thm72_relations(n), n)
     rep = verify_identity(THEOREM_72_2, n)
     checks += (CheckResult("p(S,n) = p(T,n-1) at modulus 72",

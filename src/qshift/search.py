@@ -9,14 +9,20 @@ to cancel their numerators, or reduce to a candidate identity.
 Degeneracy and numerator cancellation depend only on the folded
 residues of twelve linear expressions in the parameters, so both are
 decided for whole (c, x, y) blocks at once with numpy before any exact
-arithmetic runs: an atom [e : 2n] vanishes iff e = 0 mod n, and a
-numerator atom cancels iff its folded residue is available in the
-denominator multiset.  The tuples surviving this exact prefilter are
-reduced together by jacobi.derive_batch, the numpy form of the symbolic
-reduction derive_identity performs on one tuple; Python identity objects
-are built only for the first tuple of each distinct (kind, a, S, T) in a
-unit, and every emitted identity is re-verified against partition
-counts before it is reported.
+arithmetic runs: an atom [e : 2n] vanishes iff e = 0 mod 2n, so a tuple
+is degenerate iff one of its expressions is 0 mod n, and a numerator
+atom cancels iff its folded residue is available in the denominator
+multiset.  Each expression is one of seven linear forms in (c, x, y)
+plus a constant in (a, b).  The prefilter keeps a base's form rows mod
+2n in their smallest unsigned dtype (uint8 up to n = 128), built once
+per (n, bound), and reads every folded row of a unit as one lookup into
+a table of length 2n shifted by the unit's constant; the multiset test
+runs on those 8-bit rows.  The tuples surviving this exact prefilter
+are reduced together by jacobi.derive_batch, the numpy form of the
+symbolic reduction derive_identity performs on one tuple; Python
+identity objects are built only for the first tuple of each distinct
+(kind, a, S, T) in a unit, and every emitted identity is re-verified
+against partition counts before it is reported.
 
 Results are kept primitive: an identity whose residues all share a
 factor d with M is a rescaled copy of a smaller-modulus identity (for
@@ -36,6 +42,7 @@ import multiprocessing
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Iterator, Mapping
 
@@ -49,6 +56,9 @@ VERIFY_ORDER = 200
 # tracemalloc peak is about 731 bytes per candidate at bounds 20 to 60
 PREFILTER_BUDGET_BYTES = 1 << 28
 PREFILTER_BYTES_PER_TUPLE = 768
+# _base_tables peaks at about 92 bytes per residue mod 2n while it builds
+# the residue tables of a base, whatever the bound
+TABLE_BYTES_PER_RESIDUE = 96
 DEGENERATE = "degenerate"
 IMPRIMITIVE = "imprimitive"
 VERIFICATION_FAILED = "verification-failed"
@@ -63,7 +73,8 @@ class SearchConfig:
     os.cpu_count(); 1 runs everything in-process.  A bound whose units
     would need more than PREFILTER_BUDGET_BYTES in the prefilter (the
     ceiling is 88) is refused; the default n - 1 fits for every base up
-    to 60.
+    to 60.  So is a base whose residue tables, of length 2n, would need
+    more (the ceiling is 1,398,101).
     """
 
     n_values: tuple[int, ...]
@@ -83,6 +94,12 @@ class SearchConfig:
                 raise ValueError(
                     f"exponent bound {bound} for base {n} "
                     "cannot admit five distinct exponents")
+            if 2 * n * TABLE_BYTES_PER_RESIDUE > PREFILTER_BUDGET_BYTES:
+                top = PREFILTER_BUDGET_BYTES // (2 * TABLE_BYTES_PER_RESIDUE)
+                raise ValueError(
+                    f"base {n} is above the ceiling of {top}, where the "
+                    f"prefilter's residue tables would exceed "
+                    f"{PREFILTER_BUDGET_BYTES >> 20} MiB")
             if not self._fits(bound):
                 top = 5
                 while self._fits(top + 1):
@@ -127,17 +144,82 @@ def enumerate_params(cfg: SearchConfig) -> Iterator[FourParams]:
 # one (n, a, b) work unit
 # ----------------------------------------------------------------------
 
-def _fold(e, m):
-    r = e % m
-    return np.minimum(r, m - r)
+def _prime_factors(n):
+    """The distinct primes dividing n, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
 
 
-def _cancels(num, den):
-    """Rows where the 4-row numerator multiset embeds into the 16-row
-    denominator multiset (columns are candidate tuples)."""
-    in_den = (num[:, None, :] == den[None, :, :]).sum(axis=1)
-    in_num = (num[:, None, :] == num[None, :, :]).sum(axis=1)
-    return (in_den >= in_num).all(axis=0)
+@dataclass(frozen=True)
+class _BaseTables:
+    """What every (n, a, b) unit of one (n, bound) shares.
+
+    C, X, Y hold the candidate (c, x, y) in scan order and g their gcd.
+    The four2 expressions are affine, so each is a linear form in
+    (c, x, y), its value at a = b = 0, plus a constant in (a, b), its
+    value at c = x = y = 0.  forms holds each distinct form mod 2n, one
+    row per form, and form_of names the row of each of the twelve
+    expressions, or None for a - b, which involves no (c, x, y).  The
+    tables map a residue r mod 2n to fold(r), to fold(2r) and to the
+    bitmask of the primes of n dividing r.
+    """
+
+    C: np.ndarray
+    X: np.ndarray
+    Y: np.ndarray
+    g: np.ndarray
+    forms: np.ndarray
+    form_of: tuple
+    fold: np.ndarray
+    fold2: np.ndarray
+    primes: np.ndarray
+
+
+@lru_cache(maxsize=1)
+def _base_tables(n, bound):
+    """The _BaseTables of (n, bound).  Units run base by base, so one
+    entry suffices, and each worker process builds its own."""
+    m = 2 * n
+    small = np.min_scalar_type(max(m - 1, bound))
+    xs, ys = np.triu_indices(bound)
+    C = np.repeat(np.arange(1, bound + 1), len(xs))
+    X = np.tile(xs + 1, bound)
+    Y = np.tile(ys + 1, bound)
+    (t1, t2), shared = _four2_exprs(0, 0, C, X, Y)
+    forms, form_of = [], []
+    for e in t1[2] + t2[2] + shared:
+        if np.ndim(e) == 0:
+            form_of.append(None)
+            continue
+        e = e % m
+        j = next((j for j, f in enumerate(forms) if np.array_equal(f, e)),
+                 len(forms))
+        if j == len(forms):
+            forms.append(e)
+        form_of.append(j)
+    r = np.arange(m)
+    fold = np.minimum(r, m - r)
+    primes = _prime_factors(n)
+    mask = np.zeros(m, dtype=np.uint64)
+    for k, p in enumerate(primes):
+        mask[r % p == 0] |= np.uint64(1 << k)
+    twice = np.concatenate((r, r))
+    tables = _BaseTables(
+        C.astype(small), X.astype(small), Y.astype(small),
+        np.gcd(np.gcd(C, X), Y).astype(small),
+        np.array(forms, dtype=small), tuple(form_of),
+        fold[twice].astype(small), fold[2 * twice % m].astype(small),
+        mask[twice].astype(np.min_scalar_type((1 << len(primes)) - 1)))
+    for a in (tables.C, tables.X, tables.Y, tables.g, tables.forms,
+              tables.fold, tables.fold2, tables.primes):
+        a.flags.writeable = False
+    return tables
 
 
 def _prefilter(n, a, b, bound):
@@ -146,39 +228,76 @@ def _prefilter(n, a, b, bound):
     Returns (scanned, histogram, C, X, Y): the histogram counts the
     tuples rejected here, and C, X, Y hold the (c, x, y) of the
     survivors in scan order.
+
+    Every row of folded residues is one lookup into a table of length
+    2n: with L an expression's linear form in (c, x, y) and K its
+    constant, stored as L mod 2n, the row is table[(L mod 2n + K) mod
+    2n], which is np.take of the table rolled by K.  This is exact:
+    (L + K) mod 2n = ((L mod 2n) + K) mod 2n, and since n divides 2n,
+    fold(e), fold(e + n), fold(2e), the test e = 0 (mod n) and gcd(e, n)
+    all depend on e mod 2n alone.  Residues lie in [0, 2n) and folded
+    values in [0, n], both held in the dtype of the form rows, which is
+    uint8 up to n = 128; a multiset count is at most 16 and fits uint8.
+
+    A tuple is degenerate when an expression e has e = 0 (mod n): on a
+    core row fold(2e) = 0, on a shared row fold(e) is 0 or n, that is
+    fold(e) or fold(e + n) is 0, since the two sum to n.  It is
+    imprimitive when one prime of n divides all twelve expressions.  A
+    term cancels when its four numerator values fold(2e) form a
+    sub-multiset of its sixteen denominator values fold(e), fold(e + n)
+    over its core and the shared rows.
     """
-    xs, ys = np.triu_indices(bound)
-    C = np.repeat(np.arange(1, bound + 1), len(xs))
-    X = np.tile(xs + 1, bound)
-    Y = np.tile(ys + 1, bound)
-    keep = np.gcd(np.gcd(C, X), np.gcd(Y, gcd(a, b))) == 1
-    C, X, Y = C[keep], X[keep], Y[keep]
+    t = _base_tables(n, bound)
+    C, X, Y, forms = t.C, t.X, t.Y, t.forms
+    if gcd(a, b) > 1:
+        keep = np.gcd(t.g, gcd(a, b)) == 1
+        C, X, Y, forms = C[keep], X[keep], Y[keep], forms[:, keep]
     scanned = len(C)
-    hist = Counter()
-    if scanned == 0:
-        return scanned, hist, C, X, Y
-
-    (t1, t2), shared = _four2_exprs(*np.broadcast_arrays(a, b, C, X, Y))
-    all12 = np.stack(t1[2] + t2[2] + shared)
-    del t1, t2  # the per-term arrays would count against the memory budget
-    t1_core, t2_core, shared = all12[:4], all12[4:8], all12[8:]
-
     m = 2 * n
-    cancel_ok = np.ones(scanned, dtype=bool)
-    for core in (t1_core, t2_core):
-        den = np.concatenate([core, shared])
-        den16 = np.concatenate([_fold(den, m), _fold(den + n, m)])
-        cancel_ok &= _cancels(_fold(2 * core, m), den16)
-    nondegen = ~(all12 % n == 0).any(axis=0)
-    # if every linear expression shares a factor with n, every residue of
-    # the would-be identity does too, so it rescales to a smaller modulus
-    imprim = np.gcd(np.gcd.reduce(np.abs(all12)), n) > 1
-    hist[DEGENERATE] = scanned - int(nondegen.sum())
-    hist[IMPRIMITIVE] = int((nondegen & imprim).sum())
-    hist["incomplete-cancellation"] = int((nondegen & ~imprim & ~cancel_ok).sum())
+    (t1, t2), shared = _four2_exprs(a, b, 0, 0, 0)
+    consts = t1[2] + t2[2] + shared
 
-    keep = nondegen & ~imprim & cancel_ok
+    def row(i, table, shift=0):
+        """table[(e + shift) mod 2n] for the i-th expression e; the
+        tables are stored twice over, so a slice is the rolled table."""
+        k = (consts[i] + shift) % m
+        if t.form_of[i] is None:
+            return table[k]
+        return np.take(table[k:k + m], forms[t.form_of[i]])
+
+    # the core rows of both terms, then the denominator rows of term 1's
+    # core, the shared rows and term 2's core, so that each term's
+    # sixteen denominator rows are one slice
+    num = np.stack([row(i, t.fold2) for i in range(8)])
+    den = np.stack(np.broadcast_arrays(*(
+        row(i, t.fold, s) for i in (*range(4), *range(8, 12), *range(4, 8))
+        for s in (0, n))))
+    nondegen = (num != 0).all(axis=0) & (den[8:16] != 0).all(axis=0)
+    cancel_ok = _embeds(num[:4], den[:16]) & _embeds(num[4:], den[8:])
+    # if a prime of n divides every linear expression, it divides every
+    # residue of the would-be identity, which rescales to a smaller
+    # modulus; a - b comes first, and the scan stops once no prime is left
+    common = ~t.primes.dtype.type(0)
+    for i in sorted(range(12), key=lambda i: t.form_of[i] is not None):
+        if not np.any(common):
+            break
+        common = common & row(i, t.primes)
+    imprim = common != 0
+    hist = Counter()
+    hist[DEGENERATE] = scanned - int(np.count_nonzero(nondegen))
+    hist[IMPRIMITIVE] = int(np.count_nonzero(nondegen & imprim))
+    keep = nondegen & ~imprim
+    hist["incomplete-cancellation"] = int(np.count_nonzero(keep & ~cancel_ok))
+    keep &= cancel_ok
     return scanned, hist, C[keep], X[keep], Y[keep]
+
+
+def _embeds(num, den):
+    """Columns where the 4-row numerator multiset embeds into the
+    16-row denominator multiset, counted in uint8."""
+    have = (num[:, None] == den[None]).sum(axis=1, dtype=np.uint8)
+    need = (num[:, None] == num[None]).sum(axis=1, dtype=np.uint8)
+    return (have >= need).all(axis=0)
 
 
 def _scan_unit(args):

@@ -232,6 +232,23 @@ class TestExitCodes:
         assert code == 2
         assert "--shift" in err
 
+    # Thm-42.2-iii is shiftless with a = 8, so infer_relation, which
+    # admits shifts up to order // 2, sees it from order 16
+    @pytest.mark.parametrize("argv", [
+        ("act", "--label", "Thm-42.2-iii", "--alpha", "1"),
+        ("classify", "--modulus", "42")])
+    def test_order_below_twice_the_shift_is_a_usage_error(self, capsys,
+                                                          argv):
+        code, out, err = run(capsys, *argv, "--order", "15")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: order 15 cannot infer a shift of 8, "
+                       "which needs order 16\n")
+        for order in ("16", "20"):
+            code, out, _ = run(capsys, *argv, "--order", order)
+            assert code == 0
+            assert "status: pass" in out
+
     def test_special_rr(self, capsys):
         code, out, _ = run(capsys, "special", "--rr", "--order", "150")
         assert code == 0
@@ -333,6 +350,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "above the ceiling of 88" in err
+
+    def test_search_huge_base(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "search", "--n", str(10 ** 9),
+                             "--bound", "6")
+        assert time.perf_counter() - started < 5
+        assert code == 2
+        assert out == ""
+        assert "above the ceiling of 1398101" in err
 
     def test_search_unwritable_out(self, capsys):
         code, _, err = run(capsys, "search", "--n", "6",
@@ -481,13 +507,19 @@ def run_check(name, entries, order):
 
 
 class TestSelftestChecks:
-    @pytest.mark.parametrize("order", [0, 15, 20, 25, 49])
-    def test_orders_below_the_thm72_floor_are_usage_errors(self, capsys,
-                                                           order):
+    @pytest.mark.parametrize("order", [0, 5, 15, 20, 25, 49])
+    def test_orders_below_the_thm72_floor_are_usage_errors(
+            self, capsys, monkeypatch, order):
+        # refused with one message naming the floor, before any check runs
+        ran = []
+        monkeypatch.setattr(cli, "SELFTEST_CHECKS", (
+            ("recorder", lambda *args: ran.append(args)),))
         code, out, err = run(capsys, "selftest", "--order", str(order))
         assert code == 2
-        assert err.startswith("error:")
-        assert "Traceback" not in out + err
+        assert out == ""
+        assert err == (f"error: --order {order} is below the selftest's "
+                       f"floor of 50\n")
+        assert ran == []
 
     def test_classes_check_reports_a_failed_classification(self, corpus):
         ok, _, details = run_check("unit-action classes", corpus, 20)

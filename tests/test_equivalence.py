@@ -22,6 +22,7 @@ from qshift.equivalence import (
 from qshift.jacobi import FourParams, derive_identity
 from qshift.partitions import (
     SHIFTED,
+    OrderTooSmall,
     PartitionIdentity,
     infer_relation,
     verify_identity,
@@ -119,6 +120,17 @@ class TestAct:
             image = PartitionIdentity(40, S, T, kind, a)
             assert verify_identity(image, n).ok, (alpha, kind, a)
             assert act(u, ident, n) == image
+
+    def test_shift_above_half_the_order_asks_for_a_larger_order(self,
+                                                                ids40):
+        # infer_relation caps the shift at n // 2; a relation it refuses
+        # for that alone is an order too small, not a non-identity
+        ident = max(ids40, key=lambda i: i.a)
+        u = UnitAction(1, 40)
+        n = 2 * ident.a - 1
+        with pytest.raises(OrderTooSmall, match=f"needs order {2 * ident.a}"):
+            act(u, ident, n)
+        assert act(u, ident, n + 1) == ident
 
     def test_non_identity_rejected(self):
         fake = PartitionIdentity(32, frozenset({1, 2}), frozenset({3, 4}),

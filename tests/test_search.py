@@ -1,19 +1,22 @@
 """Tests for the pruned parameter search.
 
-The load-bearing check is an oracle comparison: on a small base the
-vectorized scan must agree tuple-for-tuple with a direct loop that
+The load-bearing checks are two oracle comparisons.  On a small base
+the vectorized scan must agree tuple-for-tuple with a direct loop that
 derives every enumerated parameter set, both in the outcome histogram
-and in the surviving identities.
+and in the surviving identities.  And unit by unit, the residue-table
+prefilter must agree with the int64 prefilter it replaced, kept here as
+reference_prefilter.
 """
 
 import tracemalloc
 from collections import Counter
 from math import gcd
 
+import numpy as np
 import pytest
 
 from qshift import search
-from qshift.jacobi import derive_identity
+from qshift.jacobi import _four2_exprs, derive_identity
 from qshift.partitions import verify_identity
 from qshift.search import (
     SearchConfig,
@@ -60,6 +63,94 @@ def brute_force(cfg):
     return scanned, hist, emitted
 
 
+def _fold(e, m):
+    r = e % m
+    return np.minimum(r, m - r)
+
+
+def _cancels(num, den):
+    """Rows where the 4-row numerator multiset embeds into the 16-row
+    denominator multiset (columns are candidate tuples)."""
+    in_den = (num[:, None, :] == den[None, :, :]).sum(axis=1)
+    in_num = (num[:, None, :] == num[None, :, :]).sum(axis=1)
+    return (in_den >= in_num).all(axis=0)
+
+
+def reference_prefilter(n, a, b, bound):
+    """search._prefilter in int64 arithmetic on the expressions
+    themselves: the reference the residue-table prefilter must match."""
+    xs, ys = np.triu_indices(bound)
+    C = np.repeat(np.arange(1, bound + 1), len(xs))
+    X = np.tile(xs + 1, bound)
+    Y = np.tile(ys + 1, bound)
+    keep = np.gcd(np.gcd(C, X), np.gcd(Y, gcd(a, b))) == 1
+    C, X, Y = C[keep], X[keep], Y[keep]
+    scanned = len(C)
+    hist = Counter()
+    if scanned == 0:
+        return scanned, hist, C, X, Y
+
+    (t1, t2), shared = _four2_exprs(*np.broadcast_arrays(a, b, C, X, Y))
+    all12 = np.stack(t1[2] + t2[2] + shared)
+    t1_core, t2_core, shared = all12[:4], all12[4:8], all12[8:]
+
+    m = 2 * n
+    cancel_ok = np.ones(scanned, dtype=bool)
+    for core in (t1_core, t2_core):
+        den = np.concatenate([core, shared])
+        den16 = np.concatenate([_fold(den, m), _fold(den + n, m)])
+        cancel_ok &= _cancels(_fold(2 * core, m), den16)
+    nondegen = ~(all12 % n == 0).any(axis=0)
+    imprim = np.gcd(np.gcd.reduce(np.abs(all12)), n) > 1
+    hist["degenerate"] = scanned - int(nondegen.sum())
+    hist["imprimitive"] = int((nondegen & imprim).sum())
+    hist["incomplete-cancellation"] = int(
+        (nondegen & ~imprim & ~cancel_ok).sum())
+
+    keep = nondegen & ~imprim & cancel_ok
+    return scanned, hist, C[keep], X[keep], Y[keep]
+
+
+class TestPrefilterOracle:
+    """The residue-table prefilter against the int64 reference, unit by
+    unit: scanned, the histogram with its zero-valued keys and key
+    order, and the survivors in scan order."""
+
+    @pytest.mark.parametrize("n, bound", [
+        *((n, n - 1) for n in (6, 7, 8, 9, 10, 12, 15, 16, 18, 21, 30)),
+        (10, 25),   # a - b = +-n, so whole units are degenerate
+        (16, 7),
+        (42, 8),    # three primes in the imprimitivity mask
+        (131, 6),   # 2n > 256: uint16 rows
+        (210, 6),   # four primes
+    ])
+    def test_every_unit_matches_the_reference(self, n, bound):
+        for a in range(1, bound + 1):
+            for b in range(1, bound + 1):
+                want = reference_prefilter(n, a, b, bound)
+                got = search._prefilter(n, a, b, bound)
+                assert got[0] == want[0], (n, a, b)
+                assert list(got[1].items()) == list(want[1].items()), (n, a, b)
+                for g, w in zip(got[2:], want[2:]):
+                    assert g.tolist() == w.tolist(), (n, a, b)
+
+    def test_configurations_reach_every_branch(self):
+        # the configurations above reach all three rejections and
+        # survivors, and both widths of the form rows
+        seen = Counter()
+        for n, bound in ((10, 25), (42, 8), (131, 6)):
+            for a in range(1, bound + 1):
+                for b in range(1, bound + 1):
+                    scanned, hist, C, _, _ = search._prefilter(n, a, b, bound)
+                    seen.update(hist)
+                    seen["survivors"] += len(C)
+        assert all(seen[k] > 0 for k in ("degenerate", "imprimitive",
+                                         "incomplete-cancellation",
+                                         "survivors"))
+        assert search._base_tables(131, 6).forms.dtype == np.uint16
+        assert search._base_tables(128, 6).forms.dtype == np.uint8
+
+
 class TestSearchConfig:
     def test_normalizes_bases(self):
         cfg = SearchConfig((20, 16, 16))
@@ -100,6 +191,26 @@ class TestSearchConfig:
             tracemalloc.stop()
         pairs = bound * (bound + 1) // 2
         assert peak <= bound * pairs * search.PREFILTER_BYTES_PER_TUPLE
+
+    def test_base_ceiling(self):
+        SearchConfig((1_398_101,), exponent_bound=6)
+        with pytest.raises(ValueError, match="ceiling of 1398101"):
+            SearchConfig((1_398_102,), exponent_bound=6)
+        with pytest.raises(ValueError, match="ceiling of 1398101"):
+            SearchConfig((10 ** 12,), exponent_bound=6)
+
+    @pytest.mark.parametrize("n", [20_000, 100_000])
+    def test_table_memory_per_residue(self, n):
+        # the base ceiling assumes at most TABLE_BYTES_PER_RESIDUE per
+        # residue mod 2n
+        search._base_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            search._base_tables(n, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n * search.TABLE_BYTES_PER_RESIDUE
 
 
 class TestEnumerate:
