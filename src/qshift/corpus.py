@@ -59,8 +59,6 @@ from .theta import (
     monomial_neg,
 )
 
-AUX_ORDER = 400
-
 PROOF_KINDS = ("direct", "iteration", "quintuple", "special")
 AUX_KINDS = ("four", "four_signed", "four2", "qp", "bracket")
 
@@ -111,17 +109,14 @@ class CorpusEntry:
 
 @dataclass(frozen=True)
 class EntryResult:
-    """One entry's replay.
-
-    order is the lowest order any of its checks was compared at: the
-    requested order, or AUX_ORDER when aux zero-sums ran below it.
-    first_fail is the identity's first failing exponent (None when the
-    identity holds, whatever the other checks found).
+    """One entry's replay at its report's order, the identity and its
+    aux zero-sums alike.  first_fail is the identity's first failing
+    exponent (None when the identity holds, whatever the other checks
+    found).
     """
 
     label: str
     ok: bool
-    order: int
     detail: str = ""
     first_fail: int | None = None
 
@@ -356,7 +351,6 @@ def replay_aux_terms(step: AuxStep) -> tuple[ThetaMonomial, ...] | None:
 
 def _check_entry(entry: CorpusEntry, order: int) -> EntryResult:
     problems = []
-    compared = order
     rep = verify_identity(entry.identity, order)
     if not rep.ok:
         problems.append(f"identity fails at order {order}: first "
@@ -368,29 +362,26 @@ def _check_entry(entry: CorpusEntry, order: int) -> EntryResult:
             problems.append(f"derivation fails: {d.reason}")
         elif d.identity != entry.identity:
             problems.append("derivation yields a different identity")
-    if entry.aux_steps:
-        compared = min(order, AUX_ORDER)
-        for k, step in enumerate(entry.aux_steps):
-            expected = replay_aux_terms(step)
-            if expected is not None and expected != step.terms:
-                problems.append(f"aux step {k} does not match its "
-                                f"generator output")
-            aux_rep = verify_zero_combination(step.terms, AUX_ORDER)
-            if not aux_rep.ok:
-                problems.append(f"aux step {k} fails at order {AUX_ORDER}: "
-                                f"witness {aux_rep.witness}")
-    return EntryResult(entry.label, not problems, compared,
-                       "; ".join(problems), rep.first_fail)
+    for k, step in enumerate(entry.aux_steps or ()):
+        expected = replay_aux_terms(step)
+        if expected is not None and expected != step.terms:
+            problems.append(f"aux step {k} does not match its "
+                            f"generator output")
+        aux_rep = verify_zero_combination(step.terms, order)
+        if not aux_rep.ok:
+            problems.append(f"aux step {k} fails at order {order}: "
+                            f"witness {aux_rep.witness}")
+    return EntryResult(entry.label, not problems, "; ".join(problems),
+                       rep.first_fail)
 
 
 def validate_corpus(entries: Iterable[CorpusEntry],
                     order: int) -> CorpusReport:
     """Replay every entry: identity verification at the given order,
     exact re-derivation for direct/quintuple proofs, and aux-step checks
-    (generator match plus zero-sum at AUX_ORDER = 400) for iteration
-    proofs.  Each result records the lowest order it was compared at.
-    Raises SchemaViolation when an entry's parameters make a bracket
-    vanish.
+    (generator match plus zero-sum at the given order) for iteration
+    proofs.  Raises SchemaViolation when an entry's parameters make a
+    bracket vanish.
     """
     results = []
     for e in entries:

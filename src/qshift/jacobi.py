@@ -32,15 +32,15 @@ from typing import Sequence
 import numpy as np
 
 from .partitions import SHIFTED, SHIFTLESS, PartitionIdentity, VerifyReport
-from .qseries import _first_nonzero
 from .theta import (
     BRACKET,
     PAREN,
     DegenerateZero,
+    Term,
     ThetaMonomial,
     bracket,
+    first_nonzero,
     make_monomial,
-    monomial_term,
     paren,
 )
 
@@ -402,10 +402,12 @@ def derive_batch(n: int, a, b, c, x, y) -> BatchDerivation:
 
 def verify_zero_combination(terms: Sequence[ThetaMonomial], n: int) -> VerifyReport:
     """Check that the monomials sum to the zero series up to order n, by
-    the packed zero test; a failure's witness is (coefficient there, 0)."""
+    the cleared zero test (theta.first_nonzero); a failure's witness is
+    (coefficient there, 0)."""
     if not terms:
         raise ValueError("need at least one term")
-    hit = _first_nonzero([monomial_term(t, n) for t in terms], n)
+    hit = first_nonzero([Term(t.sign, t.qexp, t.num, t.den) for t in terms],
+                        n)
     if hit is None:
         return VerifyReport(True, n)
     k, c = hit

@@ -46,8 +46,9 @@ classical Rogers-Ramanujan shifted identities (moduli 55 and 70 in
 disguise), and the modulus-72 identity labeled Thm-72.2 in the shipped
 catalog, whose verification walks the chain of theta-function
 dissections its proof is built from.  Each of their series checks is a
-named relation, terms (qseries.Term) whose sum vanishes, checked by the
-one packed zero test qseries._first_nonzero to the reported order.
+named relation, terms (theta.Term) of atoms and theta sums whose sum
+vanishes, checked to the reported order by the cleared zero test
+theta.first_nonzero, which writes every atom as its theta sums.
 """
 
 from __future__ import annotations
@@ -55,10 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .qseries import (
-    Term,
     _coeff_bits,
     _expand_parts,
-    _first_nonzero,
     _limb_width,
     _lowest_limb,
     _pack_product,
@@ -66,9 +65,14 @@ from .qseries import (
 )
 from .theta import (
     BRACKET,
+    PAREN,
     Atom,
+    Term,
+    bracket_args,
+    euler_args,
+    euler_cube_terms,
+    first_nonzero,
     make_monomial,
-    monomial_term,
     ramanujan_f_terms,
 )
 
@@ -159,17 +163,6 @@ def count_partitions(S, M: int, n: int) -> int:
 # verification and inference
 # ----------------------------------------------------------------------
 
-def _euler_cube_terms(m: int, n: int) -> list[tuple[int, int]]:
-    """(q^m; q^m)^3 = sum_{k >= 0} (-1)^k (2k+1) q^(m k(k+1)/2) (Jacobi)
-    to order n: about sqrt(2n/m) terms, fewer than one factor E has."""
-    terms = []
-    k = 0
-    while (e := m * k * (k + 1) // 2) <= n:
-        terms.append((e, -(2 * k + 1) if k % 2 else 2 * k + 1))
-        k += 1
-    return terms
-
-
 def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     """The three packed series the kernel compares, at one limb width.
 
@@ -190,9 +183,11 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     each packed in w-bit limbs mod 2^(w*(n+1)) and built by one
     shift-add per sparse term (qseries._pack_sparse): Theta_A and
     Theta_B are built once and reused, and each full three factors of E
-    are one factor E^3.  E = f(-q^M, -q^(2M)), and g_r = f(-q^r, -q^(M-r))
-    for 2r < M; for 2r = M the class is the single progression
-    (q^r; q^M), so g_r = (q^r; q^r) = f(-q^r, -q^(2r)).
+    are one factor E^3.  g_r and E = E_M come from the table of
+    theta.atom_sums: the class r is g_r / E_M with g_r =
+    bracket_args(r, M), which is f(-q^r, -q^(M-r)) for 2r < M, where the
+    class is the bracket [r:M], and E_r for 2r = M, where the class is
+    the single progression (q^r; q^M) and [r:M] is its square.
 
     w is the width the uncleared series need: every coefficient of P_A
     and P_B lies in [0, 2^b) and every one of E_U in (-2^b, 2^b), b the
@@ -206,11 +201,11 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     w = _limb_width(max(_coeff_bits((), pa, n), _coeff_bits((), pb, n),
                         _coeff_bits(pu, (), n)))
     A, B, U = sorted(S - T), sorted(T - S), sorted(S & T)
-    E = ramanujan_f_terms(-1, M, -1, 2 * M, n)
-    E3 = _euler_cube_terms(M, n)
+    E = ramanujan_f_terms(*euler_args(M), n)
+    E3 = euler_cube_terms(M, n)
 
     def g(r):
-        return ramanujan_f_terms(-1, r, -1, M - r if 2 * r < M else M, n)
+        return ramanujan_f_terms(*bracket_args(r, M), n)
 
     def build(x, factors):
         for terms in factors:
@@ -248,7 +243,7 @@ def _mismatch(packed, n: int, kind: str, a: int) -> int | None:
     defect's first nonzero coefficient c, at index k, is the uncleared
     bracket's (P_{S-U} - q^a P_{T-U} - E_U, or the shiftless one) and the
     relation's first failing index, and |c| < 3 * 2^b < 2^(w-1) (see
-    _cancelled).  By the argument of qseries._first_nonzero (packing is
+    _cancelled).  By the argument of theta.first_nonzero (packing is
     a ring homomorphism), the lowest set bit of d lies in limb k however
     far the later cleared coefficients overflow their limbs.
     """
@@ -335,30 +330,32 @@ class SpecialReport:
 
 
 def _zero_checks(relations, n: int) -> tuple[CheckResult, ...]:
-    """Each (name, terms) relation checked through q^n by the packed zero
-    test; first_fail is the first exponent where the sum is nonzero."""
-    hits = [(name, _first_nonzero(terms, n)) for name, terms in relations]
+    """Each (name, terms) relation checked through q^n by the cleared
+    zero test; first_fail is the first exponent where the sum is
+    nonzero."""
+    hits = [(name, first_nonzero(terms, n)) for name, terms in relations]
     return tuple(CheckResult(name, hit is None, hit and hit[0])
                  for name, hit in hits)
 
 
-def _rr_relations(n: int):
-    """The Rogers-Ramanujan checks as (name, terms) relations to order n;
-    G(q^k) has the parts +-k (mod 5k), H(q^k) the parts +-2k (mod 5k)."""
+def _rr_relations():
+    """The Rogers-Ramanujan checks as (name, terms) relations:
+    G(q^k) = 1/[k:5k] has the parts +-k (mod 5k), H(q^k) = 1/[2k:5k] the
+    parts +-2k (mod 5k), and (q;q^2)/(q^7;q^14) = [1:4]/[7:28]."""
     def G(k):
-        return [*range(k, n + 1, 5 * k), *range(4 * k, n + 1, 5 * k)]
+        return Atom(k, 5 * k, BRACKET)
 
     def H(k):
-        return [*range(2 * k, n + 1, 5 * k), *range(3 * k, n + 1, 5 * k)]
+        return Atom(2 * k, 5 * k, BRACKET)
 
     return (
         ("H(q)G(q^11) - q^2 G(q)H(q^11) = 1",
-         (Term(1, 0, inverse=H(1) + G(11)), Term(-1, 2, inverse=G(1) + H(11)),
+         (Term(1, 0, den=(H(1), G(11))), Term(-1, 2, den=(G(1), H(11))),
           Term(-1, 0))),
         ("H(q^2)G(q^7) - q G(q^2)H(q^7) = (q;q^2)/(q^7;q^14)",
-         (Term(1, 0, inverse=H(2) + G(7)), Term(-1, 1, inverse=G(2) + H(7)),
-          Term(-1, 0, finite=range(1, n + 1, 2),
-               inverse=range(7, n + 1, 14)))),
+         (Term(1, 0, den=(H(2), G(7))), Term(-1, 1, den=(G(2), H(7))),
+          Term(-1, 0, num=(Atom(1, 4, BRACKET),),
+               den=(Atom(7, 28, BRACKET),)))),
     )
 
 
@@ -371,7 +368,7 @@ def rogers_ramanujan_check(n: int) -> SpecialReport:
     """
     if n < 20:
         raise OrderTooSmall(f"order {n} below the minimum of 20")
-    checks = _zero_checks(_rr_relations(n), n)
+    checks = _zero_checks(_rr_relations(), n)
     return SpecialReport(all(c.ok for c in checks), n, checks)
 
 
@@ -386,53 +383,48 @@ THEOREM_72_2 = PartitionIdentity(
 )
 
 
-def _thm72_relations(n: int):
+def _thm72_relations():
     """The seven series checks of the Thm-72.2 chain as (name, terms)
-    relations to order n: the bracket-quotient form of the identity; the
+    relations: the bracket-quotient form of the identity; the
     2-dissections of f(q, -q^2) and f(-q, q^2); the 3-dissection of
     f(q, q); the square dissection of f(q,q)f(q^2,q^2); the product form
     of f(q^9,q^9) - q f(q^3,q^15); and the derived difference identity
-    those combine into."""
-    def f(sa, ea, sb, eb):
-        return ramanujan_f_terms(sa, ea, sb, eb, n)
+    those combine into.  (-q^3; q^6) is the paren (3:12)."""
+    def F(c, e, *sums, num=()):
+        return Term(c, e, num=num, sums=sums)
 
-    def F(c, e, *sums, finite=()):
-        return Term(c, e, sparse=sums, finite=finite)
+    def br(c, e, num, den=()):
+        mono = make_monomial(1, 0, [Atom(r, 72, BRACKET) for r in num],
+                             [Atom(r, 72, BRACKET) for r in den])
+        return Term(c, e, mono.num, mono.den)
 
-    def br(sign, qexp, num, den=()):
-        return monomial_term(make_monomial(
-            sign, qexp, [Atom(r, 72, BRACKET) for r in num],
-            [Atom(r, 72, BRACKET) for r in den]), n)
-
-    def neg3(e):  # the factors of (-q^3; q^6) to order n - e
-        return [-k for k in range(3, n - e + 1, 6)]
-
+    neg3 = (Atom(3, 12, PAREN),)
     return (
         ("[2,15,21,22,26:72] - q[3,10,14,33,34:72]"
          " = [1..35:72]/[4,6,20,24,28,30:72]",
          (br(1, 0, (2, 15, 21, 22, 26)), br(-1, 1, (3, 10, 14, 33, 34)),
           br(-1, 0, range(1, 36), (4, 6, 20, 24, 28, 30)))),
         ("f(q,-q^2) = f(-q^5,-q^7) + q f(-q,-q^11)",
-         (F(1, 0, f(1, 1, -1, 2)), F(-1, 0, f(-1, 5, -1, 7)),
-          F(-1, 1, f(-1, 1, -1, 11)))),
+         (F(1, 0, (1, 1, -1, 2)), F(-1, 0, (-1, 5, -1, 7)),
+          F(-1, 1, (-1, 1, -1, 11)))),
         ("f(-q,q^2) = f(-q^5,-q^7) - q f(-q,-q^11)",
-         (F(1, 0, f(-1, 1, 1, 2)), F(-1, 0, f(-1, 5, -1, 7)),
-          F(1, 1, f(-1, 1, -1, 11)))),
+         (F(1, 0, (-1, 1, 1, 2)), F(-1, 0, (-1, 5, -1, 7)),
+          F(1, 1, (-1, 1, -1, 11)))),
         ("f(q,q) = f(q^9,q^9) + 2q f(q^3,q^15)",
-         (F(1, 0, f(1, 1, 1, 1)), F(-1, 0, f(1, 9, 1, 9)),
-          F(-2, 1, f(1, 3, 1, 15)))),
+         (F(1, 0, (1, 1, 1, 1)), F(-1, 0, (1, 9, 1, 9)),
+          F(-2, 1, (1, 3, 1, 15)))),
         ("f(q,q)f(q^2,q^2) = f(q^3,q^3)f(q^6,q^6) + 2q f(q,q^5)f(q^2,q^10)",
-         (F(1, 0, f(1, 1, 1, 1), f(1, 2, 1, 2)),
-          F(-1, 0, f(1, 3, 1, 3), f(1, 6, 1, 6)),
-          F(-2, 1, f(1, 1, 1, 5), f(1, 2, 1, 10)))),
+         (F(1, 0, (1, 1, 1, 1), (1, 2, 1, 2)),
+          F(-1, 0, (1, 3, 1, 3), (1, 6, 1, 6)),
+          F(-2, 1, (1, 1, 1, 5), (1, 2, 1, 10)))),
         ("f(q^9,q^9) - q f(q^3,q^15) = f(-q,-q^3)(-q^3;q^6)",
-         (F(1, 0, f(1, 9, 1, 9)), F(-1, 1, f(1, 3, 1, 15)),
-          F(-1, 0, f(-1, 1, -1, 3), finite=neg3(0)))),
+         (F(1, 0, (1, 9, 1, 9)), F(-1, 1, (1, 3, 1, 15)),
+          F(-1, 0, (-1, 1, -1, 3), num=neg3))),
         ("f(q^2,q^2)f(q^9,q^9) - f(q^3,q^3)f(q^6,q^6)"
          " = 2q^2 f(q^6,q^30)f(-q,-q^3)(-q^3;q^6)",
-         (F(1, 0, f(1, 2, 1, 2), f(1, 9, 1, 9)),
-          F(-1, 0, f(1, 3, 1, 3), f(1, 6, 1, 6)),
-          F(-2, 2, f(1, 6, 1, 30), f(-1, 1, -1, 3), finite=neg3(2)))),
+         (F(1, 0, (1, 2, 1, 2), (1, 9, 1, 9)),
+          F(-1, 0, (1, 3, 1, 3), (1, 6, 1, 6)),
+          F(-2, 2, (1, 6, 1, 30), (-1, 1, -1, 3), num=neg3))),
     )
 
 
@@ -448,7 +440,7 @@ def verify_theorem_72_2(n: int) -> SpecialReport:
     if n < THM72_MIN_ORDER:
         raise OrderTooSmall(
             f"order {n} below the minimum of {THM72_MIN_ORDER}")
-    checks = _zero_checks(_thm72_relations(n), n)
+    checks = _zero_checks(_thm72_relations(), n)
     rep = verify_identity(THEOREM_72_2, n)
     checks += (CheckResult("p(S,n) = p(T,n-1) at modulus 72",
                            rep.ok, rep.first_fail),)

@@ -19,16 +19,18 @@ for a product (_coeff_bits) holds whatever the signs, is evaluated in
 floats with a stated rounding margin, and is taken per product, so a
 sparse set of parts gets narrow limbs.
 
-The special checks and theta zero-sums are signed sums of such products
-that must vanish, with one zero test, _first_nonzero: the sum is packed
-at one limb width and its first nonzero coefficient read at its lowest
-set bit.
+A signed sum of packed series that must vanish is tested at its lowest
+set bit (_lowest_limb): at a limb width that holds its first nonzero
+coefficient, that bit lies in the limb of that coefficient however far
+later limbs overflow.  theta.first_nonzero, the zero test for the
+special relations and the aux zero-sums, builds its terms with
+_pack_sparse alone.
 """
 
 from __future__ import annotations
 
 from math import ceil, exp, expm1, fsum, log, log1p, pi, sqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 
 class NonUnitLeading(ValueError):
@@ -180,18 +182,21 @@ def _pack_sparse(x: int, terms: Iterable[tuple[int, int]], n: int,
     """x * sum c q^e mod 2^(w*(n+1)), for x packed in w-bit limbs and
     sparse terms (e, c) with e >= 0.
 
-    One shift-add per term: x cut to its limbs below n + 1 - e, shifted
-    up e limbs, times c.  Like _pack_product, this is arithmetic in
-    Z[q]/(q^(n+1)) carried through q -> 2^w, so it is exact mod
-    2^(w*(n+1)) whatever the size of the coefficients.
+    One shift-add per term: x, cut to its limbs below n + 1 - e unless
+    it is shorter already, shifted up e limbs, times c.  The cut only
+    keeps the summands short: the sum is reduced mod 2^(w*(n+1)) at the
+    end.  Like _pack_product, this is arithmetic in Z[q]/(q^(n+1))
+    carried through q -> 2^w, so it is exact mod 2^(w*(n+1)) whatever
+    the size of the coefficients.
     """
     top = w * (n + 1)
     acc = 0
+    size = x.bit_length()
     for e, c in terms:
         s = e * w
         if s >= top:
             continue
-        t = (x & ((1 << (top - s)) - 1)) << s
+        t = (x if size <= top - s else x & ((1 << (top - s)) - 1)) << s
         if c == 1:
             acc += t
         elif c == -1:
@@ -205,69 +210,10 @@ def _lowest_limb(x: int, w: int) -> int | None:
     """Index of the first nonzero limb of x, None when x == 0.
 
     Exact when x represents a series mod 2^(w*(n+1)) whose first nonzero
-    coefficient is below 2^(w-1) in magnitude (see _first_nonzero).
+    coefficient is below 2^(w-1) in magnitude: then x = 2^(w*k) (c +
+    2^w R) with c not a multiple of 2^w (see theta.first_nonzero).
     """
     return ((x & -x).bit_length() - 1) // w if x else None
-
-
-class Term(NamedTuple):
-    """c q^e scale prod sparse prod_fin (1 - s q^k) / prod_inv (1 - s q^k),
-    a sparse sum as (exponent >= 0, coefficient) pairs and a factor as
-    j = s*k, as _pack_product takes it; e may be negative."""
-
-    c: int
-    e: int
-    sparse: Sequence[Sequence[tuple[int, int]]] = ()
-    finite: Sequence[int] = ()
-    inverse: Sequence[int] = ()
-    scale: int = 1
-
-
-def _first_nonzero(terms: Iterable[Term], n: int) -> tuple[int, int] | None:
-    """(k, c): the first nonzero coefficient c, at q^k, of the sum of the
-    terms through q^n, or None when the sum vanishes through q^n.
-
-    Terms with e > n are skipped.  With L the least e left, each term is
-    packed to its own order n - e (its sparse sums by _pack_sparse, then
-    _pack_product started from that value), shifted up e - L limbs and
-    added in, and the sum is reduced mod 2^(w*(n-L+1)).  q -> 2^w
-    followed by that reduction is a ring homomorphism from
-    Z[q]/(q^(n-L+1)), and every step is a ring operation there, so the
-    result is exactly the image of q^-L times the sum.
-
-    One limb width w serves the whole sum.  A term's coefficients through
-    q^(n-e) are below B = 2^b, b = _coeff_bits(finite, inverse, n - e,
-    scale) plus the bit length of each sparse sum's L1 norm, since a
-    sparse factor multiplies the largest coefficient by at most its L1
-    norm.  So the first nonzero coefficient has |c| <= sum |c_i| max B_i
-    < 2^(w-1), and the packed sum is 2^(w*k) (c + 2^w R) with c not a
-    multiple of 2^w: its lowest set bit lies in limb k, which read as a
-    signed w-bit integer is c, however far later limbs overflow.
-    """
-    live = [t for t in terms if t.e <= n]
-    if not live:
-        return None
-    lo = min(t.e for t in live)
-    bits = max(_coeff_bits(t.finite, t.inverse, n - t.e, t.scale)
-               + sum(sum(abs(c) for _, c in s).bit_length() for s in t.sparse)
-               for t in live)
-    w = _limb_width(bits + sum(abs(t.c) for t in live).bit_length())
-    acc = 0
-    for t in live:
-        m = n - t.e
-        x = t.scale
-        for s in t.sparse:
-            x = _pack_sparse(x, s, m, w)
-        x = _pack_product(t.finite, t.inverse, m, w, x)
-        acc += (t.c * x) << ((t.e - lo) * w)
-    acc &= (1 << (w * (n - lo + 1))) - 1
-    k = _lowest_limb(acc, w)
-    if k is None:
-        return None
-    c = (acc >> (k * w)) & ((1 << w) - 1)
-    if c >> (w - 1):
-        c -= 1 << w
-    return lo + k, c
 
 
 # ----------------------------------------------------------------------

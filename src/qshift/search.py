@@ -73,7 +73,7 @@ class SearchConfig:
     os.cpu_count(); 1 runs everything in-process.  A bound whose units
     would need more than PREFILTER_BUDGET_BYTES in the prefilter (the
     ceiling is 88) is refused; the default n - 1 fits for every base up
-    to 60.  So is a base whose residue tables, of length 2n, would need
+    to 89.  So is a base whose residue tables, of length 2n, would need
     more (the ceiling is 1,398,101).
     """
 

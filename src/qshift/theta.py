@@ -17,14 +17,20 @@ identically zero; the parenthesized analogue is 2(-q^m; q^m)^2 instead.
 
 A ThetaMonomial is sign * q^qexp * (product of atoms) / (product of
 atoms), with numerator and denominator stored as sorted multisets;
-monomial_term makes it a term of the packed zero test
-(qseries._first_nonzero), and monomial_series expands that term.
+monomial_series expands one part by part.
 
 The two-variable series f(a, b) = sum_k a^(k(k+1)/2) b^(k(k-1)/2) is
 supported for arguments of the form sigma * q^e.  Its one generator,
 ramanujan_f_terms, lists its sparse terms; the triple-product
 factorization f(a, b) = (-a; ab)_inf (-b; ab)_inf (ab; ab)_inf is
 available separately so the two can be checked against each other.
+
+By the triple product every atom is a quotient of such sparse sums
+(atom_sums, the one table from atoms to theta sums), and every zero-sum
+of theta terms, the special relations and the aux steps of the catalog
+alike, is checked by one cleared zero test, first_nonzero: each term is
+multiplied by the unit that clears its sums' negative powers, so every
+term is a product of sparse sums, one packed shift-add per sparse term.
 """
 
 from __future__ import annotations
@@ -32,9 +38,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .qseries import NonUnitLeading, Series, Term, product_series, shift_scale
+from .qseries import (
+    NonUnitLeading,
+    Series,
+    _coeff_bits,
+    _limb_width,
+    _lowest_limb,
+    _pack_sparse,
+    product_series,
+    shift_scale,
+)
 
 
 class DegenerateZero(ValueError):
@@ -110,21 +125,28 @@ def paren(e: int, m: int) -> tuple[int, int, Atom]:
 # atom and monomial series
 # ----------------------------------------------------------------------
 
-def _atom_factors(a: Atom, n: int) -> tuple[int, list[int]]:
-    """(scale, factors) with a = scale * prod (1 - s q^k) to order n,
-    each factor given as s*k, as product_series takes them."""
+def _check_canonical(a: Atom) -> None:
     r, m = a.r, a.m
     if a.kind == BRACKET:
         if not 0 < r <= m // 2:
             raise ValueError(f"bracket residue {r} not canonical for step {m}")
-        return 1, [*range(r, n + 1, m), *range(m - r, n + 1, m)]
-    if a.kind == PAREN:
+    elif a.kind == PAREN:
         if not 0 <= r <= m // 2:
             raise ValueError(f"paren residue {r} not canonical for step {m}")
-        if r == 0:
-            return 2, [-k for k in range(m, n + 1, m)] * 2
-        return 1, [-k for k in (*range(r, n + 1, m), *range(m - r, n + 1, m))]
-    raise ValueError(f"unknown atom kind {a.kind!r}")
+    else:
+        raise ValueError(f"unknown atom kind {a.kind!r}")
+
+
+def _atom_factors(a: Atom, n: int) -> tuple[int, list[int]]:
+    """(scale, factors) with a = scale * prod (1 - s q^k) to order n,
+    each factor given as s*k, as product_series takes them."""
+    _check_canonical(a)
+    r, m = a.r, a.m
+    if a.kind == BRACKET:
+        return 1, [*range(r, n + 1, m), *range(m - r, n + 1, m)]
+    if r == 0:
+        return 2, [-k for k in range(m, n + 1, m)] * 2
+    return 1, [-k for k in (*range(r, n + 1, m), *range(m - r, n + 1, m))]
 
 
 @lru_cache(maxsize=None)
@@ -163,32 +185,33 @@ def monomial_neg(a: ThetaMonomial) -> ThetaMonomial:
     return ThetaMonomial(-a.sign, a.qexp, a.num, a.den)
 
 
-def monomial_term(mono: ThetaMonomial, n: int) -> Term:
-    """The monomial as a qseries.Term with its factors listed to order
-    n - qexp: the parts of numerator atoms are finite factors, those of
-    denominator atoms inverse ones (a denominator (0 : m), constant term
-    2, is not a unit: NonUnitLeading)."""
-    inner = n - mono.qexp
+def _monomial_parts(num: Iterable[Atom], den: Iterable[Atom],
+                    n: int) -> tuple[int, list[int], list[int]]:
+    """(scale, finite, inverse) with prod(num) / prod(den) = scale *
+    prod_fin (1 - s q^k) / prod_inv (1 - s q^k) to order n, each factor
+    given as s*k: the parts of numerator atoms are finite factors, those
+    of denominator atoms inverse ones (a denominator (0 : m), constant
+    term 2, is not a unit: NonUnitLeading)."""
     scale, finite, inverse = 1, [], []
-    for a in mono.num:
-        c, factors = _atom_factors(a, inner)
+    for a in num:
+        c, factors = _atom_factors(a, n)
         scale *= c
         finite += factors
-    for a in mono.den:
-        c, factors = _atom_factors(a, inner)
+    for a in den:
+        c, factors = _atom_factors(a, n)
         if c != 1:
             raise NonUnitLeading(f"{atom_str(a)} has constant term {c}")
         inverse += factors
-    return Term(mono.sign, mono.qexp, finite=finite, inverse=inverse,
-                scale=scale)
+    return scale, finite, inverse
 
 
 def monomial_series(mono: ThetaMonomial, n: int) -> Series:
-    """Expand a monomial to order n in one packed build of its term
-    (monomial_term) at order n - qexp."""
-    t = monomial_term(mono, n)
-    acc = product_series(t.finite, t.inverse, n - t.e, t.scale)
-    return shift_scale(acc, t.c, t.e)
+    """Expand a monomial to order n in one packed build of its parts
+    (_monomial_parts) at order n - qexp."""
+    inner = n - mono.qexp
+    scale, finite, inverse = _monomial_parts(mono.num, mono.den, inner)
+    acc = product_series(finite, inverse, inner, scale)
+    return shift_scale(acc, mono.sign, mono.qexp)
 
 
 # ----------------------------------------------------------------------
@@ -268,3 +291,165 @@ def ramanujan_f_product(a: FMono, b: FMono, n: int) -> Series:
     return product_series([sigma * sab ** j * k
                            for e, sigma in ((a.e, -a.sigma), (b.e, -b.sigma), (m, sab))
                            for j, k in enumerate(range(e, n + 1, m))], (), n)
+
+
+# ----------------------------------------------------------------------
+# atoms as theta sums, and the cleared zero test
+# ----------------------------------------------------------------------
+
+# f(sa q^ea, sb q^eb) named by its arguments (sa, ea, sb, eb)
+FArgs = tuple[int, int, int, int]
+
+
+def euler_args(m: int) -> FArgs:
+    """E_m = (q^m; q^m)_inf = f(-q^m, -q^(2m))."""
+    return (-1, m, -1, 2 * m)
+
+
+def euler_cube_terms(m: int, n: int) -> list[tuple[int, int]]:
+    """E_m^3 = sum_{k >= 0} (-1)^k (2k+1) q^(m k(k+1)/2) (Jacobi) to
+    order n: about sqrt(2n/m) terms, fewer than one factor E_m has."""
+    terms = []
+    k = 0
+    while (e := m * k * (k + 1) // 2) <= n:
+        terms.append((e, -(2 * k + 1) if k % 2 else 2 * k + 1))
+        k += 1
+    return terms
+
+
+def bracket_args(r: int, m: int) -> FArgs:
+    """g with [r:m] = (g / E_m)^p for 0 < r <= m/2: p = 1 and
+    g = f(-q^r, -q^(m-r)) for 2r < m, and for 2r = m, where
+    [r:2r] = (q^r; q^2r)^2 and (q^r; q^2r) = E_r / E_2r, p = 2 and
+    g = E_r.  g / E_m is the product of (1 - q^k) over the parts
+    k = +-r (mod m) either way."""
+    return (-1, r, -1, m - r) if 2 * r < m else euler_args(r)
+
+
+def atom_sums(a: Atom) -> tuple[int, tuple[tuple[FArgs, int], ...]]:
+    """(scale, ((args, power), ...)) with the atom equal to
+    scale * prod f(args)^power, the one table from atoms to theta sums.
+    With E_m = f(-q^m, -q^(2m)) the triple product gives, for 0 < 2r < m,
+
+        [r:m]  = f(-q^r, -q^(m-r)) / E_m     (r:m)  = f(q^r, q^(m-r)) / E_m
+
+    and (q^r; q^2r) = E_r / E_2r, (-q^r; q^2r) = E_2r^2 / (E_r E_4r),
+    (-q^m; q^m) = E_2m / E_m, so
+
+        [r:2r] = E_r^2 / E_2r^2              (r:2r) = E_2r^4 / (E_r^2 E_4r^2)
+        (0:m)  = 2 E_2m^2 / E_m^2.
+
+    The brackets come from bracket_args.  Every sum has arguments of
+    positive exponent, so constant term 1.
+    """
+    _check_canonical(a)
+    r, m = a.r, a.m
+    if a.kind == BRACKET:
+        p = 1 if 2 * r < m else 2
+        return 1, ((bracket_args(r, m), p), (euler_args(m), -p))
+    if 0 < 2 * r < m:
+        return 1, (((1, r, 1, m - r), 1), (euler_args(m), -1))
+    if r == 0:
+        return 2, ((euler_args(2 * m), 2), (euler_args(m), -2))
+    return 1, ((euler_args(m), 4), (euler_args(r), -2),
+               (euler_args(2 * m), -2))
+
+
+class Term(NamedTuple):
+    """c q^e prod(sums) prod(num) / prod(den): atoms as in a
+    ThetaMonomial, and sums f(sa q^ea, sb q^eb) named by their
+    arguments, with ea, eb >= 1; e may be negative."""
+
+    c: int
+    e: int
+    num: Sequence[Atom] = ()
+    den: Sequence[Atom] = ()
+    sums: Sequence[FArgs] = ()
+
+
+def first_nonzero(terms: Sequence[Term], n: int) -> tuple[int, int] | None:
+    """(k, c): the first nonzero coefficient c, at q^k, of the sum of the
+    terms through q^n, or None when the sum vanishes through q^n.  This
+    is the cleared zero test.
+
+    By atom_sums each term is c q^e s prod_j f_j^(p_j) over sparse sums
+    f_j with integer powers p_j.  Let l_j be the least power f_j has in
+    any term (0 in a term without it) and V = prod_j f_j^(-l_j).  Every
+    f_j has constant term 1, so V is a unit with V(0) = 1, and V times a
+    term is c q^e s prod_j f_j^(p_j - l_j), with no negative power.
+    Terms with e > n are skipped.  With L the least e left, each term is
+    built from s to its own order n - e by one qseries._pack_sparse per
+    sparse factor (E_m^3 as Jacobi's sum, euler_cube_terms), shifted up
+    e - L limbs and added in, and the sum is reduced mod
+    2^(w*(n-L+1)).  q -> 2^w followed by that reduction is a ring
+    homomorphism from Z[q]/(q^(n-L+1)), and every step is a ring
+    operation there, so the result is exactly the image of q^-L V D, D
+    the sum of the terms.  Each sum's terms are listed once per call.
+
+    One limb width w serves the whole sum, sized from the uncleared
+    terms.  A term's coefficients through q^(n-e) are below 2^b, b =
+    qseries._coeff_bits of its atoms' parts at order n - e (numerator
+    atoms' parts finite, denominator atoms' inverse, with their scale)
+    plus the bit length of each sum's L1 norm, since a sparse factor
+    multiplies the largest coefficient by at most its L1 norm; and
+    w = _limb_width(max b + bit length of sum |c|).  So D's first
+    nonzero coefficient c, at q^k, has |c| < 2^(w-1).  V(0) = 1, so V D
+    has the same first nonzero index k and the same coefficient c there,
+    however far its later coefficients overflow their limbs: the packed
+    sum is 2^(w(k-L)) (c + 2^w R) with c not a multiple of 2^w, its
+    lowest set bit lies in limb k - L, and that limb read as a signed
+    w-bit integer is c.
+
+    A denominator (0:m), constant term 2, is no unit: NonUnitLeading,
+    even in a term past the order.
+    """
+    sized = [(t, _monomial_parts(t.num, t.den, n - t.e)) for t in terms]
+    live = [(t, parts) for t, parts in sized if t.e <= n]
+    if not live:
+        return None
+    lo = min(t.e for t, _ in live)
+    listed = {}
+
+    def sum_terms(args, cube=False):
+        if (args, cube) not in listed:
+            if min(args[1], args[3]) < 1:
+                raise ValueError(f"f{args} has no constant term 1")
+            listed[args, cube] = (euler_cube_terms(args[1], n - lo) if cube
+                                  else ramanujan_f_terms(*args, n - lo))
+        return listed[args, cube]
+
+    bits = 0
+    powers = []
+    for t, (scale, finite, inverse) in live:
+        power = Counter()
+        for a in t.num:
+            power.update(dict(atom_sums(a)[1]))
+        for a in t.den:
+            power.subtract(dict(atom_sums(a)[1]))
+        power.update(t.sums)
+        powers.append((scale, power))
+        bits = max(bits, _coeff_bits(finite, inverse, n - t.e, scale)
+                   + sum(sum(abs(c) for _, c in sum_terms(args)).bit_length()
+                         for args in t.sums))
+    w = _limb_width(bits + sum(abs(t.c) for t, _ in live).bit_length())
+    least = {args: min(power[args] for _, power in powers)
+             for _, power in powers for args in power}
+    acc = 0
+    for (t, _), (scale, power) in zip(live, powers):
+        m = n - t.e
+        x = scale
+        for args, low in least.items():
+            p = power[args] - low
+            cubes = p // 3 if args == euler_args(args[1]) else 0
+            for cube, count in ((True, cubes), (False, p - 3 * cubes)):
+                for _ in range(count):
+                    x = _pack_sparse(x, sum_terms(args, cube), m, w)
+        acc += (t.c * x) << ((t.e - lo) * w)
+    acc &= (1 << (w * (n - lo + 1))) - 1
+    k = _lowest_limb(acc, w)
+    if k is None:
+        return None
+    c = (acc >> (k * w)) & ((1 << w) - 1)
+    if c >> (w - 1):
+        c -= 1 << w
+    return lo + k, c

@@ -10,9 +10,9 @@ from qshift.qseries import Series, linear_combine, mul, product_series
 
 def _sum_by_series(terms, n):
     """(k, c) of the first nonzero coefficient through q^n of a sum of
-    qseries.Term, or None, by the Series route: each term's product from
-    product_series, times its sparse sums by mul, shifted to q^e and
-    added with linear_combine, then compared with zero by
+    part_by_part.PartsTerm, or None, by the Series route: each term's
+    product from product_series, times its sparse sums by mul, shifted
+    to q^e and added with linear_combine, then compared with zero by
     first_difference."""
     if not terms:
         return None
@@ -34,7 +34,8 @@ def _sum_by_series(terms, n):
 
 @pytest.fixture
 def series_route():
-    """The reference the packed zero test qseries._first_nonzero must match."""
+    """The reference both zero tests must match: theta.first_nonzero and
+    part_by_part.first_nonzero_by_parts."""
     return _sum_by_series
 
 

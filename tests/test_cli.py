@@ -460,20 +460,54 @@ class TestOutput:
         assert "[1:32]" in out
 
     def test_verify_names_the_aux_step_order(self, capsys):
-        # modulus 42 has two entries whose aux zero-sums run at order 400
-        code, doc, _ = run_json(capsys, "verify", "--modulus", "42",
-                                "--order", "500")
+        # modulus 42 has two entries with aux zero-sums; they are compared
+        # at the requested order like every other check, below 400 and
+        # above it
+        for order in ("300", "500"):
+            code, doc, _ = run_json(capsys, "verify", "--modulus", "42",
+                                    "--order", order)
+            assert code == 0
+            assert doc["headline"] == (f"15 entries replayed at order "
+                                       f"{order}: 15 pass, 0 fail")
+            assert [i["details"] for i in doc["items"]] == \
+                [f"holds to order {order}"] * 15
+
+    def test_verify_names_the_order_of_a_failing_aux_step(
+            self, capsys, tmp_path, catalog_doc):
+        # a wrong sign on one aux term fails at the requested order
+        rec = shipped_record(catalog_doc, "Thm-42.2-i")
+        rec["aux_steps"][0]["terms"][0]["sign"] *= -1
+        code, doc, _ = run_json(capsys, "verify", "--order", "700",
+                                "--corpus",
+                                write_catalog(tmp_path / "bad.json", rec))
+        assert code == 1
+        (item,) = doc["items"]
+        assert item["first_failing_exponent"] is None
+        assert "aux step 0 fails at order 700" in item["details"]
+
+    @pytest.mark.parametrize("flag, count", [("--rr", 2), ("--thm72-2", 8)])
+    def test_special_names_its_order(self, capsys, flag, count):
+        code, doc, _ = run_json(capsys, "special", flag, "--order", "230")
         assert code == 0
-        assert "aux steps of 2 compared at order 400 only" in doc["headline"]
-        low = [i for i in doc["items"] if "order 400" in i["details"]]
-        assert len(low) == 2
-        assert all(i["status"] == "pass" for i in doc["items"])
-        code, doc, _ = run_json(capsys, "verify", "--modulus", "42",
-                                "--order", "300")
-        assert code == 0
-        assert "aux" not in doc["headline"]
-        assert "replayed at order 300" in doc["headline"]
-        assert not any(i["details"] for i in doc["items"])
+        assert doc["headline"].endswith(
+            f"{count} checks at order 230, {count} pass, 0 fail")
+        assert [i["details"] for i in doc["items"]] == \
+            ["holds to order 230"] * count
+
+    def test_special_names_the_order_of_a_failing_check(self, monkeypatch,
+                                                        capsys):
+        relations = partitions._rr_relations()
+        (name, terms), rest = relations[0], relations[1:]
+        monkeypatch.setattr(partitions, "_rr_relations",
+                            lambda: ((name, terms[1:]),) + rest)
+        code, doc, _ = run_json(capsys, "special", "--rr", "--order", "230")
+        assert code == 1
+        bad, good = doc["items"]
+        k = bad["first_failing_exponent"]
+        assert k is not None
+        assert bad["details"] == (f"nonzero at exponent {k} "
+                                  f"(compared to order 230)")
+        assert good["details"] == "holds to order 230"
 
     def test_selftest(self, capsys):
         code, out, _ = run(capsys, "selftest", "--order", "200")
@@ -549,10 +583,10 @@ class TestSelftestChecks:
         ("special thm72-2", "_thm72_relations")])
     def test_special_check_fails_on_a_dropped_term(self, monkeypatch,
                                                    name, builder):
-        relations = getattr(partitions, builder)(120)
+        relations = getattr(partitions, builder)()
         (first, terms), rest = relations[0], relations[1:]
         monkeypatch.setattr(partitions, builder,
-                            lambda n: ((first, terms[1:]),) + rest)
+                            lambda: ((first, terms[1:]),) + rest)
         ok, first_fail, details = run_check(name, (), 120)
         assert not ok
         assert first_fail is not None

@@ -17,7 +17,6 @@ from qshift.qseries import (
     EmptySet,
     ResidueOutOfRange,
     Series,
-    _first_nonzero,
     _pack,
     _pack_sparse,
     _unpack_signed,
@@ -35,7 +34,6 @@ from qshift.partitions import (
     PartitionIdentity,
     THEOREM_72_2,
     _cancelled,
-    _euler_cube_terms,
     count_partitions,
     count_partitions_table,
     infer_relation,
@@ -44,7 +42,9 @@ from qshift.partitions import (
     verify_identity,
     verify_theorem_72_2,
 )
-from qshift.theta import ramanujan_f_terms
+from qshift.theta import euler_cube_terms, first_nonzero, ramanujan_f_terms
+
+from part_by_part import first_nonzero_by_parts, parts_term
 
 # a modulus-32 shifted pair used as the standing fixture
 S32 = frozenset({1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15})
@@ -339,7 +339,7 @@ def test_euler_terms_and_cube(M, r, n):
     # E = (q^M; q^M) = f(-q^M, -q^(2M)), and Jacobi's sum for E^3
     E = f_series(-1, M, -1, 2 * M, n)
     assert E == product_series(range(M, n + 1, M), (), n)
-    assert sparse_series(_euler_cube_terms(M, n), n) == mul(mul(E, E), E)
+    assert sparse_series(euler_cube_terms(M, n), n) == mul(mul(E, E), E)
     assert f_series(-1, r, -1, 2 * r, n) == \
         product_series(range(r, n + 1, r), (), n)
 
@@ -515,30 +515,45 @@ SPECIAL_RELATIONS = ([(rogers_ramanujan_check, "_rr_relations", i)
                         for i in range(7)])
 
 
+def perturbed(terms):
+    """The relation with one term dropped, one coefficient doubled, one
+    exponent raised, or one atom or theta sum dropped from one term."""
+    for i, t in enumerate(terms):
+        def swap(u):
+            return terms[:i] + (u,) + terms[i + 1:]
+
+        yield terms[:i] + terms[i + 1:]
+        yield swap(t._replace(c=2 * t.c))
+        yield swap(t._replace(e=t.e + 1))
+        for field in ("num", "den", "sums"):
+            parts = tuple(getattr(t, field))
+            for j in range(len(parts)):
+                yield swap(t._replace(**{field: parts[:j] + parts[j + 1:]}))
+
+
 @pytest.mark.parametrize("check, builder, index", SPECIAL_RELATIONS)
 def test_special_check_fails_on_a_perturbed_relation(
         monkeypatch, series_route, check, builder, index):
-    # each series relation holds; with one term dropped, its coefficient
-    # doubled or its exponent raised, the public check fails at the
-    # index the Series route gives, with the same coefficient
+    # each series relation holds; perturbed, the public check fails at
+    # the index the Series route gives, and the cleared test and the
+    # part-by-part test both find the Series route's coefficient there
     n = 120
-    relations = getattr(partitions, builder)(n)
+    relations = getattr(partitions, builder)()
     name, terms = relations[index]
-    assert _first_nonzero(terms, n) is None
-    assert series_route(terms, n) is None
-    for i, t in enumerate(terms):
-        for bad in (terms[:i] + terms[i + 1:],
-                    terms[:i] + (t._replace(c=2 * t.c),) + terms[i + 1:],
-                    terms[:i] + (t._replace(e=t.e + 1),) + terms[i + 1:]):
-            want = series_route(bad, n)
-            assert want is not None
-            assert _first_nonzero(bad, n) == want
-            mutated = relations[:index] + ((name, bad),) + relations[index + 1:]
-            monkeypatch.setattr(partitions, builder, lambda m: mutated)
-            rep = check(n)
-            assert not rep.ok
-            assert [c.first_fail for c in rep.checks] == [
-                want[0] if j == index else None for j in range(len(rep.checks))]
+    assert first_nonzero(terms, n) is None
+    assert series_route([parts_term(t, n) for t in terms], n) is None
+    for bad in perturbed(terms):
+        by_parts = [parts_term(t, n) for t in bad]
+        want = series_route(by_parts, n)
+        assert want is not None
+        assert first_nonzero(bad, n) == want
+        assert first_nonzero_by_parts(by_parts, n) == want
+        mutated = relations[:index] + ((name, bad),) + relations[index + 1:]
+        monkeypatch.setattr(partitions, builder, lambda: mutated)
+        rep = check(n)
+        assert not rep.ok
+        assert [c.first_fail for c in rep.checks] == [
+            want[0] if j == index else None for j in range(len(rep.checks))]
 
 
 def test_theorem_72_2_smoke():

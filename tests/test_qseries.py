@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift import qseries
 from qshift.qseries import (
     BeyondOrder,
     EmptySet,
@@ -21,10 +20,8 @@ from qshift.qseries import (
     NonUnitLeading,
     ResidueOutOfRange,
     Series,
-    Term,
     _coeff_bits,
     _expand_parts,
-    _first_nonzero,
     _mul_packed,
     _mul_schoolbook,
     invert,
@@ -35,6 +32,10 @@ from qshift.qseries import (
     residue_product,
     shift_scale,
 )
+
+import part_by_part
+from part_by_part import PartsTerm as Term
+from part_by_part import first_nonzero_by_parts as _first_nonzero
 
 # ----------------------------------------------------------------------
 # oracles
@@ -601,7 +602,7 @@ def test_product_series_below_order_zero_is_zero():
 
 
 # ----------------------------------------------------------------------
-# the packed zero test
+# the part-by-part zero test (the oracle in part_by_part.py)
 # ----------------------------------------------------------------------
 
 
@@ -651,7 +652,7 @@ def test_first_nonzero_reads_past_overflowing_limbs(monkeypatch, series_route):
              Term(-1, -3, sparse=[[(0, 1)]], inverse=parts + [40])]
     assert series_route(terms, n) == (37, -1)
     assert max(product_series((), parts, n).coeffs) >= 1 << 16
-    monkeypatch.setattr(qseries, "_limb_width", lambda bits: 16)
+    monkeypatch.setattr(part_by_part, "_limb_width", lambda bits: 16)
     assert _first_nonzero(terms, n) == (37, -1)
 
 

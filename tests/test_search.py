@@ -192,6 +192,12 @@ class TestSearchConfig:
         pairs = bound * (bound + 1) // 2
         assert peak <= bound * pairs * search.PREFILTER_BYTES_PER_TUPLE
 
+    def test_default_bound_fits_up_to_base_89(self):
+        # the default bound n - 1 meets the bound ceiling of 88 at base 89
+        assert SearchConfig((89,)).bound_for(89) == 88
+        with pytest.raises(ValueError, match="ceiling of 88"):
+            SearchConfig((90,))
+
     def test_base_ceiling(self):
         SearchConfig((1_398_101,), exponent_bound=6)
         with pytest.raises(ValueError, match="ceiling of 1398101"):

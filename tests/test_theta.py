@@ -15,6 +15,8 @@ from math import isqrt
 
 import pytest
 
+from qshift import partitions, theta
+from qshift.corpus import load_corpus
 from qshift.jacobi import RawTerm, reduce_term
 from qshift.qseries import NonUnitLeading, Series, invert, mul, pochhammer, shift_scale
 from qshift.theta import (
@@ -24,11 +26,14 @@ from qshift.theta import (
     DegenerateZero,
     Divergent,
     FMono,
+    Term,
     ThetaMonomial,
     UnsupportedNegativeExponent,
     atom_series,
     atom_str,
+    atom_sums,
     bracket,
+    first_nonzero,
     make_monomial,
     monomial_series,
     monomial_str,
@@ -38,6 +43,8 @@ from qshift.theta import (
     ramanujan_f_product,
     ramanujan_f_sum,
 )
+
+from part_by_part import first_nonzero_by_parts, parts_term
 
 
 def bilateral_sum_oracle(e, m, c, n):
@@ -336,3 +343,135 @@ def test_f_sum_divergent():
 def test_f_product_needs_positive_exponents():
     with pytest.raises(UnsupportedNegativeExponent):
         ramanujan_f_product(FMono(1, 0), FMono(1, 3), 10)
+
+
+# ----------------------------------------------------------------------
+# atoms as theta sums, and the cleared zero test
+# ----------------------------------------------------------------------
+
+# every canonical atom of steps 1..12, the r = m/2 and (0:m) forms among
+# them
+CANONICAL_ATOMS = [Atom(r, m, kind) for m in range(1, 13)
+                   for kind in (BRACKET, PAREN)
+                   for r in range(0 if kind == PAREN else 1, m // 2 + 1)]
+
+
+def test_atom_sums_equal_the_atom_series():
+    # scale * prod f(args)^power by mul and invert of ramanujan_f_sum
+    # against the atom expanded part by part
+    n = 150
+    for a in CANONICAL_ATOMS:
+        scale, powers = atom_sums(a)
+        got = Series(0, [scale], n)
+        for (sa, ea, sb, eb), p in powers:
+            assert ea >= 1 and eb >= 1  # constant term 1
+            f = ramanujan_f_sum(FMono(sa, ea), FMono(sb, eb), n)
+            for _ in range(abs(p)):
+                got = mul(got, f if p > 0 else invert(f))
+        assert got == atom_series(a.r, a.m, a.kind, n), a
+
+
+def test_atom_sums_rejects_noncanonical():
+    for a in (Atom(7, 10, BRACKET), Atom(0, 10, BRACKET),
+              Atom(6, 10, PAREN), Atom(1, 4, "other")):
+        with pytest.raises(ValueError):
+            atom_sums(a)
+
+
+def catalog_relations():
+    """The nine special relations and the 34 aux zero-sums, as Terms."""
+    rels = [terms for _, terms in (partitions._rr_relations()
+                                   + partitions._thm72_relations())]
+    rels += [tuple(Term(t.sign, t.qexp, t.num, t.den) for t in step.terms)
+             for e in load_corpus() for step in e.aux_steps or ()]
+    return rels
+
+
+@pytest.mark.parametrize("n", [120, 300])
+def test_first_nonzero_matches_both_oracles_on_the_catalog(n, series_route):
+    # every relation holds; with one term dropped it fails, and the
+    # cleared test, the part-by-part test and the Series route agree on
+    # where and with which coefficient
+    rels = catalog_relations()
+    assert len(rels) == 9 + 34
+    for terms in rels:
+        for i in range(-1, len(terms)):
+            rel = terms if i < 0 else terms[:i] + terms[i + 1:]
+            by_parts = [parts_term(t, n) for t in rel]
+            want = series_route(by_parts, n)
+            assert (want is None) == (i < 0)
+            assert first_nonzero(rel, n) == want, (rel, n)
+            assert first_nonzero_by_parts(by_parts, n) == want
+
+
+def random_sum_term(rng, n):
+    atoms = rng.sample(CANONICAL_ATOMS, rng.randint(0, 4))
+    split = rng.randint(0, len(atoms))
+    sums = [(rng.choice((1, -1)), rng.randint(1, 6),
+             rng.choice((1, -1)), rng.randint(1, 6))
+            for _ in range(rng.randint(0, 2))]
+    return Term(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(-6, n),
+                tuple(atoms[:split]),
+                tuple(a for a in atoms[split:] if a.r),  # (0:m) is no unit
+                tuple(sums))
+
+
+def test_first_nonzero_matches_series_route(series_route):
+    # random sums; a term cancelled by a copy carrying one more atom
+    # leaves c q^e X (1 - atom), so most sums first differ well above
+    # their lowest exponent
+    rng = random.Random(2718)
+    seen = set()
+    for _ in range(250):
+        n = rng.randint(0, 80)
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            t = random_sum_term(rng, n)
+            extra = rng.choice(CANONICAL_ATOMS)
+            terms += [t, t._replace(c=-t.c, num=(*t.num, extra))]
+        terms += [random_sum_term(rng, n) for _ in range(rng.randint(0, 1))]
+        terms += [random_sum_term(rng, n)._replace(e=n + rng.randint(1, 9))
+                  for _ in range(rng.randint(0, 2))]
+        rng.shuffle(terms)
+        want = series_route([parts_term(t, n) for t in terms], n)
+        assert first_nonzero(terms, n) == want, (terms, n)
+        seen.add(want is None)
+    assert seen == {True, False}
+
+
+def test_first_nonzero_reads_past_overflowing_limbs(monkeypatch,
+                                                    series_route):
+    # 1/[1:2] - 1/([1:2][20:40]) = -(2q^20 + ...)/[1:2], [20:40] =
+    # (q^20; q^40)^2: the first coefficient is -2 at q^17 and the later
+    # ones, and the cleared products', are far wider than a 16-bit limb
+    n = 120
+    terms = [Term(1, -3, den=(Atom(1, 2, BRACKET),)),
+             Term(-1, -3, den=(Atom(1, 2, BRACKET), Atom(20, 40, BRACKET)))]
+    by_parts = [parts_term(t, n) for t in terms]
+    assert series_route(by_parts, n) == (17, -2)
+    assert max(monomial_series(make_monomial(
+        1, 0, (), (Atom(1, 2, BRACKET),)), n).coeffs) >= 1 << 16
+    monkeypatch.setattr(theta, "_limb_width", lambda bits: 16)
+    assert first_nonzero(terms, n) == (17, -2)
+
+
+def test_first_nonzero_compares_through_q_n():
+    n = 50
+    base = Term(1, -4, (Atom(2, 7, BRACKET),), (Atom(3, 8, PAREN),),
+                ((1, 1, -1, 3),))
+    pair = [base, base._replace(c=-1)]
+    assert first_nonzero(pair, n) is None
+    # a lone coefficient at q^n fails at n; at q^(n+1) it is not seen
+    assert first_nonzero(pair + [Term(3, n)], n) == (n, 3)
+    assert first_nonzero(pair + [Term(3, n + 1)], n) is None
+    assert first_nonzero([Term(-2, n + 1)], n) is None
+    # q^(n-10) [10:20] - q^(n-10) = -2 q^n + ..., one limb below the order
+    edge = Term(1, n - 10, (Atom(10, 20, BRACKET),))
+    assert first_nonzero([edge, Term(-1, n - 10)], n) == (n, -2)
+    assert first_nonzero([edge._replace(e=n - 9), Term(-1, n - 9)], n) is None
+
+
+def test_first_nonzero_refuses_a_sum_without_constant_term_one():
+    # f(q^0, q^3) = 2 + ...: no unit, so it cannot be cleared
+    with pytest.raises(ValueError):
+        first_nonzero([Term(1, 0, sums=((1, 0, 1, 3),))], 10)
