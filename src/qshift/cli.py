@@ -312,7 +312,8 @@ def cmd_classify(args) -> Report:
         plural = "s" if len(members) != 1 else ""
         items.append(Item(f"class {k}", PASS, None,
                           f"{len(members)} member{plural}: "
-                          f"{', '.join(members)}"))
+                          f"{', '.join(members)}; "
+                          f"holds to order {args.order}"))
     return Report.build(f"classify modulus={args.modulus} order={args.order}",
                         f"{len(classes)} classes", items)
 
@@ -343,7 +344,8 @@ def cmd_act(args) -> Report:
         return Report.build(f"act alpha={args.alpha}",
                             "image is not an identity", (item,))
     item = Item(name, PASS, None, f"alpha={args.alpha} image: "
-                                  f"{_identity_str(image)}")
+                                  f"{_identity_str(image)}; "
+                                  f"holds to order {args.order}")
     return Report.build(f"act alpha={args.alpha}",
                         _identity_str(image), (item,))
 

@@ -4,14 +4,17 @@ A unit alpha of Z/MZ acts on an identity by multiplying every residue
 of S and T by alpha mod M and folding the result back into the range
 1..M/2 (r and M - r index the same residue pair).  The image relation
 is rediscovered empirically: the shift and kind of the mapped identity
-are inferred from the partition counts, and infer_relation only returns
-a relation that holds exactly at every index up to the order, so a
-failure of the underlying theory would be reported rather than silently
-accepted.
+are inferred from the partition counts, and a relation is returned only
+if it holds exactly at every index up to the order, so a failure of the
+underlying theory would be reported rather than silently accepted.  The
+inference is infer_relation's, run on one cleared build per image
+(partitions._cancelled) that serves both orientations of the folded
+pair.
 
 Since alpha and M - alpha induce the same folded action, orbits are
-enumerated over alpha in 1..M/2 coprime to M.  Classification groups
-identities that lie in a common orbit; identities are treated as
+enumerated over alpha in 1..M/2 coprime to M, and a unit whose ordered
+folded pair an earlier unit already gave is skipped.  Classification
+groups identities that lie in a common orbit; identities are treated as
 ordered pairs (S, T) throughout, with the orientation fixed by the
 relation itself (shifted: S is the unshifted side; shiftless: S is the
 side with the larger count at n = a).
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from math import gcd, inf
 from typing import Iterable, Sequence
 
-from .partitions import OrderTooSmall, PartitionIdentity, infer_relation
+from .partitions import OrderTooSmall, PartitionIdentity, _cancelled, _infer
 
 DEFAULT_ORDER = 300
 
@@ -60,27 +63,34 @@ def act(u: UnitAction, ident: PartitionIdentity,
     The folded pair is tried in both orientations, since multiplication
     can exchange which side carries the shift; at most one orientation
     can satisfy a relation, so this is normalization rather than choice.
-    The image is not verified again: infer_relation returns a relation
-    only after checking it at every index 0..n, which is the whole of
-    what verify_identity(image, n) would check.  Like verify_identity,
-    an order too small to see the inferred shift is refused, and so is
-    one that infer_relation's cap of n // 2 alone keeps from a relation
-    holding through n: that asks for a larger order, not a verdict.
+    Both orientations are tested on one cleared build: _cancelled(T, S)
+    is _cancelled(S, T) with ya and yb swapped, integer for integer (see
+    partitions._cancelled), so the tests are exactly those of
+    infer_relation on (S_img, T_img), then on (T_img, S_img), then both
+    again with the cap lifted.  The image is not verified again: a
+    relation is returned only after checking it at every index 0..n,
+    which is the whole of what verify_identity(image, n) would check.
+    Like verify_identity, an order too small to see the inferred shift
+    is refused, and so is one that infer_relation's cap of n // 2 alone
+    keeps from a relation holding through n: that asks for a larger
+    order, not a verdict.
     """
     if u.M != ident.M:
         raise ValueError("action modulus does not match identity modulus")
     s_img, t_img = u.apply_set(ident.S), u.apply_set(ident.T)
-    images = ((s_img, t_img), (t_img, s_img))
-    for S, T in images:
-        found = infer_relation(S, T, ident.M, n)
+    packed = _cancelled(s_img, t_img, ident.M, n)
+    ya, yb, yu, w = packed
+    images = ((s_img, t_img, packed), (t_img, s_img, (yb, ya, yu, w)))
+    for S, T, packed in images:
+        found = _infer(packed, S, n, n // 2)
         if found is None:
             continue
         kind, a = found
         if n < a + 2:
             raise OrderTooSmall(f"order {n} cannot see a shift of {a}")
         return PartitionIdentity(ident.M, S, T, kind, a)
-    for S, T in images:
-        found = infer_relation(S, T, ident.M, n, cap=inf)
+    for S, T, packed in images:
+        found = _infer(packed, S, n, inf)
         if found is not None:
             a = found[1]
             raise OrderTooSmall(f"order {n} cannot infer a shift of {a}, "
@@ -91,11 +101,24 @@ def act(u: UnitAction, ident: PartitionIdentity,
 
 def orbit(ident: PartitionIdentity,
           n: int = DEFAULT_ORDER) -> set[PartitionIdentity]:
-    """All images of the identity under U(M), deduplicated."""
+    """All images of the identity under U(M), deduplicated.
+
+    act's result depends on the unit only through the ordered folded
+    pair (S_img, T_img), so a unit whose pair an earlier unit already
+    gave is skipped: it would return the same image, or an earlier unit
+    would already have raised.  The pair is kept ordered, not as a set,
+    so the skip never merges two calls that could differ.
+    """
     out = set()
+    seen = set()
     for alpha in range(1, ident.M // 2 + 1):
-        if gcd(alpha, ident.M) == 1:
-            out.add(act(UnitAction(alpha, ident.M), ident, n))
+        if gcd(alpha, ident.M) != 1:
+            continue
+        u = UnitAction(alpha, ident.M)
+        pair = (u.apply_set(ident.S), u.apply_set(ident.T))
+        if pair not in seen:
+            seen.add(pair)
+            out.add(act(u, ident, n))
     return out
 
 

@@ -54,6 +54,7 @@ theta.first_nonzero, which writes every atom as its theta sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .qseries import (
     _coeff_bits,
@@ -67,6 +68,7 @@ from .theta import (
     BRACKET,
     PAREN,
     Atom,
+    FArgs,
     Term,
     bracket_args,
     euler_args,
@@ -163,6 +165,19 @@ def count_partitions(S, M: int, n: int) -> int:
 # verification and inference
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=128)
+def _sum_terms(args: FArgs, n: int) -> tuple[tuple[int, int], ...]:
+    """The sparse terms of f(args) to order n (theta.ramanujan_f_terms),
+    memoized per (args, n) in the process like theta.atom_series: every
+    image a classification builds at one modulus takes its g_r and E_M
+    from the same few lists.  One modulus at one order needs at most
+    M/2 + 1 of them (42 at M = 82), so the bound of 128 misses each once
+    in a pass through a modulus, and a run over many moduli or orders
+    keeps only the latest.  A tuple, so no caller can change a shared
+    list."""
+    return tuple(ramanujan_f_terms(*args, n))
+
+
 def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     """The three packed series the kernel compares, at one limb width.
 
@@ -194,6 +209,15 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     largest of the three _coeff_bits bounds, and w >= b + 24.  The
     cleared series' own coefficients may overflow their limbs; only the
     first nonzero coefficient of a difference has to fit (see _mismatch).
+
+    The build is symmetric: _cancelled(T, S, M, n) is (yb, ya, yu, w),
+    integer for integer.  Swapping S and T swaps A and B and keeps U, so
+    it swaps ya and yb and keeps yu's factors; w is the max of the same
+    three bounds.  Every value returned is reduced mod 2^(w*(n+1)) (each
+    _pack_sparse ends with that reduction, and A and B are not both
+    empty since S != T), and multiplication mod 2^(w*(n+1)) is
+    commutative, so the order in which yu's factors are applied does
+    not change the integer.  One build thus serves both orientations.
     """
     ps = set(_expand_parts(S, M, n))
     pt = set(_expand_parts(T, M, n))
@@ -201,11 +225,11 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     w = _limb_width(max(_coeff_bits((), pa, n), _coeff_bits((), pb, n),
                         _coeff_bits(pu, (), n)))
     A, B, U = sorted(S - T), sorted(T - S), sorted(S & T)
-    E = ramanujan_f_terms(*euler_args(M), n)
+    E = _sum_terms(euler_args(M), n)
     E3 = euler_cube_terms(M, n)
 
     def g(r):
-        return ramanujan_f_terms(*bracket_args(r, M), n)
+        return _sum_terms(bracket_args(r, M), n)
 
     def build(x, factors):
         for terms in factors:
@@ -282,33 +306,40 @@ def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
     return VerifyReport(False, n, k, (_count(S, M, k), _count(T, M, j)))
 
 
-def infer_relation(S, T, M: int, n: int, cap: float | None = None):
-    """Find (kind, a) relating the given sets, or None.
+def _infer(packed, S, n: int, cap: float):
+    """(kind, a) for the oriented pair packed = _cancelled(S, T, M, n)
+    describes, with a <= cap, or None: the test half of infer_relation.
 
-    Tries the one shifted candidate, then the one shiftless candidate,
-    each with the shift capped at cap, by default n // 2 so a match is
-    seen well inside the order.  P_S - 1 starts at the smallest part,
-    min(S), so that is the only possible shifted shift;
-    P_S - P_T = P_U (P_{S-U} - P_{T-U}) starts where P_{S-U} - P_{T-U}
-    does, and so does ya - yb, which is that difference times a unit,
-    with the same first coefficient (see _mismatch); that is the only
-    possible shiftless shift.  Both products have constant term 1, so a
-    candidate is never 0.  A returned relation holds at every index
-    0..n, exactly as verify_identity would check it.  The orientation is
-    as given: S is the unshifted (or larger) side.
+    P_S - 1 starts at the smallest part, min(S), so that is the only
+    possible shifted shift; P_S - P_T = P_U (P_{S-U} - P_{T-U}) starts
+    where P_{S-U} - P_{T-U} does, and so does ya - yb, which is that
+    difference times a unit, with the same first coefficient (see
+    _mismatch); that is the only possible shiftless shift.  Both
+    products have constant term 1, so a candidate is never 0.  A
+    returned relation holds at every index 0..n, exactly as
+    verify_identity would check it.
     """
-    S, T = frozenset(S), frozenset(T)
-    if S == T:
-        return None
-    packed = _cancelled(S, T, M, n)
     ya, yb, _, w = packed
-    if cap is None:
-        cap = n // 2
     for kind, a in ((SHIFTED, min(S)), (SHIFTLESS, _lowest_limb(ya - yb, w))):
         if (a is not None and a <= cap
                 and _mismatch(packed, n, kind, a) is None):
             return (kind, a)
     return None
+
+
+def infer_relation(S, T, M: int, n: int, cap: float | None = None):
+    """Find (kind, a) relating the given sets, or None.
+
+    Builds _cancelled(S, T, M, n) and tests it with _infer: the one
+    shifted candidate, then the one shiftless candidate, each with the
+    shift capped at cap, by default n // 2 so a match is seen well
+    inside the order.  The orientation is as given: S is the unshifted
+    (or larger) side.
+    """
+    S, T = frozenset(S), frozenset(T)
+    if S == T:
+        return None
+    return _infer(_cancelled(S, T, M, n), S, n, n // 2 if cap is None else cap)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,9 @@ bench/tracing.py wraps library functions by name (qseries.mul,
 theta.monomial_series, theta.atom_series.cache_info and others), so a
 refactor that removes one of them breaks the benchmark with an
 AttributeError that no library test sees.  The search workloads bind
-search.run_search and search._scan_unit by name as well.
+search.run_search and search._scan_unit by name as well.  Every workload
+runs once, so each library path (act and classify among them) is
+exercised through the tracer.
 """
 
 import json
@@ -19,7 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("workload",
-                         ["verify-1000", "search-found", "search-empty"])
+                         ["verify-1000", "verify-3000", "classify-300",
+                          "search-found", "search-empty"])
 def test_traced_quick_pass_binds_every_layer(workload):
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.run(

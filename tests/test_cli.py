@@ -453,6 +453,19 @@ class TestOutput:
         assert code == 0
         assert "1,2,7,10,11,15,18,19,23,26,27,29" in doc["headline"]
 
+    @pytest.mark.parametrize("argv", [
+        ("act", "--alpha", "29", "--label", "Thm-66.2-i"),
+        ("classify", "--modulus", "40")], ids=["act", "classify"])
+    def test_act_and_classify_name_their_order(self, capsys, argv):
+        for order in ("120", "300"):
+            code, doc, _ = run_json(capsys, *argv, "--order", order)
+            assert code == 0
+            assert doc["items"]
+            for item in doc["items"]:
+                assert set(item) == ITEM_KEYS
+                assert item["details"].endswith(
+                    f"; holds to order {order}")
+
     def test_derive_prints_reduced_terms(self, capsys):
         code, out, _ = run(capsys, "derive", "--params", "1,2,4,12,13",
                            "--base", "16", "--order", "150")

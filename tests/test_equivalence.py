@@ -4,14 +4,18 @@ Fixture identities are not hand-typed: they are derived from known
 parameter sets through the four-parameter relation, so every input is
 independently verified before the action is exercised.  The classifier
 is checked against published class structure for the two smallest
-moduli with more than one entry.
+moduli with more than one entry.  On the whole catalog, act, orbit and
+classify are checked against a two-build oracle (infer_relation on each
+orientation, then again uncapped), and their cleared builds are counted.
 """
 
 import random
-from math import gcd
+from math import gcd, inf
 
 import pytest
 
+from qshift import equivalence, partitions
+from qshift.corpus import load_corpus
 from qshift.equivalence import (
     NotAnIdentity,
     UnitAction,
@@ -193,3 +197,146 @@ class TestClassify:
 
     def test_empty(self):
         assert classify([], 120) == []
+
+
+# ----------------------------------------------------------------------
+# the whole catalog against the two-build oracle
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def catalog():
+    by_mod = {}
+    for e in load_corpus():
+        by_mod.setdefault(e.identity.M, []).append(e.identity)
+    return by_mod
+
+
+def half_units(M):
+    return [a for a in range(1, M // 2 + 1) if gcd(a, M) == 1]
+
+
+def act_by_two_builds(u, ident, n):
+    """act as infer_relation alone defines it: one cleared build per
+    orientation, then both again with the cap lifted."""
+    s_img, t_img = u.apply_set(ident.S), u.apply_set(ident.T)
+    images = ((s_img, t_img), (t_img, s_img))
+    for S, T in images:
+        found = infer_relation(S, T, ident.M, n)
+        if found is not None:
+            kind, a = found
+            if n < a + 2:
+                raise OrderTooSmall(f"order {n} cannot see a shift of {a}")
+            return PartitionIdentity(ident.M, S, T, kind, a)
+    for S, T in images:
+        found = infer_relation(S, T, ident.M, n, cap=inf)
+        if found is not None:
+            a = found[1]
+            raise OrderTooSmall(f"order {n} cannot infer a shift of {a}, "
+                                f"which needs order {2 * a}")
+    raise NotAnIdentity(
+        f"alpha={u.alpha} maps the identity to a non-relation (M={ident.M})")
+
+
+def outcome(fn, *args):
+    """The result, or the exception's type and message."""
+    try:
+        return fn(*args)
+    except (OrderTooSmall, NotAnIdentity) as exc:
+        return type(exc), str(exc)
+
+
+def classify_by_oracle(idents, n):
+    """classify with every orbit taken over all units by the oracle."""
+    remaining = sorted(set(idents), key=PartitionIdentity.key)
+    classes = []
+    while remaining:
+        rep = remaining[0]
+        members = {act_by_two_builds(UnitAction(a, rep.M), rep, n)
+                   for a in half_units(rep.M)}
+        classes.append([i for i in remaining if i in members])
+        remaining = [i for i in remaining if i not in members]
+    return sorted(classes, key=lambda cls: cls[0].key())
+
+
+class TestAgainstTheTwoBuildOracle:
+    @pytest.mark.parametrize("n", [2, 6, 300])
+    def test_act_matches_on_every_entry_and_unit(self, catalog, n):
+        kinds = set()
+        for M, idents in catalog.items():
+            for ident in idents:
+                for alpha in half_units(M):
+                    u = UnitAction(alpha, M)
+                    got = outcome(act, u, ident, n)
+                    assert got == outcome(act_by_two_builds, u, ident, n), \
+                        (ident, alpha, n)
+                    if isinstance(got, PartitionIdentity):
+                        kinds.add(got.kind)
+        if n == 300:
+            assert kinds == {"shifted", "shiftless"}
+
+    def test_act_matches_where_the_order_is_too_small(self):
+        ident = next(e.identity for e in load_corpus()
+                     if e.label == "Thm-42.2-iii")
+        u = UnitAction(1, 42)
+        want = (OrderTooSmall,
+                "order 15 cannot infer a shift of 8, which needs order 16")
+        assert outcome(act_by_two_builds, u, ident, 15) == want
+        assert outcome(act, u, ident, 15) == want
+
+    def test_orbit_is_every_units_image(self, catalog):
+        for M, idents in catalog.items():
+            for cls in classify(idents, 300):
+                rep = cls[0]
+                assert orbit(rep, 300) == {
+                    act(UnitAction(a, M), rep, 300) for a in half_units(M)}
+
+    def test_classify_matches_on_every_modulus(self, catalog):
+        assert len(catalog) == 18
+        for idents in catalog.values():
+            assert classify(idents, 300) == classify_by_oracle(idents, 300)
+
+
+class TestBuildCount:
+    """One cleared build per distinct ordered image, so that rebuilding
+    an orientation or a repeated image shows as a count."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = partitions._cancelled
+
+        def counting(S, T, M, n):
+            calls.append((S, T))
+            return real(S, T, M, n)
+
+        monkeypatch.setattr(partitions, "_cancelled", counting)
+        monkeypatch.setattr(equivalence, "_cancelled", counting)
+        return calls
+
+    def test_one_build_per_act(self, builds, catalog, ids40):
+        # an image in either orientation, a non-relation, and a shift
+        # only the uncapped retry finds
+        for ident in ids40 + catalog[42]:
+            builds.clear()
+            act(UnitAction(11, ident.M), ident, 300)
+            assert len(builds) == 1
+        fake = PartitionIdentity(32, frozenset({1, 2}), frozenset({3, 4}),
+                                 SHIFTED, 1)
+        builds.clear()
+        with pytest.raises(NotAnIdentity):
+            act(UnitAction(3, 32), fake, 120)
+        assert len(builds) == 1
+        ident = max(ids40, key=lambda i: i.a)
+        builds.clear()
+        with pytest.raises(OrderTooSmall, match="needs order"):
+            act(UnitAction(1, 40), ident, 2 * ident.a - 1)
+        assert len(builds) == 1
+
+    def test_classify_builds_each_ordered_image_once(self, builds, catalog):
+        images = set()
+        for M, idents in catalog.items():
+            for cls in classify(idents, 300):
+                rep = cls[0]
+                for u in (UnitAction(a, M) for a in half_units(M)):
+                    images.add((u.apply_set(rep.S), u.apply_set(rep.T), M))
+        assert len(builds) == len(images) == 277

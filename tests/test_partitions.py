@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qshift import partitions
+from qshift.corpus import load_corpus
 from qshift.qseries import (
     EmptySet,
     ResidueOutOfRange,
@@ -383,6 +384,33 @@ def test_cancelled_equals_cleared_products():
             assert got == packed % (1 << w * (n + 1))
         remainders.add((len(S) % 3, len(T) % 3))
     assert len(remainders) == 9  # every count of lone E factors on each side
+
+
+def swapped(packed):
+    ya, yb, yu, w = packed
+    return yb, ya, yu, w
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 50, 300])
+def test_cancelled_is_symmetric_on_the_catalog(n):
+    # act tests both orientations of an image on one build, so the
+    # swapped build must be the same four integers, not just congruent
+    for e in load_corpus():
+        S, T, M = e.identity.S, e.identity.T, e.identity.M
+        assert _cancelled(T, S, M, n) == swapped(_cancelled(S, T, M, n)), \
+            e.label
+
+
+def test_cancelled_is_symmetric_on_edge_shapes():
+    rng = random.Random(17)
+    pairs = [(M, S, T) for shape in ("S<T", "T<S", "disjoint")
+             for M, S, T in edge_pairs(shape, 15, seed=200 + len(shape))]
+    pairs += [(i.M, i.S, i.T) for i in half_residue_cases(15, seed=7)]
+    assert any(M % 2 == 0 and M // 2 in S ^ T for M, S, T in pairs)
+    for M, S, T in pairs:
+        for n in (0, 1, rng.randint(2, 40), rng.randint(41, 300)):
+            assert _cancelled(T, S, M, n) == swapped(_cancelled(S, T, M, n)), \
+                (M, S, T, n)
 
 
 def residue_product_verdict(ident, n):
