@@ -29,23 +29,18 @@ from dataclasses import asdict, dataclass, replace
 from math import gcd, log, pi, sqrt
 
 from .corpus import (
+    AuxStep,
     DuplicateLabel,
     ParseError,
     SchemaViolation,
     entries_for_modulus,
     load_corpus,
     load_manifest,
+    replay_aux_terms,
     validate_corpus,
 )
 from .equivalence import DEFAULT_ORDER, NotAnIdentity, UnitAction, act, classify
-from .jacobi import (
-    FourParams,
-    derive_identity,
-    four2_terms,
-    four_instance,
-    reduce_term,
-    verify_zero_combination,
-)
+from .jacobi import FourParams, derive_identity, verify_zero_combination
 from .partitions import (
     SHIFTED,
     THM72_MIN_ORDER,
@@ -59,7 +54,7 @@ from .partitions import (
 )
 from .qseries import HEADROOM_BITS, ResidueOutOfRange, residue_product
 from .search import SearchConfig, run_search
-from .theta import DegenerateZero, ThetaMonomial, monomial_neg, monomial_str
+from .theta import DegenerateZero, monomial_str
 
 VERIFY_ORDER = 1000
 PROPERTY_ORDER = 300
@@ -424,14 +419,6 @@ def _special(rep):
     return True, None, f"{len(rep.checks)} checks at order {rep.order}"
 
 
-def _four_terms(kind, p):
-    if kind == "four":
-        left1, left2, right = four_instance(p)
-        return left1, left2, monomial_neg(right)
-    t1, t2 = four2_terms(p)
-    return reduce_term(t1), reduce_term(t2), ThetaMonomial(-1, 0, (), ())
-
-
 def _check_four(entries, order, rng):
     bad = []
     for kind, count, top, spread in FOUR_SWEEP:
@@ -441,7 +428,7 @@ def _check_four(entries, order, rng):
             p = FourParams(*(rng.randint(1, spread * n) for _ in range(5)),
                            n=n)
             try:
-                terms = _four_terms(kind, p)
+                terms = replay_aux_terms(AuxStep(kind, p.exponents(), n, ()))
             except DegenerateZero:
                 continue
             done += 1

@@ -46,6 +46,7 @@ from .jacobi import (
 from .partitions import (
     SHIFTED,
     SHIFTLESS,
+    InvalidIdentity,
     PartitionIdentity,
     verify_identity,
 )
@@ -54,7 +55,7 @@ from .theta import (
     PAREN,
     Atom,
     DegenerateZero,
-    ThetaMonomial,
+    Term,
     make_monomial,
     monomial_neg,
 )
@@ -94,7 +95,7 @@ class AuxStep:
     kind: str
     params: tuple | None
     n: int
-    terms: tuple[ThetaMonomial, ...]
+    terms: tuple[Term, ...]
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def _atom_from_json(raw, where: str, in_den: bool) -> Atom:
     return Atom(r, m, kind)
 
 
-def _mono_from_json(d, where: str) -> ThetaMonomial:
+def _mono_from_json(d, where: str) -> Term:
     try:
         sign, qexp = d["sign"], d["qexp"]
         num = [_atom_from_json(a, where, False) for a in d["num"]]
@@ -231,10 +232,16 @@ def entry_from_record(rec: dict, where: str = "entry") -> CorpusEntry:
     kind = _KIND_NAMES.get(str(rec["kind"]))
     if kind is None:
         raise SchemaViolation(f"{where}: kind must be shifted or shiftless")
+    if not (_int(rec["modulus"]) and _int(rec["shift"])):
+        raise SchemaViolation(f"{where}: modulus and shift must be integers")
+    for side in ("S", "T"):
+        if not (isinstance(rec[side], list) and all(map(_int, rec[side]))):
+            raise SchemaViolation(f"{where}: {side} must be a list of "
+                                  f"integer residues")
     try:
         identity = PartitionIdentity(rec["modulus"], frozenset(rec["S"]),
                                      frozenset(rec["T"]), kind, rec["shift"])
-    except (ValueError, TypeError) as exc:
+    except InvalidIdentity as exc:
         raise SchemaViolation(f"{where}: {exc}") from exc
     proof = rec["proof"]
     if proof not in PROOF_KINDS:
@@ -246,12 +253,12 @@ def entry_from_record(rec: dict, where: str = "entry") -> CorpusEntry:
             f"direct/quintuple proofs")
     params = None
     if wants_params:
-        if rec["n"] is None or 2 * rec["n"] != rec["modulus"]:
+        if not (_int(rec["n"]) and 2 * rec["n"] == rec["modulus"]):
             raise SchemaViolation(f"{where}: base n must be modulus/2")
-        try:
-            params = FourParams(*rec["params"], n=rec["n"])
-        except (ValueError, TypeError) as exc:
-            raise SchemaViolation(f"{where}: bad params ({exc})") from exc
+        if not _params_fit("four2", rec["params"]):
+            raise SchemaViolation(f"{where}: params must be five positive "
+                                  f"integers, got {rec['params']!r}")
+        params = FourParams(*rec["params"], n=rec["n"])
     if (proof == "iteration") != (rec["aux_steps"] is not None):
         raise SchemaViolation(
             f"{where}: aux_steps must be present exactly for "
@@ -327,7 +334,7 @@ def load_corpus(path: str | Path | None = None) -> list[CorpusEntry]:
 # validation
 # ----------------------------------------------------------------------
 
-def replay_aux_terms(step: AuxStep) -> tuple[ThetaMonomial, ...] | None:
+def replay_aux_terms(step: AuxStep) -> tuple[Term, ...] | None:
     """Regenerate an aux step's terms from its parameters.
 
     Returns None for literal bracket steps, which have no generator.
@@ -341,7 +348,7 @@ def replay_aux_terms(step: AuxStep) -> tuple[ThetaMonomial, ...] | None:
     if step.kind == "four2":
         t1, t2 = four2_terms(FourParams(*step.params, n=step.n))
         return (reduce_term(t1), reduce_term(t2),
-                ThetaMonomial(-1, 0, (), ()))
+                Term(-1, 0))
     if step.kind == "qp":
         ex, base = step.params
         L1, L2, R = quintuple_instance(ex, base)

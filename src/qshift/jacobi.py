@@ -37,7 +37,6 @@ from .theta import (
     PAREN,
     DegenerateZero,
     Term,
-    ThetaMonomial,
     bracket,
     first_nonzero,
     make_monomial,
@@ -92,7 +91,7 @@ class RawTerm:
     den: tuple[tuple[int, int], ...]
 
 
-def reduce_term(t: RawTerm) -> ThetaMonomial:
+def reduce_term(t: RawTerm) -> Term:
     """Canonicalize every bracket and cancel numerator against denominator."""
     sign, qexp = t.sign, t.qexp
     num, den = [], []
@@ -110,7 +109,7 @@ def reduce_term(t: RawTerm) -> ThetaMonomial:
 
 
 def _product_term(sign: int, qexp: int,
-                  specs: Sequence[tuple[int, int, str]]) -> ThetaMonomial:
+                  specs: Sequence[tuple[int, int, str]]) -> Term:
     """Normalized monomial for sign * q^qexp * prod of atoms given raw."""
     atoms = []
     for e, m, kind in specs:
@@ -126,18 +125,9 @@ def _product_term(sign: int, qexp: int,
 # ----------------------------------------------------------------------
 
 def four_instance(p: FourParams):
-    """Monomials (L1, L2, R) with L1 + L2 = R."""
-    a, b, c, x, y, n = p.a, p.b, p.c, p.x, p.y, p.n
-    L1 = _product_term(-1, b + 2 * c,
-                       [(b - c, n, BRACKET), (a - x, n, BRACKET),
-                        (a - y, n, BRACKET), (x + y - b - c, n, BRACKET)])
-    L2 = _product_term(1, a + 2 * c,
-                       [(a - c, n, BRACKET), (b - x, n, BRACKET),
-                        (b - y, n, BRACKET), (x + y - a - c, n, BRACKET)])
-    R = _product_term(1, a + 2 * b,
-                      [(a - b, n, BRACKET), (c - x, n, BRACKET),
-                       (c - y, n, BRACKET), (x + y - a - b, n, BRACKET)])
-    return L1, L2, R
+    """Monomials (L1, L2, R) with L1 + L2 = R: four_instance_signed with
+    every sign +1."""
+    return four_instance_signed([(1, e) for e in p.exponents()], p.n)
 
 
 def four_instance_signed(params: Sequence[tuple[int, int]], n: int):
@@ -219,7 +209,7 @@ class Derivation:
     """Outcome of the symbolic reduction of the two base-2n terms."""
 
     params: FourParams
-    terms: tuple[ThetaMonomial, ThetaMonomial]
+    terms: tuple[Term, Term]
     identity: PartitionIdentity | None = None
     reason: str | None = None
 
@@ -228,8 +218,7 @@ class Derivation:
         return self.identity is not None
 
 
-def _classify_reduced(p: FourParams, r1: ThetaMonomial,
-                      r2: ThetaMonomial) -> Derivation:
+def _classify_reduced(p: FourParams, r1: Term, r2: Term) -> Derivation:
     terms = (r1, r2)
 
     def fail(reason):
@@ -241,13 +230,13 @@ def _classify_reduced(p: FourParams, r1: ThetaMonomial,
         return fail(REPEATED_ATOM)
     if set(r1.den) == set(r2.den):
         return fail(EQUAL_SETS)
-    if r1.sign * r2.sign != -1:
+    if r1.c * r2.c != -1:
         return fail(UNRECOGNIZED_SIGN_PATTERN)
-    plus, minus = (r1, r2) if r1.sign == 1 else (r2, r1)
-    if plus.qexp == 0 and minus.qexp >= 1:
-        kind, a = SHIFTED, minus.qexp
-    elif plus.qexp == minus.qexp and plus.qexp < 0:
-        kind, a = SHIFTLESS, -plus.qexp
+    plus, minus = (r1, r2) if r1.c == 1 else (r2, r1)
+    if plus.e == 0 and minus.e >= 1:
+        kind, a = SHIFTED, minus.e
+    elif plus.e == minus.e and plus.e < 0:
+        kind, a = SHIFTLESS, -plus.e
     else:
         return fail(UNRECOGNIZED_SIGN_PATTERN)
     ident = PartitionIdentity(
@@ -400,14 +389,13 @@ def derive_batch(n: int, a, b, c, x, y) -> BatchDerivation:
     return BatchDerivation(n, reason, shifted, shift, S, T, primitive)
 
 
-def verify_zero_combination(terms: Sequence[ThetaMonomial], n: int) -> VerifyReport:
-    """Check that the monomials sum to the zero series up to order n, by
+def verify_zero_combination(terms: Sequence[Term], n: int) -> VerifyReport:
+    """Check that the terms sum to the zero series up to order n, by
     the cleared zero test (theta.first_nonzero); a failure's witness is
     (coefficient there, 0)."""
     if not terms:
         raise ValueError("need at least one term")
-    hit = first_nonzero([Term(t.sign, t.qexp, t.num, t.den) for t in terms],
-                        n)
+    hit = first_nonzero(terms, n)
     if hit is None:
         return VerifyReport(True, n)
     k, c = hit

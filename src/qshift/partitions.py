@@ -31,15 +31,16 @@ q (for r = M/2 it is the pentagonal sum (q^r; q^r)).  Multiplying the
 cancelled relation by the unit Theta_{S-U} Theta_{T-U} E^|U|
 (Theta_X = prod_X g_r) turns all three series into products of sparse
 sums, and E^3 is Jacobi's sparser sum.  Each series is one packed
-integer (one limb per coefficient, see qseries) built by one shift-add
-per sparse term; the cleared relation is one big-integer difference
-that is zero exactly when the relation holds.  The limb width comes
-from a proven bound on the cancelled products (qseries._coeff_bits),
-far below the width p(n) would need: only the first nonzero
-coefficient of the difference has to fit in a limb (see _mismatch).
-Only a failing check builds its witness, the two partition counts at
-the failing index.  count_partitions is an independent
-dynamic-programming oracle for the same numbers.
+integer (one limb per coefficient, see qseries) built by the builder
+the cleared zero test uses too, theta._pack_sums, one shift-add per
+sparse term; the cleared relation is one big-integer difference that
+is zero exactly when the relation holds.  The limb width comes from a
+proven bound on the cancelled products (qseries._coeff_bits), far
+below the width p(n) would need: only the first nonzero coefficient of
+the difference has to fit in a limb (see _mismatch).  Only a failing
+check builds its witness, the two partition counts at the failing
+index, read from qseries.residue_product.  count_partitions is an
+independent dynamic-programming oracle for the same numbers.
 
 The module also carries two special families with their own proofs: the
 classical Rogers-Ramanujan shifted identities (moduli 55 and 70 in
@@ -54,28 +55,24 @@ theta.first_nonzero, which writes every atom as its theta sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .qseries import (
     _coeff_bits,
     _expand_parts,
     _limb_width,
     _lowest_limb,
-    _pack_product,
-    _pack_sparse,
+    residue_product,
 )
 from .theta import (
     BRACKET,
     PAREN,
     Atom,
-    FArgs,
     Term,
+    _pack_sums,
     bracket_args,
     euler_args,
-    euler_cube_terms,
     first_nonzero,
     make_monomial,
-    ramanujan_f_terms,
 )
 
 SHIFTED = "shifted"
@@ -165,19 +162,6 @@ def count_partitions(S, M: int, n: int) -> int:
 # verification and inference
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=128)
-def _sum_terms(args: FArgs, n: int) -> tuple[tuple[int, int], ...]:
-    """The sparse terms of f(args) to order n (theta.ramanujan_f_terms),
-    memoized per (args, n) in the process like theta.atom_series: every
-    image a classification builds at one modulus takes its g_r and E_M
-    from the same few lists.  One modulus at one order needs at most
-    M/2 + 1 of them (42 at M = 82), so the bound of 128 misses each once
-    in a pass through a modulus, and a run over many moduli or orders
-    keeps only the latest.  A tuple, so no caller can change a shared
-    list."""
-    return tuple(ramanujan_f_terms(*args, n))
-
-
 def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     """The three packed series the kernel compares, at one limb width.
 
@@ -195,14 +179,15 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
         ya = E^(|A|+|U|) Theta_B,  yb = E^(|B|+|U|) Theta_A,
         yu = Theta_U Theta_A Theta_B,
 
-    each packed in w-bit limbs mod 2^(w*(n+1)) and built by one
-    shift-add per sparse term (qseries._pack_sparse): Theta_A and
-    Theta_B are built once and reused, and each full three factors of E
-    are one factor E^3.  g_r and E = E_M come from the table of
-    theta.atom_sums: the class r is g_r / E_M with g_r =
-    bracket_args(r, M), which is f(-q^r, -q^(M-r)) for 2r < M, where the
-    class is the bracket [r:M], and E_r for 2r = M, where the class is
-    the single progression (q^r; q^M) and [r:M] is its square.
+    each packed in w-bit limbs mod 2^(w*(n+1)) and built by the one
+    builder of products of theta sums, theta._pack_sums (one shift-add
+    per sparse term, each full three factors of E as one factor E^3):
+    Theta_A and Theta_B are built once, and ya, yb and yu start from
+    them.  g_r and E = E_M come from the table of theta.atom_sums: the
+    class r is g_r / E_M with g_r = bracket_args(r, M), which is
+    f(-q^r, -q^(M-r)) for 2r < M, where the class is the bracket [r:M],
+    and E_r for 2r = M, where the class is the single progression
+    (q^r; q^M) and [r:M] is its square.
 
     w is the width the uncleared series need: every coefficient of P_A
     and P_B lies in [0, 2^b) and every one of E_U in (-2^b, 2^b), b the
@@ -215,9 +200,9 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     it swaps ya and yb and keeps yu's factors; w is the max of the same
     three bounds.  Every value returned is reduced mod 2^(w*(n+1)) (each
     _pack_sparse ends with that reduction, and A and B are not both
-    empty since S != T), and multiplication mod 2^(w*(n+1)) is
-    commutative, so the order in which yu's factors are applied does
-    not change the integer.  One build thus serves both orientations.
+    empty since S != T), and _pack_sums returns the same integer
+    whatever the order of yu's factors.  One build thus serves both
+    orientations.
     """
     ps = set(_expand_parts(S, M, n))
     pt = set(_expand_parts(T, M, n))
@@ -225,27 +210,18 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     w = _limb_width(max(_coeff_bits((), pa, n), _coeff_bits((), pb, n),
                         _coeff_bits(pu, (), n)))
     A, B, U = sorted(S - T), sorted(T - S), sorted(S & T)
-    E = _sum_terms(euler_args(M), n)
-    E3 = euler_cube_terms(M, n)
+    E = euler_args(M)
 
-    def g(r):
-        return _sum_terms(bracket_args(r, M), n)
+    def theta_of(rs):
+        return dict.fromkeys((bracket_args(r, M) for r in rs), 1)
 
-    def build(x, factors):
-        for terms in factors:
-            x = _pack_sparse(x, terms, n, w)
-        return x
-
-    def e_power(p):
-        return [E3] * (p // 3) + [E] * (p % 3)
-
-    ta = build(1, (g(r) for r in A))
-    tb = build(1, (g(r) for r in B))
+    ta = _pack_sums(1, theta_of(A), n, w)
+    tb = _pack_sums(1, theta_of(B), n, w)
     # Theta_U Theta_A Theta_B from the larger of Theta_A and Theta_B
     start, rest = (ta, B) if len(A) >= len(B) else (tb, A)
-    yu = build(start, (g(r) for r in rest + U))
-    return (build(tb, e_power(len(A) + len(U))),
-            build(ta, e_power(len(B) + len(U))), yu, w)
+    yu = _pack_sums(start, theta_of(rest + U), n, w)
+    return (_pack_sums(tb, {E: len(A) + len(U)}, n, w),
+            _pack_sums(ta, {E: len(B) + len(U)}, n, w), yu, w)
 
 
 def _mismatch(packed, n: int, kind: str, a: int) -> int | None:
@@ -280,15 +256,6 @@ def _mismatch(packed, n: int, kind: str, a: int) -> int | None:
     return _lowest_limb(d, w)
 
 
-def _count(S, M: int, k: int) -> int:
-    """p(S, k) read from a packed product to order k (0 for k < 0)."""
-    if k < 0:
-        return 0
-    parts = _expand_parts(S, M, k)
-    w = _limb_width(_coeff_bits((), parts, k))
-    return _pack_product((), parts, k, w) >> (k * w)
-
-
 def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
     """Check the identity's q-series form exactly to order n.
 
@@ -303,7 +270,8 @@ def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
     if k is None:
         return VerifyReport(True, n)
     j = k - a if ident.kind == SHIFTED else k
-    return VerifyReport(False, n, k, (_count(S, M, k), _count(T, M, j)))
+    return VerifyReport(False, n, k, (residue_product(S, M, k).coeff(k),
+                                      residue_product(T, M, j).coeff(j)))
 
 
 def _infer(packed, S, n: int, cap: float):
@@ -425,9 +393,8 @@ def _thm72_relations():
         return Term(c, e, num=num, sums=sums)
 
     def br(c, e, num, den=()):
-        mono = make_monomial(1, 0, [Atom(r, 72, BRACKET) for r in num],
+        return make_monomial(c, e, [Atom(r, 72, BRACKET) for r in num],
                              [Atom(r, 72, BRACKET) for r in den])
-        return Term(c, e, mono.num, mono.den)
 
     neg3 = (Atom(3, 12, PAREN),)
     return (

@@ -22,9 +22,10 @@ sparse set of parts gets narrow limbs.
 A signed sum of packed series that must vanish is tested at its lowest
 set bit (_lowest_limb): at a limb width that holds its first nonzero
 coefficient, that bit lies in the limb of that coefficient however far
-later limbs overflow.  theta.first_nonzero, the zero test for the
-special relations and the aux zero-sums, builds its terms with
-_pack_sparse alone.
+later limbs overflow.  Products of theta sums have one builder on top
+of _pack_sparse, theta._pack_sums, which builds the terms of the cleared
+zero test (theta.first_nonzero) and the partition kernel's cleared
+series (partitions._cancelled) alike.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ so any integer exponent reduces to a canonical residue 0 < r <= m/2
 A bracket with e divisible by m contains the factor (1 - 1) and is
 identically zero; the parenthesized analogue is 2(-q^m; q^m)^2 instead.
 
-A ThetaMonomial is sign * q^qexp * (product of atoms) / (product of
-atoms), with numerator and denominator stored as sorted multisets;
+A Term is c * q^e * (product of theta sums) * (product of atoms) /
+(product of atoms), with numerator and denominator stored as sorted
+multisets.  A monomial is a Term with c = +-1 and no sums (make_monomial);
 monomial_series expands one part by part.
 
 The two-variable series f(a, b) = sum_k a^(k(k+1)/2) b^(k(k-1)/2) is
@@ -30,7 +31,10 @@ By the triple product every atom is a quotient of such sparse sums
 of theta terms, the special relations and the aux steps of the catalog
 alike, is checked by one cleared zero test, first_nonzero: each term is
 multiplied by the unit that clears its sums' negative powers, so every
-term is a product of sparse sums, one packed shift-add per sparse term.
+term is a product of sparse sums.  Such a product has one builder,
+_pack_sums, one packed shift-add per sparse term, with the term lists
+from one bounded memo, _sum_terms; the partition kernel
+(partitions._cancelled) builds its cleared series with it too.
 """
 
 from __future__ import annotations
@@ -156,33 +160,41 @@ def atom_series(r: int, m: int, kind: str, n: int) -> Series:
     return product_series(factors, (), n, scale)
 
 
-@dataclass(frozen=True)
-class ThetaMonomial:
-    """sign * q^qexp * prod(num) / prod(den), atoms as sorted multisets."""
+# f(sa q^ea, sb q^eb) named by its arguments (sa, ea, sb, eb)
+FArgs = tuple[int, int, int, int]
 
-    sign: int
-    qexp: int
-    num: tuple[Atom, ...] = ()
-    den: tuple[Atom, ...] = ()
+
+class Term(NamedTuple):
+    """c q^e prod(sums) prod(num) / prod(den): atoms as sorted multisets
+    (make_monomial sorts and cancels them), and sums f(sa q^ea, sb q^eb)
+    named by their arguments, with ea, eb >= 1; e may be negative.  A
+    theta monomial is a Term with c = +-1 and no sums."""
+
+    c: int
+    e: int
+    num: Sequence[Atom] = ()
+    den: Sequence[Atom] = ()
+    sums: Sequence[FArgs] = ()
 
 
 def make_monomial(sign: int, qexp: int,
-                  num: Iterable[Atom] = (), den: Iterable[Atom] = ()) -> ThetaMonomial:
-    """Build a ThetaMonomial, cancelling atoms common to both sides."""
+                  num: Iterable[Atom] = (), den: Iterable[Atom] = ()) -> Term:
+    """The monomial sign * q^qexp * prod(num) / prod(den) as a Term,
+    cancelling atoms common to both sides."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     ncount = Counter(num)
     dcount = Counter(den)
     common = ncount & dcount
-    return ThetaMonomial(
+    return Term(
         sign, qexp,
         tuple(sorted((ncount - common).elements())),
         tuple(sorted((dcount - common).elements())),
     )
 
 
-def monomial_neg(a: ThetaMonomial) -> ThetaMonomial:
-    return ThetaMonomial(-a.sign, a.qexp, a.num, a.den)
+def monomial_neg(a: Term) -> Term:
+    return a._replace(c=-a.c)
 
 
 def _monomial_parts(num: Iterable[Atom], den: Iterable[Atom],
@@ -205,13 +217,16 @@ def _monomial_parts(num: Iterable[Atom], den: Iterable[Atom],
     return scale, finite, inverse
 
 
-def monomial_series(mono: ThetaMonomial, n: int) -> Series:
+def monomial_series(mono: Term, n: int) -> Series:
     """Expand a monomial to order n in one packed build of its parts
-    (_monomial_parts) at order n - qexp."""
-    inner = n - mono.qexp
+    (_monomial_parts) at order n - e.  A term with theta sums is no
+    monomial: ValueError."""
+    if mono.sums:
+        raise ValueError(f"a monomial has no theta sums, got {mono.sums}")
+    inner = n - mono.e
     scale, finite, inverse = _monomial_parts(mono.num, mono.den, inner)
     acc = product_series(finite, inverse, inner, scale)
-    return shift_scale(acc, mono.sign, mono.qexp)
+    return shift_scale(acc, mono.c, mono.e)
 
 
 # ----------------------------------------------------------------------
@@ -222,10 +237,10 @@ def atom_str(a: Atom) -> str:
     return (f"[{a.r}:{a.m}]" if a.kind == BRACKET else f"({a.r}:{a.m})")
 
 
-def monomial_str(mono: ThetaMonomial) -> str:
-    head = "-" if mono.sign == -1 else ""
-    if mono.qexp:
-        head += f"q^{mono.qexp} " if mono.qexp != 1 else "q "
+def monomial_str(mono: Term) -> str:
+    head = "-" if mono.c == -1 else ""
+    if mono.e:
+        head += f"q^{mono.e} " if mono.e != 1 else "q "
     num = "".join(atom_str(a) for a in mono.num) or "1"
     if mono.den:
         return f"{head}{num} / {''.join(atom_str(a) for a in mono.den)}"
@@ -297,10 +312,6 @@ def ramanujan_f_product(a: FMono, b: FMono, n: int) -> Series:
 # atoms as theta sums, and the cleared zero test
 # ----------------------------------------------------------------------
 
-# f(sa q^ea, sb q^eb) named by its arguments (sa, ea, sb, eb)
-FArgs = tuple[int, int, int, int]
-
-
 def euler_args(m: int) -> FArgs:
     """E_m = (q^m; q^m)_inf = f(-q^m, -q^(2m))."""
     return (-1, m, -1, 2 * m)
@@ -355,16 +366,55 @@ def atom_sums(a: Atom) -> tuple[int, tuple[tuple[FArgs, int], ...]]:
                (euler_args(2 * m), -2))
 
 
-class Term(NamedTuple):
-    """c q^e prod(sums) prod(num) / prod(den): atoms as in a
-    ThetaMonomial, and sums f(sa q^ea, sb q^eb) named by their
-    arguments, with ea, eb >= 1; e may be negative."""
+@lru_cache(maxsize=128)
+def _sum_terms(args: FArgs, p: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The sparse terms of f(args)^p to order n: for p = 1 those of
+    ramanujan_f_terms, and for p = 3, with f(args) = E_m, Jacobi's sum
+    (euler_cube_terms).  The one table of theta-sum term lists, memoized
+    per (args, p, n) in the process like atom_series.
 
-    c: int
-    e: int
-    num: Sequence[Atom] = ()
-    den: Sequence[Atom] = ()
-    sums: Sequence[FArgs] = ()
+    Its bound of 128 holds every list one check needs, for both
+    clients.  The partition kernel at modulus M and order n takes at
+    most M/2 + 2 lists (g_r for r = 1..M/2, E_M and E_M^3): 43 at
+    M = 82, so every image a classification builds at one modulus takes
+    them from here.  first_nonzero lists each term's sums at that term's
+    order n - e, and the sums a term names explicitly at n - L as well,
+    to size the limbs: at most 36 lists for any special relation or aux
+    zero-sum of the catalog (at orders 300, 1000 and 3000).  A run over
+    many moduli, orders or relations keeps only the latest 128, each
+    about 2 sqrt(2n/m) pairs long.  A tuple, so no caller can change a
+    shared list.
+    """
+    if min(args[1], args[3]) < 1:
+        raise ValueError(f"f{args} has no constant term 1")
+    return tuple(euler_cube_terms(args[1], n) if p == 3
+                 else ramanujan_f_terms(*args, n))
+
+
+def _pack_sums(x: int, powers, n: int, w: int) -> int:
+    """x * prod f(args)^p mod 2^(w*(n+1)) over the (args, p >= 0) of the
+    map powers, for x packed in w-bit limbs: the one builder of products
+    of theta sums.
+
+    One qseries._pack_sparse per sparse factor, its terms from
+    _sum_terms, with every three factors of an E_m = f(-q^m, -q^(2m))
+    taken as one factor E_m^3 (Jacobi's sum, fewer terms than E_m has):
+    p = 3j + i is j cubes and i single factors.  Each step is exact mod
+    2^(w*(n+1)) and multiplication there is commutative, so the integer
+    returned does not depend on the order of the factors; it is reduced
+    mod 2^(w*(n+1)) unless every power is 0, when it is x.
+    """
+    for args, p in powers.items():
+        if p >= 3 and args == euler_args(args[1]):
+            cube = _sum_terms(args, 3, n)
+            for _ in range(p // 3):
+                x = _pack_sparse(x, cube, n, w)
+            p %= 3
+        if p:
+            terms = _sum_terms(args, 1, n)
+            for _ in range(p):
+                x = _pack_sparse(x, terms, n, w)
+    return x
 
 
 def first_nonzero(terms: Sequence[Term], n: int) -> tuple[int, int] | None:
@@ -378,27 +428,26 @@ def first_nonzero(terms: Sequence[Term], n: int) -> tuple[int, int] | None:
     f_j has constant term 1, so V is a unit with V(0) = 1, and V times a
     term is c q^e s prod_j f_j^(p_j - l_j), with no negative power.
     Terms with e > n are skipped.  With L the least e left, each term is
-    built from s to its own order n - e by one qseries._pack_sparse per
-    sparse factor (E_m^3 as Jacobi's sum, euler_cube_terms), shifted up
-    e - L limbs and added in, and the sum is reduced mod
+    built from s to its own order n - e by the one builder _pack_sums,
+    shifted up e - L limbs and added in, and the sum is reduced mod
     2^(w*(n-L+1)).  q -> 2^w followed by that reduction is a ring
     homomorphism from Z[q]/(q^(n-L+1)), and every step is a ring
     operation there, so the result is exactly the image of q^-L V D, D
-    the sum of the terms.  Each sum's terms are listed once per call.
+    the sum of the terms.
 
     One limb width w serves the whole sum, sized from the uncleared
     terms.  A term's coefficients through q^(n-e) are below 2^b, b =
     qseries._coeff_bits of its atoms' parts at order n - e (numerator
     atoms' parts finite, denominator atoms' inverse, with their scale)
-    plus the bit length of each sum's L1 norm, since a sparse factor
-    multiplies the largest coefficient by at most its L1 norm; and
-    w = _limb_width(max b + bit length of sum |c|).  So D's first
-    nonzero coefficient c, at q^k, has |c| < 2^(w-1).  V(0) = 1, so V D
-    has the same first nonzero index k and the same coefficient c there,
-    however far its later coefficients overflow their limbs: the packed
-    sum is 2^(w(k-L)) (c + 2^w R) with c not a multiple of 2^w, its
-    lowest set bit lies in limb k - L, and that limb read as a signed
-    w-bit integer is c.
+    plus the bit length of each sum's L1 norm through q^(n-L), since a
+    sparse factor multiplies the largest coefficient by at most its L1
+    norm; and w = _limb_width(max b + bit length of sum |c|).  So D's
+    first nonzero coefficient c, at q^k, has |c| < 2^(w-1).  V(0) = 1,
+    so V D has the same first nonzero index k and the same coefficient c
+    there, however far its later coefficients overflow their limbs: the
+    packed sum is 2^(w(k-L)) (c + 2^w R) with c not a multiple of 2^w,
+    its lowest set bit lies in limb k - L, and that limb read as a
+    signed w-bit integer is c.
 
     A denominator (0:m), constant term 2, is no unit: NonUnitLeading,
     even in a term past the order.
@@ -408,16 +457,6 @@ def first_nonzero(terms: Sequence[Term], n: int) -> tuple[int, int] | None:
     if not live:
         return None
     lo = min(t.e for t, _ in live)
-    listed = {}
-
-    def sum_terms(args, cube=False):
-        if (args, cube) not in listed:
-            if min(args[1], args[3]) < 1:
-                raise ValueError(f"f{args} has no constant term 1")
-            listed[args, cube] = (euler_cube_terms(args[1], n - lo) if cube
-                                  else ramanujan_f_terms(*args, n - lo))
-        return listed[args, cube]
-
     bits = 0
     powers = []
     for t, (scale, finite, inverse) in live:
@@ -429,21 +468,15 @@ def first_nonzero(terms: Sequence[Term], n: int) -> tuple[int, int] | None:
         power.update(t.sums)
         powers.append((scale, power))
         bits = max(bits, _coeff_bits(finite, inverse, n - t.e, scale)
-                   + sum(sum(abs(c) for _, c in sum_terms(args)).bit_length()
-                         for args in t.sums))
+                   + sum(sum(abs(c) for _, c in _sum_terms(args, 1, n - lo))
+                         .bit_length() for args in t.sums))
     w = _limb_width(bits + sum(abs(t.c) for t, _ in live).bit_length())
     least = {args: min(power[args] for _, power in powers)
              for _, power in powers for args in power}
     acc = 0
     for (t, _), (scale, power) in zip(live, powers):
-        m = n - t.e
-        x = scale
-        for args, low in least.items():
-            p = power[args] - low
-            cubes = p // 3 if args == euler_args(args[1]) else 0
-            for cube, count in ((True, cubes), (False, p - 3 * cubes)):
-                for _ in range(count):
-                    x = _pack_sparse(x, sum_terms(args, cube), m, w)
+        x = _pack_sums(scale, {args: power[args] - low
+                               for args, low in least.items()}, n - t.e, w)
         acc += (t.c * x) << ((t.e - lo) * w)
     acc &= (1 << (w * (n - lo + 1))) - 1
     k = _lowest_limb(acc, w)

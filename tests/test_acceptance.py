@@ -62,7 +62,7 @@ def brackets(residues, m):
 def rescaled(terms, sign, delta):
     """The terms with every sign flipped by sign and every q-power
     shifted by delta: multiplying a zero sum through by sign*q^delta."""
-    return {make_monomial(t.sign * sign, t.qexp + delta, t.num, t.den)
+    return {make_monomial(t.c * sign, t.e + delta, t.num, t.den)
             for t in terms}
 
 

@@ -20,6 +20,7 @@ from qshift import cli, partitions
 from qshift.cli import SELFTEST_CHECKS, main, order_ceiling
 from qshift.corpus import load_corpus, load_manifest
 from qshift.equivalence import NotAnIdentity
+from qshift.jacobi import four_instance
 from qshift.partitions import count_partitions_table
 
 GOOD_S = "1,3,4,5,6,7,8,9,10,11,13,15"
@@ -78,6 +79,33 @@ MALFORMED_AUX = [
      [[0, 42, "p"]]),
 ]
 
+# malformed identity fields: (name, label, path into the record, value);
+# a bool residue or shift equal to 1 was read as 1, the others crashed
+MALFORMED_FIELDS = [
+    ("residue-float", "Thm-42.2-i", ("S", 0), 1.5),
+    ("residue-bool", "Thm-42.2-i", ("S", 0), True),
+    ("residues-not-a-list", "Thm-42.2-i", ("T",), 5),
+    ("shift-float", "Thm-42.2-i", ("shift",), 1.0),
+    ("shift-bool", "Thm-42.2-i", ("shift",), True),
+    ("modulus-float", "Thm-42.2-i", ("modulus",), 42.0),
+    ("param-float", "Thm-32.1", ("params", 0), 1.5),
+    ("param-bool", "Thm-32.1", ("params", 0), True),
+    ("base-float", "Thm-32.1", ("n",), 16.0),
+]
+
+
+def verify_mutated(tmp_path, rec, path, value):
+    """Run qshift verify in a subprocess on rec with the value at path."""
+    *keys, last = path
+    target = rec
+    for k in keys:
+        target = target[k]
+    target[last] = value
+    return subprocess.run(
+        [sys.executable, "-m", "qshift.cli", "verify", "--order", "100",
+         "--corpus", write_catalog(tmp_path / "bad.json", rec)],
+        capture_output=True, text=True)
+
 
 # ----------------------------------------------------------------------
 # exit-code contract
@@ -103,19 +131,29 @@ class TestExitCodes:
                          write_catalog(tmp_path / "good.json", rec))
         assert code == 0
 
+    def test_params_probe_record_passes_unmutated(self, capsys, tmp_path,
+                                                  catalog_doc):
+        rec = shipped_record(catalog_doc, "Thm-32.1")
+        code, _, _ = run(capsys, "verify", "--order", "100", "--corpus",
+                         write_catalog(tmp_path / "good.json", rec))
+        assert code == 0
+
     @pytest.mark.parametrize("path,value", [p[1:] for p in MALFORMED_AUX],
                              ids=[p[0] for p in MALFORMED_AUX])
     def test_malformed_aux_step(self, tmp_path, catalog_doc, path, value):
         rec = shipped_record(catalog_doc, "Thm-42.2-i")
-        *keys, last = path
-        target = rec
-        for k in keys:
-            target = target[k]
-        target[last] = value
-        proc = subprocess.run(
-            [sys.executable, "-m", "qshift.cli", "verify", "--order", "100",
-             "--corpus", write_catalog(tmp_path / "bad.json", rec)],
-            capture_output=True, text=True)
+        proc = verify_mutated(tmp_path, rec, path, value)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("label,path,value",
+                             [p[1:] for p in MALFORMED_FIELDS],
+                             ids=[p[0] for p in MALFORMED_FIELDS])
+    def test_malformed_identity_field(self, tmp_path, catalog_doc, label,
+                                      path, value):
+        proc = verify_mutated(tmp_path, shipped_record(catalog_doc, label),
+                              path, value)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
@@ -606,13 +644,12 @@ class TestSelftestChecks:
         assert details == f"failing: {first}"
 
     def test_four_check_fails_on_a_wrong_right_hand_side(self, monkeypatch):
-        real = cli.four_instance
-
         def wrong_rhs(p):
-            left1, left2, _ = real(p)
+            left1, left2, _ = four_instance(p)
             return left1, left2, left1
 
-        monkeypatch.setattr(cli, "four_instance", wrong_rhs)
+        # the selftest generates its instances through replay_aux_terms
+        monkeypatch.setattr("qshift.corpus.four_instance", wrong_rhs)
         ok, _, details = run_check("random four-parameter instances", (), 0)
         assert not ok
         assert details.startswith("110 of 110 four and 90 four2 failed, "

@@ -71,14 +71,14 @@ class TestReduceTerm:
         plain = reduce_term(RawTerm(1, 0, (), ((3, 16),)))
         shifted = reduce_term(RawTerm(1, 0, (), ((19, 16),)))
         assert plain.den == shifted.den
-        assert shifted.sign == -1 and shifted.qexp == 3
+        assert shifted.c == -1 and shifted.e == 3
 
     def test_golden_quotient_reduction(self):
         t1, t2 = four2_terms(FourParams(1, 2, 4, 12, 13, 16))
         r1, r2 = reduce_term(t1), reduce_term(t2)
         assert r1.num == () and r2.num == ()
-        assert (r1.sign, r1.qexp) == (-1, 1)
-        assert (r2.sign, r2.qexp) == (1, 0)
+        assert (r1.c, r1.e) == (-1, 1)
+        assert (r2.c, r2.e) == (1, 0)
         assert sorted(a.r for a in r1.den) == [1, 2, 3, 5, 7, 8, 9, 11, 12, 13, 14, 15]
         assert sorted(a.r for a in r2.den) == [1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15]
         assert all(a.m == 32 and a.kind == BRACKET for a in r1.den + r2.den)
@@ -271,8 +271,8 @@ def batch_columns(pairs, n):
                 left[i, atom.r] += 1
             for atom in t.num:
                 left[i, atom.r] -= 1
-        cols += [np.array([t.sign < 0 for t in terms], dtype=np.int64),
-                 np.array([t.qexp for t in terms], dtype=np.int64), left]
+        cols += [np.array([t.c < 0 for t in terms], dtype=np.int64),
+                 np.array([t.e for t in terms], dtype=np.int64), left]
     return cols
 
 

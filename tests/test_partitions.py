@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift import partitions
+from qshift import partitions, theta
 from qshift.corpus import load_corpus
 from qshift.qseries import (
     EmptySet,
@@ -411,6 +411,26 @@ def test_cancelled_is_symmetric_on_edge_shapes():
         for n in (0, 1, rng.randint(2, 40), rng.randint(41, 300)):
             assert _cancelled(T, S, M, n) == swapped(_cancelled(S, T, M, n)), \
                 (M, S, T, n)
+
+
+def test_cancelled_packs_one_sparse_factor_at_a_time(monkeypatch):
+    # Theta_A and Theta_B once, yu from the larger of them, and ya, yb
+    # from them times E^p as floor(p/3) cubes and p mod 3 single factors
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = theta._pack_sparse
+    monkeypatch.setattr(theta, "_pack_sparse", counted)
+    for e in load_corpus():
+        S, T, M = e.identity.S, e.identity.T, e.identity.M
+        a, b, u = len(S - T), len(T - S), len(S & T)
+        calls.clear()
+        _cancelled(S, T, M, 300)
+        assert len(calls) == a + b + u + min(a, b) + sum(
+            p // 3 + p % 3 for p in (a + u, b + u)), e.label
 
 
 def residue_product_verdict(ident, n):

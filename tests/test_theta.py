@@ -27,7 +27,6 @@ from qshift.theta import (
     Divergent,
     FMono,
     Term,
-    ThetaMonomial,
     UnsupportedNegativeExponent,
     atom_series,
     atom_str,
@@ -182,8 +181,17 @@ def test_monomial_series_sign_and_shift():
 def test_monomial_series_ratio_cancels_numerically():
     a = Atom(1, 6, BRACKET)
     b = Atom(2, 6, BRACKET)
-    mono = ThetaMonomial(1, 0, num=(a, b), den=(b,))  # bypass cancellation
+    mono = Term(1, 0, num=(a, b), den=(b,))  # bypass cancellation
     assert monomial_series(mono, 40) == atom_series(1, 6, BRACKET, 40)
+
+
+def test_monomial_series_rejects_theta_sums():
+    # a Term with sums is no monomial, and its sums must not be dropped
+    mono = Term(1, 0, (Atom(1, 5, BRACKET),), sums=((-1, 1, -1, 2),))
+    with pytest.raises(ValueError, match="theta sums"):
+        monomial_series(mono, 20)
+    assert monomial_series(mono._replace(sums=()), 20) == \
+        atom_series(1, 5, BRACKET, 20)
 
 
 def test_monomial_past_the_order_is_zero():
@@ -225,21 +233,21 @@ def random_monomials(seed, count):
                 atoms.append(Atom(rng.randint(0, m // 2), m, PAREN))
         num = atoms[:rng.randint(0, len(atoms))]
         den = [a for a in atoms[len(num):] if a.r]  # (0:m) is no unit
-        yield ThetaMonomial(rng.choice((1, -1)), rng.randint(-5, 20),
-                            tuple(num), tuple(den))
+        yield Term(rng.choice((1, -1)), rng.randint(-5, 20),
+                   tuple(num), tuple(den))
 
 
 def test_monomial_series_matches_mul_and_invert():
     for mono in random_monomials(8080, 120):
         n = 150
-        inner = n - mono.qexp
+        inner = n - mono.e
         num = Series.one(inner)
         for a in mono.num:
             num = mul(num, atom_series(a.r, a.m, a.kind, inner))
         den = Series.one(inner)
         for a in mono.den:
             den = mul(den, atom_series(a.r, a.m, a.kind, inner))
-        want = shift_scale(mul(num, invert(den)), mono.sign, mono.qexp)
+        want = shift_scale(mul(num, invert(den)), mono.c, mono.e)
         got = monomial_series(mono, n)
         assert (got.offset, got.order, got.coeffs) == (
             want.offset, want.order, want.coeffs), mono
@@ -263,7 +271,7 @@ def paren_as_brackets(e, m):
 def test_paren_to_bracket_small_case():
     # (1:3) = [2:6] / ([1:6][4:6]); after folding [4:6] = [2:6] this is 1/[1:6]
     mono = paren_as_brackets(1, 3)
-    assert mono.sign == 1 and mono.qexp == 0
+    assert mono.c == 1 and mono.e == 0
     assert mono.num == ()
     assert mono.den == (Atom(1, 6, BRACKET),)
 
@@ -382,8 +390,7 @@ def catalog_relations():
     """The nine special relations and the 34 aux zero-sums, as Terms."""
     rels = [terms for _, terms in (partitions._rr_relations()
                                    + partitions._thm72_relations())]
-    rels += [tuple(Term(t.sign, t.qexp, t.num, t.den) for t in step.terms)
-             for e in load_corpus() for step in e.aux_steps or ()]
+    rels += [step.terms for e in load_corpus() for step in e.aux_steps or ()]
     return rels
 
 
@@ -402,6 +409,22 @@ def test_first_nonzero_matches_both_oracles_on_the_catalog(n, series_route):
             assert (want is None) == (i < 0)
             assert first_nonzero(rel, n) == want, (rel, n)
             assert first_nonzero_by_parts(by_parts, n) == want
+
+
+@pytest.mark.parametrize("args", [(-1, 2, -1, 5), (1, 1, 1, 3),
+                                  (-1, 3, -1, 6), (-1, 1, -1, 2)])
+def test_first_nonzero_builds_each_power_of_a_sum(args):
+    # f(a, b) = f(b, a) named both ways, so each term holds one power of
+    # one sum: only f(-q^m, -q^(2m)) = E_m is built as cubes E_m^3, and
+    # its cubes must equal the plain product of the other name
+    sa, ea, sb, eb = args
+    for p in range(1, 8):
+        rel = [Term(1, 0, sums=(args,) * p),
+               Term(-1, 0, sums=((sb, eb, sa, ea),) * p)]
+        assert first_nonzero(rel, 200) is None, p
+        # one more factor: f^p (1 - f) starts at -sa q^ea, as ea < eb
+        more = rel[1]._replace(sums=((sb, eb, sa, ea),) * (p + 1))
+        assert first_nonzero([rel[0], more], 200) == (ea, -sa), p
 
 
 def random_sum_term(rng, n):
