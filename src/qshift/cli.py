@@ -53,7 +53,7 @@ from .partitions import (
     verify_theorem_72_2,
 )
 from .qseries import HEADROOM_BITS, ResidueOutOfRange, residue_product
-from .search import SearchConfig, run_search
+from .search import VERIFY_ORDER as SEARCH_ORDER, SearchConfig, run_search
 from .theta import DegenerateZero, monomial_str
 
 VERIFY_ORDER = 1000
@@ -260,9 +260,11 @@ def cmd_search(args) -> Report:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     res = run_search(cfg)
+    # run_search emits only identities that hold to SEARCH_ORDER
     items = tuple(
         Item(f"n={p.n} params={','.join(map(str, p.exponents()))}",
-             PASS, None, _identity_str(ident))
+             PASS, None,
+             f"{_identity_str(ident)}; holds to order {SEARCH_ORDER}")
         for p, ident in res.found)
     rejects = ", ".join(f"{k}={v}" for k, v in sorted(res.histogram.items()))
     plural = "identities" if len(items) != 1 else "identity"

@@ -12,7 +12,10 @@ metadata to replay that route mechanically:
     iteration            auxiliary relation instantiations (each a list
                          of theta monomials summing to zero) used by the
                          printed proof of the theorem's representative
-                         item; companion items carry an empty list
+                         item; companion items carry an empty list.  A
+                         step of kind four, four_signed, four2 or qp
+                         must equal what its jacobi generator returns
+                         (replay_aux_terms); a bracket step is literal
     special              neither of the above; the notes point at the
                          dedicated check (rogers_ramanujan_check or
                          verify_theorem_72_2)
@@ -37,10 +40,8 @@ from .jacobi import (
     FourParams,
     derive_identity,
     four2_terms,
-    four_instance,
-    four_instance_signed,
-    quintuple_instance,
-    reduce_term,
+    four_terms,
+    quintuple_terms,
     verify_zero_combination,
 )
 from .partitions import (
@@ -57,7 +58,6 @@ from .theta import (
     DegenerateZero,
     Term,
     make_monomial,
-    monomial_neg,
 )
 
 PROOF_KINDS = ("direct", "iteration", "quintuple", "special")
@@ -335,24 +335,19 @@ def load_corpus(path: str | Path | None = None) -> list[CorpusEntry]:
 # ----------------------------------------------------------------------
 
 def replay_aux_terms(step: AuxStep) -> tuple[Term, ...] | None:
-    """Regenerate an aux step's terms from its parameters.
+    """Regenerate an aux step's terms from its parameters: one call to
+    the kind's generator, which returns terms that sum to zero.
 
     Returns None for literal bracket steps, which have no generator.
     """
     if step.kind == "four":
-        L1, L2, R = four_instance(FourParams(*step.params, n=step.n))
-        return (L1, L2, monomial_neg(R))
+        return four_terms([(1, e) for e in step.params], step.n)
     if step.kind == "four_signed":
-        L1, L2, R = four_instance_signed(step.params, step.n)
-        return (L1, L2, monomial_neg(R))
+        return four_terms(step.params, step.n)
     if step.kind == "four2":
-        t1, t2 = four2_terms(FourParams(*step.params, n=step.n))
-        return (reduce_term(t1), reduce_term(t2),
-                Term(-1, 0))
+        return four2_terms(FourParams(*step.params, n=step.n))
     if step.kind == "qp":
-        ex, base = step.params
-        L1, L2, R = quintuple_instance(ex, base)
-        return (L1, monomial_neg(L2), monomial_neg(R))
+        return quintuple_terms(*step.params)
     return None
 
 

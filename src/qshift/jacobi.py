@@ -13,8 +13,12 @@ instantiated relations are:
               summing to 1, each a quotient of bracket atoms
     qp        the quintuple product in a pure-bracket form with base 6n
 
-four also takes signed parameters (four_instance_signed), where an
-argument -q^e turns a bracket into a paren.
+four takes signed parameters, where an argument -q^e turns a bracket
+into a paren; the unsigned relation has every sign +1.  Each relation
+has one generator (four_terms, four2_terms, quintuple_terms) that
+returns its terms as theta monomials summing to zero, every term built
+from raw (exponent, step, kind) atom specs by the one term builder
+_term, which normalizes each atom with theta.normalize_atom.
 
 Shifted and shiftless partition identities fall out of four2 when both
 numerators cancel completely into the denominators and what is left has
@@ -37,10 +41,9 @@ from .theta import (
     PAREN,
     DegenerateZero,
     Term,
-    bracket,
     first_nonzero,
     make_monomial,
-    paren,
+    normalize_atom,
 )
 
 INCOMPLETE_CANCELLATION = "incomplete-cancellation"
@@ -77,84 +80,53 @@ class FourParams:
         return (self.a, self.b, self.c, self.x, self.y)
 
 
-@dataclass(frozen=True)
-class RawTerm:
-    """A quotient of bracket products before canonicalization.
-
-    num and den hold (exponent, step) pairs that may be far outside the
-    canonical range; reduce_term folds them.
-    """
-
-    sign: int
-    qexp: int
-    num: tuple[tuple[int, int], ...]
-    den: tuple[tuple[int, int], ...]
-
-
-def reduce_term(t: RawTerm) -> Term:
-    """Canonicalize every bracket and cancel numerator against denominator."""
-    sign, qexp = t.sign, t.qexp
-    num, den = [], []
-    for e, m in t.num:
-        s, shift, atom = bracket(e, m)
-        sign *= s
-        qexp += shift
-        num.append(atom)
-    for e, m in t.den:
-        s, shift, atom = bracket(e, m)
-        sign *= s
-        qexp -= shift
-        den.append(atom)
-    return make_monomial(sign, qexp, num, den)
-
-
-def _product_term(sign: int, qexp: int,
-                  specs: Sequence[tuple[int, int, str]]) -> Term:
-    """Normalized monomial for sign * q^qexp * prod of atoms given raw."""
-    atoms = []
-    for e, m, kind in specs:
-        s, shift, atom = bracket(e, m) if kind == BRACKET else paren(e, m)
-        sign *= s
-        qexp += shift
-        atoms.append(atom)
-    return make_monomial(sign, qexp, atoms)
+def _term(sign: int, qexp: int, num: Sequence[tuple[int, int, str]],
+          den: Sequence[tuple[int, int, str]] = ()) -> Term:
+    """The monomial sign * q^qexp * prod(num) / prod(den) from raw atom
+    specs (e, m, kind), whose exponents may lie far outside the canonical
+    range: every atom goes through theta.normalize_atom, and atoms common
+    to both sides cancel (make_monomial)."""
+    atoms = [], []
+    for side, specs, to_q in zip(atoms, (num, den), (1, -1)):
+        for e, m, kind in specs:
+            s, shift, atom = normalize_atom(e, m, kind)
+            sign *= s
+            qexp += to_q * shift
+            side.append(atom)
+    return make_monomial(sign, qexp, *atoms)
 
 
 # ----------------------------------------------------------------------
-# instantiated relations
+# instantiated relations, each as terms that sum to zero
 # ----------------------------------------------------------------------
 
-def four_instance(p: FourParams):
-    """Monomials (L1, L2, R) with L1 + L2 = R: four_instance_signed with
-    every sign +1."""
-    return four_instance_signed([(1, e) for e in p.exponents()], p.n)
+def four_terms(params: Sequence[tuple[int, int]],
+               n: int) -> tuple[Term, Term, Term]:
+    """The four relation as terms (L1, L2, -R) that sum to zero.
 
-
-def four_instance_signed(params: Sequence[tuple[int, int]], n: int):
-    """The same relation with each parameter a signed power sigma * q^e.
-
-    params is five (sigma, e) pairs for a, b, c, x, y.  A bracket whose
-    argument carries sigma = -1 becomes a paren atom.  Returns
-    (L1, L2, R) with L1 + L2 = R.
+    params is five (sigma, e) pairs for a, b, c, x, y, each parameter a
+    signed power sigma * q^e; the unsigned relation has every sigma = +1.
+    A bracket whose argument carries sigma = -1 becomes a paren atom.
     """
     (sa, ea), (sb, eb), (sc, ec), (sx, ex), (sy, ey) = params
 
     def spec(sigma, e):
         return (e, n, BRACKET if sigma == 1 else PAREN)
 
-    L1 = _product_term(-sb, eb + 2 * ec,
-                       [spec(sb * sc, eb - ec), spec(sa * sx, ea - ex),
-                        spec(sa * sy, ea - ey),
-                        spec(sx * sy * sb * sc, ex + ey - eb - ec)])
-    L2 = _product_term(sa, ea + 2 * ec,
-                       [spec(sa * sc, ea - ec), spec(sb * sx, eb - ex),
-                        spec(sb * sy, eb - ey),
-                        spec(sx * sy * sa * sc, ex + ey - ea - ec)])
-    R = _product_term(sa, ea + 2 * eb,
-                      [spec(sa * sb, ea - eb), spec(sc * sx, ec - ex),
-                       spec(sc * sy, ec - ey),
-                       spec(sx * sy * sa * sb, ex + ey - ea - eb)])
-    return L1, L2, R
+    return (
+        _term(-sb, eb + 2 * ec,
+              [spec(sb * sc, eb - ec), spec(sa * sx, ea - ex),
+               spec(sa * sy, ea - ey),
+               spec(sx * sy * sb * sc, ex + ey - eb - ec)]),
+        _term(sa, ea + 2 * ec,
+              [spec(sa * sc, ea - ec), spec(sb * sx, eb - ex),
+               spec(sb * sy, eb - ey),
+               spec(sx * sy * sa * sc, ex + ey - ea - ec)]),
+        _term(-sa, ea + 2 * eb,
+              [spec(sa * sb, ea - eb), spec(sc * sx, ec - ex),
+               spec(sc * sy, ec - ey),
+               spec(sx * sy * sa * sb, ex + ey - ea - eb)]),
+    )
 
 
 def _four2_exprs(a, b, c, x, y):
@@ -170,33 +142,32 @@ def _four2_exprs(a, b, c, x, y):
     return (t1, t2), shared
 
 
-def four2_terms(p: FourParams) -> tuple[RawTerm, RawTerm]:
-    """The two base-2n quotient terms whose series sum to 1."""
+def four2_terms(p: FourParams) -> tuple[Term, Term, Term]:
+    """The four2 relation as terms (T1, T2, -1) that sum to zero: T1 and
+    T2 are the two base-2n quotient terms, reduced, whose sum is 1."""
     n, m = p.n, 2 * p.n
     terms, shared = _four2_exprs(*p.exponents())
-    return tuple(
-        RawTerm(sign, qexp,
-                tuple((2 * e, m) for e in core),
-                tuple((e + k, m) for e in core + shared for k in (0, n)))
+    t1, t2 = (
+        _term(sign, qexp, [(2 * e, m, BRACKET) for e in core],
+              [(e + k, m, BRACKET) for e in core + shared for k in (0, n)])
         for sign, qexp, core in terms)
+    return t1, t2, Term(-1, 0)
 
 
-def quintuple_instance(ex: int, n: int):
-    """The quintuple product in its bracket form with base 6n:
-    monomials (L1, L2, R) with L1 - L2 = R."""
+def quintuple_terms(ex: int, n: int) -> tuple[Term, Term, Term]:
+    """The quintuple product in its bracket form with base 6n, as terms
+    (L1, -L2, -R) that sum to zero."""
     m6 = 6 * n
     return (
-        _product_term(1, 0, [(-3 * ex + n, m6, BRACKET),
-                             (-3 * ex + 4 * n, m6, BRACKET),
-                             (6 * ex + 2 * n, m6, BRACKET)]),
-        _product_term(1, ex, [(3 * ex + n, m6, BRACKET),
-                              (3 * ex + 4 * n, m6, BRACKET),
-                              (-6 * ex + 2 * n, m6, BRACKET)]),
-        _product_term(1, 0, [(e, m6, BRACKET) for e in
-                             (n, 2 * n, ex, ex + n, ex + 2 * n, ex + 3 * n,
-                              ex + 4 * n, ex + 5 * n, 2 * ex + n, 2 * ex + 3 * n,
-                              2 * ex + 5 * n, 3 * ex + n, 3 * ex + 4 * n,
-                              -3 * ex + n, -3 * ex + 4 * n)]),
+        _term(1, 0, [(-3 * ex + n, m6, BRACKET), (-3 * ex + 4 * n, m6, BRACKET),
+                     (6 * ex + 2 * n, m6, BRACKET)]),
+        _term(-1, ex, [(3 * ex + n, m6, BRACKET), (3 * ex + 4 * n, m6, BRACKET),
+                       (-6 * ex + 2 * n, m6, BRACKET)]),
+        _term(-1, 0, [(e, m6, BRACKET) for e in
+                      (n, 2 * n, ex, ex + n, ex + 2 * n, ex + 3 * n,
+                       ex + 4 * n, ex + 5 * n, 2 * ex + n, 2 * ex + 3 * n,
+                       2 * ex + 5 * n, 3 * ex + n, 3 * ex + 4 * n,
+                       -3 * ex + n, -3 * ex + 4 * n)]),
     )
 
 
@@ -258,8 +229,8 @@ def derive_identity(p: FourParams) -> Derivation:
     always the denominator of the positive term.  Failure reasons are
     returned as values; degenerate parameters raise DegenerateZero.
     """
-    t1, t2 = four2_terms(p)
-    return _classify_reduced(p, reduce_term(t1), reduce_term(t2))
+    t1, t2, _ = four2_terms(p)
+    return _classify_reduced(p, t1, t2)
 
 
 # Exponents and bases up to this size keep every quantity in derive_batch
@@ -298,7 +269,8 @@ class BatchDerivation:
 
 
 def _normalize_batch(e: np.ndarray, m: int):
-    """normalize_atom on every element: (odd sign, qshift, residue)."""
+    """theta.normalize_atom on every bracket [e : m] of the array e:
+    (odd sign, qshift, residue)."""
     k = e // m
     r0 = e - k * m
     if not r0.all():
@@ -314,7 +286,7 @@ def _residue_counts(r: np.ndarray, n: int) -> np.ndarray:
 
 
 def _reduce_batch(sign: int, qexp: np.ndarray, core, shared, n: int):
-    """reduce_term on a batch of one four2 term.
+    """_term on a batch of one four2 term, as four2_terms builds it.
 
     Returns (odd, qexp, left): the sign parity, the q-exponent and the
     denominator counts minus the numerator counts.  A negative count is

@@ -280,11 +280,6 @@ class Series:
             return 0
         return self.coeffs[k - self.offset]
 
-    def truncate(self, order: int) -> "Series":
-        if order >= self.order:
-            return self
-        return Series(self.offset, self.coeffs, order)
-
     # -- comparison -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -325,23 +320,6 @@ class Series:
 # ----------------------------------------------------------------------
 # arithmetic
 # ----------------------------------------------------------------------
-
-def linear_combine(terms: Sequence[tuple[int, Series]]) -> Series:
-    """Integer linear combination; result order is the minimum input order."""
-    if not terms:
-        raise ValueError("linear_combine needs at least one term")
-    order = min(s.order for _, s in terms)
-    lo = min(s.offset for _, s in terms)
-    acc = [0] * (order - lo + 1)
-    for c, s in terms:
-        if c == 0 or s.is_zero():
-            continue
-        base = s.offset - lo
-        top = min(len(s.coeffs), order - s.offset + 1)
-        for i in range(top):
-            acc[base + i] += c * s.coeffs[i]
-    return Series(lo, acc, order)
-
 
 def _mul_schoolbook(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
     out = [0] * min(len(a) + len(b) - 1, count)

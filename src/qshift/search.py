@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -124,20 +124,6 @@ class SearchResult:
     found: tuple[tuple[FourParams, PartitionIdentity], ...]
     scanned: int
     histogram: Mapping[str, int]
-
-
-def enumerate_params(cfg: SearchConfig) -> Iterator[FourParams]:
-    """All tuples of the search space in lexicographic (n,a,b,c,x,y) order."""
-    for n in cfg.n_values:
-        bound = cfg.bound_for(n)
-        rng = range(1, bound + 1)
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    for x in rng:
-                        for y in range(x, bound + 1):
-                            if gcd(gcd(gcd(a, b), gcd(c, x)), y) == 1:
-                                yield FourParams(a, b, c, x, y, n)
 
 
 # ----------------------------------------------------------------------

@@ -10,21 +10,21 @@ in r with period m:
 
     [e+m : m] = -q^(-e) [e : m]          (e+m : m) = q^(-e) (e : m)
 
-so any integer exponent reduces to a canonical residue 0 < r <= m/2
-(brackets) or 0 <= r <= m/2 (parens) times a sign and a power of q.
-A bracket with e divisible by m contains the factor (1 - 1) and is
-identically zero; the parenthesized analogue is 2(-q^m; q^m)^2 instead.
+so normalize_atom, the one normalizer, reduces any integer exponent to
+a canonical residue 0 < r <= m/2 (brackets) or 0 <= r <= m/2 (parens)
+times a sign and a power of q.  A bracket with e divisible by m contains
+the factor (1 - 1) and is identically zero; the parenthesized analogue
+is 2(-q^m; q^m)^2 instead.
 
 A Term is c * q^e * (product of theta sums) * (product of atoms) /
 (product of atoms), with numerator and denominator stored as sorted
 multisets.  A monomial is a Term with c = +-1 and no sums (make_monomial);
-monomial_series expands one part by part.
+monomial_series expands one part by part and monomial_str renders one.
 
 The two-variable series f(a, b) = sum_k a^(k(k+1)/2) b^(k(k-1)/2) is
-supported for arguments of the form sigma * q^e.  Its one generator,
-ramanujan_f_terms, lists its sparse terms; the triple-product
-factorization f(a, b) = (-a; ab)_inf (-b; ab)_inf (ab; ab)_inf is
-available separately so the two can be checked against each other.
+supported for arguments of the form sigma * q^e, named by the 4-tuple
+FArgs (sa, ea, sb, eb).  Its one generator, ramanujan_f_terms, lists its
+sparse terms; ramanujan_f_sum gathers them into a Series.
 
 By the triple product every atom is a quotient of such sparse sums
 (atom_sums, the one table from atoms to theta sums), and every zero-sum
@@ -40,7 +40,6 @@ from one bounded memo, _sum_terms; the partition kernel
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -64,10 +63,6 @@ class Divergent(ValueError):
     """Theta series whose exponents do not go to infinity."""
 
 
-class UnsupportedNegativeExponent(ValueError):
-    """Product form needs both exponents positive."""
-
-
 BRACKET = "bracket"
 PAREN = "paren"
 
@@ -84,45 +79,31 @@ class Atom(NamedTuple):
 # normalization
 # ----------------------------------------------------------------------
 
-def normalize_atom(e: int, m: int) -> tuple[int, int, int]:
-    """Reduce the bracket [e : m] to sign * q^qshift * [r : m].
+def normalize_atom(e: int, m: int, kind: str) -> tuple[int, int, Atom]:
+    """Reduce the atom [e : m] (kind BRACKET) or (e : m) (kind PAREN) to
+    sign * q^qshift * Atom(r, m, kind), the one atom normalizer.
 
-    Returns (sign, qshift, r) with 0 < r <= m/2.  Raises DegenerateZero
-    when e is divisible by m, since the product then vanishes.
+    Returns (sign, qshift, atom) with 0 < r <= m/2 for a bracket and
+    0 <= r <= m/2 for a paren, whose sign is always 1: with e = k m + r0,
+    [e : m] = (-1)^k q^qshift [r0 : m] and (e : m) = q^qshift (r0 : m).
+    Raises DegenerateZero for a bracket whose e is divisible by m, since
+    the product then vanishes; a paren never vanishes, and (0 : m) =
+    2 (-q^m; q^m)^2.
     """
     if m < 1:
         raise ValueError(f"step must be positive, got {m}")
     k, r0 = divmod(e, m)
-    if r0 == 0:
-        raise DegenerateZero(f"[{e} : {m}] vanishes (exponent divisible by step)")
-    sign = -1 if k % 2 else 1
+    if kind == BRACKET:
+        if r0 == 0:
+            raise DegenerateZero(
+                f"[{e} : {m}] vanishes (exponent divisible by step)")
+        sign = -1 if k % 2 else 1
+    elif kind == PAREN:
+        sign = 1
+    else:
+        raise ValueError(f"unknown atom kind {kind!r}")
     qshift = -(k * r0 + m * k * (k - 1) // 2)
-    return sign, qshift, min(r0, m - r0)
-
-
-def normalize_paren(e: int, m: int) -> tuple[int, int]:
-    """Reduce the paren (e : m) to q^qshift * (r : m).
-
-    Returns (qshift, r) with 0 <= r <= m/2.  Never vanishes: r may be 0,
-    where (0 : m) = 2 (-q^m; q^m)^2.
-    """
-    if m < 1:
-        raise ValueError(f"step must be positive, got {m}")
-    k, r0 = divmod(e, m)
-    qshift = -(k * r0 + m * k * (k - 1) // 2)
-    return qshift, min(r0, m - r0)
-
-
-def bracket(e: int, m: int) -> tuple[int, int, Atom]:
-    """Like normalize_atom but packaging the residue as an Atom."""
-    sign, qshift, r = normalize_atom(e, m)
-    return sign, qshift, Atom(r, m, BRACKET)
-
-
-def paren(e: int, m: int) -> tuple[int, int, Atom]:
-    """Like normalize_paren but packaging the residue as an Atom (sign 1)."""
-    qshift, r = normalize_paren(e, m)
-    return 1, qshift, Atom(r, m, PAREN)
+    return sign, qshift, Atom(min(r0, m - r0), m, kind)
 
 
 # ----------------------------------------------------------------------
@@ -193,10 +174,6 @@ def make_monomial(sign: int, qexp: int,
     )
 
 
-def monomial_neg(a: Term) -> Term:
-    return a._replace(c=-a.c)
-
-
 def _monomial_parts(num: Iterable[Atom], den: Iterable[Atom],
                     n: int) -> tuple[int, list[int], list[int]]:
     """(scale, finite, inverse) with prod(num) / prod(den) = scale *
@@ -238,6 +215,12 @@ def atom_str(a: Atom) -> str:
 
 
 def monomial_str(mono: Term) -> str:
+    """A monomial as text, for example "-q^3 [3:42] / (0:3)".  A term
+    with theta sums or a coefficient other than +-1 is no monomial:
+    ValueError."""
+    if mono.sums or mono.c not in (1, -1):
+        raise ValueError(f"not a monomial: coefficient {mono.c}, "
+                         f"theta sums {tuple(mono.sums)}")
     head = "-" if mono.c == -1 else ""
     if mono.e:
         head += f"q^{mono.e} " if mono.e != 1 else "q "
@@ -250,18 +233,6 @@ def monomial_str(mono: Term) -> str:
 # ----------------------------------------------------------------------
 # two-variable theta series f(a, b)
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FMono:
-    """An argument sigma * q^e for the two-variable theta series."""
-
-    sigma: int
-    e: int
-
-    def __post_init__(self):
-        if self.sigma not in (1, -1):
-            raise ValueError("sigma must be +1 or -1")
-
 
 def ramanujan_f_terms(sa: int, ea: int, sb: int, eb: int,
                       n: int) -> list[tuple[int, int]]:
@@ -285,27 +256,14 @@ def ramanujan_f_terms(sa: int, ea: int, sb: int, eb: int,
     return terms
 
 
-def ramanujan_f_sum(a: FMono, b: FMono, n: int) -> Series:
-    """f(a, b) to order n as a Series (see ramanujan_f_terms)."""
-    terms = ramanujan_f_terms(a.sigma, a.e, b.sigma, b.e, n)
+def ramanujan_f_sum(args: FArgs, n: int) -> Series:
+    """f(args) to order n as a Series (see ramanujan_f_terms)."""
+    terms = ramanujan_f_terms(*args, n)
     lo = min((e for e, _ in terms), default=n)
     coeffs = [0] * (n - lo + 1)
     for e, c in terms:
         coeffs[e - lo] += c
     return Series(lo, coeffs, n)
-
-
-def ramanujan_f_product(a: FMono, b: FMono, n: int) -> Series:
-    """f(a, b) = (-a; ab)_inf (-b; ab)_inf (ab; ab)_inf."""
-    if a.e < 1 or b.e < 1:
-        raise UnsupportedNegativeExponent(
-            f"product form needs positive exponents, got {a.e}, {b.e}")
-    m = a.e + b.e
-    sab = a.sigma * b.sigma
-    # (sigma q^e; ab) has the signs sigma * sab^j
-    return product_series([sigma * sab ** j * k
-                           for e, sigma in ((a.e, -a.sigma), (b.e, -b.sigma), (m, sab))
-                           for j, k in enumerate(range(e, n + 1, m))], (), n)
 
 
 # ----------------------------------------------------------------------

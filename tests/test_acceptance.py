@@ -40,14 +40,13 @@ from qshift.theta import (
     BRACKET,
     PAREN,
     Atom,
-    FMono,
     atom_series,
     make_monomial,
     normalize_atom,
-    normalize_paren,
-    ramanujan_f_product,
     ramanujan_f_sum,
 )
+
+from oracles import ramanujan_f_product, truncate
 
 
 @pytest.fixture(scope="module")
@@ -244,9 +243,9 @@ class TestPropertySweeps:
             for e in range(-3 * m, 3 * m + 1):
                 if e % m == 0:
                     continue
-                sign, qshift, r = normalize_atom(e, m)
-                inner = mul(atom_series(r, m, BRACKET, n - qshift),
-                            qm.truncate(n - qshift))
+                sign, qshift, atom = normalize_atom(e, m, BRACKET)
+                inner = mul(atom_series(*atom, n - qshift),
+                            truncate(qm, n - qshift))
                 assert shift_scale(inner, sign, qshift) \
                     == theta_sum(e, m, -1, n), (e, m)
 
@@ -255,9 +254,10 @@ class TestPropertySweeps:
             n = 5 * m
             qm = pochhammer(m, m, 1, n)
             for e in range(-3 * m, 3 * m + 1):
-                qshift, r = normalize_paren(e, m)
-                inner = mul(atom_series(r, m, PAREN, n - qshift),
-                            qm.truncate(n - qshift))
+                sign, qshift, atom = normalize_atom(e, m, PAREN)
+                inner = mul(atom_series(*atom, n - qshift),
+                            truncate(qm, n - qshift))
+                assert sign == 1
                 assert shift_scale(inner, 1, qshift) \
                     == theta_sum(e, m, 1, n), (e, m)
 
@@ -266,9 +266,9 @@ class TestPropertySweeps:
             for sb in (1, -1):
                 for ea in range(1, 13):
                     for eb in range(1, 13):
-                        a, b = FMono(sa, ea), FMono(sb, eb)
-                        assert ramanujan_f_sum(a, b, 300) \
-                            == ramanujan_f_product(a, b, 300), (a, b)
+                        args = (sa, ea, sb, eb)
+                        assert ramanujan_f_sum(args, 300) \
+                            == ramanujan_f_product(args, 300), args
 
 # ----------------------------------------------------------------------
 # 7. mutation sensitivity

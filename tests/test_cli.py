@@ -20,7 +20,7 @@ from qshift import cli, partitions
 from qshift.cli import SELFTEST_CHECKS, main, order_ceiling
 from qshift.corpus import load_corpus, load_manifest
 from qshift.equivalence import NotAnIdentity
-from qshift.jacobi import four_instance
+from qshift.jacobi import four_terms
 from qshift.partitions import count_partitions_table
 
 GOOD_S = "1,3,4,5,6,7,8,9,10,11,13,15"
@@ -373,6 +373,10 @@ class TestExitCodes:
         assert len(doc["found"]) == 1
         rec = doc["found"][0]
         assert rec["modulus"] == 32
+        # the item names the order run_search verified the identity at
+        (line,) = [l for l in out.splitlines() if "params=" in l]
+        assert line.endswith("; holds to order 200")
+        assert line.startswith("  n=16 params=1,2,4,12,13: pass  S = +-{")
         assert rec["provenance"] == {"source": "search",
                                      "params": [1, 2, 4, 12, 13],
                                      "n": 16}
@@ -644,12 +648,12 @@ class TestSelftestChecks:
         assert details == f"failing: {first}"
 
     def test_four_check_fails_on_a_wrong_right_hand_side(self, monkeypatch):
-        def wrong_rhs(p):
-            left1, left2, _ = four_instance(p)
-            return left1, left2, left1
+        def wrong_rhs(params, n):
+            left1, left2, _ = four_terms(params, n)
+            return left1, left2, left1._replace(c=-left1.c)
 
         # the selftest generates its instances through replay_aux_terms
-        monkeypatch.setattr("qshift.corpus.four_instance", wrong_rhs)
+        monkeypatch.setattr("qshift.corpus.four_terms", wrong_rhs)
         ok, _, details = run_check("random four-parameter instances", (), 0)
         assert not ok
         assert details.startswith("110 of 110 four and 90 four2 failed, "

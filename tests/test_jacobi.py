@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from qshift import search
+from qshift.corpus import AuxStep, replay_aux_terms
 from qshift.jacobi import (
     EQUAL_SETS,
     FAILURE_REASONS,
@@ -23,29 +24,28 @@ from qshift.jacobi import (
     REPEATED_ATOM,
     UNRECOGNIZED_SIGN_PATTERN,
     FourParams,
-    RawTerm,
     _classify_batch,
     _classify_reduced,
+    _term,
     derive_batch,
     derive_identity,
     four2_terms,
-    four_instance,
-    four_instance_signed,
-    quintuple_instance,
-    reduce_term,
+    four_terms,
+    quintuple_terms,
     verify_zero_combination,
 )
 from qshift.partitions import SHIFTED, SHIFTLESS, VerifyReport, verify_identity
-from qshift.qseries import NonUnitLeading, Series, linear_combine
+from qshift.qseries import NonUnitLeading, Series
 from qshift.theta import (
     BRACKET,
     PAREN,
     Atom,
     DegenerateZero,
     make_monomial,
-    monomial_neg,
     monomial_series,
 )
+
+from oracles import linear_combine
 
 
 def assert_sums_to_zero(terms, order):
@@ -57,25 +57,33 @@ def brackets(rs, m):
     return [Atom(r, m, BRACKET) for r in rs]
 
 
+def four_unsigned(p):
+    """The unsigned four instance at p: four_terms with every sign +1."""
+    return four_terms([(1, e) for e in p.exponents()], p.n)
+
+
 # ----------------------------------------------------------------------
-# reduce_term
+# reducing raw terms: the term builder _term
 # ----------------------------------------------------------------------
+
+def b16(*exponents):
+    return [(e, 16, BRACKET) for e in exponents]
+
 
 class TestReduceTerm:
     def test_folding_and_cancellation(self):
-        t = RawTerm(1, 0, ((3, 16), (19, 16)), ((3, 16),))
-        mono = reduce_term(t)
+        mono = _term(1, 0, b16(3, 19), b16(3))
         assert mono == make_monomial(-1, -3, brackets([3], 16))
 
     def test_denominator_shift_direction(self):
-        plain = reduce_term(RawTerm(1, 0, (), ((3, 16),)))
-        shifted = reduce_term(RawTerm(1, 0, (), ((19, 16),)))
+        plain = _term(1, 0, (), b16(3))
+        shifted = _term(1, 0, (), b16(19))
         assert plain.den == shifted.den
         assert shifted.c == -1 and shifted.e == 3
 
     def test_golden_quotient_reduction(self):
-        t1, t2 = four2_terms(FourParams(1, 2, 4, 12, 13, 16))
-        r1, r2 = reduce_term(t1), reduce_term(t2)
+        r1, r2, one = four2_terms(FourParams(1, 2, 4, 12, 13, 16))
+        assert one == make_monomial(-1, 0)
         assert r1.num == () and r2.num == ()
         assert (r1.c, r1.e) == (-1, 1)
         assert (r2.c, r2.e) == (1, 0)
@@ -90,15 +98,16 @@ class TestReduceTerm:
 
 class TestFour:
     def test_golden_monomials(self):
-        L1, L2, R = four_instance(FourParams(1, 3, 6, 9, 12, 42))
+        terms = four_unsigned(FourParams(1, 3, 6, 9, 12, 42))
+        L1, L2, minus_R = terms
         assert L1 == make_monomial(1, -7, brackets([3, 8, 11, 12], 42))
         assert L2 == make_monomial(-1, -7, brackets([5, 6, 9, 14], 42))
-        assert R == make_monomial(-1, -4, brackets([2, 3, 6, 17], 42))
-        assert_sums_to_zero([L1, L2, monomial_neg(R)], 150)
+        assert minus_R == make_monomial(1, -4, brackets([2, 3, 6, 17], 42))
+        assert_sums_to_zero(terms, 150)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateZero):
-            four_instance(FourParams(1, 2, 18, 5, 9, 16))
+            four_unsigned(FourParams(1, 2, 18, 5, 9, 16))
 
     def test_random_instances(self):
         rng = random.Random(414213)
@@ -107,17 +116,18 @@ class TestFour:
             n = rng.randint(2, 14)
             a, b, c, x, y = (rng.randint(1, 3 * n) for _ in range(5))
             try:
-                L1, L2, R = four_instance(FourParams(a, b, c, x, y, n))
+                terms = four_unsigned(FourParams(a, b, c, x, y, n))
             except DegenerateZero:
                 continue
-            assert_sums_to_zero([L1, L2, monomial_neg(R)], 150)
+            assert_sums_to_zero(terms, 150)
             done += 1
 
 
 class TestFourSigned:
     def test_golden_mixed_signs(self):
         params = ((-1, 1), (1, 3), (1, 6), (-1, 9), (1, 9))
-        L1, L2, R = four_instance_signed(params, 24)
+        terms = four_terms(params, 24)
+        L1, L2, minus_R = terms
         assert L1 == make_monomial(
             -1, -4,
             [Atom(3, 24, BRACKET), Atom(8, 24, BRACKET),
@@ -126,18 +136,19 @@ class TestFourSigned:
             1, -4,
             [Atom(6, 24, BRACKET), Atom(11, 24, BRACKET),
              Atom(5, 24, PAREN), Atom(6, 24, PAREN)])
-        assert R == make_monomial(
-            1, -1,
+        assert minus_R == make_monomial(
+            -1, -1,
             [Atom(3, 24, BRACKET), Atom(10, 24, BRACKET),
              Atom(2, 24, PAREN), Atom(3, 24, PAREN)])
-        assert_sums_to_zero([L1, L2, monomial_neg(R)], 150)
+        assert_sums_to_zero(terms, 150)
 
     def test_all_plus_matches_unsigned(self):
+        # the unsigned four step replays as four_terms with every sign +1
         p = FourParams(1, 3, 6, 9, 12, 42)
-        plain = four_instance(p)
-        signed = four_instance_signed(
-            tuple((1, e) for e in p.exponents()), p.n)
+        plain = replay_aux_terms(AuxStep("four", p.exponents(), p.n, ()))
+        signed = four_terms(tuple((1, e) for e in p.exponents()), p.n)
         assert plain == signed
+        assert all(a.kind == BRACKET for t in plain for a in t.num)
 
     def test_random_signed_instances(self):
         rng = random.Random(732050)
@@ -147,25 +158,26 @@ class TestFourSigned:
             params = tuple((rng.choice((1, -1)), rng.randint(1, 2 * n))
                            for _ in range(5))
             try:
-                L1, L2, R = four_instance_signed(params, n)
+                terms = four_terms(params, n)
             except DegenerateZero:
                 continue
-            assert_sums_to_zero([L1, L2, monomial_neg(R)], 120)
+            assert_sums_to_zero(terms, 120)
             done += 1
 
 
 class TestFour2:
     @staticmethod
     def quotient_sum(p, order):
-        t1, t2 = four2_terms(p)
+        t1, t2, _ = four2_terms(p)
         return linear_combine([
-            (1, monomial_series(reduce_term(t1), order)),
-            (1, monomial_series(reduce_term(t2), order)),
+            (1, monomial_series(t1, order)),
+            (1, monomial_series(t2, order)),
         ])
 
     def test_golden_sums_to_one(self):
         total = self.quotient_sum(FourParams(1, 2, 4, 12, 13, 16), 150)
         assert total == Series.one(150)
+        assert_sums_to_zero(four2_terms(FourParams(1, 2, 4, 12, 13, 16)), 150)
 
     def test_random_instances_sum_to_one(self):
         rng = random.Random(236067)
@@ -256,7 +268,7 @@ class TestDerive:
 
 
 # ----------------------------------------------------------------------
-# kalvade and quintuple forms
+# batch derivation and the quintuple form
 # ----------------------------------------------------------------------
 
 def batch_columns(pairs, n):
@@ -361,19 +373,18 @@ class TestDeriveBatch:
 class TestQuintuple:
     @pytest.mark.parametrize("ex,n", [(2, 5), (1, 4), (2, 9), (3, 7)])
     def test_sums_to_zero(self, ex, n):
-        L1, L2, R = quintuple_instance(ex, n)
-        assert_sums_to_zero([L1, monomial_neg(L2), monomial_neg(R)], 120)
+        assert_sums_to_zero(quintuple_terms(ex, n), 120)
 
     def test_bracket_form_golden(self):
-        L1, L2, R = quintuple_instance(2, 9)
+        L1, minus_L2, minus_R = quintuple_terms(2, 9)
         assert L1 == make_monomial(1, 0, brackets([3, 24, 24], 54))
-        assert L2 == make_monomial(1, 2, brackets([6, 12, 15], 54))
+        assert minus_L2 == make_monomial(-1, 2, brackets([6, 12, 15], 54))
         want = [2, 3, 5, 7, 9, 11, 12, 13, 15, 16, 18, 20, 23, 24, 25]
-        assert R == make_monomial(1, 0, brackets(want, 54))
+        assert minus_R == make_monomial(-1, 0, brackets(want, 54))
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateZero):
-            quintuple_instance(1, 3)
+            quintuple_terms(1, 3)
 
 
 # ----------------------------------------------------------------------
@@ -397,7 +408,8 @@ class TestVerifyZeroCombination:
         assert verify_zero_combination(terms, 50).ok
 
     def test_reports_failure_exponent(self):
-        L1, L2, R = four_instance(FourParams(1, 3, 6, 9, 12, 42))
+        L1, L2, minus_R = four_unsigned(FourParams(1, 3, 6, 9, 12, 42))
+        R = minus_R._replace(c=-minus_R.c)
         report = verify_zero_combination([L1, L2, R], 80)
         assert not report.ok
         total = linear_combine([(1, monomial_series(t, 80))

@@ -1,8 +1,15 @@
-"""The packed builders have one home each: qseries packs products of
+"""AST scans of the library's layering.
+
+The packed builders have one home each: qseries packs products of
 (1 - s q^k)^(+-1) and sparse sums, and theta lists the theta sums and
 builds their products.  Every other module goes through theta's builder
 (theta._pack_sums) or the public series functions, so a second builder
-cannot come back unnoticed."""
+cannot come back unnoticed.
+
+Every top-level function and class of the library is used by the
+library or named by the benchmark (bench/*.py, the layer names the
+tracer binds by string among them), so code that only the tests reach
+lives in tests/oracles.py, not in src."""
 
 import ast
 from pathlib import Path
@@ -42,3 +49,62 @@ def test_only_qseries_and_theta_reach_the_packed_builders():
     reached = {name: sorted(builder_names(p))
                for name, p in modules.items() if name not in HOMES}
     assert {name: found for name, found in reached.items() if found} == {}
+
+
+# ----------------------------------------------------------------------
+# no library code that only the tests reach
+# ----------------------------------------------------------------------
+
+BENCH = SRC.parent.parent / "bench"
+# the README's library example calls it; nothing else does
+USED_ELSEWHERE = {("partitions.py", "count_partitions")}
+
+
+def top_level_defs(path):
+    """The functions and classes a module defines at top level."""
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+
+
+def referenced_names(path, strings=False):
+    """Every name a module reads, imports or reaches as an attribute,
+    plus, with strings, every string constant that is an identifier (the
+    tracer names the layers it binds as strings)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and node.value.isidentifier()):
+            found.add(node.value)
+    return found
+
+
+def test_the_usage_scan_sees_bench_and_library_names():
+    bench = set().union(*(referenced_names(p, strings=True)
+                          for p in BENCH.glob("*.py")))
+    # bound by string in tracing.LAYERS, reached by attribute elsewhere
+    assert {"infer_relation", "ramanujan_f_sum", "_scan_unit",
+            "atom_series"} <= bench
+    assert "_term" in referenced_names(SRC / "jacobi.py")
+    assert "normalize_atom" in top_level_defs(SRC / "theta.py")
+
+
+def test_every_library_definition_is_used_outside_the_tests():
+    modules = sorted(SRC.glob("*.py"))
+    used = set().union(*(referenced_names(p) for p in modules),
+                       *(referenced_names(p, strings=True)
+                         for p in BENCH.glob("*.py")))
+    unused = sorted((p.name, name) for p in modules
+                    for name in top_level_defs(p)
+                    if name not in used and (p.name, name) not in USED_ELSEWHERE)
+    assert unused == []
+    # the listed exception is still defined, and still used nowhere else
+    for module, name in USED_ELSEWHERE:
+        assert name in top_level_defs(SRC / module)
+        assert name not in used

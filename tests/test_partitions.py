@@ -21,7 +21,6 @@ from qshift.qseries import (
     _pack,
     _pack_sparse,
     _unpack_signed,
-    linear_combine,
     mul,
     product_series,
     residue_product,
@@ -45,6 +44,7 @@ from qshift.partitions import (
 )
 from qshift.theta import euler_cube_terms, first_nonzero, ramanujan_f_terms
 
+from oracles import linear_combine
 from part_by_part import first_nonzero_by_parts, parts_term
 
 # a modulus-32 shifted pair used as the standing fixture

@@ -20,10 +20,11 @@ from qshift.jacobi import _four2_exprs, derive_identity
 from qshift.partitions import verify_identity
 from qshift.search import (
     SearchConfig,
-    enumerate_params,
     run_search,
 )
 from qshift.theta import DegenerateZero
+
+from oracles import enumerate_params
 
 
 def linear_expressions(p):

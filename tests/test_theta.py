@@ -17,7 +17,7 @@ import pytest
 
 from qshift import partitions, theta
 from qshift.corpus import load_corpus
-from qshift.jacobi import RawTerm, reduce_term
+from qshift.jacobi import _term
 from qshift.qseries import NonUnitLeading, Series, invert, mul, pochhammer, shift_scale
 from qshift.theta import (
     BRACKET,
@@ -25,24 +25,19 @@ from qshift.theta import (
     Atom,
     DegenerateZero,
     Divergent,
-    FMono,
     Term,
-    UnsupportedNegativeExponent,
     atom_series,
     atom_str,
     atom_sums,
-    bracket,
     first_nonzero,
     make_monomial,
     monomial_series,
     monomial_str,
     normalize_atom,
-    normalize_paren,
-    paren,
-    ramanujan_f_product,
     ramanujan_f_sum,
 )
 
+from oracles import UnsupportedNegativeExponent, ramanujan_f_product, truncate
 from part_by_part import first_nonzero_by_parts, parts_term
 
 
@@ -78,29 +73,41 @@ def bilateral_sum_oracle(e, m, c, n):
     ],
 )
 def test_normalize_atom_table(e, m, want):
-    assert normalize_atom(e, m) == want
+    sign, qshift, r = want
+    assert normalize_atom(e, m, BRACKET) == (sign, qshift,
+                                             Atom(r, m, BRACKET))
 
 
 def test_normalize_atom_degenerate():
     for e in (0, 10, -10, 30):
         with pytest.raises(DegenerateZero):
-            normalize_atom(e, 10)
+            normalize_atom(e, 10, BRACKET)
     with pytest.raises(DegenerateZero):
-        normalize_atom(5, 1)
+        normalize_atom(5, 1, BRACKET)
 
 
 def test_normalize_paren_allows_zero_residue():
-    assert normalize_paren(0, 7) == (0, 0)
-    assert normalize_paren(7, 7) == (0, 0)  # (m:m) = q^0 (0:m)
-    assert normalize_paren(14, 7) == (-7, 0)
-    assert normalize_paren(13, 10) == (-3, 3)
+    def fold(e, m):
+        sign, qshift, atom = normalize_atom(e, m, PAREN)
+        assert sign == 1 and atom.m == m and atom.kind == PAREN
+        return qshift, atom.r
+
+    assert fold(0, 7) == (0, 0)
+    assert fold(7, 7) == (0, 0)  # (m:m) = q^0 (0:m)
+    assert fold(14, 7) == (-7, 0)
+    assert fold(13, 10) == (-3, 3)
 
 
-def test_bracket_and_paren_wrappers():
-    s, t, a = bracket(13, 10)
-    assert (s, t) == (-1, -3) and a == Atom(3, 10, BRACKET)
-    s, t, a = paren(13, 10)
-    assert (s, t) == (1, -3) and a == Atom(3, 10, PAREN)
+def test_normalize_atom_both_kinds():
+    # one exponent, both kinds: the same q-shift and residue, and the
+    # sign (-1)^k only for the bracket
+    assert normalize_atom(13, 10, BRACKET) == (-1, -3, Atom(3, 10, BRACKET))
+    assert normalize_atom(13, 10, PAREN) == (1, -3, Atom(3, 10, PAREN))
+    with pytest.raises(ValueError, match="unknown atom kind"):
+        normalize_atom(13, 10, "other")
+    for kind in (BRACKET, PAREN):
+        with pytest.raises(ValueError, match="step must be positive"):
+            normalize_atom(3, 0, kind)
 
 
 # ----------------------------------------------------------------------
@@ -117,10 +124,10 @@ def test_bracket_normalization_against_sum(m):
         if e % m == 0:
             assert want == Series.zero(n)
             with pytest.raises(DegenerateZero):
-                normalize_atom(e, m)
+                normalize_atom(e, m, BRACKET)
             continue
-        sign, qshift, r = normalize_atom(e, m)
-        inner = mul(atom_series(r, m, BRACKET, n - qshift), qm.truncate(n - qshift))
+        sign, qshift, atom = normalize_atom(e, m, BRACKET)
+        inner = mul(atom_series(*atom, n - qshift), truncate(qm, n - qshift))
         assert shift_scale(inner, sign, qshift) == want, (e, m)
 
 
@@ -130,8 +137,9 @@ def test_paren_normalization_against_sum(m):
     qm = pochhammer(m, m, 1, n)
     for e in range(-3 * m, 3 * m + 1):
         want = bilateral_sum_oracle(e, m, 1, n)
-        qshift, r = normalize_paren(e, m)
-        inner = mul(atom_series(r, m, PAREN, n - qshift), qm.truncate(n - qshift))
+        sign, qshift, atom = normalize_atom(e, m, PAREN)
+        inner = mul(atom_series(*atom, n - qshift), truncate(qm, n - qshift))
+        assert sign == 1
         assert shift_scale(inner, 1, qshift) == want, (e, m)
 
 
@@ -264,8 +272,8 @@ def test_empty_monomial_is_signed_power():
 
 def paren_as_brackets(e, m):
     """(e : m) = [2e : 2m] / ([e : 2m] [e+m : 2m]), reduced."""
-    return reduce_term(RawTerm(1, 0, ((2 * e, 2 * m),),
-                               ((e, 2 * m), (e + m, 2 * m))))
+    return _term(1, 0, [(2 * e, 2 * m, BRACKET)],
+                 [(e, 2 * m, BRACKET), (e + m, 2 * m, BRACKET)])
 
 
 def test_paren_to_bracket_small_case():
@@ -284,8 +292,8 @@ def test_paren_to_bracket_matches_paren_series(m):
             with pytest.raises(DegenerateZero):
                 paren_as_brackets(e, m)
             continue
-        qshift, r = normalize_paren(e, m)
-        want = shift_scale(atom_series(r, m, PAREN, n - qshift), 1, qshift)
+        _, qshift, atom = normalize_atom(e, m, PAREN)
+        want = shift_scale(atom_series(*atom, n - qshift), 1, qshift)
         assert monomial_series(paren_as_brackets(e, m), n) == want, (e, m)
 
 
@@ -304,6 +312,16 @@ def test_atom_and_monomial_rendering():
     assert monomial_str(make_monomial(1, 0, (), ())) == "1"
 
 
+def test_monomial_str_rejects_non_monomials():
+    # a coefficient other than +-1, or theta sums, would be dropped
+    with pytest.raises(ValueError, match="not a monomial"):
+        monomial_str(Term(-3, 2, num=(Atom(1, 5, BRACKET),)))
+    with pytest.raises(ValueError, match="not a monomial"):
+        monomial_str(Term(2, 0, sums=((1, 1, 1, 1),)))
+    with pytest.raises(ValueError, match="not a monomial"):
+        monomial_str(Term(1, 0, sums=((-1, 1, -1, 2),)))
+
+
 # ----------------------------------------------------------------------
 # two-variable theta series
 # ----------------------------------------------------------------------
@@ -311,14 +329,14 @@ def test_atom_and_monomial_rendering():
 
 def test_f_sum_pentagonal():
     # f(-q, -q^2) is Euler's product
-    got = ramanujan_f_sum(FMono(-1, 1), FMono(-1, 2), 60)
+    got = ramanujan_f_sum((-1, 1, -1, 2), 60)
     assert got == pochhammer(1, 1, 1, 60)
 
 
 def test_f_sum_matches_bilateral_oracle():
     # f(-q^e, -q^(m-e)) has the bracket-type bilateral expansion
     for m, e in [(5, 2), (7, 3), (9, 4)]:
-        got = ramanujan_f_sum(FMono(-1, e), FMono(-1, m - e), 80)
+        got = ramanujan_f_sum((-1, e, -1, m - e), 80)
         assert got == bilateral_sum_oracle(e, m, -1, 80)
 
 
@@ -328,14 +346,14 @@ def test_f_sum_equals_f_product(sa, sb):
     n = 120
     for ea in range(1, 7):
         for eb in range(1, 7):
-            a, b = FMono(sa, ea), FMono(sb, eb)
-            assert ramanujan_f_sum(a, b, n) == ramanujan_f_product(a, b, n), (a, b)
+            args = (sa, ea, sb, eb)
+            assert ramanujan_f_sum(args, n) == ramanujan_f_product(args, n), args
 
 
 def test_f_sum_allows_one_nonpositive_exponent():
     # converges whenever e_a + e_b >= 1
     # exponent is k^2 - 2k: minimum -1 at k=1, and k=0, k=2 both land on q^0
-    got = ramanujan_f_sum(FMono(1, -1), FMono(1, 3), 30)
+    got = ramanujan_f_sum((1, -1, 1, 3), 30)
     assert got.offset == -1
     assert got.coeff(-1) == 1
     assert got.coeff(0) == 2
@@ -343,14 +361,14 @@ def test_f_sum_allows_one_nonpositive_exponent():
 
 def test_f_sum_divergent():
     with pytest.raises(Divergent):
-        ramanujan_f_sum(FMono(1, 0), FMono(1, 0), 10)
+        ramanujan_f_sum((1, 0, 1, 0), 10)
     with pytest.raises(Divergent):
-        ramanujan_f_sum(FMono(1, 5), FMono(1, -5), 10)
+        ramanujan_f_sum((1, 5, 1, -5), 10)
 
 
 def test_f_product_needs_positive_exponents():
     with pytest.raises(UnsupportedNegativeExponent):
-        ramanujan_f_product(FMono(1, 0), FMono(1, 3), 10)
+        ramanujan_f_product((1, 0, 1, 3), 10)
 
 
 # ----------------------------------------------------------------------
@@ -371,9 +389,9 @@ def test_atom_sums_equal_the_atom_series():
     for a in CANONICAL_ATOMS:
         scale, powers = atom_sums(a)
         got = Series(0, [scale], n)
-        for (sa, ea, sb, eb), p in powers:
-            assert ea >= 1 and eb >= 1  # constant term 1
-            f = ramanujan_f_sum(FMono(sa, ea), FMono(sb, eb), n)
+        for args, p in powers:
+            assert args[1] >= 1 and args[3] >= 1  # constant term 1
+            f = ramanujan_f_sum(args, n)
             for _ in range(abs(p)):
                 got = mul(got, f if p > 0 else invert(f))
         assert got == atom_series(a.r, a.m, a.kind, n), a
