@@ -3,13 +3,11 @@
 A unit alpha of Z/MZ acts on an identity by multiplying every residue
 of S and T by alpha mod M and folding the result back into the range
 1..M/2 (r and M - r index the same residue pair).  The image relation
-is rediscovered empirically: the shift and kind of the mapped identity
-are inferred from the partition counts, and a relation is returned only
-if it holds exactly at every index up to the order, so a failure of the
-underlying theory would be reported rather than silently accepted.  The
-inference is infer_relation's, run on one cleared build per image
-(partitions._cancelled) that serves both orientations of the folded
-pair.
+is rediscovered empirically by partitions.infer_relation: the shift,
+kind and orientation of the mapped identity are inferred from the
+partition counts, and a relation is returned only if it holds exactly
+at every index up to the order, so a failure of the underlying theory
+would be reported rather than silently accepted.
 
 Since alpha and M - alpha induce the same folded action, orbits are
 enumerated over alpha in 1..M/2 coprime to M, and a unit whose ordered
@@ -23,10 +21,10 @@ side with the larger count at n = a).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, inf
+from math import gcd
 from typing import Iterable, Sequence
 
-from .partitions import OrderTooSmall, PartitionIdentity, _cancelled, _infer
+from .partitions import PartitionIdentity, infer_relation
 
 DEFAULT_ORDER = 300
 
@@ -60,43 +58,25 @@ def act(u: UnitAction, ident: PartitionIdentity,
         n: int = DEFAULT_ORDER) -> PartitionIdentity:
     """Map an identity through a unit action and infer the image's relation.
 
-    The folded pair is tried in both orientations, since multiplication
-    can exchange which side carries the shift; at most one orientation
-    can satisfy a relation, so this is normalization rather than choice.
-    Both orientations are tested on one cleared build: _cancelled(T, S)
-    is _cancelled(S, T) with ya and yb swapped, integer for integer (see
-    partitions._cancelled), so the tests are exactly those of
-    infer_relation on (S_img, T_img), then on (T_img, S_img), then both
-    again with the cap lifted.  The image is not verified again: a
-    relation is returned only after checking it at every index 0..n,
-    which is the whole of what verify_identity(image, n) would check.
-    Like verify_identity, an order too small to see the inferred shift
-    is refused, and so is one that infer_relation's cap of n // 2 alone
-    keeps from a relation holding through n: that asks for a larger
-    order, not a verdict.
+    The image is partitions.infer_relation of the folded pair, which
+    tries both orientations on one cleared build, since multiplication
+    can exchange which side carries the shift.  It is not verified
+    again: infer_relation returns a relation only after checking it at
+    every index 0..n, which is the whole of what verify_identity(image,
+    n) would check.  An order too small to see the inferred shift, or one
+    that infer_relation's cap of n // 2 alone keeps from a relation
+    holding through n, raises OrderTooSmall: that asks for a larger
+    order, not a verdict.  A pair that satisfies no relation raises
+    NotAnIdentity.
     """
     if u.M != ident.M:
         raise ValueError("action modulus does not match identity modulus")
-    s_img, t_img = u.apply_set(ident.S), u.apply_set(ident.T)
-    packed = _cancelled(s_img, t_img, ident.M, n)
-    ya, yb, yu, w = packed
-    images = ((s_img, t_img, packed), (t_img, s_img, (yb, ya, yu, w)))
-    for S, T, packed in images:
-        found = _infer(packed, S, n, n // 2)
-        if found is None:
-            continue
-        kind, a = found
-        if n < a + 2:
-            raise OrderTooSmall(f"order {n} cannot see a shift of {a}")
-        return PartitionIdentity(ident.M, S, T, kind, a)
-    for S, T, packed in images:
-        found = _infer(packed, S, n, inf)
-        if found is not None:
-            a = found[1]
-            raise OrderTooSmall(f"order {n} cannot infer a shift of {a}, "
-                                f"which needs order {2 * a}")
-    raise NotAnIdentity(
-        f"alpha={u.alpha} maps the identity to a non-relation (M={ident.M})")
+    image = infer_relation(u.apply_set(ident.S), u.apply_set(ident.T),
+                           ident.M, n)
+    if image is None:
+        raise NotAnIdentity(f"alpha={u.alpha} maps the identity to a "
+                            f"non-relation (M={ident.M})")
+    return image
 
 
 def orbit(ident: PartitionIdentity,

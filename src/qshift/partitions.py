@@ -10,8 +10,11 @@ such parts, two kinds of identity are supported:
                equivalently  P_S(q) - P_T(q) = q^a
 
 where P_S is the generating function prod 1/(1 - q^k) over the parts.
-Verification is exact to a configurable order n.  verify_identity and
-infer_relation share one kernel, which works after cancelling the
+Verification is exact to a configurable order n.  verify_identity
+checks a given relation.  infer_relation finds the relation two sets
+satisfy, in whichever orientation holds it, as the unit action
+(equivalence.act) needs for an image, whose shift may have changed
+sides.  Both share one kernel, which works after cancelling the
 factors both sides share, as the paper's proofs cancel the brackets
 [r:M] common to both sides.  With U = S & T, P_S = P_U P_{S-U} and
 P_T = P_U P_{T-U}, so the relation holds to order n iff
@@ -192,6 +195,9 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     w is the width the uncleared series need: every coefficient of P_A
     and P_B lies in [0, 2^b) and every one of E_U in (-2^b, 2^b), b the
     largest of the three _coeff_bits bounds, and w >= b + 24.  The
+    bounds take the parts of A, B and U, each expanded from its residue
+    set: the classes of distinct residues in 1..M/2 are disjoint, so
+    these are the parts of S - T, T - S and S & T.  The
     cleared series' own coefficients may overflow their limbs; only the
     first nonzero coefficient of a difference has to fit (see _mismatch).
 
@@ -204,12 +210,10 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     whatever the order of yu's factors.  One build thus serves both
     orientations.
     """
-    ps = set(_expand_parts(S, M, n))
-    pt = set(_expand_parts(T, M, n))
-    pa, pb, pu = sorted(ps - pt), sorted(pt - ps), sorted(ps & pt)
+    A, B, U = sorted(S - T), sorted(T - S), sorted(S & T)
+    pa, pb, pu = (_expand_parts(rs, M, n) if rs else [] for rs in (A, B, U))
     w = _limb_width(max(_coeff_bits((), pa, n), _coeff_bits((), pb, n),
                         _coeff_bits(pu, (), n)))
-    A, B, U = sorted(S - T), sorted(T - S), sorted(S & T)
     E = euler_args(M)
 
     def theta_of(rs):
@@ -274,40 +278,53 @@ def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
                                       residue_product(T, M, j).coeff(j)))
 
 
-def _infer(packed, S, n: int, cap: float):
-    """(kind, a) for the oriented pair packed = _cancelled(S, T, M, n)
-    describes, with a <= cap, or None: the test half of infer_relation.
+def infer_relation(S, T, M: int, n: int) -> PartitionIdentity | None:
+    """The relation between two residue sets, oriented, or None.
 
-    P_S - 1 starts at the smallest part, min(S), so that is the only
-    possible shifted shift; P_S - P_T = P_U (P_{S-U} - P_{T-U}) starts
-    where P_{S-U} - P_{T-U} does, and so does ya - yb, which is that
+    One build, _cancelled(S, T, M, n), serves both orientations of the
+    pair: _cancelled(T, S, M, n) is the same four integers with ya and yb
+    exchanged.  Each orientation (X, Y) has one candidate shift per kind.
+    P_X - 1 starts at the smallest part, min(X), so that is the only
+    possible shifted shift.  P_X - P_Y = P_U (P_{X-U} - P_{Y-U}) starts
+    where P_{X-U} - P_{Y-U} does, and so does ya - yb, which is that
     difference times a unit, with the same first coefficient (see
-    _mismatch); that is the only possible shiftless shift.  Both
-    products have constant term 1, so a candidate is never 0.  A
-    returned relation holds at every index 0..n, exactly as
-    verify_identity would check it.
-    """
-    ya, yb, _, w = packed
-    for kind, a in ((SHIFTED, min(S)), (SHIFTLESS, _lowest_limb(ya - yb, w))):
-        if (a is not None and a <= cap
-                and _mismatch(packed, n, kind, a) is None):
-            return (kind, a)
-    return None
+    _mismatch).  Its lowest limb, which yb - ya shares, is the only
+    possible shiftless shift in either orientation.  Both products have
+    constant term 1, so a candidate is never 0.
 
-
-def infer_relation(S, T, M: int, n: int, cap: float | None = None):
-    """Find (kind, a) relating the given sets, or None.
-
-    Builds _cancelled(S, T, M, n) and tests it with _infer: the one
-    shifted candidate, then the one shiftless candidate, each with the
-    shift capped at cap, by default n // 2 so a match is seen well
-    inside the order.  The orientation is as given: S is the unshifted
-    (or larger) side.
+    The candidates are tried in the order (S, T) shifted, (S, T)
+    shiftless, (T, S) shifted, (T, S) shiftless, first those with
+    a <= n // 2, so that a match is seen well inside the order, then the
+    rest; each is tested once.  A unit action can exchange which side
+    carries the shift, and at most one orientation satisfies a relation,
+    so this is normalization rather than choice.  A returned identity
+    holds at every index 0..n, which is the whole of what
+    verify_identity would check.  Like verify_identity, an order too
+    small to see the shift raises OrderTooSmall, and so does a relation
+    that holds through n only with a shift above n // 2: that asks for a
+    larger order, not a verdict.
     """
     S, T = frozenset(S), frozenset(T)
     if S == T:
         return None
-    return _infer(_cancelled(S, T, M, n), S, n, n // 2 if cap is None else cap)
+    ya, yb, yu, w = packed = _cancelled(S, T, M, n)
+    swapped = (yb, ya, yu, w)
+    low = _lowest_limb(ya - yb, w)
+    cap = n // 2
+    tests = [c for c in ((S, T, packed, SHIFTED, min(S)),
+                         (S, T, packed, SHIFTLESS, low),
+                         (T, S, swapped, SHIFTED, min(T)),
+                         (T, S, swapped, SHIFTLESS, low)) if c[-1] is not None]
+    # sorted is stable: the order above holds within each half
+    for X, Y, xy, kind, a in sorted(tests, key=lambda c: c[-1] > cap):
+        if _mismatch(xy, n, kind, a) is None:
+            if a > cap:
+                raise OrderTooSmall(f"order {n} cannot infer a shift of {a}, "
+                                    f"which needs order {2 * a}")
+            if n < a + 2:
+                raise OrderTooSmall(f"order {n} cannot see a shift of {a}")
+            return PartitionIdentity(M, X, Y, kind, a)
+    return None
 
 
 # ----------------------------------------------------------------------

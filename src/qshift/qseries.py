@@ -263,10 +263,6 @@ class Series:
     def zero(order: int) -> "Series":
         return Series(order, (0,), order)
 
-    @staticmethod
-    def one(order: int) -> "Series":
-        return Series(0, (1,), order)
-
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -299,14 +299,18 @@ def _scan_unit(args):
                     len(labels) - 1, batch.reason)
     # tally in order of first occurrence, as a tuple-by-tuple loop would,
     # so the histogram's key order is unchanged too
-    codes, first, counts = np.unique(code, return_index=True,
-                                     return_counts=True)
-    for j in np.argsort(first):
-        hist[labels[codes[j]]] += int(counts[j])
+    counts = np.bincount(code)
+    for c in dict.fromkeys(code.tolist()):
+        hist[labels[c]] += int(counts[c])
+    # the first row of each distinct identity, in row order
     rows = np.flatnonzero(code == 0)
-    keys = np.column_stack((batch.shifted, batch.shift, batch.S, batch.T))
-    _, first = np.unique(keys[rows], axis=0, return_index=True)
-    for i in rows[np.sort(first)].tolist():
+    keys = np.column_stack((batch.shifted, batch.shift, batch.S, batch.T))[rows]
+    step = keys.itemsize * keys.shape[1]
+    blob = keys.tobytes()
+    first = {}
+    for j, i in enumerate(rows.tolist()):
+        first.setdefault(blob[j * step:(j + 1) * step], i)
+    for i in first.values():
         params = FourParams(a, b, int(C[i]), int(X[i]), int(Y[i]), n)
         found.append((params, batch.identity(i)))
     return scanned, hist, found

@@ -5,16 +5,17 @@ parameter sets through the four-parameter relation, so every input is
 independently verified before the action is exercised.  The classifier
 is checked against published class structure for the two smallest
 moduli with more than one entry.  On the whole catalog, act, orbit and
-classify are checked against a two-build oracle (infer_relation on each
-orientation, then again uncapped), and their cleared builds are counted.
+classify are checked against a two-build oracle (the partition counts of
+the two image sides, one residue_product build each), and their cleared
+builds are counted.
 """
 
 import random
-from math import gcd, inf
+from math import gcd
 
 import pytest
 
-from qshift import equivalence, partitions
+from qshift import partitions
 from qshift.corpus import load_corpus
 from qshift.equivalence import (
     NotAnIdentity,
@@ -26,11 +27,13 @@ from qshift.equivalence import (
 from qshift.jacobi import FourParams, derive_identity
 from qshift.partitions import (
     SHIFTED,
+    SHIFTLESS,
     OrderTooSmall,
     PartitionIdentity,
     infer_relation,
     verify_identity,
 )
+from qshift.qseries import residue_product
 
 PARAMS_40 = [
     (1, 2, 5, 15, 16), (1, 3, 4, 14, 16),
@@ -110,19 +113,22 @@ class TestAct:
     @pytest.mark.parametrize("index", range(len(PARAMS_40)))
     def test_inferred_image_relations_verify(self, ids40, index):
         # act returns what infer_relation finds without re-verifying it,
-        # so every inferred (kind, a) must pass verify_identity as is
+        # so every inferred image must pass verify_identity as is, and
+        # no relation may hold in the other orientation
         ident, n = ids40[index], 200
         for alpha in range(1, 20):
             if gcd(alpha, 40) != 1:
                 continue
             u = UnitAction(alpha, 40)
             s_img, t_img = u.apply_set(ident.S), u.apply_set(ident.T)
-            found = [(S, T, rel) for S, T in ((s_img, t_img), (t_img, s_img))
-                     if (rel := infer_relation(S, T, 40, n)) is not None]
-            assert len(found) == 1, alpha
-            S, T, (kind, a) = found[0]
-            image = PartitionIdentity(40, S, T, kind, a)
-            assert verify_identity(image, n).ok, (alpha, kind, a)
+            image = infer_relation(s_img, t_img, 40, n)
+            assert image is not None, alpha
+            assert {image.S, image.T} == {s_img, t_img}
+            assert infer_relation(t_img, s_img, 40, n) == image
+            assert verify_identity(image, n).ok, (alpha, image)
+            assert relations_by_counts(
+                image.T, partition_counts(image.T, 40, n),
+                partition_counts(image.S, 40, n)) == []
             assert act(u, ident, n) == image
 
     def test_shift_above_half_the_order_asks_for_a_larger_order(self,
@@ -215,24 +221,53 @@ def half_units(M):
     return [a for a in range(1, M // 2 + 1) if gcd(a, M) == 1]
 
 
+def partition_counts(X, M, n):
+    """p(X, 0..n), read from one residue_product build."""
+    series = residue_product(X, M, n)
+    return [series.coeff(k) for k in range(n + 1)]
+
+
+def relations_by_counts(X, px, py):
+    """The (kind, a), shifted first, that the partition counts
+    px = p(X, 0..n) and py = p(Y, 0..n) of a pair (X, Y) confirm at
+    every index.
+
+    Only one shift per kind can hold: shifted needs p(X, k) = 0 for
+    0 < k < a and p(X, a) = p(Y, 0) = 1, so a = min(X); shiftless needs
+    p(X, k) = p(Y, k) below a and p(X, a) = p(Y, a) + 1, so a is the
+    first index where the counts differ."""
+    a = min(X)
+    found = []
+    if all(c - (py[k - a] if k >= a else 0) == (k == 0)
+           for k, c in enumerate(px)):
+        found.append((SHIFTED, a))
+    a = next((k for k, (c, d) in enumerate(zip(px, py)) if c != d), None)
+    if a is not None and all(c - d == (k == a)
+                             for k, (c, d) in enumerate(zip(px, py))):
+        found.append((SHIFTLESS, a))
+    return found
+
+
 def act_by_two_builds(u, ident, n):
-    """act as infer_relation alone defines it: one cleared build per
-    orientation, then both again with the cap lifted."""
+    """act from the partition counts of the two image sides: the first
+    relation with a shift up to n // 2, in the orientation
+    (S_img, T_img) and then (T_img, S_img), refused when n < a + 2;
+    failing that, a relation with a larger shift asks for order 2a."""
     s_img, t_img = u.apply_set(ident.S), u.apply_set(ident.T)
-    images = ((s_img, t_img), (t_img, s_img))
-    for S, T in images:
-        found = infer_relation(S, T, ident.M, n)
-        if found is not None:
-            kind, a = found
+    ps, pt = (partition_counts(X, ident.M, n) for X in (s_img, t_img))
+    found = [(S, T, kind, a)
+             for S, T, px, py in ((s_img, t_img, ps, pt),
+                                  (t_img, s_img, pt, ps))
+             for kind, a in relations_by_counts(S, px, py)]
+    for S, T, kind, a in found:
+        if a <= n // 2:
             if n < a + 2:
                 raise OrderTooSmall(f"order {n} cannot see a shift of {a}")
             return PartitionIdentity(ident.M, S, T, kind, a)
-    for S, T in images:
-        found = infer_relation(S, T, ident.M, n, cap=inf)
-        if found is not None:
-            a = found[1]
-            raise OrderTooSmall(f"order {n} cannot infer a shift of {a}, "
-                                f"which needs order {2 * a}")
+    if found:
+        a = found[0][3]
+        raise OrderTooSmall(f"order {n} cannot infer a shift of {a}, "
+                            f"which needs order {2 * a}")
     raise NotAnIdentity(
         f"alpha={u.alpha} maps the identity to a non-relation (M={ident.M})")
 
@@ -310,7 +345,6 @@ class TestBuildCount:
             return real(S, T, M, n)
 
         monkeypatch.setattr(partitions, "_cancelled", counting)
-        monkeypatch.setattr(equivalence, "_cancelled", counting)
         return calls
 
     def test_one_build_per_act(self, builds, catalog, ids40):

@@ -4,12 +4,14 @@ The packed builders have one home each: qseries packs products of
 (1 - s q^k)^(+-1) and sparse sums, and theta lists the theta sums and
 builds their products.  Every other module goes through theta's builder
 (theta._pack_sums) or the public series functions, so a second builder
-cannot come back unnoticed.
+cannot come back unnoticed.  The private names one module imports from
+another are an explicit list, so a new one is a decision, not a drift.
 
-Every top-level function and class of the library is used by the
-library or named by the benchmark (bench/*.py, the layer names the
-tracer binds by string among them), so code that only the tests reach
-lives in tests/oracles.py, not in src."""
+Every top-level function and class of the library, and every
+non-dunder method of those classes, is used by the library or named by
+the benchmark (bench/*.py, the layer names the tracer binds by string
+among them), so code that only the tests reach lives in
+tests/oracles.py, not in src."""
 
 import ast
 from pathlib import Path
@@ -52,6 +54,40 @@ def test_only_qseries_and_theta_reach_the_packed_builders():
 
 
 # ----------------------------------------------------------------------
+# private names imported across modules
+# ----------------------------------------------------------------------
+
+# (importer, module, name): each a kernel helper shared by the packed
+# builders, or the search prefilter reading jacobi's expressions
+PRIVATE_IMPORTS = {
+    ("theta", "qseries", "_coeff_bits"),
+    ("theta", "qseries", "_limb_width"),
+    ("theta", "qseries", "_lowest_limb"),
+    ("theta", "qseries", "_pack_sparse"),
+    ("partitions", "qseries", "_coeff_bits"),
+    ("partitions", "qseries", "_expand_parts"),
+    ("partitions", "qseries", "_limb_width"),
+    ("partitions", "qseries", "_lowest_limb"),
+    ("partitions", "theta", "_pack_sums"),
+    ("search", "jacobi", "_four2_exprs"),
+}
+
+
+def private_imports(path):
+    """(importer, module, name) for every _-prefixed name the module
+    imports from another module of the package."""
+    return {(path.stem, node.module, alias.name)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def test_only_the_listed_private_names_cross_modules():
+    found = set().union(*(private_imports(p) for p in SRC.glob("*.py")))
+    assert found == PRIVATE_IMPORTS
+
+
+# ----------------------------------------------------------------------
 # no library code that only the tests reach
 # ----------------------------------------------------------------------
 
@@ -60,11 +96,22 @@ BENCH = SRC.parent.parent / "bench"
 USED_ELSEWHERE = {("partitions.py", "count_partitions")}
 
 
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def top_level_defs(path):
-    """The functions and classes a module defines at top level."""
-    return {node.name for node in ast.parse(path.read_text()).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))}
+    """The functions and classes a module defines at top level, and the
+    non-dunder methods of those classes."""
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, DEFS):
+            found.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            found.update(f.name for f in node.body
+                         if isinstance(f, DEFS) and not (
+                             f.name.startswith("__")
+                             and f.name.endswith("__")))
+    return found
 
 
 def referenced_names(path, strings=False):

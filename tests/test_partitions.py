@@ -18,6 +18,8 @@ from qshift.qseries import (
     EmptySet,
     ResidueOutOfRange,
     Series,
+    _coeff_bits,
+    _limb_width,
     _pack,
     _pack_sparse,
     _unpack_signed,
@@ -200,17 +202,30 @@ def test_verify_monotone_in_order():
 
 
 def test_infer_recovers_shifted():
-    assert infer_relation(S32, T32, 32, 200) == (SHIFTED, 1)
+    assert infer_relation(S32, T32, 32, 200) == ID32
 
 
 def test_infer_recovers_shiftless():
-    assert infer_relation(S40, T40, 40, 200) == (SHIFTLESS, 2)
+    assert infer_relation(S40, T40, 40, 200) == ID40
 
 
 def test_infer_is_orientation_sensitive():
-    # with the sides swapped neither pattern matches
-    assert infer_relation(T32, S32, 32, 200) is None
-    assert infer_relation(T40, S40, 40, 200) is None
+    # with the sides swapped the relation still orients the identity
+    assert infer_relation(T32, S32, 32, 200) == ID32
+    assert infer_relation(T40, S40, 40, 200) == ID40
+
+
+def test_infer_refuses_an_order_too_small_for_the_shift():
+    # n < a + 2 cannot see the shift; a > n // 2 asks for order 2a
+    with pytest.raises(OrderTooSmall, match="cannot see a shift of 1"):
+        infer_relation(S32, T32, 32, 2)
+    ident = next(e.identity for e in load_corpus()
+                 if e.label == "Thm-42.2-iii")
+    assert (ident.kind, ident.a) == (SHIFTLESS, 8)
+    for S, T in ((ident.S, ident.T), (ident.T, ident.S)):
+        with pytest.raises(OrderTooSmall, match="needs order 16"):
+            infer_relation(S, T, 42, 15)
+        assert infer_relation(S, T, 42, 16) == ident
 
 
 def test_infer_equal_sets_gives_nothing():
@@ -228,28 +243,67 @@ def test_infer_unrelated_sets_gives_nothing():
 
 def oracle_verdict(ident, n):
     """(ok, first_fail, witness) of the relation by the DP oracle."""
-    ps = count_partitions_table(ident.S, ident.M, n)
-    pt = count_partitions_table(ident.T, ident.M, n)
-    for k in range(n + 1):
-        if ident.kind == SHIFTED:
-            rhs = pt[k - ident.a] if k >= ident.a else 0
+    return counts_verdict(count_partitions_table(ident.S, ident.M, n),
+                          count_partitions_table(ident.T, ident.M, n),
+                          ident.kind, ident.a)
+
+
+def counts_verdict(ps, pt, kind, a):
+    """(ok, first_fail, witness) of the relation on the counts
+    ps = p(S, 0..n) and pt = p(T, 0..n)."""
+    for k in range(len(ps)):
+        if kind == SHIFTED:
+            rhs = pt[k - a] if k >= a else 0
             want = 1 if k == 0 else 0
         else:
             rhs = pt[k]
-            want = 1 if k == ident.a else 0
+            want = 1 if k == a else 0
         if ps[k] - rhs != want:
             return False, k, (ps[k], rhs)
     return True, None, None
 
 
-def brute_relation(S, T, M, n):
-    """The first (kind, a), shifted first, that the DP oracle confirms."""
+def brute_relation(S, T, M, n, shifts=None):
+    """The first (kind, a), shifted first, with a in shifts (by default
+    1..n // 2), that the DP oracle confirms.  A shiftless relation shows
+    its q^a only for a <= n."""
+    ps = count_partitions_table(S, M, n)
+    pt = count_partitions_table(T, M, n)
     for kind in (SHIFTED, SHIFTLESS):
-        for a in range(1, n // 2 + 1):
-            ident = PartitionIdentity(M, S, T, kind, a)
-            if oracle_verdict(ident, n)[0]:
+        for a in shifts or range(1, n // 2 + 1):
+            if ((kind == SHIFTED or a <= n)
+                    and counts_verdict(ps, pt, kind, a)[0]):
                 return kind, a
     return None
+
+
+def brute_infer(S, T, M, n):
+    """What infer_relation(S, T, M, n) must give, by brute force: the
+    identity in the first orientation, (S, T) then (T, S), with a
+    relation at a shift up to n // 2; OrderTooSmall when that shift is
+    too large to see (n < a + 2), or when only a larger shift gives a
+    relation through n; else None.  Every shifted shift past n acts as
+    n + 1, since q^a P_T vanishes through n."""
+    pairs = ((S, T), (T, S))
+    for X, Y in pairs:
+        found = brute_relation(X, Y, M, n)
+        if found:
+            if n < found[1] + 2:
+                return OrderTooSmall
+            return PartitionIdentity(M, X, Y, *found)
+    late = range(n // 2 + 1, n + 2)
+    if any(brute_relation(X, Y, M, n, late) for X, Y in pairs):
+        return OrderTooSmall
+    return None
+
+
+def inferred(S, T, M, n):
+    """infer_relation's identity or None, or OrderTooSmall if it raises
+    that."""
+    try:
+        return infer_relation(S, T, M, n)
+    except OrderTooSmall:
+        return OrderTooSmall
 
 
 def edge_pairs(shape, count, seed):
@@ -298,8 +352,8 @@ def test_verify_edge_shapes_match_oracle(shape):
 def test_infer_edge_shapes_match_brute_force(shape):
     for M, S, T in edge_pairs(shape, 12, seed=100 + len(shape)):
         for n in (4, 60):
-            assert infer_relation(S, T, M, n) == brute_relation(S, T, M, n)
-            assert infer_relation(T, S, M, n) == brute_relation(T, S, M, n)
+            assert inferred(S, T, M, n) == brute_infer(S, T, M, n)
+            assert inferred(T, S, M, n) == brute_infer(T, S, M, n)
 
 
 # ----------------------------------------------------------------------
@@ -382,8 +436,23 @@ def test_cancelled_equals_cleared_products():
             # the cleared coefficients may overflow a limb: pack exactly
             packed = sum(c << (w * i) for i, c in enumerate(want))
             assert got == packed % (1 << w * (n + 1))
+        assert w == set_difference_width(S, T, M, n)
         remainders.add((len(S) % 3, len(T) % 3))
     assert len(remainders) == 9  # every count of lone E factors on each side
+    for e in load_corpus():
+        S, T, M = e.identity.S, e.identity.T, e.identity.M
+        assert _cancelled(S, T, M, 300)[3] == \
+            set_difference_width(S, T, M, 300), e.label
+
+
+def set_difference_width(S, T, M, n):
+    """The limb width sized from the full part sets of S and T: _cancelled
+    expands S - T, T - S and S & T instead, which gives the same parts,
+    as the classes of distinct residues are disjoint."""
+    ps, pt = set(parts_of(S, M, n)), set(parts_of(T, M, n))
+    return _limb_width(max(_coeff_bits((), sorted(ps - pt), n),
+                           _coeff_bits((), sorted(pt - ps), n),
+                           _coeff_bits(sorted(ps & pt), (), n)))
 
 
 def swapped(packed):
@@ -439,7 +508,7 @@ def residue_product_verdict(ident, n):
     pt = residue_product(ident.T, ident.M, n)
     if ident.kind == SHIFTED:
         lhs = linear_combine([(1, ps), (-1, shift_scale(pt, 1, ident.a))])
-        rhs = Series.one(n)
+        rhs = Series(0, (1,), n)
     else:
         lhs = linear_combine([(1, ps), (-1, pt)])
         rhs = Series(ident.a, (1,), n)
@@ -532,11 +601,11 @@ def test_half_residue_infer_matches_brute_force():
         S, T, M = ident.S, ident.T, ident.M
         k = oracle_verdict(ident, 160)[1]
         for n in sorted({4, k - 1, k + 10, 60}):
-            got = infer_relation(S, T, M, n)
-            assert got == brute_relation(S, T, M, n), (ident, n)
-            assert infer_relation(T, S, M, n) == brute_relation(T, S, M, n)
-            if got:
-                found.add(got[0])
+            got = inferred(S, T, M, n)
+            assert got == brute_infer(S, T, M, n), (ident, n)
+            assert inferred(T, S, M, n) == brute_infer(T, S, M, n)
+            if isinstance(got, PartitionIdentity):
+                found.add(got.kind)
     assert found == {SHIFTED, SHIFTLESS}
 
 
@@ -614,4 +683,5 @@ def test_theorem_72_2_smoke():
 def test_theorem_72_2_identity_object():
     assert THEOREM_72_2.M == 72
     assert verify_identity(THEOREM_72_2, 150).ok
-    assert infer_relation(THEOREM_72_2.S, THEOREM_72_2.T, 72, 150) == (SHIFTED, 1)
+    assert infer_relation(THEOREM_72_2.S, THEOREM_72_2.T, 72, 150) == \
+        THEOREM_72_2
