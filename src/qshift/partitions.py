@@ -26,24 +26,19 @@ does, where E_U = 1/P_U = prod (1 - q^k) over the parts of U.  P_U is
 a unit series (constant term 1), so the two forms first fail at the
 same index, and first_fail is that of the uncancelled relation.
 
-The kernel then clears denominators in theta-sum form, as the paper's
-proofs use Jacobi's triple product on each bracket [r:M].  With
-E = (q^M; q^M), each residue class gives prod (1 - q^k) = g_r / E, where
-g_r = f(-q^r, -q^(M-r)) is a sum of about 2 sqrt(2n/M) signed powers of
-q (for r = M/2 it is the pentagonal sum (q^r; q^r)).  Multiplying the
-cancelled relation by the unit Theta_{S-U} Theta_{T-U} E^|U|
-(Theta_X = prod_X g_r) turns all three series into products of sparse
-sums, and E^3 is Jacobi's sparser sum.  Each series is one packed
-integer (one limb per coefficient, see qseries) built by the builder
-the cleared zero test uses too, theta._pack_sums, one shift-add per
-sparse term; the cleared relation is one big-integer difference that
-is zero exactly when the relation holds.  The limb width comes from a
-proven bound on the cancelled products (qseries._coeff_bits), far
-below the width p(n) would need: only the first nonzero coefficient of
-the difference has to fit in a limb (see _mismatch).  Only a failing
-check builds its witness, the two partition counts at the failing
-index, read from qseries.residue_product.  count_partitions is an
-independent dynamic-programming oracle for the same numbers.
+The kernel then clears denominators as the paper's proofs do, by
+Jacobi's triple product.  The three series are class monomials, 1/[S-U],
+1/[T-U] and [U], where class r is the bracket [r:M] for 2r < M and
+[M/2:2M] = (q^(M/2); q^M) for 2r = M: a three-term theta relation like
+the special relations below, so the one cleared build,
+theta.cleared_build, clears, sizes and packs it (one limb per
+coefficient, see qseries).  The cleared relation is one big-integer
+difference that is zero exactly when the relation holds, and only its
+first nonzero coefficient has to fit in a limb (see _mismatch), far
+below the width p(n) would need.  Only a failing check builds its
+witness, the two partition counts at the failing index, read from
+qseries.residue_product.  count_partitions is an independent
+dynamic-programming oracle for the same numbers.
 
 The module also carries two special families with their own proofs: the
 classical Rogers-Ramanujan shifted identities (moduli 55 and 70 in
@@ -58,22 +53,15 @@ theta.first_nonzero, which writes every atom as its theta sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .qseries import (
-    _coeff_bits,
-    _expand_parts,
-    _limb_width,
-    _lowest_limb,
-    residue_product,
-)
+from .qseries import _expand_parts, _lowest_limb, residue_product
 from .theta import (
     BRACKET,
     PAREN,
     Atom,
     Term,
-    _pack_sums,
-    bracket_args,
-    euler_args,
+    cleared_build,
     first_nonzero,
     make_monomial,
 )
@@ -140,15 +128,10 @@ class VerifyReport:
 # counting
 # ----------------------------------------------------------------------
 
-def parts_of(S, M: int, limit: int) -> list[int]:
-    """Ascending parts k <= limit with k = +-s (mod M), s in S."""
-    return _expand_parts(S, M, limit)
-
-
 def count_partitions_table(S, M: int, n: int) -> list[int]:
     """p(S, 0..n) by direct dynamic programming (the slow oracle)."""
     table = [1] + [0] * n
-    for k in parts_of(S, M, n):
+    for k in _expand_parts(S, M, n):
         for j in range(k, n + 1):
             table[j] += table[j - k]
     return table
@@ -165,99 +148,60 @@ def count_partitions(S, M: int, n: int) -> int:
 # verification and inference
 # ----------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _class(r: int, M: int) -> Atom:
+    """Class r mod M: [r:M], or [M/2:2M] = (q^(M/2); q^M) for 2r = M."""
+    return Atom(r, 2 * M if 2 * r == M else M, BRACKET)
+
+
 def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
-    """The three packed series the kernel compares, at one limb width.
+    """(ya, yb, yu, w): the class monomials 1/[A], 1/[B] and [U], with
+    A = S - T, B = T - S and U = S & T (residue sets, whose classes are
+    disjoint), each with c = 1 and e = 0, cleared by one unit V with
+    V(0) = 1 and packed by theta.cleared_build in limbs of w bits that
+    hold every coefficient of a sum of the three with coefficients +-1.
 
-    With A = S - T, B = T - S and U = S & T (residue sets, whose classes
-    are disjoint), the cancelled relation compares P_A, P_B and
-    E_U = prod (1 - q^k) over the parts of U (P_X = prod 1/(1 - q^k)
-    over the parts of X).  By the triple product each class r gives
-    prod (1 - q^k) = g_r / E, so with Theta_X = prod_X g_r
-
-        P_A = E^|A| / Theta_A,  P_B = E^|B| / Theta_B,  E_U = Theta_U / E^|U|.
-
-    Multiplying all three by the unit Theta_A Theta_B E^|U| (constant
-    term 1) clears every denominator.  Returns (ya, yb, yu, w) with
-
-        ya = E^(|A|+|U|) Theta_B,  yb = E^(|B|+|U|) Theta_A,
-        yu = Theta_U Theta_A Theta_B,
-
-    each packed in w-bit limbs mod 2^(w*(n+1)) and built by the one
-    builder of products of theta sums, theta._pack_sums (one shift-add
-    per sparse term, each full three factors of E as one factor E^3):
-    Theta_A and Theta_B are built once, and ya, yb and yu start from
-    them.  g_r and E = E_M come from the table of theta.atom_sums: the
-    class r is g_r / E_M with g_r = bracket_args(r, M), which is
-    f(-q^r, -q^(M-r)) for 2r < M, where the class is the bracket [r:M],
-    and E_r for 2r = M, where the class is the single progression
-    (q^r; q^M) and [r:M] is its square.
-
-    w is the width the uncleared series need: every coefficient of P_A
-    and P_B lies in [0, 2^b) and every one of E_U in (-2^b, 2^b), b the
-    largest of the three _coeff_bits bounds, and w >= b + 24.  The
-    bounds take the parts of A, B and U, each expanded from its residue
-    set: the classes of distinct residues in 1..M/2 are disjoint, so
-    these are the parts of S - T, T - S and S & T.  The
-    cleared series' own coefficients may overflow their limbs; only the
-    first nonzero coefficient of a difference has to fit (see _mismatch).
-
-    The build is symmetric: _cancelled(T, S, M, n) is (yb, ya, yu, w),
-    integer for integer.  Swapping S and T swaps A and B and keeps U, so
-    it swaps ya and yb and keeps yu's factors; w is the max of the same
-    three bounds.  Every value returned is reduced mod 2^(w*(n+1)) (each
-    _pack_sparse ends with that reduction, and A and B are not both
-    empty since S != T), and _pack_sums returns the same integer
-    whatever the order of yu's factors.  One build thus serves both
+    Cleared, [U] holds the class sums of A, B and U, at least as many
+    as either other term, and comes last, so it is the build's hub.  The
+    integers do not depend on the order of the factors and w is the
+    largest of three symmetric bounds, so _cancelled(T, S, M, n) is
+    (yb, ya, yu, w), integer for integer: one build serves both
     orientations.
     """
-    A, B, U = sorted(S - T), sorted(T - S), sorted(S & T)
-    pa, pb, pu = (_expand_parts(rs, M, n) if rs else [] for rs in (A, B, U))
-    w = _limb_width(max(_coeff_bits((), pa, n), _coeff_bits((), pb, n),
-                        _coeff_bits(pu, (), n)))
-    E = euler_args(M)
+    def classes(rs):
+        return [_class(r, M) for r in sorted(rs)]
 
-    def theta_of(rs):
-        return dict.fromkeys((bracket_args(r, M) for r in rs), 1)
-
-    ta = _pack_sums(1, theta_of(A), n, w)
-    tb = _pack_sums(1, theta_of(B), n, w)
-    # Theta_U Theta_A Theta_B from the larger of Theta_A and Theta_B
-    start, rest = (ta, B) if len(A) >= len(B) else (tb, A)
-    yu = _pack_sums(start, theta_of(rest + U), n, w)
-    return (_pack_sums(tb, {E: len(A) + len(U)}, n, w),
-            _pack_sums(ta, {E: len(B) + len(U)}, n, w), yu, w)
+    w, (ya, yb, yu) = cleared_build((Term(1, 0, den=classes(S - T)),
+                                     Term(1, 0, den=classes(T - S)),
+                                     Term(1, 0, num=classes(S & T))), n)
+    return ya, yb, yu, w
 
 
 def _mismatch(packed, n: int, kind: str, a: int) -> int | None:
     """First index 0..n where the relation fails, or None if it holds.
 
     packed is _cancelled(S, T, M, n).  With U = S & T, P_S = P_U P_{S-U}
-    and P_T = P_U P_{T-U}, and _cancelled multiplies the bracket below by
-    a unit V (constant term 1), so
+    and P_T = P_U P_{T-U}, and the build's unit V has V(0) = 1, so
 
         P_S - q^a P_T - 1  = P_U V^-1 (ya - q^a yb - yu)
         P_S - P_T - q^a    = P_U V^-1 (ya - yb - q^a yu).
 
-    The cleared defect is one packed difference
-
-        shifted    d = ya - (yb << a*w) - yu
-        shiftless  d = ya - yb - (yu << a*w)
-
-    taken mod 2^(w*(n+1)).  P_U V^-1 has constant term 1, so the cleared
-    defect's first nonzero coefficient c, at index k, is the uncleared
-    bracket's (P_{S-U} - q^a P_{T-U} - E_U, or the shiftless one) and the
-    relation's first failing index, and |c| < 3 * 2^b < 2^(w-1) (see
-    _cancelled).  By the argument of theta.first_nonzero (packing is
-    a ring homomorphism), the lowest set bit of d lies in limb k however
-    far the later cleared coefficients overflow their limbs.
+    The cleared defect d = ya - (yb << a*w) - yu, or ya - yb - (yu <<
+    a*w), is the packed bracket mod 2^(w*(n+1)), and P_U V^-1 has
+    constant term 1, so its first nonzero coefficient c, at k, is the
+    uncleared bracket's, and k is the relation's first failing index.  A
+    shift moves no coefficient, so cleared_build's sizing gives
+    |c| < 2^(w-1), and by the argument of theta.first_nonzero the lowest
+    set bit of d lies in limb k; a defect that vanishes mod 2^(w*(n+1))
+    has none below limb n + 1.
     """
     ya, yb, yu, w = packed
-    mask = (1 << (w * (n + 1))) - 1
     if kind == SHIFTED:
-        d = (ya - (yb << (a * w)) - yu) & mask
+        d = ya - (yb << (a * w)) - yu
     else:
-        d = (ya - yb - (yu << (a * w))) & mask
-    return _lowest_limb(d, w)
+        d = ya - yb - (yu << (a * w))
+    k = _lowest_limb(d, w)
+    return None if k is None or k > n else k
 
 
 def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
@@ -281,50 +225,54 @@ def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
 def infer_relation(S, T, M: int, n: int) -> PartitionIdentity | None:
     """The relation between two residue sets, oriented, or None.
 
-    One build, _cancelled(S, T, M, n), serves both orientations of the
-    pair: _cancelled(T, S, M, n) is the same four integers with ya and yb
-    exchanged.  Each orientation (X, Y) has one candidate shift per kind.
-    P_X - 1 starts at the smallest part, min(X), so that is the only
-    possible shifted shift.  P_X - P_Y = P_U (P_{X-U} - P_{Y-U}) starts
-    where P_{X-U} - P_{Y-U} does, and so does ya - yb, which is that
-    difference times a unit, with the same first coefficient (see
-    _mismatch).  Its lowest limb, which yb - ya shares, is the only
-    possible shiftless shift in either orientation.  Both products have
-    constant term 1, so a candidate is never 0.
+    One build, _cancelled(S, T, M, n), serves both orientations: the
+    swapped build is ya and yb exchanged.  Each orientation (X, Y) has
+    one candidate shift per kind.  P_X - 1 starts at min(X), the only
+    possible shifted shift.  P_X - P_Y starts where ya - yb does, which
+    is P_{X-U} - P_{Y-U} times a unit (see _mismatch); its lowest limb
+    is the only possible shiftless shift, and only in the orientation
+    whose difference starts with +1, which the limb's sign names.  Both
+    products have constant term 1, so no candidate is 0.
 
-    The candidates are tried in the order (S, T) shifted, (S, T)
-    shiftless, (T, S) shifted, (T, S) shiftless, first those with
-    a <= n // 2, so that a match is seen well inside the order, then the
-    rest; each is tested once.  A unit action can exchange which side
-    carries the shift, and at most one orientation satisfies a relation,
-    so this is normalization rather than choice.  A returned identity
-    holds at every index 0..n, which is the whole of what
-    verify_identity would check.  Like verify_identity, an order too
-    small to see the shift raises OrderTooSmall, and so does a relation
-    that holds through n only with a shift above n // 2: that asks for a
-    larger order, not a verdict.
+    Each of the three candidates is tested once.  A unit action can
+    exchange which side carries the shift, and at most one orientation
+    satisfies a relation, so one candidate holding is normalization,
+    not choice; the identity returned holds at every index 0..n, the
+    whole of what verify_identity would check.  An order that cannot
+    tell the relation raises OrderTooSmall, as verify_identity does for
+    a shift it cannot see, and asks for a larger order:
+
+    - the one candidate that holds has a shift a > n // 2 (order 2a);
+    - n < a + 2, a the least shift that holds;
+    - more than one holds, as at tiny orders, where the counts of two
+      sides can match by coincidence.
     """
     S, T = frozenset(S), frozenset(T)
     if S == T:
         return None
     ya, yb, yu, w = packed = _cancelled(S, T, M, n)
     swapped = (yb, ya, yu, w)
-    low = _lowest_limb(ya - yb, w)
-    cap = n // 2
-    tests = [c for c in ((S, T, packed, SHIFTED, min(S)),
-                         (S, T, packed, SHIFTLESS, low),
-                         (T, S, swapped, SHIFTED, min(T)),
-                         (T, S, swapped, SHIFTLESS, low)) if c[-1] is not None]
-    # sorted is stable: the order above holds within each half
-    for X, Y, xy, kind, a in sorted(tests, key=lambda c: c[-1] > cap):
-        if _mismatch(xy, n, kind, a) is None:
-            if a > cap:
-                raise OrderTooSmall(f"order {n} cannot infer a shift of {a}, "
-                                    f"which needs order {2 * a}")
-            if n < a + 2:
-                raise OrderTooSmall(f"order {n} cannot see a shift of {a}")
-            return PartitionIdentity(M, X, Y, kind, a)
-    return None
+    d = ya - yb
+    low = _lowest_limb(d, w)
+    # the sign bit of d's limb at low, set when P_T - P_S starts with +1
+    turned = low is not None and d >> (w * low + w - 1) & 1
+    shiftless = (T, S, swapped) if turned else (S, T, packed)
+    held = [(X, Y, kind, a) for X, Y, xy, kind, a in (
+        (S, T, packed, SHIFTED, min(S)), (T, S, swapped, SHIFTED, min(T)),
+        (*shiftless, SHIFTLESS, low))
+        if a is not None and _mismatch(xy, n, kind, a) is None]
+    if not held:
+        return None
+    X, Y, kind, a = min(held, key=lambda c: c[3])
+    if len(held) == 1 and a > n // 2:
+        raise OrderTooSmall(f"order {n} cannot infer a shift of {a}, "
+                            f"which needs order {2 * a}")
+    if n < a + 2:
+        raise OrderTooSmall(f"order {n} cannot see a shift of {a}")
+    if len(held) > 1:
+        raise OrderTooSmall(f"order {n} cannot tell apart the "
+                            f"{len(held)} relations that hold through it")
+    return PartitionIdentity(M, X, Y, kind, a)
 
 
 # ----------------------------------------------------------------------

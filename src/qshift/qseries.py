@@ -23,9 +23,10 @@ A signed sum of packed series that must vanish is tested at its lowest
 set bit (_lowest_limb): at a limb width that holds its first nonzero
 coefficient, that bit lies in the limb of that coefficient however far
 later limbs overflow.  Products of theta sums have one builder on top
-of _pack_sparse, theta._pack_sums, which builds the terms of the cleared
-zero test (theta.first_nonzero) and the partition kernel's cleared
-series (partitions._cancelled) alike.
+of _pack_sparse, theta._pack_sums, and one cleared build,
+theta.cleared_build, clears, sizes and builds the terms of the cleared
+zero test (theta.first_nonzero) and the partition kernel's three series
+(partitions._cancelled) alike.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _coeff_bits(finite: Sequence[int], inverse: Sequence[int], n: int,
         return 1 + c  # the empty product is scale
     t = pi * sqrt(len(finite) / 12 + len(inverse) / 6) / max(n, 1)
     terms = [log1p(exp(-abs(j) * t)) for j in finite]
-    terms += (-log(-expm1(-abs(j) * t)) for j in inverse)
+    terms += [-log(-expm1(-abs(j) * t)) for j in inverse]
     bits = (n * t + fsum(terms)) / _LN2
     return ceil(bits + 1 + (bits + len(terms)) * 2 ** -32) + c
 
@@ -183,28 +184,27 @@ def _pack_sparse(x: int, terms: Iterable[tuple[int, int]], n: int,
     """x * sum c q^e mod 2^(w*(n+1)), for x packed in w-bit limbs and
     sparse terms (e, c) with e >= 0.
 
-    One shift-add per term: x, cut to its limbs below n + 1 - e unless
-    it is shorter already, shifted up e limbs, times c.  The cut only
-    keeps the summands short: the sum is reduced mod 2^(w*(n+1)) at the
-    end.  Like _pack_product, this is arithmetic in Z[q]/(q^(n+1))
-    carried through q -> 2^w, so it is exact mod 2^(w*(n+1)) whatever
-    the size of the coefficients.
+    One shift-add per term: x shifted up e limbs and cut to its limbs
+    below n + 1, times c.  The cut only keeps the summands short: the
+    sum is reduced mod 2^(w*(n+1)) at the end.  Like _pack_product, this
+    is arithmetic in Z[q]/(q^(n+1)) carried through q -> 2^w, so it is
+    exact mod 2^(w*(n+1)) whatever the size of the coefficients.
     """
     top = w * (n + 1)
+    mask = (1 << top) - 1
     acc = 0
-    size = x.bit_length()
     for e, c in terms:
         s = e * w
         if s >= top:
             continue
-        t = (x if size <= top - s else x & ((1 << (top - s)) - 1)) << s
+        t = (x << s) & mask
         if c == 1:
             acc += t
         elif c == -1:
             acc -= t
         else:
             acc += c * t
-    return acc & ((1 << top) - 1)
+    return acc & mask
 
 
 def _lowest_limb(x: int, w: int) -> int | None:

@@ -27,14 +27,16 @@ FArgs (sa, ea, sb, eb).  Its one generator, ramanujan_f_terms, lists its
 sparse terms; ramanujan_f_sum gathers them into a Series.
 
 By the triple product every atom is a quotient of such sparse sums
-(atom_sums, the one table from atoms to theta sums), and every zero-sum
-of theta terms, the special relations and the aux steps of the catalog
-alike, is checked by one cleared zero test, first_nonzero: each term is
-multiplied by the unit that clears its sums' negative powers, so every
-term is a product of sparse sums.  Such a product has one builder,
-_pack_sums, one packed shift-add per sparse term, with the term lists
-from one bounded memo, _sum_terms; the partition kernel
-(partitions._cancelled) builds its cleared series with it too.
+(atom_sums, the one table from atoms to theta sums).  Every zero-sum of
+theta terms, the special relations, the catalog's aux steps and the
+partition kernel's three class monomials alike, goes through one
+cleared build, cleared_build: each term is multiplied by the unit that
+clears its sums' negative powers, so it is a product of sparse sums, in
+one limb width sized from the uncleared terms.  Such a product has one
+builder, _pack_sums, one packed shift-add per sparse term, with the
+term lists from one bounded memo, _sum_terms.  The cleared zero test,
+first_nonzero, reads the signed, shifted sum of the built terms at its
+lowest limb.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .qseries import (
+    HEADROOM_BITS,
     NonUnitLeading,
     Series,
     _coeff_bits,
@@ -286,19 +289,12 @@ def euler_cube_terms(m: int, n: int) -> list[tuple[int, int]]:
     return terms
 
 
-def bracket_args(r: int, m: int) -> FArgs:
-    """g with [r:m] = (g / E_m)^p for 0 < r <= m/2: p = 1 and
-    g = f(-q^r, -q^(m-r)) for 2r < m, and for 2r = m, where
-    [r:2r] = (q^r; q^2r)^2 and (q^r; q^2r) = E_r / E_2r, p = 2 and
-    g = E_r.  g / E_m is the product of (1 - q^k) over the parts
-    k = +-r (mod m) either way."""
-    return (-1, r, -1, m - r) if 2 * r < m else euler_args(r)
-
-
+@lru_cache(maxsize=None)
 def atom_sums(a: Atom) -> tuple[int, tuple[tuple[FArgs, int], ...]]:
     """(scale, ((args, power), ...)) with the atom equal to
-    scale * prod f(args)^power, the one table from atoms to theta sums.
-    With E_m = f(-q^m, -q^(2m)) the triple product gives, for 0 < 2r < m,
+    scale * prod f(args)^power, the one table from atoms to theta sums,
+    memoized per atom.  With E_m = f(-q^m, -q^(2m)) the triple product
+    gives, for 0 < 2r < m,
 
         [r:m]  = f(-q^r, -q^(m-r)) / E_m     (r:m)  = f(q^r, q^(m-r)) / E_m
 
@@ -308,16 +304,15 @@ def atom_sums(a: Atom) -> tuple[int, tuple[tuple[FArgs, int], ...]]:
         [r:2r] = E_r^2 / E_2r^2              (r:2r) = E_2r^4 / (E_r^2 E_4r^2)
         (0:m)  = 2 E_2m^2 / E_m^2.
 
-    The brackets come from bracket_args.  Every sum has arguments of
-    positive exponent, so constant term 1.
+    Every sum has arguments of positive exponent, so constant term 1.
     """
     _check_canonical(a)
     r, m = a.r, a.m
-    if a.kind == BRACKET:
-        p = 1 if 2 * r < m else 2
-        return 1, ((bracket_args(r, m), p), (euler_args(m), -p))
     if 0 < 2 * r < m:
-        return 1, (((1, r, 1, m - r), 1), (euler_args(m), -1))
+        sign = -1 if a.kind == BRACKET else 1
+        return 1, (((sign, r, sign, m - r), 1), (euler_args(m), -1))
+    if a.kind == BRACKET:
+        return 1, ((euler_args(r), 2), (euler_args(m), -2))
     if r == 0:
         return 2, ((euler_args(2 * m), 2), (euler_args(m), -2))
     return 1, ((euler_args(m), 4), (euler_args(r), -2),
@@ -331,17 +326,15 @@ def _sum_terms(args: FArgs, p: int, n: int) -> tuple[tuple[int, int], ...]:
     (euler_cube_terms).  The one table of theta-sum term lists, memoized
     per (args, p, n) in the process like atom_series.
 
-    Its bound of 128 holds every list one check needs, for both
-    clients.  The partition kernel at modulus M and order n takes at
-    most M/2 + 2 lists (g_r for r = 1..M/2, E_M and E_M^3): 43 at
-    M = 82, so every image a classification builds at one modulus takes
-    them from here.  first_nonzero lists each term's sums at that term's
-    order n - e, and the sums a term names explicitly at n - L as well,
-    to size the limbs: at most 36 lists for any special relation or aux
-    zero-sum of the catalog (at orders 300, 1000 and 3000).  A run over
-    many moduli, orders or relations keeps only the latest 128, each
-    about 2 sqrt(2n/m) pairs long.  A tuple, so no caller can change a
-    shared list.
+    Its bound of 128 holds every list one check needs.  The partition
+    kernel at modulus M and order n takes at most M/2 + 3 (the class
+    sums, E_M, E_M^3 and E_2M): 44 at M = 82, so every image one
+    classification builds takes them from here.  A special relation or
+    aux zero-sum of the catalog takes at most 31 at orders 300, 1000 and
+    3000: each term's sums at its order or a sharer's, and its named
+    sums at n - L too, for the limb width.  A run over many moduli,
+    orders or relations keeps the latest 128, each about 2 sqrt(2n/m)
+    pairs long.  A tuple, so no caller can change a shared list.
     """
     if min(args[1], args[3]) < 1:
         raise ValueError(f"f{args} has no constant term 1")
@@ -360,8 +353,10 @@ def _pack_sums(x: int, powers, n: int, w: int) -> int:
     p = 3j + i is j cubes and i single factors.  Each step is exact mod
     2^(w*(n+1)) and multiplication there is commutative, so the integer
     returned does not depend on the order of the factors; it is reduced
-    mod 2^(w*(n+1)) unless every power is 0, when it is x.
+    mod 2^(w*(n+1)), by one mask when every power is 0.
     """
+    if not any(powers.values()):
+        return x & ((1 << (w * (n + 1))) - 1)
     for args, p in powers.items():
         if p >= 3 and args == euler_args(args[1]):
             cube = _sum_terms(args, 3, n)
@@ -375,67 +370,119 @@ def _pack_sums(x: int, powers, n: int, w: int) -> int:
     return x
 
 
-def first_nonzero(terms: Sequence[Term], n: int) -> tuple[int, int] | None:
-    """(k, c): the first nonzero coefficient c, at q^k, of the sum of the
-    terms through q^n, or None when the sum vanishes through q^n.  This
-    is the cleared zero test.
+def _sum_powers(t: Term) -> dict[FArgs, int]:
+    """{args: p} with the term = c q^e scale prod f(args)^p (atom_sums)."""
+    power: dict[FArgs, int] = {}
+    for atoms, sign in ((t.num, 1), (t.den, -1)):
+        for a in atoms:
+            for args, p in atom_sums(a)[1]:
+                power[args] = power.get(args, 0) + sign * p
+    for args in t.sums:
+        power[args] = power.get(args, 0) + 1
+    return power
 
-    By atom_sums each term is c q^e s prod_j f_j^(p_j) over sparse sums
-    f_j with integer powers p_j.  Let l_j be the least power f_j has in
-    any term (0 in a term without it) and V = prod_j f_j^(-l_j).  Every
-    f_j has constant term 1, so V is a unit with V(0) = 1, and V times a
-    term is c q^e s prod_j f_j^(p_j - l_j), with no negative power.
-    Terms with e > n are skipped.  With L the least e left, each term is
-    built from s to its own order n - e by the one builder _pack_sums,
-    shifted up e - L limbs and added in, and the sum is reduced mod
-    2^(w*(n-L+1)).  q -> 2^w followed by that reduction is a ring
-    homomorphism from Z[q]/(q^(n-L+1)), and every step is a ring
-    operation there, so the result is exactly the image of q^-L V D, D
-    the sum of the terms.
 
-    One limb width w serves the whole sum, sized from the uncleared
-    terms.  A term's coefficients through q^(n-e) are below 2^b, b =
+def cleared_build(terms: Sequence[Term], n: int) -> tuple[int, list[int]]:
+    """(w, ys): one limb width w for the sum of the terms through q^n,
+    and each term's cleared product, without c and q^e, packed in w-bit
+    limbs mod 2^(w*(n-e+1)) (0 for e > n): the one cleared build.
+
+    Clearing.  By atom_sums each term is c q^e s prod_j f_j^(p_j) over
+    sparse sums f_j.  With l_j the least power of f_j in any term with
+    e <= n, or 0 when none is negative, V = prod_j f_j^(-l_j) is a unit
+    with V(0) = 1, every f_j having constant term 1, and the cleared
+    product s prod_j f_j^(p_j - l_j) of V times a term has no negative
+    power.
+
+    Sharing.  The hub is the term whose cleared product has the most
+    distinct sums, the last on a tie.  Every other term starts from the
+    product of the sums it shares with the hub (each to the lesser
+    power), built once at the higher of the two orders, and the hub from
+    the largest of those; _pack_sums multiplies in the rest.  Every step
+    is exact at the order it is built to, cutting to a lower order is a
+    ring map, and multiplication commutes, so sharing changes no
+    integer.
+
+    Sizing.  A term's coefficients through q^(n-e) are below 2^b, b =
     qseries._coeff_bits of its atoms' parts at order n - e (numerator
-    atoms' parts finite, denominator atoms' inverse, with their scale)
-    plus the bit length of each sum's L1 norm through q^(n-L), since a
-    sparse factor multiplies the largest coefficient by at most its L1
-    norm; and w = _limb_width(max b + bit length of sum |c|).  So D's
-    first nonzero coefficient c, at q^k, has |c| < 2^(w-1).  V(0) = 1,
-    so V D has the same first nonzero index k and the same coefficient c
-    there, however far its later coefficients overflow their limbs: the
-    packed sum is 2^(w(k-L)) (c + 2^w R) with c not a multiple of 2^w,
-    its lowest set bit lies in limb k - L, and that limb read as a
-    signed w-bit integer is c.
+    parts finite, denominator parts inverse, with the scale) plus the
+    bit length of each named sum's L1 norm through q^(n-L), L the least
+    e <= n, as a sparse factor multiplies the largest coefficient by at
+    most its L1 norm.  With B the largest b and l the bit length of
+    C = sum |c| over the terms with e <= n, every coefficient of their
+    sum is below C 2^B < 2^(B+l).  w = _limb_width(B + max(0, l - H + 1)),
+    H = HEADROOM_BITS, is at least B + max(l, H - 1) + 1 >= B + l + 1
+    bits, as _limb_width adds H: the headroom absorbs l up to H - 1
+    bits, and every coefficient of the sum is below 2^(w-1).
 
     A denominator (0:m), constant term 2, is no unit: NonUnitLeading,
     even in a term past the order.
     """
-    sized = [(t, _monomial_parts(t.num, t.den, n - t.e)) for t in terms]
-    live = [(t, parts) for t, parts in sized if t.e <= n]
+    sized = [_monomial_parts(t.num, t.den, n - t.e) for t in terms]
+    live = [i for i, t in enumerate(terms) if t.e <= n]
+    ys = [0] * len(terms)
     if not live:
+        return _limb_width(0), ys
+    lo = min(terms[i].e for i in live)
+    bits = max(_coeff_bits(sized[i][1], sized[i][2], n - terms[i].e,
+                           sized[i][0])
+               + sum(sum(abs(c) for _, c in _sum_terms(args, 1, n - lo))
+                     .bit_length() for args in terms[i].sums)
+               for i in live)
+    extra = sum(abs(terms[i].c) for i in live).bit_length() - HEADROOM_BITS
+    w = _limb_width(bits + max(0, extra + 1))
+    powers = {i: _sum_powers(terms[i]) for i in live}
+    least: dict[FArgs, int] = {}
+    for power in powers.values():
+        for args, p in power.items():
+            least[args] = min(least.get(args, 0), p)
+    cleared = {i: {args: q for args in {**least, **power}
+                   if (q := power.get(args, 0) - least.get(args, 0))}
+               for i, power in powers.items()}
+    order = {i: n - terms[i].e for i in live}
+    hub = max(live, key=lambda i: (len(cleared[i]), i))
+    starts = {hub: (1, {})}
+    for i in live:
+        if i != hub:
+            common = {args: min(p, cleared[hub][args])
+                      for args, p in cleared[i].items()
+                      if args in cleared[hub]}
+            starts[i] = (_pack_sums(1, common, max(order[i], order[hub]), w),
+                         common)
+            if sum(common.values()) > sum(starts[hub][1].values()):
+                starts[hub] = starts[i]
+    for i in live:
+        x, common = starts[i]
+        scale = sized[i][0]
+        ys[i] = _pack_sums(x if scale == 1 else scale * x,
+                           {args: p - common.get(args, 0)
+                            for args, p in cleared[i].items()}, order[i], w)
+    return w, ys
+
+
+def first_nonzero(terms: Sequence[Term], n: int) -> tuple[int, int] | None:
+    """(k, c): the first nonzero coefficient c, at q^k, of the sum D of
+    the terms through q^n, or None when D vanishes through q^n: the
+    cleared zero test.
+
+    cleared_build gives each term's cleared product, V times the term
+    without c and q^e, for one unit V with V(0) = 1.  With L the least e
+    <= n, each product is shifted up e - L limbs, times c, and added in,
+    and the sum is reduced mod 2^(w*(n-L+1)): q -> 2^w and that
+    reduction is a ring homomorphism from Z[q]/(q^(n-L+1)), so the
+    result is the image of q^-L V D.  V D has D's first nonzero index k
+    and coefficient c, however far its later coefficients overflow, and
+    |c| < 2^(w-1) by cleared_build's sizing, so the packed sum is
+    2^(w(k-L)) (c + 2^w R) with c not a multiple of 2^w: its lowest set
+    bit lies in limb k - L, and that limb read as a signed w-bit integer
+    is c.  A denominator (0:m) raises NonUnitLeading, even in a term
+    past the order.
+    """
+    w, ys = cleared_build(terms, n)
+    if all(t.e > n for t in terms):
         return None
-    lo = min(t.e for t, _ in live)
-    bits = 0
-    powers = []
-    for t, (scale, finite, inverse) in live:
-        power = Counter()
-        for a in t.num:
-            power.update(dict(atom_sums(a)[1]))
-        for a in t.den:
-            power.subtract(dict(atom_sums(a)[1]))
-        power.update(t.sums)
-        powers.append((scale, power))
-        bits = max(bits, _coeff_bits(finite, inverse, n - t.e, scale)
-                   + sum(sum(abs(c) for _, c in _sum_terms(args, 1, n - lo))
-                         .bit_length() for args in t.sums))
-    w = _limb_width(bits + sum(abs(t.c) for t, _ in live).bit_length())
-    least = {args: min(power[args] for _, power in powers)
-             for _, power in powers for args in power}
-    acc = 0
-    for (t, _), (scale, power) in zip(live, powers):
-        x = _pack_sums(scale, {args: power[args] - low
-                               for args, low in least.items()}, n - t.e, w)
-        acc += (t.c * x) << ((t.e - lo) * w)
+    lo = min(t.e for t in terms if t.e <= n)
+    acc = sum((t.c * y) << ((t.e - lo) * w) for t, y in zip(terms, ys))
     acc &= (1 << (w * (n - lo + 1))) - 1
     k = _lowest_limb(acc, w)
     if k is None:

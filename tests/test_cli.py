@@ -270,6 +270,23 @@ class TestExitCodes:
         assert code == 2
         assert "--shift" in err
 
+    def test_act_refuses_an_order_where_two_relations_hold(self, capsys):
+        # through q^3 the swapped pair also holds shifted by 1, so the
+        # identity mapped by alpha = 1 is told from it only at order 4
+        argv = ("act", "--alpha", "1", "--modulus", "40",
+                "--kind", "shiftless", "--shift", "2",
+                "--s", "1,2,5,6,7,8,9,11,12,13,15,19",
+                "--t", "1,3,4,5,6,7,8,13,14,15,17,19")
+        code, out, err = run(capsys, *argv, "--order", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: order 3 cannot tell apart the 2 relations "
+                       "that hold through it\n")
+        code, out, _ = run(capsys, *argv, "--order", "4")
+        assert code == 0
+        assert ("alpha=1 image: S = +-{1,2,5,6,7,8,9,11,12,13,15,19} mod 40,"
+                " T = +-{1,3,4,5,6,7,8,13,14,15,17,19} mod 40,"
+                " p(S,n) = p(T,n) for all n != 2; holds to order 4") in out
+
     # Thm-42.2-iii is shiftless with a = 8, so infer_relation, which
     # admits shifts up to order // 2, sees it from order 16
     @pytest.mark.parametrize("argv", [

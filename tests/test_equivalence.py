@@ -249,27 +249,31 @@ def relations_by_counts(X, px, py):
 
 
 def act_by_two_builds(u, ident, n):
-    """act from the partition counts of the two image sides: the first
-    relation with a shift up to n // 2, in the orientation
-    (S_img, T_img) and then (T_img, S_img), refused when n < a + 2;
-    failing that, a relation with a larger shift asks for order 2a."""
+    """act from the partition counts of the two image sides: every
+    relation that holds, in the orientation (S_img, T_img) or
+    (T_img, S_img).  The one that holds is the image when its shift is
+    at most n // 2 and n >= a + 2; the order is too small when the one
+    that holds has a larger shift, when n < a + 2 for the least shift
+    that holds, or when more than one holds."""
     s_img, t_img = u.apply_set(ident.S), u.apply_set(ident.T)
     ps, pt = (partition_counts(X, ident.M, n) for X in (s_img, t_img))
     found = [(S, T, kind, a)
              for S, T, px, py in ((s_img, t_img, ps, pt),
                                   (t_img, s_img, pt, ps))
              for kind, a in relations_by_counts(S, px, py)]
-    for S, T, kind, a in found:
-        if a <= n // 2:
-            if n < a + 2:
-                raise OrderTooSmall(f"order {n} cannot see a shift of {a}")
-            return PartitionIdentity(ident.M, S, T, kind, a)
-    if found:
-        a = found[0][3]
+    if not found:
+        raise NotAnIdentity(f"alpha={u.alpha} maps the identity to a "
+                            f"non-relation (M={ident.M})")
+    S, T, kind, a = min(found, key=lambda c: c[3])
+    if len(found) == 1 and a > n // 2:
         raise OrderTooSmall(f"order {n} cannot infer a shift of {a}, "
                             f"which needs order {2 * a}")
-    raise NotAnIdentity(
-        f"alpha={u.alpha} maps the identity to a non-relation (M={ident.M})")
+    if n < a + 2:
+        raise OrderTooSmall(f"order {n} cannot see a shift of {a}")
+    if len(found) > 1:
+        raise OrderTooSmall(f"order {n} cannot tell apart the "
+                            f"{len(found)} relations that hold through it")
+    return PartitionIdentity(ident.M, S, T, kind, a)
 
 
 def outcome(fn, *args):

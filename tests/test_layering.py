@@ -2,9 +2,11 @@
 
 The packed builders have one home each: qseries packs products of
 (1 - s q^k)^(+-1) and sparse sums, and theta lists the theta sums and
-builds their products.  Every other module goes through theta's builder
-(theta._pack_sums) or the public series functions, so a second builder
-cannot come back unnoticed.  The private names one module imports from
+builds their products.  Clearing and limb sizing live in theta's one
+cleared build (theta.cleared_build), on qseries' bounds.  Every other
+module goes through that build, the cleared zero test or the public
+series functions, so a second builder or sizing cannot come back
+unnoticed.  The private names one module imports from
 another are an explicit list, so a new one is a decision, not a drift.
 
 Every top-level function and class of the library, and every
@@ -24,8 +26,13 @@ HOMES = {"qseries.py", "theta.py"}
 SRC = Path(qshift.__file__).parent
 
 
-def builder_names(path):
-    """The BUILDERS a module names: defined, called, read or imported,
+# the limb sizing and the builder of theta-sum products: clearing and
+# sizing have one home too, theta.cleared_build on top of qseries
+CLEARING = {"_coeff_bits", "_limb_width", "_pack_sums"}
+
+
+def builder_names(path, names=BUILDERS):
+    """The names a module names: defined, called, read or imported,
     under any alias."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text())):
@@ -35,7 +42,7 @@ def builder_names(path):
             found.add(node.attr)
         elif isinstance(node, (ast.alias, ast.FunctionDef)):
             found.add(node.name)
-    return found & BUILDERS
+    return found & names
 
 
 def test_the_scan_sees_the_builders_at_home():
@@ -53,6 +60,15 @@ def test_only_qseries_and_theta_reach_the_packed_builders():
     assert {name: found for name, found in reached.items() if found} == {}
 
 
+def test_only_qseries_and_theta_clear_and_size():
+    assert builder_names(SRC / "qseries.py", CLEARING) == {"_coeff_bits",
+                                                           "_limb_width"}
+    assert builder_names(SRC / "theta.py", CLEARING) == CLEARING
+    reached = {p.name: sorted(builder_names(p, CLEARING))
+               for p in SRC.glob("*.py") if p.name not in HOMES}
+    assert {name: found for name, found in reached.items() if found} == {}
+
+
 # ----------------------------------------------------------------------
 # private names imported across modules
 # ----------------------------------------------------------------------
@@ -64,11 +80,8 @@ PRIVATE_IMPORTS = {
     ("theta", "qseries", "_limb_width"),
     ("theta", "qseries", "_lowest_limb"),
     ("theta", "qseries", "_pack_sparse"),
-    ("partitions", "qseries", "_coeff_bits"),
     ("partitions", "qseries", "_expand_parts"),
-    ("partitions", "qseries", "_limb_width"),
     ("partitions", "qseries", "_lowest_limb"),
-    ("partitions", "theta", "_pack_sums"),
     ("search", "jacobi", "_four2_exprs"),
 }
 

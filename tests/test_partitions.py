@@ -6,6 +6,7 @@ literal residue sets whose truth or falsity the tests themselves verify
 from both sides.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -19,11 +20,13 @@ from qshift.qseries import (
     ResidueOutOfRange,
     Series,
     _coeff_bits,
+    _expand_parts,
     _limb_width,
     _pack,
     _pack_sparse,
     _unpack_signed,
     mul,
+    pochhammer,
     product_series,
     residue_product,
     shift_scale,
@@ -39,12 +42,20 @@ from qshift.partitions import (
     count_partitions,
     count_partitions_table,
     infer_relation,
-    parts_of,
     rogers_ramanujan_check,
     verify_identity,
     verify_theorem_72_2,
 )
-from qshift.theta import euler_cube_terms, first_nonzero, ramanujan_f_terms
+from qshift.theta import (
+    BRACKET,
+    Atom,
+    Term,
+    atom_series,
+    euler_cube_terms,
+    first_nonzero,
+    monomial_series,
+    ramanujan_f_terms,
+)
 
 from oracles import linear_combine
 from part_by_part import first_nonzero_by_parts, parts_term
@@ -66,12 +77,12 @@ ID40 = PartitionIdentity(40, S40, T40, SHIFTLESS, 2)
 
 
 def test_parts_of_folded_classes():
-    assert parts_of({1}, 4, 10) == [1, 3, 5, 7, 9]
-    assert parts_of({2}, 4, 10) == [2, 6, 10]
+    assert _expand_parts({1}, 4, 10) == [1, 3, 5, 7, 9]
+    assert _expand_parts({2}, 4, 10) == [2, 6, 10]
 
 
 def test_parts_of_large_set():
-    got = parts_of(S32, 32, 33)
+    got = _expand_parts(S32, 32, 33)
     missing = sorted(set(range(1, 34)) - set(got))
     # 1..33 minus the classes +-2, +-12, +-14 and the 0 and 16 classes
     assert missing == [2, 12, 14, 16, 18, 20, 30, 32]
@@ -79,9 +90,9 @@ def test_parts_of_large_set():
 
 def test_parts_of_rejects_bad_residues():
     with pytest.raises(ResidueOutOfRange):
-        parts_of({17}, 32, 10)
+        _expand_parts({17}, 32, 10)
     with pytest.raises(EmptySet):
-        parts_of(set(), 32, 10)
+        _expand_parts(set(), 32, 10)
 
 
 def test_count_small_values():
@@ -263,38 +274,34 @@ def counts_verdict(ps, pt, kind, a):
     return True, None, None
 
 
-def brute_relation(S, T, M, n, shifts=None):
-    """The first (kind, a), shifted first, with a in shifts (by default
-    1..n // 2), that the DP oracle confirms.  A shiftless relation shows
-    its q^a only for a <= n."""
+def brute_relations(S, T, M, n):
+    """Each (kind, a), shifted first, with a the least shift of that
+    kind the DP oracle confirms through n: every shifted shift past n
+    acts as n + 1, since q^a P_T vanishes through n, and a shiftless
+    relation shows its q^a only for a <= n."""
     ps = count_partitions_table(S, M, n)
     pt = count_partitions_table(T, M, n)
-    for kind in (SHIFTED, SHIFTLESS):
-        for a in shifts or range(1, n // 2 + 1):
-            if ((kind == SHIFTED or a <= n)
-                    and counts_verdict(ps, pt, kind, a)[0]):
-                return kind, a
-    return None
+    found = []
+    for kind, top in ((SHIFTED, n + 1), (SHIFTLESS, n)):
+        a = next((a for a in range(1, top + 1)
+                  if counts_verdict(ps, pt, kind, a)[0]), None)
+        if a is not None:
+            found.append((kind, a))
+    return found
 
 
 def brute_infer(S, T, M, n):
-    """What infer_relation(S, T, M, n) must give, by brute force: the
-    identity in the first orientation, (S, T) then (T, S), with a
-    relation at a shift up to n // 2; OrderTooSmall when that shift is
-    too large to see (n < a + 2), or when only a larger shift gives a
-    relation through n; else None.  Every shifted shift past n acts as
-    n + 1, since q^a P_T vanishes through n."""
-    pairs = ((S, T), (T, S))
-    for X, Y in pairs:
-        found = brute_relation(X, Y, M, n)
-        if found:
-            if n < found[1] + 2:
-                return OrderTooSmall
-            return PartitionIdentity(M, X, Y, *found)
-    late = range(n // 2 + 1, n + 2)
-    if any(brute_relation(X, Y, M, n, late) for X, Y in pairs):
+    """What infer_relation(S, T, M, n) must give, by brute force: None
+    when no relation holds through n in either orientation, (S, T) or
+    (T, S); the identity when exactly one holds, with a shift up to
+    n // 2 and n >= a + 2; else OrderTooSmall."""
+    held = [(X, Y, kind, a) for X, Y in ((S, T), (T, S))
+            for kind, a in brute_relations(X, Y, M, n)]
+    if not held:
+        return None
+    if len(held) > 1 or held[0][3] > n // 2 or n < held[0][3] + 2:
         return OrderTooSmall
-    return None
+    return PartitionIdentity(M, *held[0])
 
 
 def inferred(S, T, M, n):
@@ -322,6 +329,8 @@ def edge_pairs(shape, count, seed):
         else:
             shared = pool[:1] if shape == "singleton" else []
             rest = pool[len(shared):]
+            if len(rest) < 2:  # too few residues left for two sides
+                continue
             cut = rng.randint(1, len(rest) - 1)
             S = shared + rest[:rng.randint(1, cut)]
             T = shared + rest[cut:cut + rng.randint(1, len(rest) - cut)]
@@ -356,6 +365,20 @@ def test_infer_edge_shapes_match_brute_force(shape):
             assert inferred(T, S, M, n) == brute_infer(T, S, M, n)
 
 
+@pytest.mark.parametrize("shape", SHAPES)
+def test_infer_edge_shapes_match_brute_force_at_tiny_orders(shape):
+    # where the counts of two sides match by coincidence, more than one
+    # candidate can hold; each is tested, and any doubt is a refusal
+    outcomes = set()
+    for M, S, T in edge_pairs(shape, 12, seed=300 + len(shape)):
+        for n in range(2, 9):
+            got = inferred(S, T, M, n)
+            assert got == brute_infer(S, T, M, n), (M, S, T, n)
+            assert inferred(T, S, M, n) == brute_infer(T, S, M, n)
+            outcomes.add(got if got in (None, OrderTooSmall) else got.kind)
+    assert OrderTooSmall in outcomes
+
+
 # ----------------------------------------------------------------------
 # the theta-sum kernel: sparse factors against their products
 # ----------------------------------------------------------------------
@@ -382,9 +405,9 @@ def f_series(sa, ea, sb, eb, n):
 
 @pytest.mark.parametrize("M, r, n", FACTOR_CASES)
 def test_jacobi_terms_equal_their_product(M, r, n):
-    # the kernel's g_r = prod over k = +-r (mod M) and k = 0 (mod M) of
-    # (1 - q^k): f(-q^r, -q^(M-r)), or f(-q^r, -q^(2r)) for r = M/2
-    parts = parts_of({r}, M, n) + list(range(M, n + 1, M))
+    # g_r = prod over k = +-r (mod M) and k = 0 (mod M) of (1 - q^k):
+    # f(-q^r, -q^(M-r)), or f(-q^r, -q^(2r)) = E_r for r = M/2
+    parts = _expand_parts({r}, M, n) + list(range(M, n + 1, M))
     other = M - r if 2 * r < M else M
     assert f_series(-1, r, -1, other, n) == product_series(parts, (), n)
 
@@ -414,12 +437,16 @@ def test_pack_sparse_matches_mul():
 
 
 def test_cancelled_equals_cleared_products():
-    # g_r = E prod_{k = +-r} (1 - q^k), so with N = |S | T| each cleared
-    # series is a finite product times E^N: ya = E^N prod_{T-S} (1 - q^k),
-    # yb = E^N prod_{S-T} (1 - q^k), yu = E^N prod_{S|T} (1 - q^k);
-    # packing is a ring homomorphism, so the packed residues must agree
+    # class r is g_r / E_M with g_r = E_M prod_{k = +-r (mod M)} (1 - q^k)
+    # for 2r < M, and [M/2:2M] = g / E_2M with g = f(-q^(M/2), -q^(3M/2))
+    # = E_2M prod_{k = M/2 (mod M)} (1 - q^k); so with N the residues
+    # r < M/2 of S | T and h = 1 when M/2 is in S | T, each cleared
+    # series is a finite product times E_M^N E_2M^h: ya = prod_{T-S},
+    # yb = prod_{S-T}, yu = prod_{S|T} (1 - q^k) times that; packing is a
+    # ring homomorphism, so the packed residues must agree
     rng = random.Random(3)
     remainders = set()
+    halves = 0
     for _ in range(80):
         M = rng.randint(5, 40)
         pool = list(range(1, M // 2 + 1))
@@ -429,9 +456,13 @@ def test_cancelled_equals_cleared_products():
             continue
         n = rng.randint(0, 200)
         ya, yb, yu, w = _cancelled(S, T, M, n)
-        E = list(range(M, n + 1, M)) * len(S | T)
+        below = [r for r in S | T if 2 * r < M]
+        E = list(range(M, n + 1, M)) * len(below)
+        if len(below) < len(S | T):
+            E += range(2 * M, n + 1, 2 * M)
+            halves += 1
         for got, side in ((ya, T - S), (yb, S - T), (yu, S | T)):
-            parts = parts_of(side, M, n) if side else []
+            parts = _expand_parts(side, M, n) if side else []
             want = product_series(parts + E, (), n).coeffs
             # the cleared coefficients may overflow a limb: pack exactly
             packed = sum(c << (w * i) for i, c in enumerate(want))
@@ -439,17 +470,65 @@ def test_cancelled_equals_cleared_products():
         assert w == set_difference_width(S, T, M, n)
         remainders.add((len(S) % 3, len(T) % 3))
     assert len(remainders) == 9  # every count of lone E factors on each side
+    assert halves >= 10
     for e in load_corpus():
         S, T, M = e.identity.S, e.identity.T, e.identity.M
         assert _cancelled(S, T, M, 300)[3] == \
             set_difference_width(S, T, M, 300), e.label
 
 
+# sha256 of every catalog entry's (ya, yb, yu, w), in catalog order: no
+# entry holds the residue M/2, so the unit is Theta_A Theta_B E_M^|U| and
+# ya, yb, yu are E_M^(|A|+|U|) Theta_B, E_M^(|B|+|U|) Theta_A and
+# Theta_U Theta_A Theta_B, each Theta_X the product of its class sums
+CATALOG_BUILDS = {
+    300: "1ca1fb1e420aecfe3fc206d974707eac567193beb14e7b2dd4c84968b3b0f815",
+    1000: "b5e46c14f68cf5d84a1592e4e91ff95722d91c365cd37910e182ccedc93256f3",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CATALOG_BUILDS))
+def test_cancelled_pins_the_catalog_builds(monkeypatch, n):
+    # the integers, the width sized from the set differences, and one
+    # _pack_sparse per factor, shared as the kernel shared them
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = theta._pack_sparse
+    monkeypatch.setattr(theta, "_pack_sparse", counted)
+    digest = hashlib.sha256()
+    for e in load_corpus():
+        S, T, M = e.identity.S, e.identity.T, e.identity.M
+        assert not M % 2 or M // 2 not in S | T
+        a, b, u = len(S - T), len(T - S), len(S & T)
+        calls.clear()
+        packed = _cancelled(S, T, M, n)
+        assert len(calls) == a + b + u + min(a, b) + sum(
+            p // 3 + p % 3 for p in (a + u, b + u)), e.label
+        assert packed[3] == set_difference_width(S, T, M, n), e.label
+        for x in packed:
+            digest.update(x.to_bytes((x.bit_length() + 8) // 8, "little"))
+    assert digest.hexdigest() == CATALOG_BUILDS[n]
+
+
+def test_the_half_class_is_one_progression():
+    # the kernel's class M/2 is [M/2:2M]: [r:4r] = (q^r; q^2r), so
+    # 1/[M/2:2M] counts the partitions into parts = M/2 (mod M)
+    for r, n in ((1, 0), (1, 40), (2, 90), (3, 7), (5, 200), (20, 300),
+                 (41, 500)):
+        assert atom_series(r, 4 * r, BRACKET, n) == pochhammer(r, 2 * r, 1, n)
+        assert monomial_series(Term(1, 0, den=(Atom(r, 4 * r, BRACKET),)),
+                               n) == residue_product({r}, 2 * r, n)
+
+
 def set_difference_width(S, T, M, n):
     """The limb width sized from the full part sets of S and T: _cancelled
     expands S - T, T - S and S & T instead, which gives the same parts,
     as the classes of distinct residues are disjoint."""
-    ps, pt = set(parts_of(S, M, n)), set(parts_of(T, M, n))
+    ps, pt = set(_expand_parts(S, M, n)), set(_expand_parts(T, M, n))
     return _limb_width(max(_coeff_bits((), sorted(ps - pt), n),
                            _coeff_bits((), sorted(pt - ps), n),
                            _coeff_bits(sorted(ps & pt), (), n)))
@@ -597,6 +676,7 @@ def test_half_residue_verify_matches_oracle():
 
 def test_half_residue_infer_matches_brute_force():
     found = set()
+    refused = set()
     for ident in half_residue_cases(30, seed=6):
         S, T, M = ident.S, ident.T, ident.M
         k = oracle_verdict(ident, 160)[1]
@@ -606,7 +686,12 @@ def test_half_residue_infer_matches_brute_force():
             assert inferred(T, S, M, n) == brute_infer(T, S, M, n)
             if isinstance(got, PartitionIdentity):
                 found.add(got.kind)
-    assert found == {SHIFTED, SHIFTLESS}
+            elif got is OrderTooSmall and n == k - 1:
+                refused.add(ident.kind)
+    # the shiftless shape, P_a - P_2a = q^a + q^3a + ..., holds only
+    # while (T, S) holds shifted by 2a as well, so it is never inferred
+    assert found == {SHIFTED}
+    assert SHIFTLESS in refused
 
 
 # ----------------------------------------------------------------------

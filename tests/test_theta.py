@@ -18,7 +18,15 @@ import pytest
 from qshift import partitions, theta
 from qshift.corpus import load_corpus
 from qshift.jacobi import _term
-from qshift.qseries import NonUnitLeading, Series, invert, mul, pochhammer, shift_scale
+from qshift.qseries import (
+    HEADROOM_BITS,
+    NonUnitLeading,
+    Series,
+    invert,
+    mul,
+    pochhammer,
+    shift_scale,
+)
 from qshift.theta import (
     BRACKET,
     PAREN,
@@ -494,6 +502,18 @@ def test_first_nonzero_reads_past_overflowing_limbs(monkeypatch,
         1, 0, (), (Atom(1, 2, BRACKET),)), n).coeffs) >= 1 << 16
     monkeypatch.setattr(theta, "_limb_width", lambda bits: 16)
     assert first_nonzero(terms, n) == (17, -2)
+
+
+@pytest.mark.parametrize("k", [1, HEADROOM_BITS - 3, HEADROOM_BITS - 2,
+                               HEADROOM_BITS, 40, 100])
+def test_first_nonzero_widens_limbs_past_the_headroom(k):
+    # c/[1:2] - c = 2c q + ...: the headroom absorbs the bit length of
+    # sum |c| up to HEADROOM_BITS - 1 bits, and a larger sum widens the
+    # limbs, so a wide first coefficient is still read whole
+    c = (1 << k) - 1
+    assert first_nonzero([Term(c, 0, den=(Atom(1, 2, BRACKET),)),
+                          Term(-c, 0)], 30) == (1, 2 * c)
+    assert first_nonzero([Term(-c, 5)], 30) == (5, -c)
 
 
 def test_first_nonzero_compares_through_q_n():
