@@ -108,7 +108,8 @@ def classify(idents: Sequence[PartitionIdentity],
 
     Exact duplicates are merged.  Classes are ordered by their
     lexicographically least (S, T) member and members are sorted the
-    same way, so the output is independent of input order.
+    same way, so the output is independent of input order.  An identity
+    not in its own orbit does not hold: NotAnIdentity.
     """
     if not idents:
         return []
@@ -118,7 +119,11 @@ def classify(idents: Sequence[PartitionIdentity],
     remaining = sorted(set(idents), key=PartitionIdentity.key)
     classes = []
     while remaining:
-        members = orbit(remaining[0], n)
+        rep = remaining[0]
+        members = orbit(rep, n)
+        if rep not in members:
+            raise NotAnIdentity(f"alpha=1 maps the {rep.kind} identity "
+                                f"a={rep.a} to another relation (M={rep.M})")
         classes.append([i for i in remaining if i in members])
         remaining = [i for i in remaining if i not in members]
     classes.sort(key=lambda cls: cls[0].key())

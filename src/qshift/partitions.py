@@ -27,16 +27,14 @@ a unit series (constant term 1), so the two forms first fail at the
 same index, and first_fail is that of the uncancelled relation.
 
 The kernel then clears denominators as the paper's proofs do, by
-Jacobi's triple product.  The three series are class monomials, 1/[S-U],
-1/[T-U] and [U], where class r is the bracket [r:M] for 2r < M and
-[M/2:2M] = (q^(M/2); q^M) for 2r = M: a three-term theta relation like
-the special relations below, so the one cleared build,
-theta.cleared_build, clears, sizes and packs it (one limb per
-coefficient, see qseries).  The cleared relation is one big-integer
-difference that is zero exactly when the relation holds, and only its
-first nonzero coefficient has to fit in a limb (see _mismatch), far
-below the width p(n) would need.  Only a failing check builds its
-witness, the two partition counts at the failing index, read from
+Jacobi's triple product.  With class r the bracket [r:M] for 2r < M and
+[M/2:2M] = (q^(M/2); q^M) for 2r = M, the cancelled relation is three
+theta terms on the class monomials 1/[S-U], 1/[T-U] and [U] (_relation),
+like the special relations below.  verify_identity checks it with the
+cleared zero test, theta.first_nonzero, and infer_relation reads every
+candidate off one cleared build of the three (_cancelled) with the same
+reader, theta.read_cleared.  Only a failing check builds its witness,
+the two partition counts at the failing index, read from
 qseries.residue_product.  count_partitions is an independent
 dynamic-programming oracle for the same numbers.
 
@@ -55,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qseries import _expand_parts, _lowest_limb, residue_product
+from .qseries import _expand_parts, residue_product
 from .theta import (
     BRACKET,
     PAREN,
@@ -64,6 +62,7 @@ from .theta import (
     cleared_build,
     first_nonzero,
     make_monomial,
+    read_cleared,
 )
 
 SHIFTED = "shifted"
@@ -154,54 +153,38 @@ def _class(r: int, M: int) -> Atom:
     return Atom(r, 2 * M if 2 * r == M else M, BRACKET)
 
 
+def _class_monomials(S, T, M: int) -> tuple[Term, Term, Term]:
+    """1/[S-T], 1/[T-S] and [S&T], with c = 1 and e = 0: the classes of
+    distinct residues are disjoint."""
+    A, B, U = (tuple(_class(r, M) for r in sorted(rs))
+               for rs in (S - T, T - S, S & T))
+    return Term(1, 0, den=A), Term(1, 0, den=B), Term(1, 0, num=U)
+
+
+def _relation(kind: str, a: int, xa, xb, xu) -> list[tuple]:
+    """The one statement of the cancelled relation, as (c, e, x) for x
+    the class monomials 1/[S-T], 1/[T-S] and [S&T] (_class_monomials)
+    or their packed cleared products (_cancelled):
+
+        shifted    1/[S-T] - q^a/[T-S] - [S&T]
+        shiftless  1/[S-T] - 1/[T-S]   - q^a [S&T]
+    """
+    eb, eu = (a, 0) if kind == SHIFTED else (0, a)
+    return [(1, 0, xa), (-1, eb, xb), (-1, eu, xu)]
+
+
 def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
-    """(ya, yb, yu, w): the class monomials 1/[A], 1/[B] and [U], with
-    A = S - T, B = T - S and U = S & T (residue sets, whose classes are
-    disjoint), each with c = 1 and e = 0, cleared by one unit V with
-    V(0) = 1 and packed by theta.cleared_build in limbs of w bits that
-    hold every coefficient of a sum of the three with coefficients +-1.
-
-    Cleared, [U] holds the class sums of A, B and U, at least as many
-    as either other term, and comes last, so it is the build's hub.  The
-    integers do not depend on the order of the factors and w is the
-    largest of three symmetric bounds, so _cancelled(T, S, M, n) is
-    (yb, ya, yu, w), integer for integer: one build serves both
-    orientations.
+    """(ya, yb, yu, w): the class monomials of (S, T), cleared and packed
+    to order n by one theta.cleared_build, whose limbs hold a sum of the
+    three with coefficients +-1: theta.read_cleared reads any relation
+    of (S, T) off them.  Cleared, [S&T] holds the class sums of all
+    three and comes last, so it is the hub.  The integers do not depend
+    on the order of the factors and w is the largest of three symmetric
+    bounds, so _cancelled(T, S, M, n) is (yb, ya, yu, w), integer for
+    integer: one build serves both orientations.
     """
-    def classes(rs):
-        return [_class(r, M) for r in sorted(rs)]
-
-    w, (ya, yb, yu) = cleared_build((Term(1, 0, den=classes(S - T)),
-                                     Term(1, 0, den=classes(T - S)),
-                                     Term(1, 0, num=classes(S & T))), n)
+    w, (ya, yb, yu) = cleared_build(_class_monomials(S, T, M), n)
     return ya, yb, yu, w
-
-
-def _mismatch(packed, n: int, kind: str, a: int) -> int | None:
-    """First index 0..n where the relation fails, or None if it holds.
-
-    packed is _cancelled(S, T, M, n).  With U = S & T, P_S = P_U P_{S-U}
-    and P_T = P_U P_{T-U}, and the build's unit V has V(0) = 1, so
-
-        P_S - q^a P_T - 1  = P_U V^-1 (ya - q^a yb - yu)
-        P_S - P_T - q^a    = P_U V^-1 (ya - yb - q^a yu).
-
-    The cleared defect d = ya - (yb << a*w) - yu, or ya - yb - (yu <<
-    a*w), is the packed bracket mod 2^(w*(n+1)), and P_U V^-1 has
-    constant term 1, so its first nonzero coefficient c, at k, is the
-    uncleared bracket's, and k is the relation's first failing index.  A
-    shift moves no coefficient, so cleared_build's sizing gives
-    |c| < 2^(w-1), and by the argument of theta.first_nonzero the lowest
-    set bit of d lies in limb k; a defect that vanishes mod 2^(w*(n+1))
-    has none below limb n + 1.
-    """
-    ya, yb, yu, w = packed
-    if kind == SHIFTED:
-        d = ya - (yb << (a * w)) - yu
-    else:
-        d = ya - yb - (yu << (a * w))
-    k = _lowest_limb(d, w)
-    return None if k is None or k > n else k
 
 
 def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
@@ -214,9 +197,11 @@ def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
     if n < ident.a + 2:
         raise OrderTooSmall(f"order {n} cannot see a shift of {ident.a}")
     S, T, M, a = ident.S, ident.T, ident.M, ident.a
-    k = _mismatch(_cancelled(S, T, M, n), n, ident.kind, a)
-    if k is None:
+    hit = first_nonzero([Term(c, e, t.num, t.den) for c, e, t in _relation(
+        ident.kind, a, *_class_monomials(S, T, M))], n)
+    if hit is None:
         return VerifyReport(True, n)
+    k, _ = hit
     j = k - a if ident.kind == SHIFTED else k
     return VerifyReport(False, n, k, (residue_product(S, M, k).coeff(k),
                                       residue_product(T, M, j).coeff(j)))
@@ -225,13 +210,13 @@ def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
 def infer_relation(S, T, M: int, n: int) -> PartitionIdentity | None:
     """The relation between two residue sets, oriented, or None.
 
-    One build, _cancelled(S, T, M, n), serves both orientations: the
-    swapped build is ya and yb exchanged.  Each orientation (X, Y) has
-    one candidate shift per kind.  P_X - 1 starts at min(X), the only
-    possible shifted shift.  P_X - P_Y starts where ya - yb does, which
-    is P_{X-U} - P_{Y-U} times a unit (see _mismatch); its lowest limb
-    is the only possible shiftless shift, and only in the orientation
-    whose difference starts with +1, which the limb's sign names.  Both
+    One build, _cancelled(S, T, M, n), serves both orientations, the
+    swapped build being ya and yb exchanged, and theta.read_cleared
+    reads each candidate's _relation off it.  In orientation (X, Y),
+    P_X - 1 starts at min(X), the only possible shifted shift.  P_S - P_T
+    = P_{S&T} (P_{S-T} - P_{T-S}) starts where ya - yb does, with the
+    same coefficient c, at k: the only possible shiftless shift, in the
+    orientation whose difference starts with +1, (S, T) for c > 0.  Both
     products have constant term 1, so no candidate is 0.
 
     Each of the three candidates is tested once.  A unit action can
@@ -250,17 +235,15 @@ def infer_relation(S, T, M: int, n: int) -> PartitionIdentity | None:
     S, T = frozenset(S), frozenset(T)
     if S == T:
         return None
-    ya, yb, yu, w = packed = _cancelled(S, T, M, n)
-    swapped = (yb, ya, yu, w)
-    d = ya - yb
-    low = _lowest_limb(d, w)
-    # the sign bit of d's limb at low, set when P_T - P_S starts with +1
-    turned = low is not None and d >> (w * low + w - 1) & 1
-    shiftless = (T, S, swapped) if turned else (S, T, packed)
-    held = [(X, Y, kind, a) for X, Y, xy, kind, a in (
-        (S, T, packed, SHIFTED, min(S)), (T, S, swapped, SHIFTED, min(T)),
+    ya, yb, yu, w = _cancelled(S, T, M, n)
+    # no shiftless candidate when P_S - P_T vanishes through q^n
+    low, c = read_cleared(w, [(1, 0, ya), (-1, 0, yb)], n) or (None, 1)
+    shiftless = (S, T, ya, yb) if c > 0 else (T, S, yb, ya)
+    held = [(X, Y, kind, a) for X, Y, yx, yy, kind, a in (
+        (S, T, ya, yb, SHIFTED, min(S)), (T, S, yb, ya, SHIFTED, min(T)),
         (*shiftless, SHIFTLESS, low))
-        if a is not None and _mismatch(xy, n, kind, a) is None]
+        if a is not None
+        and read_cleared(w, _relation(kind, a, yx, yy, yu), n) is None]
     if not held:
         return None
     X, Y, kind, a = min(held, key=lambda c: c[3])

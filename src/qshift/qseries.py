@@ -23,10 +23,9 @@ A signed sum of packed series that must vanish is tested at its lowest
 set bit (_lowest_limb): at a limb width that holds its first nonzero
 coefficient, that bit lies in the limb of that coefficient however far
 later limbs overflow.  Products of theta sums have one builder on top
-of _pack_sparse, theta._pack_sums, and one cleared build,
-theta.cleared_build, clears, sizes and builds the terms of the cleared
-zero test (theta.first_nonzero) and the partition kernel's three series
-(partitions._cancelled) alike.
+of _pack_sparse, theta._pack_sums; theta.cleared_build clears, sizes
+and builds every zero-sum of theta terms, and theta.read_cleared reads
+them.
 """
 
 from __future__ import annotations
@@ -212,7 +211,7 @@ def _lowest_limb(x: int, w: int) -> int | None:
 
     Exact when x represents a series mod 2^(w*(n+1)) whose first nonzero
     coefficient is below 2^(w-1) in magnitude: then x = 2^(w*k) (c +
-    2^w R) with c not a multiple of 2^w (see theta.first_nonzero).
+    2^w R) with c not a multiple of 2^w (see theta.read_cleared).
     """
     return ((x & -x).bit_length() - 1) // w if x else None
 

@@ -29,14 +29,14 @@ sparse terms; ramanujan_f_sum gathers them into a Series.
 By the triple product every atom is a quotient of such sparse sums
 (atom_sums, the one table from atoms to theta sums).  Every zero-sum of
 theta terms, the special relations, the catalog's aux steps and the
-partition kernel's three class monomials alike, goes through one
-cleared build, cleared_build: each term is multiplied by the unit that
-clears its sums' negative powers, so it is a product of sparse sums, in
-one limb width sized from the uncleared terms.  Such a product has one
-builder, _pack_sums, one packed shift-add per sparse term, with the
-term lists from one bounded memo, _sum_terms.  The cleared zero test,
-first_nonzero, reads the signed, shifted sum of the built terms at its
-lowest limb.
+partition relations alike, goes through one cleared build,
+cleared_build: each term is multiplied by the unit that clears its
+sums' negative powers, so it is a product of sparse sums, in one limb
+width sized from the uncleared terms.  Such a product has one builder,
+_pack_sums, one packed shift-add per sparse term, with the term lists
+from one bounded memo, _sum_terms.  One reader, read_cleared, reads a
+signed, shifted sum of built terms at its lowest limb; the cleared zero
+test, first_nonzero, is the build and that reader.
 """
 
 from __future__ import annotations
@@ -327,10 +327,11 @@ def _sum_terms(args: FArgs, p: int, n: int) -> tuple[tuple[int, int], ...]:
     per (args, p, n) in the process like atom_series.
 
     Its bound of 128 holds every list one check needs.  The partition
-    kernel at modulus M and order n takes at most M/2 + 3 (the class
-    sums, E_M, E_M^3 and E_2M): 44 at M = 82, so every image one
-    classification builds takes them from here.  A special relation or
-    aux zero-sum of the catalog takes at most 31 at orders 300, 1000 and
+    kernel's build at modulus M and order n takes at most M/2 + 3 (the
+    class sums, E_M, E_M^3 and E_2M): 44 at M = 82, so every image one
+    classification builds takes them from here; verify_identity, with
+    one term at n - a, twice that at most.  A special relation or aux
+    zero-sum of the catalog takes at most 31 at orders 300, 1000 and
     3000: each term's sums at its order or a sharer's, and its named
     sums at n - L too, for the limb width.  A run over many moduli,
     orders or relations keeps the latest 128, each about 2 sqrt(2n/m)
@@ -460,34 +461,45 @@ def cleared_build(terms: Sequence[Term], n: int) -> tuple[int, list[int]]:
     return w, ys
 
 
-def first_nonzero(terms: Sequence[Term], n: int) -> tuple[int, int] | None:
+def read_cleared(w: int, built: Sequence[tuple[int, int, int]],
+                 n: int) -> tuple[int, int] | None:
     """(k, c): the first nonzero coefficient c, at q^k, of the sum D of
-    the terms through q^n, or None when D vanishes through q^n: the
-    cleared zero test.
+    the terms c q^e t listed as (c, e, y), y the packed cleared t, or
+    None when D vanishes through q^n: the one reader of cleared sums.
 
-    cleared_build gives each term's cleared product, V times the term
-    without c and q^e, for one unit V with V(0) = 1.  With L the least e
-    <= n, each product is shifted up e - L limbs, times c, and added in,
-    and the sum is reduced mod 2^(w*(n-L+1)): q -> 2^w and that
-    reduction is a ring homomorphism from Z[q]/(q^(n-L+1)), so the
-    result is the image of q^-L V D.  V D has D's first nonzero index k
-    and coefficient c, however far its later coefficients overflow, and
-    |c| < 2^(w-1) by cleared_build's sizing, so the packed sum is
-    2^(w(k-L)) (c + 2^w R) with c not a multiple of 2^w: its lowest set
-    bit lies in limb k - L, and that limb read as a signed w-bit integer
-    is c.  A denominator (0:m) raises NonUnitLeading, even in a term
-    past the order.
+    Contract: the ys come from one cleared_build, which gave w, of terms
+    with the atoms and sums of the ts, each built to an order of at
+    least n - e, and the build sized for a sum of |c| at least that of
+    the terms read.  So each y is V t through q^(n-e), for one unit V
+    with V(0) = 1, and the build's sizing holds every coefficient of D
+    below 2^(w-1).  With L the least e <= n (terms past n are skipped), each
+    y is shifted up e - L limbs, times c, and added in, and the sum is
+    reduced mod 2^(w*(n-L+1)): q -> 2^w and that reduction is a ring
+    homomorphism from Z[q]/(q^(n-L+1)), so the result is the image of
+    q^-L V D.  V D has D's first nonzero index k and coefficient c,
+    however far its later coefficients overflow, and |c| < 2^(w-1), so
+    the packed sum is 2^(w(k-L)) (c + 2^w R) with c not a multiple of
+    2^w: its lowest set bit lies in limb k - L, and that limb read as a
+    signed w-bit integer is c.
     """
-    w, ys = cleared_build(terms, n)
-    if all(t.e > n for t in terms):
-        return None
-    lo = min(t.e for t in terms if t.e <= n)
-    acc = sum((t.c * y) << ((t.e - lo) * w) for t, y in zip(terms, ys))
+    lo = min((e for _, e, _ in built if e <= n), default=n)
+    acc = 0
+    for c, e, y in built:
+        if e <= n:  # neither a zero shift nor c = +-1 copies y
+            x = y << (e - lo) * w if e > lo else y
+            acc = acc + x if c == 1 else acc - x if c == -1 else acc + c * x
     acc &= (1 << (w * (n - lo + 1))) - 1
     k = _lowest_limb(acc, w)
     if k is None:
         return None
-    c = (acc >> (k * w)) & ((1 << w) - 1)
+    c = (acc & ((1 << (k + 1) * w) - 1)) >> (k * w)
     if c >> (w - 1):
         c -= 1 << w
     return lo + k, c
+
+
+def first_nonzero(terms: Sequence[Term], n: int) -> tuple[int, int] | None:
+    """The cleared zero test: read_cleared of the terms' cleared_build.
+    A denominator (0:m) raises NonUnitLeading, even past the order."""
+    w, ys = cleared_build(terms, n)
+    return read_cleared(w, [(t.c, t.e, y) for t, y in zip(terms, ys)], n)

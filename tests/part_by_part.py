@@ -54,9 +54,11 @@ def first_nonzero_by_parts(terms, n: int) -> tuple[int, int] | None:
     packed to its own order n - e (its sparse sums by _pack_sparse, then
     _pack_product started from that value), shifted up e - L limbs and
     added in, and the sum is reduced mod 2^(w*(n-L+1)).  The limb width
-    w is sized as theta.first_nonzero sizes it: _coeff_bits of each
-    term's factors plus the bit length of each sparse sum's L1 norm,
-    plus the bit length of sum |c|.
+    w is _coeff_bits of each term's factors plus the bit length of each
+    sparse sum's L1 norm, plus the whole bit length of sum |c|: wider
+    than theta.cleared_build's, whose headroom absorbs up to
+    HEADROOM_BITS - 1 bits of that sum, so these limbs can be a byte
+    wider than the kernel's, and the read stays exact.
     """
     live = [t for t in terms if t.e <= n]
     if not live:

@@ -238,6 +238,25 @@ class TestExitCodes:
         code, _, err = run(capsys, "classify", "--modulus", "99")
         assert code == 2
 
+    def test_classify_fails_an_identity_outside_its_own_orbit(
+            self, tmp_path, catalog_doc):
+        # Thm-32.1's sets satisfy the 1-shifted relation, so its alpha = 1
+        # image is that relation, not the entry with shift 2: the entry
+        # never leaves the list of unclassified identities unless refused
+        doc = copy.deepcopy(catalog_doc)
+        (rec,) = [r for r in doc["entries"] if r["label"] == "Thm-32.1"]
+        rec["shift"] = 2
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qshift.cli", "classify", "--modulus",
+             "32", "--corpus", str(path)],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("classification failed")
+        assert "shifted identity a=2 to another relation (M=32)" \
+            in proc.stdout
+
     def test_act_pass(self, capsys):
         code, out, _ = run(capsys, "act", "--alpha", "5",
                            "--label", "Thm-32.1")

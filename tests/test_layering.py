@@ -3,11 +3,13 @@
 The packed builders have one home each: qseries packs products of
 (1 - s q^k)^(+-1) and sparse sums, and theta lists the theta sums and
 builds their products.  Clearing and limb sizing live in theta's one
-cleared build (theta.cleared_build), on qseries' bounds.  Every other
-module goes through that build, the cleared zero test or the public
-series functions, so a second builder or sizing cannot come back
-unnoticed.  The private names one module imports from
-another are an explicit list, so a new one is a decision, not a drift.
+cleared build (theta.cleared_build), on qseries' bounds, and the read
+of a packed sum at its lowest limb in theta's one reader
+(theta.read_cleared).  Every other module goes through that build and
+reader, the cleared zero test or the public series functions, so a
+second builder, sizing or reader cannot come back unnoticed.  The
+private names one module imports from another are an explicit list, so
+a new one is a decision, not a drift.
 
 Every top-level function and class of the library, and every
 non-dunder method of those classes, is used by the library or named by
@@ -69,6 +71,19 @@ def test_only_qseries_and_theta_clear_and_size():
     assert {name: found for name, found in reached.items() if found} == {}
 
 
+# the lowest-limb read of a packed sum: one reader, theta.read_cleared,
+# on top of qseries
+READER = {"_lowest_limb"}
+
+
+def test_only_qseries_and_theta_read_the_lowest_limb():
+    assert builder_names(SRC / "qseries.py", READER) == READER
+    assert builder_names(SRC / "theta.py", READER) == READER
+    reached = {p.name: sorted(builder_names(p, READER))
+               for p in SRC.glob("*.py") if p.name not in HOMES}
+    assert {name: found for name, found in reached.items() if found} == {}
+
+
 # ----------------------------------------------------------------------
 # private names imported across modules
 # ----------------------------------------------------------------------
@@ -81,7 +96,6 @@ PRIVATE_IMPORTS = {
     ("theta", "qseries", "_lowest_limb"),
     ("theta", "qseries", "_pack_sparse"),
     ("partitions", "qseries", "_expand_parts"),
-    ("partitions", "qseries", "_lowest_limb"),
     ("search", "jacobi", "_four2_exprs"),
 }
 

@@ -8,6 +8,7 @@ from both sides.
 
 import hashlib
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,7 @@ from qshift.theta import (
     first_nonzero,
     monomial_series,
     ramanujan_f_terms,
+    read_cleared,
 )
 
 from oracles import linear_combine
@@ -579,6 +581,63 @@ def test_cancelled_packs_one_sparse_factor_at_a_time(monkeypatch):
         _cancelled(S, T, M, 300)
         assert len(calls) == a + b + u + min(a, b) + sum(
             p // 3 + p % 3 for p in (a + u, b + u)), e.label
+
+
+def image_pairs():
+    """Every distinct ordered folded pair (S, T, M) a unit alpha in
+    1..M/2 makes of a catalog entry: 476, each unordered pair twice."""
+    pairs = set()
+    for e in load_corpus():
+        S, T, M = e.identity.S, e.identity.T, e.identity.M
+        for alpha in range(1, M // 2 + 1):
+            if gcd(alpha, M) == 1:
+                pairs.add(tuple(frozenset(min(alpha * r % M, -alpha * r % M)
+                                          for r in side) for side in (S, T))
+                          + (M,))
+    return sorted(pairs, key=repr)
+
+
+def relation_terms(X, Y, M, kind, a):
+    """The relation of (X, Y) written out from its definition: shifted
+    1/[X-Y] - q^a/[Y-X] - [X&Y], shiftless 1/[X-Y] - 1/[Y-X] - q^a [X&Y],
+    with class r the bracket [r:M], or [M/2:2M] for 2r = M."""
+    def classes(rs):
+        return [Atom(r, 2 * M if 2 * r == M else M, BRACKET)
+                for r in sorted(rs)]
+
+    eb, eu = (a, 0) if kind == SHIFTED else (0, a)
+    return [Term(1, 0, den=classes(X - Y)), Term(-1, eb, den=classes(Y - X)),
+            Term(-1, eu, num=classes(X & Y))]
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_every_candidate_reads_as_its_own_zero_test(n):
+    # the reader's contract: a relation read off the shared build, at
+    # any shift up to n, gives the (k, c) of the cleared zero test on
+    # its own terms, for the difference that names the shiftless shift
+    # and for every candidate relation infer_relation tests
+    if n == 300:
+        pairs = image_pairs()
+        assert len(pairs) == 476
+    else:
+        pairs = [(e.identity.S, e.identity.T, e.identity.M)
+                 for e in load_corpus()]
+    for S, T, M in pairs:
+        ya, yb, yu, w = _cancelled(S, T, M, n)
+        # P_S - P_T starts where 1/[S-T] - 1/[T-S] does; distinct sides
+        # of the catalog differ below order 300
+        k, c = hit = read_cleared(w, [(1, 0, ya), (-1, 0, yb)], n)
+        assert hit == first_nonzero(relation_terms(S, T, M, SHIFTLESS, 0)[:2],
+                                    n), (S, T, M)
+        shiftless = ((S, T, ya, yb, SHIFTLESS, k) if c > 0
+                     else (T, S, yb, ya, SHIFTLESS, k))
+        for X, Y, yx, yy, kind, a in ((S, T, ya, yb, SHIFTED, min(S)),
+                                      (T, S, yb, ya, SHIFTED, min(T)),
+                                      shiftless):
+            read = read_cleared(w, partitions._relation(kind, a, yx, yy, yu),
+                                n)
+            assert read == first_nonzero(relation_terms(X, Y, M, kind, a),
+                                         n), (X, Y, M, kind, a)
 
 
 def residue_product_verdict(ident, n):
