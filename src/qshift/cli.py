@@ -334,6 +334,13 @@ def cmd_act(args) -> Report:
         u = UnitAction(args.alpha, ident.M)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    # act infers the image's relation from the image sets alone, so a
+    # source that does not hold would still map to a true relation
+    source = _verify_item(name, ident, args.order)
+    if source.status != PASS:
+        return Report.build(f"act alpha={args.alpha}",
+                            f"source is a non-relation at order "
+                            f"{args.order}", (source,))
     try:
         image = act(u, ident, n=args.order)
     except NotAnIdentity as exc:

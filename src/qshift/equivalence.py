@@ -10,12 +10,12 @@ at every index up to the order, so a failure of the underlying theory
 would be reported rather than silently accepted.
 
 Since alpha and M - alpha induce the same folded action, orbits are
-enumerated over alpha in 1..M/2 coprime to M, and a unit whose ordered
-folded pair an earlier unit already gave is skipped.  Classification
-groups identities that lie in a common orbit; identities are treated as
-ordered pairs (S, T) throughout, with the orientation fixed by the
-relation itself (shifted: S is the unshifted side; shiftless: S is the
-side with the larger count at n = a).
+enumerated over alpha in 1..M/2 coprime to M, and a unit whose folded
+pair an earlier unit already gave, in either order, is skipped.
+Classification groups identities that lie in a common orbit; identities
+are treated as ordered pairs (S, T) throughout, with the orientation
+fixed by the relation itself (shifted: S is the unshifted side;
+shiftless: S is the side with the larger count at n = a).
 """
 
 from __future__ import annotations
@@ -83,11 +83,13 @@ def orbit(ident: PartitionIdentity,
           n: int = DEFAULT_ORDER) -> set[PartitionIdentity]:
     """All images of the identity under U(M), deduplicated.
 
-    act's result depends on the unit only through the ordered folded
-    pair (S_img, T_img), so a unit whose pair an earlier unit already
-    gave is skipped: it would return the same image, or an earlier unit
-    would already have raised.  The pair is kept ordered, not as a set,
-    so the skip never merges two calls that could differ.
+    act's result depends on the unit only through the folded pair
+    (S_img, T_img), and not even on its order: infer_relation(S, T) and
+    infer_relation(T, S) read the same symmetric build and test the same
+    candidates in both orientations, so they return the same identity or
+    raise the same error.  A unit whose unordered pair an earlier unit
+    already gave is skipped: it would return the same image, or an
+    earlier unit would already have raised.
     """
     out = set()
     seen = set()
@@ -95,7 +97,7 @@ def orbit(ident: PartitionIdentity,
         if gcd(alpha, ident.M) != 1:
             continue
         u = UnitAction(alpha, ident.M)
-        pair = (u.apply_set(ident.S), u.apply_set(ident.T))
+        pair = frozenset((u.apply_set(ident.S), u.apply_set(ident.T)))
         if pair not in seen:
             seen.add(pair)
             out.add(act(u, ident, n))

@@ -17,7 +17,10 @@ per term.  Limb widths come from proven coefficient bounds (or from the
 actual operand magnitudes), so the packing is always exact.  The bound
 for a product (_coeff_bits) holds whatever the signs, is evaluated in
 floats with a stated rounding margin, and is taken per product, so a
-sparse set of parts gets narrow limbs.
+sparse set of parts gets narrow limbs.  product_series, which unpacks
+whole bytes, rounds its bound up to bytes with HEADROOM_BITS to spare
+(_limb_width); theta.cleared_build sizes its limbs exactly instead, the
+bound plus the bit length of the sum of |c| plus one sign bit.
 
 A signed sum of packed series that must vanish is tested at its lowest
 set bit (_lowest_limb): at a limb width that holds its first nonzero
@@ -138,10 +141,13 @@ def _coeff_bits(finite: Sequence[int], inverse: Sequence[int], n: int,
 
 
 def _limb_width(bits: int) -> int:
-    """Limb width in bits (whole bytes) for coefficients below 2^bits.
+    """Limb width in bits (whole bytes) for coefficients below 2^bits,
+    as product_series unpacks them.
 
     HEADROOM_BITS spare bits leave room for a sign and for a sum or
     difference of a few such coefficients without leaving the limb.
+    The cleared build does not use it: theta.cleared_build adds to the
+    bound only the bits its sum of terms needs.
     """
     return 8 * ((bits + HEADROOM_BITS + 7) // 8)
 

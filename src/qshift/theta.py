@@ -32,11 +32,13 @@ theta terms, the special relations, the catalog's aux steps and the
 partition relations alike, goes through one cleared build,
 cleared_build: each term is multiplied by the unit that clears its
 sums' negative powers, so it is a product of sparse sums, in one limb
-width sized from the uncleared terms.  Such a product has one builder,
-_pack_sums, one packed shift-add per sparse term, with the term lists
-from one bounded memo, _sum_terms.  One reader, read_cleared, reads a
-signed, shifted sum of built terms at its lowest limb; the cleared zero
-test, first_nonzero, is the build and that reader.
+width sized exactly from the uncleared terms, their coefficient bound B
+plus the bit length of sum |c| plus a sign bit (_cleared_width).  Such
+a product has one builder, _pack_sums, one packed shift-add per sparse
+term, with the term lists from one bounded memo, _sum_terms.  One
+reader, read_cleared, reads a signed, shifted sum of built terms at its
+lowest limb; the cleared zero test, first_nonzero, is the build and
+that reader.
 """
 
 from __future__ import annotations
@@ -46,11 +48,9 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .qseries import (
-    HEADROOM_BITS,
     NonUnitLeading,
     Series,
     _coeff_bits,
-    _limb_width,
     _lowest_limb,
     _pack_sparse,
     product_series,
@@ -383,6 +383,13 @@ def _sum_powers(t: Term) -> dict[FArgs, int]:
     return power
 
 
+def _cleared_width(bits: int, total: int) -> int:
+    """The cleared build's limb width, bits + bitlen(total) + 1, for
+    terms below 2^bits with sum |c| = total: their sum's coefficients
+    lie below 2^(w-1) (see cleared_build)."""
+    return bits + total.bit_length() + 1
+
+
 def cleared_build(terms: Sequence[Term], n: int) -> tuple[int, list[int]]:
     """(w, ys): one limb width w for the sum of the terms through q^n,
     and each term's cleared product, without c and q^e, packed in w-bit
@@ -409,12 +416,14 @@ def cleared_build(terms: Sequence[Term], n: int) -> tuple[int, list[int]]:
     parts finite, denominator parts inverse, with the scale) plus the
     bit length of each named sum's L1 norm through q^(n-L), L the least
     e <= n, as a sparse factor multiplies the largest coefficient by at
-    most its L1 norm.  With B the largest b and l the bit length of
-    C = sum |c| over the terms with e <= n, every coefficient of their
-    sum is below C 2^B < 2^(B+l).  w = _limb_width(B + max(0, l - H + 1)),
-    H = HEADROOM_BITS, is at least B + max(l, H - 1) + 1 >= B + l + 1
-    bits, as _limb_width adds H: the headroom absorbs l up to H - 1
-    bits, and every coefficient of the sum is below 2^(w-1).
+    most its L1 norm.  With B the largest b, C = sum |c_i| over the
+    terms c_i q^(e_i) t_i with e_i <= n, and l the bit length of C, so
+    C < 2^l, w = B + l + 1 (_cleared_width), and every coefficient of
+    their sum D through q^n is
+
+        |D_k| <= sum |c_i| |t_i,(k-e_i)| <= C (2^B - 1) < 2^(B+l) = 2^(w-1),
+
+    as read_cleared's contract asks.
 
     A denominator (0:m), constant term 2, is no unit: NonUnitLeading,
     even in a term past the order.
@@ -423,15 +432,14 @@ def cleared_build(terms: Sequence[Term], n: int) -> tuple[int, list[int]]:
     live = [i for i, t in enumerate(terms) if t.e <= n]
     ys = [0] * len(terms)
     if not live:
-        return _limb_width(0), ys
+        return _cleared_width(0, 0), ys
     lo = min(terms[i].e for i in live)
     bits = max(_coeff_bits(sized[i][1], sized[i][2], n - terms[i].e,
                            sized[i][0])
                + sum(sum(abs(c) for _, c in _sum_terms(args, 1, n - lo))
                      .bit_length() for args in terms[i].sums)
                for i in live)
-    extra = sum(abs(terms[i].c) for i in live).bit_length() - HEADROOM_BITS
-    w = _limb_width(bits + max(0, extra + 1))
+    w = _cleared_width(bits, sum(abs(terms[i].c) for i in live))
     powers = {i: _sum_powers(terms[i]) for i in live}
     least: dict[FArgs, int] = {}
     for power in powers.values():

@@ -55,10 +55,10 @@ def first_nonzero_by_parts(terms, n: int) -> tuple[int, int] | None:
     _pack_product started from that value), shifted up e - L limbs and
     added in, and the sum is reduced mod 2^(w*(n-L+1)).  The limb width
     w is _coeff_bits of each term's factors plus the bit length of each
-    sparse sum's L1 norm, plus the whole bit length of sum |c|: wider
-    than theta.cleared_build's, whose headroom absorbs up to
-    HEADROOM_BITS - 1 bits of that sum, so these limbs can be a byte
-    wider than the kernel's, and the read stays exact.
+    sparse sum's L1 norm, plus the bit length of sum |c|, rounded up to
+    whole bytes with HEADROOM_BITS to spare (_limb_width): wider than
+    theta.cleared_build's B + bitlen(sum |c|) + 1, so the read stays
+    exact.
     """
     live = [t for t in terms if t.e <= n]
     if not live:

@@ -257,6 +257,24 @@ class TestExitCodes:
         assert "shifted identity a=2 to another relation (M=32)" \
             in proc.stdout
 
+    def test_act_fails_a_source_that_does_not_hold(self, tmp_path,
+                                                   catalog_doc):
+        # Thm-32.1's sets satisfy the 1-shifted relation, so the alpha = 1
+        # image is a true relation even when the entry says shift 2: only
+        # checking the source first refuses it
+        doc = copy.deepcopy(catalog_doc)
+        (rec,) = [r for r in doc["entries"] if r["label"] == "Thm-32.1"]
+        rec["shift"] = 2
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qshift.cli", "act", "--label", "Thm-32.1",
+             "--alpha", "1", "--corpus", str(path)],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("source is a non-relation at order 300")
+        assert "Thm-32.1: fail (first failing exponent 1)" in proc.stdout
+
     def test_act_pass(self, capsys):
         code, out, _ = run(capsys, "act", "--alpha", "5",
                            "--label", "Thm-32.1")
@@ -291,12 +309,19 @@ class TestExitCodes:
 
     def test_act_refuses_an_order_where_two_relations_hold(self, capsys):
         # through q^3 the swapped pair also holds shifted by 1, so the
-        # identity mapped by alpha = 1 is told from it only at order 4
+        # identity mapped by alpha = 1 is told from it only at order 4;
+        # act checks the source first, and order 3 cannot see its shift
         argv = ("act", "--alpha", "1", "--modulus", "40",
                 "--kind", "shiftless", "--shift", "2",
                 "--s", "1,2,5,6,7,8,9,11,12,13,15,19",
                 "--t", "1,3,4,5,6,7,8,13,14,15,17,19")
         code, out, err = run(capsys, *argv, "--order", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: order 3 cannot see a shift of 2\n"
+        # Thm-40.1-i (shift 1) holds through q^3, and so does a second
+        # relation of its alpha = 1 image
+        code, out, err = run(capsys, "act", "--alpha", "1", "--label",
+                             "Thm-40.1-i", "--order", "3")
         assert (code, out) == (2, "")
         assert err == ("error: order 3 cannot tell apart the 2 relations "
                        "that hold through it\n")

@@ -29,8 +29,9 @@ SRC = Path(qshift.__file__).parent
 
 
 # the limb sizing and the builder of theta-sum products: clearing and
-# sizing have one home too, theta.cleared_build on top of qseries
-CLEARING = {"_coeff_bits", "_limb_width", "_pack_sums"}
+# sizing have one home too, theta.cleared_build on top of qseries'
+# bounds; qseries' byte-rounded widths serve its own products only
+CLEARING = {"_coeff_bits", "_limb_width", "_cleared_width", "_pack_sums"}
 
 
 def builder_names(path, names=BUILDERS):
@@ -65,7 +66,8 @@ def test_only_qseries_and_theta_reach_the_packed_builders():
 def test_only_qseries_and_theta_clear_and_size():
     assert builder_names(SRC / "qseries.py", CLEARING) == {"_coeff_bits",
                                                            "_limb_width"}
-    assert builder_names(SRC / "theta.py", CLEARING) == CLEARING
+    assert builder_names(SRC / "theta.py", CLEARING) == {
+        "_coeff_bits", "_cleared_width", "_pack_sums"}
     reached = {p.name: sorted(builder_names(p, CLEARING))
                for p in SRC.glob("*.py") if p.name not in HOMES}
     assert {name: found for name, found in reached.items() if found} == {}
@@ -92,7 +94,6 @@ def test_only_qseries_and_theta_read_the_lowest_limb():
 # builders, or the search prefilter reading jacobi's expressions
 PRIVATE_IMPORTS = {
     ("theta", "qseries", "_coeff_bits"),
-    ("theta", "qseries", "_limb_width"),
     ("theta", "qseries", "_lowest_limb"),
     ("theta", "qseries", "_pack_sparse"),
     ("partitions", "qseries", "_expand_parts"),

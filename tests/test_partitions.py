@@ -22,7 +22,6 @@ from qshift.qseries import (
     Series,
     _coeff_bits,
     _expand_parts,
-    _limb_width,
     _pack,
     _pack_sparse,
     _unpack_signed,
@@ -484,8 +483,8 @@ def test_cancelled_equals_cleared_products():
 # ya, yb, yu are E_M^(|A|+|U|) Theta_B, E_M^(|B|+|U|) Theta_A and
 # Theta_U Theta_A Theta_B, each Theta_X the product of its class sums
 CATALOG_BUILDS = {
-    300: "1ca1fb1e420aecfe3fc206d974707eac567193beb14e7b2dd4c84968b3b0f815",
-    1000: "b5e46c14f68cf5d84a1592e4e91ff95722d91c365cd37910e182ccedc93256f3",
+    300: "74d99062270c1be7108cc321669d8e7aafb327133941d322f7d65251f2cca25f",
+    1000: "bdaf7c54080d28b38f9fe1a0ce6973edabf462a30862395c52a23f4ffc3295e0",
 }
 
 
@@ -527,13 +526,14 @@ def test_the_half_class_is_one_progression():
 
 
 def set_difference_width(S, T, M, n):
-    """The limb width sized from the full part sets of S and T: _cancelled
-    expands S - T, T - S and S & T instead, which gives the same parts,
-    as the classes of distinct residues are disjoint."""
+    """The limb width B + bitlen(3) + 1 of three terms with |c| = 1, B
+    sized from the full part sets of S and T: _cancelled expands S - T,
+    T - S and S & T instead, which gives the same parts, as the classes
+    of distinct residues are disjoint."""
     ps, pt = set(_expand_parts(S, M, n)), set(_expand_parts(T, M, n))
-    return _limb_width(max(_coeff_bits((), sorted(ps - pt), n),
-                           _coeff_bits((), sorted(pt - ps), n),
-                           _coeff_bits(sorted(ps & pt), (), n)))
+    return max(_coeff_bits((), sorted(ps - pt), n),
+               _coeff_bits((), sorted(pt - ps), n),
+               _coeff_bits(sorted(ps & pt), (), n)) + (3).bit_length() + 1
 
 
 def swapped(packed):

@@ -22,6 +22,7 @@ from qshift.qseries import (
     HEADROOM_BITS,
     NonUnitLeading,
     Series,
+    _coeff_bits,
     invert,
     mul,
     pochhammer,
@@ -37,12 +38,14 @@ from qshift.theta import (
     atom_series,
     atom_str,
     atom_sums,
+    cleared_build,
     first_nonzero,
     make_monomial,
     monomial_series,
     monomial_str,
     normalize_atom,
     ramanujan_f_sum,
+    ramanujan_f_terms,
 )
 
 from oracles import UnsupportedNegativeExponent, ramanujan_f_product, truncate
@@ -500,16 +503,43 @@ def test_first_nonzero_reads_past_overflowing_limbs(monkeypatch,
     assert series_route(by_parts, n) == (17, -2)
     assert max(monomial_series(make_monomial(
         1, 0, (), (Atom(1, 2, BRACKET),)), n).coeffs) >= 1 << 16
-    monkeypatch.setattr(theta, "_limb_width", lambda bits: 16)
+    monkeypatch.setattr(theta, "_cleared_width", lambda bits, total: 16)
+    assert cleared_build(terms, n)[0] == 16
     assert first_nonzero(terms, n) == (17, -2)
+
+
+@pytest.mark.parametrize("total", [1, 3, 7, (1 << 23) - 1, (1 << 24) - 1,
+                                   (1 << 60) - 1])
+def test_cleared_build_sizes_limbs_as_bound_plus_sum_of_c(total):
+    # w = B + bitlen(sum |c|) + 1 over the live terms, B the largest
+    # bound of a live term: _coeff_bits of its parts at order n - e plus
+    # the bit length of each named sum's L1 norm through q^(n-L); a term
+    # past the order counts in neither
+    n = 150
+    c2 = total // 2
+    terms = [Term(total - c2, -2, den=(Atom(1, 2, BRACKET),)),
+             Term(1 << 90, n + 1, den=(Atom(1, 2, BRACKET),) * 9)]
+    if c2:
+        terms.append(Term(-c2, 3, (Atom(2, 7, BRACKET),),
+                          (Atom(3, 8, PAREN),), ((1, 1, -1, 3),)))
+    live = [t for t in terms if t.e <= n]
+    assert sum(abs(t.c) for t in live) == total
+    lo = min(t.e for t in live)
+    B = 0
+    for t in live:
+        p = parts_term(t, n)
+        B = max(B, _coeff_bits(p.finite, p.inverse, n - t.e, p.scale)
+                + sum(sum(abs(c) for _, c in ramanujan_f_terms(*s, n - lo))
+                      .bit_length() for s in t.sums))
+    assert cleared_build(terms, n)[0] == B + total.bit_length() + 1
 
 
 @pytest.mark.parametrize("k", [1, HEADROOM_BITS - 3, HEADROOM_BITS - 2,
                                HEADROOM_BITS, 40, 100])
 def test_first_nonzero_widens_limbs_past_the_headroom(k):
-    # c/[1:2] - c = 2c q + ...: the headroom absorbs the bit length of
-    # sum |c| up to HEADROOM_BITS - 1 bits, and a larger sum widens the
-    # limbs, so a wide first coefficient is still read whole
+    # c/[1:2] - c = 2c q + ...: the limbs take the bit length of sum |c|
+    # on top of the bound, however large, so a wide first coefficient is
+    # still read whole
     c = (1 << k) - 1
     assert first_nonzero([Term(c, 0, den=(Atom(1, 2, BRACKET),)),
                           Term(-c, 0)], 30) == (1, 2 * c)
