@@ -213,11 +213,12 @@ def _pack_sparse(x: int, terms: Iterable[tuple[int, int]], n: int,
 
 
 def _lowest_limb(x: int, w: int) -> int | None:
-    """Index of the first nonzero limb of x, None when x == 0.
+    """Index of the first nonzero limb of x, None when x == 0; x may be
+    negative, as x & -x is its lowest set bit either way.
 
-    Exact when x represents a series mod 2^(w*(n+1)) whose first nonzero
-    coefficient is below 2^(w-1) in magnitude: then x = 2^(w*k) (c +
-    2^w R) with c not a multiple of 2^w (see theta.read_cleared).
+    Exact when x represents a series whose first nonzero coefficient is
+    below 2^(w-1) in magnitude: then x = 2^(w*k) (c + 2^w R) with c not
+    a multiple of 2^w (see theta.read_cleared).
     """
     return ((x & -x).bit_length() - 1) // w if x else None
 

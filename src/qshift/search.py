@@ -17,12 +17,12 @@ plus a constant in (a, b).  The prefilter keeps a base's form rows mod
 2n in their smallest unsigned dtype (uint8 up to n = 128), built once
 per (n, bound), and reads every folded row of a unit as one lookup into
 a table of length 2n shifted by the unit's constant; the multiset test
-runs on those 8-bit rows.  The tuples surviving this exact prefilter
-are reduced together by jacobi.derive_batch, the numpy form of the
-symbolic reduction derive_identity performs on one tuple; Python
-identity objects are built only for the first tuple of each distinct
-(kind, a, S, T) in a unit, and every emitted identity is re-verified
-against partition counts before it is reported.
+runs on those 8-bit rows.  The tuples of one (n, a) row surviving
+this exact prefilter are reduced together by jacobi.derive_batch, the
+numpy form of the symbolic reduction derive_identity performs on one
+tuple; Python identity objects are built only for the first tuple of
+each distinct (kind, a, S, T) in a row, and every emitted identity is
+re-verified against partition counts before it is reported.
 
 Results are kept primitive: an identity whose residues all share a
 factor d with M is a rescaled copy of a smaller-modulus identity (for
@@ -31,9 +31,12 @@ identity), so such results are counted as "imprimitive" and not
 emitted.  Tuples whose twelve expressions all share a factor with n are
 dropped by the same rule before any exact work.
 
-Work is split into (n, a, b) units processed independently (optionally
-by a process pool of at most os.cpu_count() workers); the merged result
-is deterministic and sorted.
+Work is split into (n, a) rows processed independently (optionally by
+a process pool of at most os.cpu_count() workers).  A row runs the
+prefilter on each of its (n, a, b) units in turn and reduces their
+survivors in one derive_batch, or in several, in scan order, when they
+would not fit PREFILTER_BUDGET_BYTES at once; the merged result is
+deterministic and sorted.
 """
 
 from __future__ import annotations
@@ -56,6 +59,10 @@ VERIFY_ORDER = 200
 # tracemalloc peak is about 731 bytes per candidate at bounds 20 to 60
 PREFILTER_BUDGET_BYTES = 1 << 28
 PREFILTER_BYTES_PER_TUPLE = 768
+# derive_batch peaks at about 700 bytes per survivor plus 32 per survivor
+# and residue 0..n, for its (n + 1)-wide count tables, at bases 23 to 3000
+DERIVE_BYTES_PER_SURVIVOR = 1024
+DERIVE_BYTES_PER_COUNT = 32
 # _base_tables peaks at about 92 bytes per residue mod 2n while it builds
 # the residue tables of a base, whatever the bound
 TABLE_BYTES_PER_RESIDUE = 96
@@ -69,8 +76,8 @@ class SearchConfig:
     """Search space description.
 
     exponent_bound None means n - 1 for each base n.  workers is the
-    number of worker processes, capped at the unit count and at
-    os.cpu_count(); 1 runs everything in-process.  A bound whose units
+    number of worker processes, capped at the number of (n, a) rows and
+    at os.cpu_count(); 1 runs everything in-process.  A bound whose units
     would need more than PREFILTER_BUDGET_BYTES in the prefilter (the
     ceiling is 88) is refused; the default n - 1 fits for every base up
     to 89.  So is a base whose residue tables, of length 2n, would need
@@ -127,7 +134,7 @@ class SearchResult:
 
 
 # ----------------------------------------------------------------------
-# one (n, a, b) work unit
+# one (n, a) row of (n, a, b) units
 # ----------------------------------------------------------------------
 
 def _prime_factors(n):
@@ -286,48 +293,90 @@ def _embeds(num, den):
     return (have >= need).all(axis=0)
 
 
-def _scan_unit(args):
-    n, a, b = args[:3]
-    scanned, hist, C, X, Y = _prefilter(*args)
-    found = []
-    if C.size == 0:
-        return scanned, hist, found
-    # the prefilter has ruled out vanishing atoms: no DegenerateZero here
-    batch = derive_batch(n, a, b, C, X, Y)
+def _derive_cap(n):
+    """How many survivors of base n one derive_batch may reduce within
+    PREFILTER_BUDGET_BYTES, at least one."""
+    per = DERIVE_BYTES_PER_SURVIVOR + DERIVE_BYTES_PER_COUNT * (n + 1)
+    return max(1, PREFILTER_BUDGET_BYTES // per)
+
+
+def _reduce_pending(n, a, pending, hist, first):
+    """Reduce a row's pending survivors, given as (b, c, x, y) column
+    blocks in scan order, by derive_batch in batches of at most
+    _derive_cap(n).  Each outcome is tallied into hist in order of first
+    occurrence, as a tuple-by-tuple loop would, and first maps each
+    distinct (kind, a, S, T) to the first tuple giving it and its
+    identity, in row order."""
+    if not pending:
+        return
+    B, C, X, Y = (np.concatenate(col) for col in zip(*pending))
     labels = ("ok",) + FAILURE_REASONS + (IMPRIMITIVE,)
-    code = np.where((batch.reason == 0) & ~batch.primitive,
-                    len(labels) - 1, batch.reason)
-    # tally in order of first occurrence, as a tuple-by-tuple loop would,
-    # so the histogram's key order is unchanged too
-    counts = np.bincount(code)
-    for c in dict.fromkeys(code.tolist()):
-        hist[labels[c]] += int(counts[c])
-    # the first row of each distinct identity, in row order
-    rows = np.flatnonzero(code == 0)
-    keys = np.column_stack((batch.shifted, batch.shift, batch.S, batch.T))[rows]
-    step = keys.itemsize * keys.shape[1]
-    blob = keys.tobytes()
-    first = {}
-    for j, i in enumerate(rows.tolist()):
-        first.setdefault(blob[j * step:(j + 1) * step], i)
-    for i in first.values():
-        params = FourParams(a, b, int(C[i]), int(X[i]), int(Y[i]), n)
-        found.append((params, batch.identity(i)))
-    return scanned, hist, found
+    cap = _derive_cap(n)
+    for lo in range(0, len(C), cap):
+        cut = slice(lo, lo + cap)
+        # the prefilter has ruled out vanishing atoms: no DegenerateZero
+        batch = derive_batch(n, a, B[cut], C[cut], X[cut], Y[cut])
+        code = np.where((batch.reason == 0) & ~batch.primitive,
+                        len(labels) - 1, batch.reason)
+        counts = np.bincount(code)
+        for c in dict.fromkeys(code.tolist()):
+            hist[labels[c]] += int(counts[c])
+        rows = np.flatnonzero(code == 0)
+        keys = np.column_stack((batch.shifted[rows], batch.shift[rows],
+                                batch.S[rows], batch.T[rows]))
+        step = keys.itemsize * keys.shape[1]
+        blob = keys.tobytes()
+        for j, i in enumerate(rows.tolist()):
+            key = blob[j * step:(j + 1) * step]
+            if key not in first:
+                k = lo + i
+                first[key] = (FourParams(a, int(B[k]), int(C[k]), int(X[k]),
+                                         int(Y[k]), n), batch.identity(i))
+
+
+def _scan_unit(args):
+    """Scan one (n, a) row: the prefilter of each (n, a, b) unit in b
+    order, then derive_batch on the row's survivors together.
+
+    The survivors wait in scan order until they would need more than
+    PREFILTER_BUDGET_BYTES in derive_batch, at DERIVE_BYTES_PER_SURVIVOR
+    plus DERIVE_BYTES_PER_COUNT per residue 0..n each; then they are
+    reduced and the row goes on.  Every reduction keeps scan order and
+    the row dedupes across all of them, so where one falls changes
+    nothing returned.  Returns (scanned, histogram, found), found holding
+    the first tuple of each distinct identity of the row with it.
+    """
+    n, a, bound = args
+    cap = _derive_cap(n)
+    scanned, hist, first = 0, Counter(), {}
+    pending, held = [], 0
+    for b in range(1, bound + 1):
+        unit_scanned, unit_hist, C, X, Y = _prefilter(n, a, b, bound)
+        scanned += unit_scanned
+        hist.update(unit_hist)
+        if C.size:
+            pending.append((np.full(C.size, b, C.dtype), C, X, Y))
+            held += C.size
+        if held >= cap:
+            _reduce_pending(n, a, pending, hist, first)
+            pending, held = [], 0
+    _reduce_pending(n, a, pending, hist, first)
+    return scanned, hist, list(first.values())
 
 
 def _units(cfg: SearchConfig):
+    """The work items, one (n, a, bound) per (n, a) row."""
     for n in cfg.n_values:
         bound = cfg.bound_for(n)
         for a in range(1, bound + 1):
-            for b in range(1, bound + 1):
-                yield (n, a, b, bound)
+            yield (n, a, bound)
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
     """Scan the whole space, dedupe by identity, and sort the results.
 
-    Prefilter survivors go through derive_batch, one batch per unit.
+    Prefilter survivors go through derive_batch, one batch per (n, a)
+    row unless the row would exceed the budget.
     When one identity arises from several parameter tuples the first in
     scan order is kept, which is the lexicographically least.  Each
     deduplicated identity is verified against partition counts at order

@@ -481,14 +481,20 @@ def read_cleared(w: int, built: Sequence[tuple[int, int, int]],
     the terms read.  So each y is V t through q^(n-e), for one unit V
     with V(0) = 1, and the build's sizing holds every coefficient of D
     below 2^(w-1).  With L the least e <= n (terms past n are skipped), each
-    y is shifted up e - L limbs, times c, and added in, and the sum is
-    reduced mod 2^(w*(n-L+1)): q -> 2^w and that reduction is a ring
-    homomorphism from Z[q]/(q^(n-L+1)), so the result is the image of
+    y is shifted up e - L limbs, times c, and added in.  q -> 2^w
+    followed by reduction mod 2^(w*(n-L+1)) is a ring homomorphism from
+    Z[q]/(q^(n-L+1)), so the sum, reduced, would be the image P of
     q^-L V D.  V D has D's first nonzero index k and coefficient c,
     however far its later coefficients overflow, and |c| < 2^(w-1), so
-    the packed sum is 2^(w(k-L)) (c + 2^w R) with c not a multiple of
-    2^w: its lowest set bit lies in limb k - L, and that limb read as a
-    signed w-bit integer is c.
+    P = 2^(w(k-L)) (c + 2^w R) with c not a multiple of 2^w: its lowest
+    set bit lies in limb k - L, and that limb read as a signed w-bit
+    integer is c.  The sum is not reduced: it is P + 2^(w*(n-L+1)) Z for
+    an integer Z, perhaps negative, and every set bit of the second part
+    lies at limb n - L + 1 or above.  So when D vanishes through q^n,
+    P = 0 and the sum's lowest set bit, if any, lies past limb n - L;
+    otherwise the sum agrees with P below limb n - L + 1, and so below
+    and in limb k - L <= n - L, which gives k and c as above.  The two's
+    complement bits of a negative sum obey the same congruences.
     """
     lo = min((e for _, e, _ in built if e <= n), default=n)
     acc = 0
@@ -496,9 +502,8 @@ def read_cleared(w: int, built: Sequence[tuple[int, int, int]],
         if e <= n:  # neither a zero shift nor c = +-1 copies y
             x = y << (e - lo) * w if e > lo else y
             acc = acc + x if c == 1 else acc - x if c == -1 else acc + c * x
-    acc &= (1 << (w * (n - lo + 1))) - 1
     k = _lowest_limb(acc, w)
-    if k is None:
+    if k is None or k > n - lo:
         return None
     c = (acc & ((1 << (k + 1) * w) - 1)) >> (k * w)
     if c >> (w - 1):

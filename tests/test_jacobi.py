@@ -352,10 +352,12 @@ class TestDeriveBatch:
     @pytest.mark.parametrize("n", [16, 20])
     def test_agrees_with_derive_identity_on_every_survivor(self, n):
         tuples = []
-        for unit in search._units(search.SearchConfig((n,))):
-            _, _, C, X, Y = search._prefilter(*unit)
-            tuples += [(unit[1], unit[2], c, x, y)
-                       for c, x, y in zip(C.tolist(), X.tolist(), Y.tolist())]
+        bound = n - 1
+        for a in range(1, bound + 1):
+            for b in range(1, bound + 1):
+                _, _, C, X, Y = search._prefilter(n, a, b, bound)
+                tuples += [(a, b, c, x, y) for c, x, y
+                           in zip(C.tolist(), X.tolist(), Y.tolist())]
         batch = derive_batch(n, *np.array(tuples).T)
         for i, t in enumerate(tuples):
             assert_batch_row(batch, i, derive_identity(FourParams(*t, n)))

@@ -1,11 +1,13 @@
 """Tests for the pruned parameter search.
 
-The load-bearing checks are two oracle comparisons.  On a small base
+The load-bearing checks are three oracle comparisons.  On a small base
 the vectorized scan must agree tuple-for-tuple with a direct loop that
 derives every enumerated parameter set, both in the outcome histogram
-and in the surviving identities.  And unit by unit, the residue-table
+and in the surviving identities.  Unit by unit, the residue-table
 prefilter must agree with the int64 prefilter it replaced, kept here as
-reference_prefilter.
+reference_prefilter.  And the search, which reduces the survivors of a
+whole (n, a) row together, must return exactly what reducing them one
+(n, a, b) unit at a time returns, kept here as unit_by_unit_search.
 """
 
 import tracemalloc
@@ -16,10 +18,17 @@ import numpy as np
 import pytest
 
 from qshift import search
-from qshift.jacobi import _four2_exprs, derive_identity
+from qshift.jacobi import (
+    FAILURE_REASONS,
+    FourParams,
+    _four2_exprs,
+    derive_batch,
+    derive_identity,
+)
 from qshift.partitions import verify_identity
 from qshift.search import (
     SearchConfig,
+    SearchResult,
     run_search,
 )
 from qshift.theta import DegenerateZero
@@ -112,6 +121,87 @@ def reference_prefilter(n, a, b, bound):
     return scanned, hist, C[keep], X[keep], Y[keep]
 
 
+def unit_by_unit_search(cfg):
+    """run_search with one derive_batch per (n, a, b) unit, each unit's
+    outcomes tallied tuple by tuple and its identities deduped within
+    the unit: the reference the row-wise scan must match."""
+    labels = ("ok",) + FAILURE_REASONS + ("imprimitive",)
+    scanned, hist, raw = 0, Counter(), []
+    for n in cfg.n_values:
+        bound = cfg.bound_for(n)
+        for a in range(1, bound + 1):
+            for b in range(1, bound + 1):
+                unit_scanned, unit_hist, C, X, Y = search._prefilter(
+                    n, a, b, bound)
+                scanned += unit_scanned
+                hist.update(unit_hist)
+                if not C.size:
+                    continue
+                batch = derive_batch(n, a, b, C, X, Y)
+                first = {}
+                for i in range(len(C)):
+                    label = labels[batch.reason[i]]
+                    if label == "ok" and not batch.primitive[i]:
+                        label = "imprimitive"
+                    hist[label] += 1
+                    if label == "ok":
+                        first.setdefault(batch.identity(i), FourParams(
+                            a, b, int(C[i]), int(X[i]), int(Y[i]), n))
+                raw += [(params, ident) for ident, params in first.items()]
+    seen = {}
+    for params, ident in raw:
+        seen.setdefault(ident, params)
+    found = []
+    for ident, params in seen.items():
+        if verify_identity(ident, search.VERIFY_ORDER).ok:
+            found.append((params, ident))
+        else:
+            hist["verification-failed"] += 1
+    found.sort(key=lambda pair: pair[1].key())
+    return SearchResult(tuple(found), scanned, dict(hist))
+
+
+def assert_same_search(got, want):
+    """Equal found, scanned and histogram, key order included."""
+    assert got.found == want.found
+    assert got.scanned == want.scanned
+    assert list(got.histogram.items()) == list(want.histogram.items())
+
+
+@pytest.fixture(scope="module")
+def unit_by_unit_16_20():
+    return unit_by_unit_search(SearchConfig((16, 20)))
+
+
+class TestRowsEqualUnits:
+    """The row-wise scan against unit_by_unit_search."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_units(self, workers, unit_by_unit_16_20):
+        got = run_search(SearchConfig((16, 20), workers=workers))
+        assert_same_search(got, unit_by_unit_16_20)
+        assert len(got.found) == 7
+
+    @pytest.mark.parametrize("cap", [37, 500])
+    def test_mid_row_flushes_change_nothing(self, cap, monkeypatch,
+                                            unit_by_unit_16_20):
+        # a per-survivor cost that leaves room for cap survivors, so rows
+        # flush mid-row: at 37 inside units, at 500 between them
+        monkeypatch.setattr(search, "DERIVE_BYTES_PER_SURVIVOR",
+                            search.PREFILTER_BUDGET_BYTES // cap)
+        sizes = Counter()
+
+        def recorded(n, a, b, c, x, y):
+            assert len(c) <= cap
+            sizes[n, a] += 1
+            return derive_batch(n, a, b, c, x, y)
+
+        monkeypatch.setattr(search, "derive_batch", recorded)
+        got = run_search(SearchConfig((16, 20)))
+        assert_same_search(got, unit_by_unit_16_20)
+        assert max(sizes.values()) > 1
+
+
 class TestPrefilterOracle:
     """The residue-table prefilter against the int64 reference, unit by
     unit: scanned, the histogram with its zero-valued keys and key
@@ -192,6 +282,74 @@ class TestSearchConfig:
             tracemalloc.stop()
         pairs = bound * (bound + 1) // 2
         assert peak <= bound * pairs * search.PREFILTER_BYTES_PER_TUPLE
+
+    @staticmethod
+    def derive_bytes(n):
+        return (search.DERIVE_BYTES_PER_SURVIVOR
+                + search.DERIVE_BYTES_PER_COUNT * (n + 1))
+
+    @staticmethod
+    def largest_row(n):
+        """The pending survivor blocks of base n's largest (n, a) row."""
+        bound = n - 1
+        rows = []
+        for a in range(1, bound + 1):
+            blocks = []
+            for b in range(1, bound + 1):
+                _, _, C, X, Y = search._prefilter(n, a, b, bound)
+                if C.size:
+                    blocks.append((np.full(C.size, b, C.dtype), C, X, Y))
+            rows.append((sum(len(blk[1]) for blk in blocks), a, blocks))
+        return max(rows, key=lambda row: row[0])
+
+    def test_derive_memory_per_survivor(self):
+        # a row flushes its survivors before derive_batch would need more
+        # than the budget, at the constants' cost per survivor
+        n = 23
+        survivors, a, blocks = self.largest_row(n)
+        assert survivors == 1728
+        tracemalloc.start()
+        try:
+            search._reduce_pending(n, a, blocks, Counter(), {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= survivors * self.derive_bytes(n)
+
+    def test_derive_memory_per_count(self):
+        # at a large base the (n + 1)-wide count tables dominate
+        n = 1000
+        tuples = [(1, b, c, x, y) for b in range(1, 13) for c in range(1, 13)
+                  for x in range(1, 13) for y in range(x, 13)
+                  if all(linear_expressions(FourParams(1, b, c, x, y, n)))]
+        B, C, X, Y = (np.array(col, dtype=np.uint16)
+                      for col in list(zip(*tuples))[1:])
+        tracemalloc.start()
+        try:
+            search._reduce_pending(n, 1, [(B, C, X, Y)], Counter(), {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= len(tuples) * self.derive_bytes(n)
+        assert peak > len(tuples) * search.DERIVE_BYTES_PER_COUNT * n
+
+    @pytest.mark.parametrize("n, bound", [(89, 88), (1_398_101, 6)])
+    def test_flush_bounds_a_worst_case_row(self, n, bound):
+        # a row in which every tuple survives, at the largest admissible
+        # bound and at the largest admissible base
+        SearchConfig((n,), exponent_bound=bound)
+        pairs = bound * (bound + 1) // 2
+        unit, row = bound * pairs, bound * bound * pairs
+        cap = search._derive_cap(n)
+        budget = search.PREFILTER_BUDGET_BYTES
+        # each derive_batch of at most cap survivors fits the budget ...
+        assert 1 <= cap and cap * self.derive_bytes(n) <= budget
+        # ... so does what waits for it, at most cap - 1 survivors plus
+        # one unit's, in four columns of at most 8 bytes ...
+        assert (cap - 1 + unit) * 4 * 8 <= budget
+        # ... and the row at once would not
+        if bound == 88:
+            assert row * self.derive_bytes(n) > 100 * budget
 
     def test_default_bound_fits_up_to_base_89(self):
         # the default bound n - 1 meets the bound ceiling of 88 at base 89
