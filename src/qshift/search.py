@@ -12,17 +12,23 @@ decided for whole (c, x, y) blocks at once with numpy before any exact
 arithmetic runs: an atom [e : 2n] vanishes iff e = 0 mod 2n, so a tuple
 is degenerate iff one of its expressions is 0 mod n, and a numerator
 atom cancels iff its folded residue is available in the denominator
-multiset.  Each expression is one of seven linear forms in (c, x, y)
-plus a constant in (a, b).  The prefilter keeps a base's form rows mod
-2n in their smallest unsigned dtype (uint8 up to n = 128), built once
-per (n, bound), and reads every folded row of a unit as one lookup into
-a table of length 2n shifted by the unit's constant; the multiset test
-runs on those 8-bit rows.  The tuples of one (n, a) row surviving
-this exact prefilter are reduced together by jacobi.derive_batch, the
-numpy form of the symbolic reduction derive_identity performs on one
-tuple; Python identity objects are built only for the first tuple of
-each distinct (kind, a, S, T) in a row, and every emitted identity is
-re-verified against partition counts before it is reported.
+multiset.  All of it is read exactly from one row per expression,
+h(e) = fold_n(e) = min(e mod n, n - e mod n), by three identities:
+fold_2n(e) + fold_2n(e + n) = n, so a term's sixteen denominator
+values are eight pairs {h, n - h}; fold_2n(2e) = 2 h(e), so its
+numerator values are 2h; and e = 0 (mod n) iff h(e) = 0, while a prime
+of n divides e iff it divides h(e).  Each expression is one of seven
+linear forms in (c, x, y) plus a constant in (a, b).  The prefilter
+keeps a base's form rows mod 2n in their smallest unsigned dtype (uint8
+up to n = 128), built once per (n, bound), and reads each h row of a
+unit as one lookup into the fold_n table of length 2n shifted by the
+unit's constant; the multiset test runs on those rows in their dtype.
+The tuples of one (n, a) row surviving this exact prefilter are reduced
+together by jacobi.derive_batch, the numpy form of the symbolic
+reduction derive_identity performs on one tuple; Python identity
+objects are built only for the first tuple of each distinct
+(kind, a, S, T) in a row, and every emitted identity is re-verified
+against partition counts before it is reported.
 
 Results are kept primitive: an identity whose residues all share a
 factor d with M is a rescaled copy of a smaller-modulus identity (for
@@ -56,15 +62,18 @@ from .partitions import PartitionIdentity, verify_identity
 
 VERIFY_ORDER = 200
 # _prefilter holds every candidate (c, x, y) of a unit at once; its
-# tracemalloc peak is about 731 bytes per candidate at bounds 20 to 60
+# tracemalloc peak is about 55 bytes per candidate with the base's
+# tables built, and about 205 when the unit builds them, at bounds 20 to
+# 60; the constant keeps the bound ceiling of 88
 PREFILTER_BUDGET_BYTES = 1 << 28
 PREFILTER_BYTES_PER_TUPLE = 768
 # derive_batch peaks at about 700 bytes per survivor plus 32 per survivor
 # and residue 0..n, for its (n + 1)-wide count tables, at bases 23 to 3000
 DERIVE_BYTES_PER_SURVIVOR = 1024
 DERIVE_BYTES_PER_COUNT = 32
-# _base_tables peaks at about 92 bytes per residue mod 2n while it builds
-# the residue tables of a base, whatever the bound
+# _base_tables peaks at about 24 bytes per residue mod 2n while it builds
+# the residue tables of a base, whatever the bound, at bases 20,000 to
+# 1,398,101; the constant keeps the base ceiling of 1,398,101
 TABLE_BYTES_PER_RESIDUE = 96
 DEGENERATE = "degenerate"
 IMPRIMITIVE = "imprimitive"
@@ -158,9 +167,10 @@ class _BaseTables:
     (c, x, y), its value at a = b = 0, plus a constant in (a, b), its
     value at c = x = y = 0.  forms holds each distinct form mod 2n, one
     row per form, and form_of names the row of each of the twelve
-    expressions, or None for a - b, which involves no (c, x, y).  The
-    tables map a residue r mod 2n to fold(r), to fold(2r) and to the
-    bitmask of the primes of n dividing r.
+    expressions, or None for a - b, which involves no (c, x, y).
+    fold_n maps a residue r mod 2n to h = fold_n(r) = min(r mod n,
+    n - r mod n), stored twice over, and prime_mask maps h in
+    [0, n // 2] to the bitmask of the primes of n dividing h.
     """
 
     C: np.ndarray
@@ -169,9 +179,8 @@ class _BaseTables:
     g: np.ndarray
     forms: np.ndarray
     form_of: tuple
-    fold: np.ndarray
-    fold2: np.ndarray
-    primes: np.ndarray
+    fold_n: np.ndarray
+    prime_mask: np.ndarray
 
 
 @lru_cache(maxsize=1)
@@ -196,23 +205,28 @@ def _base_tables(n, bound):
         if j == len(forms):
             forms.append(e)
         form_of.append(j)
-    r = np.arange(m)
-    fold = np.minimum(r, m - r)
+    r = np.arange(m) % n
+    fold_n = np.minimum(r, n - r).astype(small)
     primes = _prime_factors(n)
-    mask = np.zeros(m, dtype=np.uint64)
+    h = np.arange(n // 2 + 1)
+    mask = np.zeros(len(h), dtype=np.min_scalar_type((1 << len(primes)) - 1))
     for k, p in enumerate(primes):
-        mask[r % p == 0] |= np.uint64(1 << k)
-    twice = np.concatenate((r, r))
+        mask[h % p == 0] |= 1 << k
     tables = _BaseTables(
         C.astype(small), X.astype(small), Y.astype(small),
         np.gcd(np.gcd(C, X), Y).astype(small),
         np.array(forms, dtype=small), tuple(form_of),
-        fold[twice].astype(small), fold[2 * twice % m].astype(small),
-        mask[twice].astype(np.min_scalar_type((1 << len(primes)) - 1)))
+        np.concatenate((fold_n, fold_n)), mask)
     for a in (tables.C, tables.X, tables.Y, tables.g, tables.forms,
-              tables.fold, tables.fold2, tables.primes):
+              tables.fold_n, tables.prime_mask):
         a.flags.writeable = False
     return tables
+
+
+# the order of the twelve expressions in a unit's rows: term 1's core,
+# the shared expressions, term 2's core, so that each term's core and
+# shared rows are one slice
+_ROW_ORDER = (*range(4), *range(8, 12), *range(4, 8))
 
 
 def _prefilter(n, a, b, bound):
@@ -222,23 +236,30 @@ def _prefilter(n, a, b, bound):
     tuples rejected here, and C, X, Y hold the (c, x, y) of the
     survivors in scan order.
 
-    Every row of folded residues is one lookup into a table of length
-    2n: with L an expression's linear form in (c, x, y) and K its
-    constant, stored as L mod 2n, the row is table[(L mod 2n + K) mod
-    2n], which is np.take of the table rolled by K.  This is exact:
-    (L + K) mod 2n = ((L mod 2n) + K) mod 2n, and since n divides 2n,
-    fold(e), fold(e + n), fold(2e), the test e = 0 (mod n) and gcd(e, n)
-    all depend on e mod 2n alone.  Residues lie in [0, 2n) and folded
-    values in [0, n], both held in the dtype of the form rows, which is
-    uint8 up to n = 128; a multiset count is at most 16 and fits uint8.
+    Each of the twelve expressions e gets one row h(e) = fold_n(e) =
+    min(e mod n, n - e mod n), and everything decided here follows
+    exactly from those rows, by three identities:
 
-    A tuple is degenerate when an expression e has e = 0 (mod n): on a
-    core row fold(2e) = 0, on a shared row fold(e) is 0 or n, that is
-    fold(e) or fold(e + n) is 0, since the two sum to n.  It is
-    imprimitive when one prime of n divides all twelve expressions.  A
-    term cancels when its four numerator values fold(2e) form a
-    sub-multiset of its sixteen denominator values fold(e), fold(e + n)
-    over its core and the shared rows.
+    - fold_2n(e) + fold_2n(e + n) = n, and {fold_2n(e), fold_2n(e + n)}
+      = {h(e), n - h(e)}: a term's sixteen denominator values are the
+      eight pairs {h_j, n - h_j} of its core and shared rows;
+    - fold_2n(2e) = 2 h(e): its four numerator values are 2 h over its
+      core rows;
+    - e = 0 (mod n) iff h(e) = 0, and since n = 0 (mod p), a prime p of
+      n divides e iff it divides h(e).
+
+    A row is one lookup into fold_n, a table of length 2n: with L an
+    expression's linear form in (c, x, y) and K its constant, stored as
+    L mod 2n, the row is fold_n[(L mod 2n + K) mod 2n], np.take of the
+    table rolled by K, which is a slice since the table is stored twice.
+    This is exact: (L mod 2n + K) mod 2n = e mod 2n, and h depends on
+    e mod n alone.  The rows share the dtype of the form rows, which
+    holds 2n - 1 (uint8 up to n = 128), and so does all arithmetic on
+    them: 0 <= h <= n / 2, so 2h <= n and n - 2h >= 0.
+
+    A tuple is degenerate when some h is 0, and imprimitive when one
+    prime of n divides all twelve h.  A term cancels when its numerator
+    multiset embeds into its denominator multiset (_embeds).
     """
     t = _base_tables(n, bound)
     C, X, Y, forms = t.C, t.X, t.Y, t.forms
@@ -249,32 +270,25 @@ def _prefilter(n, a, b, bound):
     m = 2 * n
     (t1, t2), shared = _four2_exprs(a, b, 0, 0, 0)
     consts = t1[2] + t2[2] + shared
-
-    def row(i, table, shift=0):
-        """table[(e + shift) mod 2n] for the i-th expression e; the
-        tables are stored twice over, so a slice is the rolled table."""
-        k = (consts[i] + shift) % m
+    H = np.empty((12, scanned), dtype=forms.dtype)
+    for row, i in zip(H, _ROW_ORDER):
+        k = consts[i] % m
         if t.form_of[i] is None:
-            return table[k]
-        return np.take(table[k:k + m], forms[t.form_of[i]])
-
-    # the core rows of both terms, then the denominator rows of term 1's
-    # core, the shared rows and term 2's core, so that each term's
-    # sixteen denominator rows are one slice
-    num = np.stack([row(i, t.fold2) for i in range(8)])
-    den = np.stack(np.broadcast_arrays(*(
-        row(i, t.fold, s) for i in (*range(4), *range(8, 12), *range(4, 8))
-        for s in (0, n))))
-    nondegen = (num != 0).all(axis=0) & (den[8:16] != 0).all(axis=0)
-    cancel_ok = _embeds(num[:4], den[:16]) & _embeds(num[4:], den[8:])
+            row.fill(t.fold_n[k])
+        else:
+            np.take(t.fold_n[k:k + m], forms[t.form_of[i]], out=row,
+                    mode="clip")
+    nondegen = H.all(axis=0)
+    cancel_ok = _embeds(H[:4], H[:8], n) & _embeds(H[8:], H[4:], n)
     # if a prime of n divides every linear expression, it divides every
     # residue of the would-be identity, which rescales to a smaller
-    # modulus; a - b comes first, and the scan stops once no prime is left
-    common = ~t.primes.dtype.type(0)
-    for i in sorted(range(12), key=lambda i: t.form_of[i] is not None):
+    # modulus; a - b, the fill in row 4, comes first, and the scan stops
+    # once no prime is left
+    common = t.prime_mask[t.fold_n[(a - b) % m]]
+    for row in (*H[:4], *H[5:]):
         if not np.any(common):
             break
-        common = common & row(i, t.primes)
+        common = common & t.prime_mask[row]
     imprim = common != 0
     hist = Counter()
     hist[DEGENERATE] = scanned - int(np.count_nonzero(nondegen))
@@ -285,11 +299,23 @@ def _prefilter(n, a, b, bound):
     return scanned, hist, C[keep], X[keep], Y[keep]
 
 
-def _embeds(num, den):
-    """Columns where the 4-row numerator multiset embeds into the
-    16-row denominator multiset, counted in uint8."""
-    have = (num[:, None] == den[None]).sum(axis=1, dtype=np.uint8)
-    need = (num[:, None] == num[None]).sum(axis=1, dtype=np.uint8)
+def _embeds(core, den, n):
+    """Columns where a term's numerator multiset embeds into its
+    denominator multiset, from the 4 rows h of its core and the 8 rows
+    h_j of its core and shared expressions.
+
+    Its numerator values are v = 2h.  Its denominator values are the
+    pairs {h_j, n - h_j}, with h_j <= n / 2, so v occurs among them
+    #{j : h_j = min(v, n - v)} times, and twice that when 2v = n, that
+    is min(v, n - v) = n / 2, which needs 4 | n as v is even.  v occurs
+    among the numerator values #{k : h_k = h} times.  Counts are at most
+    16 and held in uint8.
+    """
+    want = np.minimum(2 * core, n - 2 * core)
+    have = (want[:, None] == den[None]).sum(axis=1, dtype=np.uint8)
+    if n % 4 == 0:
+        have <<= want == n // 2
+    need = (core[:, None] == core[None]).sum(axis=1, dtype=np.uint8)
     return (have >= need).all(axis=0)
 
 

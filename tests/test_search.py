@@ -10,6 +10,7 @@ whole (n, a) row together, must return exactly what reducing them one
 (n, a, b) unit at a time returns, kept here as unit_by_unit_search.
 """
 
+import random
 import tracemalloc
 from collections import Counter
 from math import gcd
@@ -242,6 +243,70 @@ class TestPrefilterOracle:
         assert search._base_tables(128, 6).forms.dtype == np.uint8
 
 
+def fold(e, m):
+    """min(e mod m, m - e mod m), in plain integers."""
+    return min(e % m, m - e % m)
+
+
+class TestFoldIdentities:
+    """The identities the prefilter reads its decisions from: every
+    value it tests is a function of h = fold(e, n)."""
+
+    BASES = (5, 6, 7, 12, 29, 30, 131, 210)
+
+    @pytest.mark.parametrize("n", BASES)
+    def test_denominator_pair_sums_to_n(self, n):
+        for e in range(2 * n):
+            assert fold(e, 2 * n) + fold(e + n, 2 * n) == n, e
+
+    @pytest.mark.parametrize("n", BASES)
+    def test_numerator_is_twice_the_fold(self, n):
+        for e in range(2 * n):
+            assert fold(2 * e, 2 * n) == 2 * fold(e, n), e
+
+    @pytest.mark.parametrize("n", BASES)
+    def test_degenerate_iff_fold_is_zero(self, n):
+        for e in range(2 * n):
+            assert (e % n == 0) == (fold(e, n) == 0), e
+
+    @pytest.mark.parametrize("n", BASES)
+    def test_primes_of_n_divide_e_iff_they_divide_the_fold(self, n):
+        primes = [p for p in range(2, n + 1)
+                  if n % p == 0 and all(p % q for q in range(2, p))]
+        for e in range(2 * n):
+            for p in primes:
+                assert (e % p == 0) == (fold(e, n) % p == 0), (e, p)
+
+    @pytest.mark.parametrize("n", BASES)
+    def test_pair_count_rule(self, n):
+        rng = random.Random(n)
+        for _ in range(50):
+            exprs = [rng.randrange(-3 * n, 3 * n) for _ in range(8)]
+            values = Counter(fold(e + k, 2 * n) for e in exprs for k in (0, n))
+            h = [fold(e, n) for e in exprs]
+            for v in range(n + 1):
+                count = h.count(min(v, n - v)) * (2 if 2 * v == n else 1)
+                assert values[v] == count, (exprs, v)
+
+
+class TestEmbeds:
+    """search._embeds on random expressions, against the multiset test
+    on their values fold(2e, 2n) and fold(e, 2n), fold(e + n, 2n)."""
+
+    @pytest.mark.parametrize("n", (8, 12, 30, 131, 210))
+    def test_matches_the_multisets(self, n):
+        rng = random.Random(n)
+        cols = [[rng.randrange(2 * n) for _ in range(8)] for _ in range(2000)]
+        h = np.array([[fold(e, n) for e in col] for col in cols],
+                     dtype=np.min_scalar_type(2 * n - 1)).T
+        got = search._embeds(h[:4], h, n)
+        for j, col in enumerate(cols):
+            num = Counter(fold(2 * e, 2 * n) for e in col[:4])
+            den = Counter(fold(e + k, 2 * n) for e in col for k in (0, n))
+            want = all(den[v] >= count for v, count in num.items())
+            assert got[j] == want, col
+
+
 class TestSearchConfig:
     def test_normalizes_bases(self):
         cfg = SearchConfig((20, 16, 16))
@@ -419,6 +484,16 @@ class TestRunSearch:
         res = assert_matches_brute_force(SearchConfig((16,), exponent_bound=7))
         assert res.histogram["ok"] > 0
         assert res.histogram["imprimitive"] > 0
+
+    def test_all_reject_base_29(self):
+        # the search-empty workload: every tuple is rejected by the
+        # prefilter
+        res = run_search(SearchConfig((29,)))
+        assert res.scanned == 8_589_713
+        assert list(res.histogram.items()) == [
+            ("degenerate", 3_041_429), ("imprimitive", 0),
+            ("incomplete-cancellation", 5_548_284)]
+        assert res.found == ()
 
     def test_empty_small_base(self):
         res = run_search(SearchConfig((8,)))
