@@ -375,11 +375,6 @@ def cmd_special(args) -> Report:
 
 def cmd_expand(args) -> Report:
     S = _int_list(args.s, "--s")
-    half = args.modulus // 2
-    bad = [r for r in S if not 1 <= r <= half]
-    if bad:
-        raise UsageError(f"residues {bad} outside 1..{half} "
-                         f"(sets are folded: list r, not {args.modulus} - r)")
     table = count_partitions_table(frozenset(S), args.modulus, args.order)
     label = (f"p(+-{{{','.join(map(str, sorted(set(S))))}}} "
              f"mod {args.modulus}, 0..{args.order})")

@@ -30,10 +30,10 @@ The kernel then clears denominators as the paper's proofs do, by
 Jacobi's triple product.  With class r the bracket [r:M] for 2r < M and
 [M/2:2M] = (q^(M/2); q^M) for 2r = M, the cancelled relation is three
 theta terms on the class monomials 1/[S-U], 1/[T-U] and [U] (_relation),
-like the special relations below.  verify_identity checks it with the
-cleared zero test, theta.first_nonzero, and infer_relation reads every
-candidate off one cleared build of the three (_cancelled) with the same
-reader, theta.read_cleared.  Only a failing check builds its witness,
+like the special relations below.  One cleared build of the three
+(_cancelled) serves each pair of sets: theta.read_cleared reads off it
+the relation verify_identity checks, and every candidate
+infer_relation tests.  Only a failing check builds its witness,
 the two partition counts at the failing index, read from
 qseries.residue_product.  count_partitions is an independent
 dynamic-programming oracle for the same numbers.
@@ -153,37 +153,34 @@ def _class(r: int, M: int) -> Atom:
     return Atom(r, 2 * M if 2 * r == M else M, BRACKET)
 
 
-def _class_monomials(S, T, M: int) -> tuple[Term, Term, Term]:
-    """1/[S-T], 1/[T-S] and [S&T], with c = 1 and e = 0: the classes of
-    distinct residues are disjoint."""
-    A, B, U = (tuple(_class(r, M) for r in sorted(rs))
-               for rs in (S - T, T - S, S & T))
-    return Term(1, 0, den=A), Term(1, 0, den=B), Term(1, 0, num=U)
-
-
-def _relation(kind: str, a: int, xa, xb, xu) -> list[tuple]:
-    """The one statement of the cancelled relation, as (c, e, x) for x
-    the class monomials 1/[S-T], 1/[T-S] and [S&T] (_class_monomials)
-    or their packed cleared products (_cancelled):
+def _relation(kind: str, a: int, ya: int, yb: int, yu: int) -> list[tuple]:
+    """The one statement of the cancelled relation, as (c, e, y) for y
+    the packed cleared class monomials 1/[S-T], 1/[T-S] and [S&T]
+    (_cancelled):
 
         shifted    1/[S-T] - q^a/[T-S] - [S&T]
         shiftless  1/[S-T] - 1/[T-S]   - q^a [S&T]
     """
     eb, eu = (a, 0) if kind == SHIFTED else (0, a)
-    return [(1, 0, xa), (-1, eb, xb), (-1, eu, xu)]
+    return [(1, 0, ya), (-1, eb, yb), (-1, eu, yu)]
 
 
 def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
-    """(ya, yb, yu, w): the class monomials of (S, T), cleared and packed
-    to order n by one theta.cleared_build, whose limbs hold a sum of the
-    three with coefficients +-1: theta.read_cleared reads any relation
-    of (S, T) off them.  Cleared, [S&T] holds the class sums of all
-    three and comes last, so it is the hub.  The integers do not depend
-    on the order of the factors and w is the largest of three symmetric
-    bounds, so _cancelled(T, S, M, n) is (yb, ya, yu, w), integer for
-    integer: one build serves both orientations.
+    """(ya, yb, yu, w): the class monomials 1/[S-T], 1/[T-S] and [S&T]
+    (c = 1, e = 0; the classes of distinct residues are disjoint),
+    cleared and packed to order n by one theta.cleared_build, whose
+    limbs hold a sum of the three with coefficients +-1:
+    theta.read_cleared reads any relation of (S, T) off them.  Cleared,
+    [S&T] holds the class sums of all three and comes last, so it is
+    the hub.  The integers do not depend on the order of the factors
+    and w is the largest of three symmetric bounds, so
+    _cancelled(T, S, M, n) is (yb, ya, yu, w), integer for integer: one
+    build serves both orientations.
     """
-    w, (ya, yb, yu) = cleared_build(_class_monomials(S, T, M), n)
+    A, B, U = (tuple(_class(r, M) for r in sorted(rs))
+               for rs in (S - T, T - S, S & T))
+    w, (ya, yb, yu) = cleared_build(
+        (Term(1, 0, den=A), Term(1, 0, den=B), Term(1, 0, num=U)), n)
     return ya, yb, yu, w
 
 
@@ -197,8 +194,8 @@ def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
     if n < ident.a + 2:
         raise OrderTooSmall(f"order {n} cannot see a shift of {ident.a}")
     S, T, M, a = ident.S, ident.T, ident.M, ident.a
-    hit = first_nonzero([Term(c, e, t.num, t.den) for c, e, t in _relation(
-        ident.kind, a, *_class_monomials(S, T, M))], n)
+    ya, yb, yu, w = _cancelled(S, T, M, n)
+    hit = read_cleared(w, _relation(ident.kind, a, ya, yb, yu), n)
     if hit is None:
         return VerifyReport(True, n)
     k, _ = hit

@@ -233,17 +233,15 @@ class Series:
     coeffs[i] is the coefficient of q^(offset+i); order is the largest
     tracked exponent.  Canonical form strips leading zeros into the
     offset; the zero-up-to-order series is stored as offset=order,
-    coeffs=(0,).  Equality compares coefficients up to the smaller order.
+    coeffs=(0,).  The order is always given.  Equality is exact: offset,
+    order and coefficients all agree, so series of different orders are
+    never equal.
     """
 
     __slots__ = ("offset", "coeffs", "order")
 
-    def __init__(self, offset: int, coeffs: Iterable[int], order: int | None = None):
+    def __init__(self, offset: int, coeffs: Iterable[int], order: int):
         cs = list(coeffs)
-        if order is None:
-            if not cs:
-                raise ValueError("empty coefficients need an explicit order")
-            order = offset + len(cs) - 1
         want = order - offset + 1
         if want < len(cs):
             cs = cs[:max(want, 0)]
@@ -287,20 +285,8 @@ class Series:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self.first_difference(other) is None
-
-    __hash__ = None  # equality is order-relative; hashing would be unsound
-
-    def first_difference(self, other: "Series") -> int | None:
-        """Smallest exponent (up to the shared order) where coefficients differ."""
-        top = min(self.order, other.order)
-        lo = min(self.offset, other.offset)
-        for k in range(lo, top + 1):
-            a = self.coeffs[k - self.offset] if self.offset <= k else 0
-            b = other.coeffs[k - other.offset] if other.offset <= k else 0
-            if a != b:
-                return k
-        return None
+        return ((self.offset, self.order, self.coeffs)
+                == (other.offset, other.order, other.coeffs))
 
     # -- rendering ----------------------------------------------------------
 
@@ -442,7 +428,9 @@ def _expand_parts(residues: Iterable[int], modulus: int, limit: int) -> list[int
     half = modulus // 2
     for s in rs:
         if not (1 <= s <= half):
-            raise ResidueOutOfRange(f"residue {s} outside 1..{half} for modulus {modulus}")
+            raise ResidueOutOfRange(
+                f"residue {s} outside 1..{half} for modulus {modulus} "
+                f"(sets are folded: list r, not {modulus} - r)")
     out = set()
     for s in rs:
         out.update(range(s, limit + 1, modulus))

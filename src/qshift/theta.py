@@ -329,13 +329,13 @@ def _sum_terms(args: FArgs, p: int, n: int) -> tuple[tuple[int, int], ...]:
     Its bound of 128 holds every list one check needs.  The partition
     kernel's build at modulus M and order n takes at most M/2 + 3 (the
     class sums, E_M, E_M^3 and E_2M): 44 at M = 82, so every image one
-    classification builds takes them from here; verify_identity, with
-    one term at n - a, twice that at most.  A special relation or aux
-    zero-sum of the catalog takes at most 31 at orders 300, 1000 and
-    3000: each term's sums at its order or a sharer's, and its named
-    sums at n - L too, for the limb width.  A run over many moduli,
-    orders or relations keeps the latest 128, each about 2 sqrt(2n/m)
-    pairs long.  A tuple, so no caller can change a shared list.
+    classification builds, and every identity verify_identity checks,
+    takes them from here.  A special relation or aux zero-sum of the
+    catalog takes at most 31 at orders 300, 1000 and 3000: each term's
+    sums at its order or a sharer's, and its named sums at n - L too,
+    for the limb width.  A run over many moduli, orders or relations
+    keeps the latest 128, each about 2 sqrt(2n/m) pairs long.  A tuple,
+    so no caller can change a shared list.
     """
     if min(args[1], args[3]) < 1:
         raise ValueError(f"f{args} has no constant term 1")

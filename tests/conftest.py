@@ -7,15 +7,15 @@ import pytest
 
 from qshift.qseries import Series, mul, product_series
 
-from oracles import linear_combine
+from oracles import first_difference, linear_combine
 
 
 def _sum_by_series(terms, n):
     """(k, c) of the first nonzero coefficient through q^n of a sum of
     part_by_part.PartsTerm, or None, by the Series route: each term's
     product from product_series, times its sparse sums by mul, shifted
-    to q^e and added with linear_combine, then compared with zero by
-    first_difference."""
+    to q^e and added with linear_combine, then compared with zero at
+    order n by oracles.first_difference."""
     if not terms:
         return None
     parts = []
@@ -30,7 +30,7 @@ def _sum_by_series(terms, n):
             x = mul(x, Series(0, coeffs, m))
         parts.append((t.c, Series(x.offset + t.e, x.coeffs, n)))
     total = linear_combine(parts)
-    k = total.first_difference(Series.zero(n))
+    k = first_difference(total, Series.zero(n))
     return None if k is None else (k, total.coeff(k))
 
 

@@ -5,6 +5,8 @@ computes another way, or a helper the tests build expectations with:
 
     linear_combine       an integer combination of Series, term by term
     truncate             a Series cut to a lower order
+    first_difference     the first exponent where two Series of one
+                         order differ
     ramanujan_f_product  f(a, b) by the triple product, against the sums
                          of theta.ramanujan_f_sum
     enumerate_params     the search space tuple by tuple, against the
@@ -44,6 +46,18 @@ def truncate(s: Series, order: int) -> Series:
     if order >= s.order:
         return s
     return Series(s.offset, s.coeffs, order)
+
+
+def first_difference(a: Series, b: Series) -> int | None:
+    """Smallest exponent where a and b differ, None when they are equal.
+    Both must have the same order: a comparison below either order would
+    check less than it names."""
+    if a.order != b.order:
+        raise ValueError(f"orders differ: {a.order} and {b.order}")
+    for k in range(min(a.offset, b.offset), a.order + 1):
+        if a.coeff(k) != b.coeff(k):
+            return k
+    return None
 
 
 class UnsupportedNegativeExponent(ValueError):

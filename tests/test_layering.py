@@ -18,6 +18,10 @@ among them), so code that only the tests reach lives in
 tests/oracles.py, not in src."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import qshift
@@ -120,7 +124,9 @@ def test_only_the_listed_private_names_cross_modules():
 # ----------------------------------------------------------------------
 
 BENCH = SRC.parent.parent / "bench"
-# the README's library example calls it; nothing else does
+README = SRC.parent.parent / "README.md"
+# the README's library example calls it (test_the_readme_example_runs);
+# nothing else does
 USED_ELSEWHERE = {("partitions.py", "count_partitions")}
 
 
@@ -183,3 +189,17 @@ def test_every_library_definition_is_used_outside_the_tests():
     for module, name in USED_ELSEWHERE:
         assert name in top_level_defs(SRC / module)
         assert name not in used
+
+
+def test_the_readme_example_runs():
+    """The README's Python block runs against this source tree, and
+    calls count_partitions, the one name USED_ELSEWHERE excuses."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    calls = {node.func.id for node in ast.walk(ast.parse(blocks[0]))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {name for _, name in USED_ELSEWHERE} <= calls
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", blocks[0]], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -58,7 +58,7 @@ from qshift.theta import (
     read_cleared,
 )
 
-from oracles import linear_combine
+from oracles import first_difference, linear_combine
 from part_by_part import first_nonzero_by_parts, parts_term
 
 # a modulus-32 shifted pair used as the standing fixture
@@ -650,7 +650,7 @@ def residue_product_verdict(ident, n):
     else:
         lhs = linear_combine([(1, ps), (-1, pt)])
         rhs = Series(ident.a, (1,), n)
-    return lhs.first_difference(rhs)
+    return first_difference(lhs, rhs)
 
 
 def test_kernel_matches_residue_product_relation():

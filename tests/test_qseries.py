@@ -33,7 +33,7 @@ from qshift.qseries import (
 )
 
 import part_by_part
-from oracles import linear_combine, truncate
+from oracles import first_difference, linear_combine, truncate
 from part_by_part import PartsTerm as Term
 from part_by_part import first_nonzero_by_parts as _first_nonzero
 
@@ -104,10 +104,9 @@ def test_all_zero_coefficients_give_zero():
     assert (s.offset, s.coeffs) == (4, (0,))
 
 
-def test_implicit_order_from_coefficients():
-    s = Series(3, [1, 0, 5])
-    assert s.order == 5
-    assert s.coeff(5) == 5
+def test_order_is_required():
+    with pytest.raises(TypeError):
+        Series(3, [1, 0, 5])
 
 
 def test_series_is_immutable():
@@ -117,32 +116,28 @@ def test_series_is_immutable():
 
 
 # ----------------------------------------------------------------------
-# equality up to the common order
+# exact equality
 # ----------------------------------------------------------------------
 
 
-def test_equal_up_to_common_order():
+def test_different_orders_are_unequal():
     a = Series(0, [1, 2, 3], 2)
     b = Series(0, [1, 2, 3, 9, 9], 4)
-    assert a == b
-    assert b == a
+    assert a != b
+    assert b != a
+    assert a == Series(0, [1, 2, 3], 2)
 
 
 def test_unequal_within_common_order():
     a = Series(0, [1, 2, 3], 2)
     b = Series(0, [1, 2, 4], 2)
     assert a != b
-    assert a.first_difference(b) == 2
+    assert first_difference(a, b) == 2
 
 
-def test_zero_equals_zero_of_other_order():
-    assert Series.zero(3) == Series.zero(100)
-
-
-def test_first_difference_none_when_agreeing():
-    a = Series(0, [1, 2], 1)
-    b = Series(0, [1, 2, 7], 2)
-    assert a.first_difference(b) is None
+def test_zero_differs_from_zero_of_other_order():
+    assert Series.zero(3) != Series.zero(100)
+    assert Series.zero(3) == Series.zero(3)
 
 
 # ----------------------------------------------------------------------
