@@ -53,7 +53,6 @@ from .partitions import (
     verify_theorem_72_2,
 )
 from .qseries import HEADROOM_BITS, ResidueOutOfRange, residue_product
-from .search import VERIFY_ORDER as SEARCH_ORDER, SearchConfig, run_search
 from .theta import DegenerateZero, monomial_str
 
 VERIFY_ORDER = 1000
@@ -253,6 +252,8 @@ def cmd_derive(args) -> Report:
 
 
 def cmd_search(args) -> Report:
+    # imported here: search is the one module that needs numpy
+    from .search import VERIFY_ORDER as SEARCH_ORDER, SearchConfig, run_search
     try:
         cfg = SearchConfig(n_values=_int_list(args.n, "--n"),
                            exponent_bound=args.bound,

@@ -226,6 +226,8 @@ def infer_relation(S, T, M: int, n: int) -> PartitionIdentity | None:
 
     - the one candidate that holds has a shift a > n // 2 (order 2a);
     - n < a + 2, a the least shift that holds;
+    - none holds and n < d = min(S ^ T), where P_S - P_T starts: it
+      vanishes through q^n, so a shiftless relation at d cannot be seen;
     - more than one holds, as at tiny orders, where the counts of two
       sides can match by coincidence.
     """
@@ -242,6 +244,8 @@ def infer_relation(S, T, M: int, n: int) -> PartitionIdentity | None:
         if a is not None
         and read_cleared(w, _relation(kind, a, yx, yy, yu), n) is None]
     if not held:
+        if n < (d := min(S ^ T)):
+            raise OrderTooSmall(f"order {n} cannot see a shift of {d}")
         return None
     X, Y, kind, a = min(held, key=lambda c: c[3])
     if len(held) == 1 and a > n // 2:

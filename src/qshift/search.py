@@ -24,11 +24,13 @@ up to n = 128), built once per (n, bound), and reads each h row of a
 unit as one lookup into the fold_n table of length 2n shifted by the
 unit's constant; the multiset test runs on those rows in their dtype.
 The tuples of one (n, a) row surviving this exact prefilter are reduced
-together by jacobi.derive_batch, the numpy form of the symbolic
-reduction derive_identity performs on one tuple; Python identity
-objects are built only for the first tuple of each distinct
-(kind, a, S, T) in a row, and every emitted identity is re-verified
-against partition counts before it is reported.
+together by derive_batch, the numpy form of the symbolic reduction
+jacobi.derive_identity performs on one tuple; Python identity objects
+are built only for the first tuple of each distinct (kind, a, S, T) in
+a row, and every emitted identity is re-verified against partition
+counts before it is reported.  The batch reduction lives here, with
+its only caller, so this is the one module that imports numpy: every
+other command starts without it.
 
 Results are kept primitive: an identity whose residues all share a
 factor d with M is a rescaled copy of a smaller-modulus identity (for
@@ -57,8 +59,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .jacobi import FAILURE_REASONS, FourParams, _four2_exprs, derive_batch
-from .partitions import PartitionIdentity, verify_identity
+from .jacobi import FAILURE_REASONS, FourParams, _four2_exprs
+from .partitions import SHIFTED, SHIFTLESS, PartitionIdentity, verify_identity
+from .theta import DegenerateZero
 
 VERIFY_ORDER = 200
 # _prefilter holds every candidate (c, x, y) of a unit at once; its
@@ -317,6 +320,139 @@ def _embeds(core, den, n):
         have <<= want == n // 2
     need = (core[:, None] == core[None]).sum(axis=1, dtype=np.uint8)
     return (have >= need).all(axis=0)
+
+
+# ----------------------------------------------------------------------
+# the batch reduction: jacobi.derive_identity in numpy
+# ----------------------------------------------------------------------
+
+# Exponents and bases up to this size keep every quantity in derive_batch
+# within int64; see its docstring.
+_BATCH_LIMIT = 1 << 24
+
+
+@dataclass(frozen=True)
+class BatchDerivation:
+    """jacobi.derive_identity over a batch of tuples sharing one base n.
+
+    Row i describes tuple i.  reason[i] is 0 on success and otherwise
+    1 + the index of the failure in FAILURE_REASONS.  For a success,
+    shifted[i] and shift[i] give the kind and a, and S[i] and T[i] are
+    boolean masks over the residues 0..n of modulus 2n; primitive[i]
+    tells whether gcd(2n, S, T) = 1.  Other fields of a failed row are
+    unspecified.
+    """
+
+    n: int
+    reason: np.ndarray
+    shifted: np.ndarray
+    shift: np.ndarray
+    S: np.ndarray
+    T: np.ndarray
+    primitive: np.ndarray
+
+    def identity(self, i: int) -> PartitionIdentity:
+        """The identity derived from the successful row i."""
+        return PartitionIdentity(
+            2 * self.n,
+            frozenset(np.flatnonzero(self.S[i]).tolist()),
+            frozenset(np.flatnonzero(self.T[i]).tolist()),
+            SHIFTED if self.shifted[i] else SHIFTLESS,
+            int(self.shift[i]))
+
+
+def _normalize_batch(e: np.ndarray, m: int):
+    """theta.normalize_atom on every bracket [e : m] of the array e:
+    (odd sign, qshift, residue)."""
+    k = e // m
+    r0 = e - k * m
+    if not r0.all():
+        raise DegenerateZero(f"a bracket [e : {m}] with e divisible by {m} vanishes")
+    return k & 1, -(k * r0 + m * (k * (k - 1) // 2)), np.minimum(r0, m - r0)
+
+
+def _residue_counts(r: np.ndarray, n: int) -> np.ndarray:
+    """Multiset of residues 0..n in each column of r, as (columns, n+1) counts."""
+    rows = r.shape[1]
+    flat = r + (n + 1) * np.arange(rows)
+    return np.bincount(flat.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
+
+
+def _reduce_batch(sign: int, qexp: np.ndarray, core, shared, n: int):
+    """jacobi._term on a batch of one four2 term, as jacobi.four2_terms
+    builds it.
+
+    Returns (odd, qexp, left): the sign parity, the q-exponent and the
+    denominator counts minus the numerator counts.  A negative count is
+    a numerator atom that found nothing to cancel against.
+    """
+    m = 2 * n
+    base = np.stack(core + shared)
+    num_odd, num_shift, num_r = _normalize_batch(2 * np.stack(core), m)
+    den_odd, den_shift, den_r = _normalize_batch(
+        np.concatenate([base, base + n]), m)
+    odd = (int(sign < 0) + num_odd.sum(axis=0) + den_odd.sum(axis=0)) & 1
+    qexp = qexp + num_shift.sum(axis=0) - den_shift.sum(axis=0)
+    left = _residue_counts(den_r, n) - _residue_counts(num_r, n)
+    return odd, qexp, left
+
+
+def _classify_batch(odd1, q1, left1, odd2, q2, left2):
+    """jacobi._classify_reduced on a batch of reduced term pairs.
+
+    Takes each term's sign parity, q-exponent and leftover counts and
+    returns (reason, shifted, shift, plus, minus) with the reasons
+    tested in the same order as _classify_reduced.
+    """
+    incomplete = (left1 < 0).any(axis=1) | (left2 < 0).any(axis=1)
+    repeated = (left1 > 1).any(axis=1) | (left2 > 1).any(axis=1)
+    equal = (left1 == left2).all(axis=1)
+    first_plus = odd1 == 0
+    plus_q = np.where(first_plus, q1, q2)
+    minus_q = np.where(first_plus, q2, q1)
+    shifted = (plus_q == 0) & (minus_q >= 1)
+    shiftless = (plus_q == minus_q) & (plus_q < 0)
+    unrecognized = (odd1 == odd2) | ~(shifted | shiftless)
+    reason = np.select([incomplete, repeated, equal, unrecognized],
+                       [1, 2, 3, 4], 0)
+    shift = np.where(shifted, minus_q, -plus_q)
+    plus = np.where(first_plus[:, None], left1, left2) == 1
+    minus = np.where(first_plus[:, None], left2, left1) == 1
+    return reason, shifted, shift, plus, minus
+
+
+def derive_batch(n: int, a, b, c, x, y) -> BatchDerivation:
+    """jacobi.derive_identity for every tuple (a, b, c, x, y) of the
+    broadcast integer arrays, all over base n, plus the primitivity test.
+
+    Each term's 20 atoms are normalized with k = e // 2n and
+    r0 = e - 2n k; the leftover denominator is the 16-atom residue
+    multiset minus the 4-atom numerator.  Raises DegenerateZero if any
+    atom of any row vanishes, and ValueError if n or an exponent is not
+    below 2^24.
+
+    Exactness: all arithmetic is int64.  With exponents in [1, n-1], the
+    search default, every core or shared expression lies in (-2n, 2n),
+    so atom exponents lie in (-4n, 4n), k is in {-2, -1, 0, 1}, each
+    |qshift| = |k r0 + 2n k(k-1)/2| < 4n + 6n, and a term's q-exponent,
+    20 shifts plus a prefactor below 2n, stays below 202n.  For any
+    exponents and n below 2^24, atom exponents E stay below 2^27 and
+    |k| <= E/2n + 1, so |k r0| < E + 2n < 2^28 and
+    2n k(k-1)/2 <= (E + 4n)^2 / 4n < 2^54; 20 shifts sum to below 2^60.
+    """
+    args = [np.asarray(v, dtype=np.int64) for v in (a, b, c, x, y)]
+    if not 1 <= n < _BATCH_LIMIT or any(
+            v.size and np.abs(v).max() >= _BATCH_LIMIT for v in args):
+        raise ValueError(f"base and exponents must lie below {_BATCH_LIMIT}")
+    terms, shared = _four2_exprs(*np.broadcast_arrays(*args))
+    (odd1, q1, left1), (odd2, q2, left2) = (
+        _reduce_batch(sign, qexp, core, shared, n)
+        for sign, qexp, core in terms)
+    reason, shifted, shift, S, T = _classify_batch(odd1, q1, left1,
+                                                    odd2, q2, left2)
+    present = np.where(S | T, np.arange(n + 1), 0)
+    primitive = np.gcd(np.gcd.reduce(present, axis=1), 2 * n) == 1
+    return BatchDerivation(n, reason, shifted, shift, S, T, primitive)
 
 
 def _derive_cap(n):

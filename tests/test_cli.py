@@ -8,11 +8,13 @@ must be schema-stable and carry the same verdict as the text rendering.
 
 import copy
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -347,6 +349,19 @@ class TestExitCodes:
             code, out, _ = run(capsys, *argv, "--order", order)
             assert code == 0
             assert "status: pass" in out
+
+    def test_order_below_a_shiftless_shift_is_a_usage_error(self, capsys):
+        # a shiftless image whose sides first differ at d = 6 has equal
+        # counts through q^3: no candidate holds, and the order cannot
+        # see the shift, which is not a failed identity
+        code, out, err = run(capsys, "classify", "--modulus", "48",
+                             "--order", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: order 3 cannot see a shift of 6\n"
+        code, out, _ = run(capsys, "classify", "--modulus", "48",
+                           "--order", "20")
+        assert code == 0
+        assert out.startswith("7 classes")
 
     def test_special_rr(self, capsys):
         code, out, _ = run(capsys, "special", "--rr", "--order", "150")
@@ -746,3 +761,35 @@ class TestSelftestChecks:
         assert not ok
         assert first_fail == 7
         assert details.startswith("failed: [(")
+
+
+# ----------------------------------------------------------------------
+# only search needs numpy
+# ----------------------------------------------------------------------
+
+# every subcommand but search, at small orders
+WITHOUT_NUMPY = [
+    ("verify", "--order", "100"),
+    ("verify-one", "--modulus", "32", "--shift", "1", "--kind", "shifted",
+     "--s", GOOD_S, "--t", GOOD_T, "--order", "100"),
+    ("derive", "--params", "1,2,4,12,13", "--base", "16", "--order", "100"),
+    ("act", "--alpha", "5", "--label", "Thm-32.1", "--order", "100"),
+    ("classify", "--modulus", "48", "--order", "100"),
+    ("special", "--rr", "--order", "100"),
+    ("special", "--thm72-2", "--order", "100"),
+    ("expand", "--s", "1,2", "--modulus", "5", "--order", "20"),
+    ("selftest", "--order", "50"),
+]
+
+
+@pytest.mark.parametrize("argv", WITHOUT_NUMPY, ids=lambda a: a[0] + a[1])
+def test_subcommand_runs_without_numpy(argv):
+    # a None entry in sys.modules makes every import of numpy fail
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from qshift.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(cli.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "status: pass" in proc.stdout

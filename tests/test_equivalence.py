@@ -254,13 +254,19 @@ def act_by_two_builds(u, ident, n):
     (T_img, S_img).  The one that holds is the image when its shift is
     at most n // 2 and n >= a + 2; the order is too small when the one
     that holds has a larger shift, when n < a + 2 for the least shift
-    that holds, or when more than one holds."""
+    that holds, or when more than one holds, and also when none holds
+    but the counts agree through n: the sides first differ at the least
+    part one has and the other lacks, d = min(S ^ T) > n, so the order
+    cannot see a shiftless relation at d."""
     s_img, t_img = u.apply_set(ident.S), u.apply_set(ident.T)
     ps, pt = (partition_counts(X, ident.M, n) for X in (s_img, t_img))
     found = [(S, T, kind, a)
              for S, T, px, py in ((s_img, t_img, ps, pt),
                                   (t_img, s_img, pt, ps))
              for kind, a in relations_by_counts(S, px, py)]
+    if not found and ps == pt:
+        raise OrderTooSmall(f"order {n} cannot see a shift of "
+                            f"{min(s_img ^ t_img)}")
     if not found:
         raise NotAnIdentity(f"alpha={u.alpha} maps the identity to a "
                             f"non-relation (M={ident.M})")

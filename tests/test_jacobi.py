@@ -5,8 +5,8 @@ engine: the assembled monomials of each instance must sum to zero (or to
 one for the base-2n quotient form) to a generous order, over both
 hand-picked and seeded random parameters.  Derivations are additionally
 cross-checked by verifying the produced partition identity numerically,
-and the numpy batch reduction is checked tuple by tuple against the
-single-tuple one.
+and the search's numpy batch reduction (search.derive_batch) is checked
+tuple by tuple against the single-tuple one.
 """
 
 import random
@@ -24,10 +24,8 @@ from qshift.jacobi import (
     REPEATED_ATOM,
     UNRECOGNIZED_SIGN_PATTERN,
     FourParams,
-    _classify_batch,
     _classify_reduced,
     _term,
-    derive_batch,
     derive_identity,
     four2_terms,
     four_terms,
@@ -36,6 +34,7 @@ from qshift.jacobi import (
 )
 from qshift.partitions import SHIFTED, SHIFTLESS, VerifyReport, verify_identity
 from qshift.qseries import NonUnitLeading, Series
+from qshift.search import _classify_batch, derive_batch
 from qshift.theta import (
     BRACKET,
     PAREN,

@@ -9,7 +9,8 @@ of a packed sum at its lowest limb in theta's one reader
 reader, the cleared zero test or the public series functions, so a
 second builder, sizing or reader cannot come back unnoticed.  The
 private names one module imports from another are an explicit list, so
-a new one is a decision, not a drift.
+a new one is a decision, not a drift.  Only search imports numpy, so
+importing the command line loads neither numpy nor the search.
 
 Every top-level function and class of the library, and every
 non-dunder method of those classes, is used by the library or named by
@@ -117,6 +118,41 @@ def private_imports(path):
 def test_only_the_listed_private_names_cross_modules():
     found = set().union(*(private_imports(p) for p in SRC.glob("*.py")))
     assert found == PRIVATE_IMPORTS
+
+
+# ----------------------------------------------------------------------
+# numpy: the search's dependency only
+# ----------------------------------------------------------------------
+
+def imported_modules(path):
+    """The top-level package of every absolute import in the module,
+    at any depth (a function-level import counts too)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_search_imports_numpy():
+    assert "multiprocessing" in imported_modules(SRC / "search.py")
+    importers = sorted(p.name for p in SRC.glob("*.py")
+                       if "numpy" in imported_modules(p))
+    assert importers == ["search.py"]
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # a fresh interpreter: this one has numpy loaded already
+    code = ("import sys, qshift.cli; print(sorted(m for m in "
+            "('numpy', 'multiprocessing', 'qshift.search') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # ----------------------------------------------------------------------

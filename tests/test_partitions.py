@@ -240,6 +240,27 @@ def test_infer_refuses_an_order_too_small_for_the_shift():
         assert infer_relation(S, T, 42, 16) == ident
 
 
+def test_infer_never_calls_a_catalog_identity_a_non_relation():
+    # below d = min(S ^ T) the two sides' counts agree, so a shiftless
+    # relation at d cannot be seen: that is too small an order, not None
+    unseen = set()
+    for e in load_corpus():
+        ident = e.identity
+        d = min(ident.S ^ ident.T)
+        for n in range(2, 2 * d + 2):
+            for S, T in ((ident.S, ident.T), (ident.T, ident.S)):
+                try:
+                    got = infer_relation(S, T, ident.M, n)
+                except OrderTooSmall as exc:
+                    if (ident.kind == SHIFTLESS and n < d
+                            and f"cannot see a shift of {d}" in str(exc)):
+                        unseen.add((e.label, n))
+                    continue
+                assert got == ident, (e.label, n)
+    assert len(unseen) == 103
+    assert len({label for label, _ in unseen}) == 31
+
+
 def test_infer_equal_sets_gives_nothing():
     assert infer_relation(S32, S32, 32, 100) is None
 
@@ -294,12 +315,16 @@ def brute_relations(S, T, M, n):
 def brute_infer(S, T, M, n):
     """What infer_relation(S, T, M, n) must give, by brute force: None
     when no relation holds through n in either orientation, (S, T) or
-    (T, S); the identity when exactly one holds, with a shift up to
-    n // 2 and n >= a + 2; else OrderTooSmall."""
+    (T, S), and the counts of the two sides differ somewhere through n;
+    the identity when exactly one holds, with a shift up to n // 2 and
+    n >= a + 2; else OrderTooSmall.  Counts that agree through n leave
+    room for a shiftless relation past n, which the order cannot see."""
     held = [(X, Y, kind, a) for X, Y in ((S, T), (T, S))
             for kind, a in brute_relations(X, Y, M, n)]
     if not held:
-        return None
+        same = (count_partitions_table(S, M, n)
+                == count_partitions_table(T, M, n))
+        return OrderTooSmall if same else None
     if len(held) > 1 or held[0][3] > n // 2 or n < held[0][3] + 2:
         return OrderTooSmall
     return PartitionIdentity(M, *held[0])

@@ -23,13 +23,13 @@ from qshift.jacobi import (
     FAILURE_REASONS,
     FourParams,
     _four2_exprs,
-    derive_batch,
     derive_identity,
 )
 from qshift.partitions import verify_identity
 from qshift.search import (
     SearchConfig,
     SearchResult,
+    derive_batch,
     run_search,
 )
 from qshift.theta import DegenerateZero
