@@ -10,8 +10,9 @@ at every index up to the order, so a failure of the underlying theory
 would be reported rather than silently accepted.
 
 Since alpha and M - alpha induce the same folded action, orbits are
-enumerated over alpha in 1..M/2 coprime to M, and a unit whose folded
-pair an earlier unit already gave, in either order, is skipped.
+enumerated over alpha in 1..M/2 coprime to M.  infer_relation memoizes
+its outcome per unordered folded pair, so a unit whose pair an earlier
+unit already gave, in either order, costs no build.
 Classification groups identities that lie in a common orbit; identities
 are treated as ordered pairs (S, T) throughout, with the orientation
 fixed by the relation itself (shifted: S is the unshifted side;
@@ -60,7 +61,8 @@ def act(u: UnitAction, ident: PartitionIdentity,
 
     The image is partitions.infer_relation of the folded pair, which
     tries both orientations on one cleared build, since multiplication
-    can exchange which side carries the shift.  It is not verified
+    can exchange which side carries the shift, and memoizes the outcome
+    per unordered pair, modulus and order.  It is not verified
     again: infer_relation returns a relation only after checking it at
     every index 0..n, which is the whole of what verify_identity(image,
     n) would check.  An order too small to see the inferred shift, or one
@@ -83,25 +85,13 @@ def orbit(ident: PartitionIdentity,
           n: int = DEFAULT_ORDER) -> set[PartitionIdentity]:
     """All images of the identity under U(M), deduplicated.
 
-    act's result depends on the unit only through the folded pair
-    (S_img, T_img), and not even on its order: infer_relation(S, T) and
-    infer_relation(T, S) read the same symmetric build and test the same
-    candidates in both orientations, so they return the same identity or
-    raise the same error.  A unit whose unordered pair an earlier unit
-    already gave is skipped: it would return the same image, or an
-    earlier unit would already have raised.
+    A unit whose folded pair an earlier unit gave, in either order, is
+    not built again: infer_relation memoizes its outcome per unordered
+    pair.
     """
-    out = set()
-    seen = set()
-    for alpha in range(1, ident.M // 2 + 1):
-        if gcd(alpha, ident.M) != 1:
-            continue
-        u = UnitAction(alpha, ident.M)
-        pair = frozenset((u.apply_set(ident.S), u.apply_set(ident.T)))
-        if pair not in seen:
-            seen.add(pair)
-            out.add(act(u, ident, n))
-    return out
+    return {act(UnitAction(alpha, ident.M), ident, n)
+            for alpha in range(1, ident.M // 2 + 1)
+            if gcd(alpha, ident.M) == 1}
 
 
 def classify(idents: Sequence[PartitionIdentity],

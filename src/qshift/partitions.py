@@ -33,8 +33,10 @@ theta terms on the class monomials 1/[S-U], 1/[T-U] and [U] (_relation),
 like the special relations below.  One cleared build of the three
 (_cancelled) serves each pair of sets: theta.read_cleared reads off it
 the relation verify_identity checks, and every candidate
-infer_relation tests.  Only a failing check builds its witness,
-the two partition counts at the failing index, read from
+infer_relation tests.  infer_relation's outcome, not its build, is
+memoized per unordered pair, modulus and order, so a U(M) orbit that
+meets a folded pair again builds it once.  Only a failing check builds
+its witness, the two partition counts at the failing index, read from
 qseries.residue_product.  count_partitions is an independent
 dynamic-programming oracle for the same numbers.
 
@@ -230,10 +232,29 @@ def infer_relation(S, T, M: int, n: int) -> PartitionIdentity | None:
       vanishes through q^n, so a shiftless relation at d cannot be seen;
     - more than one holds, as at tiny orders, where the counts of two
       sides can match by coincidence.
+
+    None of this depends on the order of the two sets, so the outcome
+    is memoized per (unordered pair, M, n) in the process (_infer): a
+    U(M) orbit meets the same folded pairs again, and so does every
+    later act on the same identities in one process (selftest's round
+    trips after its classes), and one build answers each; a process
+    that infers each pair once, as one act does, gains nothing.  The
+    memo holds the sets and the frozen identity or None, not the build.  OrderTooSmall is not memoized
+    (lru_cache keeps no exceptions): a pair that raises is built again
+    on every call, and raises the same error.
     """
     S, T = frozenset(S), frozenset(T)
     if S == T:
         return None
+    return _infer(frozenset((S, T)), M, n)
+
+
+@lru_cache(maxsize=512)
+def _infer(pair: frozenset, M: int, n: int) -> PartitionIdentity | None:
+    """infer_relation of the unordered pair of distinct sets, built in
+    one canonical order.  Its bound of 512 holds the 238 folded pairs
+    of the catalog's orbits at one order."""
+    S, T = sorted(pair, key=sorted)
     ya, yb, yu, w = _cancelled(S, T, M, n)
     # no shiftless candidate when P_S - P_T vanishes through q^n
     low, c = read_cleared(w, [(1, 0, ya), (-1, 0, yb)], n) or (None, 1)

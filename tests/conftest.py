@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from qshift import partitions
 from qshift.qseries import Series, mul, product_series
 
 from oracles import first_difference, linear_combine
@@ -32,6 +33,14 @@ def _sum_by_series(terms, n):
     total = linear_combine(parts)
     k = first_difference(total, Series.zero(n))
     return None if k is None else (k, total.coeff(k))
+
+
+@pytest.fixture(autouse=True)
+def cold_inference_memo():
+    """Each test starts with partitions.infer_relation's memo empty, so a
+    patched _cancelled, _pack_sparse or _cleared_width is reached, and a
+    build count does not depend on which tests ran before."""
+    partitions._infer.cache_clear()
 
 
 @pytest.fixture

@@ -290,6 +290,14 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def image_pairs(catalog):
+    """Every (S_img, T_img, M) folded pair a unit in 1..M/2 gives a
+    catalog entry."""
+    return {(u.apply_set(ident.S), u.apply_set(ident.T), M)
+            for M, idents in catalog.items() for ident in idents
+            for u in (UnitAction(a, M) for a in half_units(M))}
+
+
 def classify_by_oracle(idents, n):
     """classify with every orbit taken over all units by the oracle."""
     remaining = sorted(set(idents), key=PartitionIdentity.key)
@@ -337,19 +345,25 @@ class TestAgainstTheTwoBuildOracle:
 
     @pytest.mark.parametrize("n", [15, 300])
     def test_either_order_of_an_image_pair_infers_alike(self, catalog, n):
-        # orbit skips a unit whose pair an earlier one gave swapped, so
-        # infer_relation must not depend on the order of its two sets
-        pairs = {(u.apply_set(ident.S), u.apply_set(ident.T), M)
-                 for M, idents in catalog.items() for ident in idents
-                 for u in (UnitAction(a, M) for a in half_units(M))}
+        # infer_relation memoizes by the unordered pair, so its outcome
+        # must not depend on the order of its two sets, and an answer
+        # from the warm memo must be the cold build's
         kinds = set()
-        for S, T, M in pairs:
+        warm = {}
+        for S, T, M in image_pairs(catalog):
             got = outcome(infer_relation, S, T, M, n)
             assert got == outcome(infer_relation, T, S, M, n), (S, T, M, n)
+            warm[frozenset((S, T)), M] = got
             kinds.add(got.kind if isinstance(got, PartitionIdentity)
                       else got[0])
         assert kinds == ({SHIFTED, SHIFTLESS, OrderTooSmall} if n == 15
                          else {SHIFTED, SHIFTLESS})
+        # one entry per unordered pair and modulus; OrderTooSmall is not kept
+        assert partitions._infer.cache_info().currsize == sum(
+            isinstance(got, PartitionIdentity) for got in warm.values())
+        for (pair, M), got in warm.items():
+            partitions._infer.cache_clear()
+            assert outcome(infer_relation, *pair, M, n) == got, (pair, M, n)
 
     def test_classify_matches_on_every_modulus(self, catalog):
         assert len(catalog) == 18
@@ -358,8 +372,10 @@ class TestAgainstTheTwoBuildOracle:
 
 
 class TestBuildCount:
-    """One cleared build per distinct unordered image, so that rebuilding
-    an orientation or a repeated image shows as a count."""
+    """One cleared build per distinct unordered image pair and order in
+    a process, so that rebuilding an orientation or a repeated image
+    shows as a count.  Each test starts with infer_relation's memo
+    empty (conftest.cold_inference_memo)."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -386,11 +402,32 @@ class TestBuildCount:
         with pytest.raises(NotAnIdentity):
             act(UnitAction(3, 32), fake, 120)
         assert len(builds) == 1
-        ident = max(ids40, key=lambda i: i.a)
-        builds.clear()
-        with pytest.raises(OrderTooSmall, match="needs order"):
-            act(UnitAction(1, 40), ident, 2 * ident.a - 1)
+
+    def test_a_repeated_pair_is_built_once_per_order(self, builds, ids40):
+        ident = ids40[0]
+        u = UnitAction(11, 40)
+        image = act(u, ident, 300)
+        assert act(u, ident, 300) == image
+        # alpha and M - alpha fold alike, and either order of the pair
+        # is the same unordered pair
+        assert act(UnitAction(29, 40), ident, 300) == image
+        for X, Y in ((image.S, image.T), (image.T, image.S)):
+            assert infer_relation(X, Y, 40, 300) == image
         assert len(builds) == 1
+        # the memo keys the order too
+        assert act(u, ident, 200) == image
+        assert len(builds) == 2
+
+    def test_an_order_too_small_is_built_on_every_call(self, builds,
+                                                      ids40):
+        ident = max(ids40, key=lambda i: i.a)
+        u = UnitAction(1, 40)
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(OrderTooSmall, match="needs order") as exc:
+                act(u, ident, 2 * ident.a - 1)
+            messages.add(str(exc.value))
+        assert len(builds) == 3 and len(messages) == 1
 
     def test_classify_builds_each_unordered_image_once(self, builds,
                                                        catalog):
@@ -402,3 +439,12 @@ class TestBuildCount:
                     images.add((frozenset((u.apply_set(rep.S),
                                            u.apply_set(rep.T))), M))
         assert len(builds) == len(images) == 238
+        # selftest's round trips, under every unit of every entry, meet
+        # only pairs the classes already built
+        for M, idents in catalog.items():
+            for ident in idents:
+                for alpha in (a for a in range(1, M) if gcd(a, M) == 1):
+                    image = act(UnitAction(alpha, M), ident, 300)
+                    back = act(UnitAction(pow(alpha, -1, M), M), image, 300)
+                    assert back == ident
+        assert len(builds) == 238
