@@ -26,11 +26,11 @@ unit's constant; the multiset test runs on those rows in their dtype.
 The tuples of one (n, a) row surviving this exact prefilter are reduced
 together by derive_batch, the numpy form of the symbolic reduction
 jacobi.derive_identity performs on one tuple; Python identity objects
-are built only for the first tuple of each distinct (kind, a, S, T) in
-a row, and every emitted identity is re-verified against partition
-counts before it is reported.  The batch reduction lives here, with
-its only caller, so this is the one module that imports numpy: every
-other command starts without it.
+are built only once per distinct (kind, a, S, T) of a batch, and every
+emitted identity is re-verified against partition counts before it is
+reported.  The batch reduction lives here, with its only caller, so
+this is the one module that imports numpy: every other command starts
+without it.
 
 Results are kept primitive: an identity whose residues all share a
 factor d with M is a rescaled copy of a smaller-modulus identity (for
@@ -39,11 +39,21 @@ identity), so such results are counted as "imprimitive" and not
 emitted.  Tuples whose twelve expressions all share a factor with n are
 dropped by the same rule before any exact work.
 
+The prefilter is symmetric in a and b: swapping them exchanges the two
+terms' core expressions and negates a - b, and fold_n(-e) = fold_n(e)
+(the proof is at _scan_unit).  So each unordered {a, b} is scanned
+once, and its survivors are reduced at both (a, b) and (b, a), which
+derive_batch tells apart.
+
 Work is split into (n, a) rows processed independently (optionally by
-a process pool of at most os.cpu_count() workers).  A row runs the
-prefilter on each of its (n, a, b) units in turn and reduces their
-survivors in one derive_batch, or in several, in scan order, when they
-would not fit PREFILTER_BUDGET_BYTES at once; the merged result is
+a process pool of at most os.cpu_count() workers).  Row a runs the
+prefilter on its bound - a + 1 units (n, a, b), b >= a, in turn and
+reduces their survivors, at (a, b) and at (b, a), in one derive_batch
+each, or in several, in scan order, when they would not fit
+PREFILTER_BUDGET_BYTES at once.  Each identity keeps its
+lexicographically least tuple (n, a, b, c, x, y), and the histogram
+lists outcomes in the order of the least tuple giving each, so the
+merged result does not depend on the order rows finish in; it is
 deterministic and sorted.
 """
 
@@ -59,7 +69,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .jacobi import FAILURE_REASONS, FourParams, _four2_exprs
+from .jacobi import (
+    FAILURE_REASONS,
+    INCOMPLETE_CANCELLATION,
+    FourParams,
+    _four2_exprs,
+)
 from .partitions import SHIFTED, SHIFTLESS, PartitionIdentity, verify_identity
 from .theta import DegenerateZero
 
@@ -81,6 +96,8 @@ TABLE_BYTES_PER_RESIDUE = 96
 DEGENERATE = "degenerate"
 IMPRIMITIVE = "imprimitive"
 VERIFICATION_FAILED = "verification-failed"
+# the rejections _prefilter tallies, in the order it tallies them
+_PREFILTER_LABELS = (DEGENERATE, IMPRIMITIVE, INCOMPLETE_CANCELLATION)
 
 
 @dataclass(frozen=True)
@@ -268,7 +285,10 @@ def _prefilter(n, a, b, bound):
     C, X, Y, forms = t.C, t.X, t.Y, t.forms
     if gcd(a, b) > 1:
         keep = np.gcd(t.g, gcd(a, b)) == 1
-        C, X, Y, forms = C[keep], X[keep], Y[keep], forms[:, keep]
+        # compress keeps the form rows C-contiguous, where forms[:, keep]
+        # would not, and every np.take below reads them
+        C, X, Y = C[keep], X[keep], Y[keep]
+        forms = forms.compress(keep, axis=1)
     scanned = len(C)
     m = 2 * n
     (t1, t2), shared = _four2_exprs(a, b, 0, 0, 0)
@@ -297,7 +317,7 @@ def _prefilter(n, a, b, bound):
     hist[DEGENERATE] = scanned - int(np.count_nonzero(nondegen))
     hist[IMPRIMITIVE] = int(np.count_nonzero(nondegen & imprim))
     keep = nondegen & ~imprim
-    hist["incomplete-cancellation"] = int(np.count_nonzero(keep & ~cancel_ok))
+    hist[INCOMPLETE_CANCELLATION] = int(np.count_nonzero(keep & ~cancel_ok))
     keep &= cancel_ok
     return scanned, hist, C[keep], X[keep], Y[keep]
 
@@ -462,13 +482,17 @@ def _derive_cap(n):
     return max(1, PREFILTER_BUDGET_BYTES // per)
 
 
-def _reduce_pending(n, a, pending, hist, first):
+def _reduce_pending(n, a, pending, hist, at, first, mirror=False):
     """Reduce a row's pending survivors, given as (b, c, x, y) column
     blocks in scan order, by derive_batch in batches of at most
-    _derive_cap(n).  Each outcome is tallied into hist in order of first
-    occurrence, as a tuple-by-tuple loop would, and first maps each
-    distinct (kind, a, S, T) to the first tuple giving it and its
-    identity, in row order."""
+    _derive_cap(n): at (a, b, c, x, y), or at (b, a, c, x, y) when
+    mirror is set.  Either way the tuples (n, a, b, c, x, y) of a batch
+    ascend, so the first tuple of a batch with a given outcome or
+    identity is its least.  hist counts each outcome, at maps each
+    outcome to the least tuple giving it, and first maps each distinct
+    (kind, a, S, T) to the least tuple giving it and its identity; an
+    identity is built once per distinct key of a batch, and only when
+    that key is new to the row."""
     if not pending:
         return
     B, C, X, Y = (np.concatenate(col) for col in zip(*pending))
@@ -476,54 +500,92 @@ def _reduce_pending(n, a, pending, hist, first):
     cap = _derive_cap(n)
     for lo in range(0, len(C), cap):
         cut = slice(lo, lo + cap)
+
+        def point(i):
+            k = lo + i
+            pair = (int(B[k]), a) if mirror else (a, int(B[k]))
+            return (n, *pair, int(C[k]), int(X[k]), int(Y[k]))
+
+        ab = (B[cut], a) if mirror else (a, B[cut])
         # the prefilter has ruled out vanishing atoms: no DegenerateZero
-        batch = derive_batch(n, a, B[cut], C[cut], X[cut], Y[cut])
+        batch = derive_batch(n, *ab, C[cut], X[cut], Y[cut])
         code = np.where((batch.reason == 0) & ~batch.primitive,
                         len(labels) - 1, batch.reason)
         counts = np.bincount(code)
-        for c in dict.fromkeys(code.tolist()):
-            hist[labels[c]] += int(counts[c])
+        codes, firsts = np.unique(code, return_index=True)
+        for c, i in zip(codes.tolist(), firsts.tolist()):
+            label, t = labels[c], point(i)
+            hist[label] += int(counts[c])
+            at[label] = min(at.get(label, t), t)
         rows = np.flatnonzero(code == 0)
         keys = np.column_stack((batch.shifted[rows], batch.shift[rows],
                                 batch.S[rows], batch.T[rows]))
         step = keys.itemsize * keys.shape[1]
         blob = keys.tobytes()
+        least = {}
         for j, i in enumerate(rows.tolist()):
-            key = blob[j * step:(j + 1) * step]
+            least.setdefault(blob[j * step:(j + 1) * step], i)
+        for key, i in least.items():
+            t = point(i)
             if key not in first:
-                k = lo + i
-                first[key] = (FourParams(a, int(B[k]), int(C[k]), int(X[k]),
-                                         int(Y[k]), n), batch.identity(i))
+                first[key] = (t, batch.identity(i))
+            elif t < first[key][0]:
+                first[key] = (t, first[key][1])
 
 
 def _scan_unit(args):
-    """Scan one (n, a) row: the prefilter of each (n, a, b) unit in b
-    order, then derive_batch on the row's survivors together.
+    """Scan one (n, a) row: the prefilter of each (n, a, b) unit with
+    b >= a, in b order, then derive_batch on the row's survivors at
+    (a, b) and, for b > a, at (b, a) as well.
 
-    The survivors wait in scan order until they would need more than
+    Units (n, a, b) and (n, b, a) give the same prefilter result.
+    Swapping a and b maps term 1's core expressions (b - c, a - x,
+    a - y, x + y - b - c) onto term 2's (a - c, b - x, b - y,
+    x + y - a - c) and back, and fixes the shared ones up to sign
+    (a - b becomes b - a); since fold_n(-e) = fold_n(e), the twelve h
+    rows of (n, b, a) are those of (n, a, b) with the two cores
+    exchanged.  The gcd filter, degeneracy and imprimitivity read all
+    twelve rows alike, and "both terms cancel" is symmetric in the two
+    terms, so both units scan the same (c, x, y), reject the same ones
+    for the same reasons and keep the same survivors in the same order.
+    A row therefore carries bound - a + 1 units: for b > a, unit (n, a, b)
+    counts twice in scanned and in the histogram, and its survivors are
+    also reduced at (b, a), where derive_batch does tell the two apart
+    through term 2's sign and q-exponent 2c - 2b.
+
+    The direct and the mirrored survivors wait in scan order, sharing
+    their column blocks, until together they would need more than
     PREFILTER_BUDGET_BYTES in derive_batch, at DERIVE_BYTES_PER_SURVIVOR
-    plus DERIVE_BYTES_PER_COUNT per residue 0..n each; then they are
-    reduced and the row goes on.  Every reduction keeps scan order and
-    the row dedupes across all of them, so where one falls changes
-    nothing returned.  Returns (scanned, histogram, found), found holding
-    the first tuple of each distinct identity of the row with it.
+    plus DERIVE_BYTES_PER_COUNT per residue 0..n each; then each kind
+    is reduced in its own derive_batch calls and the row goes on.  Every
+    outcome and identity keeps its least tuple, so neither where a
+    reduction falls nor which kind goes first changes anything returned.
+    Returns (scanned, histogram, found, at): found holds the least tuple
+    of each distinct identity of the row with it, and at maps each
+    derive_batch outcome to the least tuple (n, a, b, c, x, y) giving it.
     """
     n, a, bound = args
     cap = _derive_cap(n)
-    scanned, hist, first = 0, Counter(), {}
-    pending, held = [], 0
-    for b in range(1, bound + 1):
+    scanned, hist, at, first = 0, Counter(), {}, {}
+    direct, mirrored, held = [], [], 0
+    for b in range(a, bound + 1):
         unit_scanned, unit_hist, C, X, Y = _prefilter(n, a, b, bound)
-        scanned += unit_scanned
-        hist.update(unit_hist)
+        copies = 1 if b == a else 2
+        scanned += copies * unit_scanned
+        for label, count in unit_hist.items():
+            hist[label] += copies * count
         if C.size:
-            pending.append((np.full(C.size, b, C.dtype), C, X, Y))
-            held += C.size
-        if held >= cap:
-            _reduce_pending(n, a, pending, hist, first)
-            pending, held = [], 0
-    _reduce_pending(n, a, pending, hist, first)
-    return scanned, hist, list(first.values())
+            block = (np.full(C.size, b, C.dtype), C, X, Y)
+            direct.append(block)
+            if b > a:
+                mirrored.append(block)
+            held += copies * C.size
+        if held >= cap or b == bound:
+            _reduce_pending(n, a, direct, hist, at, first)
+            _reduce_pending(n, a, mirrored, hist, at, first, mirror=True)
+            direct, mirrored, held = [], [], 0
+    found = [(FourParams(*t[1:], t[0]), ident) for t, ident in first.values()]
+    return scanned, hist, found, at
 
 
 def _units(cfg: SearchConfig):
@@ -538,9 +600,14 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     """Scan the whole space, dedupe by identity, and sort the results.
 
     Prefilter survivors go through derive_batch, one batch per (n, a)
-    row unless the row would exceed the budget.
-    When one identity arises from several parameter tuples the first in
-    scan order is kept, which is the lexicographically least.  Each
+    row and direction unless the row would exceed the budget; each row
+    scans its units (n, a, b) with b >= a and stands in for (n, b, a)
+    (see _scan_unit).  When one identity arises from several parameter
+    tuples the lexicographically least (n, a, b, c, x, y) is kept.  The
+    histogram lists the three prefilter outcomes, then derive_batch's in
+    the order of the least tuple giving each, then "verification-failed":
+    the order a tuple-by-tuple scan of the space in lexicographic order
+    would tally them in, whatever order the rows finish in.  Each
     deduplicated identity is verified against partition counts at order
     200 before it is emitted; the emitted list is sorted by (M, S, T).
     The histogram tallies the outcome of every scanned tuple ("ok" counts
@@ -548,9 +615,7 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     entry per deduplicated identity that failed the final check.
     """
     units = list(_units(cfg))
-    scanned = 0
-    hist = Counter()
-    raw = []
+    scanned, counts, at, raw = 0, Counter(), {}, []
     pool = None
     if cfg.workers != 1:
         pool = multiprocessing.Pool(
@@ -558,16 +623,22 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     try:
         results = (map(_scan_unit, units) if pool is None
                    else pool.imap(_scan_unit, units, chunksize=4))
-        for unit_scanned, unit_hist, unit_found in results:
+        for unit_scanned, unit_hist, unit_found, unit_at in results:
             scanned += unit_scanned
-            hist.update(unit_hist)
+            counts.update(unit_hist)
             raw.extend(unit_found)
+            for label, point in unit_at.items():
+                at[label] = min(at.get(label, point), point)
     finally:
         if pool is not None:
             pool.close()
             pool.join()
+    later = sorted(at.keys() - set(_PREFILTER_LABELS), key=at.get)
+    hist = Counter({label: counts[label]
+                    for label in (*_PREFILTER_LABELS, *later)})
     seen = {}
-    for params, ident in raw:
+    for params, ident in sorted(
+            raw, key=lambda pair: (pair[0].n, *pair[0].exponents())):
         seen.setdefault(ident, params)
     found = []
     for ident, params in seen.items():

@@ -7,6 +7,7 @@ must be schema-stable and carry the same verdict as the text rendering.
 """
 
 import copy
+import hashlib
 import json
 import os
 import random
@@ -456,6 +457,23 @@ class TestExitCodes:
         assert rec["provenance"] == {"source": "search",
                                      "params": [1, 2, 4, 12, 13],
                                      "n": 16}
+
+    @pytest.mark.parametrize("bases, digest", [
+        ("16,20,23",
+         "370aab551e91f6c89bb35374bd7e7fa0125e6e4987bd0eb6d4dd32b27359c53d"),
+        ("29",
+         "e9072d70c900cecdf630875167da3fed3d1bd1389f4005cfe0dba9edbdf90d56"),
+    ])
+    def test_search_output_is_pinned(self, capsys, tmp_path, bases, digest):
+        # the bytes a scan of every (n, a, b) unit in lexicographic order
+        # writes: scanned, the reject keys in order and the least tuple
+        # of each identity, which the scan of each unordered {a, b} once
+        # must reproduce
+        out_file = tmp_path / "found.json"
+        code, _, _ = run(capsys, "search", "--n", bases,
+                         "--out", str(out_file))
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
     def test_search_bound_too_small(self, capsys):
         code, _, err = run(capsys, "search", "--n", "3")

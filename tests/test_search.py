@@ -5,9 +5,10 @@ the vectorized scan must agree tuple-for-tuple with a direct loop that
 derives every enumerated parameter set, both in the outcome histogram
 and in the surviving identities.  Unit by unit, the residue-table
 prefilter must agree with the int64 prefilter it replaced, kept here as
-reference_prefilter.  And the search, which reduces the survivors of a
-whole (n, a) row together, must return exactly what reducing them one
-(n, a, b) unit at a time returns, kept here as unit_by_unit_search.
+reference_prefilter.  And the search, which scans each unordered {a, b}
+once and reduces the survivors of a whole (n, a) row together, must
+return exactly what reducing them one (n, a, b) unit at a time over
+every ordered (a, b) returns, kept here as unit_by_unit_search.
 """
 
 import random
@@ -194,7 +195,10 @@ class TestRowsEqualUnits:
 
         def recorded(n, a, b, c, x, y):
             assert len(c) <= cap
-            sizes[n, a] += 1
+            # a row reduces its direct survivors at (a, b) and its
+            # mirrored ones at (b, a), where the row is b
+            sizes[(n, a, "direct") if np.ndim(a) == 0
+                  else (n, b, "mirrored")] += 1
             return derive_batch(n, a, b, c, x, y)
 
         monkeypatch.setattr(search, "derive_batch", recorded)
@@ -202,29 +206,99 @@ class TestRowsEqualUnits:
         assert_same_search(got, unit_by_unit_16_20)
         assert max(sizes.values()) > 1
 
+    def test_row_order_changes_nothing(self, monkeypatch):
+        # a row's mirrored survivors carry a first parameter above the
+        # row's, so whatever order the pool returns rows in, each
+        # identity and outcome must keep its least tuple: each row of
+        # base 16 arrives first, then the others last to first
+        cfg = SearchConfig((16,))
+        want = unit_by_unit_search(cfg)
+        rows = [search._scan_unit(unit) for unit in search._units(cfg)]
+
+        class ReorderingPool:
+            def __init__(self, processes):
+                pass
+
+            def imap(self, fn, items, chunksize=1):
+                return iter(order)
+
+            def close(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(search.multiprocessing, "Pool", ReorderingPool)
+        for k in range(len(rows)):
+            order = [rows[k], *rows[:k][::-1], *rows[k + 1:][::-1]]
+            got = run_search(SearchConfig((16,), workers=2))
+            assert_same_search(got, want)
+
+    def test_reduction_order_changes_nothing(self):
+        # a row's survivors reduced unit by unit, last unit first and
+        # mirrored before direct, tally what one reduction of each kind
+        # in scan order tallies: every outcome and identity keeps its
+        # least tuple
+        n, bound = 16, 15
+        for a in range(1, bound + 1):
+            blocks = []
+            for b in range(a, bound + 1):
+                _, _, C, X, Y = search._prefilter(n, a, b, bound)
+                if C.size:
+                    blocks.append((b, (np.full(C.size, b, C.dtype), C, X, Y)))
+            want = Counter(), {}, {}
+            search._reduce_pending(n, a, [blk for _, blk in blocks], *want)
+            search._reduce_pending(n, a, [blk for b, blk in blocks if b > a],
+                                   *want, mirror=True)
+            got = Counter(), {}, {}
+            for b, blk in reversed(blocks):
+                if b > a:
+                    search._reduce_pending(n, a, [blk], *got, mirror=True)
+                search._reduce_pending(n, a, [blk], *got)
+            assert got == want, a
+
+
+PREFILTER_CONFIGS = [
+    *((n, n - 1) for n in (6, 7, 8, 9, 10, 12, 15, 16, 18, 21, 30)),
+    (10, 25),   # a - b = +-n, so whole units are degenerate
+    (16, 7),
+    (42, 8),    # three primes in the imprimitivity mask
+    (131, 6),   # 2n > 256: uint16 rows
+    (210, 6),   # four primes
+]
+
+
+def assert_same_unit(got, want, unit):
+    """Equal scanned, histogram items in order and survivors in order."""
+    assert got[0] == want[0], unit
+    assert list(got[1].items()) == list(want[1].items()), unit
+    for g, w in zip(got[2:], want[2:]):
+        assert g.tolist() == w.tolist(), unit
+
 
 class TestPrefilterOracle:
     """The residue-table prefilter against the int64 reference, unit by
     unit: scanned, the histogram with its zero-valued keys and key
     order, and the survivors in scan order."""
 
-    @pytest.mark.parametrize("n, bound", [
-        *((n, n - 1) for n in (6, 7, 8, 9, 10, 12, 15, 16, 18, 21, 30)),
-        (10, 25),   # a - b = +-n, so whole units are degenerate
-        (16, 7),
-        (42, 8),    # three primes in the imprimitivity mask
-        (131, 6),   # 2n > 256: uint16 rows
-        (210, 6),   # four primes
-    ])
+    @pytest.mark.parametrize("n, bound", PREFILTER_CONFIGS)
     def test_every_unit_matches_the_reference(self, n, bound):
         for a in range(1, bound + 1):
             for b in range(1, bound + 1):
-                want = reference_prefilter(n, a, b, bound)
-                got = search._prefilter(n, a, b, bound)
-                assert got[0] == want[0], (n, a, b)
-                assert list(got[1].items()) == list(want[1].items()), (n, a, b)
-                for g, w in zip(got[2:], want[2:]):
-                    assert g.tolist() == w.tolist(), (n, a, b)
+                assert_same_unit(search._prefilter(n, a, b, bound),
+                                 reference_prefilter(n, a, b, bound),
+                                 (n, a, b))
+
+    @pytest.mark.parametrize("n, bound", PREFILTER_CONFIGS)
+    def test_swapping_a_and_b_changes_nothing(self, n, bound):
+        # the lemma the search rests on when it scans (n, a, b) for
+        # b >= a only: swapping a and b exchanges the two terms' core
+        # expressions and negates a - b, and fold_n(-e) = fold_n(e)
+        for a in range(1, bound + 1):
+            for b in range(a + 1, bound + 1):
+                assert_same_unit(search._prefilter(n, b, a, bound),
+                                 search._prefilter(n, a, b, bound),
+                                 (n, a, b))
 
     def test_configurations_reach_every_branch(self):
         # the configurations above reach all three rejections and
@@ -375,7 +449,7 @@ class TestSearchConfig:
         assert survivors == 1728
         tracemalloc.start()
         try:
-            search._reduce_pending(n, a, blocks, Counter(), {})
+            search._reduce_pending(n, a, blocks, Counter(), {}, {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -391,7 +465,8 @@ class TestSearchConfig:
                       for col in list(zip(*tuples))[1:])
         tracemalloc.start()
         try:
-            search._reduce_pending(n, 1, [(B, C, X, Y)], Counter(), {})
+            search._reduce_pending(n, 1, [(B, C, X, Y)], Counter(), {},
+                                   {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
