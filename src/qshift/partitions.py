@@ -149,7 +149,6 @@ def count_partitions(S, M: int, n: int) -> int:
 # verification and inference
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _class(r: int, M: int) -> Atom:
     """Class r mod M: [r:M], or [M/2:2M] = (q^(M/2); q^M) for 2r = M."""
     return Atom(r, 2 * M if 2 * r == M else M, BRACKET)

@@ -47,14 +47,16 @@ derive_batch tells apart.
 
 Work is split into (n, a) rows processed independently (optionally by
 a process pool of at most os.cpu_count() workers).  Row a runs the
-prefilter on its bound - a + 1 units (n, a, b), b >= a, in turn and
-reduces their survivors, at (a, b) and at (b, a), in one derive_batch
-each, or in several, in scan order, when they would not fit
-PREFILTER_BUDGET_BYTES at once.  Each identity keeps its
-lexicographically least tuple (n, a, b, c, x, y), and the histogram
-lists outcomes in the order of the least tuple giving each, so the
-merged result does not depend on the order rows finish in; it is
-deterministic and sorted.
+prefilter on its bound - a + 1 units (n, a, b), b >= a, in turn, holds
+their survivors in one pending list and reduces them at (a, b) and, for
+b > a, at (b, a), in one derive_batch each, or in several, in scan
+order, when they would not fit PREFILTER_BUDGET_BYTES at once.  Each
+row keeps one ledger mapping every outcome and every identity to its
+lexicographically least tuple (n, a, b, c, x, y).  The rows' ledgers
+merge with one min per key, each identity is reported at its least
+tuple, and the histogram lists outcomes in the order of their least
+tuples, so the merged result does not depend on the order rows finish
+in; it is deterministic and sorted.
 """
 
 from __future__ import annotations
@@ -104,9 +106,10 @@ _PREFILTER_LABELS = (DEGENERATE, IMPRIMITIVE, INCOMPLETE_CANCELLATION)
 class SearchConfig:
     """Search space description.
 
-    exponent_bound None means n - 1 for each base n.  workers is the
-    number of worker processes, capped at the number of (n, a) rows and
-    at os.cpu_count(); 1 runs everything in-process.  A bound whose units
+    Every base must be at least 1.  exponent_bound None means n - 1 for
+    each base n.  workers is the number of worker processes, capped at
+    the number of (n, a) rows and at os.cpu_count(); 1 runs everything
+    in-process.  A bound whose units
     would need more than PREFILTER_BUDGET_BYTES in the prefilter (the
     ceiling is 88) is refused; the default n - 1 fits for every base up
     to 89.  So is a base whose residue tables, of length 2n, would need
@@ -125,6 +128,8 @@ class SearchConfig:
         if self.workers < 1:
             raise ValueError("workers must be positive")
         for n in self.n_values:
+            if n < 1:
+                raise ValueError(f"base {n} must be positive")
             bound = self.bound_for(n)
             if bound < 5:
                 raise ValueError(
@@ -482,55 +487,46 @@ def _derive_cap(n):
     return max(1, PREFILTER_BUDGET_BYTES // per)
 
 
-def _reduce_pending(n, a, pending, hist, at, first, mirror=False):
-    """Reduce a row's pending survivors, given as (b, c, x, y) column
-    blocks in scan order, by derive_batch in batches of at most
-    _derive_cap(n): at (a, b, c, x, y), or at (b, a, c, x, y) when
-    mirror is set.  Either way the tuples (n, a, b, c, x, y) of a batch
-    ascend, so the first tuple of a batch with a given outcome or
-    identity is its least.  hist counts each outcome, at maps each
-    outcome to the least tuple giving it, and first maps each distinct
-    (kind, a, S, T) to the least tuple giving it and its identity; an
-    identity is built once per distinct key of a batch, and only when
-    that key is new to the row."""
-    if not pending:
-        return
-    B, C, X, Y = (np.concatenate(col) for col in zip(*pending))
+def _reduce_survivors(n, a, b, C, X, Y, hist, least):
+    """Reduce the survivors (a, b, c, x, y), given as columns in
+    ascending order of their tuples (n, a, b, c, x, y), by derive_batch
+    in batches of at most _derive_cap(n); a or b may be one int for all.
+
+    hist counts each outcome.  least is the row's ledger: it maps each
+    outcome label and each identity to the least tuple giving it.  The
+    tuples ascend, so the first of a batch with a given outcome or
+    identity is its least there; an identity is built once per distinct
+    (kind, a, S, T) of a batch.
+    """
+    A, B = np.broadcast_to(a, C.shape), np.broadcast_to(b, C.shape)
     labels = ("ok",) + FAILURE_REASONS + (IMPRIMITIVE,)
     cap = _derive_cap(n)
+
+    def keep(key, k):
+        t = (n, int(A[k]), int(B[k]), int(C[k]), int(X[k]), int(Y[k]))
+        least[key] = min(least.get(key, t), t)
+
     for lo in range(0, len(C), cap):
         cut = slice(lo, lo + cap)
-
-        def point(i):
-            k = lo + i
-            pair = (int(B[k]), a) if mirror else (a, int(B[k]))
-            return (n, *pair, int(C[k]), int(X[k]), int(Y[k]))
-
-        ab = (B[cut], a) if mirror else (a, B[cut])
         # the prefilter has ruled out vanishing atoms: no DegenerateZero
-        batch = derive_batch(n, *ab, C[cut], X[cut], Y[cut])
+        batch = derive_batch(n, A[cut], B[cut], C[cut], X[cut], Y[cut])
         code = np.where((batch.reason == 0) & ~batch.primitive,
                         len(labels) - 1, batch.reason)
         counts = np.bincount(code)
         codes, firsts = np.unique(code, return_index=True)
         for c, i in zip(codes.tolist(), firsts.tolist()):
-            label, t = labels[c], point(i)
-            hist[label] += int(counts[c])
-            at[label] = min(at.get(label, t), t)
+            hist[labels[c]] += int(counts[c])
+            keep(labels[c], lo + i)
         rows = np.flatnonzero(code == 0)
         keys = np.column_stack((batch.shifted[rows], batch.shift[rows],
                                 batch.S[rows], batch.T[rows]))
         step = keys.itemsize * keys.shape[1]
         blob = keys.tobytes()
-        least = {}
+        first = {}
         for j, i in enumerate(rows.tolist()):
-            least.setdefault(blob[j * step:(j + 1) * step], i)
-        for key, i in least.items():
-            t = point(i)
-            if key not in first:
-                first[key] = (t, batch.identity(i))
-            elif t < first[key][0]:
-                first[key] = (t, first[key][1])
+            first.setdefault(blob[j * step:(j + 1) * step], i)
+        for i in first.values():
+            keep(batch.identity(i), lo + i)
 
 
 def _scan_unit(args):
@@ -553,21 +549,21 @@ def _scan_unit(args):
     also reduced at (b, a), where derive_batch does tell the two apart
     through term 2's sign and q-exponent 2c - 2b.
 
-    The direct and the mirrored survivors wait in scan order, sharing
-    their column blocks, until together they would need more than
+    Survivors wait in one pending list of (b, c, x, y) column blocks, in
+    scan order, until they and their mirrors would need more than
     PREFILTER_BUDGET_BYTES in derive_batch, at DERIVE_BYTES_PER_SURVIVOR
-    plus DERIVE_BYTES_PER_COUNT per residue 0..n each; then each kind
-    is reduced in its own derive_batch calls and the row goes on.  Every
-    outcome and identity keeps its least tuple, so neither where a
-    reduction falls nor which kind goes first changes anything returned.
-    Returns (scanned, histogram, found, at): found holds the least tuple
-    of each distinct identity of the row with it, and at maps each
-    derive_batch outcome to the least tuple (n, a, b, c, x, y) giving it.
+    plus DERIVE_BYTES_PER_COUNT per residue 0..n each.  Then they are
+    reduced at (a, b), and those with b > a again at (b, a), in separate
+    derive_batch calls, and the row goes on.  Returns (scanned,
+    histogram, least): least is the row's ledger, mapping each
+    derive_batch outcome and each identity to the least tuple
+    (n, a, b, c, x, y) giving it, so where a flush falls changes nothing
+    returned.
     """
     n, a, bound = args
     cap = _derive_cap(n)
-    scanned, hist, at, first = 0, Counter(), {}, {}
-    direct, mirrored, held = [], [], 0
+    scanned, hist, least = 0, Counter(), {}
+    pending, held = [], 0
     for b in range(a, bound + 1):
         unit_scanned, unit_hist, C, X, Y = _prefilter(n, a, b, bound)
         copies = 1 if b == a else 2
@@ -575,17 +571,15 @@ def _scan_unit(args):
         for label, count in unit_hist.items():
             hist[label] += copies * count
         if C.size:
-            block = (np.full(C.size, b, C.dtype), C, X, Y)
-            direct.append(block)
-            if b > a:
-                mirrored.append(block)
+            pending.append((np.full(C.size, b, C.dtype), C, X, Y))
             held += copies * C.size
-        if held >= cap or b == bound:
-            _reduce_pending(n, a, direct, hist, at, first)
-            _reduce_pending(n, a, mirrored, hist, at, first, mirror=True)
-            direct, mirrored, held = [], [], 0
-    found = [(FourParams(*t[1:], t[0]), ident) for t, ident in first.values()]
-    return scanned, hist, found, at
+        if pending and (held >= cap or b == bound):
+            B, C, X, Y = (np.concatenate(col) for col in zip(*pending))
+            _reduce_survivors(n, a, B, C, X, Y, hist, least)
+            m = B > a
+            _reduce_survivors(n, B[m], a, C[m], X[m], Y[m], hist, least)
+            pending, held = [], 0
+    return scanned, hist, least
 
 
 def _units(cfg: SearchConfig):
@@ -597,25 +591,24 @@ def _units(cfg: SearchConfig):
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
-    """Scan the whole space, dedupe by identity, and sort the results.
+    """Scan the whole space, keep one least tuple per identity, and sort
+    the results.
 
-    Prefilter survivors go through derive_batch, one batch per (n, a)
-    row and direction unless the row would exceed the budget; each row
-    scans its units (n, a, b) with b >= a and stands in for (n, b, a)
-    (see _scan_unit).  When one identity arises from several parameter
-    tuples the lexicographically least (n, a, b, c, x, y) is kept.  The
+    Each row scans its units (n, a, b) with b >= a and stands in for
+    (n, b, a) (see _scan_unit); the rows' ledgers merge with one min per
+    key, so every outcome and identity keeps the lexicographically least
+    (n, a, b, c, x, y) giving it, whatever order the rows finish in.  The
     histogram lists the three prefilter outcomes, then derive_batch's in
-    the order of the least tuple giving each, then "verification-failed":
-    the order a tuple-by-tuple scan of the space in lexicographic order
-    would tally them in, whatever order the rows finish in.  Each
-    deduplicated identity is verified against partition counts at order
-    200 before it is emitted; the emitted list is sorted by (M, S, T).
-    The histogram tallies the outcome of every scanned tuple ("ok" counts
-    tuples whose reduction succeeded), plus one "verification-failed"
-    entry per deduplicated identity that failed the final check.
+    the order of their least tuples, then "verification-failed": the
+    order a tuple-by-tuple scan of the space in lexicographic order
+    would tally them in.  It tallies the outcome of every scanned tuple
+    ("ok" counts tuples whose reduction succeeded).  Each identity is
+    verified against partition counts at order 200 before it is
+    emitted, and each that fails adds one "verification-failed"; the
+    emitted list is sorted by PartitionIdentity.key().
     """
     units = list(_units(cfg))
-    scanned, counts, at, raw = 0, Counter(), {}, []
+    scanned, counts, least = 0, Counter(), {}
     pool = None
     if cfg.workers != 1:
         pool = multiprocessing.Pool(
@@ -623,27 +616,24 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     try:
         results = (map(_scan_unit, units) if pool is None
                    else pool.imap(_scan_unit, units, chunksize=4))
-        for unit_scanned, unit_hist, unit_found, unit_at in results:
+        for unit_scanned, unit_hist, unit_least in results:
             scanned += unit_scanned
             counts.update(unit_hist)
-            raw.extend(unit_found)
-            for label, point in unit_at.items():
-                at[label] = min(at.get(label, point), point)
+            for key, t in unit_least.items():
+                least[key] = min(least.get(key, t), t)
     finally:
         if pool is not None:
             pool.close()
             pool.join()
-    later = sorted(at.keys() - set(_PREFILTER_LABELS), key=at.get)
+    later = sorted(counts.keys() - set(_PREFILTER_LABELS), key=least.get)
     hist = Counter({label: counts[label]
                     for label in (*_PREFILTER_LABELS, *later)})
-    seen = {}
-    for params, ident in sorted(
-            raw, key=lambda pair: (pair[0].n, *pair[0].exponents())):
-        seen.setdefault(ident, params)
     found = []
-    for ident, params in seen.items():
+    for ident, t in least.items():
+        if not isinstance(ident, PartitionIdentity):
+            continue
         if verify_identity(ident, VERIFY_ORDER).ok:
-            found.append((params, ident))
+            found.append((FourParams(*t[1:], t[0]), ident))
         else:
             hist[VERIFICATION_FAILED] += 1
     found.sort(key=lambda pair: pair[1].key())

@@ -463,6 +463,9 @@ class TestExitCodes:
          "370aab551e91f6c89bb35374bd7e7fa0125e6e4987bd0eb6d4dd32b27359c53d"),
         ("29",
          "e9072d70c900cecdf630875167da3fed3d1bd1389f4005cfe0dba9edbdf90d56"),
+        # the histogram lists "ok" before "repeated-atom"
+        ("24",
+         "61299c2382e8656c808a89860dbf308760eb9a660d271c21391930b8c97530f3"),
     ])
     def test_search_output_is_pinned(self, capsys, tmp_path, bases, digest):
         # the bytes a scan of every (n, a, b) unit in lexicographic order
@@ -478,6 +481,13 @@ class TestExitCodes:
     def test_search_bound_too_small(self, capsys):
         code, _, err = run(capsys, "search", "--n", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("base, bound", [("0", "10"), ("-3", "6")])
+    def test_search_base_below_one(self, capsys, base, bound):
+        code, out, err = run(capsys, "search", "--n", base, "--bound", bound)
+        assert code == 2
+        assert out == ""
+        assert f"error: base {base} must be positive" in err
 
     def test_search_huge_bound(self, capsys):
         started = time.perf_counter()

@@ -170,6 +170,12 @@ def assert_same_search(got, want):
     assert list(got.histogram.items()) == list(want.histogram.items())
 
 
+def columns(blocks):
+    """The (b, c, x, y) columns of a row's survivor blocks, in order."""
+    return [np.concatenate([blk[k] for blk in blocks] + [np.empty(0, np.uint8)])
+            for k in range(4)]
+
+
 @pytest.fixture(scope="module")
 def unit_by_unit_16_20():
     return unit_by_unit_search(SearchConfig((16, 20)))
@@ -195,10 +201,10 @@ class TestRowsEqualUnits:
 
         def recorded(n, a, b, c, x, y):
             assert len(c) <= cap
-            # a row reduces its direct survivors at (a, b) and its
-            # mirrored ones at (b, a), where the row is b
-            sizes[(n, a, "direct") if np.ndim(a) == 0
-                  else (n, b, "mirrored")] += 1
+            # a row reduces its direct survivors at (a, b), a <= b, and
+            # its mirrored ones at (b, a), a > b, where the row is b
+            sizes[(n, int(a[0]), "direct") if a[0] <= b[0]
+                  else (n, int(b[0]), "mirrored")] += 1
             return derive_batch(n, a, b, c, x, y)
 
         monkeypatch.setattr(search, "derive_batch", recorded)
@@ -246,15 +252,16 @@ class TestRowsEqualUnits:
                 _, _, C, X, Y = search._prefilter(n, a, b, bound)
                 if C.size:
                     blocks.append((b, (np.full(C.size, b, C.dtype), C, X, Y)))
-            want = Counter(), {}, {}
-            search._reduce_pending(n, a, [blk for _, blk in blocks], *want)
-            search._reduce_pending(n, a, [blk for b, blk in blocks if b > a],
-                                   *want, mirror=True)
-            got = Counter(), {}, {}
-            for b, blk in reversed(blocks):
+            want = Counter(), {}
+            B, C, X, Y = columns([blk for _, blk in blocks])
+            m = B > a
+            search._reduce_survivors(n, a, B, C, X, Y, *want)
+            search._reduce_survivors(n, B[m], a, C[m], X[m], Y[m], *want)
+            got = Counter(), {}
+            for b, (B, C, X, Y) in reversed(blocks):
                 if b > a:
-                    search._reduce_pending(n, a, [blk], *got, mirror=True)
-                search._reduce_pending(n, a, [blk], *got)
+                    search._reduce_survivors(n, B, a, C, X, Y, *got)
+                search._reduce_survivors(n, a, B, C, X, Y, *got)
             assert got == want, a
 
 
@@ -449,7 +456,7 @@ class TestSearchConfig:
         assert survivors == 1728
         tracemalloc.start()
         try:
-            search._reduce_pending(n, a, blocks, Counter(), {}, {})
+            search._reduce_survivors(n, a, *columns(blocks), Counter(), {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -465,8 +472,7 @@ class TestSearchConfig:
                       for col in list(zip(*tuples))[1:])
         tracemalloc.start()
         try:
-            search._reduce_pending(n, 1, [(B, C, X, Y)], Counter(), {},
-                                   {})
+            search._reduce_survivors(n, 1, B, C, X, Y, Counter(), {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
