@@ -29,16 +29,28 @@ same index, and first_fail is that of the uncancelled relation.
 The kernel then clears denominators as the paper's proofs do, by
 Jacobi's triple product.  With class r the bracket [r:M] for 2r < M and
 [M/2:2M] = (q^(M/2); q^M) for 2r = M, the cancelled relation is three
-theta terms on the class monomials 1/[S-U], 1/[T-U] and [U] (_relation),
-like the special relations below.  One cleared build of the three
-(_cancelled) serves each pair of sets: theta.read_cleared reads off it
-the relation verify_identity checks, and every candidate
-infer_relation tests.  infer_relation's outcome, not its build, is
-memoized per unordered pair, modulus and order, so a U(M) orbit that
-meets a folded pair again builds it once.  Only a failing check builds
-its witness, the two partition counts at the failing index, read from
-qseries.residue_product.  count_partitions is an independent
-dynamic-programming oracle for the same numbers.
+theta terms on the class monomials 1/[S-U], 1/[T-U] and [U]
+(_monomials), each term's c and q-power stated once (_relation), like
+the special relations below.  Cleared, with A = S-U, B = T-U and U of
+sizes a, b, u, Theta_X the product of X's class sums and E = E_M, the
+three are Theta_B E^(a+u), Theta_A E^(b+u) and Theta_A Theta_B Theta_U.
+verify_identity reads one relation once, so it goes through the
+cleared zero test theta.first_nonzero, which folds the hub [U] with the
+term that shares the smaller of Theta_A and Theta_B with it; for a
+shifted shift s and a > b,
+
+    Theta_B (E^(a+u) - Theta_A Theta_U) - q^s Theta_A E^(b+u),
+
+so each class sum is multiplied in once.  infer_relation reads up to
+four relations off one pair of sets, so it builds the three terms on
+their own, once (_cancelled, one theta.cleared_build, which multiplies
+the smaller of Theta_A and Theta_B in twice), and theta.read_cleared
+reads each candidate off that build.  infer_relation's outcome, not
+its build, is memoized per unordered pair, modulus and order, so a
+U(M) orbit that meets a folded pair again builds it once.  Only a
+failing check builds its witness, the two partition counts at the
+failing index, read from qseries.residue_product.  count_partitions is
+an independent dynamic-programming oracle for the same numbers.
 
 The module also carries two special families with their own proofs: the
 classical Rogers-Ramanujan shifted identities (moduli 55 and 70 in
@@ -154,39 +166,52 @@ def _class(r: int, M: int) -> Atom:
     return Atom(r, 2 * M if 2 * r == M else M, BRACKET)
 
 
-def _relation(kind: str, a: int, ya: int, yb: int, yu: int) -> list[tuple]:
-    """The one statement of the cancelled relation, as (c, e, y) for y
-    the packed cleared class monomials 1/[S-T], 1/[T-S] and [S&T]
-    (_cancelled):
+def _relation(kind: str, a: int) -> list[tuple[int, int]]:
+    """The one statement of the cancelled relation: the (c, e) of its
+    three terms c q^e on the class monomials 1/[S-T], 1/[T-S] and
+    [S&T] (_monomials),
 
         shifted    1/[S-T] - q^a/[T-S] - [S&T]
         shiftless  1/[S-T] - 1/[T-S]   - q^a [S&T]
+
+    verify_identity checks it on the monomials with theta.first_nonzero,
+    and infer_relation reads each candidate off one _cancelled build
+    with theta.read_cleared.
     """
     eb, eu = (a, 0) if kind == SHIFTED else (0, a)
-    return [(1, 0, ya), (-1, eb, yb), (-1, eu, yu)]
+    return [(1, 0), (-1, eb), (-1, eu)]
+
+
+def _monomials(S, T, M: int) -> tuple[Term, Term, Term]:
+    """The class monomials 1/[S-T], 1/[T-S] and [S&T] as terms with
+    c = 1 and e = 0; the classes of distinct residues are disjoint."""
+    A, B, U = (tuple(_class(r, M) for r in sorted(rs))
+               for rs in (S - T, T - S, S & T))
+    return Term(1, 0, den=A), Term(1, 0, den=B), Term(1, 0, num=U)
 
 
 def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
-    """(ya, yb, yu, w): the class monomials 1/[S-T], 1/[T-S] and [S&T]
-    (c = 1, e = 0; the classes of distinct residues are disjoint),
-    cleared and packed to order n by one theta.cleared_build, whose
-    limbs hold a sum of the three with coefficients +-1:
-    theta.read_cleared reads any relation of (S, T) off them.  Cleared,
-    [S&T] holds the class sums of all three and comes last, so it is
-    the hub.  The integers do not depend on the order of the factors
-    and w is the largest of three symmetric bounds, so
-    _cancelled(T, S, M, n) is (yb, ya, yu, w), integer for integer: one
-    build serves both orientations.
+    """(ya, yb, yu, w): the class monomials (_monomials) cleared and
+    packed to order n by one theta.cleared_build, whose limbs hold a
+    sum of the three with coefficients +-1, so theta.read_cleared reads
+    any relation of (S, T) off them: infer_relation's build, which
+    serves its up to four reads.  Cleared, ya = Theta_B E^(a+u), yb =
+    Theta_A E^(b+u) and yu = Theta_A Theta_B Theta_U (A = S-T, B = T-S,
+    U = S&T, of sizes a, b, u, Theta_X the product of X's class sums,
+    E = E_M; the class M/2 brings E_2M), so [S&T] is the hub and
+    starts from the larger of Theta_A and Theta_B.  The integers do
+    not depend on the order of the factors and w is the largest of
+    three symmetric bounds, so _cancelled(T, S, M, n) is (yb, ya, yu,
+    w), integer for integer: one build serves both orientations.
     """
-    A, B, U = (tuple(_class(r, M) for r in sorted(rs))
-               for rs in (S - T, T - S, S & T))
-    w, (ya, yb, yu) = cleared_build(
-        (Term(1, 0, den=A), Term(1, 0, den=B), Term(1, 0, num=U)), n)
+    w, (ya, yb, yu) = cleared_build(_monomials(S, T, M), n)
     return ya, yb, yu, w
 
 
 def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
-    """Check the identity's q-series form exactly to order n.
+    """Check the identity's q-series form exactly to order n: its
+    _relation on the class monomials, by the cleared zero test
+    theta.first_nonzero, which multiplies each class sum in once.
 
     A failing check reports the first failing index k and the witness
     (p(S, k), p(T, k - a)) for a shifted identity or (p(S, k), p(T, k))
@@ -195,8 +220,8 @@ def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
     if n < ident.a + 2:
         raise OrderTooSmall(f"order {n} cannot see a shift of {ident.a}")
     S, T, M, a = ident.S, ident.T, ident.M, ident.a
-    ya, yb, yu, w = _cancelled(S, T, M, n)
-    hit = read_cleared(w, _relation(ident.kind, a, ya, yb, yu), n)
+    hit = first_nonzero([t._replace(c=c, e=e) for t, (c, e) in zip(
+        _monomials(S, T, M), _relation(ident.kind, a))], n)
     if hit is None:
         return VerifyReport(True, n)
     k, _ = hit
@@ -262,7 +287,8 @@ def _infer(pair: frozenset, M: int, n: int) -> PartitionIdentity | None:
         (S, T, ya, yb, SHIFTED, min(S)), (T, S, yb, ya, SHIFTED, min(T)),
         (*shiftless, SHIFTLESS, low))
         if a is not None
-        and read_cleared(w, _relation(kind, a, yx, yy, yu), n) is None]
+        and read_cleared(w, [(c, e, y) for (c, e), y in zip(
+            _relation(kind, a), (yx, yy, yu))], n) is None]
     if not held:
         if n < (d := min(S ^ T)):
             raise OrderTooSmall(f"order {n} cannot see a shift of {d}")

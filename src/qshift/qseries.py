@@ -19,16 +19,17 @@ for a product (_coeff_bits) holds whatever the signs, is evaluated in
 floats with a stated rounding margin, and is taken per product, so a
 sparse set of parts gets narrow limbs.  product_series, which unpacks
 whole bytes, rounds its bound up to bytes with HEADROOM_BITS to spare
-(_limb_width); theta.cleared_build sizes its limbs exactly instead, the
-bound plus the bit length of the sum of |c| plus one sign bit.
+(_limb_width); theta's cleared builds size their limbs exactly instead
+(theta._plan), the bound plus the bit length of the sum of |c| plus one
+sign bit.
 
 A signed sum of packed series that must vanish is tested at its lowest
 set bit (_lowest_limb): at a limb width that holds its first nonzero
 coefficient, that bit lies in the limb of that coefficient however far
 later limbs overflow.  Products of theta sums have one builder on top
-of _pack_sparse, theta._pack_sums; theta.cleared_build clears, sizes
-and builds every zero-sum of theta terms, and theta.read_cleared reads
-them.
+of _pack_sparse, theta._pack_sums; theta._plan clears and sizes every
+zero-sum of theta terms, theta.cleared_build and theta.first_nonzero
+build it, and theta.read_cleared reads it.
 """
 
 from __future__ import annotations
@@ -146,8 +147,8 @@ def _limb_width(bits: int) -> int:
 
     HEADROOM_BITS spare bits leave room for a sign and for a sum or
     difference of a few such coefficients without leaving the limb.
-    The cleared build does not use it: theta.cleared_build adds to the
-    bound only the bits its sum of terms needs.
+    The cleared builds do not use it: theta._plan adds to the bound
+    only the bits its sum of terms needs.
     """
     return 8 * ((bits + HEADROOM_BITS + 7) // 8)
 

@@ -29,16 +29,20 @@ sparse terms; ramanujan_f_sum gathers them into a Series.
 By the triple product every atom is a quotient of such sparse sums
 (atom_sums, the one table from atoms to theta sums).  Every zero-sum of
 theta terms, the special relations, the catalog's aux steps and the
-partition relations alike, goes through one cleared build,
-cleared_build: each term is multiplied by the unit that clears its
-sums' negative powers, so it is a product of sparse sums, in one limb
-width sized exactly from the uncleared terms, their coefficient bound B
-plus the bit length of sum |c| plus a sign bit (_cleared_width).  Such
-a product has one builder, _pack_sums, one packed shift-add per sparse
-term, with the term lists from one bounded memo, _sum_terms.  One
-reader, read_cleared, reads a signed, shifted sum of built terms at its
-lowest limb; the cleared zero test, first_nonzero, is the build and
-that reader.
+partition relations alike, is cleared and sized by one plan, _plan:
+each term is multiplied by the unit that clears its sums' negative
+powers, so it is a product of sparse sums, in one limb width sized
+exactly from the uncleared terms, their coefficient bound B plus the
+bit length of sum |c| plus a sign bit (_cleared_width); the hub, the
+term with the most distinct sums, starts from the largest part it
+shares with another term.  Such a product has one builder, _pack_sums,
+one packed shift-add per sparse term, with the term lists from one
+bounded memo, _sum_terms.  One reader, read_cleared, reads a signed,
+shifted sum of built terms at its lowest limb.  Two builds follow the
+plan: cleared_build builds each term on its own, for a caller that
+reads several sums off one build; the cleared zero test, first_nonzero,
+reads one sum once, so it first folds the hub with one term that shares
+sums with it, and those sums are multiplied in once, not twice.
 """
 
 from __future__ import annotations
@@ -327,8 +331,9 @@ def _sum_terms(args: FArgs, p: int, n: int) -> tuple[tuple[int, int], ...]:
     per (args, p, n) in the process like atom_series.
 
     Its bound of 128 holds every list one check needs.  The partition
-    kernel's build at modulus M and order n takes at most M/2 + 3 (the
-    class sums, E_M, E_M^3 and E_2M): 44 at M = 82, so every image one
+    kernel's build at modulus M and order n takes at most M + 6 (the
+    class sums, E_M, E_M^3 and E_2M, at n and, for a term at q^a, at
+    n - a): 88 at M = 82 and 33 on the catalog, so every image one
     classification builds, and every identity verify_identity checks,
     takes them from here.  A special relation or aux zero-sum of the
     catalog takes at most 31 at orders 300, 1000 and 3000: each term's
@@ -390,10 +395,36 @@ def _cleared_width(bits: int, total: int) -> int:
     return bits + total.bit_length() + 1
 
 
-def cleared_build(terms: Sequence[Term], n: int) -> tuple[int, list[int]]:
-    """(w, ys): one limb width w for the sum of the terms through q^n,
-    and each term's cleared product, without c and q^e, packed in w-bit
-    limbs mod 2^(w*(n-e+1)) (0 for e > n): the one cleared build.
+class _Plan(NamedTuple):
+    """What the cleared build of some terms through q^n decides before
+    it builds anything (_plan): the limb width w, and for each live term
+    i (e <= n) its order n - e, its scale and its cleared powers; the
+    hub; each other live term's sums shared with the hub; and the lead,
+    the other term whose shared sums start the hub."""
+
+    w: int
+    order: dict[int, int]
+    scale: dict[int, int]
+    cleared: dict[int, dict[FArgs, int]]
+    hub: int
+    shared: dict[int, dict[FArgs, int]]
+    lead: int | None
+
+    def finish(self, i: int, x: int, done: dict[FArgs, int]) -> int:
+        """Term i's cleared product times its scale, to its order, from
+        x, the packed product of the part done of it."""
+        s = self.scale[i]
+        return _pack_sums(x if s == 1 else s * x,
+                          {args: p - done.get(args, 0)
+                           for args, p in self.cleared[i].items()},
+                          self.order[i], self.w)
+
+
+def _plan(terms: Sequence[Term], n: int) -> _Plan | None:
+    """The sizing, clearing and sharing of the terms' cleared build
+    through q^n, or None when no term is live: the one plan both
+    readers build from, cleared_build term by term and first_nonzero
+    with one pair folded.
 
     Clearing.  By atom_sums each term is c q^e s prod_j f_j^(p_j) over
     sparse sums f_j.  With l_j the least power of f_j in any term with
@@ -403,13 +434,10 @@ def cleared_build(terms: Sequence[Term], n: int) -> tuple[int, list[int]]:
     power.
 
     Sharing.  The hub is the term whose cleared product has the most
-    distinct sums, the last on a tie.  Every other term starts from the
-    product of the sums it shares with the hub (each to the lesser
-    power), built once at the higher of the two orders, and the hub from
-    the largest of those; _pack_sums multiplies in the rest.  Every step
-    is exact at the order it is built to, cutting to a lower order is a
-    ring map, and multiplication commutes, so sharing changes no
-    integer.
+    distinct sums, the last on a tie.  Every other term shares with it
+    the sums both hold (each to the lesser power), and the lead is the
+    first whose shared sums have the greatest total power: the hub
+    starts from those, built once.
 
     Sizing.  A term's coefficients through q^(n-e) are below 2^b, b =
     qseries._coeff_bits of its atoms' parts at order n - e (numerator
@@ -423,16 +451,15 @@ def cleared_build(terms: Sequence[Term], n: int) -> tuple[int, list[int]]:
 
         |D_k| <= sum |c_i| |t_i,(k-e_i)| <= C (2^B - 1) < 2^(B+l) = 2^(w-1),
 
-    as read_cleared's contract asks.
+    as read_cleared's contract asks, however the terms are grouped.
 
     A denominator (0:m), constant term 2, is no unit: NonUnitLeading,
     even in a term past the order.
     """
     sized = [_monomial_parts(t.num, t.den, n - t.e) for t in terms]
     live = [i for i, t in enumerate(terms) if t.e <= n]
-    ys = [0] * len(terms)
     if not live:
-        return _cleared_width(0, 0), ys
+        return None
     lo = min(terms[i].e for i in live)
     bits = max(_coeff_bits(sized[i][1], sized[i][2], n - terms[i].e,
                            sized[i][0])
@@ -448,25 +475,53 @@ def cleared_build(terms: Sequence[Term], n: int) -> tuple[int, list[int]]:
     cleared = {i: {args: q for args in {**least, **power}
                    if (q := power.get(args, 0) - least.get(args, 0))}
                for i, power in powers.items()}
-    order = {i: n - terms[i].e for i in live}
     hub = max(live, key=lambda i: (len(cleared[i]), i))
-    starts = {hub: (1, {})}
-    for i in live:
-        if i != hub:
-            common = {args: min(p, cleared[hub][args])
-                      for args, p in cleared[i].items()
-                      if args in cleared[hub]}
-            starts[i] = (_pack_sums(1, common, max(order[i], order[hub]), w),
-                         common)
-            if sum(common.values()) > sum(starts[hub][1].values()):
-                starts[hub] = starts[i]
-    for i in live:
-        x, common = starts[i]
-        scale = sized[i][0]
-        ys[i] = _pack_sums(x if scale == 1 else scale * x,
-                           {args: p - common.get(args, 0)
-                            for args, p in cleared[i].items()}, order[i], w)
-    return w, ys
+    shared = {i: {args: min(p, cleared[hub][args])
+                  for args, p in cleared[i].items() if args in cleared[hub]}
+              for i in live if i != hub}
+    lead = max(shared, key=lambda i: sum(shared[i].values()), default=None)
+    return _Plan(w, {i: n - terms[i].e for i in live},
+                 {i: sized[i][0] for i in live}, cleared, hub, shared, lead)
+
+
+def _build_others(plan: _Plan, skip: int | None
+                  ) -> tuple[dict[int, int], tuple[int, dict[FArgs, int]]]:
+    """({i: y}, (x, done)): the cleared product y of every live term but
+    the hub and skip, each from the sums it shares with the hub, built
+    once at the higher of their two orders, and the hub's start, x the
+    packed product of its part done (the lead's shared sums, or 1 and
+    nothing)."""
+    ys, start = {}, (1, {})
+    order = plan.order
+    for i, done in plan.shared.items():
+        if i != skip:
+            x = _pack_sums(1, done, max(order[i], order[plan.hub]), plan.w)
+            ys[i] = plan.finish(i, x, done)
+            if i == plan.lead:
+                start = x, done
+    return ys, start
+
+
+def cleared_build(terms: Sequence[Term], n: int) -> tuple[int, list[int]]:
+    """(w, ys): one limb width w for the sum of the terms through q^n,
+    and each term's cleared product, without c and q^e, packed in w-bit
+    limbs mod 2^(w*(n-e+1)) (0 for e > n): the term-by-term cleared
+    build, for a caller that reads several sums off one build
+    (partitions' inference) and as the oracle of first_nonzero's fold.
+
+    _plan sizes and clears the terms and picks the hub.  Every other
+    term starts from the sums it shares with the hub, and the hub from
+    the lead's; _pack_sums multiplies in the rest.  Every step is exact
+    at the order it is built to, cutting to a lower order is a ring
+    map, and multiplication commutes, so sharing changes no integer.
+    A denominator (0:m) raises NonUnitLeading, even past the order.
+    """
+    plan = _plan(terms, n)
+    if plan is None:
+        return _cleared_width(0, 0), [0] * len(terms)
+    built, start = _build_others(plan, None)
+    built[plan.hub] = plan.finish(plan.hub, *start)
+    return plan.w, [built.get(i, 0) for i in range(len(terms))]
 
 
 def read_cleared(w: int, built: Sequence[tuple[int, int, int]],
@@ -475,13 +530,15 @@ def read_cleared(w: int, built: Sequence[tuple[int, int, int]],
     the terms c q^e t listed as (c, e, y), y the packed cleared t, or
     None when D vanishes through q^n: the one reader of cleared sums.
 
-    Contract: the ys come from one cleared_build, which gave w, of terms
-    with the atoms and sums of the ts, each built to an order of at
-    least n - e, and the build sized for a sum of |c| at least that of
-    the terms read.  So each y is V t through q^(n-e), for one unit V
-    with V(0) = 1, and the build's sizing holds every coefficient of D
-    below 2^(w-1).  With L the least e <= n (terms past n are skipped), each
-    y is shifted up e - L limbs, times c, and added in.  q -> 2^w
+    Contract: the ys come from one build of a _plan, which gave w, of
+    terms with the atoms and sums of the ts (cleared_build's, or
+    first_nonzero's, whose folded pair is one such y), each built to an
+    order of at least n - e, and the plan sized for a sum of |c| at
+    least that of the terms read.  So each y is V t through q^(n-e),
+    for one unit V with V(0) = 1, and the plan's sizing holds every
+    coefficient of D below 2^(w-1).  With L the least e <= n (terms
+    past n are skipped), each y is shifted up e - L limbs, times c, and
+    added in.  q -> 2^w
     followed by reduction mod 2^(w*(n-L+1)) is a ring homomorphism from
     Z[q]/(q^(n-L+1)), so the sum, reduced, would be the image P of
     q^-L V D.  V D has D's first nonzero index k and coefficient c,
@@ -512,7 +569,58 @@ def read_cleared(w: int, built: Sequence[tuple[int, int, int]],
 
 
 def first_nonzero(terms: Sequence[Term], n: int) -> tuple[int, int] | None:
-    """The cleared zero test: read_cleared of the terms' cleared_build.
-    A denominator (0:m) raises NonUnitLeading, even past the order."""
-    w, ys = cleared_build(terms, n)
-    return read_cleared(w, [(t.c, t.e, y) for t, y in zip(terms, ys)], n)
+    """The cleared zero test: read_cleared's (k, c) of the terms' sum
+    through q^n, or None, off one build from their _plan, the one that
+    cleared_build follows, with the hub folded with one term.
+
+    Folding.  With G_i the sums term i shares with the hub and l the
+    lead, the hub's cleared product is G_l G_j R for any other live
+    term j whose G_j is not empty and shares no sum with G_l.  Take the
+    j with the largest G_j (the first on a tie), with cleared product
+    G_j J, and L = min(e_h, e_j):
+
+        c_h q^e_h G_l G_j R + c_j q^e_j G_j J
+            = q^L G_j (c_h q^(e_h-L) G_l R + c_j q^(e_j-L) J).
+
+    The two cofactors are built, the hub's from its start G_l as
+    cleared_build builds it, each times its c and shifted up its e - L
+    limbs, and added; G_j is then multiplied in once, where
+    cleared_build builds it twice, once as j's start and once into the
+    hub.  The sum goes to read_cleared as one term (1, L, y).  With no
+    such j every term is built as cleared_build builds it.
+
+    Exactness.  Packing in w-bit limbs is a ring map Z[q]/(q^(n-e+1))
+    -> Z/2^(w(n-e+1)), q -> 2^w, so each cofactor, built to its own
+    order n - e, is the image of V times it there, V the build's unit;
+    shifted up e - L limbs it is the image of q^(e-L) V times it in
+    Z/2^(w(n-L+1)), and so is the sum, times c, and its product with
+    G_j, as multiplication commutes: y is the image of q^-L V times
+    the two terms' sum through q^(n-L), what read_cleared asks of a
+    term with c = 1 and e = L.  The limb width is the plan's, sized
+    for the sum of all the terms however they are grouped, so
+    read_cleared's lowest-limb contract is unchanged, and the test
+    gives the (k, c) that read_cleared reads off cleared_build.  The
+    hub's start is dropped as soon as the hub's cofactor is built.
+
+    A denominator (0:m) raises NonUnitLeading, even past the order.
+    """
+    plan = _plan(terms, n)
+    if plan is None:
+        return None
+    w, hub, shared = plan.w, plan.hub, plan.shared
+    lead = shared.get(plan.lead, {})
+    j = max((i for i, g in shared.items() if g and lead.keys().isdisjoint(g)),
+            key=lambda i: sum(shared[i].values()), default=None)
+    ys, (x, done) = _build_others(plan, j)
+    built = [(terms[i].c, terms[i].e, y) for i, y in ys.items()]
+    if j is None:
+        built.append((terms[hub].c, terms[hub].e, plan.finish(hub, x, done)))
+    else:
+        th, tj = terms[hub], terms[j]
+        lo = min(th.e, tj.e)
+        y = th.c * (plan.finish(hub, x, {**done, **shared[j]})
+                    << (th.e - lo) * w)
+        del x
+        y += tj.c * (plan.finish(j, 1, shared[j]) << (tj.e - lo) * w)
+        built.append((1, lo, _pack_sums(y, shared[j], n - lo, w)))
+    return read_cleared(w, built, n)

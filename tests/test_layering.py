@@ -3,7 +3,7 @@
 The packed builders have one home each: qseries packs products of
 (1 - s q^k)^(+-1) and sparse sums, and theta lists the theta sums and
 builds their products.  Clearing and limb sizing live in theta's one
-cleared build (theta.cleared_build), on qseries' bounds, and the read
+plan of a cleared build (theta._plan), on qseries' bounds, and the read
 of a packed sum at its lowest limb in theta's one reader
 (theta.read_cleared).  Every other module goes through that build and
 reader, the cleared zero test or the public series functions, so a
@@ -34,7 +34,7 @@ SRC = Path(qshift.__file__).parent
 
 
 # the limb sizing and the builder of theta-sum products: clearing and
-# sizing have one home too, theta.cleared_build on top of qseries'
+# sizing have one home too, theta._plan on top of qseries'
 # bounds; qseries' byte-rounded widths serve its own products only
 CLEARING = {"_coeff_bits", "_limb_width", "_cleared_width", "_pack_sums"}
 

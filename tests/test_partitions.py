@@ -608,6 +608,56 @@ def test_cancelled_packs_one_sparse_factor_at_a_time(monkeypatch):
             p // 3 + p % 3 for p in (a + u, b + u)), e.label
 
 
+def single_residue_mutant(ident, rng):
+    """The identity with one residue of S or T swapped for one that
+    side lacks (sides that come out equal are drawn again)."""
+    half = ident.M // 2
+    while True:
+        side = rng.choice(("S", "T"))
+        old = getattr(ident, side)
+        new = (old - {rng.choice(sorted(old))}) | {
+            rng.choice([r for r in range(1, half + 1) if r not in old])}
+        S, T = (new, ident.T) if side == "S" else (ident.S, new)
+        if S != T:
+            return PartitionIdentity(ident.M, S, T, ident.kind, ident.a)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_verify_multiplies_each_class_sum_in_once(monkeypatch, n):
+    # verify_identity folds [S&T] with the term whose class sums it
+    # shares and does not start from, so Theta_A, Theta_B and Theta_U
+    # go in once each: min(a, b) factors fewer than _cancelled, whose
+    # pin stands.  Its verdict and first_fail are read_cleared's over
+    # _cancelled, on the entry and on a seeded single-residue mutant
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = theta._pack_sparse
+    monkeypatch.setattr(theta, "_pack_sparse", counted)
+    rng = random.Random(n)
+    failed = 0
+    for entry in load_corpus():
+        ident = entry.identity
+        a, b, u = (len(x) for x in (ident.S - ident.T, ident.T - ident.S,
+                                    ident.S & ident.T))
+        calls.clear()
+        assert verify_identity(ident, n).ok, entry.label
+        assert len(calls) == a + b + u + sum(
+            p // 3 + p % 3 for p in (a + u, b + u)), entry.label
+        for case in (ident, single_residue_mutant(ident, rng)):
+            ya, yb, yu, w = _cancelled(case.S, case.T, case.M, n)
+            hit = read_cleared(w, [(c, e, y) for (c, e), y in zip(
+                partitions._relation(case.kind, case.a), (ya, yb, yu))], n)
+            rep = verify_identity(case, n)
+            assert (rep.ok, rep.first_fail) == (hit is None, hit and hit[0]), \
+                (entry.label, case)
+            failed += not rep.ok
+    assert failed == 238
+
+
 def image_pairs():
     """Every distinct ordered folded pair (S, T, M) a unit alpha in
     1..M/2 makes of a catalog entry: 476, each unordered pair twice."""
@@ -659,8 +709,8 @@ def test_every_candidate_reads_as_its_own_zero_test(n):
         for X, Y, yx, yy, kind, a in ((S, T, ya, yb, SHIFTED, min(S)),
                                       (T, S, yb, ya, SHIFTED, min(T)),
                                       shiftless):
-            read = read_cleared(w, partitions._relation(kind, a, yx, yy, yu),
-                                n)
+            read = read_cleared(w, [(c, e, y) for (c, e), y in zip(
+                partitions._relation(kind, a), (yx, yy, yu))], n)
             assert read == first_nonzero(relation_terms(X, Y, M, kind, a),
                                          n), (X, Y, M, kind, a)
 

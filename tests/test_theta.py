@@ -11,6 +11,7 @@ signs, q-shifts, folding, and the degenerate cases.
 """
 
 import random
+from collections import Counter
 from math import isqrt
 
 import pytest
@@ -46,6 +47,7 @@ from qshift.theta import (
     normalize_atom,
     ramanujan_f_sum,
     ramanujan_f_terms,
+    read_cleared,
 )
 
 from oracles import UnsupportedNegativeExponent, ramanujan_f_product
@@ -456,6 +458,44 @@ def test_first_nonzero_builds_each_power_of_a_sum(args):
         assert first_nonzero([rel[0], more], 200) == (ea, -sa), p
 
 
+# sparse factors over the 43 catalog relations: (cleared_build, first_nonzero)
+FOLD_TOTALS = {1000: (560, 533)}
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_first_nonzero_folds_no_more_than_the_cleared_build(monkeypatch, n):
+    # the fold multiplies the sums a term shares with the hub in once:
+    # never more sparse factors than the term-by-term build, and fewer
+    # on the Thm-72.2 bracket quotient (45 against 50 at order 1000)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = theta._pack_sparse
+    monkeypatch.setattr(theta, "_pack_sparse", counted)
+    quotient = partitions._thm72_relations()[0][1]
+    built = folded = 0
+    for terms in catalog_relations():
+        calls.clear()
+        w, ys = cleared_build(terms, n)
+        assert read_cleared(w, [(t.c, t.e, y) for t, y in zip(terms, ys)],
+                            n) is None
+        cleared = len(calls)
+        calls.clear()
+        assert first_nonzero(terms, n) is None
+        assert len(calls) <= cleared, terms
+        if terms == quotient:
+            assert len(calls) < cleared
+            if n == 1000:
+                assert (cleared, len(calls)) == (50, 45)
+        built += cleared
+        folded += len(calls)
+    assert folded < built
+    assert FOLD_TOTALS.get(n, (built, folded)) == (built, folded)
+
+
 def random_sum_term(rng, n):
     atoms = rng.sample(CANONICAL_ATOMS, rng.randint(0, 4))
     split = rng.randint(0, len(atoms))
@@ -468,12 +508,25 @@ def random_sum_term(rng, n):
                 tuple(sums))
 
 
-def test_first_nonzero_matches_series_route(series_route):
+def test_first_nonzero_matches_series_route(monkeypatch, series_route):
     # random sums; a term cancelled by a copy carrying one more atom
     # leaves c q^e X (1 - atom), so most sums first differ well above
-    # their lowest exponent
+    # their lowest exponent.  Many fold the hub with one term, so the
+    # fold is checked against the Series route too: with its two terms
+    # at different e, with a scale 2 ((0:m) in a numerator) in the pair,
+    # and beside a term past the order
+    folds = []
+
+    def spied(plan, skip):
+        if skip is not None:
+            folds.append((plan, skip))
+        return build_others(plan, skip)
+
+    build_others = theta._build_others
+    monkeypatch.setattr(theta, "_build_others", spied)
     rng = random.Random(2718)
     seen = set()
+    folded = Counter()
     for _ in range(250):
         n = rng.randint(0, 80)
         terms = []
@@ -486,9 +539,18 @@ def test_first_nonzero_matches_series_route(series_route):
                   for _ in range(rng.randint(0, 2))]
         rng.shuffle(terms)
         want = series_route([parts_term(t, n) for t in terms], n)
+        folds.clear()
         assert first_nonzero(terms, n) == want, (terms, n)
         seen.add(want is None)
+        for plan, j in folds:
+            pair = (plan.hub, j)
+            folded["cases"] += 1
+            folded["different e"] += terms[j].e != terms[plan.hub].e
+            folded["scale 2"] += 2 in (plan.scale[i] for i in pair)
+            folded["past the order"] += any(t.e > n for t in terms)
     assert seen == {True, False}
+    assert folded["cases"] >= 30, folded
+    assert min(folded.values()) >= 1, folded
 
 
 def test_first_nonzero_reads_past_overflowing_limbs(monkeypatch,
