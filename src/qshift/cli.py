@@ -26,7 +26,7 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
-from math import gcd, log, pi, sqrt
+from math import gcd
 
 from .corpus import (
     AuxStep,
@@ -52,7 +52,12 @@ from .partitions import (
     verify_identity,
     verify_theorem_72_2,
 )
-from .qseries import HEADROOM_BITS, ResidueOutOfRange, residue_product
+from .qseries import (
+    HEADROOM_BITS,
+    ResidueOutOfRange,
+    densest_bits,
+    residue_product,
+)
 from .theta import DegenerateZero, monomial_str
 
 VERIFY_ORDER = 1000
@@ -145,13 +150,15 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
 def order_ceiling() -> int:
     """Largest order whose densest packed product fits the memory budget.
 
-    Order n packs n + 1 limbs, and the densest residue set (every part)
-    has coefficients up to p(n) < e^(pi sqrt(2n/3)), so a limb needs at
-    most pi sqrt(2n/3) / ln 2 bits plus the packing headroom.  With the
+    Order n packs n + 1 limbs.  The densest residue set (every part) has
+    coefficients up to p(n) < e^(pi sqrt(2n/3)), qseries.densest_bits(n)
+    bits, and no cleared build's plan (theta._plan) is wider than the
+    larger of that figure and the parts bound of its terms, so a limb
+    needs at most densest_bits(n) plus the packing headroom.  With the
     64 MiB of PACKED_BUDGET_BYTES the ceiling is 273,686.
     """
     def nbytes(n):
-        bits = pi * sqrt(2 * n / 3) / log(2) + HEADROOM_BITS
+        bits = densest_bits(n) + HEADROOM_BITS
         return (n + 1) * ((int(bits) + 8) // 8)
 
     lo, hi = 0, 1

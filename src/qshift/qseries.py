@@ -15,13 +15,16 @@ shift-and-add, one per doubling of its part for an inverse factor.  A
 product with a sparse sum (a theta sum) is _pack_sparse, one shift-and-add
 per term.  Limb widths come from proven coefficient bounds (or from the
 actual operand magnitudes), so the packing is always exact.  The bound
-for a product (_coeff_bits) holds whatever the signs, is evaluated in
-floats with a stated rounding margin, and is taken per product, so a
-sparse set of parts gets narrow limbs.  product_series, which unpacks
-whole bytes, rounds its bound up to bytes with HEADROOM_BITS to spare
-(_limb_width); theta's cleared builds size their limbs exactly instead
-(theta._plan), the bound plus the bit length of the sum of |c| plus one
-sign bit.
+for a product of parts (_coeff_bits) holds whatever the signs, is
+evaluated in floats with a stated rounding margin (_bits_above), and is
+taken per product, so a sparse set of parts gets narrow limbs.
+product_series, which unpacks whole bytes, rounds its bound up to bytes
+with HEADROOM_BITS to spare (_limb_width).  theta's cleared builds
+size their limbs exactly instead (theta._plan), from a bound on the
+products of theta sums they multiply, rounded with the same margin, or,
+past the densest partition figure (densest_bits, the widest limb the
+order ceiling assumes), the lesser of that and this bound on their
+terms' parts, plus the bit length of the sum of |c| plus one sign bit.
 
 A signed sum of packed series that must vanish is tested at its lowest
 set bit (_lowest_limb): at a limb width that holds its first nonzero
@@ -137,8 +140,26 @@ def _coeff_bits(finite: Sequence[int], inverse: Sequence[int], n: int,
     t = pi * sqrt(len(finite) / 12 + len(inverse) / 6) / max(n, 1)
     terms = [log1p(exp(-abs(j) * t)) for j in finite]
     terms += [-log(-expm1(-abs(j) * t)) for j in inverse]
-    bits = (n * t + fsum(terms)) / _LN2
-    return ceil(bits + 1 + (bits + len(terms)) * 2 ** -32) + c
+    return _bits_above(n * t + fsum(terms), len(terms)) + c
+
+
+def _bits_above(nats: float, count: int) -> int:
+    """ceil(bits + 1 + (bits + count) 2^-32), bits = nats / ln 2: a
+    whole number of bits above a bound e^nats evaluated in floats as a
+    sum of count logarithms, each within 2^-50 (1 + |log|) of its exact
+    value, with _coeff_bits' margin; theta's sums bound is rounded the
+    same way."""
+    bits = nats / _LN2
+    return ceil(bits + 1 + (bits + count) * 2 ** -32)
+
+
+def densest_bits(n: int) -> float:
+    """pi sqrt(2n/3) / ln 2: p(n) <= e^(pi sqrt(2n/3)), so the densest
+    residue product, every part, has coefficients through q^n of at most
+    2^densest_bits(n).  The one home of this figure: cli.order_ceiling
+    sizes the widest limb from it, and theta._plan's fallback to the
+    parts bound fires above it."""
+    return pi * sqrt(2 * n / 3) / _LN2
 
 
 def _limb_width(bits: int) -> int:

@@ -31,9 +31,12 @@ By the triple product every atom is a quotient of such sparse sums
 theta terms, the special relations, the catalog's aux steps and the
 partition relations alike, is cleared and sized by one plan, _plan:
 each term is multiplied by the unit that clears its sums' negative
-powers, so it is a product of sparse sums, in one limb width sized
-exactly from the uncleared terms, their coefficient bound B plus the
-bit length of sum |c| plus a sign bit (_cleared_width); the hub, the
+powers, so it is a product of sparse sums, in one limb width, a bound
+B plus the bit length of sum |c| plus a sign bit (_cleared_width).  B
+bounds the cleared products the build multiplies, from each sparse
+sum's absolute values at one point (_sums_bits); past the densest
+partition figure (qseries.densest_bits) it is the lesser of that and
+the parts bound on the uncleared terms (_parts_bits).  The hub, the
 term with the most distinct sums, starts from the largest part it
 shares with another term.  Such a product has one builder, _pack_sums,
 one packed shift-add per sparse term, with the term lists from one
@@ -49,14 +52,17 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import exp, fsum, log
 from typing import Iterable, NamedTuple, Sequence
 
 from .qseries import (
     NonUnitLeading,
     Series,
+    _bits_above,
     _coeff_bits,
     _lowest_limb,
     _pack_sparse,
+    densest_bits,
     product_series,
     shift_scale,
 )
@@ -333,14 +339,15 @@ def _sum_terms(args: FArgs, p: int, n: int) -> tuple[tuple[int, int], ...]:
     Its bound of 128 holds every list one check needs.  The partition
     kernel's build at modulus M and order n takes at most M + 6 (the
     class sums, E_M, E_M^3 and E_2M, at n and, for a term at q^a, at
-    n - a): 88 at M = 82 and 33 on the catalog, so every image one
-    classification builds, and every identity verify_identity checks,
-    takes them from here.  A special relation or aux zero-sum of the
-    catalog takes at most 31 at orders 300, 1000 and 3000: each term's
-    sums at its order or a sharer's, and its named sums at n - L too,
-    for the limb width.  A run over many moduli, orders or relations
-    keeps the latest 128, each about 2 sqrt(2n/m) pairs long.  A tuple,
-    so no caller can change a shared list.
+    n - a; _plan's sums bound reads them at n): 88 at M = 82 and 33 on
+    the catalog, so every image one classification builds, and every
+    identity verify_identity checks, takes them from here.  A special
+    relation or aux zero-sum of the catalog takes at most 37 at orders
+    300, 1000 and 3000: each term's sums at its order or a sharer's,
+    and every cleared sum at n - L too, for the limb width.  A run over
+    many moduli, orders or relations keeps the latest 128, each about
+    2 sqrt(2n/m) pairs long.  A tuple, so no caller can change a shared
+    list.
     """
     if min(args[1], args[3]) < 1:
         raise ValueError(f"f{args} has no constant term 1")
@@ -348,51 +355,131 @@ def _sum_terms(args: FArgs, p: int, n: int) -> tuple[tuple[int, int], ...]:
                  else ramanujan_f_terms(*args, n))
 
 
+def _factors(powers):
+    """(args, p, k) for each sparse factor of prod f(args)^power over the
+    (args, power >= 0) of the map powers: k factors f(args)^p, with
+    every three factors of an E_m = f(-q^m, -q^(2m)) taken as one factor
+    E_m^3 (p = 3, Jacobi's sum, fewer terms than E_m has), so a power
+    3j + i is j cubes and i single factors (p = 1)."""
+    for args, p in powers.items():
+        if p >= 3 and args == euler_args(args[1]):
+            yield args, 3, p // 3
+            p %= 3
+        if p:
+            yield args, 1, p
+
+
 def _pack_sums(x: int, powers, n: int, w: int) -> int:
     """x * prod f(args)^p mod 2^(w*(n+1)) over the (args, p >= 0) of the
     map powers, for x packed in w-bit limbs: the one builder of products
     of theta sums.
 
-    One qseries._pack_sparse per sparse factor, its terms from
-    _sum_terms, with every three factors of an E_m = f(-q^m, -q^(2m))
-    taken as one factor E_m^3 (Jacobi's sum, fewer terms than E_m has):
-    p = 3j + i is j cubes and i single factors.  Each step is exact mod
-    2^(w*(n+1)) and multiplication there is commutative, so the integer
-    returned does not depend on the order of the factors; it is reduced
-    mod 2^(w*(n+1)), by one mask when every power is 0.
+    One qseries._pack_sparse per sparse factor (_factors), its terms
+    from _sum_terms.  Each step is exact mod 2^(w*(n+1)) and
+    multiplication there is commutative, so the integer returned does
+    not depend on the order of the factors; it is reduced mod
+    2^(w*(n+1)), by one mask when every power is 0.
     """
     if not any(powers.values()):
         return x & ((1 << (w * (n + 1))) - 1)
-    for args, p in powers.items():
-        if p >= 3 and args == euler_args(args[1]):
-            cube = _sum_terms(args, 3, n)
-            for _ in range(p // 3):
-                x = _pack_sparse(x, cube, n, w)
-            p %= 3
-        if p:
-            terms = _sum_terms(args, 1, n)
-            for _ in range(p):
-                x = _pack_sparse(x, terms, n, w)
+    for args, p, k in _factors(powers):
+        terms = _sum_terms(args, p, n)
+        for _ in range(k):
+            x = _pack_sparse(x, terms, n, w)
     return x
 
 
-def _sum_powers(t: Term) -> dict[FArgs, int]:
-    """{args: p} with the term = c q^e scale prod f(args)^p (atom_sums)."""
-    power: dict[FArgs, int] = {}
+def _sum_powers(t: Term) -> tuple[int, dict[FArgs, int]]:
+    """(scale, {args: p}) with the term = c q^e scale prod f(args)^p
+    (atom_sums).  A denominator (0:m), constant term 2, is no unit:
+    NonUnitLeading."""
+    scale, power = 1, {}
     for atoms, sign in ((t.num, 1), (t.den, -1)):
         for a in atoms:
-            for args, p in atom_sums(a)[1]:
+            c, sums = atom_sums(a)
+            if sign < 0 and c != 1:
+                raise NonUnitLeading(f"{atom_str(a)} has constant term {c}")
+            scale *= c
+            for args, p in sums:
                 power[args] = power.get(args, 0) + sign * p
     for args in t.sums:
         power[args] = power.get(args, 0) + 1
-    return power
+    return scale, power
 
 
 def _cleared_width(bits: int, total: int) -> int:
     """The cleared build's limb width, bits + bitlen(total) + 1, for
-    terms below 2^bits with sum |c| = total: their sum's coefficients
-    lie below 2^(w-1) (see cleared_build)."""
+    products (or terms) below 2^bits with sum |c| = total: their signed
+    sum's coefficients lie below 2^(w-1) (see _plan)."""
     return bits + total.bit_length() + 1
+
+
+def _sums_bits(cleared: dict[int, dict[FArgs, int]],
+               order: dict[int, int], scale: dict[int, int],
+               span: int) -> int:
+    """Bits b with every coefficient of each cleared product scale_i
+    prod_j f_j^(p_j) through q^(order_i) below 2^b, order_i <= span:
+    the sums bound of _plan.
+
+    A product of series is dominated coefficient by coefficient by the
+    product of the series of their absolute values, so for 0 < x <= 1
+    and k <= order_i its coefficient at q^k is at most
+
+        x^-order_i |scale_i| prod_j F_j(x)^(p_j),    F_j(x) = sum |c| x^e
+
+    over the factors _pack_sums multiplies in (_factors: an E_m^3 is one
+    factor, Jacobi's sum), each F_j over its terms through q^span.  Any
+    x gives a bound; the one taken is x = e^-t, t = h / (2 span), with h
+    the largest count over the products of their single factors plus
+    twice their cubes.  A theta sum through q^span has its terms at
+    quadratic exponents, so F(e^-t) grows as t^(-1/2), and a cube's
+    (2k+1) weights make it t^-1: the log of the bound is about
+    span t + (h/2) ln(1/t), least at this t.  Each F_j is evaluated
+    once.  As in qseries._coeff_bits, e*t <= h/2 is rounded once, exp
+    and log are accurate to a few ulps and fsum rounds each F_j >= 1
+    once, so each log is within 2^-50 (1 + h/2) of its exact value at
+    this t, and a product's sum of them within its count of factors
+    times that, plus a few ulps of the sum.  _bits_above's margin,
+    (bits + count) 2^-32 bits, holds that for h below 2^17; past it the
+    count is taken as count (1 + h/2^17), which holds it for any h.
+    |scale_i| <= 2^c, c = (|scale_i| - 1).bit_length(), adds c bits.
+    """
+    factors = {i: list(_factors(power)) for i, power in cleared.items()}
+    h = max(sum(k * (2 if p == 3 else 1) for _, p, k in f)
+            for f in factors.values())
+    t = h / (2 * max(span, 1))
+    logs: dict[tuple[FArgs, int], float] = {}
+    bits = 0
+    for i, f in factors.items():
+        total = order[i] * t
+        for args, p, k in f:
+            if (args, p) not in logs:
+                logs[args, p] = log(fsum([abs(c) * exp(-e * t) for e, c in
+                                          _sum_terms(args, p, span)]))
+            total += k * logs[args, p]
+        count = sum(k for _, _, k in f)
+        bits = max(bits, _bits_above(total, count + (count * h >> 17))
+                   + (abs(scale[i]) - 1).bit_length())
+    return bits
+
+
+def _parts_bits(terms: Sequence[Term], live: Sequence[int], n: int,
+                span: int) -> int:
+    """Bits b with every coefficient of each live uncleared term through
+    q^(n-e) below 2^b: the parts bound of _plan's fallback,
+    qseries._coeff_bits of the term's atoms' parts at order n - e
+    (numerator parts finite, denominator parts inverse, with the scale)
+    plus the bit length of each named sum's L1 norm through q^span, as a
+    sparse factor multiplies the largest coefficient by at most its L1
+    norm."""
+    bits = 0
+    for i in live:
+        t = terms[i]
+        scale, finite, inverse = _monomial_parts(t.num, t.den, n - t.e)
+        bits = max(bits, _coeff_bits(finite, inverse, n - t.e, scale)
+                   + sum(sum(abs(c) for _, c in _sum_terms(args, 1, span))
+                         .bit_length() for args in t.sums))
+    return bits
 
 
 class _Plan(NamedTuple):
@@ -439,35 +526,45 @@ def _plan(terms: Sequence[Term], n: int) -> _Plan | None:
     first whose shared sums have the greatest total power: the hub
     starts from those, built once.
 
-    Sizing.  A term's coefficients through q^(n-e) are below 2^b, b =
-    qseries._coeff_bits of its atoms' parts at order n - e (numerator
-    parts finite, denominator parts inverse, with the scale) plus the
-    bit length of each named sum's L1 norm through q^(n-L), L the least
-    e <= n, as a sparse factor multiplies the largest coefficient by at
-    most its L1 norm.  With B the largest b, C = sum |c_i| over the
-    terms c_i q^(e_i) t_i with e_i <= n, and l the bit length of C, so
-    C < 2^l, w = B + l + 1 (_cleared_width), and every coefficient of
-    their sum D through q^n is
+    Sizing.  read_cleared needs only |c| < 2^(w-1) for the first
+    nonzero coefficient c of the terms' sum D through q^n.  V(0) = 1,
+    so c is also the first nonzero coefficient of V D = sum c_i q^(e_i)
+    y_i over the live terms, y_i term i's cleared product: a bound on
+    the ys through q^(n-e_i) sizes w as well as a bound on the terms.
+    With B that bound, C = sum |c_i| over the live terms and l the bit
+    length of C, so C < 2^l, w = B + l + 1 (_cleared_width), and
 
-        |D_k| <= sum |c_i| |t_i,(k-e_i)| <= C (2^B - 1) < 2^(B+l) = 2^(w-1),
+        |c| <= sum |c_i| |y_i,(k-e_i)| <= C (2^B - 1) < 2^(B+l) = 2^(w-1),
 
-    as read_cleared's contract asks, however the terms are grouped.
+    however the terms are grouped.  The same holds with B a bound on
+    the uncleared terms t_i, as D = sum c_i q^(e_i) t_i.
+
+    B is the sums bound on the ys (_sums_bits): for 0 < x <= 1 each y
+    is dominated through q^(n-e) by x^-(n-e) |s| prod_j F_j(x)^(p_j),
+    F_j(x) = sum |c| x^e over the terms of the factor f_j (an E_m^3 one
+    factor) through q^(n-L), L the least e <= n, each F_j evaluated
+    once, at x = e^-t with t = h / (2 (n - L)), h the most factors of
+    one y with a cube counted twice, where the bound's logarithm is
+    least for quadratic-exponent sums.  When the sums bound exceeds
+    qseries.densest_bits(n - L), the widest limb cli.order_ceiling
+    assumes, B is the lesser of it and the parts bound on the uncleared
+    terms (_parts_bits): with many classes per order, as in a dense pair
+    at a large modulus, a product of sparse sums has a loose bound and
+    the parts bound is the better.  The test costs one comparison; on
+    the catalog and the special relations at orders 200 and above it
+    never fires.
 
     A denominator (0:m), constant term 2, is no unit: NonUnitLeading,
     even in a term past the order.
     """
-    sized = [_monomial_parts(t.num, t.den, n - t.e) for t in terms]
+    summed = [_sum_powers(t) for t in terms]
     live = [i for i, t in enumerate(terms) if t.e <= n]
     if not live:
         return None
     lo = min(terms[i].e for i in live)
-    bits = max(_coeff_bits(sized[i][1], sized[i][2], n - terms[i].e,
-                           sized[i][0])
-               + sum(sum(abs(c) for _, c in _sum_terms(args, 1, n - lo))
-                     .bit_length() for args in terms[i].sums)
-               for i in live)
-    w = _cleared_width(bits, sum(abs(terms[i].c) for i in live))
-    powers = {i: _sum_powers(terms[i]) for i in live}
+    order = {i: n - terms[i].e for i in live}
+    scale = {i: summed[i][0] for i in live}
+    powers = {i: summed[i][1] for i in live}
     least: dict[FArgs, int] = {}
     for power in powers.values():
         for args, p in power.items():
@@ -475,13 +572,16 @@ def _plan(terms: Sequence[Term], n: int) -> _Plan | None:
     cleared = {i: {args: q for args in {**least, **power}
                    if (q := power.get(args, 0) - least.get(args, 0))}
                for i, power in powers.items()}
+    bits = _sums_bits(cleared, order, scale, n - lo)
+    if bits > densest_bits(n - lo):
+        bits = min(bits, _parts_bits(terms, live, n, n - lo))
+    w = _cleared_width(bits, sum(abs(terms[i].c) for i in live))
     hub = max(live, key=lambda i: (len(cleared[i]), i))
     shared = {i: {args: min(p, cleared[hub][args])
                   for args, p in cleared[i].items() if args in cleared[hub]}
               for i in live if i != hub}
     lead = max(shared, key=lambda i: sum(shared[i].values()), default=None)
-    return _Plan(w, {i: n - terms[i].e for i in live},
-                 {i: sized[i][0] for i in live}, cleared, hub, shared, lead)
+    return _Plan(w, order, scale, cleared, hub, shared, lead)
 
 
 def _build_others(plan: _Plan, skip: int | None
@@ -535,13 +635,13 @@ def read_cleared(w: int, built: Sequence[tuple[int, int, int]],
     first_nonzero's, whose folded pair is one such y), each built to an
     order of at least n - e, and the plan sized for a sum of |c| at
     least that of the terms read.  So each y is V t through q^(n-e),
-    for one unit V with V(0) = 1, and the plan's sizing holds every
-    coefficient of D below 2^(w-1).  With L the least e <= n (terms
-    past n are skipped), each y is shifted up e - L limbs, times c, and
-    added in.  q -> 2^w
-    followed by reduction mod 2^(w*(n-L+1)) is a ring homomorphism from
-    Z[q]/(q^(n-L+1)), so the sum, reduced, would be the image P of
-    q^-L V D.  V D has D's first nonzero index k and coefficient c,
+    for one unit V with V(0) = 1, and the plan's sizing holds D's first
+    nonzero coefficient below 2^(w-1), the one coefficient this reader
+    needs in range.  With L the least e <= n (terms past n are
+    skipped), each y is shifted up e - L limbs, times c, and added in.
+    q -> 2^w followed by reduction mod 2^(w*(n-L+1)) is a ring
+    homomorphism from Z[q]/(q^(n-L+1)), so the sum, reduced, would be
+    the image P of q^-L V D.  V D has D's first nonzero index k and coefficient c,
     however far its later coefficients overflow, and |c| < 2^(w-1), so
     P = 2^(w(k-L)) (c + 2^w R) with c not a multiple of 2^w: its lowest
     set bit lies in limb k - L, and that limb read as a signed w-bit

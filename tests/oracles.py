@@ -11,17 +11,38 @@ computes another way, or a helper the tests build expectations with:
                          of theta.ramanujan_f_sum
     enumerate_params     the search space tuple by tuple, against the
                          search's blockwise prefilter
+    cleared_powers       a zero-sum's terms cleared of negative powers of
+                         their theta sums, against theta._plan's clearing
+    sums_nats,           the limb bound B of theta._plan from its
+    sums_bound,          definition: the sums bound in 60-digit Decimal,
+    parts_bound,         the parts bound of its fallback, and the two
+    cleared_bound        combined as the plan combines them
+    cleared_product      a cleared product's coefficients, packed in
+                         limbs wide enough for any product of its factors
 """
 
 from __future__ import annotations
 
-from math import gcd
+from decimal import ROUND_CEILING, Decimal, localcontext
+from functools import lru_cache
+from math import gcd, log, pi, sqrt
 from typing import Iterator, Sequence
 
 from qshift.jacobi import FourParams
-from qshift.qseries import Series, product_series
+from qshift.qseries import (
+    Series,
+    _coeff_bits,
+    _unpack_signed,
+    product_series,
+)
 from qshift.search import SearchConfig
-from qshift.theta import FArgs
+from qshift.theta import (
+    FArgs,
+    _monomial_parts,
+    atom_sums,
+    ramanujan_f_sum,
+    ramanujan_f_terms,
+)
 
 
 def linear_combine(terms: Sequence[tuple[int, Series]]) -> Series:
@@ -91,3 +112,178 @@ def enumerate_params(cfg: SearchConfig) -> Iterator[FourParams]:
                         for y in range(x, bound + 1):
                             if gcd(gcd(gcd(a, b), gcd(c, x)), y) == 1:
                                 yield FourParams(a, b, c, x, y, n)
+
+
+# ----------------------------------------------------------------------
+# the cleared build's limb bound
+# ----------------------------------------------------------------------
+
+def cleared_powers(terms, n: int) -> dict[int, tuple[int, dict]]:
+    """{i: (scale, {args: p})} for each live term i (e <= n): the term
+    times the unit V = prod_f f^(-l_f), l_f the least power of f in any
+    live term or 0, as c q^e scale prod f(args)^p with every p > 0, each
+    atom written as its theta sums by theta.atom_sums."""
+    powers = {}
+    for i, t in enumerate(terms):
+        if t.e > n:
+            continue
+        scale, power = 1, {}
+        for atoms, sign in ((t.num, 1), (t.den, -1)):
+            for a in atoms:
+                c, sums = atom_sums(a)
+                scale *= c if sign > 0 else 1
+                for args, p in sums:
+                    power[args] = power.get(args, 0) + sign * p
+        for args in t.sums:
+            power[args] = power.get(args, 0) + 1
+        powers[i] = scale, power
+    every = {args for _, power in powers.values() for args in power}
+    least = {args: min(0, *(power.get(args, 0) for _, power in
+                            powers.values())) for args in every}
+    return {i: (scale, {args: q for args in every
+                        if (q := power.get(args, 0) - least[args])})
+            for i, (scale, power) in powers.items()}
+
+
+def _is_euler(args: FArgs) -> bool:
+    return args == (-1, args[1], -1, 2 * args[1])
+
+
+def _factor_terms(args: FArgs, p: int, n: int) -> list[tuple[int, int]]:
+    """The terms of f(args) (p = 1), or for f = E_m of E_m^3 (p = 3) by
+    Jacobi's identity E_m^3 = sum_k (-1)^k (2k+1) q^(m k(k+1)/2), to
+    order n."""
+    if p == 1:
+        return ramanujan_f_terms(*args, n)
+    m = args[1]
+    return [(m * k * (k + 1) // 2, (-1) ** k * (2 * k + 1))
+            for k in range(n + 1) if m * k * (k + 1) // 2 <= n]
+
+
+def _split(power: dict) -> list[tuple[FArgs, int, int]]:
+    """(args, p, k): k factors f^p, a power 3j + i of an E_m taken as j
+    cubes (p = 3) and i single factors, any other sum's power as single
+    factors, as theta's build multiplies them in."""
+    out = []
+    for args, q in power.items():
+        if _is_euler(args) and q >= 3:
+            out.append((args, 3, q // 3))
+            q %= 3
+        if q:
+            out.append((args, 1, q))
+    return out
+
+
+def sums_nats(terms, n: int) -> tuple[float, dict[int, tuple[Decimal, int]]]:
+    """(t, {i: (nats, count)}): the sums bound of theta._plan from its
+    definition, in 60-digit Decimal at the plan's float t = h / (2 span):
+    for each live term, nats = (n - e) t + sum k ln F(e^-t) over its
+    cleared factors (_split), F the sum of |c| e^(-e t) over a factor's
+    terms through q^span, span = n - L for L the least live e, and count
+    the number of its factors, times 1 + h/2^17 rounded down past
+    h = 2^17; h is the largest number of factors with each cube counted
+    twice."""
+    cleared = cleared_powers(terms, n)
+    span = n - min(terms[i].e for i in cleared)
+    split = {i: _split(power) for i, (_, power) in cleared.items()}
+    h = max(sum(k * (2 if p == 3 else 1) for _, p, k in f)
+            for f in split.values())
+    t = h / (2 * max(span, 1))
+    out = {}
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dt = Decimal(t)
+        x = (-dt).exp()
+        for i, f in split.items():
+            nats = (n - terms[i].e) * dt
+            for args, p, k in f:
+                nats += k * sum(abs(c) * x ** e for e, c in
+                                _factor_terms(args, p, span)).ln()
+            count = sum(k for _, _, k in f)
+            out[i] = nats, count + (count * h >> 17)
+    return t, out
+
+
+def sums_bound(terms, n: int) -> int:
+    """The sums bound of theta._plan from its definition: the largest,
+    over the live terms, of ceil(bits + 1 + (bits + count) 2^-32) +
+    bitlen(|scale| - 1), bits = nats / ln 2 (sums_nats), in Decimal."""
+    cleared = cleared_powers(terms, n)
+    _, nats = sums_nats(terms, n)
+    bound = 0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for i, (x, count) in nats.items():
+            bits = x / Decimal(2).ln()
+            whole = (bits + 1 + (bits + count) * Decimal(2) ** -32
+                     ).to_integral_value(rounding=ROUND_CEILING)
+            bound = max(bound, int(whole)
+                        + (abs(cleared[i][0]) - 1).bit_length())
+    return bound
+
+
+def parts_bound(terms, n: int) -> int:
+    """The parts bound of theta._plan's fallback: the largest, over the
+    live terms, of _coeff_bits of the term's atoms' parts at order
+    n - e plus the bit length of each named sum's L1 norm through
+    q^(n-L), L the least live e."""
+    live = [t for t in terms if t.e <= n]
+    span = n - min(t.e for t in live)
+    bound = 0
+    for t in live:
+        scale, finite, inverse = _monomial_parts(t.num, t.den, n - t.e)
+        l1 = {s: sum(abs(c) for _, c in ramanujan_f_terms(*s, span))
+              for s in set(t.sums)}
+        bound = max(bound, _coeff_bits(finite, inverse, n - t.e, scale)
+                    + sum(l1[s].bit_length() for s in t.sums))
+    return bound
+
+
+def cleared_bound(terms, n: int) -> int:
+    """B, the bound theta._plan sizes the cleared build of the live
+    terms with: the sums bound, or, when that exceeds the densest
+    figure pi sqrt(2 span / 3) / ln 2, span = n - L, the lesser of it
+    and the parts bound."""
+    span = n - min(t.e for t in terms if t.e <= n)
+    bound = sums_bound(terms, n)
+    if bound <= pi * sqrt(2 * span / 3) / log(2):
+        return bound
+    return min(bound, parts_bound(terms, n))
+
+
+@lru_cache(maxsize=256)
+def _factor_series(args: FArgs, p: int, n: int) -> tuple[tuple, int]:
+    """(pairs, l1): the nonzero (exponent, coefficient) pairs of
+    f(args)^p to order n, f(args) from ramanujan_f_sum and E_m^3 from
+    Jacobi's identity (_factor_terms), and the sum of their |c|."""
+    if p == 1:
+        f = ramanujan_f_sum(args, n)
+        pairs = [(f.offset + k, c) for k, c in enumerate(f.coeffs) if c]
+    else:
+        pairs = _factor_terms(args, p, n)
+    return tuple(pairs), sum(abs(c) for _, c in pairs)
+
+
+def cleared_product(scale: int, power: dict, n: int) -> list[int]:
+    """The coefficients of scale * prod f(args)^p through q^n, each
+    factor as _split lists it and from _factor_series, multiplied in
+    packed limbs of W bits, W whole bytes with a bit to spare above the
+    bit length of |scale| times the product of the factors' L1 norms:
+    no coefficient of a partial product exceeds that, so no limb
+    overflows."""
+    factors = [(*_factor_series(args, p, n), k) for args, p, k in _split(power)]
+    bound = abs(scale)
+    for _, l1, k in factors:
+        bound *= l1 ** k
+    nbytes = (bound.bit_length() + 8) // 8
+    W = 8 * nbytes
+    mask = (1 << W * (n + 1)) - 1
+    x = scale
+    for f, _, k in factors:
+        for _ in range(k):
+            acc = 0
+            for e, c in f:  # x's limbs below n + 1 - e, shifted up e
+                y = (x & (mask >> e * W)) << e * W
+                acc = acc + y if c == 1 else acc - y if c == -1 else acc + c * y
+            x = acc & mask
+    return _unpack_signed(x, nbytes, n + 1)

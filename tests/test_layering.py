@@ -36,7 +36,8 @@ SRC = Path(qshift.__file__).parent
 # the limb sizing and the builder of theta-sum products: clearing and
 # sizing have one home too, theta._plan on top of qseries'
 # bounds; qseries' byte-rounded widths serve its own products only
-CLEARING = {"_coeff_bits", "_limb_width", "_cleared_width", "_pack_sums"}
+CLEARING = {"_coeff_bits", "_bits_above", "_limb_width", "_cleared_width",
+            "_sums_bits", "_parts_bits", "_pack_sums"}
 
 
 def builder_names(path, names=BUILDERS):
@@ -69,13 +70,28 @@ def test_only_qseries_and_theta_reach_the_packed_builders():
 
 
 def test_only_qseries_and_theta_clear_and_size():
-    assert builder_names(SRC / "qseries.py", CLEARING) == {"_coeff_bits",
-                                                           "_limb_width"}
+    assert builder_names(SRC / "qseries.py", CLEARING) == {
+        "_coeff_bits", "_bits_above", "_limb_width"}
     assert builder_names(SRC / "theta.py", CLEARING) == {
-        "_coeff_bits", "_cleared_width", "_pack_sums"}
+        "_coeff_bits", "_bits_above", "_cleared_width", "_sums_bits",
+        "_parts_bits", "_pack_sums"}
     reached = {p.name: sorted(builder_names(p, CLEARING))
                for p in SRC.glob("*.py") if p.name not in HOMES}
     assert {name: found for name, found in reached.items() if found} == {}
+
+
+# the densest-partition limb figure pi sqrt(2n/3) / ln 2 has one home,
+# qseries.densest_bits: the order ceiling and the plan's fallback both
+# read it there, and no other module computes with pi
+
+
+def test_the_densest_figure_has_one_home():
+    names = {p.name: builder_names(p, {"densest_bits", "pi"})
+             for p in SRC.glob("*.py")}
+    assert names["qseries.py"] == {"densest_bits", "pi"}
+    assert names["cli.py"] == names["theta.py"] == {"densest_bits"}
+    assert {name for name, found in names.items() if found} == {
+        "qseries.py", "cli.py", "theta.py"}
 
 
 # the lowest-limb read of a packed sum: one reader, theta.read_cleared,
@@ -98,6 +114,7 @@ def test_only_qseries_and_theta_read_the_lowest_limb():
 # (importer, module, name): each a kernel helper shared by the packed
 # builders, or the search prefilter reading jacobi's expressions
 PRIVATE_IMPORTS = {
+    ("theta", "qseries", "_bits_above"),
     ("theta", "qseries", "_coeff_bits"),
     ("theta", "qseries", "_lowest_limb"),
     ("theta", "qseries", "_pack_sparse"),

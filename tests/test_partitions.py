@@ -58,7 +58,12 @@ from qshift.theta import (
     read_cleared,
 )
 
-from oracles import first_difference, linear_combine
+from oracles import (
+    cleared_bound,
+    first_difference,
+    linear_combine,
+    sums_bound,
+)
 from part_by_part import first_nonzero_by_parts, parts_term
 
 # a modulus-32 shifted pair used as the standing fixture
@@ -508,15 +513,16 @@ def test_cancelled_equals_cleared_products():
 # ya, yb, yu are E_M^(|A|+|U|) Theta_B, E_M^(|B|+|U|) Theta_A and
 # Theta_U Theta_A Theta_B, each Theta_X the product of its class sums
 CATALOG_BUILDS = {
-    300: "74d99062270c1be7108cc321669d8e7aafb327133941d322f7d65251f2cca25f",
-    1000: "bdaf7c54080d28b38f9fe1a0ce6973edabf462a30862395c52a23f4ffc3295e0",
+    300: "0860db0d85dbe3344bcb1a0c7d662de6eca6d043510c3f9702d6a673a2d818e4",
+    1000: "011b2a5cf8bb326fdba3b22cea7f539ed4b21748af0f17ff975e6109f50d0383",
 }
 
 
 @pytest.mark.parametrize("n", sorted(CATALOG_BUILDS))
 def test_cancelled_pins_the_catalog_builds(monkeypatch, n):
-    # the integers, the width sized from the set differences, and one
-    # _pack_sparse per factor, shared as the kernel shared them
+    # the integers, the width from the oracle's cleared bound
+    # (set_difference_width), and one _pack_sparse per factor, shared as
+    # the kernel shared them
     calls = []
 
     def counted(*args):
@@ -551,14 +557,45 @@ def test_the_half_class_is_one_progression():
 
 
 def set_difference_width(S, T, M, n):
-    """The limb width B + bitlen(3) + 1 of three terms with |c| = 1, B
-    sized from the full part sets of S and T: _cancelled expands S - T,
-    T - S and S & T instead, which gives the same parts, as the classes
-    of distinct residues are disjoint."""
+    """The limb width B + bitlen(3) + 1 of _cancelled's three terms
+    1/[S-T], 1/[T-S] and [S&T], each with |c| = 1, B their cleared
+    bound from its definition (oracles.cleared_bound)."""
+    return cleared_bound(relation_terms(S, T, M, SHIFTLESS, 0), n) + \
+        (3).bit_length() + 1
+
+
+def parts_width(S, T, M, n):
+    """The same width with B the parts bound, sized from the full part
+    sets of S and T: the classes of distinct residues are disjoint, so
+    S - T, T - S and S & T give the same parts."""
     ps, pt = set(_expand_parts(S, M, n)), set(_expand_parts(T, M, n))
     return max(_coeff_bits((), sorted(ps - pt), n),
                _coeff_bits((), sorted(pt - ps), n),
                _coeff_bits(sorted(ps & pt), (), n)) + (3).bit_length() + 1
+
+
+@pytest.mark.parametrize("M, n", [(120, 100), (400, 1000), (1000, 3000)])
+def test_dense_pairs_fall_back_to_the_parts_bound(monkeypatch, M, n):
+    # with many classes per order the sums bound exceeds the densest
+    # figure pi sqrt(2n/3) / ln 2, and the plan takes the parts bound:
+    # the width is exactly the one the parts alone give, and narrower
+    # than the sums bound's
+    fallbacks = []
+    parts_bits = theta._parts_bits
+    monkeypatch.setattr(theta, "_parts_bits",
+                        lambda *a: fallbacks.append(a) or parts_bits(*a))
+    half = M // 2
+    for S, T in (({r for r in range(1, half + 1) if r % 2},
+                  {r for r in range(1, half + 1) if not r % 2}),
+                 (set(range(1, half // 2 + 1)),
+                  set(range(half // 2 + 1, half + 1)))):
+        S, T = frozenset(S), frozenset(T)
+        fallbacks.clear()
+        w = _cancelled(S, T, M, n)[3]
+        assert len(fallbacks) == 1, (M, S, T)
+        assert w == parts_width(S, T, M, n) == set_difference_width(S, T, M, n)
+        sums = sums_bound(relation_terms(S, T, M, SHIFTLESS, 0), n)
+        assert w < sums + (3).bit_length() + 1, (M, S, T)
 
 
 def swapped(packed):
@@ -656,6 +693,42 @@ def test_verify_multiplies_each_class_sum_in_once(monkeypatch, n):
                 (entry.label, case)
             failed += not rep.ok
     assert failed == 238
+
+
+def dp_first_fail(ident, n):
+    """(k, (p(S, k), p(T, j))), the identity's first failing index
+    through n and its two counts, j = k - a (shifted) or k (shiftless),
+    from count_partitions_table, or None: the tables are built to a low
+    order first, doubled until they show a failure or reach n."""
+    S, T, M, a = ident.S, ident.T, ident.M, ident.a
+    top = min(n, 4 * M)
+    while True:
+        ps = count_partitions_table(S, M, top)
+        pt = count_partitions_table(T, M, top)
+        for k in range(top + 1):
+            j = k - a if ident.kind == SHIFTED else k
+            right = pt[j] if j >= 0 else 0
+            extra = (k == 0) if ident.kind == SHIFTED else (k == a)
+            if ps[k] != right + extra:
+                return k, (ps[k], right)
+        if top == n:
+            return None
+        top = min(n, 2 * top)
+
+
+def test_mutants_fail_at_the_dp_first_fail_at_order_3000():
+    # narrower limbs still read a false identity's first failure: a
+    # seeded single-residue mutant of every catalog entry fails at the
+    # first index where the DP counts break the relation, with those
+    # counts as its witness
+    n = 3000
+    rng = random.Random(n)
+    for entry in load_corpus():
+        case = single_residue_mutant(entry.identity, rng)
+        rep = verify_identity(case, n)
+        want = dp_first_fail(case, n)
+        assert want is not None, case
+        assert (rep.ok, rep.first_fail, rep.witness) == (False, *want), case
 
 
 def image_pairs():

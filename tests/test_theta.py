@@ -12,7 +12,7 @@ signs, q-shifts, folding, and the degenerate cases.
 
 import random
 from collections import Counter
-from math import isqrt
+from math import isqrt, log
 
 import pytest
 
@@ -23,7 +23,7 @@ from qshift.qseries import (
     HEADROOM_BITS,
     NonUnitLeading,
     Series,
-    _coeff_bits,
+    densest_bits,
     invert,
     mul,
     pochhammer,
@@ -46,11 +46,18 @@ from qshift.theta import (
     monomial_str,
     normalize_atom,
     ramanujan_f_sum,
-    ramanujan_f_terms,
     read_cleared,
 )
 
-from oracles import UnsupportedNegativeExponent, ramanujan_f_product
+from oracles import (
+    UnsupportedNegativeExponent,
+    cleared_bound,
+    cleared_powers,
+    cleared_product,
+    parts_bound,
+    ramanujan_f_product,
+    sums_nats,
+)
 from part_by_part import first_nonzero_by_parts, parts_term
 
 
@@ -573,27 +580,104 @@ def test_first_nonzero_reads_past_overflowing_limbs(monkeypatch,
 @pytest.mark.parametrize("total", [1, 3, 7, (1 << 23) - 1, (1 << 24) - 1,
                                    (1 << 60) - 1])
 def test_cleared_build_sizes_limbs_as_bound_plus_sum_of_c(total):
-    # w = B + bitlen(sum |c|) + 1 over the live terms, B the largest
-    # bound of a live term: _coeff_bits of its parts at order n - e plus
-    # the bit length of each named sum's L1 norm through q^(n-L); a term
-    # past the order counts in neither
+    # w = B + bitlen(sum |c|) + 1 over the live terms, B the bound of
+    # their cleared products from its definition (oracles.cleared_bound,
+    # in Decimal), the widest of them with the scale 2 of a numerator
+    # (0:5); a term past the order counts in neither
     n = 150
     c2 = total // 2
     terms = [Term(total - c2, -2, den=(Atom(1, 2, BRACKET),)),
              Term(1 << 90, n + 1, den=(Atom(1, 2, BRACKET),) * 9)]
     if c2:
-        terms.append(Term(-c2, 3, (Atom(2, 7, BRACKET),),
+        terms.append(Term(-c2, 3, (Atom(2, 7, BRACKET), Atom(0, 5, PAREN)),
                           (Atom(3, 8, PAREN),), ((1, 1, -1, 3),)))
     live = [t for t in terms if t.e <= n]
     assert sum(abs(t.c) for t in live) == total
-    lo = min(t.e for t in live)
-    B = 0
-    for t in live:
-        p = parts_term(t, n)
-        B = max(B, _coeff_bits(p.finite, p.inverse, n - t.e, p.scale)
-                + sum(sum(abs(c) for _, c in ramanujan_f_terms(*s, n - lo))
-                      .bit_length() for s in t.sums))
-    assert cleared_build(terms, n)[0] == B + total.bit_length() + 1
+    assert cleared_build(terms, n)[0] == \
+        cleared_bound(terms, n) + total.bit_length() + 1
+
+
+def verify_terms(ident):
+    """The three terms verify_identity checks for a partition identity."""
+    return [t._replace(c=c, e=e) for t, (c, e) in zip(
+        partitions._monomials(ident.S, ident.T, ident.M),
+        partitions._relation(ident.kind, ident.a))]
+
+
+def plan_bound(terms, n):
+    """The B of the terms' plan: its width less bitlen(sum |c|) + 1."""
+    plan = theta._plan(terms, n)
+    return plan, plan.w - sum(abs(terms[i].c)
+                              for i in plan.order).bit_length() - 1
+
+
+@pytest.mark.parametrize("n", [50, 300, 1000, 3000])
+def test_the_plan_bounds_every_cleared_product(monkeypatch, n):
+    # soundness of the sums bound: for every catalog entry's verify
+    # relation and the 43 special and aux relations, the plan clears
+    # the terms as their definition does, and no coefficient of a
+    # cleared product, computed with limbs wide enough for the product
+    # of its factors' L1 norms, has more than B bits.  From order 200 on
+    # the sums bound alone sizes them: the parts fallback never fires
+    fallbacks = []
+    parts_bits = theta._parts_bits
+    monkeypatch.setattr(theta, "_parts_bits",
+                        lambda *a: fallbacks.append(a) or parts_bits(*a))
+    rels = catalog_relations() + [verify_terms(e.identity)
+                                  for e in load_corpus()]
+    for terms in rels:
+        plan, B = plan_bound(terms, n)
+        cleared = cleared_powers(terms, n)
+        assert plan.cleared == {i: p for i, (_, p) in cleared.items()}
+        assert plan.scale == {i: s for i, (s, _) in cleared.items()}
+        for i, (scale, power) in cleared.items():
+            top = max(map(abs, cleared_product(scale, power, n - terms[i].e)))
+            assert top.bit_length() <= B, (terms, i, n)
+        # the premise of cli.order_ceiling: no wider than the larger of
+        # the densest figure and the parts bound
+        span = n - min(terms[i].e for i in plan.order)
+        assert B <= max(densest_bits(span), parts_bound(terms, n))
+    assert not fallbacks or n < 200
+
+
+@pytest.mark.parametrize("n", [50, 1000, 3000])
+def test_the_sums_bound_floats_stay_inside_the_margin(monkeypatch, n):
+    # each term's log bound, evaluated in floats, against 60-digit
+    # Decimal at the same t: off by far less than the margin
+    # qseries._bits_above adds, (bits + count) 2^-32 bits
+    seen = []
+    bits_above = theta._bits_above
+    monkeypatch.setattr(theta, "_bits_above",
+                        lambda nats, count: seen.append((nats, count))
+                        or bits_above(nats, count))
+    rels = catalog_relations() + [verify_terms(e.identity)
+                                  for e in load_corpus()[::7]]
+    for terms in rels:
+        seen.clear()
+        plan, B = plan_bound(terms, n)
+        _, exact = sums_nats(terms, n)
+        assert [count for _, count in seen] == [c for _, c in exact.values()]
+        for (nats, count), (want, _) in zip(seen, exact.values()):
+            bits = float(want) / log(2)
+            assert abs(nats - float(want)) / log(2) < (bits + count) * 2 ** -40
+        assert B == cleared_bound(terms, n)
+
+
+def test_the_sums_bound_margin_grows_past_2_17_factors(monkeypatch):
+    # a float error of up to 2^-50 (1 + h/2) per factor outgrows the
+    # plain margin past h = 2^17, so the count it is taken over grows
+    # as count (1 + h/2^17): 1.5 * 2^17 factors count 2.5 times
+    seen = []
+    bits_above = theta._bits_above
+    monkeypatch.setattr(theta, "_bits_above",
+                        lambda nats, count: seen.append(count)
+                        or bits_above(nats, count))
+    for k in (1 << 17) - 1, 3 << 16:
+        terms = [Term(1, 0, sums=((1, 1, -1, 3),) * k), Term(-1, 0)]
+        seen.clear()
+        B = plan_bound(terms, 40)[1]
+        assert seen == [k + (k * k >> 17), 0]
+        assert B == cleared_bound(terms, 40)
 
 
 @pytest.mark.parametrize("k", [1, HEADROOM_BITS - 3, HEADROOM_BITS - 2,
