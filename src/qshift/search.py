@@ -8,7 +8,7 @@ to cancel their numerators, or reduce to a candidate identity.
 
 Degeneracy and numerator cancellation depend only on the folded
 residues of twelve linear expressions in the parameters, so both are
-decided for whole (c, x, y) blocks at once with numpy before any exact
+decided for whole blocks of tuples at once with numpy before any exact
 arithmetic runs: an atom [e : 2n] vanishes iff e = 0 mod 2n, so a tuple
 is degenerate iff one of its expressions is 0 mod n, and a numerator
 atom cancels iff its folded residue is available in the denominator
@@ -17,20 +17,35 @@ h(e) = fold_n(e) = min(e mod n, n - e mod n), by three identities:
 fold_2n(e) + fold_2n(e + n) = n, so a term's sixteen denominator
 values are eight pairs {h, n - h}; fold_2n(2e) = 2 h(e), so its
 numerator values are 2h; and e = 0 (mod n) iff h(e) = 0, while a prime
-of n divides e iff it divides h(e).  Each expression is one of seven
-linear forms in (c, x, y) plus a constant in (a, b).  The prefilter
-keeps a base's form rows mod 2n in their smallest unsigned dtype (uint8
-up to n = 128), built once per (n, bound), and reads each h row of a
-unit as one lookup into the fold_n table of length 2n shifted by the
-unit's constant; the multiset test runs on those rows in their dtype.
-The tuples of one (n, a) row surviving this exact prefilter are reduced
-together by derive_batch, the numpy form of the symbolic reduction
-jacobi.derive_identity performs on one tuple; Python identity objects
-are built only once per distinct (kind, a, S, T) of a batch, and every
-emitted identity is re-verified against partition counts before it is
-reported.  The batch reduction lives here, with its only caller, so
-this is the one module that imports numpy: every other command starts
-without it.
+of n divides e iff it divides h(e).
+
+Translation lemma: the prefilter's verdict on (a, b, c, x, y) depends
+only on d = b - a and on c - a, x - a, y - a mod n.  Proof: the
+coefficients of each of the twelve expressions sum to 0 (b - c,
+x + y - b - c, a - b, c - x, ...), so adding one t to all five
+exponents leaves every expression unchanged, and
+e(a, b, c, x, y) = e(0, d, c - a, x - a, y - a); e is an integer
+combination of those differences, so e mod n is a function of their
+residues mod n, and h depends on e mod n alone.  So the search works
+diagonal by diagonal: diagonal d computes one outcome code per class
+cell (c - a, x - a, y - a), its cube, at a = 0 and b = d, and each
+(n, a, a + d) unit reads its tuples' codes from the cube.  The classes
+are the K = min(n, 2 bound - 1) residues mod n that a difference of two
+exponents in [1, bound] reaches.  Each expression is one of seven linear
+forms in (c, x, y) plus a constant in (a, b); the form rows over the
+class grid are kept mod 2n in their smallest unsigned dtype (uint8 up to
+n = 128), built once per (n, bound), and each h row of a slab of a cube
+is one lookup into the fold_n table of length 2n shifted by the
+diagonal's constant; the multiset test runs on those rows in their
+dtype.  The gcd filter is not translation-invariant, so each unit
+applies it to its own tuples.  The surviving tuples of one diagonal are
+reduced together by derive_batch, the numpy form of the symbolic
+reduction jacobi.derive_identity performs on one tuple; Python identity
+objects are built only once per distinct (kind, a, S, T) of a batch,
+and every emitted identity is re-verified against partition counts
+before it is reported.  The batch reduction lives here, with its only
+caller, so this is the one module that imports numpy: every other
+command starts without it.
 
 Results are kept primitive: an identity whose residues all share a
 factor d with M is a rescaled copy of a smaller-modulus identity (for
@@ -45,18 +60,19 @@ terms' core expressions and negates a - b, and fold_n(-e) = fold_n(e)
 once, and its survivors are reduced at both (a, b) and (b, a), which
 derive_batch tells apart.
 
-Work is split into (n, a) rows processed independently (optionally by
-a process pool of at most os.cpu_count() workers).  Row a runs the
-prefilter on its bound - a + 1 units (n, a, b), b >= a, in turn, holds
-their survivors in one pending list and reduces them at (a, b) and, for
-b > a, at (b, a), in one derive_batch each, or in several, in scan
-order, when they would not fit PREFILTER_BUDGET_BYTES at once.  Each
-row keeps one ledger mapping every outcome and every identity to its
-lexicographically least tuple (n, a, b, c, x, y).  The rows' ledgers
-merge with one min per key, each identity is reported at its least
-tuple, and the histogram lists outcomes in the order of their least
-tuples, so the merged result does not depend on the order rows finish
-in; it is deterministic and sorted.
+Work is split into (n, d) diagonals processed independently (optionally
+by a process pool of at most os.cpu_count() workers).  Diagonal d builds
+its cube, reads from it the codes of its bound - d units (n, a, a + d)
+in turn, holds their survivors in one pending list and reduces them at
+(a, a + d) and, for d > 0, at (a + d, a), in one derive_batch each, or
+in several, in scan order, when they would not fit
+PREFILTER_BUDGET_BYTES at once.  Each diagonal keeps one ledger mapping
+every outcome and every identity to its lexicographically least tuple
+(n, a, b, c, x, y).  The diagonals' ledgers merge with one min per key,
+each identity is reported at its least tuple, and the histogram lists
+outcomes in the order of their least tuples, so the merged result does
+not depend on the order diagonals finish in; it is deterministic and
+sorted.
 """
 
 from __future__ import annotations
@@ -81,10 +97,16 @@ from .partitions import SHIFTED, SHIFTLESS, PartitionIdentity, verify_identity
 from .theta import DegenerateZero
 
 VERIFY_ORDER = 200
-# _prefilter holds every candidate (c, x, y) of a unit at once; its
-# tracemalloc peak is about 55 bytes per candidate with the base's
-# tables built, and about 205 when the unit builds them, at bounds 20 to
-# 60; the constant keeps the bound ceiling of 88
+# one (n, a, b) unit at PREFILTER_BYTES_PER_TUPLE per candidate (c, x, y)
+# must fit PREFILTER_BUDGET_BYTES; the constant keeps the bound ceiling of
+# 88.  What the prefilter of one diagonal holds fits within one unit's
+# share, even at the ceiling's largest cube, 175^3 cells: per class cell,
+# the form rows over the class grid, whose tracemalloc peak is about 13
+# to 18 bytes per cell while they are built, then the diagonal's cube,
+# one byte per cell; per column of one slab of the cube or of one unit's
+# gather, at most one unit wide, about 56 bytes per slab cell in uint8
+# rows, 72 in uint16 and 105 in uint32, and 3 to 9 per gathered tuple,
+# at bounds 20 to 60
 PREFILTER_BUDGET_BYTES = 1 << 28
 PREFILTER_BYTES_PER_TUPLE = 768
 # derive_batch peaks at about 700 bytes per survivor plus 32 per survivor
@@ -108,7 +130,7 @@ class SearchConfig:
 
     Every base must be at least 1.  exponent_bound None means n - 1 for
     each base n.  workers is the number of worker processes, capped at
-    the number of (n, a) rows and at os.cpu_count(); 1 runs everything
+    the number of (n, d) diagonals and at os.cpu_count(); 1 runs everything
     in-process.  A bound whose units
     would need more than PREFILTER_BUDGET_BYTES in the prefilter (the
     ceiling is 88) is refused; the default n - 1 fits for every base up
@@ -168,7 +190,7 @@ class SearchResult:
 
 
 # ----------------------------------------------------------------------
-# one (n, a) row of (n, a, b) units
+# one (n, d) diagonal of (n, a, a + d) units
 # ----------------------------------------------------------------------
 
 def _prime_factors(n):
@@ -183,26 +205,39 @@ def _prime_factors(n):
     return primes + [n] if n > 1 else primes
 
 
+def _classes(n, bound):
+    """K, the number of residues mod n that a difference of two exponents
+    in [1, bound] reaches: all n, or the 2 bound - 1 differences
+    themselves when they are distinct mod n."""
+    return min(n, 2 * bound - 1)
+
+
 @dataclass(frozen=True)
 class _BaseTables:
-    """What every (n, a, b) unit of one (n, bound) shares.
+    """What every unit and every diagonal of one (n, bound) share.
 
-    C, X, Y hold the candidate (c, x, y) in scan order and g their gcd.
-    The four2 expressions are affine, so each is a linear form in
-    (c, x, y), its value at a = b = 0, plus a constant in (a, b), its
-    value at c = x = y = 0.  forms holds each distinct form mod 2n, one
-    row per form, and form_of names the row of each of the twelve
-    expressions, or None for a - b, which involves no (c, x, y).
-    fold_n maps a residue r mod 2n to h = fold_n(r) = min(r mod n,
-    n - r mod n), stored twice over, and prime_mask maps h in
-    [0, n // 2] to the bitmask of the primes of n dividing h.
+    C, X, Y hold the candidate (c, x, y) of a unit in scan order, c
+    outermost, and g their gcd.  cls maps a difference c - a, at index
+    c - a + bound - 1, to its class index (c - a) mod K, K =
+    _classes(n, bound); class k stands for the difference k, or k - K
+    when k >= bound.  The four2 expressions are affine, so each is a
+    linear form in (c, x, y), its value at a = b = 0, plus a constant in
+    (a, b), its value at c = x = y = 0.  grid holds each distinct form
+    mod 2n over the class grid, the forms' values at the classes'
+    differences, as an array that broadcasts to (K, K, K) with axis 0
+    full, and form_of names the form of each of the twelve expressions,
+    or None for a - b, which involves no (c, x, y).  fold_n maps a
+    residue r mod 2n to h = fold_n(r) = min(r mod n, n - r mod n),
+    stored twice over, and prime_mask maps h in [0, n // 2] to the
+    bitmask of the primes of n dividing h.
     """
 
     C: np.ndarray
     X: np.ndarray
     Y: np.ndarray
     g: np.ndarray
-    forms: np.ndarray
+    cls: np.ndarray
+    grid: tuple
     form_of: tuple
     fold_n: np.ndarray
     prime_mask: np.ndarray
@@ -212,23 +247,26 @@ class _BaseTables:
 def _base_tables(n, bound):
     """The _BaseTables of (n, bound).  Units run base by base, so one
     entry suffices, and each worker process builds its own."""
-    m = 2 * n
+    m, K = 2 * n, _classes(n, bound)
     small = np.min_scalar_type(max(m - 1, bound))
     xs, ys = np.triu_indices(bound)
     C = np.repeat(np.arange(1, bound + 1), len(xs))
     X = np.tile(xs + 1, bound)
     Y = np.tile(ys + 1, bound)
-    (t1, t2), shared = _four2_exprs(0, 0, C, X, Y)
-    forms, form_of = [], []
+    i = np.arange(K, dtype=np.int32)
+    diff = np.where(i < bound, i, i - K)
+    (t1, t2), shared = _four2_exprs(0, 0, diff[:, None, None],
+                                    diff[None, :, None], diff[None, None, :])
+    grid, form_of = [], []
     for e in t1[2] + t2[2] + shared:
         if np.ndim(e) == 0:
             form_of.append(None)
             continue
-        e = e % m
-        j = next((j for j, f in enumerate(forms) if np.array_equal(f, e)),
-                 len(forms))
-        if j == len(forms):
-            forms.append(e)
+        e = np.broadcast_to((e % m).astype(small), (K, *e.shape[1:]))
+        j = next((j for j, f in enumerate(grid) if np.array_equal(f, e)),
+                 len(grid))
+        if j == len(grid):
+            grid.append(e)
         form_of.append(j)
     r = np.arange(m) % n
     fold_n = np.minimum(r, n - r).astype(small)
@@ -240,30 +278,38 @@ def _base_tables(n, bound):
     tables = _BaseTables(
         C.astype(small), X.astype(small), Y.astype(small),
         np.gcd(np.gcd(C, X), Y).astype(small),
-        np.array(forms, dtype=small), tuple(form_of),
+        np.arange(1 - bound, bound) % K, tuple(grid), tuple(form_of),
         np.concatenate((fold_n, fold_n)), mask)
-    for a in (tables.C, tables.X, tables.Y, tables.g, tables.forms,
+    for a in (tables.C, tables.X, tables.Y, tables.g, tables.cls,
               tables.fold_n, tables.prime_mask):
         a.flags.writeable = False
     return tables
 
 
-# the order of the twelve expressions in a unit's rows: term 1's core,
+# the order of the twelve expressions in a slab's rows: term 1's core,
 # the shared expressions, term 2's core, so that each term's core and
 # shared rows are one slice
 _ROW_ORDER = (*range(4), *range(8, 12), *range(4, 8))
+# a class cell's outcome code: 0 for a survivor, _CODE[label] for a
+# rejection; a unit marks the tuples it does not scan, those sharing a
+# factor with gcd(a, b), as _UNSCANNED
+_CODE = {label: 1 + k for k, label in enumerate(_PREFILTER_LABELS)}
+_UNSCANNED = len(_PREFILTER_LABELS) + 1
 
 
-def _prefilter(n, a, b, bound):
-    """Scan one (n, a, b) unit in numpy.
+@lru_cache(maxsize=1)
+def _outcome_cube(n, bound, d):
+    """The (K, K, K) uint8 outcome codes of diagonal d: cell (i, j, k)
+    holds the prefilter's verdict on every tuple (a, a + d, c, x, y)
+    whose c - a, x - a, y - a fall in classes i, j, k, by the
+    translation lemma of the module docstring.  The scan reads one
+    diagonal at a time, so one entry suffices.
 
-    Returns (scanned, histogram, C, X, Y): the histogram counts the
-    tuples rejected here, and C, X, Y hold the (c, x, y) of the
-    survivors in scan order.
-
-    Each of the twelve expressions e gets one row h(e) = fold_n(e) =
-    min(e mod n, n - e mod n), and everything decided here follows
-    exactly from those rows, by three identities:
+    The cube is built at a = 0, b = d, in slabs of whole planes of
+    classes of c - a, as many as fit one unit's columns and at least
+    one.  Each of the twelve expressions e of a slab gets one row
+    h(e) = fold_n(e) = min(e mod n, n - e mod n), and everything decided
+    here follows exactly from those rows, by three identities:
 
     - fold_2n(e) + fold_2n(e + n) = n, and {fold_2n(e), fold_2n(e + n)}
       = {h(e), n - h(e)}: a term's sixteen denominator values are the
@@ -274,57 +320,88 @@ def _prefilter(n, a, b, bound):
       n divides e iff it divides h(e).
 
     A row is one lookup into fold_n, a table of length 2n: with L an
-    expression's linear form in (c, x, y) and K its constant, stored as
-    L mod 2n, the row is fold_n[(L mod 2n + K) mod 2n], np.take of the
-    table rolled by K, which is a slice since the table is stored twice.
-    This is exact: (L mod 2n + K) mod 2n = e mod 2n, and h depends on
-    e mod n alone.  The rows share the dtype of the form rows, which
-    holds 2n - 1 (uint8 up to n = 128), and so does all arithmetic on
-    them: 0 <= h <= n / 2, so 2h <= n and n - 2h >= 0.
+    expression's linear form in (c, x, y) and k its constant, stored as
+    L mod 2n, the row is fold_n[(L mod 2n + k) mod 2n], the table rolled
+    by k, which is a slice since the table is stored twice.  This is
+    exact: (L mod 2n + k) mod 2n = e mod 2n, and h depends on e mod n
+    alone.  The rows share the dtype of the form rows, which holds
+    2n - 1 (uint8 up to n = 128), and so does all arithmetic on them:
+    0 <= h <= n / 2, so 2h <= n and n - 2h >= 0.
 
-    A tuple is degenerate when some h is 0, and imprimitive when one
+    A cell is degenerate when some h is 0, and imprimitive when one
     prime of n divides all twelve h.  A term cancels when its numerator
-    multiset embeds into its denominator multiset (_embeds).
+    multiset embeds into its denominator multiset (_embeds).  The codes
+    take that precedence: degenerate, imprimitive, then
+    incomplete-cancellation.
     """
     t = _base_tables(n, bound)
-    C, X, Y, forms = t.C, t.X, t.Y, t.forms
-    if gcd(a, b) > 1:
-        keep = np.gcd(t.g, gcd(a, b)) == 1
-        # compress keeps the form rows C-contiguous, where forms[:, keep]
-        # would not, and every np.take below reads them
-        C, X, Y = C[keep], X[keep], Y[keep]
-        forms = forms.compress(keep, axis=1)
-    scanned = len(C)
-    m = 2 * n
-    (t1, t2), shared = _four2_exprs(a, b, 0, 0, 0)
+    m, K = 2 * n, _classes(n, bound)
+    cube = np.empty((K, K, K), np.uint8)
+    (t1, t2), shared = _four2_exprs(0, d, 0, 0, 0)
     consts = t1[2] + t2[2] + shared
-    H = np.empty((12, scanned), dtype=forms.dtype)
-    for row, i in zip(H, _ROW_ORDER):
-        k = consts[i] % m
-        if t.form_of[i] is None:
-            row.fill(t.fold_n[k])
-        else:
-            np.take(t.fold_n[k:k + m], forms[t.form_of[i]], out=row,
-                    mode="clip")
-    nondegen = H.all(axis=0)
-    cancel_ok = _embeds(H[:4], H[:8], n) & _embeds(H[8:], H[4:], n)
-    # if a prime of n divides every linear expression, it divides every
-    # residue of the would-be identity, which rescales to a smaller
-    # modulus; a - b, the fill in row 4, comes first, and the scan stops
-    # once no prime is left
-    common = t.prime_mask[t.fold_n[(a - b) % m]]
-    for row in (*H[:4], *H[5:]):
-        if not np.any(common):
-            break
-        common = common & t.prime_mask[row]
-    imprim = common != 0
-    hist = Counter()
-    hist[DEGENERATE] = scanned - int(np.count_nonzero(nondegen))
-    hist[IMPRIMITIVE] = int(np.count_nonzero(nondegen & imprim))
-    keep = nondegen & ~imprim
-    hist[INCOMPLETE_CANCELLATION] = int(np.count_nonzero(keep & ~cancel_ok))
-    keep &= cancel_ok
-    return scanned, hist, C[keep], X[keep], Y[keep]
+    planes = max(1, len(t.C) // (K * K))
+    for lo in range(0, K, planes):
+        cut = slice(lo, lo + planes)
+        slab = cube[cut]
+        H = np.empty((12, *slab.shape), dtype=t.fold_n.dtype)
+        for row, i in zip(H, _ROW_ORDER):
+            k = consts[i] % m
+            if t.form_of[i] is None:
+                row.fill(t.fold_n[k])
+            else:
+                row[...] = np.take(t.fold_n[k:k + m],
+                                   t.grid[t.form_of[i]][cut], mode="clip")
+        H = H.reshape(12, -1)
+        nondegen = H.all(axis=0)
+        cancel_ok = _embeds(H[:4], H[:8], n) & _embeds(H[8:], H[4:], n)
+        # if a prime of n divides every linear expression, it divides
+        # every residue of the would-be identity, which rescales to a
+        # smaller modulus; a - b, the fill in row 4, comes first, and the
+        # scan stops once no prime is left
+        common = t.prime_mask[t.fold_n[-d % m]]
+        for row in (*H[:4], *H[5:]):
+            if not np.any(common):
+                break
+            common = common & t.prime_mask[row]
+        codes = slab.reshape(-1)
+        codes.fill(_CODE[INCOMPLETE_CANCELLATION])
+        codes[cancel_ok] = 0
+        codes[np.broadcast_to(common != 0, codes.shape)] = _CODE[IMPRIMITIVE]
+        codes[~nondegen] = _CODE[DEGENERATE]
+    cube.flags.writeable = False
+    return cube
+
+
+def _prefilter(n, a, b, bound):
+    """Scan one (n, a, b) unit in numpy.
+
+    Returns (scanned, histogram, C, X, Y): the histogram counts the
+    tuples rejected here, and C, X, Y hold the (c, x, y) of the
+    survivors in scan order.
+
+    Each tuple's verdict is its class cell's code in the cube of
+    diagonal b - a (_outcome_cube): the cell of (c, x, y) is the class of
+    c - a, x - a, y - a, read through the base's lookup cls.  The gcd
+    filter, which is not translation-invariant, then drops the tuples
+    sharing a factor with gcd(a, b); they are not scanned.
+    """
+    t = _base_tables(n, bound)
+    cube = _outcome_cube(n, bound, b - a)
+    K = len(cube)
+    pairs = len(t.C) // bound
+    cls = t.cls[bound - a:2 * bound - a]
+    # the plane of each c, then the cell of each (x, y) pair in it
+    xy = cls[t.X[:pairs] - 1] * K + cls[t.Y[:pairs] - 1]
+    codes = cube.reshape(K, -1)[cls].take(xy, axis=1).reshape(-1)
+    k = gcd(a, b)
+    if k > 1:
+        shares = np.gcd(np.arange(bound + 1), k) > 1
+        codes[shares.take(t.g)] = _UNSCANNED
+    hist = Counter({label: int(np.count_nonzero(codes == _CODE[label]))
+                    for label in _PREFILTER_LABELS})
+    keep = np.flatnonzero(codes == 0)
+    scanned = len(codes) - int(np.count_nonzero(codes == _UNSCANNED))
+    return scanned, hist, t.C[keep], t.X[keep], t.Y[keep]
 
 
 def _embeds(core, den, n):
@@ -490,11 +567,11 @@ def _derive_cap(n):
 def _reduce_survivors(n, a, b, C, X, Y, hist, least):
     """Reduce the survivors (a, b, c, x, y), given as columns in
     ascending order of their tuples (n, a, b, c, x, y), by derive_batch
-    in batches of at most _derive_cap(n); a or b may be one int for all.
+    in batches of at most _derive_cap(n).
 
-    hist counts each outcome.  least is the row's ledger: it maps each
-    outcome label and each identity to the least tuple giving it.  The
-    tuples ascend, so the first of a batch with a given outcome or
+    hist counts each outcome.  least is the diagonal's ledger: it maps
+    each outcome label and each identity to the least tuple giving it.
+    The tuples ascend, so the first of a batch with a given outcome or
     identity is its least there; an identity is built once per distinct
     (kind, a, S, T) of a batch.
     """
@@ -530,9 +607,10 @@ def _reduce_survivors(n, a, b, C, X, Y, hist, least):
 
 
 def _scan_unit(args):
-    """Scan one (n, a) row: the prefilter of each (n, a, b) unit with
-    b >= a, in b order, then derive_batch on the row's survivors at
-    (a, b) and, for b > a, at (b, a) as well.
+    """Scan one (n, d) diagonal: the prefilter of each unit
+    (n, a, a + d), a = 1 .. bound - d, in a order, all read from the
+    diagonal's one outcome cube, then derive_batch on the diagonal's
+    survivors at (a, a + d) and, for d > 0, at (a + d, a) as well.
 
     Units (n, a, b) and (n, b, a) give the same prefilter result.
     Swapping a and b maps term 1's core expressions (b - c, a - x,
@@ -544,60 +622,63 @@ def _scan_unit(args):
     twelve rows alike, and "both terms cancel" is symmetric in the two
     terms, so both units scan the same (c, x, y), reject the same ones
     for the same reasons and keep the same survivors in the same order.
-    A row therefore carries bound - a + 1 units: for b > a, unit (n, a, b)
-    counts twice in scanned and in the histogram, and its survivors are
-    also reduced at (b, a), where derive_batch does tell the two apart
-    through term 2's sign and q-exponent 2c - 2b.
+    A diagonal d > 0 therefore stands for diagonal -d as well: each of
+    its units counts twice in scanned and in the histogram, and its
+    survivors are also reduced at (a + d, a), where derive_batch does
+    tell the two apart through term 2's sign and q-exponent 2c - 2b.
 
-    Survivors wait in one pending list of (b, c, x, y) column blocks, in
+    Survivors wait in one pending list of (a, c, x, y) column blocks, in
     scan order, until they and their mirrors would need more than
     PREFILTER_BUDGET_BYTES in derive_batch, at DERIVE_BYTES_PER_SURVIVOR
     plus DERIVE_BYTES_PER_COUNT per residue 0..n each.  Then they are
-    reduced at (a, b), and those with b > a again at (b, a), in separate
-    derive_batch calls, and the row goes on.  Returns (scanned,
-    histogram, least): least is the row's ledger, mapping each
-    derive_batch outcome and each identity to the least tuple
+    reduced at (a, a + d), and for d > 0 again at (a + d, a), in
+    separate derive_batch calls, and the diagonal goes on.  Returns
+    (scanned, histogram, least): least is the diagonal's ledger, mapping
+    each derive_batch outcome and each identity to the least tuple
     (n, a, b, c, x, y) giving it, so where a flush falls changes nothing
     returned.
     """
-    n, a, bound = args
+    n, d, bound = args
     cap = _derive_cap(n)
+    copies = 1 if d == 0 else 2
     scanned, hist, least = 0, Counter(), {}
     pending, held = [], 0
-    for b in range(a, bound + 1):
-        unit_scanned, unit_hist, C, X, Y = _prefilter(n, a, b, bound)
-        copies = 1 if b == a else 2
+    for a in range(1, bound - d + 1):
+        unit_scanned, unit_hist, C, X, Y = _prefilter(n, a, a + d, bound)
         scanned += copies * unit_scanned
         for label, count in unit_hist.items():
             hist[label] += copies * count
         if C.size:
-            pending.append((np.full(C.size, b, C.dtype), C, X, Y))
+            pending.append((np.full(C.size, a, C.dtype), C, X, Y))
             held += copies * C.size
-        if pending and (held >= cap or b == bound):
-            B, C, X, Y = (np.concatenate(col) for col in zip(*pending))
-            _reduce_survivors(n, a, B, C, X, Y, hist, least)
-            m = B > a
-            _reduce_survivors(n, B[m], a, C[m], X[m], Y[m], hist, least)
+        if pending and (held >= cap or a == bound - d):
+            A, C, X, Y = (np.concatenate(col) for col in zip(*pending))
+            _reduce_survivors(n, A, A + d, C, X, Y, hist, least)
+            if d:
+                _reduce_survivors(n, A + d, A, C, X, Y, hist, least)
             pending, held = [], 0
     return scanned, hist, least
 
 
 def _units(cfg: SearchConfig):
-    """The work items, one (n, a, bound) per (n, a) row."""
+    """The work items, one (n, d, bound) per (n, d) diagonal, d = b - a
+    in 0 .. bound - 1: diagonal d holds the bound - d units
+    (n, a, a + d), and for d > 0 stands for the units (n, a + d, a)."""
     for n in cfg.n_values:
         bound = cfg.bound_for(n)
-        for a in range(1, bound + 1):
-            yield (n, a, bound)
+        for d in range(bound):
+            yield (n, d, bound)
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
     """Scan the whole space, keep one least tuple per identity, and sort
     the results.
 
-    Each row scans its units (n, a, b) with b >= a and stands in for
-    (n, b, a) (see _scan_unit); the rows' ledgers merge with one min per
-    key, so every outcome and identity keeps the lexicographically least
-    (n, a, b, c, x, y) giving it, whatever order the rows finish in.  The
+    Each diagonal scans its units (n, a, a + d) and stands in for
+    (n, a + d, a) (see _scan_unit); the diagonals' ledgers merge with one
+    min per key, so every outcome and identity keeps the
+    lexicographically least (n, a, b, c, x, y) giving it, whatever order
+    the diagonals finish in.  The
     histogram lists the three prefilter outcomes, then derive_batch's in
     the order of their least tuples, then "verification-failed": the
     order a tuple-by-tuple scan of the space in lexicographic order

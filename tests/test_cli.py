@@ -466,14 +466,20 @@ class TestExitCodes:
         # the histogram lists "ok" before "repeated-atom"
         ("24",
          "61299c2382e8656c808a89860dbf308760eb9a660d271c21391930b8c97530f3"),
+        # n > 2 bound - 1: the class axes are the raw differences
+        ("40 --bound 12",
+         "dce8b7d2a5adab8c0d24d14f5746cc13b883266dab9e70e9abd29a08439d2b37"),
+        # bound > n: the differences wrap mod n
+        ("12 --bound 20",
+         "b38f38e80015e727596941ac5a6e7ad11bcfb349df551fea00139e18e16c9d63"),
     ])
     def test_search_output_is_pinned(self, capsys, tmp_path, bases, digest):
         # the bytes a scan of every (n, a, b) unit in lexicographic order
         # writes: scanned, the reject keys in order and the least tuple
-        # of each identity, which the scan of each unordered {a, b} once
-        # must reproduce
+        # of each identity, which the scan of each unordered {a, b} once,
+        # diagonal by diagonal, must reproduce
         out_file = tmp_path / "found.json"
-        code, _, _ = run(capsys, "search", "--n", bases,
+        code, _, _ = run(capsys, "search", "--n", *bases.split(),
                          "--out", str(out_file))
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest

@@ -352,10 +352,11 @@ class TestDeriveBatch:
     def test_agrees_with_derive_identity_on_every_survivor(self, n):
         tuples = []
         bound = n - 1
-        for a in range(1, bound + 1):
-            for b in range(1, bound + 1):
-                _, _, C, X, Y = search._prefilter(n, a, b, bound)
-                tuples += [(a, b, c, x, y) for c, x, y
+        # diagonal by diagonal, so that each diagonal's cube is built once
+        for d in range(1 - bound, bound):
+            for a in range(max(1, 1 - d), min(bound, bound - d) + 1):
+                _, _, C, X, Y = search._prefilter(n, a, a + d, bound)
+                tuples += [(a, a + d, c, x, y) for c, x, y
                            in zip(C.tolist(), X.tolist(), Y.tolist())]
         batch = derive_batch(n, *np.array(tuples).T)
         for i, t in enumerate(tuples):

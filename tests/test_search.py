@@ -3,12 +3,17 @@
 The load-bearing checks are three oracle comparisons.  On a small base
 the vectorized scan must agree tuple-for-tuple with a direct loop that
 derives every enumerated parameter set, both in the outcome histogram
-and in the surviving identities.  Unit by unit, the residue-table
-prefilter must agree with the int64 prefilter it replaced, kept here as
-reference_prefilter.  And the search, which scans each unordered {a, b}
-once and reduces the survivors of a whole (n, a) row together, must
-return exactly what reducing them one (n, a, b) unit at a time over
-every ordered (a, b) returns, kept here as unit_by_unit_search.
+and in the surviving identities.  Unit by unit, the prefilter, which
+reads each unit's verdicts from the outcome cube of its diagonal b - a,
+must agree with the int64 prefilter on the expressions themselves, kept
+here as reference_prefilter.  And the search, which scans each
+unordered {a, b} once and reduces the survivors of a whole (n, d)
+diagonal together, must return exactly what reducing them one
+(n, a, b) unit at a time over every ordered (a, b) returns, kept here
+as unit_by_unit_search.
+
+A diagonal's cube is memoized one at a time, so the tests walk units
+diagonal by diagonal (units_by_diagonal), which builds each cube once.
 """
 
 import random
@@ -123,18 +128,29 @@ def reference_prefilter(n, a, b, bound):
     return scanned, hist, C[keep], X[keep], Y[keep]
 
 
+def units_by_diagonal(n, bound, diagonals=None):
+    """Yield (a, b) for every ordered unit (n, a, b), or for those with
+    b - a in diagonals, diagonal by diagonal, so that each diagonal's
+    cube is built once."""
+    for d in range(1 - bound, bound) if diagonals is None else diagonals:
+        for a in range(max(1, 1 - d), min(bound, bound - d) + 1):
+            yield a, a + d
+
+
 def unit_by_unit_search(cfg):
     """run_search with one derive_batch per (n, a, b) unit, each unit's
     outcomes tallied tuple by tuple and its identities deduped within
-    the unit: the reference the row-wise scan must match."""
+    the unit, the units taken in lexicographic order: the reference the
+    diagonal-wise scan must match."""
     labels = ("ok",) + FAILURE_REASONS + ("imprimitive",)
     scanned, hist, raw = 0, Counter(), []
     for n in cfg.n_values:
         bound = cfg.bound_for(n)
+        units = {(a, b): search._prefilter(n, a, b, bound)
+                 for a, b in units_by_diagonal(n, bound)}
         for a in range(1, bound + 1):
             for b in range(1, bound + 1):
-                unit_scanned, unit_hist, C, X, Y = search._prefilter(
-                    n, a, b, bound)
+                unit_scanned, unit_hist, C, X, Y = units[a, b]
                 scanned += unit_scanned
                 hist.update(unit_hist)
                 if not C.size:
@@ -171,7 +187,8 @@ def assert_same_search(got, want):
 
 
 def columns(blocks):
-    """The (b, c, x, y) columns of a row's survivor blocks, in order."""
+    """The (a, c, x, y) columns of a diagonal's survivor blocks, in
+    order."""
     return [np.concatenate([blk[k] for blk in blocks] + [np.empty(0, np.uint8)])
             for k in range(4)]
 
@@ -182,7 +199,7 @@ def unit_by_unit_16_20():
 
 
 class TestRowsEqualUnits:
-    """The row-wise scan against unit_by_unit_search."""
+    """The diagonal-wise scan against unit_by_unit_search."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_equal_units(self, workers, unit_by_unit_16_20):
@@ -190,21 +207,32 @@ class TestRowsEqualUnits:
         assert_same_search(got, unit_by_unit_16_20)
         assert len(got.found) == 7
 
+    @pytest.mark.parametrize("n, bound", [
+        (40, 12),   # n > 2 bound - 1: the classes are the differences
+        (12, 20),   # bound > n: the differences wrap mod n
+        (10, 25),   # b - a = +-n: whole diagonals are degenerate
+    ])
+    def test_class_axes_equal_units(self, n, bound):
+        cfg = SearchConfig((n,), exponent_bound=bound)
+        assert_same_search(run_search(cfg), unit_by_unit_search(cfg))
+
     @pytest.mark.parametrize("cap", [37, 500])
     def test_mid_row_flushes_change_nothing(self, cap, monkeypatch,
                                             unit_by_unit_16_20):
-        # a per-survivor cost that leaves room for cap survivors, so rows
-        # flush mid-row: at 37 inside units, at 500 between them
+        # a per-survivor cost that leaves room for cap survivors, so
+        # diagonals flush midway: at 37 inside units, at 500 between them
         monkeypatch.setattr(search, "DERIVE_BYTES_PER_SURVIVOR",
                             search.PREFILTER_BUDGET_BYTES // cap)
         sizes = Counter()
 
         def recorded(n, a, b, c, x, y):
             assert len(c) <= cap
-            # a row reduces its direct survivors at (a, b), a <= b, and
-            # its mirrored ones at (b, a), a > b, where the row is b
-            sizes[(n, int(a[0]), "direct") if a[0] <= b[0]
-                  else (n, int(b[0]), "mirrored")] += 1
+            # diagonal d reduces its direct survivors at (a, a + d) and
+            # its mirrored ones at (a + d, a), d > 0, one d per batch
+            d = {int(bj) - int(aj) for aj, bj in zip(a, b)}
+            assert len(d) == 1
+            d = d.pop()
+            sizes[(n, d, "direct") if d >= 0 else (n, -d, "mirrored")] += 1
             return derive_batch(n, a, b, c, x, y)
 
         monkeypatch.setattr(search, "derive_batch", recorded)
@@ -213,10 +241,12 @@ class TestRowsEqualUnits:
         assert max(sizes.values()) > 1
 
     def test_row_order_changes_nothing(self, monkeypatch):
-        # a row's mirrored survivors carry a first parameter above the
-        # row's, so whatever order the pool returns rows in, each
-        # identity and outcome must keep its least tuple: each row of
-        # base 16 arrives first, then the others last to first
+        # a diagonal's mirrored survivors (a + d, a) carry a first
+        # parameter above its direct ones' (a, a + d), and other
+        # diagonals hold lesser and greater tuples, so whatever order the
+        # pool returns diagonals in, each identity and outcome must keep
+        # its least tuple: each diagonal of base 16 arrives first, then
+        # the others last to first
         cfg = SearchConfig((16,))
         want = unit_by_unit_search(cfg)
         rows = [search._scan_unit(unit) for unit in search._units(cfg)]
@@ -241,28 +271,39 @@ class TestRowsEqualUnits:
             assert_same_search(got, want)
 
     def test_reduction_order_changes_nothing(self):
-        # a row's survivors reduced unit by unit, last unit first and
-        # mirrored before direct, tally what one reduction of each kind
-        # in scan order tallies: every outcome and identity keeps its
-        # least tuple
+        # a diagonal's survivors reduced unit by unit, last unit first
+        # and mirrored before direct, tally what one reduction of each
+        # kind in scan order tallies: every outcome and identity keeps
+        # its least tuple
         n, bound = 16, 15
-        for a in range(1, bound + 1):
+        for d in range(bound):
             blocks = []
-            for b in range(a, bound + 1):
+            for a, b in units_by_diagonal(n, bound, [d]):
                 _, _, C, X, Y = search._prefilter(n, a, b, bound)
                 if C.size:
-                    blocks.append((b, (np.full(C.size, b, C.dtype), C, X, Y)))
+                    blocks.append((np.full(C.size, a, C.dtype), C, X, Y))
             want = Counter(), {}
-            B, C, X, Y = columns([blk for _, blk in blocks])
-            m = B > a
-            search._reduce_survivors(n, a, B, C, X, Y, *want)
-            search._reduce_survivors(n, B[m], a, C[m], X[m], Y[m], *want)
+            A, C, X, Y = columns(blocks)
+            search._reduce_survivors(n, A, A + d, C, X, Y, *want)
+            if d:
+                search._reduce_survivors(n, A + d, A, C, X, Y, *want)
             got = Counter(), {}
-            for b, (B, C, X, Y) in reversed(blocks):
-                if b > a:
-                    search._reduce_survivors(n, B, a, C, X, Y, *got)
-                search._reduce_survivors(n, a, B, C, X, Y, *got)
-            assert got == want, a
+            for A, C, X, Y in reversed(blocks):
+                if d:
+                    search._reduce_survivors(n, A + d, A, C, X, Y, *got)
+                search._reduce_survivors(n, A, A + d, C, X, Y, *got)
+            assert got == want, d
+
+
+# what one diagonal's prefilter may hold: per class cell, the class
+# grid's form rows while they are built, then the diagonal's cube (about
+# 13 to 18 bytes per cell under tracemalloc); per column of one unit, a
+# slab of the cube or the unit's gather (about 56 bytes per slab cell in
+# uint8 rows, 72 in uint16, 105 in uint32, and 3 to 9 per gathered
+# tuple).  test_cube_fits_at_the_ceilings shows both fit within one
+# unit's search.PREFILTER_BYTES_PER_TUPLE at the bound ceiling
+CUBE_BYTES_PER_CELL = 24
+SLAB_BYTES_PER_COLUMN = 256
 
 
 PREFILTER_CONFIGS = [
@@ -290,38 +331,60 @@ class TestPrefilterOracle:
 
     @pytest.mark.parametrize("n, bound", PREFILTER_CONFIGS)
     def test_every_unit_matches_the_reference(self, n, bound):
-        for a in range(1, bound + 1):
-            for b in range(1, bound + 1):
-                assert_same_unit(search._prefilter(n, a, b, bound),
-                                 reference_prefilter(n, a, b, bound),
-                                 (n, a, b))
+        for a, b in units_by_diagonal(n, bound):
+            assert_same_unit(search._prefilter(n, a, b, bound),
+                             reference_prefilter(n, a, b, bound),
+                             (n, a, b))
 
     @pytest.mark.parametrize("n, bound", PREFILTER_CONFIGS)
     def test_swapping_a_and_b_changes_nothing(self, n, bound):
         # the lemma the search rests on when it scans (n, a, b) for
         # b >= a only: swapping a and b exchanges the two terms' core
-        # expressions and negates a - b, and fold_n(-e) = fold_n(e)
-        for a in range(1, bound + 1):
-            for b in range(a + 1, bound + 1):
-                assert_same_unit(search._prefilter(n, b, a, bound),
-                                 search._prefilter(n, a, b, bound),
-                                 (n, a, b))
+        # expressions and negates a - b, and fold_n(-e) = fold_n(e);
+        # the units of diagonals d and -d read two different cubes
+        for d in range(1, bound):
+            units = list(units_by_diagonal(n, bound, [d]))
+            direct = [search._prefilter(n, a, b, bound) for a, b in units]
+            swapped = [search._prefilter(n, b, a, bound) for a, b in units]
+            for got, want, unit in zip(swapped, direct, units):
+                assert_same_unit(got, want, (n, *unit))
+
+    @pytest.mark.parametrize("n, bound", PREFILTER_CONFIGS)
+    def test_translating_every_exponent_changes_nothing(self, n, bound):
+        # the lemma the cube rests on: each expression's coefficients sum
+        # to 0, so adding one t to all five exponents fixes it, and h
+        # depends on e mod n alone, so adding n to one of c, x, y fixes
+        # its fold
+        rng = random.Random(1000 * n + bound)
+        for _ in range(200):
+            p = FourParams(*(rng.randint(1, bound) for _ in range(5)), n)
+            rows = [fold(e, n) for e in linear_expressions(p)]
+            for t in (1, n - 1, n, 2 * n + 3):
+                moved = FourParams(*(e + t for e in p.exponents()), n)
+                assert [fold(e, n) for e in linear_expressions(moved)] \
+                    == rows, (p, t)
+            for k in (2, 3, 4):
+                moved = list(p.exponents())
+                moved[k] += n
+                moved = FourParams(*moved, n)
+                assert [fold(e, n) for e in linear_expressions(moved)] \
+                    == rows, (p, k)
 
     def test_configurations_reach_every_branch(self):
         # the configurations above reach all three rejections and
         # survivors, and both widths of the form rows
         seen = Counter()
         for n, bound in ((10, 25), (42, 8), (131, 6)):
-            for a in range(1, bound + 1):
-                for b in range(1, bound + 1):
-                    scanned, hist, C, _, _ = search._prefilter(n, a, b, bound)
-                    seen.update(hist)
-                    seen["survivors"] += len(C)
+            for a, b in units_by_diagonal(n, bound):
+                scanned, hist, C, _, _ = search._prefilter(n, a, b, bound)
+                seen.update(hist)
+                seen["survivors"] += len(C)
         assert all(seen[k] > 0 for k in ("degenerate", "imprimitive",
                                          "incomplete-cancellation",
                                          "survivors"))
-        assert search._base_tables(131, 6).forms.dtype == np.uint16
-        assert search._base_tables(128, 6).forms.dtype == np.uint8
+        for n, dtype in ((131, np.uint16), (128, np.uint8)):
+            grid = search._base_tables(n, 6).grid
+            assert {f.dtype for f in grid} == {np.dtype(dtype)}, n
 
 
 def fold(e, m):
@@ -429,6 +492,57 @@ class TestSearchConfig:
         pairs = bound * (bound + 1) // 2
         assert peak <= bound * pairs * search.PREFILTER_BYTES_PER_TUPLE
 
+    @pytest.mark.parametrize("n, bound", [(40, 20), (131, 30), (40_000, 45)])
+    def test_cube_memory_per_cell(self, n, bound):
+        # the class grid's form rows, built cold, then one diagonal's
+        # cube in slabs, in uint8, uint16 and uint32 rows: at most
+        # CUBE_BYTES_PER_CELL per class cell and SLAB_BYTES_PER_COLUMN per
+        # column of one unit, beside the residue tables' own budget
+        search._base_tables.cache_clear()
+        search._outcome_cube.cache_clear()
+        tracemalloc.start()
+        try:
+            search._outcome_cube(n, bound, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = search._classes(n, bound) ** 3
+        unit = bound * bound * (bound + 1) // 2
+        assert cells > 10 * unit
+        assert peak <= (cells * CUBE_BYTES_PER_CELL
+                        + unit * SLAB_BYTES_PER_COLUMN
+                        + 2 * n * search.TABLE_BYTES_PER_RESIDUE)
+
+    @pytest.mark.parametrize("n, bound", [(29, 28), (40, 20)])
+    def test_gather_memory_per_tuple(self, n, bound):
+        # a unit reading its codes from a built cube, with the gcd filter
+        # (gcd(2, 4) = 2): at most SLAB_BYTES_PER_COLUMN per tuple
+        search._outcome_cube(n, bound, 2)
+        tracemalloc.start()
+        try:
+            search._prefilter(n, 2, 4, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        unit = bound * bound * (bound + 1) // 2
+        assert peak <= unit * SLAB_BYTES_PER_COLUMN
+
+    @pytest.mark.parametrize("n, bound, cells", [
+        (89, 88, 89 ** 3), (175, 88, 5_359_375), (1_398_101, 88, 5_359_375)])
+    def test_cube_fits_at_the_ceilings(self, n, bound, cells):
+        # one diagonal at the largest admissible bound, at base 89 and at
+        # bases from 175 on, where K = 2 * 88 - 1 and the cube is largest:
+        # the class grid and the cube, plus one slab or one gather, fit
+        # within what the bound ceiling budgets for one unit
+        SearchConfig((n,), exponent_bound=bound)
+        assert search._classes(n, bound) ** 3 == cells
+        unit = bound * bound * (bound + 1) // 2
+        need = (cells * CUBE_BYTES_PER_CELL
+                + unit * SLAB_BYTES_PER_COLUMN)
+        assert need <= unit * search.PREFILTER_BYTES_PER_TUPLE
+        assert unit * search.PREFILTER_BYTES_PER_TUPLE \
+            <= search.PREFILTER_BUDGET_BYTES
+
     @staticmethod
     def derive_bytes(n):
         return (search.DERIVE_BYTES_PER_SURVIVOR
@@ -436,27 +550,29 @@ class TestSearchConfig:
 
     @staticmethod
     def largest_row(n):
-        """The pending survivor blocks of base n's largest (n, a) row."""
+        """The pending survivor blocks of base n's largest (n, d)
+        diagonal."""
         bound = n - 1
         rows = []
-        for a in range(1, bound + 1):
+        for d in range(bound):
             blocks = []
-            for b in range(1, bound + 1):
+            for a, b in units_by_diagonal(n, bound, [d]):
                 _, _, C, X, Y = search._prefilter(n, a, b, bound)
                 if C.size:
-                    blocks.append((np.full(C.size, b, C.dtype), C, X, Y))
-            rows.append((sum(len(blk[1]) for blk in blocks), a, blocks))
+                    blocks.append((np.full(C.size, a, C.dtype), C, X, Y))
+            rows.append((sum(len(blk[1]) for blk in blocks), d, blocks))
         return max(rows, key=lambda row: row[0])
 
     def test_derive_memory_per_survivor(self):
-        # a row flushes its survivors before derive_batch would need more
-        # than the budget, at the constants' cost per survivor
+        # a diagonal flushes its survivors before derive_batch would
+        # need more than the budget, at the constants' cost per survivor
         n = 23
-        survivors, a, blocks = self.largest_row(n)
+        survivors, d, blocks = self.largest_row(n)
         assert survivors == 1728
+        A, C, X, Y = columns(blocks)
         tracemalloc.start()
         try:
-            search._reduce_survivors(n, a, *columns(blocks), Counter(), {})
+            search._reduce_survivors(n, A, A + d, C, X, Y, Counter(), {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -481,8 +597,8 @@ class TestSearchConfig:
 
     @pytest.mark.parametrize("n, bound", [(89, 88), (1_398_101, 6)])
     def test_flush_bounds_a_worst_case_row(self, n, bound):
-        # a row in which every tuple survives, at the largest admissible
-        # bound and at the largest admissible base
+        # a diagonal in which every tuple survives, at the largest
+        # admissible bound and at the largest admissible base
         SearchConfig((n,), exponent_bound=bound)
         pairs = bound * (bound + 1) // 2
         unit, row = bound * pairs, bound * bound * pairs
@@ -493,7 +609,7 @@ class TestSearchConfig:
         # ... so does what waits for it, at most cap - 1 survivors plus
         # one unit's, in four columns of at most 8 bytes ...
         assert (cap - 1 + unit) * 4 * 8 <= budget
-        # ... and the row at once would not
+        # ... and the diagonal d = 0, bound units, at once would not
         if bound == 88:
             assert row * self.derive_bytes(n) > 100 * budget
 
