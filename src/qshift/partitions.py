@@ -42,15 +42,18 @@ shifted shift s and a > b,
     Theta_B (E^(a+u) - Theta_A Theta_U) - q^s Theta_A E^(b+u),
 
 so each class sum is multiplied in once.  infer_relation reads up to
-four relations off one pair of sets, so it builds the three terms on
+three relations off one pair of sets, so it builds the three terms on
 their own, once (_cancelled, one theta.cleared_build, which multiplies
 the smaller of Theta_A and Theta_B in twice), and theta.read_cleared
-reads each candidate off that build.  infer_relation's outcome, not
-its build, is memoized per unordered pair, modulus and order, so a
-U(M) orbit that meets a folded pair again builds it once.  Only a
-failing check builds its witness, the two partition counts at the
-failing index, read from qseries.residue_product.  count_partitions is
-an independent dynamic-programming oracle for the same numbers.
+reads each candidate off that build; the shiftless one is at
+d = min(S ^ T), as P_S - P_T = P_U (P_{S-U} - P_{T-U}) starts +-q^d,
++ iff d is in S, each P starting 1 + q^min.  Like P_U, the unit
+[S-U][T-U] has constant term 1, so a relation times it first fails at
+the same index.  infer_relation's outcome, not its build, is memoized
+per unordered pair, modulus and order, so a U(M) orbit meeting a folded
+pair again builds it once.  Only a failing check builds its witness,
+the two counts at the failing index, from qseries.residue_product;
+count_partitions is an independent DP oracle for the same numbers.
 
 The module also carries two special families with their own proofs: the
 classical Rogers-Ramanujan shifted identities (moduli 55 and 70 in
@@ -75,7 +78,6 @@ from .theta import (
     Term,
     cleared_build,
     first_nonzero,
-    make_monomial,
     read_cleared,
 )
 
@@ -195,7 +197,7 @@ def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
     packed to order n by one theta.cleared_build, whose limbs hold a
     sum of the three with coefficients +-1, so theta.read_cleared reads
     any relation of (S, T) off them: infer_relation's build, which
-    serves its up to four reads.  Cleared, ya = Theta_B E^(a+u), yb =
+    serves its up to three reads.  Cleared, ya = Theta_B E^(a+u), yb =
     Theta_A E^(b+u) and yu = Theta_A Theta_B Theta_U (A = S-T, B = T-S,
     U = S&T, of sizes a, b, u, Theta_X the product of X's class sums,
     E = E_M; the class M/2 brings E_2M), so [S&T] is the hub and
@@ -235,12 +237,14 @@ def infer_relation(S, T, M: int, n: int) -> PartitionIdentity | None:
 
     One build, _cancelled(S, T, M, n), serves both orientations, the
     swapped build being ya and yb exchanged, and theta.read_cleared
-    reads each candidate's _relation off it.  In orientation (X, Y),
-    P_X - 1 starts at min(X), the only possible shifted shift.  P_S - P_T
-    = P_{S&T} (P_{S-T} - P_{T-S}) starts where ya - yb does, with the
-    same coefficient c, at k: the only possible shiftless shift, in the
-    orientation whose difference starts with +1, (S, T) for c > 0.  Both
-    products have constant term 1, so no candidate is 0.
+    reads each candidate's _relation off it, at most three reads.  In
+    orientation (X, Y), P_X - 1 starts at min(X), the only possible
+    shifted shift.  P_S - P_T = P_{S&T} (P_{S-T} - P_{T-S}), each P
+    starting 1 + q^min, starts +-q^d at d = min(S ^ T), + iff d is in
+    S: the only possible shiftless shift, oriented (X, Y) with d in X,
+    tested only when d <= n.  A unit with constant term 1, such as
+    [S-T][T-S], moves no first failure, so the cancelled relation first
+    fails where its identity does.
 
     Each of the three candidates is tested once.  A unit action can
     exchange which side carries the shift, and at most one orientation
@@ -252,20 +256,19 @@ def infer_relation(S, T, M: int, n: int) -> PartitionIdentity | None:
 
     - the one candidate that holds has a shift a > n // 2 (order 2a);
     - n < a + 2, a the least shift that holds;
-    - none holds and n < d = min(S ^ T), where P_S - P_T starts: it
-      vanishes through q^n, so a shiftless relation at d cannot be seen;
+    - none holds and n < d: P_S - P_T vanishes through q^n, so a
+      shiftless relation at d cannot be seen;
     - more than one holds, as at tiny orders, where the counts of two
       sides can match by coincidence.
 
     None of this depends on the order of the two sets, so the outcome
     is memoized per (unordered pair, M, n) in the process (_infer): a
-    U(M) orbit meets the same folded pairs again, and so does every
-    later act on the same identities in one process (selftest's round
-    trips after its classes), and one build answers each; a process
-    that infers each pair once, as one act does, gains nothing.  The
-    memo holds the sets and the frozen identity or None, not the build.  OrderTooSmall is not memoized
-    (lru_cache keeps no exceptions): a pair that raises is built again
-    on every call, and raises the same error.
+    U(M) orbit, and every later act on its identities in one process
+    (selftest's round trips), meets the same folded pairs again, and
+    one build answers each.  The memo holds the sets and the frozen
+    identity or None, not the build; OrderTooSmall is not memoized
+    (lru_cache keeps no exceptions), so a pair that raises is built
+    again, and raises the same error, on every call.
     """
     S, T = frozenset(S), frozenset(T)
     if S == T:
@@ -275,22 +278,23 @@ def infer_relation(S, T, M: int, n: int) -> PartitionIdentity | None:
 
 @lru_cache(maxsize=512)
 def _infer(pair: frozenset, M: int, n: int) -> PartitionIdentity | None:
-    """infer_relation of the unordered pair of distinct sets, built in
-    one canonical order.  Its bound of 512 holds the 238 folded pairs
-    of the catalog's orbits at one order."""
-    S, T = sorted(pair, key=sorted)
+    """infer_relation of the unordered pair of distinct sets, S the side
+    holding d = min(S ^ T), where P_S - P_T starts +q^d: one
+    cleared_build, read for min(S), min(T) and, if d <= n, the shiftless
+    d (a unit factor such as [S-T][T-S] moves no first failure).  Its
+    bound of 512 holds the 238 folded pairs of the catalog's orbits at
+    one order."""
+    d = min(frozenset.symmetric_difference(*pair))
+    S, T = sorted(pair, key=lambda X: d not in X)
     ya, yb, yu, w = _cancelled(S, T, M, n)
-    # no shiftless candidate when P_S - P_T vanishes through q^n
-    low, c = read_cleared(w, [(1, 0, ya), (-1, 0, yb)], n) or (None, 1)
-    shiftless = (S, T, ya, yb) if c > 0 else (T, S, yb, ya)
     held = [(X, Y, kind, a) for X, Y, yx, yy, kind, a in (
         (S, T, ya, yb, SHIFTED, min(S)), (T, S, yb, ya, SHIFTED, min(T)),
-        (*shiftless, SHIFTLESS, low))
-        if a is not None
+        (S, T, ya, yb, SHIFTLESS, d))
+        if (kind == SHIFTED or d <= n)
         and read_cleared(w, [(c, e, y) for (c, e), y in zip(
             _relation(kind, a), (yx, yy, yu))], n) is None]
     if not held:
-        if n < (d := min(S ^ T)):
+        if n < d:
             raise OrderTooSmall(f"order {n} cannot see a shift of {d}")
         return None
     X, Y, kind, a = min(held, key=lambda c: c[3])
@@ -378,25 +382,20 @@ THEOREM_72_2 = PartitionIdentity(
 
 
 def _thm72_relations():
-    """The seven series checks of the Thm-72.2 chain as (name, terms)
-    relations: the bracket-quotient form of the identity; the
-    2-dissections of f(q, -q^2) and f(-q, q^2); the 3-dissection of
-    f(q, q); the square dissection of f(q,q)f(q^2,q^2); the product form
-    of f(q^9,q^9) - q f(q^3,q^15); and the derived difference identity
-    those combine into.  (-q^3; q^6) is the paren (3:12)."""
+    """The six series checks of the Thm-72.2 chain as (name, terms)
+    relations: the 2-dissections of f(q, -q^2) and f(-q, q^2); the
+    3-dissection of f(q, q); the square dissection of f(q,q)f(q^2,q^2);
+    the product form of f(q^9,q^9) - q f(q^3,q^15); and the derived
+    difference identity those combine into.  (-q^3; q^6) is the paren
+    (3:12).  The identity's bracket-quotient form [T-S] - q[S-T] = [S|T]
+    is not among them: it is the cancelled relation times the unit
+    [S-T][T-S] (constant term 1), so it first fails where the identity,
+    checked once, does; a shiftless shift would sit at min(S ^ T)."""
     def F(c, e, *sums, num=()):
         return Term(c, e, num=num, sums=sums)
 
-    def br(c, e, num, den=()):
-        return make_monomial(c, e, [Atom(r, 72, BRACKET) for r in num],
-                             [Atom(r, 72, BRACKET) for r in den])
-
     neg3 = (Atom(3, 12, PAREN),)
     return (
-        ("[2,15,21,22,26:72] - q[3,10,14,33,34:72]"
-         " = [1..35:72]/[4,6,20,24,28,30:72]",
-         (br(1, 0, (2, 15, 21, 22, 26)), br(-1, 1, (3, 10, 14, 33, 34)),
-          br(-1, 0, range(1, 36), (4, 6, 20, 24, 28, 30)))),
         ("f(q,-q^2) = f(-q^5,-q^7) + q f(-q,-q^11)",
          (F(1, 0, (1, 1, -1, 2)), F(-1, 0, (-1, 5, -1, 7)),
           F(-1, 1, (-1, 1, -1, 11)))),
@@ -427,8 +426,11 @@ THM72_MIN_ORDER = 50
 def verify_theorem_72_2(n: int) -> SpecialReport:
     """Walk the theta-dissection chain behind catalog entry Thm-72.2.
 
-    Checks, each to order n: the seven series relations of
-    _thm72_relations, and the partition identity itself.
+    Checks, each to order n: the six series relations of
+    _thm72_relations, and the partition identity itself, once, by
+    verify_identity (times the unit [S-T][T-S], constant term 1, it is
+    the bracket-quotient form, failing first at the same index; a
+    shiftless shift would be min(S ^ T), where P_S - P_T starts).
     """
     if n < THM72_MIN_ORDER:
         raise OrderTooSmall(

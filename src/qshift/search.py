@@ -205,24 +205,20 @@ def _prime_factors(n):
     return primes + [n] if n > 1 else primes
 
 
-def _classes(n, bound):
-    """K, the number of residues mod n that a difference of two exponents
-    in [1, bound] reaches: all n, or the 2 bound - 1 differences
-    themselves when they are distinct mod n."""
-    return min(n, 2 * bound - 1)
-
-
 @dataclass(frozen=True)
 class _BaseTables:
     """What every unit and every diagonal of one (n, bound) share.
 
+    K = min(n, 2 bound - 1) counts the classes, the residues mod n that
+    a difference of two exponents in [1, bound] reaches: all n, or the
+    2 bound - 1 differences themselves when they are distinct mod n.
     C, X, Y hold the candidate (c, x, y) of a unit in scan order, c
     outermost, and g their gcd.  cls maps a difference c - a, at index
-    c - a + bound - 1, to its class index (c - a) mod K, K =
-    _classes(n, bound); class k stands for the difference k, or k - K
-    when k >= bound.  The four2 expressions are affine, so each is a
-    linear form in (c, x, y), its value at a = b = 0, plus a constant in
-    (a, b), its value at c = x = y = 0.  grid holds each distinct form
+    c - a + bound - 1, to its class index (c - a) mod K; class k stands
+    for the difference k, or k - K when k >= bound.  The four2
+    expressions are affine, so each is a linear form in (c, x, y), its
+    value at a = b = 0, plus a constant in (a, b), its value at
+    c = x = y = 0.  grid holds each distinct form
     mod 2n over the class grid, the forms' values at the classes'
     differences, as an array that broadcasts to (K, K, K) with axis 0
     full, and form_of names the form of each of the twelve expressions,
@@ -232,6 +228,9 @@ class _BaseTables:
     bitmask of the primes of n dividing h.
     """
 
+    n: int
+    bound: int
+    K: int
     C: np.ndarray
     X: np.ndarray
     Y: np.ndarray
@@ -247,7 +246,7 @@ class _BaseTables:
 def _base_tables(n, bound):
     """The _BaseTables of (n, bound).  Units run base by base, so one
     entry suffices, and each worker process builds its own."""
-    m, K = 2 * n, _classes(n, bound)
+    m, K = 2 * n, min(n, 2 * bound - 1)
     small = np.min_scalar_type(max(m - 1, bound))
     xs, ys = np.triu_indices(bound)
     C = np.repeat(np.arange(1, bound + 1), len(xs))
@@ -276,7 +275,7 @@ def _base_tables(n, bound):
     for k, p in enumerate(primes):
         mask[h % p == 0] |= 1 << k
     tables = _BaseTables(
-        C.astype(small), X.astype(small), Y.astype(small),
+        n, bound, K, C.astype(small), X.astype(small), Y.astype(small),
         np.gcd(np.gcd(C, X), Y).astype(small),
         np.arange(1 - bound, bound) % K, tuple(grid), tuple(form_of),
         np.concatenate((fold_n, fold_n)), mask)
@@ -297,13 +296,11 @@ _CODE = {label: 1 + k for k, label in enumerate(_PREFILTER_LABELS)}
 _UNSCANNED = len(_PREFILTER_LABELS) + 1
 
 
-@lru_cache(maxsize=1)
-def _outcome_cube(n, bound, d):
-    """The (K, K, K) uint8 outcome codes of diagonal d: cell (i, j, k)
-    holds the prefilter's verdict on every tuple (a, a + d, c, x, y)
-    whose c - a, x - a, y - a fall in classes i, j, k, by the
-    translation lemma of the module docstring.  The scan reads one
-    diagonal at a time, so one entry suffices.
+def _outcome_cube(t, d):
+    """The (K, K, K) uint8 outcome codes of diagonal d over the base
+    tables t: cell (i, j, k) holds the prefilter's verdict on every
+    tuple (a, a + d, c, x, y) whose c - a, x - a, y - a fall in classes
+    i, j, k, by the translation lemma of the module docstring.
 
     The cube is built at a = 0, b = d, in slabs of whole planes of
     classes of c - a, as many as fit one unit's columns and at least
@@ -334,8 +331,7 @@ def _outcome_cube(n, bound, d):
     take that precedence: degenerate, imprimitive, then
     incomplete-cancellation.
     """
-    t = _base_tables(n, bound)
-    m, K = 2 * n, _classes(n, bound)
+    n, m, K = t.n, 2 * t.n, t.K
     cube = np.empty((K, K, K), np.uint8)
     (t1, t2), shared = _four2_exprs(0, d, 0, 0, 0)
     consts = t1[2] + t2[2] + shared
@@ -372,22 +368,21 @@ def _outcome_cube(n, bound, d):
     return cube
 
 
-def _prefilter(n, a, b, bound):
-    """Scan one (n, a, b) unit in numpy.
+def _prefilter(t, cube, a, b):
+    """Scan one (n, a, b) unit in numpy, given its base tables t and the
+    outcome cube of its diagonal b - a.
 
     Returns (scanned, histogram, C, X, Y): the histogram counts the
     tuples rejected here, and C, X, Y hold the (c, x, y) of the
     survivors in scan order.
 
-    Each tuple's verdict is its class cell's code in the cube of
-    diagonal b - a (_outcome_cube): the cell of (c, x, y) is the class of
-    c - a, x - a, y - a, read through the base's lookup cls.  The gcd
-    filter, which is not translation-invariant, then drops the tuples
-    sharing a factor with gcd(a, b); they are not scanned.
+    Each tuple's verdict is its class cell's code in the cube: the cell
+    of (c, x, y) is the class of c - a, x - a, y - a, read through the
+    base's lookup cls.  The gcd filter, which is not
+    translation-invariant, then drops the tuples sharing a factor with
+    gcd(a, b); they are not scanned.
     """
-    t = _base_tables(n, bound)
-    cube = _outcome_cube(n, bound, b - a)
-    K = len(cube)
+    bound, K = t.bound, t.K
     pairs = len(t.C) // bound
     cls = t.cls[bound - a:2 * bound - a]
     # the plane of each c, then the cell of each (x, y) pair in it
@@ -639,12 +634,14 @@ def _scan_unit(args):
     returned.
     """
     n, d, bound = args
+    t = _base_tables(n, bound)
+    cube = _outcome_cube(t, d)
     cap = _derive_cap(n)
     copies = 1 if d == 0 else 2
     scanned, hist, least = 0, Counter(), {}
     pending, held = [], 0
     for a in range(1, bound - d + 1):
-        unit_scanned, unit_hist, C, X, Y = _prefilter(n, a, a + d, bound)
+        unit_scanned, unit_hist, C, X, Y = _prefilter(t, cube, a, a + d)
         scanned += copies * unit_scanned
         for label, count in unit_hist.items():
             hist[label] += copies * count

@@ -373,7 +373,7 @@ class TestExitCodes:
         code, out, _ = run(capsys, "special", "--thm72-2",
                            "--order", "150")
         assert code == 0
-        assert "8 pass" in out
+        assert "7 pass" in out
 
     def test_special_requires_choice(self, capsys):
         code, _, _ = run(capsys, "special")
@@ -650,7 +650,7 @@ class TestOutput:
         assert item["first_failing_exponent"] is None
         assert "aux step 0 fails at order 700" in item["details"]
 
-    @pytest.mark.parametrize("flag, count", [("--rr", 2), ("--thm72-2", 8)])
+    @pytest.mark.parametrize("flag, count", [("--rr", 2), ("--thm72-2", 7)])
     def test_special_names_its_order(self, capsys, flag, count):
         code, doc, _ = run_json(capsys, "special", flag, "--order", "230")
         assert code == 0

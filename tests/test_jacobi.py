@@ -352,10 +352,12 @@ class TestDeriveBatch:
     def test_agrees_with_derive_identity_on_every_survivor(self, n):
         tuples = []
         bound = n - 1
-        # diagonal by diagonal, so that each diagonal's cube is built once
+        # diagonal by diagonal, each diagonal's cube built once
+        t = search._base_tables(n, bound)
         for d in range(1 - bound, bound):
+            cube = search._outcome_cube(t, d)
             for a in range(max(1, 1 - d), min(bound, bound - d) + 1):
-                _, _, C, X, Y = search._prefilter(n, a, a + d, bound)
+                _, _, C, X, Y = search._prefilter(t, cube, a, a + d)
                 tuples += [(a, a + d, c, x, y) for c, x, y
                            in zip(C.tolist(), X.tolist(), Y.tolist())]
         batch = derive_batch(n, *np.array(tuples).T)

@@ -8,6 +8,7 @@ from both sides.
 
 import hashlib
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -53,6 +54,7 @@ from qshift.theta import (
     atom_series,
     euler_cube_terms,
     first_nonzero,
+    make_monomial,
     monomial_series,
     ramanujan_f_terms,
     read_cleared,
@@ -745,25 +747,29 @@ def image_pairs():
     return sorted(pairs, key=repr)
 
 
+def classes(rs, M):
+    """Class r as the bracket [r:M], or [M/2:2M] for 2r = M, for each r
+    of rs in ascending order."""
+    return [Atom(r, 2 * M if 2 * r == M else M, BRACKET) for r in sorted(rs)]
+
+
 def relation_terms(X, Y, M, kind, a):
     """The relation of (X, Y) written out from its definition: shifted
     1/[X-Y] - q^a/[Y-X] - [X&Y], shiftless 1/[X-Y] - 1/[Y-X] - q^a [X&Y],
     with class r the bracket [r:M], or [M/2:2M] for 2r = M."""
-    def classes(rs):
-        return [Atom(r, 2 * M if 2 * r == M else M, BRACKET)
-                for r in sorted(rs)]
-
     eb, eu = (a, 0) if kind == SHIFTED else (0, a)
-    return [Term(1, 0, den=classes(X - Y)), Term(-1, eb, den=classes(Y - X)),
-            Term(-1, eu, num=classes(X & Y))]
+    return [Term(1, 0, den=classes(X - Y, M)),
+            Term(-1, eb, den=classes(Y - X, M)),
+            Term(-1, eu, num=classes(X & Y, M))]
 
 
 @pytest.mark.parametrize("n", [300, 1000])
 def test_every_candidate_reads_as_its_own_zero_test(n):
     # the reader's contract: a relation read off the shared build, at
     # any shift up to n, gives the (k, c) of the cleared zero test on
-    # its own terms, for the difference that names the shiftless shift
-    # and for every candidate relation infer_relation tests
+    # its own terms, for every candidate relation infer_relation tests:
+    # both shifted ones and the shiftless one at d = min(S ^ T),
+    # oriented from the side holding d
     if n == 300:
         pairs = image_pairs()
         assert len(pairs) == 476
@@ -772,13 +778,10 @@ def test_every_candidate_reads_as_its_own_zero_test(n):
                  for e in load_corpus()]
     for S, T, M in pairs:
         ya, yb, yu, w = _cancelled(S, T, M, n)
-        # P_S - P_T starts where 1/[S-T] - 1/[T-S] does; distinct sides
-        # of the catalog differ below order 300
-        k, c = hit = read_cleared(w, [(1, 0, ya), (-1, 0, yb)], n)
-        assert hit == first_nonzero(relation_terms(S, T, M, SHIFTLESS, 0)[:2],
-                                    n), (S, T, M)
-        shiftless = ((S, T, ya, yb, SHIFTLESS, k) if c > 0
-                     else (T, S, yb, ya, SHIFTLESS, k))
+        d = min(S ^ T)
+        assert d <= n
+        shiftless = ((S, T, ya, yb, SHIFTLESS, d) if d in S
+                     else (T, S, yb, ya, SHIFTLESS, d))
         for X, Y, yx, yy, kind, a in ((S, T, ya, yb, SHIFTED, min(S)),
                                       (T, S, yb, ya, SHIFTED, min(T)),
                                       shiftless):
@@ -786,6 +789,82 @@ def test_every_candidate_reads_as_its_own_zero_test(n):
                 partitions._relation(kind, a), (yx, yy, yu))], n)
             assert read == first_nonzero(relation_terms(X, Y, M, kind, a),
                                          n), (X, Y, M, kind, a)
+
+
+def shift_cases(source):
+    """(S, T, M, n) pairs for the shiftless-shift rule: the 476 image
+    pairs at order 300, the catalog at 1000, the half-residue shapes at
+    160, and every image pair and half-residue shape with d = min(S ^ T)
+    >= 2 at the orders 1 .. d - 1 below it."""
+    halves = [(i.S, i.T, i.M) for i in half_residue_cases(30, seed=7)]
+    if source == "images-300":
+        return [(S, T, M, 300) for S, T, M in image_pairs()]
+    if source == "catalog-1000":
+        return [(e.identity.S, e.identity.T, e.identity.M, 1000)
+                for e in load_corpus()]
+    if source == "half-residue":
+        return [(S, T, M, 160) for S, T, M in halves]
+    return [(S, T, M, n) for S, T, M in image_pairs() + halves
+            for n in range(1, min(S ^ T))]
+
+
+@pytest.mark.parametrize("source", ["images-300", "catalog-1000",
+                                    "half-residue", "below-d"])
+def test_the_shiftless_shift_is_the_least_residue_of_one_side(source):
+    # P_S - P_T = P_{S&T} (P_{S-T} - P_{T-S}), and each P starts
+    # 1 + q^min: p(S, k) and p(T, k) first differ at k = d = min(S ^ T),
+    # by +1 if d is in S and -1 if it is in T, and the cleared read of
+    # ya - yb says the same; through an order below d both see no
+    # difference
+    cases = shift_cases(source)
+    assert len(cases) >= 30
+    for S, T, M, n in cases:
+        d = min(S ^ T)
+        want = (d, 1 if d in S else -1) if d <= n else None
+        top = min(n, d)
+        ps = count_partitions_table(S, M, top)
+        pt = count_partitions_table(T, M, top)
+        got = next(((k, ps[k] - pt[k]) for k in range(top + 1)
+                    if ps[k] != pt[k]), None)
+        assert got == want, (S, T, M, n)
+        ya, yb, _, w = _cancelled(S, T, M, n)
+        assert read_cleared(w, [(1, 0, ya), (-1, 0, yb)], n) == want, \
+            (S, T, M, n)
+
+
+def test_one_inference_makes_one_build_and_at_most_three_reads(
+        monkeypatch):
+    # _infer reads the two shifted candidates, and the shiftless one
+    # only for d = min(S ^ T) <= n, off one cleared_build, whether it
+    # returns an identity, None, or raises OrderTooSmall
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in ("cleared_build", "read_cleared"):
+        monkeypatch.setattr(partitions, name,
+                            counted(name, getattr(partitions, name)))
+    outcomes = Counter()
+    cases = [(e.identity.S, e.identity.T, e.identity.M, n)
+             for e in load_corpus()
+             for n in {2, min(e.identity.S ^ e.identity.T) - 1, 40, 300}
+             if n >= 1]
+    cases += [(S, T, M, n) for shape in SHAPES
+              for M, S, T in edge_pairs(shape, 6, seed=500 + len(shape))
+              for n in (1, 4, 60)]
+    for S, T, M, n in cases:
+        partitions._infer.cache_clear()
+        calls.clear()
+        got = inferred(S, T, M, n)
+        assert calls == {"cleared_build": 1,
+                         "read_cleared": 2 + (min(S ^ T) <= n)}, \
+            (S, T, M, n)
+        outcomes[got if got in (None, OrderTooSmall) else got.kind] += 1
+    assert set(outcomes) == {None, OrderTooSmall, SHIFTED, SHIFTLESS}
 
 
 def residue_product_verdict(ident, n):
@@ -921,7 +1000,7 @@ def test_rogers_ramanujan_order_floor():
 SPECIAL_RELATIONS = ([(rogers_ramanujan_check, "_rr_relations", i)
                       for i in range(2)]
                      + [(verify_theorem_72_2, "_thm72_relations", i)
-                        for i in range(7)])
+                        for i in range(6)])
 
 
 def perturbed(terms):
@@ -940,15 +1019,11 @@ def perturbed(terms):
                 yield swap(t._replace(**{field: parts[:j] + parts[j + 1:]}))
 
 
-@pytest.mark.parametrize("check, builder, index", SPECIAL_RELATIONS)
-def test_special_check_fails_on_a_perturbed_relation(
-        monkeypatch, series_route, check, builder, index):
-    # each series relation holds; perturbed, the public check fails at
-    # the index the Series route gives, and the cleared test and the
-    # part-by-part test both find the Series route's coefficient there
-    n = 120
-    relations = getattr(partitions, builder)()
-    name, terms = relations[index]
+def perturbed_failures(terms, n, series_route):
+    """Yield (bad, (k, c)) for each perturbed relation, once the
+    relation is shown to hold through n and each perturbed one to fail
+    at the (k, c) of the Series route, which the cleared test and the
+    part-by-part test both find."""
     assert first_nonzero(terms, n) is None
     assert series_route([parts_term(t, n) for t in terms], n) is None
     for bad in perturbed(terms):
@@ -957,6 +1032,18 @@ def test_special_check_fails_on_a_perturbed_relation(
         assert want is not None
         assert first_nonzero(bad, n) == want
         assert first_nonzero_by_parts(by_parts, n) == want
+        yield bad, want
+
+
+@pytest.mark.parametrize("check, builder, index", SPECIAL_RELATIONS)
+def test_special_check_fails_on_a_perturbed_relation(
+        monkeypatch, series_route, check, builder, index):
+    # each series relation holds; perturbed, the public check fails at
+    # the index the Series route gives
+    n = 120
+    relations = getattr(partitions, builder)()
+    name, terms = relations[index]
+    for bad, want in perturbed_failures(terms, n, series_route):
         mutated = relations[:index] + ((name, bad),) + relations[index + 1:]
         monkeypatch.setattr(partitions, builder, lambda: mutated)
         rep = check(n)
@@ -968,8 +1055,56 @@ def test_special_check_fails_on_a_perturbed_relation(
 def test_theorem_72_2_smoke():
     rep = verify_theorem_72_2(60)
     assert rep.ok
-    assert len(rep.checks) == 8
+    assert len(rep.checks) == 7
     assert rep.checks[-1].name == "p(S,n) = p(T,n-1) at modulus 72"
+
+
+def bracket_quotient(ident):
+    """A shifted identity's cancelled relation times the unit
+    [S-T][T-S]: [T-S] - q^a [S-T] - [S|T], as monomials."""
+    S, T, M, a = ident.S, ident.T, ident.M, ident.a
+    return (make_monomial(1, 0, classes(T - S, M)),
+            make_monomial(-1, a, classes(S - T, M)),
+            make_monomial(-1, 0, classes(S | T, M)))
+
+
+def br(c, e, num, den=()):
+    return make_monomial(c, e, [Atom(r, 72, BRACKET) for r in num],
+                         [Atom(r, 72, BRACKET) for r in den])
+
+
+# Thm-72.2 in the bracket-quotient form its proof starts from; the
+# chain checks the identity itself once instead
+THM72_QUOTIENT = (
+    "[2,15,21,22,26:72] - q[3,10,14,33,34:72]"
+    " = [1..35:72]/[4,6,20,24,28,30:72]",
+    (br(1, 0, (2, 15, 21, 22, 26)), br(-1, 1, (3, 10, 14, 33, 34)),
+     br(-1, 0, range(1, 36), (4, 6, 20, 24, 28, 30))))
+
+
+def test_thm72_quotient_is_the_identity_times_a_unit(series_route):
+    # the 35-bracket form is [T-S] - q[S-T] - [S|T] of THEOREM_72_2,
+    # and it fails, perturbed, where the Series route says
+    assert THM72_QUOTIENT[1] == bracket_quotient(THEOREM_72_2)
+    assert sum(1 for _ in perturbed_failures(THM72_QUOTIENT[1], 120,
+                                              series_route)) > 40
+
+
+def test_thm72_quotient_fails_where_the_identity_does():
+    # [S-T][T-S] has constant term 1, so on single-residue mutants of
+    # Thm-72.2 the quotient form first fails at verify_identity's
+    # first_fail: checking the identity once covers both
+    n = 300
+    rng = random.Random(72)
+    failed = 0
+    for case in [THEOREM_72_2] + [single_residue_mutant(THEOREM_72_2, rng)
+                                  for _ in range(40)]:
+        hit = first_nonzero(bracket_quotient(case), n)
+        rep = verify_identity(case, n)
+        assert (hit is None, hit and hit[0]) == (rep.ok, rep.first_fail), \
+            case
+        failed += not rep.ok
+    assert failed == 40
 
 
 def test_theorem_72_2_identity_object():

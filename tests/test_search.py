@@ -12,8 +12,9 @@ diagonal together, must return exactly what reducing them one
 (n, a, b) unit at a time over every ordered (a, b) returns, kept here
 as unit_by_unit_search.
 
-A diagonal's cube is memoized one at a time, so the tests walk units
-diagonal by diagonal (units_by_diagonal), which builds each cube once.
+A unit reads the cube its diagonal hands it, so the tests walk units
+diagonal by diagonal (prefilter_by_diagonal), which builds each cube
+once, as the search does.
 """
 
 import random
@@ -128,13 +129,15 @@ def reference_prefilter(n, a, b, bound):
     return scanned, hist, C[keep], X[keep], Y[keep]
 
 
-def units_by_diagonal(n, bound, diagonals=None):
-    """Yield (a, b) for every ordered unit (n, a, b), or for those with
-    b - a in diagonals, diagonal by diagonal, so that each diagonal's
-    cube is built once."""
+def prefilter_by_diagonal(n, bound, diagonals=None):
+    """Yield ((a, b), search._prefilter's result) for every ordered unit
+    (n, a, b), or for those with b - a in diagonals, diagonal by
+    diagonal, each diagonal's cube built once and handed to its units."""
+    t = search._base_tables(n, bound)
     for d in range(1 - bound, bound) if diagonals is None else diagonals:
+        cube = search._outcome_cube(t, d)
         for a in range(max(1, 1 - d), min(bound, bound - d) + 1):
-            yield a, a + d
+            yield (a, a + d), search._prefilter(t, cube, a, a + d)
 
 
 def unit_by_unit_search(cfg):
@@ -146,8 +149,7 @@ def unit_by_unit_search(cfg):
     scanned, hist, raw = 0, Counter(), []
     for n in cfg.n_values:
         bound = cfg.bound_for(n)
-        units = {(a, b): search._prefilter(n, a, b, bound)
-                 for a, b in units_by_diagonal(n, bound)}
+        units = dict(prefilter_by_diagonal(n, bound))
         for a in range(1, bound + 1):
             for b in range(1, bound + 1):
                 unit_scanned, unit_hist, C, X, Y = units[a, b]
@@ -278,8 +280,8 @@ class TestRowsEqualUnits:
         n, bound = 16, 15
         for d in range(bound):
             blocks = []
-            for a, b in units_by_diagonal(n, bound, [d]):
-                _, _, C, X, Y = search._prefilter(n, a, b, bound)
+            for (a, _), (_, _, C, X, Y) in prefilter_by_diagonal(
+                    n, bound, [d]):
                 if C.size:
                     blocks.append((np.full(C.size, a, C.dtype), C, X, Y))
             want = Counter(), {}
@@ -331,9 +333,8 @@ class TestPrefilterOracle:
 
     @pytest.mark.parametrize("n, bound", PREFILTER_CONFIGS)
     def test_every_unit_matches_the_reference(self, n, bound):
-        for a, b in units_by_diagonal(n, bound):
-            assert_same_unit(search._prefilter(n, a, b, bound),
-                             reference_prefilter(n, a, b, bound),
+        for (a, b), got in prefilter_by_diagonal(n, bound):
+            assert_same_unit(got, reference_prefilter(n, a, b, bound),
                              (n, a, b))
 
     @pytest.mark.parametrize("n, bound", PREFILTER_CONFIGS)
@@ -343,11 +344,12 @@ class TestPrefilterOracle:
         # expressions and negates a - b, and fold_n(-e) = fold_n(e);
         # the units of diagonals d and -d read two different cubes
         for d in range(1, bound):
-            units = list(units_by_diagonal(n, bound, [d]))
-            direct = [search._prefilter(n, a, b, bound) for a, b in units]
-            swapped = [search._prefilter(n, b, a, bound) for a, b in units]
-            for got, want, unit in zip(swapped, direct, units):
-                assert_same_unit(got, want, (n, *unit))
+            direct = list(prefilter_by_diagonal(n, bound, [d]))
+            swapped = list(prefilter_by_diagonal(n, bound, [-d]))
+            assert len(swapped) == len(direct)
+            for ((b, a), got), ((a2, b2), want) in zip(swapped, direct):
+                assert (a, b) == (a2, b2)
+                assert_same_unit(got, want, (n, a, b))
 
     @pytest.mark.parametrize("n, bound", PREFILTER_CONFIGS)
     def test_translating_every_exponent_changes_nothing(self, n, bound):
@@ -375,8 +377,8 @@ class TestPrefilterOracle:
         # survivors, and both widths of the form rows
         seen = Counter()
         for n, bound in ((10, 25), (42, 8), (131, 6)):
-            for a, b in units_by_diagonal(n, bound):
-                scanned, hist, C, _, _ = search._prefilter(n, a, b, bound)
+            for _, (scanned, hist, C, _, _) in prefilter_by_diagonal(
+                    n, bound):
                 seen.update(hist)
                 seen["survivors"] += len(C)
         assert all(seen[k] > 0 for k in ("degenerate", "imprimitive",
@@ -485,7 +487,8 @@ class TestSearchConfig:
         bound = 20
         tracemalloc.start()
         try:
-            search._prefilter(16, 1, 2, bound)
+            t = search._base_tables(16, bound)
+            search._prefilter(t, search._outcome_cube(t, 1), 1, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -499,14 +502,14 @@ class TestSearchConfig:
         # CUBE_BYTES_PER_CELL per class cell and SLAB_BYTES_PER_COLUMN per
         # column of one unit, beside the residue tables' own budget
         search._base_tables.cache_clear()
-        search._outcome_cube.cache_clear()
         tracemalloc.start()
         try:
-            search._outcome_cube(n, bound, 3)
+            t = search._base_tables(n, bound)
+            search._outcome_cube(t, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        cells = search._classes(n, bound) ** 3
+        cells = t.K ** 3
         unit = bound * bound * (bound + 1) // 2
         assert cells > 10 * unit
         assert peak <= (cells * CUBE_BYTES_PER_CELL
@@ -517,10 +520,11 @@ class TestSearchConfig:
     def test_gather_memory_per_tuple(self, n, bound):
         # a unit reading its codes from a built cube, with the gcd filter
         # (gcd(2, 4) = 2): at most SLAB_BYTES_PER_COLUMN per tuple
-        search._outcome_cube(n, bound, 2)
+        t = search._base_tables(n, bound)
+        cube = search._outcome_cube(t, 2)
         tracemalloc.start()
         try:
-            search._prefilter(n, 2, 4, bound)
+            search._prefilter(t, cube, 2, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -535,7 +539,11 @@ class TestSearchConfig:
         # the class grid and the cube, plus one slab or one gather, fit
         # within what the bound ceiling budgets for one unit
         SearchConfig((n,), exponent_bound=bound)
-        assert search._classes(n, bound) ** 3 == cells
+        # from base 2 bound - 1 = 175 on, K is 175 whatever the base, so
+        # base 175's tables stand for the largest base's, which would
+        # take about 140 MB to build
+        assert search._base_tables(min(n, 2 * bound - 1), bound).K ** 3 \
+            == cells
         unit = bound * bound * (bound + 1) // 2
         need = (cells * CUBE_BYTES_PER_CELL
                 + unit * SLAB_BYTES_PER_COLUMN)
@@ -556,8 +564,8 @@ class TestSearchConfig:
         rows = []
         for d in range(bound):
             blocks = []
-            for a, b in units_by_diagonal(n, bound, [d]):
-                _, _, C, X, Y = search._prefilter(n, a, b, bound)
+            for (a, _), (_, _, C, X, Y) in prefilter_by_diagonal(
+                    n, bound, [d]):
                 if C.size:
                     blocks.append((np.full(C.size, a, C.dtype), C, X, Y))
             rows.append((sum(len(blk[1]) for blk in blocks), d, blocks))

@@ -59,6 +59,7 @@ from oracles import (
     sums_nats,
 )
 from part_by_part import first_nonzero_by_parts, parts_term
+from test_partitions import THM72_QUOTIENT
 
 
 def bilateral_sum_oracle(e, m, c, n):
@@ -425,9 +426,11 @@ def test_atom_sums_rejects_noncanonical():
 
 
 def catalog_relations():
-    """The nine special relations and the 34 aux zero-sums, as Terms."""
+    """The eight special relations, the Thm-72.2 bracket quotient and
+    the 34 aux zero-sums, as Terms."""
     rels = [terms for _, terms in (partitions._rr_relations()
-                                   + partitions._thm72_relations())]
+                                   + partitions._thm72_relations()
+                                   + (THM72_QUOTIENT,))]
     rels += [step.terms for e in load_corpus() for step in e.aux_steps or ()]
     return rels
 
@@ -482,7 +485,7 @@ def test_first_nonzero_folds_no_more_than_the_cleared_build(monkeypatch, n):
 
     real = theta._pack_sparse
     monkeypatch.setattr(theta, "_pack_sparse", counted)
-    quotient = partitions._thm72_relations()[0][1]
+    quotient = THM72_QUOTIENT[1]
     built = folded = 0
     for terms in catalog_relations():
         calls.clear()
