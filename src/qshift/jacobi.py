@@ -24,9 +24,10 @@ Shifted and shiftless partition identities fall out of four2 when both
 numerators cancel completely into the denominators and what is left has
 one of two sign/exponent shapes; derive_identity performs exactly that
 symbolic reduction on one tuple, and reports failures as values so bulk
-search can build statistics.  Its numpy form over many tuples of one
-base, search.derive_batch, lives with its only caller, so this module
-is pure Python and only the search imports numpy.
+search can build statistics.  The search calls it once per distinct
+survivor key of a diagonal (the reduction lemma in search's docstring)
+and reads the outcome back for every tuple with that key, so this
+module is pure Python and only the search imports numpy.
 """
 
 from __future__ import annotations

@@ -8,10 +8,9 @@ to cancel their numerators, or reduce to a candidate identity.
 
 Degeneracy and numerator cancellation depend only on the folded
 residues of twelve linear expressions in the parameters, so both are
-decided for whole blocks of tuples at once with numpy before any exact
-arithmetic runs: an atom [e : 2n] vanishes iff e = 0 mod 2n, so a tuple
-is degenerate iff one of its expressions is 0 mod n, and a numerator
-atom cancels iff its folded residue is available in the denominator
+decided for whole blocks of tuples at once with numpy: an atom
+[e : 2n] vanishes iff e = 0 mod 2n, so a tuple is degenerate iff one of
+its expressions is 0 mod n, and a numerator atom cancels iff its folded residue is available in the denominator
 multiset.  All of it is read exactly from one row per expression,
 h(e) = fold_n(e) = min(e mod n, n - e mod n), by three identities:
 fold_2n(e) + fold_2n(e + n) = n, so a term's sixteen denominator
@@ -38,14 +37,46 @@ n = 128), built once per (n, bound), and each h row of a slab of a cube
 is one lookup into the fold_n table of length 2n shifted by the
 diagonal's constant; the multiset test runs on those rows in their
 dtype.  The gcd filter is not translation-invariant, so each unit
-applies it to its own tuples.  The surviving tuples of one diagonal are
-reduced together by derive_batch, the numpy form of the symbolic
-reduction jacobi.derive_identity performs on one tuple; Python identity
-objects are built only once per distinct (kind, a, S, T) of a batch,
-and every emitted identity is re-verified against partition counts
-before it is reported.  The batch reduction lives here, with its only
-caller, so this is the one module that imports numpy: every other
-command starts without it.
+applies it to its own tuples.
+
+Reduction lemma: on a survivor, a tuple whose two numerators cancel,
+the outcome of jacobi.derive_identity, primitivity included, depends
+only on its key: the four shared h sorted, and the unordered pair of
+the two terms' four core h sorted.  Proof:
+
+- Term i reduces to c_i q^(e_i) / prod_{r in L_i} [r : 2n], c_i = +-1,
+  where the multiset L_i is its sixteen denominator values less its
+  four numerator values.  By the fold identities those are the pairs
+  {h, n - h} over its core and shared rows and 2h over its core rows,
+  so L_i depends only on the term's core h and the shared h, and the
+  key fixes the unordered pair {L1, L2}.
+- repeated-atom and equal-sets read L1 and L2 alone, symmetrically.
+- Otherwise let P_i = 1 / prod_{L_i} [r : 2n], a power series with
+  constant term 1 (no r is 0 on a survivor); T1 + T2 = 1 (four2).  If
+  e1 != e2 the lower term is the constant: (+1, 0), and the other is
+  1 - P_+, whose coefficients are <= 0, so (-1, s) with s >= 1:
+  shifted.  If e1 = e2 = e, then e < 0 (e = 0 would give c1 + c2 = 1,
+  e > 0 no constant term) and c1 = -c2: shiftless, shift -e.  So with
+  {L1, L2} = {U, V}, one of P_U - q^s P_V = 1, P_V - q^s P_U = 1,
+  P_U - P_V = q^s, P_V - P_U = q^s holds, each fixing its s.
+- No two hold at once.  Any two give q^s = -q^t, or make one P equal
+  to (1 +- q^u) / (1 - q^v), u, v >= 1 (the first and third give
+  P_V (1 - q^s) = 1 - q^t); where that P is 1, the relation left makes
+  the other P = 1 + q^s = (1 - q^2s) / (1 - q^s).  But 1 / P_L =
+  prod_j (1 - q^j)^(a_j), a_j >= 0 counting the r in L with
+  j = +-r (mod 2n), is nonzero for infinitely many j unless L is empty,
+  and such exponents are unique for a series with constant term 1,
+  while a ratio of binomials has finitely many.
+
+So the kind, the shift, which set is S (the plus term's), and
+primitivity, gcd(2n, S, T) = 1, are functions of {L1, L2}, and
+unrecognized-sign-pattern never occurs on a survivor.  The cube
+therefore carries the reduction too: each survivor cell's code is its
+key's, and each distinct key of a diagonal is reduced once, by
+derive_identity at one tuple of its first cell; every emitted identity
+is re-verified against partition counts before it is reported.  This
+is the one module that imports numpy: every other command starts
+without it.
 
 Results are kept primitive: an identity whose residues all share a
 factor d with M is a rescaled copy of a smaller-modulus identity (for
@@ -54,25 +85,21 @@ identity), so such results are counted as "imprimitive" and not
 emitted.  Tuples whose twelve expressions all share a factor with n are
 dropped by the same rule before any exact work.
 
-The prefilter is symmetric in a and b: swapping them exchanges the two
-terms' core expressions and negates a - b, and fold_n(-e) = fold_n(e)
-(the proof is at _scan_unit).  So each unordered {a, b} is scanned
-once, and its survivors are reduced at both (a, b) and (b, a), which
-derive_batch tells apart.
+Swapping a and b exchanges the two terms' core expressions and negates
+a - b, and fold_n(-e) = fold_n(e), so (n, a, b) and (n, b, a) read the
+same codes (the proof is at _scan_unit), and each unordered {a, b} is
+scanned once.
 
 Work is split into (n, d) diagonals processed independently (optionally
 by a process pool of at most os.cpu_count() workers).  Diagonal d builds
-its cube, reads from it the codes of its bound - d units (n, a, a + d)
-in turn, holds their survivors in one pending list and reduces them at
-(a, a + d) and, for d > 0, at (a + d, a), in one derive_batch each, or
-in several, in scan order, when they would not fit
-PREFILTER_BUDGET_BYTES at once.  Each diagonal keeps one ledger mapping
-every outcome and every identity to its lexicographically least tuple
-(n, a, b, c, x, y).  The diagonals' ledgers merge with one min per key,
-each identity is reported at its least tuple, and the histogram lists
-outcomes in the order of their least tuples, so the merged result does
-not depend on the order diagonals finish in; it is deterministic and
-sorted.
+its cube and reads from it the codes of its bound - d units
+(n, a, a + d) in turn.  Each diagonal keeps one ledger mapping every
+outcome and every identity of a survivor to its lexicographically
+least tuple (n, a, b, c, x, y).  The diagonals' ledgers merge with one
+min per key, each identity is reported at its least tuple, and the
+histogram lists outcomes in the order of their least tuples, so the
+merged result does not depend on the order diagonals finish in; it is
+deterministic and sorted.
 """
 
 from __future__ import annotations
@@ -88,13 +115,12 @@ from typing import Mapping
 import numpy as np
 
 from .jacobi import (
-    FAILURE_REASONS,
     INCOMPLETE_CANCELLATION,
     FourParams,
     _four2_exprs,
+    derive_identity,
 )
-from .partitions import SHIFTED, SHIFTLESS, PartitionIdentity, verify_identity
-from .theta import DegenerateZero
+from .partitions import PartitionIdentity, verify_identity
 
 VERIFY_ORDER = 200
 # one (n, a, b) unit at PREFILTER_BYTES_PER_TUPLE per candidate (c, x, y)
@@ -106,13 +132,13 @@ VERIFY_ORDER = 200
 # one byte per cell; per column of one slab of the cube or of one unit's
 # gather, at most one unit wide, about 56 bytes per slab cell in uint8
 # rows, 72 in uint16 and 105 in uint32, and 3 to 9 per gathered tuple,
-# at bounds 20 to 60
+# at bounds 20 to 60.  Survivors add their keys, np.unique's work on them
+# and the diagonal's map from keys to codes, one entry of about 100 bytes
+# per derive_identity call: with every cell of a diagonal surviving, the
+# whole diagonal peaks at about 100, 170 and 225 bytes per column of one
+# unit beside the cube, in uint8, uint16 and uint32 rows
 PREFILTER_BUDGET_BYTES = 1 << 28
 PREFILTER_BYTES_PER_TUPLE = 768
-# derive_batch peaks at about 700 bytes per survivor plus 32 per survivor
-# and residue 0..n, for its (n + 1)-wide count tables, at bases 23 to 3000
-DERIVE_BYTES_PER_SURVIVOR = 1024
-DERIVE_BYTES_PER_COUNT = 32
 # _base_tables peaks at about 24 bytes per residue mod 2n while it builds
 # the residue tables of a base, whatever the bound, at bases 20,000 to
 # 1,398,101; the constant keeps the base ceiling of 1,398,101
@@ -120,7 +146,7 @@ TABLE_BYTES_PER_RESIDUE = 96
 DEGENERATE = "degenerate"
 IMPRIMITIVE = "imprimitive"
 VERIFICATION_FAILED = "verification-failed"
-# the rejections _prefilter tallies, in the order it tallies them
+# the prefilter's rejections, in the order the histogram lists them
 _PREFILTER_LABELS = (DEGENERATE, IMPRIMITIVE, INCOMPLETE_CANCELLATION)
 
 
@@ -289,32 +315,35 @@ def _base_tables(n, bound):
 # the shared expressions, term 2's core, so that each term's core and
 # shared rows are one slice
 _ROW_ORDER = (*range(4), *range(8, 12), *range(4, 8))
-# a class cell's outcome code: 0 for a survivor, _CODE[label] for a
-# rejection; a unit marks the tuples it does not scan, those sharing a
-# factor with gcd(a, b), as _UNSCANNED
+# a class cell's outcome code: _CODE[label] for a rejection, and from
+# _DERIVED on one code per outcome of a survivor's reduction; a unit
+# marks the tuples it does not scan, those sharing a factor with
+# gcd(a, b), as _UNSCANNED
+_UNSCANNED = 0
 _CODE = {label: 1 + k for k, label in enumerate(_PREFILTER_LABELS)}
-_UNSCANNED = len(_PREFILTER_LABELS) + 1
+_DERIVED = 1 + len(_PREFILTER_LABELS)
 
 
 def _outcome_cube(t, d):
-    """The (K, K, K) uint8 outcome codes of diagonal d over the base
-    tables t: cell (i, j, k) holds the prefilter's verdict on every
-    tuple (a, a + d, c, x, y) whose c - a, x - a, y - a fall in classes
-    i, j, k, by the translation lemma of the module docstring.
+    """The outcome codes of diagonal d over the base tables t, and the
+    outcomes they stand for.
+
+    Returns (cube, outcomes).  Cell (i, j, k) of the (K, K, K) cube holds
+    the code of every tuple (a, a + d, c, x, y) whose c - a, x - a, y - a
+    fall in classes i, j, k, by the translation and reduction lemmas of
+    the module docstring.  outcomes[code] is () for _UNSCANNED, (label,)
+    for a rejection, and (label, identity) for a survivor's outcome, the
+    identity None unless the label is "ok".  The cube is uint8 unless a
+    diagonal has more outcomes than that holds.
 
     The cube is built at a = 0, b = d, in slabs of whole planes of
     classes of c - a, as many as fit one unit's columns and at least
     one.  Each of the twelve expressions e of a slab gets one row
-    h(e) = fold_n(e) = min(e mod n, n - e mod n), and everything decided
-    here follows exactly from those rows, by three identities:
-
-    - fold_2n(e) + fold_2n(e + n) = n, and {fold_2n(e), fold_2n(e + n)}
-      = {h(e), n - h(e)}: a term's sixteen denominator values are the
-      eight pairs {h_j, n - h_j} of its core and shared rows;
-    - fold_2n(2e) = 2 h(e): its four numerator values are 2 h over its
-      core rows;
-    - e = 0 (mod n) iff h(e) = 0, and since n = 0 (mod p), a prime p of
-      n divides e iff it divides h(e).
+    h(e) = fold_n(e), and everything decided here follows exactly from
+    those rows by the fold identities of the module docstring: a term's
+    sixteen denominator values are the eight pairs {h_j, n - h_j} of its
+    core and shared rows, its four numerator values are 2h over its core
+    rows, and a prime p of n divides e iff it divides h(e).
 
     A row is one lookup into fold_n, a table of length 2n: with L an
     expression's linear form in (c, x, y) and k its constant, stored as
@@ -329,17 +358,21 @@ def _outcome_cube(t, d):
     prime of n divides all twelve h.  A term cancels when its numerator
     multiset embeds into its denominator multiset (_embeds).  The codes
     take that precedence: degenerate, imprimitive, then
-    incomplete-cancellation.
+    incomplete-cancellation.  A cell where both terms cancel is a
+    survivor, and its code is its key's (_survivor_codes).
     """
     n, m, K = t.n, 2 * t.n, t.K
     cube = np.empty((K, K, K), np.uint8)
+    # each outcome's code, in order, and each survivor key's code
+    code_of = {(): _UNSCANNED, **{(label,): code
+                                  for label, code in _CODE.items()}}
+    key_code = {}
     (t1, t2), shared = _four2_exprs(0, d, 0, 0, 0)
     consts = t1[2] + t2[2] + shared
     planes = max(1, len(t.C) // (K * K))
     for lo in range(0, K, planes):
         cut = slice(lo, lo + planes)
-        slab = cube[cut]
-        H = np.empty((12, *slab.shape), dtype=t.fold_n.dtype)
+        H = np.empty((12, min(planes, K - lo), K, K), dtype=t.fold_n.dtype)
         for row, i in zip(H, _ROW_ORDER):
             k = consts[i] % m
             if t.form_of[i] is None:
@@ -359,28 +392,80 @@ def _outcome_cube(t, d):
             if not np.any(common):
                 break
             common = common & t.prime_mask[row]
-        codes = slab.reshape(-1)
+        survivors = np.flatnonzero(nondegen & cancel_ok & (common == 0))
+        if survivors.size:
+            keys = _survivor_keys(H[:, survivors], n)
+            del H, cancel_ok  # the slab's rows go before np.unique runs
+            derived = _survivor_codes(t, d, keys, lo * K * K + survivors,
+                                      code_of, key_code)
+            if len(code_of) > np.iinfo(cube.dtype).max + 1:
+                cube = cube.astype(np.min_scalar_type(len(code_of) - 1))
+        codes = cube[cut].reshape(-1)
         codes.fill(_CODE[INCOMPLETE_CANCELLATION])
-        codes[cancel_ok] = 0
+        if survivors.size:
+            codes[survivors] = derived
         codes[np.broadcast_to(common != 0, codes.shape)] = _CODE[IMPRIMITIVE]
         codes[~nondegen] = _CODE[DEGENERATE]
     cube.flags.writeable = False
-    return cube
+    return cube, tuple(code_of)
+
+
+def _survivor_keys(H, n):
+    """The keys of the survivor columns H, twelve h rows in _ROW_ORDER,
+    as the rows of a (columns, 12) array in the smallest dtype that
+    holds n // 2, the largest h.
+
+    A column's key is its two terms' four core h sorted, as an unordered
+    pair, the lesser first and the greater last, around its four shared
+    h sorted.
+    """
+    H = H.astype(np.min_scalar_type(n // 2), copy=False).reshape(3, 4, -1)
+    H.sort(axis=1)
+    first = (H[0] != H[2]).argmax(axis=0)[None]
+    swap = np.flatnonzero(np.take_along_axis(H[0], first, axis=0)
+                          > np.take_along_axis(H[2], first, axis=0))
+    H[0][:, swap], H[2][:, swap] = H[2][:, swap], H[0][:, swap]
+    return np.ascontiguousarray(H.reshape(12, -1).T)
+
+
+def _survivor_codes(t, d, keys, cells, code_of, key_code):
+    """The codes of the survivors with these keys at the flat indices
+    cells of diagonal d's cube.  By the reduction lemma the key decides
+    the outcome, so each key new to the diagonal is reduced once, by
+    derive_identity at a tuple of its first cell, translated by the
+    bound so that all five exponents are positive.  code_of and
+    key_code, which the whole diagonal shares, gain each new outcome and
+    key."""
+    keys, at, inverse = np.unique(keys, axis=0, return_index=True,
+                                  return_inverse=True)
+    codes = []
+    for key, i in zip(keys, at.tolist()):
+        blob = key.tobytes()
+        if blob not in key_code:
+            diffs = (int(k) if k < t.bound else int(k) - t.K
+                     for k in np.unravel_index(cells[i], (t.K,) * 3))
+            got = derive_identity(FourParams(
+                t.bound, t.bound + d, *(t.bound + e for e in diffs), t.n))
+            if not got.ok:
+                outcome = (got.reason, None)
+            elif gcd(got.identity.M, *got.identity.S, *got.identity.T) > 1:
+                outcome = (IMPRIMITIVE, None)
+            else:
+                outcome = ("ok", got.identity)
+            key_code[blob] = code_of.setdefault(outcome, len(code_of))
+        codes.append(key_code[blob])
+    return np.array(codes)[inverse.reshape(-1)]
 
 
 def _prefilter(t, cube, a, b):
-    """Scan one (n, a, b) unit in numpy, given its base tables t and the
-    outcome cube of its diagonal b - a.
+    """The codes of one (n, a, b) unit's tuples, in scan order (C, X, Y
+    of the base tables t), read from the outcome cube of its diagonal
+    b - a.
 
-    Returns (scanned, histogram, C, X, Y): the histogram counts the
-    tuples rejected here, and C, X, Y hold the (c, x, y) of the
-    survivors in scan order.
-
-    Each tuple's verdict is its class cell's code in the cube: the cell
-    of (c, x, y) is the class of c - a, x - a, y - a, read through the
-    base's lookup cls.  The gcd filter, which is not
-    translation-invariant, then drops the tuples sharing a factor with
-    gcd(a, b); they are not scanned.
+    The cell of (c, x, y) is the class of c - a, x - a, y - a, read
+    through the base's lookup cls.  The gcd filter, which is not
+    translation-invariant, then marks the tuples sharing a factor with
+    gcd(a, b) _UNSCANNED.
     """
     bound, K = t.bound, t.K
     pairs = len(t.C) // bound
@@ -392,11 +477,7 @@ def _prefilter(t, cube, a, b):
     if k > 1:
         shares = np.gcd(np.arange(bound + 1), k) > 1
         codes[shares.take(t.g)] = _UNSCANNED
-    hist = Counter({label: int(np.count_nonzero(codes == _CODE[label]))
-                    for label in _PREFILTER_LABELS})
-    keep = np.flatnonzero(codes == 0)
-    scanned = len(codes) - int(np.count_nonzero(codes == _UNSCANNED))
-    return scanned, hist, t.C[keep], t.X[keep], t.Y[keep]
+    return codes
 
 
 def _embeds(core, den, n):
@@ -419,242 +500,56 @@ def _embeds(core, den, n):
     return (have >= need).all(axis=0)
 
 
-# ----------------------------------------------------------------------
-# the batch reduction: jacobi.derive_identity in numpy
-# ----------------------------------------------------------------------
-
-# Exponents and bases up to this size keep every quantity in derive_batch
-# within int64; see its docstring.
-_BATCH_LIMIT = 1 << 24
-
-
-@dataclass(frozen=True)
-class BatchDerivation:
-    """jacobi.derive_identity over a batch of tuples sharing one base n.
-
-    Row i describes tuple i.  reason[i] is 0 on success and otherwise
-    1 + the index of the failure in FAILURE_REASONS.  For a success,
-    shifted[i] and shift[i] give the kind and a, and S[i] and T[i] are
-    boolean masks over the residues 0..n of modulus 2n; primitive[i]
-    tells whether gcd(2n, S, T) = 1.  Other fields of a failed row are
-    unspecified.
-    """
-
-    n: int
-    reason: np.ndarray
-    shifted: np.ndarray
-    shift: np.ndarray
-    S: np.ndarray
-    T: np.ndarray
-    primitive: np.ndarray
-
-    def identity(self, i: int) -> PartitionIdentity:
-        """The identity derived from the successful row i."""
-        return PartitionIdentity(
-            2 * self.n,
-            frozenset(np.flatnonzero(self.S[i]).tolist()),
-            frozenset(np.flatnonzero(self.T[i]).tolist()),
-            SHIFTED if self.shifted[i] else SHIFTLESS,
-            int(self.shift[i]))
-
-
-def _normalize_batch(e: np.ndarray, m: int):
-    """theta.normalize_atom on every bracket [e : m] of the array e:
-    (odd sign, qshift, residue)."""
-    k = e // m
-    r0 = e - k * m
-    if not r0.all():
-        raise DegenerateZero(f"a bracket [e : {m}] with e divisible by {m} vanishes")
-    return k & 1, -(k * r0 + m * (k * (k - 1) // 2)), np.minimum(r0, m - r0)
-
-
-def _residue_counts(r: np.ndarray, n: int) -> np.ndarray:
-    """Multiset of residues 0..n in each column of r, as (columns, n+1) counts."""
-    rows = r.shape[1]
-    flat = r + (n + 1) * np.arange(rows)
-    return np.bincount(flat.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
-
-
-def _reduce_batch(sign: int, qexp: np.ndarray, core, shared, n: int):
-    """jacobi._term on a batch of one four2 term, as jacobi.four2_terms
-    builds it.
-
-    Returns (odd, qexp, left): the sign parity, the q-exponent and the
-    denominator counts minus the numerator counts.  A negative count is
-    a numerator atom that found nothing to cancel against.
-    """
-    m = 2 * n
-    base = np.stack(core + shared)
-    num_odd, num_shift, num_r = _normalize_batch(2 * np.stack(core), m)
-    den_odd, den_shift, den_r = _normalize_batch(
-        np.concatenate([base, base + n]), m)
-    odd = (int(sign < 0) + num_odd.sum(axis=0) + den_odd.sum(axis=0)) & 1
-    qexp = qexp + num_shift.sum(axis=0) - den_shift.sum(axis=0)
-    left = _residue_counts(den_r, n) - _residue_counts(num_r, n)
-    return odd, qexp, left
-
-
-def _classify_batch(odd1, q1, left1, odd2, q2, left2):
-    """jacobi._classify_reduced on a batch of reduced term pairs.
-
-    Takes each term's sign parity, q-exponent and leftover counts and
-    returns (reason, shifted, shift, plus, minus) with the reasons
-    tested in the same order as _classify_reduced.
-    """
-    incomplete = (left1 < 0).any(axis=1) | (left2 < 0).any(axis=1)
-    repeated = (left1 > 1).any(axis=1) | (left2 > 1).any(axis=1)
-    equal = (left1 == left2).all(axis=1)
-    first_plus = odd1 == 0
-    plus_q = np.where(first_plus, q1, q2)
-    minus_q = np.where(first_plus, q2, q1)
-    shifted = (plus_q == 0) & (minus_q >= 1)
-    shiftless = (plus_q == minus_q) & (plus_q < 0)
-    unrecognized = (odd1 == odd2) | ~(shifted | shiftless)
-    reason = np.select([incomplete, repeated, equal, unrecognized],
-                       [1, 2, 3, 4], 0)
-    shift = np.where(shifted, minus_q, -plus_q)
-    plus = np.where(first_plus[:, None], left1, left2) == 1
-    minus = np.where(first_plus[:, None], left2, left1) == 1
-    return reason, shifted, shift, plus, minus
-
-
-def derive_batch(n: int, a, b, c, x, y) -> BatchDerivation:
-    """jacobi.derive_identity for every tuple (a, b, c, x, y) of the
-    broadcast integer arrays, all over base n, plus the primitivity test.
-
-    Each term's 20 atoms are normalized with k = e // 2n and
-    r0 = e - 2n k; the leftover denominator is the 16-atom residue
-    multiset minus the 4-atom numerator.  Raises DegenerateZero if any
-    atom of any row vanishes, and ValueError if n or an exponent is not
-    below 2^24.
-
-    Exactness: all arithmetic is int64.  With exponents in [1, n-1], the
-    search default, every core or shared expression lies in (-2n, 2n),
-    so atom exponents lie in (-4n, 4n), k is in {-2, -1, 0, 1}, each
-    |qshift| = |k r0 + 2n k(k-1)/2| < 4n + 6n, and a term's q-exponent,
-    20 shifts plus a prefactor below 2n, stays below 202n.  For any
-    exponents and n below 2^24, atom exponents E stay below 2^27 and
-    |k| <= E/2n + 1, so |k r0| < E + 2n < 2^28 and
-    2n k(k-1)/2 <= (E + 4n)^2 / 4n < 2^54; 20 shifts sum to below 2^60.
-    """
-    args = [np.asarray(v, dtype=np.int64) for v in (a, b, c, x, y)]
-    if not 1 <= n < _BATCH_LIMIT or any(
-            v.size and np.abs(v).max() >= _BATCH_LIMIT for v in args):
-        raise ValueError(f"base and exponents must lie below {_BATCH_LIMIT}")
-    terms, shared = _four2_exprs(*np.broadcast_arrays(*args))
-    (odd1, q1, left1), (odd2, q2, left2) = (
-        _reduce_batch(sign, qexp, core, shared, n)
-        for sign, qexp, core in terms)
-    reason, shifted, shift, S, T = _classify_batch(odd1, q1, left1,
-                                                    odd2, q2, left2)
-    present = np.where(S | T, np.arange(n + 1), 0)
-    primitive = np.gcd(np.gcd.reduce(present, axis=1), 2 * n) == 1
-    return BatchDerivation(n, reason, shifted, shift, S, T, primitive)
-
-
-def _derive_cap(n):
-    """How many survivors of base n one derive_batch may reduce within
-    PREFILTER_BUDGET_BYTES, at least one."""
-    per = DERIVE_BYTES_PER_SURVIVOR + DERIVE_BYTES_PER_COUNT * (n + 1)
-    return max(1, PREFILTER_BUDGET_BYTES // per)
-
-
-def _reduce_survivors(n, a, b, C, X, Y, hist, least):
-    """Reduce the survivors (a, b, c, x, y), given as columns in
-    ascending order of their tuples (n, a, b, c, x, y), by derive_batch
-    in batches of at most _derive_cap(n).
-
-    hist counts each outcome.  least is the diagonal's ledger: it maps
-    each outcome label and each identity to the least tuple giving it.
-    The tuples ascend, so the first of a batch with a given outcome or
-    identity is its least there; an identity is built once per distinct
-    (kind, a, S, T) of a batch.
-    """
-    A, B = np.broadcast_to(a, C.shape), np.broadcast_to(b, C.shape)
-    labels = ("ok",) + FAILURE_REASONS + (IMPRIMITIVE,)
-    cap = _derive_cap(n)
-
-    def keep(key, k):
-        t = (n, int(A[k]), int(B[k]), int(C[k]), int(X[k]), int(Y[k]))
-        least[key] = min(least.get(key, t), t)
-
-    for lo in range(0, len(C), cap):
-        cut = slice(lo, lo + cap)
-        # the prefilter has ruled out vanishing atoms: no DegenerateZero
-        batch = derive_batch(n, A[cut], B[cut], C[cut], X[cut], Y[cut])
-        code = np.where((batch.reason == 0) & ~batch.primitive,
-                        len(labels) - 1, batch.reason)
-        counts = np.bincount(code)
-        codes, firsts = np.unique(code, return_index=True)
-        for c, i in zip(codes.tolist(), firsts.tolist()):
-            hist[labels[c]] += int(counts[c])
-            keep(labels[c], lo + i)
-        rows = np.flatnonzero(code == 0)
-        keys = np.column_stack((batch.shifted[rows], batch.shift[rows],
-                                batch.S[rows], batch.T[rows]))
-        step = keys.itemsize * keys.shape[1]
-        blob = keys.tobytes()
-        first = {}
-        for j, i in enumerate(rows.tolist()):
-            first.setdefault(blob[j * step:(j + 1) * step], i)
-        for i in first.values():
-            keep(batch.identity(i), lo + i)
-
-
 def _scan_unit(args):
-    """Scan one (n, d) diagonal: the prefilter of each unit
-    (n, a, a + d), a = 1 .. bound - d, in a order, all read from the
-    diagonal's one outcome cube, then derive_batch on the diagonal's
-    survivors at (a, a + d) and, for d > 0, at (a + d, a) as well.
+    """Scan one (n, d) diagonal: build its outcome cube, then read and
+    count the codes of each unit (n, a, a + d), a = 1 .. bound - d, in
+    a order.
 
-    Units (n, a, b) and (n, b, a) give the same prefilter result.
-    Swapping a and b maps term 1's core expressions (b - c, a - x,
-    a - y, x + y - b - c) onto term 2's (a - c, b - x, b - y,
-    x + y - a - c) and back, and fixes the shared ones up to sign
-    (a - b becomes b - a); since fold_n(-e) = fold_n(e), the twelve h
-    rows of (n, b, a) are those of (n, a, b) with the two cores
-    exchanged.  The gcd filter, degeneracy and imprimitivity read all
-    twelve rows alike, and "both terms cancel" is symmetric in the two
-    terms, so both units scan the same (c, x, y), reject the same ones
-    for the same reasons and keep the same survivors in the same order.
-    A diagonal d > 0 therefore stands for diagonal -d as well: each of
-    its units counts twice in scanned and in the histogram, and its
-    survivors are also reduced at (a + d, a), where derive_batch does
-    tell the two apart through term 2's sign and q-exponent 2c - 2b.
+    Units (n, a, b) and (n, b, a) give the same codes.  Swapping a and b
+    maps term 1's core expressions (b - c, a - x, a - y, x + y - b - c)
+    onto term 2's (a - c, b - x, b - y, x + y - a - c) and back, and
+    fixes the shared ones up to sign (a - b becomes b - a); since
+    fold_n(-e) = fold_n(e), the twelve h rows of (n, b, a) are those of
+    (n, a, b) with the two cores exchanged.  The gcd filter, degeneracy
+    and imprimitivity read all twelve rows alike, "both terms cancel" is
+    symmetric in the two terms, and a survivor's key holds the two cores
+    as an unordered pair, so by the reduction lemma of the module
+    docstring both units read the same code at every (c, x, y).  A
+    diagonal d > 0 therefore stands for diagonal -d as well: each of its
+    units counts twice in scanned and in the histogram.  The mirror
+    (a, a + d, c, x, y) of a tuple (a + d, a, c, x, y) is less and has
+    the same outcome, so the least tuple of any outcome lies on a unit
+    scanned here.
 
-    Survivors wait in one pending list of (a, c, x, y) column blocks, in
-    scan order, until they and their mirrors would need more than
-    PREFILTER_BUDGET_BYTES in derive_batch, at DERIVE_BYTES_PER_SURVIVOR
-    plus DERIVE_BYTES_PER_COUNT per residue 0..n each.  Then they are
-    reduced at (a, a + d), and for d > 0 again at (a + d, a), in
-    separate derive_batch calls, and the diagonal goes on.  Returns
-    (scanned, histogram, least): least is the diagonal's ledger, mapping
-    each derive_batch outcome and each identity to the least tuple
-    (n, a, b, c, x, y) giving it, so where a flush falls changes nothing
-    returned.
+    Returns (scanned, histogram, least): least is the diagonal's ledger,
+    mapping each outcome label and identity of a survivor to the least
+    tuple (n, a, b, c, x, y) giving it.  Units run in a order and each
+    scans its (c, x, y) in ascending order, so a code's first occurrence
+    in a unit is its least tuple there.
     """
     n, d, bound = args
     t = _base_tables(n, bound)
-    cube = _outcome_cube(t, d)
-    cap = _derive_cap(n)
-    copies = 1 if d == 0 else 2
-    scanned, hist, least = 0, Counter(), {}
-    pending, held = [], 0
+    cube, outcomes = _outcome_cube(t, d)
+    tally = [0] * len(outcomes)
+    least = {}
     for a in range(1, bound - d + 1):
-        unit_scanned, unit_hist, C, X, Y = _prefilter(t, cube, a, a + d)
-        scanned += copies * unit_scanned
-        for label, count in unit_hist.items():
-            hist[label] += copies * count
-        if C.size:
-            pending.append((np.full(C.size, a, C.dtype), C, X, Y))
-            held += copies * C.size
-        if pending and (held >= cap or a == bound - d):
-            A, C, X, Y = (np.concatenate(col) for col in zip(*pending))
-            _reduce_survivors(n, A, A + d, C, X, Y, hist, least)
-            if d:
-                _reduce_survivors(n, A + d, A, C, X, Y, hist, least)
-            pending, held = [], 0
-    return scanned, hist, least
+        codes = _prefilter(t, cube, a, a + d)
+        for code, outcome in enumerate(outcomes):
+            hit = codes == code
+            count = int(np.count_nonzero(hit))
+            tally[code] += count
+            if count and code >= _DERIVED:
+                k = int(hit.argmax())
+                tup = (n, a, a + d, int(t.C[k]), int(t.X[k]), int(t.Y[k]))
+                for key in outcome:
+                    if key is not None:
+                        least[key] = min(least.get(key, tup), tup)
+    copies = 1 if d == 0 else 2
+    hist = Counter()
+    for code in range(1, len(outcomes)):
+        if tally[code]:
+            hist[outcomes[code][0]] += copies * tally[code]
+    return copies * (sum(tally) - tally[_UNSCANNED]), hist, least
 
 
 def _units(cfg: SearchConfig):
@@ -676,8 +571,8 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     min per key, so every outcome and identity keeps the
     lexicographically least (n, a, b, c, x, y) giving it, whatever order
     the diagonals finish in.  The
-    histogram lists the three prefilter outcomes, then derive_batch's in
-    the order of their least tuples, then "verification-failed": the
+    histogram lists the three prefilter outcomes, then the reduction's
+    in the order of their least tuples, then "verification-failed": the
     order a tuple-by-tuple scan of the space in lexicographic order
     would tally them in.  It tallies the outcome of every scanned tuple
     ("ok" counts tuples whose reduction succeeded).  Each identity is

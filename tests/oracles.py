@@ -11,6 +11,9 @@ computes another way, or a helper the tests build expectations with:
                          of theta.ramanujan_f_sum
     enumerate_params     the search space tuple by tuple, against the
                          search's blockwise prefilter
+    derive_batch         jacobi.derive_identity in numpy over many tuples
+                         of one base, against the outcome each tuple reads
+                         from its class cell in the search
     cleared_powers       a zero-sum's terms cleared of negative powers of
                          their theta sums, against theta._plan's clearing
     sums_nats,           the limb bound B of theta._plan from its
@@ -23,12 +26,16 @@ computes another way, or a helper the tests build expectations with:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal, localcontext
 from functools import lru_cache
 from math import gcd, log, pi, sqrt
 from typing import Iterator, Sequence
 
-from qshift.jacobi import FourParams
+import numpy as np
+
+from qshift.jacobi import FAILURE_REASONS, FourParams, _four2_exprs
+from qshift.partitions import SHIFTED, SHIFTLESS, PartitionIdentity
 from qshift.qseries import (
     Series,
     _coeff_bits,
@@ -37,6 +44,7 @@ from qshift.qseries import (
 )
 from qshift.search import SearchConfig
 from qshift.theta import (
+    DegenerateZero,
     FArgs,
     _monomial_parts,
     atom_sums,
@@ -112,6 +120,140 @@ def enumerate_params(cfg: SearchConfig) -> Iterator[FourParams]:
                         for y in range(x, bound + 1):
                             if gcd(gcd(gcd(a, b), gcd(c, x)), y) == 1:
                                 yield FourParams(a, b, c, x, y, n)
+
+
+# ----------------------------------------------------------------------
+# the search's reduction over a batch of tuples, in numpy
+# ----------------------------------------------------------------------
+
+# Exponents and bases up to this size keep every quantity in derive_batch
+# within int64; see its docstring.
+_BATCH_LIMIT = 1 << 24
+
+
+@dataclass(frozen=True)
+class BatchDerivation:
+    """jacobi.derive_identity over a batch of tuples sharing one base n.
+
+    Row i describes tuple i.  reason[i] is 0 on success and otherwise
+    1 + the index of the failure in FAILURE_REASONS.  For a success,
+    shifted[i] and shift[i] give the kind and a, and S[i] and T[i] are
+    boolean masks over the residues 0..n of modulus 2n; primitive[i]
+    tells whether gcd(2n, S, T) = 1.  Other fields of a failed row are
+    unspecified.
+    """
+
+    n: int
+    reason: np.ndarray
+    shifted: np.ndarray
+    shift: np.ndarray
+    S: np.ndarray
+    T: np.ndarray
+    primitive: np.ndarray
+
+    def identity(self, i: int) -> PartitionIdentity:
+        """The identity derived from the successful row i."""
+        return PartitionIdentity(
+            2 * self.n,
+            frozenset(np.flatnonzero(self.S[i]).tolist()),
+            frozenset(np.flatnonzero(self.T[i]).tolist()),
+            SHIFTED if self.shifted[i] else SHIFTLESS,
+            int(self.shift[i]))
+
+
+def _normalize_batch(e: np.ndarray, m: int):
+    """theta.normalize_atom on every bracket [e : m] of the array e:
+    (odd sign, qshift, residue)."""
+    k = e // m
+    r0 = e - k * m
+    if not r0.all():
+        raise DegenerateZero(f"a bracket [e : {m}] with e divisible by {m} vanishes")
+    return k & 1, -(k * r0 + m * (k * (k - 1) // 2)), np.minimum(r0, m - r0)
+
+
+def _residue_counts(r: np.ndarray, n: int) -> np.ndarray:
+    """Multiset of residues 0..n in each column of r, as (columns, n+1) counts."""
+    rows = r.shape[1]
+    flat = r + (n + 1) * np.arange(rows)
+    return np.bincount(flat.ravel(), minlength=rows * (n + 1)).reshape(rows, n + 1)
+
+
+def _reduce_batch(sign: int, qexp: np.ndarray, core, shared, n: int):
+    """jacobi._term on a batch of one four2 term, as jacobi.four2_terms
+    builds it.
+
+    Returns (odd, qexp, left): the sign parity, the q-exponent and the
+    denominator counts minus the numerator counts.  A negative count is
+    a numerator atom that found nothing to cancel against.
+    """
+    m = 2 * n
+    base = np.stack(core + shared)
+    num_odd, num_shift, num_r = _normalize_batch(2 * np.stack(core), m)
+    den_odd, den_shift, den_r = _normalize_batch(
+        np.concatenate([base, base + n]), m)
+    odd = (int(sign < 0) + num_odd.sum(axis=0) + den_odd.sum(axis=0)) & 1
+    qexp = qexp + num_shift.sum(axis=0) - den_shift.sum(axis=0)
+    left = _residue_counts(den_r, n) - _residue_counts(num_r, n)
+    return odd, qexp, left
+
+
+def _classify_batch(odd1, q1, left1, odd2, q2, left2):
+    """jacobi._classify_reduced on a batch of reduced term pairs.
+
+    Takes each term's sign parity, q-exponent and leftover counts and
+    returns (reason, shifted, shift, plus, minus) with the reasons
+    tested in the same order as _classify_reduced.
+    """
+    incomplete = (left1 < 0).any(axis=1) | (left2 < 0).any(axis=1)
+    repeated = (left1 > 1).any(axis=1) | (left2 > 1).any(axis=1)
+    equal = (left1 == left2).all(axis=1)
+    first_plus = odd1 == 0
+    plus_q = np.where(first_plus, q1, q2)
+    minus_q = np.where(first_plus, q2, q1)
+    shifted = (plus_q == 0) & (minus_q >= 1)
+    shiftless = (plus_q == minus_q) & (plus_q < 0)
+    unrecognized = (odd1 == odd2) | ~(shifted | shiftless)
+    reason = np.select([incomplete, repeated, equal, unrecognized],
+                       [1, 2, 3, 4], 0)
+    shift = np.where(shifted, minus_q, -plus_q)
+    plus = np.where(first_plus[:, None], left1, left2) == 1
+    minus = np.where(first_plus[:, None], left2, left1) == 1
+    return reason, shifted, shift, plus, minus
+
+
+def derive_batch(n: int, a, b, c, x, y) -> BatchDerivation:
+    """jacobi.derive_identity for every tuple (a, b, c, x, y) of the
+    broadcast integer arrays, all over base n, plus the primitivity test:
+    the per-tuple oracle for the codes the search reads from its cubes.
+
+    Each term's 20 atoms are normalized with k = e // 2n and
+    r0 = e - 2n k; the leftover denominator is the 16-atom residue
+    multiset minus the 4-atom numerator.  Raises DegenerateZero if any
+    atom of any row vanishes, and ValueError if n or an exponent is not
+    below 2^24.
+
+    Exactness: all arithmetic is int64.  With exponents in [1, n-1], the
+    search default, every core or shared expression lies in (-2n, 2n),
+    so atom exponents lie in (-4n, 4n), k is in {-2, -1, 0, 1}, each
+    |qshift| = |k r0 + 2n k(k-1)/2| < 4n + 6n, and a term's q-exponent,
+    20 shifts plus a prefactor below 2n, stays below 202n.  For any
+    exponents and n below 2^24, atom exponents E stay below 2^27 and
+    |k| <= E/2n + 1, so |k r0| < E + 2n < 2^28 and
+    2n k(k-1)/2 <= (E + 4n)^2 / 4n < 2^54; 20 shifts sum to below 2^60.
+    """
+    args = [np.asarray(v, dtype=np.int64) for v in (a, b, c, x, y)]
+    if not 1 <= n < _BATCH_LIMIT or any(
+            v.size and np.abs(v).max() >= _BATCH_LIMIT for v in args):
+        raise ValueError(f"base and exponents must lie below {_BATCH_LIMIT}")
+    terms, shared = _four2_exprs(*np.broadcast_arrays(*args))
+    (odd1, q1, left1), (odd2, q2, left2) = (
+        _reduce_batch(sign, qexp, core, shared, n)
+        for sign, qexp, core in terms)
+    reason, shifted, shift, S, T = _classify_batch(odd1, q1, left1,
+                                                    odd2, q2, left2)
+    present = np.where(S | T, np.arange(n + 1), 0)
+    primitive = np.gcd(np.gcd.reduce(present, axis=1), 2 * n) == 1
+    return BatchDerivation(n, reason, shifted, shift, S, T, primitive)
 
 
 # ----------------------------------------------------------------------

@@ -484,6 +484,30 @@ class TestExitCodes:
         assert code == 0
         assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
+    def test_bases_16_to_41_find_exactly_the_parameterized_catalog(
+            self, capsys, tmp_path):
+        # bases 16 to 41, with two workers, find the catalog's 133 direct
+        # and quintuple entries and nothing else, and write the pinned
+        # file: the first row of the search's measured table
+        out_file = tmp_path / "found.json"
+        code, _, _ = run(capsys, "search", "--n",
+                         ",".join(map(str, range(16, 42))), "--workers", "2",
+                         "--out", str(out_file))
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+            "d639d5fdab296a97ddfcc922b73592d383b9f3f559356a426709bb3858c01343")
+
+        def key(modulus, kind, shift, S, T):
+            return modulus, kind, shift, tuple(sorted(S)), tuple(sorted(T))
+
+        found = [key(r["modulus"], r["kind"], r["shift"], r["S"], r["T"])
+                 for r in json.loads(out_file.read_text())["found"]]
+        want = {key(e.identity.M, e.identity.kind, e.identity.a,
+                    e.identity.S, e.identity.T)
+                for e in load_corpus() if e.proof in ("direct", "quintuple")}
+        assert len(found) == len(want) == 133
+        assert set(found) == want
+
     def test_search_bound_too_small(self, capsys):
         code, _, err = run(capsys, "search", "--n", "3")
         assert code == 2

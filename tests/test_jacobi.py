@@ -5,8 +5,9 @@ engine: the assembled monomials of each instance must sum to zero (or to
 one for the base-2n quotient form) to a generous order, over both
 hand-picked and seeded random parameters.  Derivations are additionally
 cross-checked by verifying the produced partition identity numerically,
-and the search's numpy batch reduction (search.derive_batch) is checked
-tuple by tuple against the single-tuple one.
+and the tests' numpy batch reduction (oracles.derive_batch), the
+per-tuple oracle for the search's reduction, is checked tuple by tuple
+against the single-tuple one.
 """
 
 import random
@@ -34,7 +35,6 @@ from qshift.jacobi import (
 )
 from qshift.partitions import SHIFTED, SHIFTLESS, VerifyReport, verify_identity
 from qshift.qseries import NonUnitLeading, Series
-from qshift.search import _classify_batch, derive_batch
 from qshift.theta import (
     BRACKET,
     PAREN,
@@ -44,7 +44,12 @@ from qshift.theta import (
     monomial_series,
 )
 
-from oracles import first_difference, linear_combine
+from oracles import (
+    _classify_batch,
+    derive_batch,
+    first_difference,
+    linear_combine,
+)
 
 
 def assert_sums_to_zero(terms, order):
@@ -355,11 +360,11 @@ class TestDeriveBatch:
         # diagonal by diagonal, each diagonal's cube built once
         t = search._base_tables(n, bound)
         for d in range(1 - bound, bound):
-            cube = search._outcome_cube(t, d)
+            cube, _ = search._outcome_cube(t, d)
             for a in range(max(1, 1 - d), min(bound, bound - d) + 1):
-                _, _, C, X, Y = search._prefilter(t, cube, a, a + d)
-                tuples += [(a, a + d, c, x, y) for c, x, y
-                           in zip(C.tolist(), X.tolist(), Y.tolist())]
+                keep = search._prefilter(t, cube, a, a + d) >= search._DERIVED
+                tuples += [(a, a + d, c, x, y) for c, x, y in zip(
+                    t.C[keep].tolist(), t.X[keep].tolist(), t.Y[keep].tolist())]
         batch = derive_batch(n, *np.array(tuples).T)
         for i, t in enumerate(tuples):
             assert_batch_row(batch, i, derive_identity(FourParams(*t, n)))

@@ -1,22 +1,25 @@
 """Tests for the pruned parameter search.
 
-The load-bearing checks are three oracle comparisons.  On a small base
+The load-bearing checks are four oracle comparisons.  On a small base
 the vectorized scan must agree tuple-for-tuple with a direct loop that
 derives every enumerated parameter set, both in the outcome histogram
 and in the surviving identities.  Unit by unit, the prefilter, which
 reads each unit's verdicts from the outcome cube of its diagonal b - a,
 must agree with the int64 prefilter on the expressions themselves, kept
-here as reference_prefilter.  And the search, which scans each
-unordered {a, b} once and reduces the survivors of a whole (n, d)
-diagonal together, must return exactly what reducing them one
-(n, a, b) unit at a time over every ordered (a, b) returns, kept here
-as unit_by_unit_search.
+here as reference_prefilter.  Every survivor, in both orientations,
+must reduce by the per-tuple oracle (oracles.derive_batch) to the
+outcome its class cell's code stands for: the reduction lemma.  And the
+search, which scans each unordered {a, b} once and reduces each
+survivor key of a diagonal once, must return exactly what reducing
+every survivor one (n, a, b) unit at a time over every ordered (a, b)
+returns, kept here as unit_by_unit_search.
 
 A unit reads the cube its diagonal hands it, so the tests walk units
 diagonal by diagonal (prefilter_by_diagonal), which builds each cube
 once, as the search does.
 """
 
+import dataclasses
 import random
 import tracemalloc
 from collections import Counter
@@ -28,20 +31,17 @@ import pytest
 from qshift import search
 from qshift.jacobi import (
     FAILURE_REASONS,
+    REPEATED_ATOM,
+    Derivation,
     FourParams,
     _four2_exprs,
     derive_identity,
 )
 from qshift.partitions import verify_identity
-from qshift.search import (
-    SearchConfig,
-    SearchResult,
-    derive_batch,
-    run_search,
-)
+from qshift.search import SearchConfig, SearchResult, run_search
 from qshift.theta import DegenerateZero
 
-from oracles import enumerate_params
+from oracles import derive_batch, enumerate_params
 
 
 def linear_expressions(p):
@@ -129,15 +129,28 @@ def reference_prefilter(n, a, b, bound):
     return scanned, hist, C[keep], X[keep], Y[keep]
 
 
+def unit_view(t, codes):
+    """What a unit's codes say of the prefilter: (scanned, histogram,
+    C, X, Y), the histogram counting each rejection, in the prefilter's
+    label order, and C, X, Y the survivors' (c, x, y) in scan order."""
+    hist = Counter({label: int(np.count_nonzero(codes == code))
+                    for label, code in search._CODE.items()})
+    keep = codes >= search._DERIVED
+    scanned = len(codes) - int(np.count_nonzero(codes == search._UNSCANNED))
+    return scanned, hist, t.C[keep], t.X[keep], t.Y[keep]
+
+
 def prefilter_by_diagonal(n, bound, diagonals=None):
-    """Yield ((a, b), search._prefilter's result) for every ordered unit
-    (n, a, b), or for those with b - a in diagonals, diagonal by
-    diagonal, each diagonal's cube built once and handed to its units."""
+    """Yield ((a, b), unit_view of search._prefilter's codes) for every
+    ordered unit (n, a, b), or for those with b - a in diagonals,
+    diagonal by diagonal, each diagonal's cube built once and handed to
+    its units."""
     t = search._base_tables(n, bound)
     for d in range(1 - bound, bound) if diagonals is None else diagonals:
-        cube = search._outcome_cube(t, d)
+        cube, _ = search._outcome_cube(t, d)
         for a in range(max(1, 1 - d), min(bound, bound - d) + 1):
-            yield (a, a + d), search._prefilter(t, cube, a, a + d)
+            yield (a, a + d), unit_view(
+                t, search._prefilter(t, cube, a, a + d))
 
 
 def unit_by_unit_search(cfg):
@@ -188,13 +201,6 @@ def assert_same_search(got, want):
     assert list(got.histogram.items()) == list(want.histogram.items())
 
 
-def columns(blocks):
-    """The (a, c, x, y) columns of a diagonal's survivor blocks, in
-    order."""
-    return [np.concatenate([blk[k] for blk in blocks] + [np.empty(0, np.uint8)])
-            for k in range(4)]
-
-
 @pytest.fixture(scope="module")
 def unit_by_unit_16_20():
     return unit_by_unit_search(SearchConfig((16, 20)))
@@ -218,37 +224,11 @@ class TestRowsEqualUnits:
         cfg = SearchConfig((n,), exponent_bound=bound)
         assert_same_search(run_search(cfg), unit_by_unit_search(cfg))
 
-    @pytest.mark.parametrize("cap", [37, 500])
-    def test_mid_row_flushes_change_nothing(self, cap, monkeypatch,
-                                            unit_by_unit_16_20):
-        # a per-survivor cost that leaves room for cap survivors, so
-        # diagonals flush midway: at 37 inside units, at 500 between them
-        monkeypatch.setattr(search, "DERIVE_BYTES_PER_SURVIVOR",
-                            search.PREFILTER_BUDGET_BYTES // cap)
-        sizes = Counter()
-
-        def recorded(n, a, b, c, x, y):
-            assert len(c) <= cap
-            # diagonal d reduces its direct survivors at (a, a + d) and
-            # its mirrored ones at (a + d, a), d > 0, one d per batch
-            d = {int(bj) - int(aj) for aj, bj in zip(a, b)}
-            assert len(d) == 1
-            d = d.pop()
-            sizes[(n, d, "direct") if d >= 0 else (n, -d, "mirrored")] += 1
-            return derive_batch(n, a, b, c, x, y)
-
-        monkeypatch.setattr(search, "derive_batch", recorded)
-        got = run_search(SearchConfig((16, 20)))
-        assert_same_search(got, unit_by_unit_16_20)
-        assert max(sizes.values()) > 1
-
     def test_row_order_changes_nothing(self, monkeypatch):
-        # a diagonal's mirrored survivors (a + d, a) carry a first
-        # parameter above its direct ones' (a, a + d), and other
-        # diagonals hold lesser and greater tuples, so whatever order the
-        # pool returns diagonals in, each identity and outcome must keep
-        # its least tuple: each diagonal of base 16 arrives first, then
-        # the others last to first
+        # each diagonal holds lesser and greater tuples than the others,
+        # so whatever order the pool returns diagonals in, each identity
+        # and outcome must keep its least tuple: each diagonal of base 16
+        # arrives first, then the others last to first
         cfg = SearchConfig((16,))
         want = unit_by_unit_search(cfg)
         rows = [search._scan_unit(unit) for unit in search._units(cfg)]
@@ -272,29 +252,99 @@ class TestRowsEqualUnits:
             got = run_search(SearchConfig((16,), workers=2))
             assert_same_search(got, want)
 
-    def test_reduction_order_changes_nothing(self):
-        # a diagonal's survivors reduced unit by unit, last unit first
-        # and mirrored before direct, tally what one reduction of each
-        # kind in scan order tallies: every outcome and identity keeps
-        # its least tuple
-        n, bound = 16, 15
+
+def oracle_outcomes(batch, rows):
+    """The outcome, as the cube's outcomes tables spell it, that the
+    per-tuple oracle gives each of the rows of a derive_batch result."""
+    found = []
+    for i in rows:
+        if batch.reason[i]:
+            found.append((FAILURE_REASONS[batch.reason[i] - 1], None))
+        elif not batch.primitive[i]:
+            found.append(("imprimitive", None))
+        else:
+            found.append(("ok", batch.identity(i)))
+    return found
+
+
+class TestReductionLemma:
+    """Every survivor the search scans, at (a, a + d) and at (a + d, a),
+    reduces by the per-tuple oracle to the outcome its class cell's code
+    stands for, so one derive_identity per key is every tuple's."""
+
+    @pytest.mark.parametrize("n, bound", [
+        (16, 15), (20, 19), (23, 22), (24, 23), (12, 20), (10, 25),
+        (40, 12)])
+    def test_every_survivor_reads_its_own_outcome(self, n, bound):
+        t = search._base_tables(n, bound)
+        seen = Counter()
         for d in range(bound):
-            blocks = []
-            for (a, _), (_, _, C, X, Y) in prefilter_by_diagonal(
-                    n, bound, [d]):
-                if C.size:
-                    blocks.append((np.full(C.size, a, C.dtype), C, X, Y))
-            want = Counter(), {}
-            A, C, X, Y = columns(blocks)
-            search._reduce_survivors(n, A, A + d, C, X, Y, *want)
-            if d:
-                search._reduce_survivors(n, A + d, A, C, X, Y, *want)
-            got = Counter(), {}
-            for A, C, X, Y in reversed(blocks):
-                if d:
-                    search._reduce_survivors(n, A + d, A, C, X, Y, *got)
-                search._reduce_survivors(n, A, A + d, C, X, Y, *got)
-            assert got == want, d
+            cube, outcomes = search._outcome_cube(t, d)
+            cols = []
+            for a in range(1, bound - d + 1):
+                codes = search._prefilter(t, cube, a, a + d)
+                keep = np.flatnonzero(codes >= search._DERIVED)
+                cols.append((np.full(keep.size, a), t.C[keep], t.X[keep],
+                             t.Y[keep], codes[keep]))
+            A, C, X, Y, codes = (np.concatenate(col) for col in zip(*cols))
+            if not codes.size:
+                continue
+            for ab in ((A, A + d), (A + d, A))[:2 if d else 1]:
+                batch = derive_batch(n, *ab, C, X, Y)
+                # one oracle row per distinct (code, reduction) stands
+                # for the rest, which must agree with it; a failed row's
+                # other fields are unspecified
+                ok = (batch.reason == 0)[:, None]
+                rows = np.column_stack((
+                    codes, batch.reason, batch.primitive,
+                    ok * np.column_stack((batch.shifted, batch.shift,
+                                          batch.S, batch.T))))
+                _, first = np.unique(rows, axis=0, return_index=True)
+                assert len(np.unique(codes[first])) == len(first), (n, d)
+                for i, got in zip(first, oracle_outcomes(batch, first)):
+                    assert outcomes[codes[i]] == got, (n, ab[0][i], C[i])
+                    seen[got[0]] += 1
+        # survivors reduce to identities and to repeated-atom; (40, 12)
+        # has none, its cubes hold rejections only
+        assert bool(seen) == ((n, bound) != (40, 12))
+        if n in (16, 20, 23, 24):
+            assert seen["ok"]
+
+    def test_an_imprimitive_reduction_reads_as_imprimitive(self,
+                                                           monkeypatch):
+        # no survivor of bases 16 to 41 reduces to an imprimitive
+        # identity: the prefilter's common prime rejects them first.  A
+        # reduction that did is counted under "imprimitive", with its
+        # own code, so that codes from _DERIVED on mark the survivors
+        doubled = derive_identity(FourParams(2, 4, 8, 24, 26, 32))
+        assert doubled.ok
+        monkeypatch.setattr(search, "derive_identity", lambda p: doubled)
+        t = search._base_tables(16, 15)
+        cube, outcomes = search._outcome_cube(t, 1)
+        assert outcomes[search._DERIVED:] == (("imprimitive", None),)
+        scanned, hist, least = search._scan_unit((16, 1, 15))
+        survivors = sum(int(np.count_nonzero(
+            search._prefilter(t, cube, a, a + 1) == search._DERIVED))
+            for a in range(1, 15))
+        assert survivors > 0
+        real = dict(prefilter_by_diagonal(16, 15, [1]))
+        assert hist["imprimitive"] == 2 * (
+            survivors + sum(u[1]["imprimitive"] for u in real.values()))
+
+    def test_more_outcomes_than_uint8_holds_widen_the_cube(self,
+                                                           monkeypatch):
+        # every cell that is neither degenerate nor imprimitive survives,
+        # and each key reduces to an outcome of its own: the cube widens
+        # to uint16 and keeps every code
+        embeds = search._embeds
+        monkeypatch.setattr(search, "_embeds",
+                            lambda *rows: np.ones_like(embeds(*rows)))
+        monkeypatch.setattr(search, "derive_identity", lambda p: Derivation(
+            p, (), reason=str(p.exponents())))
+        cube, outcomes = search._outcome_cube(search._base_tables(29, 28), 1)
+        assert len(outcomes) > 300 and cube.dtype == np.uint16
+        assert set(range(search._DERIVED, len(outcomes))) \
+            <= set(np.unique(cube).tolist())
 
 
 # what one diagonal's prefilter may hold: per class cell, the class
@@ -302,7 +352,9 @@ class TestRowsEqualUnits:
 # 13 to 18 bytes per cell under tracemalloc); per column of one unit, a
 # slab of the cube or the unit's gather (about 56 bytes per slab cell in
 # uint8 rows, 72 in uint16, 105 in uint32, and 3 to 9 per gathered
-# tuple).  test_cube_fits_at_the_ceilings shows both fit within one
+# tuple), and where every cell survives, the survivors' keys and the map
+# from keys to codes (about 100, 170 and 225 bytes per column for a whole
+# diagonal).  test_cube_fits_at_the_ceilings shows both fit within one
 # unit's search.PREFILTER_BYTES_PER_TUPLE at the bound ceiling
 CUBE_BYTES_PER_CELL = 24
 SLAB_BYTES_PER_COLUMN = 256
@@ -488,7 +540,7 @@ class TestSearchConfig:
         tracemalloc.start()
         try:
             t = search._base_tables(16, bound)
-            search._prefilter(t, search._outcome_cube(t, 1), 1, 2)
+            search._prefilter(t, search._outcome_cube(t, 1)[0], 1, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -521,7 +573,7 @@ class TestSearchConfig:
         # a unit reading its codes from a built cube, with the gcd filter
         # (gcd(2, 4) = 2): at most SLAB_BYTES_PER_COLUMN per tuple
         t = search._base_tables(n, bound)
-        cube = search._outcome_cube(t, 2)
+        cube, _ = search._outcome_cube(t, 2)
         tracemalloc.start()
         try:
             search._prefilter(t, cube, 2, 4)
@@ -551,75 +603,38 @@ class TestSearchConfig:
         assert unit * search.PREFILTER_BYTES_PER_TUPLE \
             <= search.PREFILTER_BUDGET_BYTES
 
-    @staticmethod
-    def derive_bytes(n):
-        return (search.DERIVE_BYTES_PER_SURVIVOR
-                + search.DERIVE_BYTES_PER_COUNT * (n + 1))
+    @pytest.mark.parametrize("n, bound", [(23, 22), (131, 30), (40_000, 45)])
+    def test_slab_memory_when_every_cell_survives(self, n, bound,
+                                                  monkeypatch):
+        # a diagonal with no h of 0, no common prime and every term
+        # cancelling, so every cell survives and gets a key, each key
+        # reduced by a stub: the keys (uint8, uint8 and uint16), their
+        # np.unique and the map from keys to codes fit within
+        # SLAB_BYTES_PER_COLUMN per column of one unit beside the cube
+        t = search._base_tables(n, bound)
+        t = dataclasses.replace(t, fold_n=np.maximum(t.fold_n, 1),
+                                prime_mask=np.zeros_like(t.prime_mask))
+        embeds = search._embeds
+        monkeypatch.setattr(search, "_embeds",
+                            lambda *rows: np.ones_like(embeds(*rows)))
+        calls = Counter()
 
-    @staticmethod
-    def largest_row(n):
-        """The pending survivor blocks of base n's largest (n, d)
-        diagonal."""
-        bound = n - 1
-        rows = []
-        for d in range(bound):
-            blocks = []
-            for (a, _), (_, _, C, X, Y) in prefilter_by_diagonal(
-                    n, bound, [d]):
-                if C.size:
-                    blocks.append((np.full(C.size, a, C.dtype), C, X, Y))
-            rows.append((sum(len(blk[1]) for blk in blocks), d, blocks))
-        return max(rows, key=lambda row: row[0])
+        def derive(p):
+            calls["derive"] += 1
+            return Derivation(p, (), reason=REPEATED_ATOM)
 
-    def test_derive_memory_per_survivor(self):
-        # a diagonal flushes its survivors before derive_batch would
-        # need more than the budget, at the constants' cost per survivor
-        n = 23
-        survivors, d, blocks = self.largest_row(n)
-        assert survivors == 1728
-        A, C, X, Y = columns(blocks)
+        monkeypatch.setattr(search, "derive_identity", derive)
         tracemalloc.start()
         try:
-            search._reduce_survivors(n, A, A + d, C, X, Y, Counter(), {})
+            cube, outcomes = search._outcome_cube(t, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= survivors * self.derive_bytes(n)
-
-    def test_derive_memory_per_count(self):
-        # at a large base the (n + 1)-wide count tables dominate
-        n = 1000
-        tuples = [(1, b, c, x, y) for b in range(1, 13) for c in range(1, 13)
-                  for x in range(1, 13) for y in range(x, 13)
-                  if all(linear_expressions(FourParams(1, b, c, x, y, n)))]
-        B, C, X, Y = (np.array(col, dtype=np.uint16)
-                      for col in list(zip(*tuples))[1:])
-        tracemalloc.start()
-        try:
-            search._reduce_survivors(n, 1, B, C, X, Y, Counter(), {})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= len(tuples) * self.derive_bytes(n)
-        assert peak > len(tuples) * search.DERIVE_BYTES_PER_COUNT * n
-
-    @pytest.mark.parametrize("n, bound", [(89, 88), (1_398_101, 6)])
-    def test_flush_bounds_a_worst_case_row(self, n, bound):
-        # a diagonal in which every tuple survives, at the largest
-        # admissible bound and at the largest admissible base
-        SearchConfig((n,), exponent_bound=bound)
-        pairs = bound * (bound + 1) // 2
-        unit, row = bound * pairs, bound * bound * pairs
-        cap = search._derive_cap(n)
-        budget = search.PREFILTER_BUDGET_BYTES
-        # each derive_batch of at most cap survivors fits the budget ...
-        assert 1 <= cap and cap * self.derive_bytes(n) <= budget
-        # ... so does what waits for it, at most cap - 1 survivors plus
-        # one unit's, in four columns of at most 8 bytes ...
-        assert (cap - 1 + unit) * 4 * 8 <= budget
-        # ... and the diagonal d = 0, bound units, at once would not
-        if bound == 88:
-            assert row * self.derive_bytes(n) > 100 * budget
+        assert (cube == search._DERIVED).all()
+        assert outcomes[search._DERIVED:] == ((REPEATED_ATOM, None),)
+        unit = len(t.C)
+        assert calls["derive"] > 300
+        assert peak <= t.K ** 3 + unit * SLAB_BYTES_PER_COLUMN
 
     def test_default_bound_fits_up_to_base_89(self):
         # the default bound n - 1 meets the bound ceiling of 88 at base 89
