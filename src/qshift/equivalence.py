@@ -10,9 +10,11 @@ at every index up to the order, so a failure of the underlying theory
 would be reported rather than silently accepted.
 
 Since alpha and M - alpha induce the same folded action, orbits are
-enumerated over alpha in 1..M/2 coprime to M.  infer_relation memoizes
-its outcome per unordered folded pair, so a unit whose pair an earlier
-unit already gave, in either order, costs no build.
+enumerated over alpha in 1..M/2 coprime to M.  infer_relation decides
+each candidate relation with the cleared zero test verify_identity
+uses, after a screen on partition counts, and memoizes its outcome per
+unordered folded pair, so a unit whose pair an earlier unit already
+gave, in either order, costs no check.
 Classification groups identities that lie in a common orbit; identities
 are treated as ordered pairs (S, T) throughout, with the orientation
 fixed by the relation itself (shifted: S is the unshifted side;
@@ -60,16 +62,15 @@ def act(u: UnitAction, ident: PartitionIdentity,
     """Map an identity through a unit action and infer the image's relation.
 
     The image is partitions.infer_relation of the folded pair, which
-    tries both orientations on one cleared build, since multiplication
-    can exchange which side carries the shift, and memoizes the outcome
-    per unordered pair, modulus and order.  It is not verified
-    again: infer_relation returns a relation only after checking it at
-    every index 0..n, which is the whole of what verify_identity(image,
-    n) would check.  An order too small to see the inferred shift, or one
-    that infer_relation's cap of n // 2 alone keeps from a relation
-    holding through n, raises OrderTooSmall: that asks for a larger
-    order, not a verdict.  A pair that satisfies no relation raises
-    NotAnIdentity.
+    tries both orientations, since multiplication can exchange which
+    side carries the shift, and memoizes the outcome per unordered
+    pair, modulus and order.  It is not verified again: infer_relation
+    returns a relation only after checking it at every index 0..n,
+    which is the whole of what verify_identity(image, n) would check.
+    An order too small to see the inferred shift, or one that
+    infer_relation's cap of n // 2 alone keeps from a relation holding
+    through n, raises OrderTooSmall: that asks for a larger order, not
+    a verdict.  A pair that satisfies no relation raises NotAnIdentity.
     """
     if u.M != ident.M:
         raise ValueError("action modulus does not match identity modulus")
@@ -86,8 +87,8 @@ def orbit(ident: PartitionIdentity,
     """All images of the identity under U(M), deduplicated.
 
     A unit whose folded pair an earlier unit gave, in either order, is
-    not built again: infer_relation memoizes its outcome per unordered
-    pair.
+    not checked again: infer_relation memoizes its outcome per
+    unordered pair.
     """
     return {act(UnitAction(alpha, ident.M), ident, n)
             for alpha in range(1, ident.M // 2 + 1)

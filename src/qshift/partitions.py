@@ -14,7 +14,7 @@ Verification is exact to a configurable order n.  verify_identity
 checks a given relation.  infer_relation finds the relation two sets
 satisfy, in whichever orientation holds it, as the unit action
 (equivalence.act) needs for an image, whose shift may have changed
-sides.  Both share one kernel, which works after cancelling the
+sides.  Both decide a relation the same way, after cancelling the
 factors both sides share, as the paper's proofs cancel the brackets
 [r:M] common to both sides.  With U = S & T, P_S = P_U P_{S-U} and
 P_T = P_U P_{T-U}, so the relation holds to order n iff
@@ -26,34 +26,36 @@ does, where E_U = 1/P_U = prod (1 - q^k) over the parts of U.  P_U is
 a unit series (constant term 1), so the two forms first fail at the
 same index, and first_fail is that of the uncancelled relation.
 
-The kernel then clears denominators as the paper's proofs do, by
-Jacobi's triple product.  With class r the bracket [r:M] for 2r < M and
-[M/2:2M] = (q^(M/2); q^M) for 2r = M, the cancelled relation is three
-theta terms on the class monomials 1/[S-U], 1/[T-U] and [U]
-(_monomials), each term's c and q-power stated once (_relation), like
-the special relations below.  Cleared, with A = S-U, B = T-U and U of
-sizes a, b, u, Theta_X the product of X's class sums and E = E_M, the
-three are Theta_B E^(a+u), Theta_A E^(b+u) and Theta_A Theta_B Theta_U.
-verify_identity reads one relation once, so it goes through the
-cleared zero test theta.first_nonzero, which folds the hub [U] with the
-term that shares the smaller of Theta_A and Theta_B with it; for a
-shifted shift s and a > b,
+The relation is then cleared of denominators as the paper's proofs
+clear them, by Jacobi's triple product.  With class r the bracket
+[r:M] for 2r < M and [M/2:2M] = (q^(M/2); q^M) for 2r = M, the
+cancelled relation is three theta terms on the class monomials
+1/[S-U], 1/[T-U] and [U] (_monomials), written once, with each term's
+c and q-power, by _relation_terms, like the special relations below.
+Cleared, with A = S-U, B = T-U and U of sizes a, b, u, Theta_X the
+product of X's class sums and E = E_M, the three are Theta_B E^(a+u),
+Theta_A E^(b+u) and Theta_A Theta_B Theta_U.  One kernel decides it,
+the cleared zero test theta.first_nonzero, which folds the hub [U]
+with the term that shares the smaller of Theta_A and Theta_B with it;
+for a shifted shift s and a > b,
 
     Theta_B (E^(a+u) - Theta_A Theta_U) - q^s Theta_A E^(b+u),
 
-so each class sum is multiplied in once.  infer_relation reads up to
-three relations off one pair of sets, so it builds the three terms on
-their own, once (_cancelled, one theta.cleared_build, which multiplies
-the smaller of Theta_A and Theta_B in twice), and theta.read_cleared
-reads each candidate off that build; the shiftless one is at
-d = min(S ^ T), as P_S - P_T = P_U (P_{S-U} - P_{T-U}) starts +-q^d,
-+ iff d is in S, each P starting 1 + q^min.  Like P_U, the unit
-[S-U][T-U] has constant term 1, so a relation times it first fails at
-the same index.  infer_relation's outcome, not its build, is memoized
-per unordered pair, modulus and order, so a U(M) orbit meeting a folded
-pair again builds it once.  Only a failing check builds its witness,
-the two counts at the failing index, from qseries.residue_product;
-count_partitions is an independent DP oracle for the same numbers.
+so each class sum is multiplied in once.  verify_identity checks its
+identity's relation so.  infer_relation has at most three candidates
+per pair of sets: the shifted ones at min(S) and min(T), and the
+shiftless one at d = min(S ^ T), as P_S - P_T = P_U (P_{S-U} -
+P_{T-U}) starts +-q^d, + iff d is in S, each P starting 1 + q^min.
+An exact screen on the two sets' partition counts through a short
+prefix (count_partitions_table, _counts_hold) drops every candidate
+whose counts already disagree there, and first_nonzero checks each
+one left, as verify_identity checks an identity: on the catalog's
+orbits one candidate per pair.  infer_relation's outcome is memoized
+per unordered pair, modulus and order, so a U(M) orbit meeting a
+folded pair again checks it once.  Only a failing check builds its
+witness, the two counts at the failing index, from
+qseries.residue_product; count_partitions is an independent DP oracle
+for the same numbers.
 
 The module also carries two special families with their own proofs: the
 classical Rogers-Ramanujan shifted identities (moduli 55 and 70 in
@@ -71,15 +73,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .qseries import _expand_parts, residue_product
-from .theta import (
-    BRACKET,
-    PAREN,
-    Atom,
-    Term,
-    cleared_build,
-    first_nonzero,
-    read_cleared,
-)
+from .theta import BRACKET, PAREN, Atom, Term, first_nonzero
 
 SHIFTED = "shifted"
 SHIFTLESS = "shiftless"
@@ -168,22 +162,6 @@ def _class(r: int, M: int) -> Atom:
     return Atom(r, 2 * M if 2 * r == M else M, BRACKET)
 
 
-def _relation(kind: str, a: int) -> list[tuple[int, int]]:
-    """The one statement of the cancelled relation: the (c, e) of its
-    three terms c q^e on the class monomials 1/[S-T], 1/[T-S] and
-    [S&T] (_monomials),
-
-        shifted    1/[S-T] - q^a/[T-S] - [S&T]
-        shiftless  1/[S-T] - 1/[T-S]   - q^a [S&T]
-
-    verify_identity checks it on the monomials with theta.first_nonzero,
-    and infer_relation reads each candidate off one _cancelled build
-    with theta.read_cleared.
-    """
-    eb, eu = (a, 0) if kind == SHIFTED else (0, a)
-    return [(1, 0), (-1, eb), (-1, eu)]
-
-
 def _monomials(S, T, M: int) -> tuple[Term, Term, Term]:
     """The class monomials 1/[S-T], 1/[T-S] and [S&T] as terms with
     c = 1 and e = 0; the classes of distinct residues are disjoint."""
@@ -192,28 +170,26 @@ def _monomials(S, T, M: int) -> tuple[Term, Term, Term]:
     return Term(1, 0, den=A), Term(1, 0, den=B), Term(1, 0, num=U)
 
 
-def _cancelled(S, T, M: int, n: int) -> tuple[int, int, int, int]:
-    """(ya, yb, yu, w): the class monomials (_monomials) cleared and
-    packed to order n by one theta.cleared_build, whose limbs hold a
-    sum of the three with coefficients +-1, so theta.read_cleared reads
-    any relation of (S, T) off them: infer_relation's build, which
-    serves its up to three reads.  Cleared, ya = Theta_B E^(a+u), yb =
-    Theta_A E^(b+u) and yu = Theta_A Theta_B Theta_U (A = S-T, B = T-S,
-    U = S&T, of sizes a, b, u, Theta_X the product of X's class sums,
-    E = E_M; the class M/2 brings E_2M), so [S&T] is the hub and
-    starts from the larger of Theta_A and Theta_B.  The integers do
-    not depend on the order of the factors and w is the largest of
-    three symmetric bounds, so _cancelled(T, S, M, n) is (yb, ya, yu,
-    w), integer for integer: one build serves both orientations.
+def _relation_terms(X, Y, M: int, kind: str, a: int) -> list[Term]:
+    """The one statement of the cancelled relation of (X, Y): three
+    terms c q^e on the class monomials (_monomials),
+
+        shifted    1/[X-Y] - q^a/[Y-X] - [X&Y]
+        shiftless  1/[X-Y] - 1/[Y-X]   - q^a [X&Y]
+
+    whose sum vanishes through q^n iff the relation holds through q^n,
+    checked by theta.first_nonzero in verify_identity and
+    infer_relation alike.
     """
-    w, (ya, yb, yu) = cleared_build(_monomials(S, T, M), n)
-    return ya, yb, yu, w
+    eb, eu = (a, 0) if kind == SHIFTED else (0, a)
+    A, B, U = _monomials(X, Y, M)
+    return [A, B._replace(c=-1, e=eb), U._replace(c=-1, e=eu)]
 
 
 def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
     """Check the identity's q-series form exactly to order n: its
-    _relation on the class monomials, by the cleared zero test
-    theta.first_nonzero, which multiplies each class sum in once.
+    _relation_terms, by the cleared zero test theta.first_nonzero,
+    which multiplies each class sum in once.
 
     A failing check reports the first failing index k and the witness
     (p(S, k), p(T, k - a)) for a shifted identity or (p(S, k), p(T, k))
@@ -222,8 +198,7 @@ def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
     if n < ident.a + 2:
         raise OrderTooSmall(f"order {n} cannot see a shift of {ident.a}")
     S, T, M, a = ident.S, ident.T, ident.M, ident.a
-    hit = first_nonzero([t._replace(c=c, e=e) for t, (c, e) in zip(
-        _monomials(S, T, M), _relation(ident.kind, a))], n)
+    hit = first_nonzero(_relation_terms(S, T, M, ident.kind, a), n)
     if hit is None:
         return VerifyReport(True, n)
     k, _ = hit
@@ -235,24 +210,22 @@ def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
 def infer_relation(S, T, M: int, n: int) -> PartitionIdentity | None:
     """The relation between two residue sets, oriented, or None.
 
-    One build, _cancelled(S, T, M, n), serves both orientations, the
-    swapped build being ya and yb exchanged, and theta.read_cleared
-    reads each candidate's _relation off it, at most three reads.  In
-    orientation (X, Y), P_X - 1 starts at min(X), the only possible
+    In orientation (X, Y), P_X - 1 starts at min(X), the only possible
     shifted shift.  P_S - P_T = P_{S&T} (P_{S-T} - P_{T-S}), each P
     starting 1 + q^min, starts +-q^d at d = min(S ^ T), + iff d is in
     S: the only possible shiftless shift, oriented (X, Y) with d in X,
-    tested only when d <= n.  A unit with constant term 1, such as
-    [S-T][T-S], moves no first failure, so the cancelled relation first
-    fails where its identity does.
+    tested only when d <= n.  Each of these three candidates is decided
+    once, as verify_identity decides an identity: its _relation_terms
+    by theta.first_nonzero, after a screen on partition counts that
+    drops only candidates that test would reject (_infer).
 
-    Each of the three candidates is tested once.  A unit action can
-    exchange which side carries the shift, and at most one orientation
-    satisfies a relation, so one candidate holding is normalization,
-    not choice; the identity returned holds at every index 0..n, the
-    whole of what verify_identity would check.  An order that cannot
-    tell the relation raises OrderTooSmall, as verify_identity does for
-    a shift it cannot see, and asks for a larger order:
+    A unit action can exchange which side carries the shift, and at
+    most one orientation satisfies a relation, so one candidate holding
+    is normalization, not choice; the identity returned holds at every
+    index 0..n, the whole of what verify_identity would check.  An order
+    that cannot tell the relation raises OrderTooSmall, as
+    verify_identity does for a shift it cannot see, and asks for a
+    larger order:
 
     - the one candidate that holds has a shift a > n // 2 (order 2a);
     - n < a + 2, a the least shift that holds;
@@ -265,10 +238,10 @@ def infer_relation(S, T, M: int, n: int) -> PartitionIdentity | None:
     is memoized per (unordered pair, M, n) in the process (_infer): a
     U(M) orbit, and every later act on its identities in one process
     (selftest's round trips), meets the same folded pairs again, and
-    one build answers each.  The memo holds the sets and the frozen
-    identity or None, not the build; OrderTooSmall is not memoized
-    (lru_cache keeps no exceptions), so a pair that raises is built
-    again, and raises the same error, on every call.
+    one check answers each.  The memo holds the sets and the frozen
+    identity or None; OrderTooSmall is not memoized (lru_cache keeps no
+    exceptions), so a pair that raises is checked again, and raises the
+    same error, on every call.
     """
     S, T = frozenset(S), frozenset(T)
     if S == T:
@@ -276,23 +249,43 @@ def infer_relation(S, T, M: int, n: int) -> PartitionIdentity | None:
     return _infer(frozenset((S, T)), M, n)
 
 
+def _counts_hold(px: list[int], py: list[int], kind: str, a: int) -> bool:
+    """Whether the counts px = p(X, 0..k) and py = p(Y, 0..k) keep the
+    relation of (X, Y) at every index j through k: p(X, j) - p(Y, j - a)
+    = [j = 0] shifted, p(X, j) - p(Y, j) = [j = a] shiftless."""
+    if kind == SHIFTED:
+        return all(x - (py[j - a] if j >= a else 0) == (j == 0)
+                   for j, x in enumerate(px))
+    return all(x - y == (j == a) for j, (x, y) in enumerate(zip(px, py)))
+
+
 @lru_cache(maxsize=512)
 def _infer(pair: frozenset, M: int, n: int) -> PartitionIdentity | None:
     """infer_relation of the unordered pair of distinct sets, S the side
-    holding d = min(S ^ T), where P_S - P_T starts +q^d: one
-    cleared_build, read for min(S), min(T) and, if d <= n, the shiftless
-    d (a unit factor such as [S-T][T-S] moves no first failure).  Its
-    bound of 512 holds the 238 folded pairs of the catalog's orbits at
-    one order."""
+    holding d = min(S ^ T), where P_S - P_T starts +q^d.
+
+    The candidates are shifted at min(S) and at min(T) and, if d <= n,
+    shiftless at d.  The screen reads both sets' counts through k =
+    min(n, 2 max(min S, min T, d) + 2) from count_partitions_table and
+    drops every candidate _counts_hold rejects there.  A candidate that
+    fails at some j <= k <= n fails through n too, so the screen changes
+    no outcome.  The prefix runs through 2a + 2, or n, for every
+    candidate's shift a, the order an accepted relation needs anyway
+    (a <= n // 2 and a + 2 <= n), and costs less than one cleared
+    build.  Each candidate left holds iff theta.first_nonzero finds its
+    _relation_terms zero through q^n.  Its bound of 512 holds the 238
+    folded pairs of the catalog's orbits at one order.
+    """
     d = min(frozenset.symmetric_difference(*pair))
     S, T = sorted(pair, key=lambda X: d not in X)
-    ya, yb, yu, w = _cancelled(S, T, M, n)
-    held = [(X, Y, kind, a) for X, Y, yx, yy, kind, a in (
-        (S, T, ya, yb, SHIFTED, min(S)), (T, S, yb, ya, SHIFTED, min(T)),
-        (S, T, ya, yb, SHIFTLESS, d))
-        if (kind == SHIFTED or d <= n)
-        and read_cleared(w, [(c, e, y) for (c, e), y in zip(
-            _relation(kind, a), (yx, yy, yu))], n) is None]
+    candidates = [(S, T, SHIFTED, min(S)), (T, S, SHIFTED, min(T))]
+    if d <= n:
+        candidates.append((S, T, SHIFTLESS, d))
+    k = min(n, 2 * max(min(S), min(T), d) + 2)
+    counts = {X: count_partitions_table(X, M, k) for X in pair}
+    held = [(X, Y, kind, a) for X, Y, kind, a in candidates
+            if _counts_hold(counts[X], counts[Y], kind, a)
+            and first_nonzero(_relation_terms(X, Y, M, kind, a), n) is None]
     if not held:
         if n < d:
             raise OrderTooSmall(f"order {n} cannot see a shift of {d}")

@@ -31,8 +31,8 @@ set bit (_lowest_limb): at a limb width that holds its first nonzero
 coefficient, that bit lies in the limb of that coefficient however far
 later limbs overflow.  Products of theta sums have one builder on top
 of _pack_sparse, theta._pack_sums; theta._plan clears and sizes every
-zero-sum of theta terms, theta.cleared_build and theta.first_nonzero
-build it, and theta.read_cleared reads it.
+zero-sum of theta terms, theta.first_nonzero, the one cleared zero
+test, builds it, and theta.read_cleared reads it.
 """
 
 from __future__ import annotations

@@ -41,11 +41,11 @@ term with the most distinct sums, starts from the largest part it
 shares with another term.  Such a product has one builder, _pack_sums,
 one packed shift-add per sparse term, with the term lists from one
 bounded memo, _sum_terms.  One reader, read_cleared, reads a signed,
-shifted sum of built terms at its lowest limb.  Two builds follow the
-plan: cleared_build builds each term on its own, for a caller that
-reads several sums off one build; the cleared zero test, first_nonzero,
-reads one sum once, so it first folds the hub with one term that shares
-sums with it, and those sums are multiplied in once, not twice.
+shifted sum of built terms at its lowest limb.  One build follows the
+plan, the cleared zero test first_nonzero, the one check of every
+zero-sum: it reads one sum once, so it first folds the hub with one
+term that shares sums with it, and those sums are multiplied in once,
+not twice as in a term-by-term build.
 """
 
 from __future__ import annotations
@@ -299,12 +299,11 @@ def euler_cube_terms(m: int, n: int) -> list[tuple[int, int]]:
     return terms
 
 
-@lru_cache(maxsize=None)
 def atom_sums(a: Atom) -> tuple[int, tuple[tuple[FArgs, int], ...]]:
     """(scale, ((args, power), ...)) with the atom equal to
-    scale * prod f(args)^power, the one table from atoms to theta sums,
-    memoized per atom.  With E_m = f(-q^m, -q^(2m)) the triple product
-    gives, for 0 < 2r < m,
+    scale * prod f(args)^power, the one table from atoms to theta sums.
+    With E_m = f(-q^m, -q^(2m)) the triple product gives, for
+    0 < 2r < m,
 
         [r:m]  = f(-q^r, -q^(m-r)) / E_m     (r:m)  = f(q^r, q^(m-r)) / E_m
 
@@ -509,9 +508,8 @@ class _Plan(NamedTuple):
 
 def _plan(terms: Sequence[Term], n: int) -> _Plan | None:
     """The sizing, clearing and sharing of the terms' cleared build
-    through q^n, or None when no term is live: the one plan both
-    readers build from, cleared_build term by term and first_nonzero
-    with one pair folded.
+    through q^n, or None when no term is live: the one plan, which
+    first_nonzero builds with one pair folded.
 
     Clearing.  By atom_sums each term is c q^e s prod_j f_j^(p_j) over
     sparse sums f_j.  With l_j the least power of f_j in any term with
@@ -602,28 +600,6 @@ def _build_others(plan: _Plan, skip: int | None
     return ys, start
 
 
-def cleared_build(terms: Sequence[Term], n: int) -> tuple[int, list[int]]:
-    """(w, ys): one limb width w for the sum of the terms through q^n,
-    and each term's cleared product, without c and q^e, packed in w-bit
-    limbs mod 2^(w*(n-e+1)) (0 for e > n): the term-by-term cleared
-    build, for a caller that reads several sums off one build
-    (partitions' inference) and as the oracle of first_nonzero's fold.
-
-    _plan sizes and clears the terms and picks the hub.  Every other
-    term starts from the sums it shares with the hub, and the hub from
-    the lead's; _pack_sums multiplies in the rest.  Every step is exact
-    at the order it is built to, cutting to a lower order is a ring
-    map, and multiplication commutes, so sharing changes no integer.
-    A denominator (0:m) raises NonUnitLeading, even past the order.
-    """
-    plan = _plan(terms, n)
-    if plan is None:
-        return _cleared_width(0, 0), [0] * len(terms)
-    built, start = _build_others(plan, None)
-    built[plan.hub] = plan.finish(plan.hub, *start)
-    return plan.w, [built.get(i, 0) for i in range(len(terms))]
-
-
 def read_cleared(w: int, built: Sequence[tuple[int, int, int]],
                  n: int) -> tuple[int, int] | None:
     """(k, c): the first nonzero coefficient c, at q^k, of the sum D of
@@ -631,11 +607,11 @@ def read_cleared(w: int, built: Sequence[tuple[int, int, int]],
     None when D vanishes through q^n: the one reader of cleared sums.
 
     Contract: the ys come from one build of a _plan, which gave w, of
-    terms with the atoms and sums of the ts (cleared_build's, or
-    first_nonzero's, whose folded pair is one such y), each built to an
-    order of at least n - e, and the plan sized for a sum of |c| at
-    least that of the terms read.  So each y is V t through q^(n-e),
-    for one unit V with V(0) = 1, and the plan's sizing holds D's first
+    terms with the atoms and sums of the ts (first_nonzero's, its one
+    caller, whose folded pair is one such y), each built to an order of
+    at least n - e, and the plan sized for a sum of |c| at least that
+    of the terms read.  So each y is V t through q^(n-e), for one unit
+    V with V(0) = 1, and the plan's sizing holds D's first
     nonzero coefficient below 2^(w-1), the one coefficient this reader
     needs in range.  With L the least e <= n (terms past n are
     skipped), each y is shifted up e - L limbs, times c, and added in.
@@ -670,8 +646,8 @@ def read_cleared(w: int, built: Sequence[tuple[int, int, int]],
 
 def first_nonzero(terms: Sequence[Term], n: int) -> tuple[int, int] | None:
     """The cleared zero test: read_cleared's (k, c) of the terms' sum
-    through q^n, or None, off one build from their _plan, the one that
-    cleared_build follows, with the hub folded with one term.
+    through q^n, or None, off one build from their _plan, with the hub
+    folded with one term.
 
     Folding.  With G_i the sums term i shares with the hub and l the
     lead, the hub's cleared product is G_l G_j R for any other live
@@ -682,12 +658,13 @@ def first_nonzero(terms: Sequence[Term], n: int) -> tuple[int, int] | None:
         c_h q^e_h G_l G_j R + c_j q^e_j G_j J
             = q^L G_j (c_h q^(e_h-L) G_l R + c_j q^(e_j-L) J).
 
-    The two cofactors are built, the hub's from its start G_l as
-    cleared_build builds it, each times its c and shifted up its e - L
-    limbs, and added; G_j is then multiplied in once, where
-    cleared_build builds it twice, once as j's start and once into the
-    hub.  The sum goes to read_cleared as one term (1, L, y).  With no
-    such j every term is built as cleared_build builds it.
+    The two cofactors are built, the hub's from its start G_l, each
+    times its c and shifted up its e - L limbs, and added; G_j is then
+    multiplied in once, where a term-by-term build (_build_others for
+    every term, the hub finished from its start) multiplies it in
+    twice, once as j's start and once into the hub.  The sum goes to
+    read_cleared as one term (1, L, y).  With no such j every term is
+    built term by term.
 
     Exactness.  Packing in w-bit limbs is a ring map Z[q]/(q^(n-e+1))
     -> Z/2^(w(n-e+1)), q -> 2^w, so each cofactor, built to its own
@@ -699,8 +676,9 @@ def first_nonzero(terms: Sequence[Term], n: int) -> tuple[int, int] | None:
     term with c = 1 and e = L.  The limb width is the plan's, sized
     for the sum of all the terms however they are grouped, so
     read_cleared's lowest-limb contract is unchanged, and the test
-    gives the (k, c) that read_cleared reads off cleared_build.  The
-    hub's start is dropped as soon as the hub's cofactor is built.
+    gives the (k, c) that read_cleared reads off the term-by-term
+    build.  The hub's start is dropped as soon as the hub's cofactor
+    is built.
 
     A denominator (0:m) raises NonUnitLeading, even past the order.
     """

@@ -38,8 +38,9 @@ def _sum_by_series(terms, n):
 @pytest.fixture(autouse=True)
 def cold_inference_memo():
     """Each test starts with partitions.infer_relation's memo empty, so a
-    patched _cancelled, _pack_sparse or _cleared_width is reached, and a
-    build count does not depend on which tests ran before."""
+    patched first_nonzero, _counts_hold, _pack_sparse or _cleared_width
+    is reached, and a count of zero tests does not depend on which tests
+    ran before."""
     partitions._infer.cache_clear()
 
 

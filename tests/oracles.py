@@ -22,6 +22,8 @@ computes another way, or a helper the tests build expectations with:
     cleared_bound        combined as the plan combines them
     cleared_product      a cleared product's coefficients, packed in
                          limbs wide enough for any product of its factors
+    cleared_build        the term-by-term cleared build of theta._plan,
+                         against theta.first_nonzero's folded build
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from qshift.qseries import (
     product_series,
 )
 from qshift.search import SearchConfig
+from qshift import theta
 from qshift.theta import (
     DegenerateZero,
     FArgs,
@@ -429,3 +432,25 @@ def cleared_product(scale: int, power: dict, n: int) -> list[int]:
                 acc = acc + y if c == 1 else acc - y if c == -1 else acc + c * y
             x = acc & mask
     return _unpack_signed(x, nbytes, n + 1)
+
+
+def cleared_build(terms, n: int) -> tuple[int, list[int]]:
+    """(w, ys): the limb width w theta._plan gives the sum of the terms
+    through q^n, and each term's cleared product, without c and q^e,
+    packed in w-bit limbs mod 2^(w*(n-e+1)) (0 for e > n), each term
+    built on its own: the oracle of theta.first_nonzero's fold.
+
+    It follows the same plan: every term but the hub starts from the
+    sums it shares with the hub (theta._build_others), and the hub from
+    the lead's; _Plan.finish multiplies in the rest.  Every step is
+    exact at the order it is built to, cutting to a lower order is a
+    ring map, and multiplication commutes, so sharing changes no
+    integer.  read_cleared reads any sum of the terms, with |c| summing
+    to at most that of the terms, off the ys.
+    """
+    plan = theta._plan(terms, n)
+    if plan is None:
+        return theta._cleared_width(0, 0), [0] * len(terms)
+    built, start = theta._build_others(plan, None)
+    built[plan.hub] = plan.finish(plan.hub, *start)
+    return plan.w, [built.get(i, 0) for i in range(len(terms))]

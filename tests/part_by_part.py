@@ -57,8 +57,7 @@ def first_nonzero_by_parts(terms, n: int) -> tuple[int, int] | None:
     w is _coeff_bits of each term's factors plus the bit length of each
     sparse sum's L1 norm, plus the bit length of sum |c|, rounded up to
     whole bytes with HEADROOM_BITS to spare (_limb_width): wider than
-    theta.cleared_build's B + bitlen(sum |c|) + 1, so the read stays
-    exact.
+    theta._plan's B + bitlen(sum |c|) + 1, so the read stays exact.
     """
     live = [t for t in terms if t.e <= n]
     if not live:

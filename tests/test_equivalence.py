@@ -4,10 +4,11 @@ Fixture identities are not hand-typed: they are derived from known
 parameter sets through the four-parameter relation, so every input is
 independently verified before the action is exercised.  The classifier
 is checked against published class structure for the two smallest
-moduli with more than one entry.  On the whole catalog, act, orbit and
-classify are checked against a two-build oracle (the partition counts of
-the two image sides, one residue_product build each), and their cleared
-builds are counted.
+moduli with more than one entry.  On the whole catalog, and on seeded
+random folded pairs, act, orbit, classify and infer_relation are checked
+against a two-build oracle (the partition counts of the two image sides,
+one residue_product build each), and their cleared zero tests are
+counted.
 """
 
 import random
@@ -248,18 +249,18 @@ def relations_by_counts(X, px, py):
     return found
 
 
-def act_by_two_builds(u, ident, n):
-    """act from the partition counts of the two image sides: every
-    relation that holds, in the orientation (S_img, T_img) or
-    (T_img, S_img).  The one that holds is the image when its shift is
-    at most n // 2 and n >= a + 2; the order is too small when the one
-    that holds has a larger shift, when n < a + 2 for the least shift
-    that holds, or when more than one holds, and also when none holds
-    but the counts agree through n: the sides first differ at the least
-    part one has and the other lacks, d = min(S ^ T) > n, so the order
-    cannot see a shiftless relation at d."""
-    s_img, t_img = u.apply_set(ident.S), u.apply_set(ident.T)
-    ps, pt = (partition_counts(X, ident.M, n) for X in (s_img, t_img))
+def infer_by_two_builds(s_img, t_img, M, n):
+    """infer_relation from the partition counts of the two sets: every
+    relation that holds, in the orientation (s_img, t_img) or
+    (t_img, s_img).  The one that holds is the relation when its shift
+    is at most n // 2 and n >= a + 2; the order is too small when the
+    one that holds has a larger shift, when n < a + 2 for the least
+    shift that holds, or when more than one holds, and also when none
+    holds but the counts agree through n: the sides first differ at the
+    least part one has and the other lacks, d = min(S ^ T) > n, so the
+    order cannot see a shiftless relation at d.  None when no relation
+    holds and the counts differ."""
+    ps, pt = (partition_counts(X, M, n) for X in (s_img, t_img))
     found = [(S, T, kind, a)
              for S, T, px, py in ((s_img, t_img, ps, pt),
                                   (t_img, s_img, pt, ps))
@@ -268,8 +269,7 @@ def act_by_two_builds(u, ident, n):
         raise OrderTooSmall(f"order {n} cannot see a shift of "
                             f"{min(s_img ^ t_img)}")
     if not found:
-        raise NotAnIdentity(f"alpha={u.alpha} maps the identity to a "
-                            f"non-relation (M={ident.M})")
+        return None
     S, T, kind, a = min(found, key=lambda c: c[3])
     if len(found) == 1 and a > n // 2:
         raise OrderTooSmall(f"order {n} cannot infer a shift of {a}, "
@@ -279,7 +279,19 @@ def act_by_two_builds(u, ident, n):
     if len(found) > 1:
         raise OrderTooSmall(f"order {n} cannot tell apart the "
                             f"{len(found)} relations that hold through it")
-    return PartitionIdentity(ident.M, S, T, kind, a)
+    return PartitionIdentity(M, S, T, kind, a)
+
+
+def act_by_two_builds(u, ident, n):
+    """act from the partition counts of the two image sides
+    (infer_by_two_builds); a pair that satisfies no relation is no
+    identity."""
+    image = infer_by_two_builds(u.apply_set(ident.S), u.apply_set(ident.T),
+                                ident.M, n)
+    if image is None:
+        raise NotAnIdentity(f"alpha={u.alpha} maps the identity to a "
+                            f"non-relation (M={ident.M})")
+    return image
 
 
 def outcome(fn, *args):
@@ -370,28 +382,51 @@ class TestAgainstTheTwoBuildOracle:
         for idents in catalog.values():
             assert classify(idents, 300) == classify_by_oracle(idents, 300)
 
+    def test_infer_matches_on_random_folded_pairs(self):
+        # seeded pairs at M <= 40 and orders 0-60: mostly no relation,
+        # some shifted ones, and at small orders one or several
+        # candidates holding at once, each such case an order too small
+        rng = random.Random(34)
+        seen = set()
+        for _ in range(3000):
+            M = rng.randint(3, 40)
+            pool = range(1, M // 2 + 1)
+            S, T = (frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+                    for _ in range(2))
+            if S == T:
+                continue
+            n = rng.randint(0, 60)
+            got = outcome(infer_relation, S, T, M, n)
+            assert got == outcome(infer_by_two_builds, S, T, M, n), \
+                (S, T, M, n)
+            # the verb after "cannot" names the OrderTooSmall rule
+            seen.add(got.kind if isinstance(got, PartitionIdentity)
+                     else got and got[1].split(" cannot ")[1].split()[0])
+        assert seen == {None, SHIFTED, "see", "tell", "infer"}, seen
+
 
 class TestBuildCount:
-    """One cleared build per distinct unordered image pair and order in
-    a process, so that rebuilding an orientation or a repeated image
-    shows as a count.  Each test starts with infer_relation's memo
+    """One cleared zero test (theta.first_nonzero) per candidate the
+    count screen keeps, and per distinct unordered image pair and order
+    in a process, so that checking an orientation or a repeated image
+    again shows as a count.  Each test starts with infer_relation's memo
     empty (conftest.cold_inference_memo)."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = []
-        real = partitions._cancelled
+        real = partitions.first_nonzero
 
-        def counting(S, T, M, n):
-            calls.append((S, T))
-            return real(S, T, M, n)
+        def counting(terms, n):
+            calls.append(terms)
+            return real(terms, n)
 
-        monkeypatch.setattr(partitions, "_cancelled", counting)
+        monkeypatch.setattr(partitions, "first_nonzero", counting)
         return calls
 
     def test_one_build_per_act(self, builds, catalog, ids40):
-        # an image in either orientation, a non-relation, and a shift
-        # only the uncapped retry finds
+        # an image in either orientation is one check; a pair the screen
+        # rejects outright is none
         for ident in ids40 + catalog[42]:
             builds.clear()
             act(UnitAction(11, ident.M), ident, 300)
@@ -401,7 +436,7 @@ class TestBuildCount:
         builds.clear()
         with pytest.raises(NotAnIdentity):
             act(UnitAction(3, 32), fake, 120)
-        assert len(builds) == 1
+        assert builds == []
 
     def test_a_repeated_pair_is_built_once_per_order(self, builds, ids40):
         ident = ids40[0]
@@ -440,7 +475,7 @@ class TestBuildCount:
                                            u.apply_set(rep.T))), M))
         assert len(builds) == len(images) == 238
         # selftest's round trips, under every unit of every entry, meet
-        # only pairs the classes already built
+        # only pairs the classes already checked
         for M, idents in catalog.items():
             for ident in idents:
                 for alpha in (a for a in range(1, M) if gcd(a, M) == 1):

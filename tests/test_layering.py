@@ -5,9 +5,10 @@ The packed builders have one home each: qseries packs products of
 builds their products.  Clearing and limb sizing live in theta's one
 plan of a cleared build (theta._plan), on qseries' bounds, and the read
 of a packed sum at its lowest limb in theta's one reader
-(theta.read_cleared).  Every other module goes through that build and
-reader, the cleared zero test or the public series functions, so a
-second builder, sizing or reader cannot come back unnoticed.  The
+(theta.read_cleared).  Every other module goes through the one build of
+that plan, the cleared zero test theta.first_nonzero, or the public
+series functions, so a second builder, sizing, build or reader cannot
+come back unnoticed.  The
 private names one module imports from another are an explicit list, so
 a new one is a decision, not a drift.  Only search imports numpy, so
 importing the command line loads neither numpy nor the search.
@@ -105,6 +106,26 @@ def test_only_qseries_and_theta_read_the_lowest_limb():
     reached = {p.name: sorted(builder_names(p, READER))
                for p in SRC.glob("*.py") if p.name not in HOMES}
     assert {name: found for name, found in reached.items() if found} == {}
+
+
+# the cleared build: one plan, one build of it (the cleared zero test
+# first_nonzero) and one reader, all in theta; partitions reaches them
+# only through first_nonzero, and takes only atoms and terms from theta
+BUILD = {"cleared_build", "read_cleared", "_plan", "_pack_sums"}
+
+
+def test_only_theta_plans_builds_and_reads_cleared_sums():
+    assert builder_names(SRC / "theta.py", BUILD) == {
+        "read_cleared", "_plan", "_pack_sums"}
+    reached = {p.name: sorted(builder_names(p, BUILD))
+               for p in SRC.glob("*.py") if p.name != "theta.py"}
+    assert {name: found for name, found in reached.items() if found} == {}
+    imported = {alias.name
+                for node in ast.walk(ast.parse(
+                    (SRC / "partitions.py").read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "theta"
+                for alias in node.names}
+    assert imported == {"BRACKET", "PAREN", "Atom", "Term", "first_nonzero"}
 
 
 # ----------------------------------------------------------------------

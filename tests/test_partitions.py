@@ -9,6 +9,7 @@ from both sides.
 import hashlib
 import random
 from collections import Counter
+from functools import cache
 from math import gcd
 
 import pytest
@@ -39,7 +40,8 @@ from qshift.partitions import (
     OrderTooSmall,
     PartitionIdentity,
     THEOREM_72_2,
-    _cancelled,
+    _monomials,
+    _relation_terms,
     count_partitions,
     count_partitions_table,
     infer_relation,
@@ -62,6 +64,7 @@ from qshift.theta import (
 
 from oracles import (
     cleared_bound,
+    cleared_build,
     first_difference,
     linear_combine,
     sums_bound,
@@ -469,6 +472,16 @@ def test_pack_sparse_matches_mul():
         assert got == mul(Series(0, x, n), sparse_series(terms, n))
 
 
+def cancelled(S, T, M, n):
+    """(ya, yb, yu, w): the class monomials 1/[S-T], 1/[T-S] and [S&T]
+    (partitions._monomials) cleared and packed to order n term by term
+    (oracles.cleared_build, on theta._plan), whose limbs hold a sum of
+    the three with coefficients +-1, so theta.read_cleared reads any
+    relation of (S, T) off them."""
+    w, (ya, yb, yu) = cleared_build(_monomials(S, T, M), n)
+    return ya, yb, yu, w
+
+
 def test_cancelled_equals_cleared_products():
     # class r is g_r / E_M with g_r = E_M prod_{k = +-r (mod M)} (1 - q^k)
     # for 2r < M, and [M/2:2M] = g / E_2M with g = f(-q^(M/2), -q^(3M/2))
@@ -488,7 +501,7 @@ def test_cancelled_equals_cleared_products():
         if S == T:
             continue
         n = rng.randint(0, 200)
-        ya, yb, yu, w = _cancelled(S, T, M, n)
+        ya, yb, yu, w = cancelled(S, T, M, n)
         below = [r for r in S | T if 2 * r < M]
         E = list(range(M, n + 1, M)) * len(below)
         if len(below) < len(S | T):
@@ -506,7 +519,7 @@ def test_cancelled_equals_cleared_products():
     assert halves >= 10
     for e in load_corpus():
         S, T, M = e.identity.S, e.identity.T, e.identity.M
-        assert _cancelled(S, T, M, 300)[3] == \
+        assert cancelled(S, T, M, 300)[3] == \
             set_difference_width(S, T, M, 300), e.label
 
 
@@ -522,9 +535,11 @@ CATALOG_BUILDS = {
 
 @pytest.mark.parametrize("n", sorted(CATALOG_BUILDS))
 def test_cancelled_pins_the_catalog_builds(monkeypatch, n):
-    # the integers, the width from the oracle's cleared bound
-    # (set_difference_width), and one _pack_sparse per factor, shared as
-    # the kernel shared them
+    # the integers of the term-by-term build, the width from the
+    # oracle's cleared bound (set_difference_width), and one _pack_sparse
+    # per factor, shared as theta._plan shares them: Theta_A and Theta_B
+    # once, yu from the larger of them, and ya, yb from them times E^p
+    # as floor(p/3) cubes and p mod 3 single factors
     calls = []
 
     def counted(*args):
@@ -539,7 +554,8 @@ def test_cancelled_pins_the_catalog_builds(monkeypatch, n):
         assert not M % 2 or M // 2 not in S | T
         a, b, u = len(S - T), len(T - S), len(S & T)
         calls.clear()
-        packed = _cancelled(S, T, M, n)
+        w, ys = cleared_build(_monomials(S, T, M), n)
+        packed = (*ys, w)
         assert len(calls) == a + b + u + min(a, b) + sum(
             p // 3 + p % 3 for p in (a + u, b + u)), e.label
         assert packed[3] == set_difference_width(S, T, M, n), e.label
@@ -559,7 +575,7 @@ def test_the_half_class_is_one_progression():
 
 
 def set_difference_width(S, T, M, n):
-    """The limb width B + bitlen(3) + 1 of _cancelled's three terms
+    """The limb width B + bitlen(3) + 1 of the three class monomials
     1/[S-T], 1/[T-S] and [S&T], each with |c| = 1, B their cleared
     bound from its definition (oracles.cleared_bound)."""
     return cleared_bound(relation_terms(S, T, M, SHIFTLESS, 0), n) + \
@@ -593,7 +609,7 @@ def test_dense_pairs_fall_back_to_the_parts_bound(monkeypatch, M, n):
                   set(range(half // 2 + 1, half + 1)))):
         S, T = frozenset(S), frozenset(T)
         fallbacks.clear()
-        w = _cancelled(S, T, M, n)[3]
+        w = cancelled(S, T, M, n)[3]
         assert len(fallbacks) == 1, (M, S, T)
         assert w == parts_width(S, T, M, n) == set_difference_width(S, T, M, n)
         sums = sums_bound(relation_terms(S, T, M, SHIFTLESS, 0), n)
@@ -607,11 +623,12 @@ def swapped(packed):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 50, 300])
 def test_cancelled_is_symmetric_on_the_catalog(n):
-    # act tests both orientations of an image on one build, so the
-    # swapped build must be the same four integers, not just congruent
+    # the plan does not depend on which set is listed first: swapping
+    # the sets swaps ya and yb, the same integers, not just congruent
+    # ones, under one width, the largest of three symmetric bounds
     for e in load_corpus():
         S, T, M = e.identity.S, e.identity.T, e.identity.M
-        assert _cancelled(T, S, M, n) == swapped(_cancelled(S, T, M, n)), \
+        assert cancelled(T, S, M, n) == swapped(cancelled(S, T, M, n)), \
             e.label
 
 
@@ -623,28 +640,8 @@ def test_cancelled_is_symmetric_on_edge_shapes():
     assert any(M % 2 == 0 and M // 2 in S ^ T for M, S, T in pairs)
     for M, S, T in pairs:
         for n in (0, 1, rng.randint(2, 40), rng.randint(41, 300)):
-            assert _cancelled(T, S, M, n) == swapped(_cancelled(S, T, M, n)), \
+            assert cancelled(T, S, M, n) == swapped(cancelled(S, T, M, n)), \
                 (M, S, T, n)
-
-
-def test_cancelled_packs_one_sparse_factor_at_a_time(monkeypatch):
-    # Theta_A and Theta_B once, yu from the larger of them, and ya, yb
-    # from them times E^p as floor(p/3) cubes and p mod 3 single factors
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    real = theta._pack_sparse
-    monkeypatch.setattr(theta, "_pack_sparse", counted)
-    for e in load_corpus():
-        S, T, M = e.identity.S, e.identity.T, e.identity.M
-        a, b, u = len(S - T), len(T - S), len(S & T)
-        calls.clear()
-        _cancelled(S, T, M, 300)
-        assert len(calls) == a + b + u + min(a, b) + sum(
-            p // 3 + p % 3 for p in (a + u, b + u)), e.label
 
 
 def single_residue_mutant(ident, rng):
@@ -665,9 +662,10 @@ def single_residue_mutant(ident, rng):
 def test_verify_multiplies_each_class_sum_in_once(monkeypatch, n):
     # verify_identity folds [S&T] with the term whose class sums it
     # shares and does not start from, so Theta_A, Theta_B and Theta_U
-    # go in once each: min(a, b) factors fewer than _cancelled, whose
-    # pin stands.  Its verdict and first_fail are read_cleared's over
-    # _cancelled, on the entry and on a seeded single-residue mutant
+    # go in once each: min(a, b) factors fewer than the term-by-term
+    # build, whose pin stands.  Its verdict and first_fail are
+    # read_cleared's over that build, on the entry and on a seeded
+    # single-residue mutant
     calls = []
 
     def counted(*args):
@@ -687,9 +685,10 @@ def test_verify_multiplies_each_class_sum_in_once(monkeypatch, n):
         assert len(calls) == a + b + u + sum(
             p // 3 + p % 3 for p in (a + u, b + u)), entry.label
         for case in (ident, single_residue_mutant(ident, rng)):
-            ya, yb, yu, w = _cancelled(case.S, case.T, case.M, n)
-            hit = read_cleared(w, [(c, e, y) for (c, e), y in zip(
-                partitions._relation(case.kind, case.a), (ya, yb, yu))], n)
+            w, ys = cleared_build(_monomials(case.S, case.T, case.M), n)
+            hit = read_cleared(w, [(t.c, t.e, y) for t, y in zip(
+                _relation_terms(case.S, case.T, case.M, case.kind, case.a),
+                ys)], n)
             rep = verify_identity(case, n)
             assert (rep.ok, rep.first_fail) == (hit is None, hit and hit[0]), \
                 (entry.label, case)
@@ -749,8 +748,9 @@ def image_pairs():
 
 def classes(rs, M):
     """Class r as the bracket [r:M], or [M/2:2M] for 2r = M, for each r
-    of rs in ascending order."""
-    return [Atom(r, 2 * M if 2 * r == M else M, BRACKET) for r in sorted(rs)]
+    of rs in ascending order, as a tuple, as theta.Term holds atoms."""
+    return tuple(Atom(r, 2 * M if 2 * r == M else M, BRACKET)
+                 for r in sorted(rs))
 
 
 def relation_terms(X, Y, M, kind, a):
@@ -765,11 +765,11 @@ def relation_terms(X, Y, M, kind, a):
 
 @pytest.mark.parametrize("n", [300, 1000])
 def test_every_candidate_reads_as_its_own_zero_test(n):
-    # the reader's contract: a relation read off the shared build, at
-    # any shift up to n, gives the (k, c) of the cleared zero test on
-    # its own terms, for every candidate relation infer_relation tests:
-    # both shifted ones and the shiftless one at d = min(S ^ T),
-    # oriented from the side holding d
+    # the fold against its oracle: a relation read off the term-by-term
+    # build of the pair, at any shift up to n, gives the (k, c) of the
+    # cleared zero test on its own terms, for every candidate relation
+    # infer_relation checks: both shifted ones and the shiftless one at
+    # d = min(S ^ T), oriented from the side holding d
     if n == 300:
         pairs = image_pairs()
         assert len(pairs) == 476
@@ -777,7 +777,7 @@ def test_every_candidate_reads_as_its_own_zero_test(n):
         pairs = [(e.identity.S, e.identity.T, e.identity.M)
                  for e in load_corpus()]
     for S, T, M in pairs:
-        ya, yb, yu, w = _cancelled(S, T, M, n)
+        ya, yb, yu, w = cancelled(S, T, M, n)
         d = min(S ^ T)
         assert d <= n
         shiftless = ((S, T, ya, yb, SHIFTLESS, d) if d in S
@@ -785,8 +785,8 @@ def test_every_candidate_reads_as_its_own_zero_test(n):
         for X, Y, yx, yy, kind, a in ((S, T, ya, yb, SHIFTED, min(S)),
                                       (T, S, yb, ya, SHIFTED, min(T)),
                                       shiftless):
-            read = read_cleared(w, [(c, e, y) for (c, e), y in zip(
-                partitions._relation(kind, a), (yx, yy, yu))], n)
+            read = read_cleared(w, [(t.c, t.e, y) for t, y in zip(
+                relation_terms(X, Y, M, kind, a), (yx, yy, yu))], n)
             assert read == first_nonzero(relation_terms(X, Y, M, kind, a),
                                          n), (X, Y, M, kind, a)
 
@@ -827,44 +827,85 @@ def test_the_shiftless_shift_is_the_least_residue_of_one_side(source):
         got = next(((k, ps[k] - pt[k]) for k in range(top + 1)
                     if ps[k] != pt[k]), None)
         assert got == want, (S, T, M, n)
-        ya, yb, _, w = _cancelled(S, T, M, n)
+        ya, yb, _, w = cancelled(S, T, M, n)
         assert read_cleared(w, [(1, 0, ya), (-1, 0, yb)], n) == want, \
             (S, T, M, n)
 
 
-def test_one_inference_makes_one_build_and_at_most_three_reads(
-        monkeypatch):
-    # _infer reads the two shifted candidates, and the shiftless one
-    # only for d = min(S ^ T) <= n, off one cleared_build, whether it
-    # returns an identity, None, or raises OrderTooSmall
-    calls = Counter()
+def candidates(S, T, n):
+    """The relations infer_relation may accept for the pair, as
+    (X, Y, kind, a): shifted at min(S) and at min(T), and, for
+    d = min(S ^ T) <= n, shiftless at d from the side holding d."""
+    d = min(S ^ T)
+    found = [(S, T, SHIFTED, min(S)), (T, S, SHIFTED, min(T))]
+    if d <= n:
+        found.append((S, T, SHIFTLESS, d) if d in S else (T, S, SHIFTLESS, d))
+    return found
 
-    def counted(name, fn):
-        def call(*args):
-            calls[name] += 1
-            return fn(*args)
-        return call
 
-    for name in ("cleared_build", "read_cleared"):
-        monkeypatch.setattr(partitions, name,
-                            counted(name, getattr(partitions, name)))
-    outcomes = Counter()
-    cases = [(e.identity.S, e.identity.T, e.identity.M, n)
-             for e in load_corpus()
-             for n in {2, min(e.identity.S ^ e.identity.T) - 1, 40, 300}
-             if n >= 1]
+def test_one_inference_checks_each_screened_candidate_once(monkeypatch):
+    # _infer screens the two shifted candidates, and the shiftless one
+    # only for d = min(S ^ T) <= n, on partition counts, and checks each
+    # one it keeps with one first_nonzero, whether it returns an
+    # identity, None, or raises OrderTooSmall.  Each candidate it drops
+    # fails the DP oracle through n; on a catalog pair at order 300 one
+    # candidate is left
+    checked = []
+    real = partitions.first_nonzero
+    monkeypatch.setattr(partitions, "first_nonzero",
+                        lambda terms, n: checked.append(terms)
+                        or real(terms, n))
+    outcomes, counts = Counter(), Counter()
+    table = cache(count_partitions_table)
+    catalog = [(e.identity.S, e.identity.T, e.identity.M)
+               for e in load_corpus()]
+    cases = [(S, T, M, n) for S, T, M in catalog
+             for n in {2, min(S ^ T) - 1, 40, 300} if n >= 1]
     cases += [(S, T, M, n) for shape in SHAPES
               for M, S, T in edge_pairs(shape, 6, seed=500 + len(shape))
               for n in (1, 4, 60)]
     for S, T, M, n in cases:
         partitions._infer.cache_clear()
-        calls.clear()
+        checked.clear()
         got = inferred(S, T, M, n)
-        assert calls == {"cleared_build": 1,
-                         "read_cleared": 2 + (min(S ^ T) <= n)}, \
-            (S, T, M, n)
+        tested = [(X, Y, kind, a) for X, Y, kind, a in candidates(S, T, n)
+                  if relation_terms(X, Y, M, kind, a) in checked]
+        assert len(tested) == len(checked), (S, T, M, n)
+        for X, Y, kind, a in candidates(S, T, n):
+            if (X, Y, kind, a) not in tested:
+                assert not counts_verdict(table(X, M, n), table(Y, M, n),
+                                          kind, a)[0], (X, Y, M, kind, a, n)
+        if n == 300 and (S, T, M) in catalog:
+            assert len(checked) == 1, (S, T, M)
+        counts[len(checked)] += 1
         outcomes[got if got in (None, OrderTooSmall) else got.kind] += 1
     assert set(outcomes) == {None, OrderTooSmall, SHIFTED, SHIFTLESS}
+    assert set(counts) == {0, 1, 2, 3}, counts
+
+
+def outcome_of(fn, *args):
+    """fn's result, or OrderTooSmall's message as a (type, text) pair."""
+    try:
+        return fn(*args)
+    except OrderTooSmall as exc:
+        return OrderTooSmall, str(exc)
+
+
+@pytest.mark.parametrize("n", [2, 15, 300])
+def test_the_screen_only_drops_candidates_that_fail(monkeypatch, n):
+    # with the screen keeping every candidate, so that first_nonzero
+    # decides each, every image pair infers alike, identity, None or
+    # the same OrderTooSmall message
+    pairs = image_pairs()
+    screened = {pair: outcome_of(infer_relation, *pair, n) for pair in pairs}
+    monkeypatch.setattr(partitions, "_counts_hold", lambda *args: True)
+    partitions._infer.cache_clear()
+    for pair in pairs:
+        assert outcome_of(infer_relation, *pair, n) == screened[pair], \
+            (pair, n)
+    if n == 15:
+        assert {type(got) for got in screened.values()} == {
+            PartitionIdentity, tuple}
 
 
 def residue_product_verdict(ident, n):

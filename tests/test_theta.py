@@ -39,7 +39,6 @@ from qshift.theta import (
     atom_series,
     atom_str,
     atom_sums,
-    cleared_build,
     first_nonzero,
     make_monomial,
     monomial_series,
@@ -52,6 +51,7 @@ from qshift.theta import (
 from oracles import (
     UnsupportedNegativeExponent,
     cleared_bound,
+    cleared_build,
     cleared_powers,
     cleared_product,
     parts_bound,
@@ -602,9 +602,8 @@ def test_cleared_build_sizes_limbs_as_bound_plus_sum_of_c(total):
 
 def verify_terms(ident):
     """The three terms verify_identity checks for a partition identity."""
-    return [t._replace(c=c, e=e) for t, (c, e) in zip(
-        partitions._monomials(ident.S, ident.T, ident.M),
-        partitions._relation(ident.kind, ident.a))]
+    return partitions._relation_terms(ident.S, ident.T, ident.M,
+                                      ident.kind, ident.a)
 
 
 def plan_bound(terms, n):
