@@ -53,9 +53,11 @@ one left, as verify_identity checks an identity: on the catalog's
 orbits one candidate per pair.  infer_relation's outcome is memoized
 per unordered pair, modulus and order, so a U(M) orbit meeting a
 folded pair again checks it once.  Only a failing check builds its
-witness, the two counts at the failing index, from
-qseries.residue_product; count_partitions is an independent DP oracle
-for the same numbers.
+witness, the two counts at the failing index, from count_partitions.
+So every partition count the module reports comes from one DP,
+count_partitions_table; qseries.residue_product, a packed product of
+the same parts, is the independent route that selftest checks it
+against.
 
 The module also carries two special families with their own proofs: the
 classical Rogers-Ramanujan shifted identities (moduli 55 and 70 in
@@ -72,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qseries import _expand_parts, residue_product
+from .qseries import _expand_parts
 from .theta import BRACKET, PAREN, Atom, Term, first_nonzero
 
 SHIFTED = "shifted"
@@ -138,7 +140,9 @@ class VerifyReport:
 # ----------------------------------------------------------------------
 
 def count_partitions_table(S, M: int, n: int) -> list[int]:
-    """p(S, 0..n) by direct dynamic programming (the slow oracle)."""
+    """p(S, 0..n) by direct dynamic programming: the one source of the
+    partition counts the library reports (infer_relation's screen,
+    verify_identity's witness, the expand command)."""
     table = [1] + [0] * n
     for k in _expand_parts(S, M, n):
         for j in range(k, n + 1):
@@ -147,7 +151,9 @@ def count_partitions_table(S, M: int, n: int) -> list[int]:
 
 
 def count_partitions(S, M: int, n: int) -> int:
-    """p(S, n): partitions of n into parts = +-s (mod M), s in S."""
+    """p(S, n): partitions of n into parts = +-s (mod M), s in S, and 0
+    for n < 0; verify_identity's failure witness reads its two counts
+    here."""
     if n < 0:
         return 0
     return count_partitions_table(S, M, n)[n]
@@ -193,7 +199,8 @@ def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
 
     A failing check reports the first failing index k and the witness
     (p(S, k), p(T, k - a)) for a shifted identity or (p(S, k), p(T, k))
-    for a shiftless one; only then are those two counts built.
+    for a shiftless one; only then are those two counts built, by
+    count_partitions (p(T, k - a) = 0 for k < a).
     """
     if n < ident.a + 2:
         raise OrderTooSmall(f"order {n} cannot see a shift of {ident.a}")
@@ -203,8 +210,8 @@ def verify_identity(ident: PartitionIdentity, n: int) -> VerifyReport:
         return VerifyReport(True, n)
     k, _ = hit
     j = k - a if ident.kind == SHIFTED else k
-    return VerifyReport(False, n, k, (residue_product(S, M, k).coeff(k),
-                                      residue_product(T, M, j).coeff(j)))
+    return VerifyReport(False, n, k, (count_partitions(S, M, k),
+                                      count_partitions(T, M, j)))
 
 
 def infer_relation(S, T, M: int, n: int) -> PartitionIdentity | None:

@@ -1,13 +1,9 @@
-"""Truncated Laurent series over arbitrary-precision integers.
+"""Packed q-series kernels over arbitrary-precision integers, and the
+Series layer that checks them.
 
-A Series tracks the coefficients of q^k for offset <= k <= order exactly.
-Coefficients below the offset are zero; coefficients above the order are
-unknown (truncated away).  All coefficient arithmetic is exact integer
-arithmetic: no modular shortcuts, and no floats except in sizing limbs.
-
-Long convolutions are evaluated by Kronecker substitution: coefficients
-are packed into fixed-width limbs of one big Python integer, so a series
-product becomes a single integer multiply.  Every product of factors
+All arithmetic is exact integer arithmetic, with floats only in sizing
+limbs.  Coefficients are packed into fixed-width limbs of one big
+Python integer (Kronecker substitution).  Every product of factors
 (1 - s q^k)^(+-1), s = +-1, times a packed start value (Pochhammer
 symbols, theta atoms and monomials, residue products) comes from one
 packed builder, _pack_product: a factor is a shift-and-subtract or
@@ -33,6 +29,15 @@ later limbs overflow.  Products of theta sums have one builder on top
 of _pack_sparse, theta._pack_sums; theta._plan clears and sizes every
 zero-sum of theta terms, theta.first_nonzero, the one cleared zero
 test, builds it, and theta.read_cleared reads it.
+
+The Series layer (Series, mul, invert, shift_scale, product_series,
+pochhammer, residue_product, and theta's atom_series, monomial_series
+and ramanujan_f_sum) is an oracle, not a production path.  A Series
+holds the exact coefficients of q^offset..q^order, and mul is one
+Kronecker multiply (_mul_coeffs).  The layer's one library caller is
+selftest's counting check, residue_product against the DP
+partitions.count_partitions_table; the tests use it as their
+reference, and bench/tracing.py binds its names.
 """
 
 from __future__ import annotations
@@ -331,19 +336,10 @@ class Series:
 # arithmetic
 # ----------------------------------------------------------------------
 
-def _mul_schoolbook(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
-    out = [0] * min(len(a) + len(b) - 1, count)
-    top = len(out)
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= top:
-            continue
-        jmax = min(len(b), top - i)
-        for j in range(jmax):
-            out[i + j] += ai * b[j]
-    return out
-
-
-def _mul_packed(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
+def _mul_coeffs(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
+    """First count coefficients of a*b by one Kronecker multiply: limbs
+    of bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 2 bits
+    hold every coefficient of the product and its sign."""
     maxa = max(abs(c) for c in a)
     maxb = max(abs(c) for c in b)
     bits = (maxa.bit_length() + maxb.bit_length()
@@ -354,20 +350,12 @@ def _mul_packed(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
     return _unpack_signed(prod, nbytes, full)[:count]
 
 
-def _mul_coeffs(a: Sequence[int], b: Sequence[int], count: int) -> list[int]:
-    """First count coefficients of a*b: schoolbook for small inputs, packed
-    above 4096 coefficient pairs (16x16 is faster schoolbook, 32x32 packed)."""
-    if len(a) * len(b) <= 4096:
-        return _mul_schoolbook(a, b, count)
-    return _mul_packed(a, b, count)
-
-
 def mul(a: Series, b: Series) -> Series:
     """Cauchy product, truncated at min(order_a, order_b).
 
-    No check calls mul or invert.  Both stay as the reference oracle the
-    tests compare the packed builders with, and bench/tracing.py binds
-    both names.
+    No library check calls mul or invert.  The Series layer is the
+    oracle the tests and selftest compare the packed builders and the
+    DP with, and bench/tracing.py binds its names.
     """
     order = min(a.order, b.order)
     if a.is_zero() or b.is_zero():

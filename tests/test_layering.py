@@ -6,11 +6,12 @@ builds their products.  Clearing and limb sizing live in theta's one
 plan of a cleared build (theta._plan), on qseries' bounds, and the read
 of a packed sum at its lowest limb in theta's one reader
 (theta.read_cleared).  Every other module goes through the one build of
-that plan, the cleared zero test theta.first_nonzero, or the public
-series functions, so a second builder, sizing, build or reader cannot
-come back unnoticed.  The
-private names one module imports from another are an explicit list, so
-a new one is a decision, not a drift.  Only search imports numpy, so
+that plan, the cleared zero test theta.first_nonzero, so a second
+builder, sizing, build or reader cannot come back unnoticed.  The
+Series layer, the oracle of those builds, is named only in qseries,
+theta and, for selftest's counting check, cli.  The private names one
+module imports from another are an explicit list, so a new one is a
+decision, not a drift.  Only search imports numpy, so
 importing the command line loads neither numpy nor the search.
 
 Every top-level function and class of the library, and every
@@ -128,6 +129,24 @@ def test_only_theta_plans_builds_and_reads_cleared_sums():
     assert imported == {"BRACKET", "PAREN", "Atom", "Term", "first_nonzero"}
 
 
+# the Series layer: the oracle the tests and selftest check the packed
+# builders and the DP with.  qseries defines it and theta writes its
+# theta-function series on it; selftest's counting check, in cli, is
+# its one library caller, and no check reads a partition count from it
+SERIES_LAYER = {"Series", "product_series", "residue_product", "mul",
+                "invert", "pochhammer", "shift_scale", "atom_series",
+                "monomial_series", "ramanujan_f_sum"}
+
+
+def test_only_qseries_theta_and_the_counting_check_name_the_series_layer():
+    reached = {p.name: builder_names(p, SERIES_LAYER)
+               for p in SRC.glob("*.py")}
+    assert {"product_series", "shift_scale", "atom_series"} <= reached["theta.py"]
+    assert reached["cli.py"] == {"residue_product"}
+    assert {name for name, found in reached.items() if found} == {
+        "qseries.py", "theta.py", "cli.py"}
+
+
 # ----------------------------------------------------------------------
 # private names imported across modules
 # ----------------------------------------------------------------------
@@ -199,9 +218,6 @@ def test_importing_the_cli_loads_no_numpy():
 
 BENCH = SRC.parent.parent / "bench"
 README = SRC.parent.parent / "README.md"
-# the README's library example calls it (test_the_readme_example_runs);
-# nothing else does
-USED_ELSEWHERE = {("partitions.py", "count_partitions")}
 
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -256,23 +272,14 @@ def test_every_library_definition_is_used_outside_the_tests():
                        *(referenced_names(p, strings=True)
                          for p in BENCH.glob("*.py")))
     unused = sorted((p.name, name) for p in modules
-                    for name in top_level_defs(p)
-                    if name not in used and (p.name, name) not in USED_ELSEWHERE)
+                    for name in top_level_defs(p) if name not in used)
     assert unused == []
-    # the listed exception is still defined, and still used nowhere else
-    for module, name in USED_ELSEWHERE:
-        assert name in top_level_defs(SRC / module)
-        assert name not in used
 
 
 def test_the_readme_example_runs():
-    """The README's Python block runs against this source tree, and
-    calls count_partitions, the one name USED_ELSEWHERE excuses."""
+    """The README's Python block runs against this source tree."""
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
-    calls = {node.func.id for node in ast.walk(ast.parse(blocks[0]))
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert {name for _, name in USED_ELSEWHERE} <= calls
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     done = subprocess.run([sys.executable, "-c", blocks[0]], env=env,
                           capture_output=True, text=True, timeout=300)

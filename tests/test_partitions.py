@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qshift import partitions, theta
+from qshift import partitions, qseries, theta
 from qshift.corpus import load_corpus
 from qshift.qseries import (
     EmptySet,
@@ -730,6 +730,62 @@ def test_mutants_fail_at_the_dp_first_fail_at_order_3000():
         want = dp_first_fail(case, n)
         assert want is not None, case
         assert (rep.ok, rep.first_fail, rep.witness) == (False, *want), case
+
+
+def packed_witness(ident, k):
+    """(p(S, k), p(T, j)) read from residue_product, the packed route
+    independent of the DP: j = k - a (shifted) or k (shiftless), and a
+    count below 0 is 0."""
+    j = k - ident.a if ident.kind == SHIFTED else k
+    return tuple(residue_product(X, ident.M, i).coeff(i) if i >= 0 else 0
+                 for X, i in ((ident.S, k), (ident.T, j)))
+
+
+def test_mutant_witnesses_match_the_packed_product():
+    # the witness comes from the DP, as do dp_first_fail and the other
+    # count oracles; residue_product checks its two counts on its own
+    n = 300
+    rng = random.Random(n)
+    for entry in load_corpus():
+        case = single_residue_mutant(entry.identity, rng)
+        rep = verify_identity(case, n)
+        assert not rep.ok, case
+        assert rep.witness == packed_witness(case, rep.first_fail), case
+
+
+def test_a_shifted_mutant_fails_below_its_shift():
+    # Thm-40.1-ii (a = 2) with min(S) swapped for 1 fails at k = 1 < a,
+    # where T's count p(T, -1) is 0
+    ident = next(e.identity for e in load_corpus()
+                 if e.label == "Thm-40.1-ii")
+    assert ident.kind == SHIFTED and ident.a == 2 and 1 not in ident.S
+    case = PartitionIdentity(ident.M, ident.S - {min(ident.S)} | {1},
+                             ident.T, SHIFTED, ident.a)
+    rep = verify_identity(case, 300)
+    assert (rep.ok, rep.first_fail, rep.witness) == (False, 1, (1, 0))
+    assert rep.witness == packed_witness(case, 1)
+    assert (rep.first_fail, rep.witness) == dp_first_fail(case, 300)
+
+
+def test_a_failing_verify_builds_no_series(monkeypatch):
+    # the witness reads the DP; no module's binding of the packed
+    # residue product or of product_series is reached
+    def refuse(*args):
+        raise AssertionError("a Series was built")
+
+    for module in (qseries, theta, partitions):
+        for name in ("residue_product", "product_series"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    rng = random.Random(7)
+    for entry in load_corpus()[:20]:
+        case = single_residue_mutant(entry.identity, rng)
+        rep = verify_identity(case, 300)
+        assert not rep.ok and rep.witness is not None, case
+    # the command line's false identity: S32 with 15 -> 16
+    rep = verify_identity(PartitionIdentity(32, S32 - {15} | {16}, T32,
+                                            SHIFTED, 1), 1000)
+    assert (rep.first_fail, rep.witness) == (15, (71, 72))
 
 
 def image_pairs():

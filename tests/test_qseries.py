@@ -22,8 +22,7 @@ from qshift.qseries import (
     Series,
     _coeff_bits,
     _expand_parts,
-    _mul_packed,
-    _mul_schoolbook,
+    _mul_coeffs,
     invert,
     mul,
     pochhammer,
@@ -248,9 +247,12 @@ def test_mul_matches_dict_convolution(acs, bcs, aoff, boff):
     st.lists(st.integers(-(10**25), 10**25), min_size=1, max_size=40),
 )
 @settings(deadline=None)
-def test_packed_convolution_matches_schoolbook(a, b):
-    count = len(a) + len(b) - 1
-    assert _mul_packed(a, b, count) == _mul_schoolbook(a, b, count)
+def test_kronecker_multiply_matches_a_direct_convolution(a, b):
+    want = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            want[i + j] += x * y
+    assert _mul_coeffs(a, b, len(want)) == want
 
 
 @st.composite
